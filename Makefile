@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify vet-intent chaos bench bench-scale bench-scale-check bench-rma bench-rma-check bench-runtime bench-runtime-check bench-transport bench-transport-check bench-all clean
+.PHONY: all build test verify vet-intent chaos ladder-compare bench bench-scale bench-scale-check bench-rma bench-rma-check bench-runtime bench-runtime-check bench-transport bench-transport-check bench-all clean
 
 all: build
 
@@ -16,7 +16,11 @@ test:
 # suites re-run at GOMAXPROCS=4 (the default pass inherits the host's
 # GOMAXPROCS, which on a single-P box would never exercise true rank
 # parallelism — the lock-free mailbox's memory-order claims are only
-# meaningfully checked by -race when ranks genuinely preempt each other),
+# meaningfully checked by -race when ranks genuinely preempt each other;
+# the bound-directive replay property rides along, because that is where
+# ranks really share one parsed block concurrently), the benchmark's smoke
+# test under the race detector (the configuration in which the barrier's
+# lost wakeup was seen: every fence of the halo workload parks there),
 # the typemap suite again under the `purego` tag so the
 # reflection pack/unpack path — the fast path's correctness oracle — stays
 # exercised even though normal builds take the zero-copy path, and the
@@ -39,7 +43,8 @@ verify: vet-intent
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestManySendersOneReceiver' ./internal/mpi/ ./internal/shmtransport/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/
+	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/
 	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree' ./internal/telemetry/
 	COMMINTENT_MANAGED_RUNTIME= COMMINTENT_TRANSPORT= $(GO) test -run 'TestChaosHaloSweep|TestVirtualTimePinned|TestFiguresPinned|TestRetuneOffIsBitIdentical' . ./internal/mpi/ ./internal/bench/
@@ -65,6 +70,14 @@ vet-intent:
 # watchdog into typed deadline errors).
 chaos:
 	$(GO) test -race -run 'TestChaos|TestFault|TestRetry|TestDeadline|TestWaitUntilTimeout' . ./internal/simnet/ ./internal/mpi/ ./internal/core/ ./internal/shmem/ ./internal/plan/
+
+# ladder-compare gates one layer-ladder report against another: B may be no
+# worse than A beyond the bounds BENCHMARK.json fixes, on any workload.
+# Write the reports with `go run ./benchmark -json <file>` (about three
+# minutes each, same host, same seed):
+#   make ladder-compare A=parent.json B=change.json
+ladder-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # bench runs the data-plane benchmarks (simulator wall-clock cost: pack and
 # unpack, payload pooling, message matching) and snapshots them, diffed

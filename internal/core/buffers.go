@@ -56,13 +56,19 @@ type bufInfo struct {
 	win  *mpi.Win
 }
 
-// resolveKey identifies a clause buffer for the Env's handle cache. For
-// symmetric buffers the (allocation id, view offset) pair is the identity;
-// for local slices and struct pointers it is (type, base address, length) —
-// the same triple winFor keys windows by. The key is three plain words
-// (the type identity is the interface type word, not a reflect.Type), so
-// the per-directive cache lookups hash fast.
-type resolveKey struct {
+// BufID identifies a clause buffer: the key of the Env's handle cache, and
+// what a front end's bound directive (see Env.Site) compares to decide that
+// a named buffer is still the one it lowered. For symmetric buffers the
+// (allocation id, view offset) pair is the identity; for local slices and
+// struct pointers it is (type, base address, length) — the same triple
+// winFor keys windows by. The key is three plain words (the type identity
+// is the interface type word, not a reflect.Type), so the per-directive
+// cache lookups hash fast.
+//
+// A BufID holds no reference to the storage it names, so it only stays
+// meaningful while something else keeps that storage alive — the handle
+// cache's bufInfo, a bound option list — and the address cannot be reused.
+type BufID struct {
 	typ uintptr // symTypeWord for symmetric buffers, else the dynamic type identity
 	ptr uintptr // base address; the allocation id for symmetric buffers
 	n   int     // length (1 for *struct); the view offset for symmetric buffers
@@ -74,28 +80,29 @@ type resolveKey struct {
 // intentionally share a key: they classify to the same bufInfo.
 const symTypeWord uintptr = 1
 
-// resolveKeyFor derives the cache key for a clause buffer; ok=false means
-// the value is not cacheable and must be classified from scratch.
-func resolveKeyFor(v any) (resolveKey, bool) {
+// BufIDOf derives the identity of a clause buffer; ok=false means the value
+// has none (nil, or a type no clause accepts) and must be classified from
+// scratch.
+func BufIDOf(v any) (BufID, bool) {
 	switch b := v.(type) {
 	case nil:
-		return resolveKey{}, false
+		return BufID{}, false
 	case symView:
-		return resolveKey{typ: symTypeWord, ptr: uintptr(b.s.SymID()), n: b.off}, true
+		return BufID{typ: symTypeWord, ptr: uintptr(b.s.SymID()), n: b.off}, true
 	case shmem.AnySlice:
-		return resolveKey{typ: symTypeWord, ptr: uintptr(b.SymID())}, true
+		return BufID{typ: symTypeWord, ptr: uintptr(b.SymID())}, true
 	}
 	rv := reflect.ValueOf(v)
 	switch rv.Kind() {
 	case reflect.Slice:
-		return resolveKey{typ: typemap.TypeWord(v), ptr: rv.Pointer(), n: rv.Len()}, true
+		return BufID{typ: typemap.TypeWord(v), ptr: rv.Pointer(), n: rv.Len()}, true
 	case reflect.Pointer:
 		if rv.IsNil() {
-			return resolveKey{}, false
+			return BufID{}, false
 		}
-		return resolveKey{typ: typemap.TypeWord(v), ptr: rv.Pointer(), n: 1}, true
+		return BufID{typ: typemap.TypeWord(v), ptr: rv.Pointer(), n: 1}, true
 	default:
-		return resolveKey{}, false
+		return BufID{}, false
 	}
 }
 
@@ -148,7 +155,7 @@ const maxResolveCacheEntries = 4096
 // pays the datatype-cache-hit lookup cost the uncached path would charge,
 // so virtual time is unchanged.
 func (e *Env) classify(v any) (*bufInfo, error) {
-	key, cacheable := resolveKeyFor(v)
+	key, cacheable := BufIDOf(v)
 	if cacheable {
 		if b, ok := e.resolve[key]; ok {
 			e.tele.resolveHits.Inc()

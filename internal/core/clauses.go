@@ -81,14 +81,24 @@ func ReceiverFn(f func() int) Option {
 	return func(c *Clauses) { c.receiver = f; c.receiverSet = true }
 }
 
-// SBuf lists the origin buffer(s) of the message.
+// SBuf lists the origin buffer(s) of the message. An empty list asserts
+// nothing: a comm_p2p that names no buffers inherits its region's.
 func SBuf(bufs ...any) Option {
-	return func(c *Clauses) { c.sbuf = bufs }
+	return func(c *Clauses) {
+		if len(bufs) > 0 {
+			c.sbuf = bufs
+		}
+	}
 }
 
-// RBuf lists the destination buffer(s) of the message.
+// RBuf lists the destination buffer(s) of the message; an empty list
+// asserts nothing, as for SBuf.
 func RBuf(bufs ...any) Option {
-	return func(c *Clauses) { c.rbuf = bufs }
+	return func(c *Clauses) {
+		if len(bufs) > 0 {
+			c.rbuf = bufs
+		}
+	}
 }
 
 // SendWhen asserts the Boolean expression selecting which processes send.
@@ -169,57 +179,25 @@ func Label(s string) Option {
 	return func(c *Clauses) { c.label = s; c.labelSet = true }
 }
 
-// emptyClauses is the shared build result for an empty option list; clause
-// sets are read-only after build, so sharing is safe.
-var emptyClauses Clauses
-
-func build(opts []Option) *Clauses {
-	if len(opts) == 0 {
-		return &emptyClauses
-	}
-	c := &Clauses{}
+// set rebuilds the clause set from opts in place.
+func (c *Clauses) set(opts []Option) {
+	*c = Clauses{}
 	for _, o := range opts {
 		o(c)
 	}
-	return c
 }
 
-// merge overlays p2p-level clauses over region defaults. A region with no
-// p2p-relevant defaults (the common bare-Parameters shape) merges to the
-// p2p clause set itself, allocation-free.
-func merge(region, p2p *Clauses) *Clauses {
-	if !region.senderSet && !region.receiverSet &&
-		len(region.sbuf) == 0 && len(region.rbuf) == 0 &&
-		!region.sendWhenSet && !region.recvWhenSet &&
-		!region.targetSet && !region.countSet {
-		return p2p
+// inherit makes c the clause set of a comm_p2p with the given options
+// inside a region asserting the given clauses: the region's p2p clauses
+// apply unless the directive re-asserts them, and the comm_parameters-only
+// clauses do not carry over (so validateP2POnly sees only what the
+// directive itself asserted).
+func (c *Clauses) inherit(region *Clauses, opts []Option) {
+	*c = *region
+	c.placeSyncSet, c.maxCommIterSet, c.labelSet, c.managedSet = false, false, false, false
+	for _, o := range opts {
+		o(c)
 	}
-	m := *region
-	if p2p.senderSet {
-		m.sender, m.senderSet = p2p.sender, true
-	}
-	if p2p.receiverSet {
-		m.receiver, m.receiverSet = p2p.receiver, true
-	}
-	if len(p2p.sbuf) > 0 {
-		m.sbuf = p2p.sbuf
-	}
-	if len(p2p.rbuf) > 0 {
-		m.rbuf = p2p.rbuf
-	}
-	if p2p.sendWhenSet {
-		m.sendWhen, m.sendWhenSet = p2p.sendWhen, true
-	}
-	if p2p.recvWhenSet {
-		m.recvWhen, m.recvWhenSet = p2p.recvWhen, true
-	}
-	if p2p.targetSet {
-		m.target, m.targetSet = p2p.target, true
-	}
-	if p2p.countSet {
-		m.count, m.countSet = p2p.count, true
-	}
-	return &m
 }
 
 // validateP2P checks a fully merged comm_p2p clause set.

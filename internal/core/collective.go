@@ -137,7 +137,7 @@ func (e *Env) Coll(opts ...CollOption) error {
 		if count <= 0 {
 			return ErrCountInference
 		}
-		e.noteLimited(e.regionSeq, "count-infer", fmt.Sprintf("comm_coll %v: inferred segment count %d", cc.kind, count))
+		e.noteText(e.regionSeq, "count-infer", fmt.Sprintf("comm_coll %v: inferred segment count %d", cc.kind, count))
 	}
 
 	target := TargetMPI2Side
@@ -162,7 +162,7 @@ func (e *Env) Coll(opts ...CollOption) error {
 	if err != nil {
 		return err
 	}
-	e.noteLimited(e.regionSeq, "collective", fmt.Sprintf("%v root=%d count=%d target=%v", cc.kind, cc.root, count, target))
+	e.noteText(e.regionSeq, "collective", fmt.Sprintf("%v root=%d count=%d target=%v", cc.kind, cc.root, count, target))
 	return nil
 }
 
@@ -255,7 +255,7 @@ func (e *Env) collMPI(kind CollKind, root int, sb, rb *bufInfo, count int) error
 		}
 		_, err = e.comm.Waitall(reqs)
 		if err == nil {
-			e.noteLimited(e.regionSeq, "sync", fmt.Sprintf("MPI_Waitall over %d request(s) (all-to-all)", len(reqs)))
+			e.noteText(e.regionSeq, "sync", fmt.Sprintf("MPI_Waitall over %d request(s) (all-to-all)", len(reqs)))
 		}
 		return err
 	default:

@@ -124,15 +124,3 @@ var (
 	// ErrClosed reports use of an Env after Close.
 	ErrClosed = errors.New("core: environment is closed")
 )
-
-// Decision is one recorded lowering decision, the runtime analogue of a
-// line of compiler-generated code.
-type Decision struct {
-	Region int    // region sequence number (0 for standalone p2p wrappers)
-	Kind   string // e.g. "target", "datatype", "count-infer", "sync"
-	Detail string
-}
-
-func (d Decision) String() string {
-	return fmt.Sprintf("[region %d] %-12s %s", d.Region, d.Kind, d.Detail)
-}

@@ -41,7 +41,7 @@ type Env struct {
 	// Handle cache: classified clause buffers with their resolved
 	// window/symmetric/datatype handles, reused across max_comm_iter
 	// iterations so steady-state lowering skips the reflection walk.
-	resolve map[resolveKey]*bufInfo
+	resolve map[BufID]*bufInfo
 
 	// freeRegion is the recycled Region (with its ledger storage) handed
 	// out by Parameters; nil while a region is open or before first use.
@@ -61,8 +61,15 @@ type Env struct {
 	rtTrace *rt.Trace
 
 	regionSeq int
-	decisions []Decision
 	closed    bool
+
+	// Decision log (see decisions.go): compact records, plus the side table
+	// of the decisions worded when made.
+	decisions    []decisionRec
+	decisionText [][2]string // kind, detail
+
+	// sites is the bind-once table of the front ends (see site.go).
+	sites map[*SiteKey]any
 
 	// regionIDs caches label → fabric-interned region id so a steady-state
 	// region loop pays the intern-table mutex once per distinct label.
@@ -171,7 +178,7 @@ func NewEnv(comm *mpi.Comm, shm *shmem.Ctx) (*Env, error) {
 		layouts: typemap.NewCache(),
 		dtypes:  make(map[reflect.Type]*mpi.Datatype),
 		wins:    make(map[winKey]*mpi.Win),
-		resolve: make(map[resolveKey]*bufInfo),
+		resolve: make(map[BufID]*bufInfo),
 	}
 	e.faults = comm.SPMD().World().Fabric().FaultsEnabled()
 	e.retry = defaultRetryPolicy(comm.SPMD().Profile())
@@ -240,7 +247,7 @@ func (e *Env) Close() error {
 		if err := e.flush(p, e.regionSeq); err != nil {
 			return err
 		}
-		e.note(e.regionSeq, "sync", "deferred synchronisation flushed at scope close")
+		e.note(e.regionSeq, decSyncScopeClose, 0)
 	}
 	return nil
 }
@@ -259,23 +266,6 @@ func (e *Env) FlushDeferred() error {
 // HasDeferred reports whether synchronisation is currently deferred.
 func (e *Env) HasDeferred() bool {
 	return (e.pending != nil && !e.pending.empty()) || !e.co.empty()
-}
-
-// Decisions returns the lowering decisions recorded so far, the runtime
-// analogue of inspecting the compiler's generated communication code.
-func (e *Env) Decisions() []Decision {
-	out := make([]Decision, len(e.decisions))
-	copy(out, e.decisions)
-	return out
-}
-
-// note records a lowering decision. The log is capped so long-running
-// loops of directives cannot grow it without bound; the earliest decisions
-// (datatype commits, first syncs) are the informative ones.
-func (e *Env) note(region int, kind, detail string) {
-	if len(e.decisions) < maxRecordedDecisions {
-		e.decisions = append(e.decisions, Decision{Region: region, Kind: kind, Detail: detail})
-	}
 }
 
 // chargeLayout charges the cost of resolving a struct layout: a full
@@ -305,7 +295,7 @@ func (e *Env) structType(t reflect.Type, example any) (*mpi.Datatype, error) {
 		return nil, err
 	}
 	e.dtypes[t] = dt
-	e.note(e.regionSeq, "datatype", fmt.Sprintf("created and committed %s (%d bytes), cached for scope", dt, dt.Size()))
+	e.noteText(e.regionSeq, "datatype", fmt.Sprintf("created and committed %s (%d bytes), cached for scope", dt, dt.Size()))
 	return dt, nil
 }
 
@@ -329,6 +319,6 @@ func (e *Env) winFor(local any) (*mpi.Win, error) {
 		return nil, err
 	}
 	e.wins[key] = w
-	e.note(e.regionSeq, "window", fmt.Sprintf("collective MPI_Win_create over %T[%d]", local, rv.Len()))
+	e.noteText(e.regionSeq, "window", fmt.Sprintf("collective MPI_Win_create over %T[%d]", local, rv.Len()))
 	return w, nil
 }

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"commintent/internal/mpi"
 	"commintent/internal/shmem"
@@ -17,19 +16,21 @@ import (
 type ledger struct {
 	reqs   []*mpi.Request
 	pinned []bufRange
+	hull   rangeHull // bounds every pinned range
 
 	// resend carries the intent behind each request — parallel to reqs —
 	// so flush can re-express lost transfers on a fault-injecting fabric.
 	// Only populated when the environment runs with faults enabled.
 	resend []resendOp
 
-	// The completion maps are allocated on first use (most regions touch at
-	// most one backend) and cleared in place by flush, so a steady-state
-	// region loop reuses their storage instead of reallocating per region.
-	shmemDst map[int]bool // world PEs this rank put data to
-	shmemSrc map[int]bool // world PEs this rank expects data from
-
-	wins map[*mpi.Win]bool // windows with an open put epoch
+	// The completion sets are small slices kept in the order flush visits
+	// them — world PEs ascending, windows by creation sequence (all ranks
+	// hold the same windows in the same creation order, which keeps the
+	// collective fences aligned) — and truncated in place by reset, so a
+	// steady-state region loop neither sorts nor allocates.
+	shmemDst []int      // world PEs this rank put data to
+	shmemSrc []int      // world PEs this rank expects data from
+	wins     []*mpi.Win // windows with an open put epoch
 
 	p2pCount int // comm_p2p executions recorded (for max_comm_iter)
 }
@@ -38,49 +39,113 @@ func newLedger() *ledger {
 	return &ledger{}
 }
 
-// reset clears the ledger in place, keeping map and slice storage warm for
-// the next region.
+// reset clears the ledger in place, keeping slice storage warm for the
+// next region.
 func (l *ledger) reset() {
 	clear(l.reqs)
 	l.reqs = l.reqs[:0]
 	clear(l.resend)
 	l.resend = l.resend[:0]
-	l.pinned = l.pinned[:0]
-	clear(l.shmemDst)
-	clear(l.shmemSrc)
+	l.unpin()
+	l.shmemDst = l.shmemDst[:0]
+	l.shmemSrc = l.shmemSrc[:0]
 	clear(l.wins)
+	l.wins = l.wins[:0]
 	l.p2pCount = 0
 }
 
-// noteWin records a window with an open put epoch.
+// noteWin records a window with an open put epoch. Directives name their
+// windows in the same order region after region, so the scan from the back
+// ends at once.
 func (l *ledger) noteWin(w *mpi.Win) {
-	if l.wins == nil {
-		l.wins = make(map[*mpi.Win]bool, 1)
+	i := len(l.wins)
+	for i > 0 && l.wins[i-1].Seq() >= w.Seq() {
+		if l.wins[i-1] == w {
+			return
+		}
+		i--
 	}
-	l.wins[w] = true
+	l.wins = slices.Insert(l.wins, i, w)
 }
 
 // noteShmemDst records a world PE this rank put data to.
-func (l *ledger) noteShmemDst(pe int) {
-	if l.shmemDst == nil {
-		l.shmemDst = make(map[int]bool, 1)
-	}
-	l.shmemDst[pe] = true
-}
+func (l *ledger) noteShmemDst(pe int) { l.shmemDst = insertPE(l.shmemDst, pe) }
 
 // noteShmemSrc records a world PE this rank expects data from.
-func (l *ledger) noteShmemSrc(pe int) {
-	if l.shmemSrc == nil {
-		l.shmemSrc = make(map[int]bool, 1)
+func (l *ledger) noteShmemSrc(pe int) { l.shmemSrc = insertPE(l.shmemSrc, pe) }
+
+// insertPE adds pe to an ascending set of PEs.
+func insertPE(set []int, pe int) []int {
+	if n := len(set); n > 0 && set[n-1] == pe {
+		return set // a run of directives to one peer
 	}
-	l.shmemSrc[pe] = true
+	i, found := slices.BinarySearch(set, pe)
+	if found {
+		return set
+	}
+	return slices.Insert(set, i, pe)
 }
 
 func (l *ledger) empty() bool {
 	return len(l.reqs) == 0 && len(l.shmemDst) == 0 && len(l.shmemSrc) == 0 && len(l.wins) == 0
 }
 
+// symSpan is the element span of one symmetric allocation's pinned ranges.
+type symSpan struct{ id, lo, hi int }
+
+// rangeHull bounds a set of ranges per storage class: one local address
+// span, and one element span per symmetric allocation. A range outside the
+// hull overlaps no member of the set.
+type rangeHull struct {
+	local  bool // lo, hi are set
+	lo, hi uintptr
+	syms   []symSpan
+}
+
+func (h *rangeHull) add(r bufRange) {
+	if !r.sym {
+		if !h.local {
+			h.local, h.lo, h.hi = true, r.start, r.end
+			return
+		}
+		h.lo, h.hi = min(h.lo, r.start), max(h.hi, r.end)
+		return
+	}
+	for i := range h.syms {
+		if s := &h.syms[i]; s.id == r.symID {
+			s.lo, s.hi = min(s.lo, r.symStart), max(s.hi, r.symEnd)
+			return
+		}
+	}
+	h.syms = append(h.syms, symSpan{r.symID, r.symStart, r.symEnd})
+}
+
+func (h *rangeHull) touches(r bufRange) bool {
+	if !r.sym {
+		return h.local && r.start < h.hi && h.lo < r.end
+	}
+	for _, s := range h.syms {
+		if s.id == r.symID {
+			return r.symStart < s.hi && s.lo < r.symEnd
+		}
+	}
+	return false
+}
+
+// overlapsAny reports whether any of ranges overlaps a pinned range. A
+// region of many directives over disjoint buffers (one per atom, say) makes
+// the full scan quadratic, so the hull answers first.
 func (l *ledger) overlapsAny(ranges []bufRange) bool {
+	inHull := false
+	for _, r := range ranges {
+		if l.hull.touches(r) {
+			inHull = true
+			break
+		}
+	}
+	if !inHull {
+		return false
+	}
 	for _, p := range l.pinned {
 		for _, r := range ranges {
 			if p.overlaps(r) {
@@ -93,20 +158,29 @@ func (l *ledger) overlapsAny(ranges []bufRange) bool {
 
 func (l *ledger) pin(ranges []bufRange) {
 	l.pinned = append(l.pinned, ranges...)
+	for _, r := range ranges {
+		l.hull.add(r)
+	}
+}
+
+// unpin forgets every pinned range.
+func (l *ledger) unpin() {
+	l.pinned = l.pinned[:0]
+	l.hull = rangeHull{syms: l.hull.syms[:0]}
 }
 
 // absorb merges another ledger (carried from a previous adjacent region).
 func (l *ledger) absorb(o *ledger) {
 	l.reqs = append(l.reqs, o.reqs...)
 	l.resend = append(l.resend, o.resend...)
-	l.pinned = append(l.pinned, o.pinned...)
-	for pe := range o.shmemDst {
+	l.pin(o.pinned)
+	for _, pe := range o.shmemDst {
 		l.noteShmemDst(pe)
 	}
-	for pe := range o.shmemSrc {
+	for _, pe := range o.shmemSrc {
 		l.noteShmemSrc(pe)
 	}
-	for w := range o.wins {
+	for _, w := range o.wins {
 		l.noteWin(w)
 	}
 	l.p2pCount += o.p2pCount
@@ -123,7 +197,7 @@ func (e *Env) flush(l *ledger, region int) error {
 		if l != nil {
 			// A fully-coalesced region leaves pins but no requests; clear
 			// them so they cannot outlive the flush that covers them.
-			l.pinned = l.pinned[:0]
+			l.unpin()
 		}
 		return nil
 	}
@@ -150,67 +224,37 @@ func (e *Env) flush(l *ledger, region int) error {
 			if err := e.waitWithRetry(l, region); err != nil {
 				return err
 			}
-			e.note(region, "sync", fmt.Sprintf("retry-guarded MPI_Waitall over %d request(s)", len(l.reqs)))
+			e.note(region, decWaitallRetry, len(l.reqs))
 		} else {
 			if _, err := e.comm.Waitall(l.reqs); err != nil {
 				return err
 			}
-			e.note(region, "sync", fmt.Sprintf("MPI_Waitall over %d request(s)", len(l.reqs)))
+			e.note(region, decWaitall, len(l.reqs))
 		}
 	}
-	if len(l.wins) == 1 {
-		// One window — the common one-sided region shape — needs no
-		// deterministic ordering pass.
-		for w := range l.wins {
-			w.Fence()
-		}
-		e.note(region, "sync", "MPI_Win_fence")
-	} else {
-		for _, w := range sortedWins(l.wins) {
-			w.Fence()
-			e.note(region, "sync", "MPI_Win_fence")
-		}
+	for _, w := range l.wins {
+		w.Fence()
+		e.note(region, decFence, 0)
 	}
 	if len(l.shmemDst) > 0 {
 		e.shm.Quiet()
-		for _, pe := range sortedPEs(l.shmemDst) {
+		for _, pe := range l.shmemDst {
 			e.sentSync[pe]++
 			if err := e.flags.P(e.shm, pe, e.shm.MyPE(), e.sentSync[pe]); err != nil {
 				return err
 			}
 		}
-		e.note(region, "sync", fmt.Sprintf("shmem_quiet + %d notification flag(s)", len(l.shmemDst)))
+		e.note(region, decQuietFlags, len(l.shmemDst))
 	}
 	if len(l.shmemSrc) > 0 {
-		for _, pe := range sortedPEs(l.shmemSrc) {
+		for _, pe := range l.shmemSrc {
 			e.expSync[pe]++
 			if err := e.flags.WaitUntil(e.shm, pe, shmem.CmpGE, e.expSync[pe]); err != nil {
 				return err
 			}
 		}
-		e.note(region, "sync", fmt.Sprintf("shmem_wait_until on %d source flag(s)", len(l.shmemSrc)))
+		e.note(region, decWaitUntil, len(l.shmemSrc))
 	}
 	l.reset()
 	return nil
-}
-
-func sortedPEs(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for pe := range m {
-		out = append(out, pe)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// sortedWins orders windows deterministically; all ranks hold the same
-// windows in the same creation order, so sorting by creation sequence keeps
-// the collective fences aligned.
-func sortedWins(m map[*mpi.Win]bool) []*mpi.Win {
-	out := make([]*mpi.Win, 0, len(m))
-	for w := range m {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq() < out[j].Seq() })
-	return out
 }

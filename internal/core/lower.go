@@ -4,8 +4,6 @@ import (
 	"fmt"
 )
 
-const maxRecordedDecisions = 4096
-
 // emitSpanName precomputes the per-target "emit:<target>" span labels so
 // the steady-state path does not concatenate a string per directive.
 var emitSpanName = func() [TargetAuto + 1]string {
@@ -79,7 +77,7 @@ func (e *Env) emit(r *Region, cl *Clauses) error {
 			return err
 		}
 		e.tele.inferred.Inc()
-		e.noteLimited(r.id, "count-infer", fmt.Sprintf("count omitted; inferred %d from smallest array buffer", count))
+		e.note(r.id, decCountInfer, count)
 	}
 	// Scalar composite buffers always move exactly one element (their
 	// emission clamps to 1), so the count capacity check applies to array
@@ -138,7 +136,7 @@ func (e *Env) emit(r *Region, cl *Clauses) error {
 		if err := e.flush(r.led, r.id); err != nil {
 			return err
 		}
-		e.noteLimited(r.id, "sync", "synchronisation inserted before dependent comm_p2p (overlapping buffers)")
+		e.note(r.id, decSyncDependent, 0)
 	}
 
 	esp := e.span(emitSpanLabel(target), "directive")
@@ -197,11 +195,11 @@ func (e *Env) resolveTarget(r *Region, cl *Clauses, sinfos, rinfos []*bufInfo, c
 			}
 		}
 		if allSym && e.shm != nil && bytes <= AutoSmallMessageBytes {
-			e.noteLimited(r.id, "target", fmt.Sprintf("auto: %d bytes <= %d and symmetric buffers -> SHMEM", bytes, AutoSmallMessageBytes))
+			e.note(r.id, decAutoSHMEM, bytes)
 			e.tele.autoTarget[TargetSHMEM].Inc()
 			return TargetSHMEM
 		}
-		e.noteLimited(r.id, "target", fmt.Sprintf("auto: %d bytes -> MPI 2-sided", bytes))
+		e.note(r.id, decAutoMPI, bytes)
 		e.tele.autoTarget[TargetMPI2Side].Inc()
 		return TargetMPI2Side
 	default:
@@ -356,9 +354,4 @@ func (e *Env) emitSHMEM(r *Region, sinfos, rinfos []*bufInfo, count int, doSend,
 		r.led.noteShmemSrc(e.comm.WorldRank(recvFrom))
 	}
 	return nil
-}
-
-// noteLimited is kept as an alias of note, which is itself capped.
-func (e *Env) noteLimited(region int, kind, detail string) {
-	e.note(region, kind, detail)
 }

@@ -19,7 +19,7 @@ const directiveTag = 11
 type Region struct {
 	env      *Env
 	id       int
-	defaults *Clauses
+	defaults Clauses // built in place at region open, so a recycled region reuses it
 	led      *ledger
 
 	// cfg is the managed-runtime configuration resolved at region open: the
@@ -28,14 +28,18 @@ type Region struct {
 	// under one consistent policy.
 	cfg rt.Config
 
-	// scratch is the reusable clause set P2P builds its own options into;
-	// it is only valid until the next comm_p2p on this region, which is
-	// safe because the merged clause set is consumed synchronously by emit.
-	scratch Clauses
+	// merged is the clause set of the comm_p2p being executed: the region's
+	// assertions overlaid with the directive's own. It is only valid until
+	// the next comm_p2p on this region, which is safe because emit consumes
+	// it synchronously.
+	merged Clauses
 }
 
 // ID reports the region's sequence number within its environment.
 func (r *Region) ID() int { return r.id }
+
+// Env returns the environment the region was opened on.
+func (r *Region) Env() *Env { return r.env }
 
 // Parameters opens a comm_parameters region: the clause assertions in opts
 // apply to every comm_p2p executed by body. At region exit the consolidated
@@ -45,8 +49,20 @@ func (e *Env) Parameters(body func(*Region) error, opts ...Option) error {
 	if e.closed {
 		return ErrClosed
 	}
-	cl := build(opts)
+	// A Region is only valid inside its body; the environment recycles one
+	// (clause and ledger storage included) so a steady-state region loop
+	// does not allocate per iteration.
+	r := e.freeRegion
+	if r != nil {
+		e.freeRegion = nil
+		r.led.p2pCount = 0
+	} else {
+		r = &Region{led: newLedger()}
+	}
 	e.regionSeq++
+	r.env, r.id = e, e.regionSeq
+	r.defaults.set(opts)
+	cl := &r.defaults
 	e.tele.regions.Inc()
 	// A labelled region stamps the rank's endpoint for the duration of the
 	// body, so every fabric event, span and recorder entry produced inside
@@ -68,17 +84,6 @@ func (e *Env) Parameters(body func(*Region) error, opts ...Option) error {
 			ep.SetRegion(prev)
 		}
 	}()
-	// A Region is only valid inside its body; the environment recycles one
-	// (ledger storage included) so a steady-state region loop does not
-	// allocate per iteration.
-	r := e.freeRegion
-	if r != nil {
-		e.freeRegion = nil
-		r.env, r.id, r.defaults = e, e.regionSeq, cl
-		r.led.p2pCount = 0
-	} else {
-		r = &Region{env: e, id: e.regionSeq, defaults: cl, led: newLedger()}
-	}
 	r.cfg = rt.Active()
 	if cl.managedSet {
 		r.cfg = cl.managed
@@ -93,10 +98,10 @@ func (e *Env) Parameters(body func(*Region) error, opts ...Option) error {
 			if err := e.flush(p, r.id); err != nil {
 				return err
 			}
-			e.note(r.id, "sync", "carried synchronisation completed at region begin (BEGIN_NEXT_PARAM_REGION)")
+			e.note(r.id, decSyncCarried, 0)
 		case EndAdjParamRegions:
 			r.led.absorb(p)
-			e.note(r.id, "sync", "pending synchronisation absorbed from adjacent region (END_ADJ_PARAM_REGIONS)")
+			e.note(r.id, decSyncAbsorbed, 0)
 		default:
 			if err := e.flush(p, r.id); err != nil {
 				return err
@@ -138,7 +143,7 @@ func (e *Env) Parameters(body func(*Region) error, opts ...Option) error {
 			// region cannot be recycled.
 			e.pending = r.led
 			e.pendingMode = placement
-			e.note(r.id, "sync", fmt.Sprintf("synchronisation deferred (%s)", placement))
+			e.note(r.id, decSyncDeferred, int(placement))
 		} else {
 			e.freeRegion = r
 		}
@@ -154,7 +159,7 @@ func (e *Env) Parameters(body func(*Region) error, opts ...Option) error {
 				To:     "END_ADJ_PARAM_REGIONS",
 				Reason: "no place_sync clause; dependency ledger guards reuse",
 			})
-			e.note(r.id, "sync", "managed runtime deferred synchronisation (auto place_sync)")
+			e.note(r.id, decSyncAuto, 0)
 		}
 	}
 	return nil
@@ -171,7 +176,7 @@ func (r *Region) Sync() error {
 	if r.env.closed {
 		return ErrClosed
 	}
-	r.env.note(r.id, "sync", "explicit mid-region synchronisation (Region.Sync)")
+	r.env.note(r.id, decSyncExplicit, 0)
 	return r.env.flush(r.led, r.id)
 }
 
@@ -187,18 +192,11 @@ func (r *Region) P2POverlap(body func() error, opts ...Option) error {
 	if r.env.closed {
 		return ErrClosed
 	}
-	// Build into the region's scratch clause set: a steady-state directive
-	// loop rebuilds the same few clauses every iteration, and the scratch
-	// keeps that allocation-free.
-	r.scratch = Clauses{}
-	own := &r.scratch
-	for _, o := range opts {
-		o(own)
-	}
-	if err := validateP2POnly(own); err != nil {
+	cl := &r.merged
+	cl.inherit(&r.defaults, opts)
+	if err := validateP2POnly(cl); err != nil {
 		return err
 	}
-	cl := merge(r.defaults, own)
 	if err := validateP2P(cl); err != nil {
 		return err
 	}

@@ -111,6 +111,7 @@ type Plan struct {
 	slots     []Slot       // every slot referenced, in first-use order
 	syncAfter map[int]bool // steps after which a dependence forces a sync
 	notes     []string
+	site      core.SiteKey // where a core.Env keeps this plan's bound form
 }
 
 // Compile validates the pattern and performs the static analyses.
@@ -300,6 +301,31 @@ func (pl *Plan) bindingRanges(binding Binding) (map[Slot]core.BufRange, bool) {
 	return ranges, false
 }
 
+// bound is a plan lowered on one core.Env for one set of buffers: the
+// option lists Execute hands the directive layer, and the identity of the
+// buffer each slot was bound to. A plan's clause expressions read only
+// (rank, size), which an Env fixes, so the buffers are the one input that
+// can differ between two executions on the same Env.
+type bound struct {
+	ids    []core.BufID    // per pl.slots entry
+	region []core.Option   // comm_parameters clauses
+	steps  [][]core.Option // comm_p2p clauses, per step
+	sync   []bool          // steps an aliased binding forces a sync before; nil if none
+	body   func(*core.Region) error
+}
+
+// current reports whether binding still binds every slot to the buffer the
+// plan was lowered for. The identities cannot have gone stale: the option
+// lists hold the buffers, so their storage is alive and not reused.
+func (b *bound) current(pl *Plan, binding Binding) bool {
+	for i, s := range pl.slots {
+		if id, ok := core.BufIDOf(binding[s]); !ok || id != b.ids[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Execute runs the compiled pattern once against env with the given
 // binding. The dynamic layer re-checks everything the static pass proved,
 // so Execute is exactly as safe as hand-written directives — just reusable.
@@ -310,10 +336,32 @@ func (pl *Plan) bindingRanges(binding Binding) (map[Slot]core.BufRange, bool) {
 // over one buffer is rejected with an AliasError, and a cross-step reuse
 // the slot-granularity walk could not see gets an explicit forced
 // synchronisation (Region.Sync) before the dependent step.
+//
+// All of that is decided when a binding first executes on env and kept in
+// env's site table; executing the same buffers again only revalidates
+// their identities.
 func (pl *Plan) Execute(env *core.Env, binding Binding) error {
-	for _, s := range pl.slots {
-		if _, ok := binding[s]; !ok {
-			return fmt.Errorf("plan: %s: binding missing slot %q", pl.pattern.Name, s)
+	b, _ := env.Site(&pl.site).(*bound)
+	if b == nil || !b.current(pl, binding) {
+		var err error
+		if b, err = pl.bind(env, binding); err != nil {
+			return err
+		}
+	}
+	return env.Parameters(b.body, b.region...)
+}
+
+// bind lowers the plan for env's rank and the binding's buffers.
+func (pl *Plan) bind(env *core.Env, binding Binding) (*bound, error) {
+	b := &bound{ids: make([]core.BufID, len(pl.slots))}
+	cacheable := true
+	for i, s := range pl.slots {
+		v, ok := binding[s]
+		if !ok {
+			return nil, fmt.Errorf("plan: %s: binding missing slot %q", pl.pattern.Name, s)
+		}
+		if b.ids[i], ok = core.BufIDOf(v); !ok {
+			cacheable = false
 		}
 	}
 	p := pl.pattern
@@ -335,7 +383,7 @@ func (pl *Plan) Execute(env *core.Env, binding Binding) error {
 			for _, t := range st.RBuf {
 				rb, bok := ranges[t]
 				if s == t || (aok && bok && ra.Overlaps(rb)) {
-					return &AliasError{Pattern: p.Name, Step: i, A: s, B: t}
+					return nil, &AliasError{Pattern: p.Name, Step: i, A: s, B: t}
 				}
 			}
 		}
@@ -343,10 +391,9 @@ func (pl *Plan) Execute(env *core.Env, binding Binding) error {
 	// Cross-step reuse through the alias: re-run the dependence walk at
 	// this concrete size with slot overlap generalised to concrete-range
 	// overlap, and force a sync before each step it flags.
-	var forceSync []bool
 	if aliased {
 		roles := evalRoles(&p, size, true)
-		forceSync = syncBefore(&p, roles, func(a, b Slot) bool {
+		b.sync = syncBefore(&p, roles, func(a, b Slot) bool {
 			ra, aok := ranges[a]
 			rb, bok := ranges[b]
 			if aok && bok {
@@ -356,64 +403,68 @@ func (pl *Plan) Execute(env *core.Env, binding Binding) error {
 		}, nil)
 	}
 
-	regionOpts := []core.Option{core.PlaceSync(p.PlaceSync)}
+	b.region = []core.Option{core.PlaceSync(p.PlaceSync)}
 	if p.Target != core.TargetDefault {
-		regionOpts = append(regionOpts, core.WithTarget(p.Target))
+		b.region = append(b.region, core.WithTarget(p.Target))
 	}
 	maxIter := p.MaxCommIter
 	if maxIter == 0 {
 		maxIter = len(p.Steps)
 	}
-	regionOpts = append(regionOpts, core.MaxCommIter(maxIter))
-	if p.Sender != nil {
-		regionOpts = append(regionOpts, core.Sender(p.Sender(rank, size)))
-	}
-	if p.Receiver != nil {
-		regionOpts = append(regionOpts, core.Receiver(p.Receiver(rank, size)))
-	}
-	if p.SendWhen != nil {
-		regionOpts = append(regionOpts, core.SendWhen(p.SendWhen(rank, size)))
-	}
-	if p.RecvWhen != nil {
-		regionOpts = append(regionOpts, core.ReceiveWhen(p.RecvWhen(rank, size)))
-	}
+	b.region = append(b.region, core.MaxCommIter(maxIter))
+	b.region = appendRoles(b.region, rank, size, p.Sender, p.Receiver, p.SendWhen, p.RecvWhen)
 
-	return env.Parameters(func(r *core.Region) error {
-		for idx, st := range p.Steps {
-			if forceSync != nil && forceSync[idx] {
+	b.steps = make([][]core.Option, len(p.Steps))
+	for idx, st := range p.Steps {
+		sb := make([]any, len(st.SBuf))
+		for i, s := range st.SBuf {
+			sb[i] = binding[s]
+		}
+		rb := make([]any, len(st.RBuf))
+		for i, s := range st.RBuf {
+			rb[i] = binding[s]
+		}
+		opts := []core.Option{core.SBuf(sb...), core.RBuf(rb...)}
+		opts = appendRoles(opts, rank, size, st.Sender, st.Receiver, st.SendWhen, st.RecvWhen)
+		if st.Count > 0 {
+			opts = append(opts, core.Count(st.Count))
+		}
+		b.steps[idx] = opts
+	}
+	b.body = func(r *core.Region) error {
+		for idx, opts := range b.steps {
+			st := &p.Steps[idx]
+			if b.sync != nil && b.sync[idx] {
 				if err := r.Sync(); err != nil {
 					return fmt.Errorf("plan: %s: aliased binding sync before step %q: %w", p.Name, st.Name, err)
 				}
-			}
-			var opts []core.Option
-			sb := make([]any, len(st.SBuf))
-			for i, s := range st.SBuf {
-				sb[i] = binding[s]
-			}
-			rb := make([]any, len(st.RBuf))
-			for i, s := range st.RBuf {
-				rb[i] = binding[s]
-			}
-			opts = append(opts, core.SBuf(sb...), core.RBuf(rb...))
-			if st.Sender != nil {
-				opts = append(opts, core.Sender(st.Sender(rank, size)))
-			}
-			if st.Receiver != nil {
-				opts = append(opts, core.Receiver(st.Receiver(rank, size)))
-			}
-			if st.SendWhen != nil {
-				opts = append(opts, core.SendWhen(st.SendWhen(rank, size)))
-			}
-			if st.RecvWhen != nil {
-				opts = append(opts, core.ReceiveWhen(st.RecvWhen(rank, size)))
-			}
-			if st.Count > 0 {
-				opts = append(opts, core.Count(st.Count))
 			}
 			if err := r.P2P(opts...); err != nil {
 				return fmt.Errorf("plan: %s step %q: %w", p.Name, st.Name, err)
 			}
 		}
 		return nil
-	}, regionOpts...)
+	}
+	if cacheable {
+		env.SetSite(&pl.site, b)
+	}
+	return b, nil
+}
+
+// appendRoles appends the sender/receiver/sendwhen/receivewhen clauses a
+// pattern or step asserts, evaluated for this rank.
+func appendRoles(opts []core.Option, rank, size int, sender, receiver Expr, sendWhen, recvWhen Cond) []core.Option {
+	if sender != nil {
+		opts = append(opts, core.Sender(sender(rank, size)))
+	}
+	if receiver != nil {
+		opts = append(opts, core.Receiver(receiver(rank, size)))
+	}
+	if sendWhen != nil {
+		opts = append(opts, core.SendWhen(sendWhen(rank, size)))
+	}
+	if recvWhen != nil {
+		opts = append(opts, core.ReceiveWhen(recvWhen(rank, size)))
+	}
+	return opts
 }

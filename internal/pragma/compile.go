@@ -102,16 +102,9 @@ func CompileBlock(b *Block, vars map[string]int) (*plan.Plan, error) {
 	return plan.Compile(p)
 }
 
-// evalWith evaluates e against vars extended by the executing rank's
-// identity, without mutating the caller's map.
+// evalWith evaluates e against vars under the executing rank's identity.
 func evalWith(e Expr, vars map[string]int, rank, size int) (int, error) {
-	env := make(map[string]int, len(vars)+2)
-	for k, v := range vars {
-		env[k] = v
-	}
-	env["rank"] = rank
-	env["nprocs"] = size
-	return e.Eval(env)
+	return e.eval(scope{vars: vars, rank: rank, size: size, ranked: true})
 }
 
 // BindingFromBufs adapts a buffer map to a plan binding over the block's

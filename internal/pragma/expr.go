@@ -2,6 +2,7 @@ package pragma
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -11,6 +12,46 @@ import (
 type Expr interface {
 	Eval(vars map[string]int) (int, error)
 	String() string
+	eval(sc scope) (int, error)
+}
+
+// scope is what an expression is evaluated against: the caller's
+// variables, shadowed by the executing rank's identity when a compiled plan
+// supplies one (so a plan's clauses are evaluated per rank without copying
+// the variable map per evaluation).
+type scope struct {
+	vars       map[string]int
+	rank, size int
+	ranked     bool // "rank" and "nprocs" read rank and size
+}
+
+func (sc scope) lookup(name string) (int, bool) {
+	if sc.ranked {
+		switch name {
+		case "rank":
+			return sc.rank, true
+		case "nprocs":
+			return sc.size, true
+		}
+	}
+	v, ok := sc.vars[name]
+	return v, ok
+}
+
+// addVars appends the variables e reads to names, each once. A nil e reads
+// none.
+func addVars(names []string, e Expr) []string {
+	switch x := e.(type) {
+	case varRef:
+		if !slices.Contains(names, string(x)) {
+			names = append(names, string(x))
+		}
+	case unary:
+		names = addVars(names, x.x)
+	case binary:
+		names = addVars(addVars(names, x.l), x.r)
+	}
+	return names
 }
 
 // EvalBool evaluates an expression as a condition.
@@ -22,12 +63,15 @@ func EvalBool(e Expr, vars map[string]int) (bool, error) {
 type intLit int
 
 func (i intLit) Eval(map[string]int) (int, error) { return int(i), nil }
+func (i intLit) eval(scope) (int, error)          { return int(i), nil }
 func (i intLit) String() string                   { return strconv.Itoa(int(i)) }
 
 type varRef string
 
-func (v varRef) Eval(vars map[string]int) (int, error) {
-	if val, ok := vars[string(v)]; ok {
+func (v varRef) Eval(vars map[string]int) (int, error) { return v.eval(scope{vars: vars}) }
+
+func (v varRef) eval(sc scope) (int, error) {
+	if val, ok := sc.lookup(string(v)); ok {
 		return val, nil
 	}
 	return 0, fmt.Errorf("pragma: undefined variable %q", string(v))
@@ -39,8 +83,10 @@ type unary struct {
 	x  Expr
 }
 
-func (u unary) Eval(vars map[string]int) (int, error) {
-	x, err := u.x.Eval(vars)
+func (u unary) Eval(vars map[string]int) (int, error) { return u.eval(scope{vars: vars}) }
+
+func (u unary) eval(sc scope) (int, error) {
+	x, err := u.x.eval(sc)
 	if err != nil {
 		return 0, err
 	}
@@ -62,8 +108,10 @@ type binary struct {
 	l, r Expr
 }
 
-func (b binary) Eval(vars map[string]int) (int, error) {
-	l, err := b.l.Eval(vars)
+func (b binary) Eval(vars map[string]int) (int, error) { return b.eval(scope{vars: vars}) }
+
+func (b binary) eval(sc scope) (int, error) {
+	l, err := b.l.eval(sc)
 	if err != nil {
 		return 0, err
 	}
@@ -73,7 +121,7 @@ func (b binary) Eval(vars map[string]int) (int, error) {
 		if l == 0 {
 			return 0, nil
 		}
-		r, err := b.r.Eval(vars)
+		r, err := b.r.eval(sc)
 		if err != nil {
 			return 0, err
 		}
@@ -82,13 +130,13 @@ func (b binary) Eval(vars map[string]int) (int, error) {
 		if l != 0 {
 			return 1, nil
 		}
-		r, err := b.r.Eval(vars)
+		r, err := b.r.eval(sc)
 		if err != nil {
 			return 0, err
 		}
 		return boolInt(r != 0), nil
 	}
-	r, err := b.r.Eval(vars)
+	r, err := b.r.eval(sc)
 	if err != nil {
 		return 0, err
 	}

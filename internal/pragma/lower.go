@@ -17,9 +17,10 @@ type Env struct {
 }
 
 // Options lowers the parsed spec to directive-layer clause options,
-// evaluating every clause expression against the environment. It is called
-// at directive-execution time, which is when the paper's generated code
-// would evaluate the expressions too.
+// evaluating every clause expression against the environment. It is the one
+// lowering path: the Exec methods call it when a directive first executes
+// on a core.Env, and again whenever a variable it read or a buffer it named
+// has changed since (see bind.go).
 func (s *Spec) Options(env Env) ([]core.Option, error) {
 	var opts []core.Option
 	if s.Sender != nil {
@@ -172,7 +173,7 @@ func (s *Spec) Exec(cenv *core.Env, env Env) error {
 	if s.Params {
 		return fmt.Errorf("pragma: Exec on a comm_parameters directive; use Region")
 	}
-	opts, err := s.Options(env)
+	opts, err := s.lower(cenv, env)
 	if err != nil {
 		return err
 	}
@@ -185,7 +186,7 @@ func (s *Spec) ExecIn(r *core.Region, env Env, body func() error) error {
 	if s.Params {
 		return fmt.Errorf("pragma: ExecIn on a comm_parameters directive")
 	}
-	opts, err := s.Options(env)
+	opts, err := s.lower(r.Env(), env)
 	if err != nil {
 		return err
 	}
@@ -198,7 +199,7 @@ func (s *Spec) Region(cenv *core.Env, env Env, body func(*core.Region) error) er
 	if !s.Params {
 		return fmt.Errorf("pragma: Region on a comm_p2p directive; use Exec")
 	}
-	opts, err := s.Options(env)
+	opts, err := s.lower(cenv, env)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,8 @@ package pragma
 import (
 	"fmt"
 	"strings"
+
+	"commintent/internal/core"
 )
 
 // BufRef is one entry of an sbuf/rbuf clause: a buffer name with an
@@ -19,7 +21,9 @@ func (b BufRef) String() string {
 	return "&" + b.Name + "[" + b.Offset.String() + "]"
 }
 
-// Spec is one parsed directive.
+// Spec is one parsed directive. It is immutable once executed: every rank
+// may share one, and what a rank's first execution lowers it to is kept on
+// that rank's core.Env (see bind.go), never here.
 type Spec struct {
 	// Params reports a comm_parameters directive (else comm_p2p).
 	Params bool
@@ -36,6 +40,13 @@ type Spec struct {
 	Target      string // TARGET_COMM_* keyword, empty if absent
 	PlaceSync   string // END_PARAM_REGION etc., empty if absent
 	MaxCommIter Expr
+
+	site core.SiteKey // where a core.Env keeps this directive's bound form
+
+	// free names the variables the clause expressions read, recorded by
+	// Parse (non-nil even when empty; a Spec built by hand has nil and is
+	// lowered afresh on every execution).
+	free []string
 }
 
 // Parse parses one directive line. The leading "#pragma" is optional; the
@@ -132,6 +143,15 @@ func Parse(line string) (*Spec, error) {
 		}
 		if s.MaxCommIter != nil {
 			return nil, fmt.Errorf("pragma: max_comm_iter may only be used with comm_parameters")
+		}
+	}
+	s.free = []string{}
+	for _, e := range []Expr{s.Sender, s.Receiver, s.SendWhen, s.RecvWhen, s.Count, s.MaxCommIter} {
+		s.free = addVars(s.free, e)
+	}
+	for _, refs := range [][]BufRef{s.SBuf, s.RBuf} {
+		for _, r := range refs {
+			s.free = addVars(s.free, r.Offset)
 		}
 	}
 	return s, nil

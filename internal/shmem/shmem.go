@@ -96,34 +96,38 @@ type entry struct {
 }
 
 // rmaBoard tracks one-sided traffic arriving at a PE, for wait_until.
-// Arrival signalling is a generation channel rather than a sync.Cond: each
-// wake closes the current channel and installs a fresh one, so waiters can
-// select against a timer — which is what makes WaitUntilTimeout possible
-// (a Cond.Wait cannot be interrupted).
+// Arrival signalling is a channel rather than a sync.Cond so the waiter can
+// select against a timer — which is what makes WaitUntilTimeout possible (a
+// Cond.Wait cannot be interrupted). Only the owning PE ever waits on its
+// board, and a PE is one goroutine, so one token channel made with the
+// board serves every wait: signalling allocates nothing.
 type rmaBoard struct {
 	mu          sync.Mutex
-	gen         chan struct{} // closed and replaced under mu when waiters > 0
-	waiters     int           // parked waitUntil calls; guards the channel churn
+	sig         chan struct{} // capacity 1: a token means "traffic arrived since you parked"
+	waiting     bool          // the owner is parked in waitUntil; guards the send
 	lastArrival model.Time
 	version     uint64
 }
 
-// wake signals all current waiters. Caller holds b.mu. With no one parked
-// this is a single integer check, so the put fast path never pays the
-// close-and-reallocate cost.
+// wake signals the parked owner, if any. Caller holds b.mu. With no one
+// parked this is a single flag check, so the put fast path pays nothing. A
+// token nobody consumes (the owner saw its condition first, or timed out)
+// costs the next wait one spurious re-check.
 func (b *rmaBoard) wake() {
-	if b.waiters == 0 {
+	if !b.waiting {
 		return
 	}
-	close(b.gen)
-	b.gen = make(chan struct{})
+	select {
+	case b.sig <- struct{}{}:
+	default:
+	}
 }
 
 func state(w *spmd.World) *worldState {
 	ws := w.Shared("shmem/worldState", func() any {
 		s := &worldState{rma: make([]*rmaBoard, w.Size())}
 		for i := range s.rma {
-			s.rma[i] = &rmaBoard{gen: make(chan struct{})}
+			s.rma[i] = &rmaBoard{sig: make(chan struct{}, 1)}
 		}
 		return s
 	}).(*worldState)

@@ -221,18 +221,17 @@ func (s *Slice[T]) waitUntil(c *Ctx, off int, cmp Cmp, v T, expire <-chan time.T
 	board := s.ws.rma[c.MyPE()]
 	board.mu.Lock()
 	for !satisfies(local[off], cmp, v) {
-		// Grab the current generation under the lock, then park outside it;
-		// wake() closes the channel under the same lock, so a signal between
-		// unlock and select cannot be missed. The waiter count keeps wake()
-		// free for arrivals nobody is waiting on.
-		ch := board.gen
-		board.waiters++
+		// Declare the wait under the lock, then park outside it; wake()
+		// deposits its token under the same lock, so a signal between unlock
+		// and select cannot be missed. The flag keeps wake() free for
+		// arrivals nobody is waiting on.
+		board.waiting = true
 		board.mu.Unlock()
 		select {
-		case <-ch:
+		case <-board.sig:
 		case <-expire:
 			board.mu.Lock()
-			board.waiters--
+			board.waiting = false
 			board.mu.Unlock()
 			clk.Advance(c.prof().ShmemWaitPoll)
 			if idle := deadline - clk.Now(); idle > 0 {
@@ -243,7 +242,7 @@ func (s *Slice[T]) waitUntil(c *Ctx, off int, cmp Cmp, v T, expire <-chan time.T
 			return fmt.Errorf("shmem: wait_until PE %d offset %d: %w", c.MyPE(), off, simnet.ErrDeadline)
 		}
 		board.mu.Lock()
-		board.waiters--
+		board.waiting = false
 	}
 	arrival := board.lastArrival
 	board.mu.Unlock()

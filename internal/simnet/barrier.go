@@ -83,8 +83,14 @@ type barNode struct {
 	word atomic.Uint64
 	_    [56]byte
 	// park holds the waiters' lazily-installed wakeup channel for the
-	// generation currently completing; nil or stale when nobody parked.
-	park atomic.Pointer[barGen]
+	// generation currently completing, one slot per generation parity; nil
+	// or stale when nobody parked. Two slots because a fast rank can park
+	// for generation g+1 between release(g)'s flip and its look at the
+	// record: were there one slot, that parker would replace the
+	// generation-g record and release would find nothing to close, leaving
+	// g's sleepers asleep for ever. Nobody can park for g+2, the next user
+	// of g's slot, before all of them have woken and arrived at g+1.
+	park [2]atomic.Pointer[barGen]
 	out  model.Time // generation result; published by the release flip
 }
 
@@ -293,11 +299,15 @@ func (nd *barNode) fold(v model.Time) model.Time {
 func (nd *barNode) release(v model.Time) {
 	nd.out = v
 	s := nd.word.Add(1<<32 - uint64(nd.nchild))
-	g := uint32(s>>32) - 1
-	// Waiter parking and this flip are both sequentially consistent, so
-	// either the parker's re-check sees the flip or this load sees the
-	// parker's registration — never neither.
-	if p := nd.park.Load(); p != nil && p.g == g {
+	nd.wakeParked(uint32(s>>32) - 1)
+}
+
+// wakeParked wakes the waiters parked for generation g, which the caller
+// has just flipped past. Waiter parking and that flip are both sequentially
+// consistent, so either the parker's re-check sees the flip or this load
+// sees the parker's registration — never neither.
+func (nd *barNode) wakeParked(g uint32) {
+	if p := nd.park[g&1].Load(); p != nil && p.g == g {
 		close(p.ch)
 	}
 }
@@ -318,8 +328,9 @@ func (nd *barNode) waitRelease(g uint32) {
 // parkWait is the slow tail of waitRelease: register on (or adopt) the
 // node's parked-waiter channel for generation g and sleep until release.
 func (nd *barNode) parkWait(g uint32) {
+	park := &nd.park[g&1]
 	for {
-		p := nd.park.Load()
+		p := park.Load()
 		if p != nil && p.g == g {
 			if uint32(nd.word.Load()>>32) != g {
 				return
@@ -331,7 +342,7 @@ func (nd *barNode) parkWait(g uint32) {
 			return
 		}
 		np := &barGen{g: g, ch: make(chan struct{})}
-		if nd.park.CompareAndSwap(p, np) {
+		if park.CompareAndSwap(p, np) {
 			if uint32(nd.word.Load()>>32) != g {
 				// The release may have run before our registration was
 				// visible; the channel is then never closed, so leave.
