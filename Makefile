@@ -18,9 +18,12 @@ test:
 # parallelism — the lock-free mailbox's memory-order claims are only
 # meaningfully checked by -race when ranks genuinely preempt each other;
 # the bound-directive replay property rides along, because that is where
-# ranks really share one parsed block concurrently), the benchmark's smoke
-# test under the race detector (the configuration in which the barrier's
-# lost wakeup was seen: every fence of the halo workload parks there),
+# ranks really share one parsed block concurrently, and so does the
+# back-to-back mixed-collective stress, whose point is ranks lapping each
+# other through the one-wave rendezvous under every algorithm), the
+# benchmark's smoke test under the race detector (the configuration in which
+# the barrier's lost wakeup was seen: every fence of the halo workload parks
+# there),
 # the typemap suite again under the `purego` tag so the
 # reflection pack/unpack path — the fast path's correctness oracle — stays
 # exercised even though normal builds take the zero-copy path, and the
@@ -43,7 +46,7 @@ verify: vet-intent
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestCollectiveStress' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/
 	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/
 	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree' ./internal/telemetry/

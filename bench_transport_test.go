@@ -95,9 +95,10 @@ func BenchmarkTransportPingpong4K(b *testing.B) {
 }
 
 // BenchmarkTransportAllreduce256 measures a 16-element float64 allreduce
-// over 256 ranks per op — the wide-world collective shape, where simnet
-// pays the whole-world replay protocol (two barrier waves plus O(n) owner
-// arithmetic) on every invocation and shm pays only the messages.
+// over 256 ranks per op — the wide-world collective shape: one barrier wave
+// whose last arriver runs the O(n) owner step (canonical replay on simnet,
+// none on the wall clock; then the direct move, or the ranks' movers after
+// the release), on both transports.
 func BenchmarkTransportAllreduce256(b *testing.B) {
 	benchBothTransports(b, func(b *testing.B) {
 		const n = 256

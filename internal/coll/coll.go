@@ -55,8 +55,8 @@ func (k Kind) String() string {
 type Algo uint8
 
 const (
-	// Direct: the schedule owner moves bytes between rank buffers through
-	// the shared address space — no messages at all. Optimal whenever the
+	// Direct: the collective's owner step moves bytes between rank buffers
+	// through the shared address space — no messages at all. Optimal whenever the
 	// scheduler has no real parallelism (every message round trip is a
 	// scheduler dispatch that moves no extra data).
 	Direct Algo = iota

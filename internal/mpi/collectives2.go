@@ -15,24 +15,15 @@ import (
 // non-root ranks. The canonical cost model is the linear algorithm (root
 // sends to each rank in comm-rank order).
 func (c *Comm) Scatter(sendbuf any, count int, d *Datatype, recvbuf any, root int) error {
-	if root < 0 || root >= c.Size() {
-		return fmt.Errorf("mpi: Scatter root %d of comm size %d", root, c.Size())
-	}
 	if recvbuf == nil {
 		return fmt.Errorf("mpi: Scatter: nil recvbuf")
 	}
-	var localErr error
-	if err := checkNumericBuf(recvbuf, count); err != nil {
-		localErr = fmt.Errorf("mpi: Scatter: %w", err)
-	} else if c.Rank() == root {
-		if sendbuf == nil {
-			localErr = fmt.Errorf("mpi: Scatter: nil sendbuf on root")
-		} else if err := checkNumericBuf(sendbuf, c.Size()*count); err != nil {
-			localErr = fmt.Errorf("mpi: Scatter: %w", err)
-		}
+	sn := -1
+	if c.Rank() == root {
+		sn = c.Size() * count
 	}
 	return c.runCollective(collOp{kind: coll.Scatter, root: root, count: count, d: d},
-		sendbuf, recvbuf, localErr)
+		sendbuf, sn, recvbuf, count)
 }
 
 // Allgather concatenates every rank's count-element sendbuf into every
@@ -42,14 +33,8 @@ func (c *Comm) Allgather(sendbuf any, count int, d *Datatype, recvbuf any) error
 	if recvbuf == nil {
 		return fmt.Errorf("mpi: Allgather: nil recvbuf")
 	}
-	var localErr error
-	if err := checkNumericBuf(sendbuf, count); err != nil {
-		localErr = fmt.Errorf("mpi: Allgather: %w", err)
-	} else if err := checkNumericBuf(recvbuf, c.Size()*count); err != nil {
-		localErr = fmt.Errorf("mpi: Allgather: %w", err)
-	}
 	return c.runCollective(collOp{kind: coll.Allgather, count: count, d: d},
-		sendbuf, recvbuf, localErr)
+		sendbuf, count, recvbuf, c.Size()*count)
 }
 
 // Alltoall performs a complete exchange: rank i's sendbuf segment j (count
@@ -61,36 +46,6 @@ func (c *Comm) Alltoall(sendbuf any, count int, d *Datatype, recvbuf any) error 
 	if recvbuf == nil {
 		return fmt.Errorf("mpi: Alltoall: nil recvbuf")
 	}
-	var localErr error
-	if err := checkNumericBuf(sendbuf, c.Size()*count); err != nil {
-		localErr = fmt.Errorf("mpi: Alltoall: %w", err)
-	} else if err := checkNumericBuf(recvbuf, c.Size()*count); err != nil {
-		localErr = fmt.Errorf("mpi: Alltoall: %w", err)
-	}
 	return c.runCollective(collOp{kind: coll.Alltoall, count: count, d: d},
-		sendbuf, recvbuf, localErr)
-}
-
-// numericSegment returns buf[off:off+count] for the supported numeric
-// slices.
-func numericSegment(buf any, off, count int) (any, error) {
-	switch s := buf.(type) {
-	case []float64:
-		if off+count > len(s) {
-			return nil, fmt.Errorf("segment [%d,%d) out of %d", off, off+count, len(s))
-		}
-		return s[off : off+count], nil
-	case []int64:
-		if off+count > len(s) {
-			return nil, fmt.Errorf("segment [%d,%d) out of %d", off, off+count, len(s))
-		}
-		return s[off : off+count], nil
-	case []int32:
-		if off+count > len(s) {
-			return nil, fmt.Errorf("segment [%d,%d) out of %d", off, off+count, len(s))
-		}
-		return s[off : off+count], nil
-	default:
-		return nil, fmt.Errorf("unsupported buffer type %T", buf)
-	}
+		sendbuf, c.Size()*count, recvbuf, c.Size()*count)
 }

@@ -45,6 +45,15 @@ func (d *Datatype) Size() int {
 // IsDerived reports whether this is a committed derived struct type.
 func (d *Datatype) IsDerived() bool { return d.layout != nil }
 
+// same reports whether d and o describe the same element type: the same
+// basic kind, or derived types committed from the same Go struct.
+func (d *Datatype) same(o *Datatype) bool {
+	if d.layout != nil && o.layout != nil {
+		return d.layout.GoType == o.layout.GoType
+	}
+	return d.layout == o.layout && d.kind == o.kind
+}
+
 // Layout exposes the derived layout (nil for basic types).
 func (d *Datatype) Layout() *typemap.Layout { return d.layout }
 

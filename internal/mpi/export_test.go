@@ -5,3 +5,7 @@ package mpi
 // fast/slow equivalence suite flips it around whole scenarios; tests must
 // restore it before returning.
 func SetForceSlowRMA(on bool) { forceSlowRMA.Store(on) }
+
+// RaceDetector reports whether the race detector is compiled in; allocation
+// guards skip under it.
+const RaceDetector = raceDetector

@@ -11,15 +11,15 @@ import (
 // Hierarchical movers: the topology-aware data-movement schedules selected
 // when the profile places several ranks per node (internal/coll's
 // HierAllreduce/HierTree) or spreads the communicator across a wide machine
-// (TorusRing). Like every mover they run strictly after the second
-// rendezvous, are clockless, and move only real bytes — the canonical
+// (TorusRing). Like every mover they run strictly after the rendezvous has
+// released, are clockless, and move only real bytes — the canonical
 // virtual-time replay has already happened, so a hierarchical run and a flat
 // run of the same collective produce bit-identical virtual results.
 //
 // The two-level shape mirrors production MPI node-leader collectives: the
 // first member of each node is its leader; intra-node movement goes through
-// the shared address space exactly like moveDirect (the published entry
-// buffers stand in for an on-node shared-memory segment); only leaders touch
+// the shared address space exactly like moveDirect (the published wire
+// views stand in for an on-node shared-memory segment); only leaders touch
 // the wire, one packed message per node where the operation allows it. A
 // member rank blocks on a per-rank signal channel until its leader has
 // consumed its send buffer and filled its recv buffer — the channel gives
@@ -201,229 +201,156 @@ func (l *hierLayout) release(nd, self int, sig []chan struct{}) {
 
 func isPow2Int(x int) bool { return x > 0 && x&(x-1) == 0 }
 
-// allreduceHier: intra-node reduce into the leader through the shared
-// address space, inter-leader exchange (recursive doubling when the node
-// count is a power of two, binomial reduce+bcast otherwise), intra-node
-// result distribution. Wire traffic is O(nodes log nodes) messages instead
-// of O(n log n).
-func (c *Comm) allreduceHier(send, recv any, op collOp) error {
-	sh := c.csh
-	l := sh.hl
+// lead runs fn on the effective leader of this rank's node for a collective
+// rooted at root (root < 0: no root, the node's first member leads), then
+// releases the node's other members; a member just waits for that release.
+func (c *Comm) lead(root int, fn func(l *hierLayout, nd int) error) error {
+	l := c.csh.hl
 	me := c.Rank()
 	nd := l.node[me]
 	sig := l.signals()
-	if me != l.leader[nd] {
+	leader := l.leader[nd]
+	if root >= 0 {
+		leader = l.leaderFor(nd, root)
+	}
+	if me != leader {
 		<-sig[me]
 		return nil
 	}
-	err := c.allreduceHierLead(sh, l, me, nd, send, recv, op)
+	err := fn(l, nd)
 	l.release(nd, me, sig)
 	return err
 }
 
-func (c *Comm) allreduceHierLead(sh *collShared, l *hierLayout, me, nd int, send, recv any, op collOp) error {
-	p := c.prof()
-	ent := sh.entries
-	acc, err := cloneNumeric(send, op.count)
-	if err != nil {
-		return err
-	}
-	for _, m := range l.members[nd] {
-		if m == me {
-			continue
-		}
-		if err := combine(acc, ent[m].send, op.count, op.op); err != nil {
-			return err
-		}
-	}
-	if l.nodes > 1 {
-		tmp, err := cloneNumeric(send, op.count)
-		if err != nil {
-			return err
-		}
-		nb := op.count * op.d.Size()
-		out := simnet.GetBuf(nb)
-		in := simnet.GetBuf(nb)
-		defer simnet.PutBuf(out)
-		defer simnet.PutBuf(in)
-		fold := func(peer, round int) error {
-			c.recvRaw(in, peer, tagHier, round)
-			if _, err := op.d.decode(p, in, tmp, op.count); err != nil {
+// allreduceHier: intra-node reduce into the leader's recv view through the
+// shared address space, inter-leader exchange (recursive doubling when the
+// node count is a power of two, binomial reduce+bcast otherwise), intra-node
+// result distribution. Wire traffic is O(nodes log nodes) messages instead
+// of O(n log n).
+func (c *Comm) allreduceHier(send, recv []byte, op collOp) error {
+	return c.lead(-1, func(l *hierLayout, nd int) error {
+		me := c.Rank()
+		ent := c.csh.entries
+		copy(recv, send)
+		for _, m := range l.members[nd] {
+			if m == me {
+				continue
+			}
+			if err := foldWire(op.d, recv, ent[m].send, op.op); err != nil {
 				return err
 			}
-			return combine(acc, tmp, op.count, op.op)
 		}
-		if isPow2Int(l.nodes) {
-			// Recursive doubling over dense node indices.
-			for bit := 1; bit < l.nodes; bit <<= 1 {
-				peer := l.leader[nd^bit]
-				if _, err := op.d.encodeInto(p, out, acc, op.count); err != nil {
-					return err
-				}
-				c.sendRaw(out, peer, tagHier, bitLog(bit))
-				if err := fold(peer, bitLog(bit)); err != nil {
-					return err
-				}
+		if l.nodes > 1 {
+			in := simnet.GetBuf(len(recv))
+			defer simnet.PutBuf(in)
+			fold := func(peer, round int) error {
+				c.recvRaw(in, peer, tagHier, round)
+				return foldWire(op.d, recv, in, op.op)
 			}
-		} else {
-			// Binomial reduce to dense node 0, binomial bcast back.
-			rel := nd
-			for bit := 1; bit < l.nodes; bit <<= 1 {
-				if rel&bit != 0 {
-					if _, err := op.d.encodeInto(p, out, acc, op.count); err != nil {
-						return err
-					}
-					c.sendRaw(out, l.leader[rel-bit], tagHier, bitLog(bit))
-					break
-				}
-				if rel+bit < l.nodes {
-					if err := fold(l.leader[rel+bit], bitLog(bit)); err != nil {
+			if isPow2Int(l.nodes) {
+				// Recursive doubling over dense node indices.
+				for bit := 1; bit < l.nodes; bit <<= 1 {
+					peer := l.leader[nd^bit]
+					c.sendRaw(recv, peer, tagHier, bitLog(bit))
+					if err := fold(peer, bitLog(bit)); err != nil {
 						return err
 					}
 				}
-			}
-			if rel != 0 {
-				c.recvRaw(in, l.leader[rel-topBit(rel)], tagHier, hierRoundBcast)
-				if _, err := op.d.decode(p, in, acc, op.count); err != nil {
-					return err
+			} else {
+				// Binomial reduce to dense node 0, binomial bcast back.
+				rel := nd
+				for bit := 1; bit < l.nodes; bit <<= 1 {
+					if rel&bit != 0 {
+						c.sendRaw(recv, l.leader[rel-bit], tagHier, bitLog(bit))
+						break
+					}
+					if rel+bit < l.nodes {
+						if err := fold(l.leader[rel+bit], bitLog(bit)); err != nil {
+							return err
+						}
+					}
 				}
-			}
-			if fan := fanStart(rel); rel+fan < l.nodes {
-				if _, err := op.d.encodeInto(p, out, acc, op.count); err != nil {
-					return err
+				if rel != 0 {
+					c.recvRaw(recv, l.leader[rel-topBit(rel)], tagHier, hierRoundBcast)
 				}
-				for bit := fan; rel+bit < l.nodes; bit <<= 1 {
-					c.sendRaw(out, l.leader[rel+bit], tagHier, hierRoundBcast)
+				for bit := fanStart(rel); rel+bit < l.nodes; bit <<= 1 {
+					c.sendRaw(recv, l.leader[rel+bit], tagHier, hierRoundBcast)
 				}
 			}
 		}
-	}
-	if err := copyNumeric(recv, acc, op.count); err != nil {
-		return err
-	}
-	for _, m := range l.members[nd] {
-		if m == me {
-			continue
+		for _, m := range l.members[nd] {
+			if m != me {
+				copy(ent[m].recv, recv)
+			}
 		}
-		if err := copyNumeric(ent[m].recv, acc, op.count); err != nil {
-			return err
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // bcastHier: the root feeds a binomial tree over node leaders (one message
-// per node), each leader decodes into its own buffer and its members'
-// buffers directly. buf is both source (root) and destination (everyone).
-func (c *Comm) bcastHier(buf any, op collOp) error {
-	sh := c.csh
-	l := sh.hl
-	me := c.Rank()
-	nd := l.node[me]
-	rootNd := l.node[op.root]
-	sig := l.signals()
-	if me != l.leaderFor(nd, op.root) {
-		<-sig[me]
+// per node) out of its send view; each leader receives into its recv view
+// and copies that into its members' recv views.
+func (c *Comm) bcastHier(send, recv []byte, root int) error {
+	return c.lead(root, func(l *hierLayout, nd int) error {
+		me := c.Rank()
+		rootNd := l.node[root]
+		rel := l.relNode(nd, rootNd)
+		buf := send
+		if me != root {
+			buf = recv
+			parent := l.absNode(rel-topBit(rel), rootNd)
+			c.recvRaw(buf, l.leaderFor(parent, root), tagHier, hierRoundBcast)
+		}
+		for bit := fanStart(rel); rel+bit < l.nodes; bit <<= 1 {
+			child := l.absNode(rel+bit, rootNd)
+			c.sendRaw(buf, l.leaderFor(child, root), tagHier, hierRoundBcast)
+		}
+		for _, m := range l.members[nd] {
+			if m != me {
+				copy(c.csh.entries[m].recv, buf)
+			}
+		}
 		return nil
-	}
-	err := c.bcastHierLead(sh, l, me, nd, rootNd, buf, op)
-	l.release(nd, me, sig)
-	return err
-}
-
-func (c *Comm) bcastHierLead(sh *collShared, l *hierLayout, me, nd, rootNd int, buf any, op collOp) error {
-	p := c.prof()
-	wire := simnet.GetBuf(op.count * op.d.Size())
-	defer simnet.PutBuf(wire)
-	rel := l.relNode(nd, rootNd)
-	if me == op.root {
-		if _, err := op.d.encodeInto(p, wire, buf, op.count); err != nil {
-			return err
-		}
-	} else {
-		parent := l.absNode(rel-topBit(rel), rootNd)
-		c.recvRaw(wire, l.leaderFor(parent, op.root), tagHier, hierRoundBcast)
-		if _, err := op.d.decode(p, wire, buf, op.count); err != nil {
-			return err
-		}
-	}
-	for bit := fanStart(rel); rel+bit < l.nodes; bit <<= 1 {
-		child := l.absNode(rel+bit, rootNd)
-		c.sendRaw(wire, l.leaderFor(child, op.root), tagHier, hierRoundBcast)
-	}
-	for _, m := range l.members[nd] {
-		if m == me {
-			continue
-		}
-		if _, err := op.d.decode(p, wire, sh.entries[m].recv, op.count); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // reduceHier: intra-node reduce into each leader, binomial tree over
 // leaders toward the root's (re-leadered) node.
-func (c *Comm) reduceHier(send, recv any, op collOp) error {
-	sh := c.csh
-	l := sh.hl
-	me := c.Rank()
-	nd := l.node[me]
-	sig := l.signals()
-	if me != l.leaderFor(nd, op.root) {
-		<-sig[me]
-		return nil
-	}
-	err := c.reduceHierLead(sh, l, me, nd, send, recv, op)
-	l.release(nd, me, sig)
-	return err
-}
-
-func (c *Comm) reduceHierLead(sh *collShared, l *hierLayout, me, nd int, send, recv any, op collOp) error {
-	p := c.prof()
-	acc, err := cloneNumeric(send, op.count)
-	if err != nil {
-		return err
-	}
-	for _, m := range l.members[nd] {
-		if m == me {
-			continue
+func (c *Comm) reduceHier(send, recv []byte, op collOp) error {
+	return c.lead(op.root, func(l *hierLayout, nd int) error {
+		me := c.Rank()
+		acc := simnet.GetBuf(len(send))
+		in := simnet.GetBuf(len(send))
+		defer simnet.PutBuf(acc)
+		defer simnet.PutBuf(in)
+		copy(acc, send)
+		for _, m := range l.members[nd] {
+			if m == me {
+				continue
+			}
+			if err := foldWire(op.d, acc, c.csh.entries[m].send, op.op); err != nil {
+				return err
+			}
 		}
-		if err := combine(acc, sh.entries[m].send, op.count, op.op); err != nil {
-			return err
-		}
-	}
-	rootNd := l.node[op.root]
-	rel := l.relNode(nd, rootNd)
-	if l.nodes > 1 {
-		tmp, err := cloneNumeric(send, op.count)
-		if err != nil {
-			return err
-		}
-		wire := simnet.GetBuf(op.count * op.d.Size())
-		defer simnet.PutBuf(wire)
+		rootNd := l.node[op.root]
+		rel := l.relNode(nd, rootNd)
 		for bit := 1; bit < l.nodes; bit <<= 1 {
 			if rel&bit != 0 {
-				if _, err := op.d.encodeInto(p, wire, acc, op.count); err != nil {
-					return err
-				}
 				parent := l.absNode(rel-bit, rootNd)
-				c.sendRaw(wire, l.leaderFor(parent, op.root), tagHier, bitLog(bit))
+				c.sendRaw(acc, l.leaderFor(parent, op.root), tagHier, bitLog(bit))
 				return nil
 			}
 			if rel+bit < l.nodes {
 				child := l.absNode(rel+bit, rootNd)
-				c.recvRaw(wire, l.leaderFor(child, op.root), tagHier, bitLog(bit))
-				if _, err := op.d.decode(p, wire, tmp, op.count); err != nil {
-					return err
-				}
-				if err := combine(acc, tmp, op.count, op.op); err != nil {
+				c.recvRaw(in, l.leaderFor(child, op.root), tagHier, bitLog(bit))
+				if err := foldWire(op.d, acc, in, op.op); err != nil {
 					return err
 				}
 			}
 		}
-	}
-	return copyNumeric(recv, acc, op.count)
+		copy(recv, acc)
+		return nil
+	})
 }
 
 // gatherHier: each node leader packs its members' segments into one message
@@ -431,99 +358,22 @@ func (c *Comm) reduceHierLead(sh *collShared, l *hierLayout, me, nd int, send, r
 // unpacks each node packet to the members' absolute comm-rank offsets, so
 // the result layout is identical to the flat schedules even when node
 // membership wraps around the machine and is non-contiguous in comm rank.
-func (c *Comm) gatherHier(send, recv any, op collOp) error {
-	sh := c.csh
-	l := sh.hl
-	me := c.Rank()
-	nd := l.node[me]
-	sig := l.signals()
-	if me != l.leaderFor(nd, op.root) {
-		<-sig[me]
-		return nil
-	}
-	err := c.gatherHierLead(sh, l, me, nd, send, recv, op)
-	l.release(nd, me, sig)
-	return err
-}
-
-func (c *Comm) gatherHierLead(sh *collShared, l *hierLayout, me, nd int, send, recv any, op collOp) error {
-	p := c.prof()
-	segB := op.count * op.d.Size()
-	if me != op.root {
-		ms := l.members[nd]
-		w := simnet.GetBuf(len(ms) * segB)
-		defer simnet.PutBuf(w)
-		for i, m := range ms {
-			src := send
-			if m != me {
-				src = sh.entries[m].send
+func (c *Comm) gatherHier(send, recv []byte, root int) error {
+	return c.lead(root, func(l *hierLayout, nd int) error {
+		ent := c.csh.entries
+		segB := len(send)
+		if c.Rank() != root {
+			ms := l.members[nd]
+			w := simnet.GetBuf(len(ms) * segB)
+			defer simnet.PutBuf(w)
+			for i, m := range ms {
+				copy(w[i*segB:], ent[m].send)
 			}
-			if _, err := op.d.encodeInto(p, w[i*segB:(i+1)*segB], src, op.count); err != nil {
-				return err
-			}
+			c.sendRaw(w, root, tagHier, hierRoundGather)
+			return nil
 		}
-		c.sendRaw(w, op.root, tagHier, hierRoundGather)
-		return nil
-	}
-	for _, m := range l.members[nd] {
-		src := send
-		if m != me {
-			src = sh.entries[m].send
-		}
-		if err := copySegmentLocal(recv, src, m*op.count, op.count); err != nil {
-			return err
-		}
-	}
-	w := simnet.GetBuf(l.maxPer * segB)
-	defer simnet.PutBuf(w)
-	for j := 0; j < l.nodes; j++ {
-		if j == nd {
-			continue
-		}
-		ms := l.members[j]
-		c.recvRaw(w[:len(ms)*segB], l.leader[j], tagHier, hierRoundGather)
-		for i, m := range ms {
-			if err := decodeSeg(p, op.d, w[i*segB:(i+1)*segB], recv, m*op.count, op.count); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// scatterHier: the mirror of gatherHier — the root packs one message per
-// node, each leader unpacks directly into its members' recv buffers.
-func (c *Comm) scatterHier(send, recv any, op collOp) error {
-	sh := c.csh
-	l := sh.hl
-	me := c.Rank()
-	nd := l.node[me]
-	sig := l.signals()
-	if me != l.leaderFor(nd, op.root) {
-		<-sig[me]
-		return nil
-	}
-	err := c.scatterHierLead(sh, l, me, nd, send, recv, op)
-	l.release(nd, me, sig)
-	return err
-}
-
-func (c *Comm) scatterHierLead(sh *collShared, l *hierLayout, me, nd int, send, recv any, op collOp) error {
-	p := c.prof()
-	segB := op.count * op.d.Size()
-	if me == op.root {
 		for _, m := range l.members[nd] {
-			seg, err := numericSegment(send, m*op.count, op.count)
-			if err != nil {
-				return err
-			}
-			dst := recv
-			if m != me {
-				dst = sh.entries[m].recv
-			}
-			if err := copyNumeric(dst, seg, op.count); err != nil {
-				return err
-			}
+			copy(recv[m*segB:], ent[m].send)
 		}
 		w := simnet.GetBuf(l.maxPer * segB)
 		defer simnet.PutBuf(w)
@@ -532,42 +382,46 @@ func (c *Comm) scatterHierLead(sh *collShared, l *hierLayout, me, nd int, send, 
 				continue
 			}
 			ms := l.members[j]
+			c.recvRaw(w[:len(ms)*segB], l.leader[j], tagHier, hierRoundGather)
 			for i, m := range ms {
-				if err := encodeSeg(p, op.d, w[i*segB:(i+1)*segB], send, m*op.count, op.count); err != nil {
-					return err
-				}
+				copy(recv[m*segB:], w[i*segB:(i+1)*segB])
 			}
-			c.sendRaw(w[:len(ms)*segB], l.leader[j], tagHier, hierRoundScatter)
 		}
 		return nil
-	}
-	ms := l.members[nd]
-	w := simnet.GetBuf(len(ms) * segB)
-	defer simnet.PutBuf(w)
-	c.recvRaw(w[:len(ms)*segB], op.root, tagHier, hierRoundScatter)
-	for i, m := range ms {
-		dst := recv
-		if m != me {
-			dst = sh.entries[m].recv
-		}
-		if _, err := op.d.decode(p, w[i*segB:(i+1)*segB], dst, op.count); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
-// allgatherHier: gather to comm rank 0 through the node leaders, then
-// broadcast the assembled vector back down — the hierarchical analogue of
-// the flat gather+bcast composition.
-func (c *Comm) allgatherHier(send, recv any, op collOp) error {
-	gop := op
-	gop.kind, gop.root = coll.Gather, 0
-	if err := c.gatherHier(send, recv, gop); err != nil {
-		return err
-	}
-	bop := op
-	bop.kind, bop.root = coll.Bcast, 0
-	bop.count = c.Size() * op.count
-	return c.bcastHier(recv, bop)
+// scatterHier: the mirror of gatherHier — the root packs one message per
+// node, each leader unpacks directly into its members' recv views.
+func (c *Comm) scatterHier(send, recv []byte, root int) error {
+	return c.lead(root, func(l *hierLayout, nd int) error {
+		ent := c.csh.entries
+		segB := len(recv)
+		if c.Rank() == root {
+			for _, m := range l.members[nd] {
+				copy(ent[m].recv, send[m*segB:(m+1)*segB])
+			}
+			w := simnet.GetBuf(l.maxPer * segB)
+			defer simnet.PutBuf(w)
+			for j := 0; j < l.nodes; j++ {
+				if j == nd {
+					continue
+				}
+				ms := l.members[j]
+				for i, m := range ms {
+					copy(w[i*segB:], send[m*segB:(m+1)*segB])
+				}
+				c.sendRaw(w[:len(ms)*segB], l.leader[j], tagHier, hierRoundScatter)
+			}
+			return nil
+		}
+		ms := l.members[nd]
+		w := simnet.GetBuf(len(ms) * segB)
+		defer simnet.PutBuf(w)
+		c.recvRaw(w, root, tagHier, hierRoundScatter)
+		for i, m := range ms {
+			copy(ent[m].recv, w[i*segB:(i+1)*segB])
+		}
+		return nil
+	})
 }

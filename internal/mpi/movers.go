@@ -4,43 +4,49 @@ import (
 	"fmt"
 
 	"commintent/internal/coll"
-	"commintent/internal/model"
 	"commintent/internal/simnet"
 )
 
 // Data movers: the message-passing algorithms that move real bytes when the
-// selector picks anything other than the owner-driven direct move. Movers
-// run strictly *after* the second rendezvous of a collective, when every
+// selector picks anything other than the step's direct move. Movers run
+// strictly *after* the collective's rendezvous has released, when every
 // rank's virtual clock is already set to its canonical exit time — so they
 // are clockless: every send is injected with zero virtual arrival, every
 // receive posted with zero virtual post time, and neither side reads or
 // advances the rank clock. The wire traffic they generate is pure transport.
+//
+// They work on the wire views the rank published (send, recv): the bytes a
+// message carries are the bytes the view holds, so a mover sends straight
+// out of a view and receives straight into one, and only a reduction looks
+// at elements (foldWire).
 //
 // All sends are eager (rendezvous=false), so no schedule below can deadlock:
 // a send enqueues and returns, and FIFO matching per (source, tag) pairs
 // same-tag messages with posted receives in order, which keeps segmented
 // pipelines and repeated collectives on one communicator well-ordered.
 //
-// Receive staging and reduction scratch follow one discipline: a single
-// pooled wire buffer per mover invocation, reused across every tree or ring
-// round (send-side buffers are pooled per message because the endpoint takes
-// ownership and recycles them on delivery).
+// Scratch follows one discipline: pooled wire buffers, one per role per
+// mover invocation, reused across every tree or ring round (send-side
+// buffers are pooled per message because the endpoint takes ownership and
+// recycles them on delivery).
 
 // collSegBytes is the segment size for pipelined large-message trees.
 const collSegBytes = 64 << 10
 
 // runMover executes this rank's part of the selected data-movement
 // algorithm for the collective described by op.
-func (c *Comm) runMover(op collOp, send, recv any, algo coll.Algo) error {
+func (c *Comm) runMover(op collOp, send, recv []byte, algo coll.Algo) error {
 	switch op.kind {
 	case coll.Bcast:
 		switch algo {
 		case coll.Linear:
-			return c.bcastLinear(send, op)
+			c.bcastLinear(send, recv, op.root)
+			return nil
 		case coll.Binomial:
-			return c.bcastBinomial(send, op)
+			c.bcastBinomial(send, recv, op.root)
+			return nil
 		case coll.HierTree:
-			return c.bcastHier(send, op)
+			return c.bcastHier(send, recv, op.root)
 		}
 	case coll.Reduce:
 		switch algo {
@@ -54,23 +60,19 @@ func (c *Comm) runMover(op collOp, send, recv any, algo coll.Algo) error {
 	case coll.Allreduce:
 		switch algo {
 		case coll.Linear, coll.Binomial:
-			rop := op
-			rop.kind, rop.root = coll.Reduce, 0
-			var err error
+			op.root = 0
 			if algo == coll.Linear {
-				err = c.reduceLinear(send, recv, rop)
-			} else {
-				err = c.reduceBinomial(send, recv, rop)
+				if err := c.reduceLinear(send, recv, op); err != nil {
+					return err
+				}
+				c.bcastLinear(recv, recv, 0)
+				return nil
 			}
-			if err != nil {
+			if err := c.reduceBinomial(send, recv, op); err != nil {
 				return err
 			}
-			bop := op
-			bop.kind, bop.root = coll.Bcast, 0
-			if algo == coll.Linear {
-				return c.bcastLinear(recv, bop)
-			}
-			return c.bcastBinomial(recv, bop)
+			c.bcastBinomial(recv, recv, 0)
+			return nil
 		case coll.RecDouble:
 			return c.allreduceRecDouble(send, recv, op)
 		case coll.Ring, coll.TorusRing:
@@ -81,50 +83,52 @@ func (c *Comm) runMover(op collOp, send, recv any, algo coll.Algo) error {
 	case coll.Gather:
 		switch algo {
 		case coll.Linear:
-			return c.gatherLinear(send, recv, op)
+			c.gatherLinear(send, recv, op.root)
+			return nil
 		case coll.Binomial:
-			return c.gatherBinomial(send, recv, op)
+			c.gatherBinomial(send, recv, op.root)
+			return nil
 		case coll.HierTree:
-			return c.gatherHier(send, recv, op)
+			return c.gatherHier(send, recv, op.root)
 		}
 	case coll.Scatter:
 		switch algo {
 		case coll.Linear:
-			return c.scatterLinear(send, recv, op)
+			c.scatterLinear(send, recv, op.root)
+			return nil
 		case coll.Binomial:
-			return c.scatterBinomial(send, recv, op)
+			c.scatterBinomial(send, recv, op.root)
+			return nil
 		case coll.HierTree:
-			return c.scatterHier(send, recv, op)
+			return c.scatterHier(send, recv, op.root)
 		}
 	case coll.Allgather:
 		switch algo {
 		case coll.Linear, coll.Binomial:
-			gop := op
-			gop.kind, gop.root = coll.Gather, 0
-			var err error
 			if algo == coll.Linear {
-				err = c.gatherLinear(send, recv, gop)
+				c.gatherLinear(send, recv, 0)
 			} else {
-				err = c.gatherBinomial(send, recv, gop)
+				c.gatherBinomial(send, recv, 0)
 			}
-			if err != nil {
+			c.bcastBinomial(recv, recv, 0)
+			return nil
+		case coll.Ring, coll.TorusRing:
+			c.allgatherRing(send, recv, c.ringViewFor(algo))
+			return nil
+		case coll.HierTree:
+			if err := c.gatherHier(send, recv, 0); err != nil {
 				return err
 			}
-			bop := op
-			bop.kind, bop.root = coll.Bcast, 0
-			bop.count = c.Size() * op.count
-			return c.bcastBinomial(recv, bop)
-		case coll.Ring, coll.TorusRing:
-			return c.allgatherRing(send, recv, op, c.ringViewFor(algo))
-		case coll.HierTree:
-			return c.allgatherHier(send, recv, op)
+			return c.bcastHier(recv, recv, 0)
 		}
 	case coll.Alltoall:
 		switch algo {
 		case coll.Pairwise:
-			return c.alltoallPairwise(send, recv, op)
+			c.alltoallPairwise(send, recv)
+			return nil
 		case coll.Linear, coll.Ring, coll.TorusRing:
-			return c.alltoallRing(send, recv, op, c.ringViewFor(algo))
+			c.alltoallRing(send, recv, c.ringViewFor(algo))
+			return nil
 		}
 	}
 	return fmt.Errorf("mpi: no %s mover for %s", op.kind, algo)
@@ -140,218 +144,114 @@ func (c *Comm) sendRaw(data []byte, dst, opTag, round int) {
 
 // recvRaw blocks until a message from comm rank src with the given tag
 // lands in buf, with zero virtual post time.
-func (c *Comm) recvRaw(buf []byte, src, opTag, round int) int {
+func (c *Comm) recvRaw(buf []byte, src, opTag, round int) {
 	rr := c.port.PostRecv(c.WorldRank(src), c.innerTag(opTag+round*8), buf, 0)
 	rr.Wait()
-	n := rr.Len()
 	rr.Release()
-	return n
-}
-
-// encodeSeg encodes count elements of buf starting at element off into wire.
-func encodeSeg(p *model.Profile, d *Datatype, wire []byte, buf any, off, count int) error {
-	seg, err := numericSegment(buf, off, count)
-	if err != nil {
-		return err
-	}
-	_, err = d.encodeInto(p, wire, seg, count)
-	return err
-}
-
-// decodeSeg decodes count wire elements into buf at element offset off.
-func decodeSeg(p *model.Profile, d *Datatype, wire []byte, buf any, off, count int) error {
-	seg, err := numericSegment(buf, off, count)
-	if err != nil {
-		return err
-	}
-	_, err = d.decode(p, wire, seg, count)
-	return err
 }
 
 func lowbit(x int) int { return x & -x }
 
-// bcastLinear: the root sends the whole payload to every rank in comm-rank
-// order; everyone else receives once.
-func (c *Comm) bcastLinear(buf any, op collOp) error {
-	p := c.prof()
-	nb := op.count * op.d.Size()
-	wire := simnet.GetBuf(nb)
-	defer simnet.PutBuf(wire)
-	if c.Rank() == op.root {
-		if _, err := op.d.encodeInto(p, wire, buf, op.count); err != nil {
-			return err
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r != op.root {
-				c.sendRaw(wire, r, tagBcast, 0)
-			}
-		}
-		return nil
+// bcastLinear: the root sends the whole payload (its send view) to every
+// rank in comm-rank order; everyone else receives once into its recv view.
+func (c *Comm) bcastLinear(send, recv []byte, root int) {
+	if c.Rank() != root {
+		c.recvRaw(recv, root, tagBcast, 0)
+		return
 	}
-	c.recvRaw(wire, op.root, tagBcast, 0)
-	_, err := op.d.decode(p, wire, buf, op.count)
-	return err
+	for r := 0; r < c.Size(); r++ {
+		if r != root {
+			c.sendRaw(send, r, tagBcast, 0)
+		}
+	}
 }
 
-// bcastBinomial: classic binomial tree with segmentation for large numeric
+// bcastBinomial: classic binomial tree with segmentation for large
 // payloads — each rank forwards segment s to its children as soon as it has
-// it, so segments pipeline down the tree. Derived types go unsegmented.
-func (c *Comm) bcastBinomial(buf any, op collOp) error {
-	p := c.prof()
+// it, so segments pipeline down the tree.
+func (c *Comm) bcastBinomial(send, recv []byte, root int) {
 	n := c.Size()
-	rel := relRank(c.Rank(), op.root, n)
-	esz := op.d.Size()
-	segElems := op.count
-	if !op.d.IsDerived() {
-		if se := collSegBytes / esz; se > 0 && se < segElems {
-			segElems = se
-		}
-	}
-	wire := simnet.GetBuf(segElems * esz)
-	defer simnet.PutBuf(wire)
-	parent := -1
+	rel := relRank(c.Rank(), root, n)
+	buf, parent := send, -1
 	if rel != 0 {
-		parent = absRank(rel-topBit(rel), op.root, n)
+		buf, parent = recv, absRank(rel-topBit(rel), root, n)
 	}
-	for off := 0; off < op.count; off += segElems {
-		cnt := min(segElems, op.count-off)
-		w := wire[:cnt*esz]
+	for off := 0; off < len(buf); off += collSegBytes {
+		w := buf[off:min(off+collSegBytes, len(buf))]
 		if parent >= 0 {
 			c.recvRaw(w, parent, tagBcast, 0)
-			if op.d.IsDerived() {
-				if _, err := op.d.decode(p, w, buf, cnt); err != nil {
-					return err
-				}
-			} else if err := decodeSeg(p, op.d, w, buf, off, cnt); err != nil {
-				return err
-			}
-		} else {
-			if op.d.IsDerived() {
-				if _, err := op.d.encodeInto(p, w, buf, cnt); err != nil {
-					return err
-				}
-			} else if err := encodeSeg(p, op.d, w, buf, off, cnt); err != nil {
-				return err
-			}
 		}
 		for bit := fanStart(rel); rel+bit < n; bit <<= 1 {
-			c.sendRaw(w, absRank(rel+bit, op.root, n), tagBcast, 0)
+			c.sendRaw(w, absRank(rel+bit, root, n), tagBcast, 0)
+		}
+	}
+}
+
+// reduceLinear: every rank sends its contribution to the root, which
+// combines them into its recv view in comm-rank order.
+func (c *Comm) reduceLinear(send, recv []byte, op collOp) error {
+	if c.Rank() != op.root {
+		c.sendRaw(send, op.root, tagReduce, 0)
+		return nil
+	}
+	copy(recv, send)
+	in := simnet.GetBuf(len(send))
+	defer simnet.PutBuf(in)
+	for r := 0; r < c.Size(); r++ {
+		if r == op.root {
+			continue
+		}
+		c.recvRaw(in, r, tagReduce, 0)
+		if err := foldWire(op.d, recv, in, op.op); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// reduceLinear: every rank sends its contribution to the root, which
-// combines them in comm-rank order.
-func (c *Comm) reduceLinear(send, recv any, op collOp) error {
-	p := c.prof()
-	nb := op.count * op.d.Size()
-	if c.Rank() != op.root {
-		wire := simnet.GetBuf(nb)
-		defer simnet.PutBuf(wire)
-		if _, err := op.d.encodeInto(p, wire, send, op.count); err != nil {
-			return err
-		}
-		c.sendRaw(wire, op.root, tagReduce, 0)
-		return nil
-	}
-	acc, err := cloneNumeric(send, op.count)
-	if err != nil {
-		return err
-	}
-	tmp, err := cloneNumeric(send, op.count)
-	if err != nil {
-		return err
-	}
-	wire := simnet.GetBuf(nb)
-	defer simnet.PutBuf(wire)
-	for r := 0; r < c.Size(); r++ {
-		if r == op.root {
-			continue
-		}
-		c.recvRaw(wire, r, tagReduce, 0)
-		if _, err := op.d.decode(p, wire, tmp, op.count); err != nil {
-			return err
-		}
-		if err := combine(acc, tmp, op.count, op.op); err != nil {
-			return err
-		}
-	}
-	return copyNumeric(recv, acc, op.count)
-}
-
-// reduceBinomial: ascending-bit binomial tree. One pooled wire buffer is
-// reused across every round on the receive side.
-func (c *Comm) reduceBinomial(send, recv any, op collOp) error {
-	p := c.prof()
+// reduceBinomial: ascending-bit binomial tree. One pooled accumulator and
+// one pooled receive buffer serve every round.
+func (c *Comm) reduceBinomial(send, recv []byte, op collOp) error {
 	n := c.Size()
 	rel := relRank(c.Rank(), op.root, n)
-	nb := op.count * op.d.Size()
-	acc, err := cloneNumeric(send, op.count)
-	if err != nil {
-		return err
-	}
-	tmp, err := cloneNumeric(send, op.count)
-	if err != nil {
-		return err
-	}
-	wire := simnet.GetBuf(nb)
-	defer simnet.PutBuf(wire)
+	acc := simnet.GetBuf(len(send))
+	in := simnet.GetBuf(len(send))
+	defer simnet.PutBuf(acc)
+	defer simnet.PutBuf(in)
+	copy(acc, send)
 	for bit := 1; bit < n; bit <<= 1 {
 		if rel&bit != 0 {
-			if _, err := op.d.encodeInto(p, wire, acc, op.count); err != nil {
-				return err
-			}
-			c.sendRaw(wire, absRank(rel-bit, op.root, n), tagReduce, bitLog(bit))
+			c.sendRaw(acc, absRank(rel-bit, op.root, n), tagReduce, bitLog(bit))
 			return nil
 		}
 		if rel+bit < n {
-			c.recvRaw(wire, absRank(rel+bit, op.root, n), tagReduce, bitLog(bit))
-			if _, err := op.d.decode(p, wire, tmp, op.count); err != nil {
-				return err
-			}
-			if err := combine(acc, tmp, op.count, op.op); err != nil {
+			c.recvRaw(in, absRank(rel+bit, op.root, n), tagReduce, bitLog(bit))
+			if err := foldWire(op.d, acc, in, op.op); err != nil {
 				return err
 			}
 		}
 	}
-	return copyNumeric(recv, acc, op.count)
+	copy(recv, acc)
+	return nil
 }
 
 // allreduceRecDouble: recursive doubling for power-of-two communicators —
-// log2(n) pairwise exchange rounds, each rank ending with the full result.
-func (c *Comm) allreduceRecDouble(send, recv any, op collOp) error {
-	p := c.prof()
+// log2(n) pairwise exchange rounds accumulating in the recv view, each rank
+// ending with the full result.
+func (c *Comm) allreduceRecDouble(send, recv []byte, op collOp) error {
 	n := c.Size()
 	me := c.Rank()
-	nb := op.count * op.d.Size()
-	acc, err := cloneNumeric(send, op.count)
-	if err != nil {
-		return err
-	}
-	tmp, err := cloneNumeric(send, op.count)
-	if err != nil {
-		return err
-	}
-	out := simnet.GetBuf(nb)
-	in := simnet.GetBuf(nb)
-	defer simnet.PutBuf(out)
+	copy(recv, send)
+	in := simnet.GetBuf(len(recv))
 	defer simnet.PutBuf(in)
 	for bit := 1; bit < n; bit <<= 1 {
-		partner := me ^ bit
-		if _, err := op.d.encodeInto(p, out, acc, op.count); err != nil {
-			return err
-		}
-		c.sendRaw(out, partner, tagAllreduce, bitLog(bit))
-		c.recvRaw(in, partner, tagAllreduce, bitLog(bit))
-		if _, err := op.d.decode(p, in, tmp, op.count); err != nil {
-			return err
-		}
-		if err := combine(acc, tmp, op.count, op.op); err != nil {
+		c.sendRaw(recv, me^bit, tagAllreduce, bitLog(bit))
+		c.recvRaw(in, me^bit, tagAllreduce, bitLog(bit))
+		if err := foldWire(op.d, recv, in, op.op); err != nil {
 			return err
 		}
 	}
-	return copyNumeric(recv, acc, op.count)
+	return nil
 }
 
 // ringChunk returns the element range of chunk i when count elements are
@@ -367,177 +267,119 @@ func ringChunk(count, n, i int) (start, size int) {
 }
 
 // allreduceRing: bandwidth-optimal ring — a reduce-scatter pass followed by
-// an allgather pass, each moving 1/n of the payload per step, with one
-// pooled wire buffer reused across all 2(n-1) rounds. The view decides the
-// walk order: identity for the flat Ring, topology-neighbour for TorusRing
-// (chunks are keyed by ring position, so the result is order-independent).
-func (c *Comm) allreduceRing(send, recv any, op collOp, v ringView) error {
-	p := c.prof()
+// an allgather pass over the recv view, each moving 1/n of the payload per
+// step, with one pooled receive buffer reused across the reduce-scatter
+// rounds. The view decides the walk order: identity for the flat Ring,
+// topology-neighbour for TorusRing (chunks are keyed by ring position, so
+// the result is order-independent).
+func (c *Comm) allreduceRing(send, recv []byte, op collOp, v ringView) error {
 	n := c.Size()
 	me := v.pos
-	right := v.right
-	left := v.left
 	esz := op.d.Size()
-	acc, err := cloneNumeric(send, op.count)
-	if err != nil {
-		return err
+	copy(recv, send)
+	chunk := func(i int) []byte {
+		off, size := ringChunk(op.count, n, i)
+		return recv[off*esz : (off+size)*esz]
 	}
-	maxChunk := op.count/n + 1
-	tmp, err := cloneNumeric(send, min(maxChunk, op.count))
-	if err != nil {
-		return err
-	}
-	wire := simnet.GetBuf(maxChunk * esz)
-	defer simnet.PutBuf(wire)
-	xfer := func(sendIdx, recvIdx, round int, combineIn bool) error {
-		sOff, sLen := ringChunk(op.count, n, sendIdx)
-		if sLen > 0 {
-			w := wire[:sLen*esz]
-			if err := encodeSeg(p, op.d, w, acc, sOff, sLen); err != nil {
-				return err
-			}
-			c.sendRaw(w, right, tagAllreduce, round)
-		}
-		rOff, rLen := ringChunk(op.count, n, recvIdx)
-		if rLen == 0 {
-			return nil
-		}
-		w := wire[:rLen*esz]
-		c.recvRaw(w, left, tagAllreduce, round)
-		if !combineIn {
-			return decodeSeg(p, op.d, w, acc, rOff, rLen)
-		}
-		if _, err := op.d.decode(p, w, tmp, rLen); err != nil {
-			return err
-		}
-		seg, err := numericSegment(acc, rOff, rLen)
-		if err != nil {
-			return err
-		}
-		return combine(seg, tmp, rLen, op.op)
-	}
+	in := simnet.GetBuf((op.count/n + 1) * esz)
+	defer simnet.PutBuf(in)
 	// Reduce-scatter: after step s each rank has fully combined one more
 	// chunk; rank me ends owning chunk (me+1) mod n.
 	for step := 0; step < n-1; step++ {
-		if err := xfer((me-step+2*n)%n, (me-step-1+2*n)%n, step, true); err != nil {
-			return err
+		if s := chunk((me - step + 2*n) % n); len(s) > 0 {
+			c.sendRaw(s, v.right, tagAllreduce, step)
+		}
+		if r := chunk((me - step - 1 + 2*n) % n); len(r) > 0 {
+			c.recvRaw(in[:len(r)], v.left, tagAllreduce, step)
+			if err := foldWire(op.d, r, in[:len(r)], op.op); err != nil {
+				return err
+			}
 		}
 	}
 	// Allgather: circulate the owned chunks.
 	for step := 0; step < n-1; step++ {
-		if err := xfer((me-step+1+2*n)%n, (me-step+2*n)%n, n+step, false); err != nil {
-			return err
+		if s := chunk((me - step + 1 + 2*n) % n); len(s) > 0 {
+			c.sendRaw(s, v.right, tagAllreduce, n+step)
 		}
-	}
-	return copyNumeric(recv, acc, op.count)
-}
-
-// gatherLinear: every rank sends its segment to the root, which receives in
-// comm-rank order.
-func (c *Comm) gatherLinear(send, recv any, op collOp) error {
-	p := c.prof()
-	nb := op.count * op.d.Size()
-	wire := simnet.GetBuf(nb)
-	defer simnet.PutBuf(wire)
-	if c.Rank() != op.root {
-		if _, err := op.d.encodeInto(p, wire, send, op.count); err != nil {
-			return err
-		}
-		c.sendRaw(wire, op.root, tagGather, 0)
-		return nil
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == op.root {
-			if err := copySegmentLocal(recv, send, r*op.count, op.count); err != nil {
-				return err
-			}
-			continue
-		}
-		c.recvRaw(wire, r, tagGather, 0)
-		if err := decodeSeg(p, op.d, wire, recv, r*op.count, op.count); err != nil {
-			return err
+		if r := chunk((me - step + 2*n) % n); len(r) > 0 {
+			c.recvRaw(r, v.left, tagAllreduce, n+step)
 		}
 	}
 	return nil
 }
 
+// gatherLinear: every rank sends its segment to the root, which receives in
+// comm-rank order, each segment straight into its slot of the recv view.
+func (c *Comm) gatherLinear(send, recv []byte, root int) {
+	if c.Rank() != root {
+		c.sendRaw(send, root, tagGather, 0)
+		return
+	}
+	nb := len(send)
+	for r := 0; r < c.Size(); r++ {
+		if r == root {
+			copy(recv[r*nb:], send)
+			continue
+		}
+		c.recvRaw(recv[r*nb:(r+1)*nb], r, tagGather, 0)
+	}
+}
+
 // gatherBinomial: each rank accumulates a contiguous block of
 // relative-rank segments and forwards it up the tree in one message, so the
 // root sees log2(n) receives instead of n-1.
-func (c *Comm) gatherBinomial(send, recv any, op collOp) error {
-	p := c.prof()
+func (c *Comm) gatherBinomial(send, recv []byte, root int) {
 	n := c.Size()
-	rel := relRank(c.Rank(), op.root, n)
-	segB := op.count * op.d.Size()
+	rel := relRank(c.Rank(), root, n)
+	segB := len(send)
 	blk := n
 	if rel != 0 {
 		blk = min(lowbit(rel), n-rel)
 	}
 	st := simnet.GetBuf(blk * segB)
 	defer simnet.PutBuf(st)
-	if _, err := op.d.encodeInto(p, st[:segB], send, op.count); err != nil {
-		return err
-	}
+	copy(st, send)
 	have := 1
 	for bit := 1; bit < n; bit <<= 1 {
 		if rel&bit != 0 {
-			c.sendRaw(st[:have*segB], absRank(rel-bit, op.root, n), tagGather, bitLog(bit))
-			return nil
+			c.sendRaw(st[:have*segB], absRank(rel-bit, root, n), tagGather, bitLog(bit))
+			return
 		}
 		if rel+bit < n {
 			in := min(bit, n-(rel+bit))
-			c.recvRaw(st[bit*segB:(bit+in)*segB], absRank(rel+bit, op.root, n), tagGather, bitLog(bit))
+			c.recvRaw(st[bit*segB:(bit+in)*segB], absRank(rel+bit, root, n), tagGather, bitLog(bit))
 			have = bit + in
 		}
 	}
-	// Root: staging holds all n segments in relative order; decode each to
+	// Root: staging holds all n segments in relative order; move each to
 	// its absolute position.
 	for r := 0; r < n; r++ {
-		abs := absRank(r, op.root, n)
-		if err := decodeSeg(p, op.d, st[r*segB:(r+1)*segB], recv, abs*op.count, op.count); err != nil {
-			return err
-		}
+		copy(recv[absRank(r, root, n)*segB:], st[r*segB:(r+1)*segB])
 	}
-	return nil
 }
 
 // scatterLinear: the root sends each rank its segment in comm-rank order.
-func (c *Comm) scatterLinear(send, recv any, op collOp) error {
-	p := c.prof()
-	nb := op.count * op.d.Size()
-	wire := simnet.GetBuf(nb)
-	defer simnet.PutBuf(wire)
-	if c.Rank() != op.root {
-		c.recvRaw(wire, op.root, tagScatter, 0)
-		_, err := op.d.decode(p, wire, recv, op.count)
-		return err
+func (c *Comm) scatterLinear(send, recv []byte, root int) {
+	if c.Rank() != root {
+		c.recvRaw(recv, root, tagScatter, 0)
+		return
 	}
+	nb := len(recv)
 	for r := 0; r < c.Size(); r++ {
-		if r == op.root {
-			seg, err := numericSegment(send, r*op.count, op.count)
-			if err != nil {
-				return err
-			}
-			if err := copyNumeric(recv, seg, op.count); err != nil {
-				return err
-			}
+		if r == root {
+			copy(recv, send[r*nb:(r+1)*nb])
 			continue
 		}
-		if err := encodeSeg(p, op.d, wire, send, r*op.count, op.count); err != nil {
-			return err
-		}
-		c.sendRaw(wire, r, tagScatter, 0)
+		c.sendRaw(send[r*nb:(r+1)*nb], r, tagScatter, 0)
 	}
-	return nil
 }
 
 // scatterBinomial: the mirror of gatherBinomial — blocks of relative-rank
 // segments flow down the tree, halving at each level.
-func (c *Comm) scatterBinomial(send, recv any, op collOp) error {
-	p := c.prof()
+func (c *Comm) scatterBinomial(send, recv []byte, root int) {
 	n := c.Size()
-	rel := relRank(c.Rank(), op.root, n)
-	segB := op.count * op.d.Size()
+	rel := relRank(c.Rank(), root, n)
+	segB := len(recv)
 	var blk, pbit int
 	if rel == 0 {
 		blk = n
@@ -550,119 +392,68 @@ func (c *Comm) scatterBinomial(send, recv any, op collOp) error {
 	defer simnet.PutBuf(st)
 	if rel == 0 {
 		for r := 0; r < n; r++ {
-			abs := absRank(r, op.root, n)
-			if err := encodeSeg(p, op.d, st[r*segB:(r+1)*segB], send, abs*op.count, op.count); err != nil {
-				return err
-			}
+			abs := absRank(r, root, n)
+			copy(st[r*segB:(r+1)*segB], send[abs*segB:])
 		}
 	} else {
-		c.recvRaw(st[:blk*segB], absRank(rel-pbit, op.root, n), tagScatter, bitLog(pbit))
+		c.recvRaw(st, absRank(rel-pbit, root, n), tagScatter, bitLog(pbit))
 	}
 	for bit := pbit >> 1; bit >= 1; bit >>= 1 {
 		if rel+bit < n {
 			cnt := min(bit, n-(rel+bit))
-			c.sendRaw(st[bit*segB:(bit+cnt)*segB], absRank(rel+bit, op.root, n), tagScatter, bitLog(bit))
+			c.sendRaw(st[bit*segB:(bit+cnt)*segB], absRank(rel+bit, root, n), tagScatter, bitLog(bit))
 		}
 	}
-	_, err := op.d.decode(p, st[:segB], recv, op.count)
-	return err
+	copy(recv, st[:segB])
 }
 
 // allgatherRing: n-1 neighbour steps, each forwarding the segment received
-// in the previous step; every rank's recvbuf fills in place. Positions come
-// from the view; the circulating segment at position q is always comm rank
-// v.rank(q)'s contribution, so the recv layout stays comm-rank order
+// in the previous step; every rank's recv view fills in place. Positions
+// come from the view; the circulating segment at position q is always comm
+// rank v.rank(q)'s contribution, so the recv layout stays comm-rank order
 // regardless of walk order.
-func (c *Comm) allgatherRing(send, recv any, op collOp, v ringView) error {
-	p := c.prof()
+func (c *Comm) allgatherRing(send, recv []byte, v ringView) {
 	n := c.Size()
 	me := v.pos
-	right := v.right
-	left := v.left
-	segB := op.count * op.d.Size()
-	wire := simnet.GetBuf(segB)
-	defer simnet.PutBuf(wire)
-	if err := copySegmentLocal(recv, send, v.rank(me)*op.count, op.count); err != nil {
-		return err
+	segB := len(send)
+	seg := func(pos int) []byte {
+		r := v.rank(pos)
+		return recv[r*segB : (r+1)*segB]
 	}
+	copy(seg(me), send)
 	for step := 0; step < n-1; step++ {
-		sendIdx := (me - step + 2*n) % n
-		recvIdx := (me - step - 1 + 2*n) % n
-		if err := encodeSeg(p, op.d, wire, recv, v.rank(sendIdx)*op.count, op.count); err != nil {
-			return err
-		}
-		c.sendRaw(wire, right, tagAllgather, step)
-		c.recvRaw(wire, left, tagAllgather, step)
-		if err := decodeSeg(p, op.d, wire, recv, v.rank(recvIdx)*op.count, op.count); err != nil {
-			return err
-		}
+		c.sendRaw(seg((me-step+2*n)%n), v.right, tagAllgather, step)
+		c.recvRaw(seg((me-step-1+2*n)%n), v.left, tagAllgather, step)
 	}
-	return nil
 }
 
 // alltoallPairwise: XOR schedule for power-of-two communicators — step s
 // exchanges segments with partner me^s, a perfect matching per step.
-func (c *Comm) alltoallPairwise(send, recv any, op collOp) error {
-	p := c.prof()
+func (c *Comm) alltoallPairwise(send, recv []byte) {
 	n := c.Size()
 	me := c.Rank()
-	segB := op.count * op.d.Size()
-	out := simnet.GetBuf(segB)
-	in := simnet.GetBuf(segB)
-	defer simnet.PutBuf(out)
-	defer simnet.PutBuf(in)
-	seg, err := numericSegment(send, me*op.count, op.count)
-	if err != nil {
-		return err
-	}
-	if err := copySegmentLocal(recv, seg, me*op.count, op.count); err != nil {
-		return err
-	}
+	segB := len(send) / n
+	copy(recv[me*segB:(me+1)*segB], send[me*segB:])
 	for step := 1; step < n; step++ {
-		partner := me ^ step
-		if err := encodeSeg(p, op.d, out, send, partner*op.count, op.count); err != nil {
-			return err
-		}
-		c.sendRaw(out, partner, tagAlltoall, step)
-		c.recvRaw(in, partner, tagAlltoall, step)
-		if err := decodeSeg(p, op.d, in, recv, partner*op.count, op.count); err != nil {
-			return err
-		}
+		p := me ^ step
+		c.sendRaw(send[p*segB:(p+1)*segB], p, tagAlltoall, step)
+		c.recvRaw(recv[p*segB:(p+1)*segB], p, tagAlltoall, step)
 	}
-	return nil
 }
 
 // alltoallRing: step s sends to the rank s ring positions ahead and
 // receives from the rank s positions behind — the canonical schedule when
 // the view is the identity, near-neighbour traffic when it is the topology
 // ring.
-func (c *Comm) alltoallRing(send, recv any, op collOp, v ringView) error {
-	p := c.prof()
+func (c *Comm) alltoallRing(send, recv []byte, v ringView) {
 	n := c.Size()
 	me := c.Rank()
-	segB := op.count * op.d.Size()
-	out := simnet.GetBuf(segB)
-	in := simnet.GetBuf(segB)
-	defer simnet.PutBuf(out)
-	defer simnet.PutBuf(in)
-	seg, err := numericSegment(send, me*op.count, op.count)
-	if err != nil {
-		return err
-	}
-	if err := copySegmentLocal(recv, seg, me*op.count, op.count); err != nil {
-		return err
-	}
+	segB := len(send) / n
+	copy(recv[me*segB:(me+1)*segB], send[me*segB:])
 	for step := 1; step < n; step++ {
 		dst := v.rank((v.pos + step) % n)
 		src := v.rank((v.pos - step + n) % n)
-		if err := encodeSeg(p, op.d, out, send, dst*op.count, op.count); err != nil {
-			return err
-		}
-		c.sendRaw(out, dst, tagAlltoall, step)
-		c.recvRaw(in, src, tagAlltoall, step)
-		if err := decodeSeg(p, op.d, in, recv, src*op.count, op.count); err != nil {
-			return err
-		}
+		c.sendRaw(send[dst*segB:(dst+1)*segB], dst, tagAlltoall, step)
+		c.recvRaw(recv[src*segB:(src+1)*segB], src, tagAlltoall, step)
 	}
-	return nil
 }

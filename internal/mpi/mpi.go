@@ -39,7 +39,8 @@ const internalTagBase = MaxUserTag
 const tagSpan = 2 * MaxUserTag
 
 // Comm is a communicator: an ordered group of world ranks with a private
-// tag space and its own barrier.
+// tag space and its own barrier, on which Barrier, Win.Fence and every
+// collective rendezvous.
 type Comm struct {
 	// Hot group: the barrier path reads exactly these fields once per rank
 	// per whole-world operation. With a world of per-rank Comms live the

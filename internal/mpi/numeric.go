@@ -3,65 +3,47 @@ package mpi
 import (
 	"fmt"
 
-	"commintent/internal/model"
+	"commintent/internal/typemap"
 )
 
-// Numeric buffer helpers used by the collectives. They support []float64,
-// []int64 and []int32, the element types the application layer reduces and
-// gathers.
+// Reduction arithmetic over wire views. Collective buffers travel as the
+// wire bytes of their elements (see wire in collectives.go); only a
+// reduction has to see them as numbers, and it supports the element types
+// the application layer reduces: float64, int64 and int32.
 
-func cloneNumeric(buf any, count int) (any, error) {
-	switch s := buf.(type) {
-	case []float64:
-		if count > len(s) {
-			return nil, fmt.Errorf("mpi: count %d exceeds buffer length %d", count, len(s))
+// checkReducible rejects datatypes foldWire has no arithmetic for.
+func checkReducible(d *Datatype) error {
+	if !d.IsDerived() {
+		switch d.kind {
+		case typemap.KindFloat64, typemap.KindInt64, typemap.KindInt32:
+			return nil
 		}
-		out := make([]float64, count)
-		copy(out, s[:count])
-		return out, nil
-	case []int64:
-		if count > len(s) {
-			return nil, fmt.Errorf("mpi: count %d exceeds buffer length %d", count, len(s))
-		}
-		out := make([]int64, count)
-		copy(out, s[:count])
-		return out, nil
-	case []int32:
-		if count > len(s) {
-			return nil, fmt.Errorf("mpi: count %d exceeds buffer length %d", count, len(s))
-		}
-		out := make([]int32, count)
-		copy(out, s[:count])
-		return out, nil
+	}
+	return fmt.Errorf("unsupported reduction datatype %s", d)
+}
+
+// foldWire combines the elements encoded in in into those encoded in acc,
+// element-wise under op. Both hold the same number of elements of d.
+func foldWire(d *Datatype, acc, in []byte, op Op) error {
+	switch d.kind {
+	case typemap.KindFloat64:
+		return foldAs[float64](acc, in, op)
+	case typemap.KindInt64:
+		return foldAs[int64](acc, in, op)
 	default:
-		return nil, fmt.Errorf("mpi: unsupported reduction buffer type %T", buf)
+		return foldAs[int32](acc, in, op)
 	}
 }
 
-func combine(acc, in any, count int, op Op) error {
-	switch a := acc.(type) {
-	case []float64:
-		b, ok := in.([]float64)
-		if !ok {
-			return fmt.Errorf("mpi: reduction type mismatch %T vs %T", acc, in)
-		}
-		combineSlice(a[:count], b[:count], op)
-	case []int64:
-		b, ok := in.([]int64)
-		if !ok {
-			return fmt.Errorf("mpi: reduction type mismatch %T vs %T", acc, in)
-		}
-		combineSlice(a[:count], b[:count], op)
-	case []int32:
-		b, ok := in.([]int32)
-		if !ok {
-			return fmt.Errorf("mpi: reduction type mismatch %T vs %T", acc, in)
-		}
-		combineSlice(a[:count], b[:count], op)
-	default:
-		return fmt.Errorf("mpi: unsupported reduction buffer type %T", acc)
+func foldAs[T int32 | int64 | float64](acc, in []byte, op Op) error {
+	a, aliased := typemap.Elems[T](acc)
+	b, _ := typemap.Elems[T](in)
+	combineSlice(a, b[:len(a)], op)
+	if aliased {
+		return nil
 	}
-	return nil
+	_, err := typemap.EncodeSlice(acc, a, len(a))
+	return err
 }
 
 func combineSlice[T int32 | int64 | float64](a, b []T, op Op) {
@@ -83,79 +65,4 @@ func combineSlice[T int32 | int64 | float64](a, b []T, op Op) {
 			}
 		}
 	}
-}
-
-func copyNumeric(dst, src any, count int) error {
-	switch d := dst.(type) {
-	case []float64:
-		s, ok := src.([]float64)
-		if !ok || count > len(d) || count > len(s) {
-			return fmt.Errorf("mpi: copyNumeric mismatch %T <- %T (count %d)", dst, src, count)
-		}
-		copy(d[:count], s[:count])
-	case []int64:
-		s, ok := src.([]int64)
-		if !ok || count > len(d) || count > len(s) {
-			return fmt.Errorf("mpi: copyNumeric mismatch %T <- %T (count %d)", dst, src, count)
-		}
-		copy(d[:count], s[:count])
-	case []int32:
-		s, ok := src.([]int32)
-		if !ok || count > len(d) || count > len(s) {
-			return fmt.Errorf("mpi: copyNumeric mismatch %T <- %T (count %d)", dst, src, count)
-		}
-		copy(d[:count], s[:count])
-	default:
-		return fmt.Errorf("mpi: unsupported buffer type %T", dst)
-	}
-	return nil
-}
-
-// copySegmentLocal copies count elements of src into dst starting at
-// element offset off (root's own contribution in Gather).
-func copySegmentLocal(dst, src any, off, count int) error {
-	switch d := dst.(type) {
-	case []float64:
-		s, ok := src.([]float64)
-		if !ok || off+count > len(d) || count > len(s) {
-			return fmt.Errorf("mpi: gather segment mismatch %T <- %T", dst, src)
-		}
-		copy(d[off:off+count], s[:count])
-	case []int64:
-		s, ok := src.([]int64)
-		if !ok || off+count > len(d) || count > len(s) {
-			return fmt.Errorf("mpi: gather segment mismatch %T <- %T", dst, src)
-		}
-		copy(d[off:off+count], s[:count])
-	case []int32:
-		s, ok := src.([]int32)
-		if !ok || off+count > len(d) || count > len(s) {
-			return fmt.Errorf("mpi: gather segment mismatch %T <- %T", dst, src)
-		}
-		copy(d[off:off+count], s[:count])
-	default:
-		return fmt.Errorf("mpi: unsupported gather buffer type %T", dst)
-	}
-	return nil
-}
-
-// decodeSegment decodes count wire elements into dst at element offset off.
-func decodeSegment(p *model.Profile, c *Comm, d *Datatype, wire []byte, dst any, off, count int) error {
-	var seg any
-	switch s := dst.(type) {
-	case []float64:
-		seg = s[off : off+count]
-	case []int64:
-		seg = s[off : off+count]
-	case []int32:
-		seg = s[off : off+count]
-	default:
-		return fmt.Errorf("mpi: unsupported gather buffer type %T", dst)
-	}
-	cost, err := d.decode(p, wire, seg, count)
-	if err != nil {
-		return err
-	}
-	c.clock().Advance(cost)
-	return nil
 }

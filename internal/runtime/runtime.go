@@ -48,7 +48,7 @@ const EnvVar = "COMMINTENT_MANAGED_RUNTIME"
 // Config selects which adaptive behaviors run.
 type Config struct {
 	// Retune re-invokes the collective algorithm selection mid-run from
-	// live virtual-time observations (internal/mpi's schedule owner).
+	// live virtual-time observations (internal/mpi's owner step).
 	Retune bool
 	// Coalesce batches adjacent small comm_p2p transfers to the same
 	// destination inside a comm_parameters region into one wire message.

@@ -18,8 +18,8 @@ const TunerHysteresis = 3
 const ewmaAlpha = 0.25
 
 // CollObs is one virtual-time observation of a completed collective: the
-// schedule owner computes it from the participants' entry and exit clocks,
-// so it is bit-identical across same-seed runs.
+// collective's owner step computes it from the participants' entry and exit
+// clocks, so it is bit-identical across same-seed runs.
 type CollObs struct {
 	// Duration is the collective's virtual span: max exit − min entry.
 	Duration model.Time
@@ -60,8 +60,9 @@ type collState struct {
 
 // CollTuner is the per-communicator online decision cache: each collective
 // invocation feeds its observation in and gets the algorithm to use back.
-// It is owned by the communicator's schedule owner (exactly one goroutine
-// between the entry and exit barriers), so it needs no locking, and all of
+// It is touched only inside the communicator's owner step (exactly one
+// goroutine, between a collective's last arrival and its release), so it
+// needs no locking, and all of
 // its inputs are virtual-time deterministic, so its decision sequence
 // replays bit-identically for a given seed.
 type CollTuner struct {

@@ -36,6 +36,18 @@ import (
 // single-P box, a dissemination barrier is ~3x slower than the flat
 // combining node — every hop is a scheduler round trip).
 //
+// A generation may carry a completion step (WaitStep): the global winner —
+// the participant whose arrival completes the root node, whatever the tree
+// shape — runs it after the fold and before the release flip, so one wave
+// is a whole "everyone publishes, one computes, everyone reads" exchange.
+// The happens-before chain is the one the clock fold already relies on:
+// a participant's stores before its call precede its arrival fetch-add;
+// arrivals on a node are ordered by that word, and a node's winner arrives
+// at the parent only afterwards, so the global winner's step observes every
+// participant's stores; the step's own stores precede the root's release
+// flip, each released winner flips the nodes it won only after seeing its
+// own release, and a waiter returns only after loading the flipped word.
+//
 // A Barrier is safe for repeated use by the same fixed set of n goroutines;
 // participant i must always pass me == i.
 type Barrier struct {
@@ -227,6 +239,17 @@ func (b *Barrier) Size() int { return b.n }
 // me identifies the caller (0 <= me < Size) and must be unique per
 // participant.
 func (b *Barrier) Wait(me int, myV model.Time) model.Time {
+	return b.WaitStep(me, myV, nil)
+}
+
+// WaitStep is Wait with a completion step: once every participant has
+// arrived, exactly one of them — whichever arrived last — calls step before
+// anyone is released (see the type comment for what that orders). Which
+// participant runs it is a scheduling accident: step must depend only on
+// state the participants published, every participant of a generation must
+// pass a step that does the same thing (nil for none), and step must not
+// call into the barrier.
+func (b *Barrier) WaitStep(me int, myV model.Time, step func()) model.Time {
 	if nd := b.flat; nd != nil {
 		// Flat barrier (the common shape on a scheduler without real
 		// parallelism): publish the clock with one plain slot store — the
@@ -247,6 +270,9 @@ func (b *Barrier) Wait(me int, myV model.Time) model.Time {
 			return nd.out
 		}
 		v := nd.fold(myV)
+		if step != nil {
+			step()
+		}
 		nd.release(v)
 		return v
 	}
@@ -270,6 +296,9 @@ func (b *Barrier) Wait(me int, myV model.Time) model.Time {
 		v = nd.fold(v)
 		won = append(won, nd)
 		if nd.parent == nil {
+			if step != nil {
+				step()
+			}
 			break
 		}
 		slot = nd.pslot

@@ -22,19 +22,6 @@ func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
 			woke <- gen
 		}()
 	}
-	installed := func(gen uint32) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if p := nd.park[gen&1].Load(); p != nil && p.g == gen {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("no park record for generation %d", gen)
-			}
-			runtime.Gosched()
-		}
-	}
 	expect := func(gen uint32) {
 		t.Helper()
 		select {
@@ -48,12 +35,12 @@ func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
 	}
 
 	park(g) // installs the record
-	installed(g)
+	awaitParked(t, nd, g)
 	park(g) // adopts it, or sees the flip below; it must return either way
 
 	nd.word.Store((g + 1) << 32) // release(g), first half: the flip
 	park(g + 1)                  // the fast rank, a generation ahead
-	installed(g + 1)
+	awaitParked(t, nd, g+1)
 	nd.wakeParked(g) // release(g), second half
 
 	expect(g)
@@ -62,4 +49,20 @@ func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
 	nd.word.Store((g + 2) << 32)
 	nd.wakeParked(g + 1)
 	expect(g + 1)
+}
+
+// awaitParked returns once some waiter has installed nd's park record for
+// generation gen.
+func awaitParked(t *testing.T, nd *barNode, gen uint32) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if p := nd.park[gen&1].Load(); p != nil && p.g == gen {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no park record for generation %d", gen)
+		}
+		runtime.Gosched()
+	}
 }

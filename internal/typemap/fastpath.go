@@ -29,36 +29,43 @@ var hostLittleEndian = func() bool {
 func FastPathAvailable() bool { return hostLittleEndian }
 
 // sliceRaw returns the raw backing bytes of a supported primitive slice,
-// its element size, and ok=true when the memmove fast path applies. The
+// its element kind, and ok=true when the memmove fast path applies. The
 // returned bytes alias v's storage.
-func sliceRaw(v any) (raw []byte, esize int, ok bool) {
+func sliceRaw(v any) (raw []byte, k Kind, ok bool) {
 	if !hostLittleEndian {
 		return nil, 0, false
 	}
 	switch s := v.(type) {
 	case []float64:
-		return primRaw(s, 8)
+		return kindRaw(s, KindFloat64)
 	case []float32:
-		return primRaw(s, 4)
+		return kindRaw(s, KindFloat32)
 	case []int64:
-		return primRaw(s, 8)
+		return kindRaw(s, KindInt64)
 	case []int32:
-		return primRaw(s, 4)
+		return kindRaw(s, KindInt32)
 	case []int16:
-		return primRaw(s, 2)
+		return kindRaw(s, KindInt16)
 	case []int8:
-		return primRaw(s, 1)
+		return kindRaw(s, KindInt8)
 	case []uint64:
-		return primRaw(s, 8)
+		return kindRaw(s, KindUint64)
 	case []uint32:
-		return primRaw(s, 4)
+		return kindRaw(s, KindUint32)
 	case []uint16:
-		return primRaw(s, 2)
+		return kindRaw(s, KindUint16)
 	default:
 		// []byte / []uint8 is handled by the dedicated copy path in
 		// EncodeSlice/DecodeSlice before this is consulted.
 		return nil, 0, false
 	}
+}
+
+// kindRaw is primRaw reporting the element kind in place of its size.
+func kindRaw[T any](s []T, k Kind) ([]byte, Kind, bool) {
+	var z T
+	raw, _, _ := primRaw(s, int(unsafe.Sizeof(z)))
+	return raw, k, true
 }
 
 // primRaw reinterprets a fixed-width primitive slice as its backing bytes.
@@ -67,6 +74,24 @@ func primRaw[T any](s []T, esize int) ([]byte, int, bool) {
 		return nil, esize, true
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*esize), esize, true
+}
+
+// Elems returns the elements encoded in wire as a []T. When the host
+// representation is the wire format and wire is aligned for T the result
+// aliases wire (alias=true: writes through it are writes to the encoding);
+// otherwise it is a decoded copy the caller must EncodeSlice back to make
+// changes stick.
+func Elems[T Number](wire []byte) (s []T, alias bool) {
+	var z T
+	n := len(wire) / int(unsafe.Sizeof(z))
+	if n == 0 {
+		return nil, true
+	}
+	p := unsafe.Pointer(unsafe.SliceData(wire))
+	if hostLittleEndian && uintptr(p)%unsafe.Alignof(z) == 0 {
+		return unsafe.Slice((*T)(p), n), true
+	}
+	return decodeElems[T](wire, n), false
 }
 
 // nativeLayoutMatches reports whether t's native layout is byte-identical

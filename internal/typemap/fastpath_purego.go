@@ -18,7 +18,13 @@ func FastPathAvailable() bool { return false }
 // interface-box allocation per call.
 func NoEscape(v any) any { return v }
 
-func sliceRaw(any) ([]byte, int, bool) { return nil, 0, false }
+func sliceRaw(any) ([]byte, Kind, bool) { return nil, 0, false }
+
+// Elems always decodes in a purego build: there is no native view to alias.
+func Elems[T Number](wire []byte) (s []T, alias bool) {
+	var z T
+	return decodeElems[T](wire, len(wire)/int(reflect.TypeOf(z).Size())), false
+}
 
 func nativeLayoutMatches(reflect.Type, []Field, int) bool { return false }
 

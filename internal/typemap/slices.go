@@ -25,6 +25,35 @@ func SliceLen(v any) (int, bool) {
 	return reflect.ValueOf(v).Len(), true
 }
 
+// WireView returns the backing bytes of the primitive slice v when they are
+// byte-identical to its wire encoding — always for []byte, otherwise on a
+// little-endian host outside `purego` — with its element kind. The bytes
+// alias v's storage, so a holder can read and write v's elements as wire
+// data with no copy; ok=false means v has to be staged through
+// EncodeSlice/DecodeSlice instead. v's slice header is not retained.
+func WireView(v any) (raw []byte, k Kind, ok bool) {
+	if s, isBytes := v.([]byte); isBytes {
+		return s, KindUint8, true
+	}
+	return sliceRaw(v)
+}
+
+// Number is the set of element types Elems serves: the fixed-width
+// primitives DecodeSlice decodes.
+type Number interface {
+	int8 | int16 | int32 | int64 | uint16 | uint32 | uint64 | float32 | float64
+}
+
+// decodeElems is Elems without a native view: a fresh slice decoded from
+// wire.
+func decodeElems[T Number](wire []byte, n int) []T {
+	s := make([]T, n)
+	// Cannot fail: []T is a supported primitive slice of exactly n elements
+	// and wire holds at least n of them.
+	_, _ = DecodeSlice(wire, s, n)
+	return s
+}
+
 // EncodeSlice serialises the first count elements of the primitive slice v
 // into dst, returning bytes written. []byte moves with a plain copy; other
 // fixed-width primitive slices take the zero-copy bulk path when the host
@@ -35,7 +64,8 @@ func EncodeSlice(dst []byte, v any, count int) (int, error) {
 		fastEncodes.Add(1)
 		return encBytes(dst, s, count)
 	}
-	if raw, esize, ok := sliceRaw(v); ok {
+	if raw, k, ok := sliceRaw(v); ok {
+		esize := k.Size()
 		slen := 0
 		if esize > 0 {
 			slen = len(raw) / esize
@@ -107,7 +137,8 @@ func DecodeSlice(src []byte, v any, count int) (int, error) {
 		fastDecodes.Add(1)
 		return decBytes(src, s, count)
 	}
-	if raw, esize, ok := sliceRaw(v); ok {
+	if raw, k, ok := sliceRaw(v); ok {
+		esize := k.Size()
 		slen := 0
 		if esize > 0 {
 			slen = len(raw) / esize
