@@ -42,7 +42,15 @@ test:
 #
 # vet-intent runs first: the static intent verifier (cmd/commvet) must find
 # every shipped pattern clean and must still catch every seeded-bad fixture.
+#
+# The three lines after it keep the transport seam the shape it was given:
+# internal/transport (the Port interface, the handles and the one match
+# table) imports neither of its implementations, the shm transport does not
+# import simnet, and the matcher's core routines are each defined once.
 verify: vet-intent
+	! $(GO) list -deps ./internal/transport | grep -E 'internal/(simnet|shmtransport)$$'
+	! $(GO) list -deps ./internal/shmtransport | grep -E 'internal/simnet$$'
+	for f in takePosted findUnexpected matches; do test "$$(grep -rEh "^func (\([^)]*\) )?$$f\(" --include='*.go' internal | wc -l)" -eq 1 || { echo "$$f must be defined exactly once under internal/"; exit 1; }; done
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .

@@ -13,6 +13,7 @@ import (
 	"commintent/internal/mpi"
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
+	"commintent/internal/transport"
 	"commintent/internal/typemap"
 )
 
@@ -56,6 +57,14 @@ func BenchmarkDataPlanePingPong4KiB(b *testing.B) {
 	}
 }
 
+// sendCopy is the copying send the fabric benchmarks want over the
+// ownership-transfer Send: an eager message carrying a pooled copy of data.
+func sendCopy(ep *simnet.Endpoint, dst, tag int, data []byte) {
+	b := transport.GetBuf(len(data))
+	copy(b, data)
+	ep.Send(dst, tag, b, 0, false)
+}
+
 // BenchmarkDataPlaneSimnetStream4KiB measures the raw fabric path: post a
 // receive, inject a 4KiB payload, complete. No MPI costs, so payload
 // allocation and matching dominate.
@@ -69,7 +78,7 @@ func BenchmarkDataPlaneSimnetStream4KiB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := dst.PostRecv(0, 0, buf, 0)
-		src.Send(1, 0, payload, 0)
+		sendCopy(src, 1, 0, payload)
 		r.Wait()
 	}
 }
@@ -175,7 +184,7 @@ func BenchmarkDataPlaneMatchDeepQueue(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for t := 0; t < depth; t++ {
-			src.Send(1, t, payload, 0)
+			sendCopy(src, 1, t, payload)
 		}
 		for t := depth - 1; t >= 0; t-- {
 			r := dst.PostRecv(0, t, buf, 0)
@@ -198,12 +207,12 @@ func BenchmarkDataPlanePostedDeepQueue(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reqs := make([]*simnet.RecvReq, depth)
+		reqs := make([]*transport.Recv, depth)
 		for t := 0; t < depth; t++ {
 			reqs[t] = dst.PostRecv(0, t, bufs[t], 0)
 		}
 		for t := depth - 1; t >= 0; t-- {
-			src.Send(1, t, payload, 0)
+			sendCopy(src, 1, t, payload)
 			reqs[t].Wait()
 		}
 	}

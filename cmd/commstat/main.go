@@ -175,7 +175,7 @@ func main() {
 		fmt.Printf("\ndatatype cache: no lookups\n")
 	}
 
-	ph, pm := simnet.PoolStats()
+	ph, pm := transport.PoolStats()
 	fmt.Printf("payload pool: %d hits / %d misses (hit rate %s)\n", ph, pm, rate(ph, ph+pm))
 	fe, fd, re, rd := typemap.PathStats()
 	fast, slow := fe+fd, re+rd

@@ -9,6 +9,7 @@ import (
 	"commintent/internal/mpi"
 	rt "commintent/internal/runtime"
 	"commintent/internal/simnet"
+	"commintent/internal/transport"
 )
 
 // Small-message coalescing: with the managed runtime on, adjacent comm_p2p
@@ -421,7 +422,7 @@ func (e *Env) reportBatchGiveup(b *liveBatch, region int, opErr error, why strin
 		opName = "comm_p2p coalesced batch recv"
 		members = fmt.Sprintf("%d pending member transfer(s)", b.q.Pending())
 	}
-	kind := simnet.FaultNone
+	kind := transport.FaultNone
 	var fe *mpi.FaultError
 	if errors.As(opErr, &fe) {
 		kind = fe.Kind

@@ -7,6 +7,7 @@ import (
 	"commintent/internal/model"
 	"commintent/internal/mpi"
 	"commintent/internal/simnet"
+	"commintent/internal/transport"
 )
 
 // Retry semantics for comm_p2p on a faulty fabric. The directive layer is
@@ -90,7 +91,7 @@ func (e *Env) reportGiveup(op resendOp, region, attempts int, opErr error, why s
 	if op.isSend {
 		opName = "comm_p2p send"
 	}
-	kind := simnet.FaultNone
+	kind := transport.FaultNone
 	var fe *mpi.FaultError
 	if errors.As(opErr, &fe) {
 		kind = fe.Kind

@@ -7,6 +7,7 @@ import (
 	"commintent/internal/model"
 	rt "commintent/internal/runtime"
 	"commintent/internal/simnet"
+	"commintent/internal/transport"
 )
 
 // Small-message coalescing wire format. A batch folds several logically
@@ -79,7 +80,7 @@ func (c *Comm) IsendBatch(parts []BatchPart, dest, tag int) (*Request, error) {
 		return nil, fmt.Errorf("mpi: IsendBatch: wire size %d exceeds eager threshold %d", n, p.MPIEagerThreshold)
 	}
 	sp := c.span("MPI_IsendBatch", c.clock().Now())
-	wire := simnet.GetBuf(n)
+	wire := transport.GetBuf(n)
 	binary.LittleEndian.PutUint32(wire, uint32(len(parts)))
 	off := batchHeaderSize(len(parts))
 	var encCost model.Time
@@ -88,7 +89,7 @@ func (c *Comm) IsendBatch(parts []BatchPart, dest, tag int) (*Request, error) {
 		binary.LittleEndian.PutUint32(wire[4+4*i:], uint32(b))
 		cost, err := bp.Dt.encodeInto(p, wire[off:off+b], bp.Buf, bp.Count)
 		if err != nil {
-			simnet.PutBuf(wire)
+			transport.PutBuf(wire)
 			return nil, fmt.Errorf("mpi: IsendBatch part %d: %w", i, err)
 		}
 		encCost += cost
@@ -265,7 +266,7 @@ func (c *Comm) IrecvBatch(q *BatchQueue, source, tag int) (*Request, error) {
 	clk := c.clock()
 	clk.Advance(p.MPIRecvOverhead + p.MPIRequestPerItem)
 	defer sp.End(clk.Now())
-	wire := simnet.GetBuf(BatchWireCap)
+	wire := transport.GetBuf(BatchWireCap)
 	rr := c.port.PostRecv(c.WorldRank(source), c.wireTag(tag), wire, clk.Now())
 	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvRecvPost, Peer: c.WorldRank(source), Tag: tag, Bytes: len(wire), V: clk.Now()})
 	c.reqPosted()

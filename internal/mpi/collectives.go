@@ -7,7 +7,7 @@ import (
 	"commintent/internal/coll"
 	"commintent/internal/model"
 	rt "commintent/internal/runtime"
-	"commintent/internal/simnet"
+	"commintent/internal/transport"
 	"commintent/internal/typemap"
 )
 
@@ -228,10 +228,10 @@ func (c *Comm) wire(buf any, d *Datatype, count int, fill bool) (w []byte, stage
 	if have < count {
 		return nil, false, fmt.Errorf("buffer holds %d elements, need %d", have, count)
 	}
-	w = simnet.GetBuf(count * d.Size())
+	w = transport.GetBuf(count * d.Size())
 	if fill {
 		if _, err := d.encodeInto(c.prof(), w, buf, count); err != nil {
-			simnet.PutBuf(w)
+			transport.PutBuf(w)
 			return nil, false, err
 		}
 	}
@@ -287,10 +287,10 @@ func (c *Comm) runCollective(op collOp, send any, sn int, recv any, rn int) erro
 		if err == nil {
 			_, err = op.d.decode(c.prof(), e.recv, recv, rn)
 		}
-		simnet.PutBuf(e.recv)
+		transport.PutBuf(e.recv)
 	}
 	if sst {
-		simnet.PutBuf(e.send)
+		transport.PutBuf(e.send)
 	}
 	if err != nil {
 		return err

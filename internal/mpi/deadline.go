@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"commintent/internal/model"
-	"commintent/internal/simnet"
+	"commintent/internal/transport"
 	"commintent/internal/typemap"
 )
 
@@ -25,15 +25,15 @@ import (
 // are bit-identical), while the watchdog — the only real-time actor — fires
 // solely for operations with no deterministic resolution to perturb.
 
-// Typed fault errors, re-exported from simnet so callers need only this
+// Typed fault errors, re-exported from transport so callers need only this
 // package. Match with errors.Is.
 var (
 	// ErrDeadline: the operation's deadline passed with nothing delivered.
-	ErrDeadline = simnet.ErrDeadline
+	ErrDeadline = transport.ErrDeadline
 	// ErrPeerDead: the peer rank is configured dead in the fault injector.
-	ErrPeerDead = simnet.ErrPeerDead
+	ErrPeerDead = transport.ErrPeerDead
 	// ErrMessageLost: the fabric dropped the message.
-	ErrMessageLost = simnet.ErrMessageLost
+	ErrMessageLost = transport.ErrMessageLost
 )
 
 // DefaultWatchdog is the real-time backstop armed by deadline-aware waits
@@ -46,10 +46,10 @@ const DefaultWatchdog = 10 * time.Second
 // ErrDeadline), so errors.Is works against either the sentinel or the
 // concrete value.
 type FaultError struct {
-	Op       string           // "send" or "recv"
-	Peer     int              // comm rank of the peer; -1 when unknown
-	Kind     simnet.FaultKind // what happened
-	Deadline model.Time       // virtual deadline in force; 0 if none
+	Op       string              // "send" or "recv"
+	Peer     int                 // comm rank of the peer; -1 when unknown
+	Kind     transport.FaultKind // what happened
+	Deadline model.Time          // virtual deadline in force; 0 if none
 }
 
 func (e *FaultError) Error() string {
@@ -101,13 +101,13 @@ func (c *Comm) watchdog() time.Duration {
 }
 
 // countFault bumps the per-kind fault counter.
-func (c *Comm) countFault(k simnet.FaultKind) {
+func (c *Comm) countFault(k transport.FaultKind) {
 	switch k {
-	case simnet.FaultDropped:
+	case transport.FaultDropped:
 		c.tele.faultLost.Inc()
-	case simnet.FaultPeerDead:
+	case transport.FaultPeerDead:
 		c.tele.faultDead.Inc()
-	case simnet.FaultCancelled:
+	case transport.FaultCancelled:
 		c.tele.faultDeadline.Inc()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"commintent/internal/mpi"
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
+	"commintent/internal/transport"
 )
 
 // faultWorld builds a world whose fabric injects faults scoped to user
@@ -29,12 +30,12 @@ func faultWorld(t *testing.T, n int, prof *model.Profile, cfg simnet.FaultConfig
 // sees through wrapping.
 func TestFaultErrorContracts(t *testing.T) {
 	cases := []struct {
-		kind      simnet.FaultKind
+		kind      transport.FaultKind
 		is, isNot error
 	}{
-		{simnet.FaultDropped, mpi.ErrMessageLost, mpi.ErrDeadline},
-		{simnet.FaultPeerDead, mpi.ErrPeerDead, mpi.ErrMessageLost},
-		{simnet.FaultCancelled, mpi.ErrDeadline, mpi.ErrPeerDead},
+		{transport.FaultDropped, mpi.ErrMessageLost, mpi.ErrDeadline},
+		{transport.FaultPeerDead, mpi.ErrPeerDead, mpi.ErrMessageLost},
+		{transport.FaultCancelled, mpi.ErrDeadline, mpi.ErrPeerDead},
 	}
 	for _, tc := range cases {
 		e := &mpi.FaultError{Op: "recv", Peer: 3, Kind: tc.kind, Deadline: 1000}
@@ -145,7 +146,7 @@ func TestRecvTimeoutNeverSent(t *testing.T) {
 			t.Fatalf("err = %v, want ErrDeadline", err)
 		}
 		var fe *mpi.FaultError
-		if !errors.As(err, &fe) || fe.Kind != simnet.FaultCancelled || fe.Deadline != start+timeout {
+		if !errors.As(err, &fe) || fe.Kind != transport.FaultCancelled || fe.Deadline != start+timeout {
 			t.Errorf("FaultError = %+v", fe)
 		}
 		if got := rk.Clock().Now(); got != start+timeout {

@@ -5,7 +5,7 @@ import (
 
 	"commintent/internal/coll"
 	"commintent/internal/model"
-	"commintent/internal/simnet"
+	"commintent/internal/transport"
 )
 
 // Hierarchical movers: the topology-aware data-movement schedules selected
@@ -241,8 +241,8 @@ func (c *Comm) allreduceHier(send, recv []byte, op collOp) error {
 			}
 		}
 		if l.nodes > 1 {
-			in := simnet.GetBuf(len(recv))
-			defer simnet.PutBuf(in)
+			in := transport.GetBuf(len(recv))
+			defer transport.PutBuf(in)
 			fold := func(peer, round int) error {
 				c.recvRaw(in, peer, tagHier, round)
 				return foldWire(op.d, recv, in, op.op)
@@ -319,10 +319,10 @@ func (c *Comm) bcastHier(send, recv []byte, root int) error {
 func (c *Comm) reduceHier(send, recv []byte, op collOp) error {
 	return c.lead(op.root, func(l *hierLayout, nd int) error {
 		me := c.Rank()
-		acc := simnet.GetBuf(len(send))
-		in := simnet.GetBuf(len(send))
-		defer simnet.PutBuf(acc)
-		defer simnet.PutBuf(in)
+		acc := transport.GetBuf(len(send))
+		in := transport.GetBuf(len(send))
+		defer transport.PutBuf(acc)
+		defer transport.PutBuf(in)
 		copy(acc, send)
 		for _, m := range l.members[nd] {
 			if m == me {
@@ -364,8 +364,8 @@ func (c *Comm) gatherHier(send, recv []byte, root int) error {
 		segB := len(send)
 		if c.Rank() != root {
 			ms := l.members[nd]
-			w := simnet.GetBuf(len(ms) * segB)
-			defer simnet.PutBuf(w)
+			w := transport.GetBuf(len(ms) * segB)
+			defer transport.PutBuf(w)
 			for i, m := range ms {
 				copy(w[i*segB:], ent[m].send)
 			}
@@ -375,8 +375,8 @@ func (c *Comm) gatherHier(send, recv []byte, root int) error {
 		for _, m := range l.members[nd] {
 			copy(recv[m*segB:], ent[m].send)
 		}
-		w := simnet.GetBuf(l.maxPer * segB)
-		defer simnet.PutBuf(w)
+		w := transport.GetBuf(l.maxPer * segB)
+		defer transport.PutBuf(w)
 		for j := 0; j < l.nodes; j++ {
 			if j == nd {
 				continue
@@ -401,8 +401,8 @@ func (c *Comm) scatterHier(send, recv []byte, root int) error {
 			for _, m := range l.members[nd] {
 				copy(ent[m].recv, send[m*segB:(m+1)*segB])
 			}
-			w := simnet.GetBuf(l.maxPer * segB)
-			defer simnet.PutBuf(w)
+			w := transport.GetBuf(l.maxPer * segB)
+			defer transport.PutBuf(w)
 			for j := 0; j < l.nodes; j++ {
 				if j == nd {
 					continue
@@ -416,8 +416,8 @@ func (c *Comm) scatterHier(send, recv []byte, root int) error {
 			return nil
 		}
 		ms := l.members[nd]
-		w := simnet.GetBuf(len(ms) * segB)
-		defer simnet.PutBuf(w)
+		w := transport.GetBuf(len(ms) * segB)
+		defer transport.PutBuf(w)
 		c.recvRaw(w, root, tagHier, hierRoundScatter)
 		for i, m := range ms {
 			copy(ent[m].recv, w[i*segB:(i+1)*segB])

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"commintent/internal/coll"
-	"commintent/internal/simnet"
+	"commintent/internal/transport"
 )
 
 // Data movers: the message-passing algorithms that move real bytes when the
@@ -137,7 +137,7 @@ func (c *Comm) runMover(op collOp, send, recv []byte, algo coll.Algo) error {
 // sendRaw injects data to comm rank dst with zero virtual arrival time.
 // The payload is copied into a pooled buffer the endpoint owns.
 func (c *Comm) sendRaw(data []byte, dst, opTag, round int) {
-	wire := simnet.GetBuf(len(data))
+	wire := transport.GetBuf(len(data))
 	copy(wire, data)
 	c.port.Send(c.WorldRank(dst), c.innerTag(opTag+round*8), wire, 0, false)
 }
@@ -195,8 +195,8 @@ func (c *Comm) reduceLinear(send, recv []byte, op collOp) error {
 		return nil
 	}
 	copy(recv, send)
-	in := simnet.GetBuf(len(send))
-	defer simnet.PutBuf(in)
+	in := transport.GetBuf(len(send))
+	defer transport.PutBuf(in)
 	for r := 0; r < c.Size(); r++ {
 		if r == op.root {
 			continue
@@ -214,10 +214,10 @@ func (c *Comm) reduceLinear(send, recv []byte, op collOp) error {
 func (c *Comm) reduceBinomial(send, recv []byte, op collOp) error {
 	n := c.Size()
 	rel := relRank(c.Rank(), op.root, n)
-	acc := simnet.GetBuf(len(send))
-	in := simnet.GetBuf(len(send))
-	defer simnet.PutBuf(acc)
-	defer simnet.PutBuf(in)
+	acc := transport.GetBuf(len(send))
+	in := transport.GetBuf(len(send))
+	defer transport.PutBuf(acc)
+	defer transport.PutBuf(in)
 	copy(acc, send)
 	for bit := 1; bit < n; bit <<= 1 {
 		if rel&bit != 0 {
@@ -242,8 +242,8 @@ func (c *Comm) allreduceRecDouble(send, recv []byte, op collOp) error {
 	n := c.Size()
 	me := c.Rank()
 	copy(recv, send)
-	in := simnet.GetBuf(len(recv))
-	defer simnet.PutBuf(in)
+	in := transport.GetBuf(len(recv))
+	defer transport.PutBuf(in)
 	for bit := 1; bit < n; bit <<= 1 {
 		c.sendRaw(recv, me^bit, tagAllreduce, bitLog(bit))
 		c.recvRaw(in, me^bit, tagAllreduce, bitLog(bit))
@@ -281,8 +281,8 @@ func (c *Comm) allreduceRing(send, recv []byte, op collOp, v ringView) error {
 		off, size := ringChunk(op.count, n, i)
 		return recv[off*esz : (off+size)*esz]
 	}
-	in := simnet.GetBuf((op.count/n + 1) * esz)
-	defer simnet.PutBuf(in)
+	in := transport.GetBuf((op.count/n + 1) * esz)
+	defer transport.PutBuf(in)
 	// Reduce-scatter: after step s each rank has fully combined one more
 	// chunk; rank me ends owning chunk (me+1) mod n.
 	for step := 0; step < n-1; step++ {
@@ -336,8 +336,8 @@ func (c *Comm) gatherBinomial(send, recv []byte, root int) {
 	if rel != 0 {
 		blk = min(lowbit(rel), n-rel)
 	}
-	st := simnet.GetBuf(blk * segB)
-	defer simnet.PutBuf(st)
+	st := transport.GetBuf(blk * segB)
+	defer transport.PutBuf(st)
 	copy(st, send)
 	have := 1
 	for bit := 1; bit < n; bit <<= 1 {
@@ -388,8 +388,8 @@ func (c *Comm) scatterBinomial(send, recv []byte, root int) {
 		pbit = lowbit(rel)
 		blk = min(pbit, n-rel)
 	}
-	st := simnet.GetBuf(blk * segB)
-	defer simnet.PutBuf(st)
+	st := transport.GetBuf(blk * segB)
+	defer transport.PutBuf(st)
 	if rel == 0 {
 		for r := 0; r < n; r++ {
 			abs := absRank(r, root, n)

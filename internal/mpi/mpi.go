@@ -303,8 +303,8 @@ func (c *Comm) Size() int { return len(c.ranks) }
 
 // WorldRank translates a comm rank to the underlying world rank.
 func (c *Comm) WorldRank(commRank int) int {
-	if commRank == simnet.AnySource {
-		return simnet.AnySource
+	if commRank == transport.AnySource {
+		return transport.AnySource
 	}
 	return c.ranks[commRank]
 }
@@ -375,7 +375,7 @@ func (c *Comm) observeRegionWait(idle model.Time) {
 func (c *Comm) wireTag(userTag int) int { return c.tagBase + userTag }
 func (c *Comm) innerTag(opTag int) int  { return c.tagBase + internalTagBase + opTag }
 func (c *Comm) checkTag(tag int) error {
-	if tag != simnet.AnyTag && (tag < 0 || tag >= MaxUserTag) {
+	if tag != transport.AnyTag && (tag < 0 || tag >= MaxUserTag) {
 		return fmt.Errorf("mpi: tag %d out of range [0,%d)", tag, MaxUserTag)
 	}
 	return nil

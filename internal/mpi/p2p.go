@@ -5,13 +5,14 @@ import (
 
 	"commintent/internal/model"
 	"commintent/internal/simnet"
+	"commintent/internal/transport"
 	"commintent/internal/typemap"
 )
 
 // AnySource and AnyTag are the receive wildcards.
 const (
-	AnySource = simnet.AnySource
-	AnyTag    = simnet.AnyTag
+	AnySource = transport.AnySource
+	AnyTag    = transport.AnyTag
 )
 
 // Isend starts a non-blocking send of count elements of buf (datatype d) to
@@ -49,10 +50,10 @@ func (c *Comm) makeSendReq(buf any, count int, d *Datatype, dest, tag int) (Requ
 	}
 	sp := c.span("MPI_Isend", spStart)
 	n := count * d.Size()
-	wire := simnet.GetBuf(n)
+	wire := transport.GetBuf(n)
 	encCost, err := d.encodeInto(p, wire, buf, count)
 	if err != nil {
-		simnet.PutBuf(wire)
+		transport.PutBuf(wire)
 		return Request{}, fmt.Errorf("mpi: Isend: %w", err)
 	}
 	clk := c.clock()
@@ -130,8 +131,8 @@ func (c *Comm) makeRecvReq(buf any, count int, d *Datatype, source, tag int) (Re
 	clk.Advance(p.MPIRecvOverhead + p.MPIRequestPerItem)
 	now := clk.Now() // shared read; see makeSendReq
 	defer sp.End(now)
-	wire := simnet.GetBuf(count * d.Size())
-	wtag := simnet.AnyTag
+	wire := transport.GetBuf(count * d.Size())
+	wtag := transport.AnyTag
 	if tag != AnyTag {
 		wtag = c.wireTag(tag)
 	}
@@ -196,7 +197,7 @@ func (c *Comm) Iprobe(source, tag int) (Status, bool, error) {
 	if source != AnySource {
 		wsrc = c.WorldRank(source)
 	}
-	wtag := simnet.AnyTag
+	wtag := transport.AnyTag
 	if tag != AnyTag {
 		wtag = c.wireTag(tag)
 	}

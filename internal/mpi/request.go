@@ -97,7 +97,7 @@ func (r *Request) finishDeadline(D model.Time) error {
 			if D > 0 {
 				if !r.send.Msg.WaitMatchedTimeout(r.comm.watchdog()) {
 					if r.comm.port.CancelMsg(r.destWorld, r.send.Msg) {
-						return r.failSend(simnet.FaultCancelled, model.Max(D, r.send.LocalV), D)
+						return r.failSend(transport.FaultCancelled, model.Max(D, r.send.LocalV), D)
 					}
 					// Lost the race: the match is completing concurrently.
 				}
@@ -116,14 +116,14 @@ func (r *Request) finishDeadline(D model.Time) error {
 				r.comm.tele.stalls.Inc()
 				r.comm.tele.stallNS.AddTime(stall)
 			}
-			if r.send.Fault != simnet.FaultNone {
+			if r.send.Fault != transport.FaultNone {
 				// The ghost matched a receive (so the handshake resolved),
 				// but the payload never arrived.
 				return r.failSend(r.send.Fault, r.readyV, D)
 			}
 		} else {
 			// Eager: the send buffer was reusable at call time.
-			if r.send.Fault != simnet.FaultNone {
+			if r.send.Fault != transport.FaultNone {
 				return r.failSend(r.send.Fault, r.send.LocalV, D)
 			}
 			r.readyV = r.send.LocalV
@@ -132,18 +132,13 @@ func (r *Request) finishDeadline(D model.Time) error {
 		r.comm.reqDone()
 		return nil
 	}
-	if D > 0 {
-		if !r.recv.WaitTimeout(r.comm.watchdog()) {
-			if r.comm.port.CancelRecv(r.recv) {
-				r.recv.Wait() // consume the cancellation token
-			} else {
-				r.recv.Wait() // lost the race: a delivery is completing
-			}
-		}
-	} else {
-		r.recv.Wait()
+	if D > 0 && !r.recv.WaitTimeout(r.comm.watchdog()) {
+		// Withdraw it. Won or lost (a delivery is completing), the receive
+		// completes, and the Wait below consumes that completion.
+		r.comm.port.CancelRecv(r.recv)
 	}
-	if f := r.recv.Fault(); f != simnet.FaultNone {
+	r.recv.Wait()
+	if f := r.recv.Fault(); f != transport.FaultNone {
 		return r.failRecv(f, D)
 	}
 	n := r.recv.Len()
@@ -175,7 +170,7 @@ func (r *Request) finishDeadline(D model.Time) error {
 			return fmt.Errorf("mpi: recv decode: %w", err)
 		}
 	}
-	simnet.PutBuf(r.wire)
+	transport.PutBuf(r.wire)
 	r.wire = nil
 	ready += cost
 	if r.comm.wall {
@@ -197,13 +192,13 @@ func (r *Request) finishDeadline(D model.Time) error {
 
 // failSend completes a faulted send: the request is done (re-waiting returns
 // the same sticky error), charged at ready, with the typed fault recorded.
-func (r *Request) failSend(k simnet.FaultKind, ready, D model.Time) error {
+func (r *Request) failSend(k transport.FaultKind, ready, D model.Time) error {
 	r.readyV = ready
 	r.done = true
 	r.comm.reqDone()
 	r.comm.countFault(k)
 	r.err = &FaultError{Op: "send", Peer: r.comm.commRankOf(r.destWorld), Kind: k, Deadline: D}
-	if k == simnet.FaultCancelled {
+	if k == transport.FaultCancelled {
 		// A watchdog trip is a terminal failure (the message was never
 		// matched and has been withdrawn), unlike per-attempt injector
 		// verdicts the retry protocol absorbs — capture the forensics now.
@@ -215,7 +210,7 @@ func (r *Request) failSend(k simnet.FaultKind, ready, D model.Time) error {
 
 // reportFailure files a post-mortem dump with the fabric for a terminal
 // fault on this rank. peer is a world rank (-1 when unknown).
-func (c *Comm) reportFailure(op string, peer int, k simnet.FaultKind, v model.Time, reason string) {
+func (c *Comm) reportFailure(op string, peer int, k transport.FaultKind, v model.Time, reason string) {
 	c.fab.ReportFailure(simnet.FailingOp{
 		Rank: c.rk.ID, Op: op, Peer: peer, Tag: -1,
 		Region: c.ep().RegionID(), Kind: k, Reason: reason, V: v,
@@ -227,14 +222,14 @@ func (c *Comm) reportFailure(op string, peer int, k simnet.FaultKind, v model.Ti
 // cancellation — the only nondeterministic trigger — is charged at the
 // virtual deadline D, which is itself deterministic. Either way the pooled
 // resources go back and the request is done with a sticky typed error.
-func (r *Request) failRecv(k simnet.FaultKind, D model.Time) error {
+func (r *Request) failRecv(k transport.FaultKind, D model.Time) error {
 	src := r.recv.Src() // -1 for a cancellation
 	ready := model.Max(r.recv.ArriveV(), r.recv.PostV())
 	r.recv.Release()
 	r.recv = nil
-	simnet.PutBuf(r.wire)
+	transport.PutBuf(r.wire)
 	r.wire = nil
-	if k == simnet.FaultCancelled {
+	if k == transport.FaultCancelled {
 		ready = model.Max(D, ready)
 	}
 	peer := -1
@@ -247,7 +242,7 @@ func (r *Request) failRecv(k simnet.FaultKind, D model.Time) error {
 	r.comm.reqDone()
 	r.comm.countFault(k)
 	r.err = &FaultError{Op: "recv", Peer: peer, Kind: k, Deadline: D}
-	if k == simnet.FaultCancelled {
+	if k == transport.FaultCancelled {
 		r.comm.reportFailure("MPI recv", src, k, ready,
 			"real-time watchdog cancelled a receive nothing was sent for")
 	}

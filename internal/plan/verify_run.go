@@ -18,6 +18,7 @@ import (
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
 	"commintent/internal/trace"
+	"commintent/internal/transport"
 	"commintent/internal/verify"
 )
 
@@ -94,7 +95,7 @@ func RunCounterexample(pl *Plan, cex *simnet.Schedule, aliases [][]Slot) error {
 		if runErr == nil {
 			return fmt.Errorf("plan: schedule %s: expected a deadline fault, run completed cleanly", cex.Name)
 		}
-		if !errors.Is(runErr, simnet.ErrDeadline) {
+		if !errors.Is(runErr, transport.ErrDeadline) {
 			return fmt.Errorf("plan: schedule %s: expected a deadline fault, got: %v", cex.Name, runErr)
 		}
 	case "unreceived":

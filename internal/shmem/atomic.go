@@ -36,10 +36,7 @@ func (s *Slice[T]) FetchAdd(c *Ctx, pe int, off int, delta T) (T, error) {
 	buf := s.on(pe)
 	old := buf[off]
 	buf[off] = old + delta
-	board.version++
-	if v := c.clock().Now(); v > board.lastArrival {
-		board.lastArrival = v
-	}
+	s.signalled(pe, off, buf[off], c.clock().Now())
 	board.wake()
 	board.mu.Unlock()
 	c.amoClock()
@@ -62,10 +59,7 @@ func (s *Slice[T]) Swap(c *Ctx, pe int, off int, v T) (T, error) {
 	buf := s.on(pe)
 	old := buf[off]
 	buf[off] = v
-	board.version++
-	if now := c.clock().Now(); now > board.lastArrival {
-		board.lastArrival = now
-	}
+	s.signalled(pe, off, v, c.clock().Now())
 	board.wake()
 	board.mu.Unlock()
 	c.amoClock()
@@ -89,10 +83,7 @@ func (s *Slice[T]) CompareSwap(c *Ctx, pe int, off int, cond, v T) (T, error) {
 	old := buf[off]
 	if old == cond {
 		buf[off] = v
-		board.version++
-		if now := c.clock().Now(); now > board.lastArrival {
-			board.lastArrival = now
-		}
+		s.signalled(pe, off, v, c.clock().Now())
 		board.wake()
 	}
 	board.mu.Unlock()

@@ -6,12 +6,12 @@ import (
 	"time"
 
 	"commintent/internal/shmem"
-	"commintent/internal/simnet"
 	"commintent/internal/spmd"
+	"commintent/internal/transport"
 )
 
 // TestWaitUntilTimeoutNeverSignalled: a wait_until whose signal never comes
-// fails with simnet.ErrDeadline at the virtual deadline instead of hanging.
+// fails with transport.ErrDeadline at the virtual deadline instead of hanging.
 func TestWaitUntilTimeoutNeverSignalled(t *testing.T) {
 	run(t, 2, func(rk *spmd.Rank) error {
 		ctx := shmem.New(rk)
@@ -24,7 +24,7 @@ func TestWaitUntilTimeoutNeverSignalled(t *testing.T) {
 		start := rk.Clock().Now()
 		const timeout = 7000
 		err := flag.WaitUntilTimeout(ctx, 0, shmem.CmpGE, 1, timeout)
-		if !errors.Is(err, simnet.ErrDeadline) {
+		if !errors.Is(err, transport.ErrDeadline) {
 			t.Fatalf("err = %v, want ErrDeadline", err)
 		}
 		if got := rk.Clock().Now(); got != start+timeout {

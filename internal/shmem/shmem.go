@@ -89,24 +89,23 @@ type worldState struct {
 type entry struct {
 	mu        sync.Mutex
 	per       []any // per PE: []T
-	resolved  any   // [][]T table shared by every PE's Slice, built at Alloc
+	resolved  any   // *symTable[T] shared by every PE's Slice, built at Alloc
 	elemBytes int
 	n         int
 	typeName  string
 }
 
-// rmaBoard tracks one-sided traffic arriving at a PE, for wait_until.
+// rmaBoard serialises one-sided traffic arriving at a PE (puts, atomics and
+// each allocation's signal log) and wakes its wait_until.
 // Arrival signalling is a channel rather than a sync.Cond so the waiter can
 // select against a timer — which is what makes WaitUntilTimeout possible (a
 // Cond.Wait cannot be interrupted). Only the owning PE ever waits on its
 // board, and a PE is one goroutine, so one token channel made with the
 // board serves every wait: signalling allocates nothing.
 type rmaBoard struct {
-	mu          sync.Mutex
-	sig         chan struct{} // capacity 1: a token means "traffic arrived since you parked"
-	waiting     bool          // the owner is parked in waitUntil; guards the send
-	lastArrival model.Time
-	version     uint64
+	mu      sync.Mutex
+	sig     chan struct{} // capacity 1: a token means "traffic arrived since you parked"
+	waiting bool          // the owner is parked in waitUntil; guards the send
 }
 
 // wake signals the parked owner, if any. Caller holds b.mu. With no one

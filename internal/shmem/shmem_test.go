@@ -264,3 +264,112 @@ func TestCmpOperators(t *testing.T) {
 		return nil
 	})
 }
+
+// TestWaitUntilDatedBySatisfyingWrite: a wait advances to the arrival of the
+// write that satisfied it, not to whatever has landed on the PE by the time
+// the host runs the waiter. A writer that has run two flag values ahead and a
+// bystander's late put into another element are both already there when the
+// waits start; neither may leak into the first wait's completion time.
+func TestWaitUntilDatedBySatisfyingWrite(t *testing.T) {
+	const gap = 50_000
+	landed := make(chan struct{}, 2)
+	run(t, 3, func(rk *spmd.Rank) error {
+		ctx := shmem.New(rk)
+		flag := shmem.MustAlloc[int64](ctx, 2)
+		switch rk.ID {
+		case 0:
+			if err := flag.P(ctx, 2, 0, 1); err != nil {
+				return err
+			}
+			rk.Clock().Advance(gap)
+			if err := flag.P(ctx, 2, 0, 2); err != nil {
+				return err
+			}
+			landed <- struct{}{}
+		case 1:
+			rk.Clock().Advance(10 * gap)
+			if err := flag.P(ctx, 2, 1, 7); err != nil {
+				return err
+			}
+			landed <- struct{}{}
+		case 2:
+			<-landed
+			<-landed
+			t0 := rk.Clock().Now()
+			if err := flag.WaitUntil(ctx, 0, shmem.CmpGE, 1); err != nil {
+				return err
+			}
+			v1 := rk.Clock().Now()
+			if err := flag.WaitUntil(ctx, 0, shmem.CmpGE, 2); err != nil {
+				return err
+			}
+			v2 := rk.Clock().Now()
+			if err := flag.WaitUntil(ctx, 0, shmem.CmpGE, 2); err != nil {
+				return err
+			}
+			v3 := rk.Clock().Now()
+			if v1 >= t0+gap {
+				t.Errorf("first wait ended at %v: it was charged a later write's arrival (started %v)", v1, t0)
+			}
+			if d := v2 - v1; d < gap/2 || d > 2*gap {
+				t.Errorf("second wait ended %v after the first, want about the writer's %v gap", d, model.Time(gap))
+			}
+			if v3 >= v2+gap {
+				t.Errorf("a wait already satisfied by an accounted-for write moved the clock %v", v3-v2)
+			}
+		}
+		return nil
+	})
+}
+
+// TestWaitUntilNeverEarly: a wait may not return before the write it saw has
+// arrived, also when the signal log cannot name that write — it came inside a
+// multi-element Put (data and flag in one message), or the log has forgotten
+// it under a flood of element-wise puts nobody waits for.
+func TestWaitUntilNeverEarly(t *testing.T) {
+	const late = 5_000
+	for _, tc := range []struct {
+		name  string
+		write func(ctx *shmem.Ctx, s *shmem.Slice[int64]) error
+	}{
+		{"multi-element put", func(ctx *shmem.Ctx, s *shmem.Slice[int64]) error {
+			return s.Put(ctx, 1, []int64{7, 7, 7, 1}, 0)
+		}},
+		{"forgotten signal", func(ctx *shmem.Ctx, s *shmem.Slice[int64]) error {
+			if err := s.P(ctx, 1, 3, 1); err != nil {
+				return err
+			}
+			for i := 0; i < 1000; i++ {
+				if err := s.P(ctx, 1, i%3, 7); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			arrived := make(chan model.Time, 1)
+			run(t, 2, func(rk *spmd.Rank) error {
+				ctx := shmem.New(rk)
+				s := shmem.MustAlloc[int64](ctx, 4)
+				if rk.ID == 0 {
+					rk.Clock().Advance(late)
+					if err := tc.write(ctx, s); err != nil {
+						return err
+					}
+					ctx.Quiet()
+					arrived <- rk.Clock().Now()
+					return nil
+				}
+				sent := <-arrived
+				if err := s.WaitUntil(ctx, 3, shmem.CmpGE, 1); err != nil {
+					return err
+				}
+				if now := rk.Clock().Now(); now < late {
+					t.Errorf("wait returned at %v, before the writer (at %v when it wrote, %v once every put had arrived) could have delivered", now, model.Time(late), sent)
+				}
+				return nil
+			})
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"commintent/internal/model"
 	"commintent/internal/simnet"
+	"commintent/internal/transport"
 )
 
 // Slice is a symmetric array: the same allocation exists on every PE, and
@@ -23,9 +24,92 @@ type Slice[T Elem] struct {
 	n     int
 	esz   int
 	tname string // element type name, precomputed (diagnostics)
-	bufs  [][]T  // every PE's copy, shared table resolved at Alloc
-	home  int    // the allocating PE
-	boxed any    // bufs[home] pre-boxed, so LocalAny never allocates
+	symTable[T]
+	home  int // the allocating PE
+	boxed any // bufs[home] pre-boxed, so LocalAny never allocates
+}
+
+// symTable is what Alloc resolves once per allocation and every PE's Slice
+// then shares (by value: three slice headers over the same per-PE tables).
+type symTable[T Elem] struct {
+	bufs [][]T         // every PE's copy
+	sigs [][]signal[T] // every PE's unconsumed signals
+	bulk []span        // every PE's writes not logged one by one
+}
+
+// signal is one single-element write (P, a one-element Put, an atomic) that
+// has landed on a PE's copy and that no wait_until has accounted for yet:
+// which element, the value it left there, and when it arrived. wait_until
+// dates its wake-up by these, because the latest arrival of *anything* on
+// the PE — the other ring neighbour's puts, a fast neighbour's next
+// iteration — depends on which goroutine the host ran first.
+type signal[T Elem] struct {
+	off    int
+	val    T
+	arrive model.Time
+}
+
+// span stands for the writes to a PE's copy that the signal log does not hold
+// one by one — multi-element Puts, whose values are not copied, and signals
+// the log has forgotten: the element range they span and the latest arrival
+// among them. It can date a wait late (by a neighbouring element's write, or
+// a fast writer's next bulk put) but never early, which is the side to err on:
+// a wait must not return before the write it saw has arrived.
+type span struct {
+	lo, hi int
+	arrive model.Time
+}
+
+func (sp *span) cover(lo, hi int, arrive model.Time) {
+	if sp.lo == sp.hi {
+		sp.lo, sp.hi = lo, hi
+	}
+	sp.lo, sp.hi = min(sp.lo, lo), max(sp.hi, hi)
+	sp.arrive = max(sp.arrive, arrive)
+}
+
+// signalled logs a single-element write landing on PE pe. Caller holds the
+// PE's board lock. Signals nobody waits for (element-wise data puts) are
+// bounded by folding the older half into the PE's span once there are more
+// than any flag-per-PE protocol leaves outstanding.
+func (s *Slice[T]) signalled(pe, off int, val T, arrive model.Time) {
+	log := s.sigs[pe]
+	if len(log) >= 4*len(s.sigs)+64 {
+		old := log[:len(log)/2]
+		for _, sg := range old {
+			s.bulk[pe].cover(sg.off, sg.off+1, sg.arrive)
+		}
+		log = log[:copy(log, log[len(old):])]
+	}
+	s.sigs[pe] = append(log, signal[T]{off, val, arrive})
+}
+
+// satisfiedAt reports when the wait for (cmp, v) on PE pe's element off
+// became satisfiable: the latest arrival among the signals on that element
+// up to and including the first that made the condition hold, in landing
+// order — one writer's flag sequence resolves to the flag value waited for
+// even when later ones have landed too, several writers' contributions to
+// the arrival of the last one needed. A span reaching the element may hide
+// the satisfying write or one it builds on, so its arrival counts too. All of
+// those are consumed: the caller's clock is about to pass them. With none it
+// reports 0: the write was accounted for by an earlier wait, or was local.
+// Caller holds the PE's board lock.
+func (s *Slice[T]) satisfiedAt(pe, off int, cmp Cmp, v T) model.Time {
+	var at model.Time
+	if sp := &s.bulk[pe]; off >= sp.lo && off < sp.hi {
+		at, *sp = sp.arrive, span{}
+	}
+	keep, hit := s.sigs[pe][:0], false
+	for _, sg := range s.sigs[pe] {
+		if hit || sg.off != off {
+			keep = append(keep, sg)
+			continue
+		}
+		at = max(at, sg.arrive)
+		hit = satisfies(sg.val, cmp, v)
+	}
+	s.sigs[pe] = keep
+	return at
 }
 
 func elemBytes[T Elem]() int {
@@ -85,17 +169,21 @@ func Alloc[T Elem](c *Ctx, n int) (*Slice[T], error) {
 	// e.per is immutable after the allocation barrier, so the table can be
 	// read lock-free for the life of the allocation.
 	if e.resolved == nil {
-		bufs := make([][]T, len(e.per))
-		for pe, buf := range e.per {
-			bufs[pe] = buf.([]T)
+		tab := &symTable[T]{
+			bufs: make([][]T, len(e.per)),
+			sigs: make([][]signal[T], len(e.per)),
+			bulk: make([]span, len(e.per)),
 		}
-		e.resolved = bufs
+		for pe, buf := range e.per {
+			tab.bufs[pe] = buf.([]T)
+		}
+		e.resolved = tab
 	}
-	bufs := e.resolved.([][]T)
+	tab := e.resolved.(*symTable[T])
 	me := c.MyPE()
 	return &Slice[T]{
 		id: id, ws: c.ws, n: n, esz: esz, tname: tn,
-		bufs: bufs, home: me, boxed: bufs[me],
+		symTable: *tab, home: me, boxed: tab.bufs[me],
 	}, nil
 }
 
@@ -149,10 +237,11 @@ func (s *Slice[T]) Put(c *Ctx, pe int, src []T, dstOff int) error {
 	board := s.ws.rma[pe]
 	board.mu.Lock()
 	copy(s.on(pe)[dstOff:dstOff+len(src)], src)
-	if arrive > board.lastArrival {
-		board.lastArrival = arrive
+	if len(src) == 1 {
+		s.signalled(pe, dstOff, src[0], arrive)
+	} else {
+		s.bulk[pe].cover(dstOff, dstOff+len(src), arrive)
 	}
-	board.version++
 	board.wake()
 	board.mu.Unlock()
 
@@ -193,8 +282,10 @@ func (s *Slice[T]) Get(c *Ctx, pe int, dst []T, srcOff int) error {
 }
 
 // WaitUntil blocks until the local element at off satisfies (cmp, v); the
-// element is expected to be written by a remote Put (shmem_wait_until). The
-// caller's clock advances to the arrival time of the satisfying traffic.
+// element is expected to be written remotely (shmem_wait_until). The caller's
+// clock advances to the arrival time of the write that satisfied the wait —
+// exactly when that was a P, one-element Put or atomic, and to no earlier
+// than it when a multi-element Put carried the element (see satisfiedAt).
 func (s *Slice[T]) WaitUntil(c *Ctx, off int, cmp Cmp, v T) error {
 	return s.waitUntil(c, off, cmp, v, nil, 0)
 }
@@ -202,7 +293,7 @@ func (s *Slice[T]) WaitUntil(c *Ctx, off int, cmp Cmp, v T) error {
 // WaitUntilTimeout is WaitUntil with a deadline of timeout virtual ns from
 // the call. The trigger is the context's real-time watchdog (the virtual
 // clock cannot advance while blocked); on expiry the wait fails with
-// simnet.ErrDeadline — match with errors.Is — charged at the virtual
+// transport.ErrDeadline — match with errors.Is — charged at the virtual
 // deadline. This is the one-sided analogue of mpi.RecvTimeout: a peer that
 // died before signalling turns into a typed error instead of a hang.
 func (s *Slice[T]) WaitUntilTimeout(c *Ctx, off int, cmp Cmp, v T, timeout model.Time) error {
@@ -239,12 +330,12 @@ func (s *Slice[T]) waitUntil(c *Ctx, off int, cmp Cmp, v T, expire <-chan time.T
 			}
 			clk.AdvanceTo(deadline)
 			sp.End(clk.Now())
-			return fmt.Errorf("shmem: wait_until PE %d offset %d: %w", c.MyPE(), off, simnet.ErrDeadline)
+			return fmt.Errorf("shmem: wait_until PE %d offset %d: %w", c.MyPE(), off, transport.ErrDeadline)
 		}
 		board.mu.Lock()
 		board.waiting = false
 	}
-	arrival := board.lastArrival
+	arrival := s.satisfiedAt(c.MyPE(), off, cmp, v)
 	board.mu.Unlock()
 	clk.Advance(c.prof().ShmemWaitPoll)
 	if idle := arrival - clk.Now(); idle > 0 {

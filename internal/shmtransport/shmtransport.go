@@ -3,40 +3,36 @@
 // goroutines run truly parallel across Ps and completion is real sync/atomic
 // instead of virtual-time replay.
 //
-// Design: one mailbox per rank. Senders push message nodes onto the
-// destination's lock-free intrusive LIFO (one CAS per send, no locks, no
+// Matching is transport.Table's; this package is its feeder and its wait
+// strategy. Feeding: one mailbox per rank. Senders push message nodes onto
+// the destination's lock-free intrusive LIFO (one CAS per send, no locks, no
 // channels); the receiver drains the mailbox with a single atomic swap,
-// reverses the batch to restore arrival order, and matches against its
-// *private* posted-receive and unexpected-message structures. Matching
-// state needs no locks at all because only the owning rank posts, probes
-// and waits — the SPMD invariant the simnet endpoint spends a mutex
-// re-establishing on every delivery.
+// reverses the batch to restore arrival order, and offers each node to its
+// *private* table. The table needs no lock at all because only the owning
+// rank posts, probes and waits — the SPMD invariant the simnet endpoint
+// spends a mutex re-establishing on every delivery.
 //
 // Waiting is spin-then-park both ways: a bounded runtime.Gosched spin (on an
 // oversubscribed scheduler the counterpart almost always runs within a yield
 // or two) before falling back to a one-token wake channel guarded by a
 // sleep flag, so the steady-state message path performs no allocation and no
-// park/unpark pair. Payload buffers are the same pooled wire buffers simnet
-// uses (simnet.GetBuf/PutBuf), so the zero-copy pack paths above are
+// park/unpark pair. Payload buffers are the shared pooled wire buffers
+// (transport.GetBuf/PutBuf), so the zero-copy pack paths above are
 // unchanged.
 //
-// The rendezvous handshake and its cancellation race resolve through one
-// atomic state word per message: queued → matched (receiver claims) or
-// queued → cancelled (sender withdraws after a deadline); whoever wins the
-// CAS owns the outcome. There is no fault injector and no canonical-cost
-// replay here — those are simnet-only by design.
+// A sender withdraws a rendezvous message by winning the message's state
+// word (transport.Msg.Withdraw) wherever the node sits — mailbox or table —
+// and the owner drops the dead node at its next progress step. There is no
+// fault injector and no canonical-cost replay here.
 package shmtransport
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"commintent/internal/model"
-	"commintent/internal/simnet"
 	"commintent/internal/transport"
 )
 
@@ -45,254 +41,7 @@ import (
 // park/unpark pair plus (at low core counts) a likely futex round trip.
 const spinYields = 128
 
-// Message states for the rendezvous handshake. Plain uint32 manipulated
-// atomically (not atomic.Uint32) so pooled nodes can be reset by struct
-// assignment without tripping vet's copylocks check.
-const (
-	stateQueued uint32 = iota
-	stateMatched
-	stateCancelled
-)
-
-// Msg is one in-flight message node: the mailbox link plus the matching
-// metadata. It doubles as the transport.MsgHandle for rendezvous sends.
-type Msg struct {
-	next *Msg // mailbox link; ordered by the mailbox head's CAS/swap
-
-	src, tag int
-	data     []byte
-	arriveV  model.Time
-
-	rendezvous bool
-	state      uint32         // atomic; see state* constants
-	matchV     model.Time     // set before the matched CAS publishes it
-	matchCh    unsafe.Pointer // *chan struct{}, installed by WaitMatched
-
-	fifoPos, bucketPos int
-}
-
-var nodePool = sync.Pool{New: func() any { return &Msg{} }}
-
-// IsMatched implements transport.MsgHandle.
-func (m *Msg) IsMatched() bool { return atomic.LoadUint32(&m.state) == stateMatched }
-
-// WaitMatched blocks until a receive claims this rendezvous message. Only
-// the sending goroutine may call it.
-func (m *Msg) WaitMatched() {
-	for i := 0; i < spinYields; i++ {
-		if atomic.LoadUint32(&m.state) == stateMatched {
-			return
-		}
-		runtime.Gosched()
-	}
-	ch := make(chan struct{})
-	atomic.StorePointer(&m.matchCh, unsafe.Pointer(&ch))
-	if atomic.LoadUint32(&m.state) == stateMatched {
-		return
-	}
-	<-ch
-}
-
-// WaitMatchedTimeout is WaitMatched bounded by real-time duration d,
-// reporting whether the match arrived.
-func (m *Msg) WaitMatchedTimeout(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for i := 0; i < spinYields; i++ {
-		if atomic.LoadUint32(&m.state) == stateMatched {
-			return true
-		}
-		runtime.Gosched()
-	}
-	ch := make(chan struct{})
-	atomic.StorePointer(&m.matchCh, unsafe.Pointer(&ch))
-	if atomic.LoadUint32(&m.state) == stateMatched {
-		return true
-	}
-	rem := time.Until(deadline)
-	if rem <= 0 {
-		return atomic.LoadUint32(&m.state) == stateMatched
-	}
-	t := time.NewTimer(rem)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		return atomic.LoadUint32(&m.state) == stateMatched
-	}
-}
-
-// MatchV reports the timestamp of the match; valid once IsMatched is true.
-func (m *Msg) MatchV() model.Time { return m.matchV }
-
-// signalMatch publishes a claimed match to a possibly-waiting sender.
-func (m *Msg) signalMatch() {
-	if p := atomic.LoadPointer(&m.matchCh); p != nil {
-		close(*(*chan struct{})(p))
-	}
-}
-
-// pairKey indexes matching structures by (source, tag), with simnet's
-// AnySource/AnyTag wildcards on posted-receive keys.
-type pairKey struct{ src, tag int }
-
-// nodeQueue is an arrival-ordered queue of unexpected messages with O(1)
-// mid-removal, structurally identical to simnet's msgQueue.
-type nodeQueue struct {
-	q    []*Msg
-	head int
-	base int
-}
-
-func (nq *nodeQueue) push(m *Msg) int {
-	nq.q = append(nq.q, m)
-	return nq.base + len(nq.q) - 1
-}
-
-func (nq *nodeQueue) remove(pos int) {
-	nq.q[pos-nq.base] = nil
-	nq.skip()
-}
-
-func (nq *nodeQueue) skip() {
-	for nq.head < len(nq.q) && nq.q[nq.head] == nil {
-		nq.head++
-	}
-	if nq.head == len(nq.q) {
-		nq.base += len(nq.q)
-		nq.q = nq.q[:0]
-		nq.head = 0
-	}
-}
-
-func (nq *nodeQueue) first() *Msg {
-	nq.skip()
-	if nq.head == len(nq.q) {
-		return nil
-	}
-	return nq.q[nq.head]
-}
-
-// Recv is one posted receive. It is entirely receiver-private: completion
-// happens on the owning goroutine during its own progress loop, so there is
-// no done-channel handshake at all — the field reads in Wait/Matched are
-// ordinary loads.
-type Recv struct {
-	port     *Port
-	src, tag int
-	buf      []byte
-	postV    model.Time
-	postSeq  uint64
-
-	done    bool
-	n       int
-	srcRank int
-	tagVal  int
-	arriveV model.Time
-	fault   simnet.FaultKind
-}
-
-var recvPool = sync.Pool{New: func() any { return &Recv{} }}
-
-// Wait implements transport.RecvHandle: run the receiver's progress loop
-// until this receive completes.
-func (r *Recv) Wait() {
-	r.port.progressUntil(r, nil)
-}
-
-// WaitTimeout is Wait bounded by real-time duration d, reporting completion.
-func (r *Recv) WaitTimeout(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	return r.port.progressUntil(r, &deadline)
-}
-
-// Matched reports (after a non-blocking progress poll) whether the receive
-// has completed.
-func (r *Recv) Matched() bool {
-	if !r.done {
-		r.port.drain()
-	}
-	return r.done
-}
-
-func (r *Recv) mustBeDone() {
-	if !r.done {
-		panic("shmtransport: Recv accessor before completion")
-	}
-}
-
-// Fault implements transport.RecvHandle. The parallel transport injects no
-// faults, so it is FaultNone except after CancelRecv.
-func (r *Recv) Fault() simnet.FaultKind { r.mustBeDone(); return r.fault }
-
-// Release returns the request to the pool; no accessor is valid afterwards.
-func (r *Recv) Release() {
-	*r = Recv{}
-	recvPool.Put(r)
-}
-
-// PostV reports the timestamp at which the receive was posted.
-func (r *Recv) PostV() model.Time { return r.postV }
-
-// Src reports the sender's rank; valid after completion.
-func (r *Recv) Src() int { r.mustBeDone(); return r.srcRank }
-
-// Tag reports the matched tag; valid after completion.
-func (r *Recv) Tag() int { r.mustBeDone(); return r.tagVal }
-
-// Len reports the payload bytes copied; valid after completion.
-func (r *Recv) Len() int { r.mustBeDone(); return r.n }
-
-// ArriveV reports the matched message's arrival timestamp; valid after
-// completion.
-func (r *Recv) ArriveV() model.Time { r.mustBeDone(); return r.arriveV }
-
-// Unexpected reports whether the message arrived before the receive was
-// posted; valid after completion.
-func (r *Recv) Unexpected() bool { r.mustBeDone(); return r.arriveV < r.postV }
-
-// recvQueue is a FIFO of posted receives for one (src,tag) pattern.
-type recvQueue struct {
-	q    []*Recv
-	head int
-}
-
-func (rq *recvQueue) push(r *Recv) { rq.q = append(rq.q, r) }
-
-func (rq *recvQueue) first() *Recv {
-	for rq.head < len(rq.q) && rq.q[rq.head] == nil {
-		rq.head++
-	}
-	if rq.head == len(rq.q) {
-		rq.q = rq.q[:0]
-		rq.head = 0
-		return nil
-	}
-	return rq.q[rq.head]
-}
-
-func (rq *recvQueue) pop() *Recv {
-	r := rq.q[rq.head]
-	rq.q[rq.head] = nil
-	rq.head++
-	if rq.head == len(rq.q) {
-		rq.q = rq.q[:0]
-		rq.head = 0
-	}
-	return r
-}
-
-func (rq *recvQueue) removeReq(r *Recv) bool {
-	for i := rq.head; i < len(rq.q); i++ {
-		if rq.q[i] == r {
-			rq.q[i] = nil
-			return true
-		}
-	}
-	return false
-}
-
-// Port is one rank's mailbox plus its private matching state. The hot
+// Port is one rank's mailbox plus its private match table. The hot
 // cross-goroutine words (mailbox head, sleep flag) are padded apart so
 // senders hammering the mailbox do not false-share the receiver's flag.
 type Port struct {
@@ -300,21 +49,15 @@ type Port struct {
 	rank int
 
 	_     [64]byte
-	inbox atomic.Pointer[Msg]
+	inbox atomic.Pointer[transport.Msg]
 	_     [56]byte
 	sleep uint32 // atomic: receiver has announced intent to park
-	_     [60]byte
+	dead  uint32 // atomic: a sender has withdrawn a message bound here
+	_     [56]byte
 	wake  chan struct{} // cap-1 token deposited by senders
 
-	// Receiver-private matching state; owner goroutine only.
-	unexFifo    nodeQueue
-	unexBuckets map[pairKey]*nodeQueue
-	unexCount   int
-	unexpHW     int
-	posted      map[pairKey]*recvQueue
-	postedCount int
-	postSeq     uint64
-
+	// Receiver-private; owner goroutine only.
+	tab     transport.Table
 	drainHW int // deepest single mailbox drain (occupancy high-watermark)
 }
 
@@ -350,10 +93,10 @@ func (p *Port) Rank() int { return p.rank }
 
 // push publishes a node to this (destination) port's mailbox and wakes the
 // receiver if it announced intent to park. Runs on the sender's goroutine.
-func (p *Port) push(m *Msg) {
+func (p *Port) push(m *transport.Msg) {
 	for {
 		old := p.inbox.Load()
-		m.next = old
+		m.Next = old
 		if p.inbox.CompareAndSwap(old, m) {
 			break
 		}
@@ -367,48 +110,46 @@ func (p *Port) push(m *Msg) {
 }
 
 // Send implements transport.Port: ownership of data transfers to the
-// transport (it returns to the simnet buffer pool once copied out). LocalV
-// echoes arriveV — on this transport both are the caller's wall reading.
+// transport (it returns to the buffer pool once copied out). LocalV echoes
+// arriveV — on this transport both are the caller's wall reading.
 func (p *Port) Send(dst, tag int, data []byte, arriveV model.Time, rendezvous bool) transport.SendResult {
 	if dst < 0 || dst >= len(p.net.ports) {
 		panic(fmt.Sprintf("shmtransport: send to rank %d of %d", dst, len(p.net.ports)))
 	}
-	var m *Msg
-	if rendezvous {
-		// Rendezvous headers are GC-allocated: the sender retains a handle
-		// across the match (and possibly a cancellation), so pooling would
-		// need a full quiescence protocol for a rare path.
-		m = &Msg{rendezvous: true}
-	} else {
-		m = nodePool.Get().(*Msg)
-	}
-	m.src = p.rank
-	m.tag = tag
-	m.data = data
-	m.arriveV = arriveV
-	p.net.ports[dst].push(m)
+	m := transport.NewMsg(p.rank, tag, data, arriveV, rendezvous)
+	m.Spin = spinYields
 	res := transport.SendResult{LocalV: arriveV}
 	if rendezvous {
 		res.Msg = m
 	}
+	p.net.ports[dst].push(m)
 	return res
 }
 
-// drain swallows the mailbox with one swap, restores arrival order, and
-// files each node: match a posted receive, or queue as unexpected. Reports
-// whether any node was processed. Owner goroutine only.
+// drain is the owner's progress step: if a sender has withdrawn a message
+// since the last one, sweep the dead out of the table, so a won CancelMsg
+// stops counting as pending here (on simnet it leaves the queue at once);
+// then swallow the mailbox with one swap, restore arrival order, and file
+// each node. Reports whether any node was processed. Owner goroutine only.
 func (p *Port) drain() bool {
+	if atomic.LoadUint32(&p.dead) != 0 {
+		// Cleared before the sweep, so a withdrawal that races with it raises
+		// the flag again instead of being lost. The sweep is O(queued), which
+		// is why it waits for a withdrawal instead of running at every step.
+		atomic.StoreUint32(&p.dead, 0)
+		p.tab.RemoveMsgs((*transport.Msg).Withdrawn)
+	}
 	m := p.inbox.Swap(nil)
 	if m == nil {
 		return false
 	}
 	// The mailbox is LIFO; reverse the batch to restore per-sender FIFO
 	// (MPI's non-overtaking guarantee) and cross-sender arrival order.
-	var head *Msg
+	var head *transport.Msg
 	count := 0
 	for m != nil {
-		nxt := m.next
-		m.next = head
+		nxt := m.Next
+		m.Next = head
 		head = m
 		m = nxt
 		count++
@@ -418,213 +159,60 @@ func (p *Port) drain() bool {
 	}
 	for head != nil {
 		m := head
-		head = head.next
-		m.next = nil
+		head = head.Next
+		m.Next = nil
 		p.accept(m)
 	}
 	return true
 }
 
 // accept files one arrived node. Owner goroutine only.
-func (p *Port) accept(m *Msg) {
-	if r := p.takePosted(m.src, m.tag); r != nil {
-		if p.complete(r, m) {
-			return
-		}
-		// A concurrent cancellation killed the message between mailbox and
-		// match; the receive goes back to the head of its pattern queue
-		// (re-pushing preserves FIFO because takePosted popped the head and
-		// nothing else ran in between on this goroutine).
-		p.repost(r)
+func (p *Port) accept(m *transport.Msg) {
+	if m.Withdrawn() {
+		// Dead on arrival: never filed, so never counted as pending and
+		// never part of a high-watermark.
 		return
 	}
-	m.fifoPos = p.unexFifo.push(m)
-	key := pairKey{m.src, m.tag}
-	b := p.unexBuckets[key]
-	if b == nil {
-		if p.unexBuckets == nil {
-			p.unexBuckets = make(map[pairKey]*nodeQueue)
-		}
-		b = &nodeQueue{}
-		p.unexBuckets[key] = b
+	if r := p.tab.Arrive(m); r != nil && !transport.Complete(r, m) {
+		// The sender withdrew the message between the check above and the
+		// claim; the receive goes back where Arrive took it from.
+		p.tab.Repost(r)
 	}
-	m.bucketPos = b.push(m)
-	p.unexCount++
-	if p.unexCount > p.unexpHW {
-		p.unexpHW = p.unexCount
-	}
-}
-
-// repost restores a popped-but-unmatched receive to the front of its
-// pattern queue.
-func (p *Port) repost(r *Recv) {
-	key := pairKey{r.src, r.tag}
-	rq := p.posted[key]
-	if rq.head > 0 {
-		rq.head--
-		rq.q[rq.head] = r
-	} else {
-		rq.q = append([]*Recv{r}, rq.q...)
-	}
-	p.postedCount++
-}
-
-// complete finishes a matched (receive, message) pair, reporting false when
-// a rendezvous cancellation won the state race (the receive is then still
-// live). Owner goroutine only.
-func (p *Port) complete(r *Recv, m *Msg) bool {
-	if m.rendezvous {
-		// Claim before touching the payload: a sender that wins the cancel
-		// CAS instead may already have recycled its buffer.
-		m.matchV = model.Max(m.arriveV, r.postV)
-		if !atomic.CompareAndSwapUint32(&m.state, stateQueued, stateMatched) {
-			return false
-		}
-	}
-	r.n = copy(r.buf, m.data)
-	r.srcRank = m.src
-	r.tagVal = m.tag
-	r.arriveV = m.arriveV
-	r.fault = simnet.FaultNone
-	r.done = true
-	if m.rendezvous {
-		// The payload has been copied out and the matched CAS is won, so no
-		// sender path touches data again (WaitMatched/MatchV read only state
-		// and matchV; a concurrent CancelMsg lost the CAS and bailed before
-		// its PutBuf). Return the buffer here — the sender keeps the Msg
-		// handle but has no reference to the wire, so leaving the return to
-		// it would leak a pooled buffer per rendezvous message. Then wake it.
-		simnet.PutBuf(m.data)
-		m.data = nil
-		m.signalMatch()
-	} else {
-		simnet.PutBuf(m.data)
-		*m = Msg{}
-		nodePool.Put(m)
-	}
-	return true
-}
-
-// takePosted pops the earliest-posted receive matching (src,tag), or nil.
-// Mirrors simnet's four-bucket-head probe. Owner goroutine only.
-func (p *Port) takePosted(src, tag int) *Recv {
-	var best *recvQueue
-	var bestSeq uint64
-	for _, key := range [4]pairKey{
-		{src, tag}, {src, simnet.AnyTag}, {simnet.AnySource, tag}, {simnet.AnySource, simnet.AnyTag},
-	} {
-		rq := p.posted[key]
-		if rq == nil {
-			continue
-		}
-		if r := rq.first(); r != nil && (best == nil || r.postSeq < bestSeq) {
-			best = rq
-			bestSeq = r.postSeq
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	p.postedCount--
-	return best.pop()
-}
-
-// dropUnexpected removes a (cancelled) node from both unexpected views.
-func (p *Port) dropUnexpected(m *Msg) {
-	p.unexFifo.remove(m.fifoPos)
-	p.unexBuckets[pairKey{m.src, m.tag}].remove(m.bucketPos)
-	p.unexCount--
-}
-
-// takeUnexpected dequeues the earliest-arrived live unexpected message
-// matching the pattern, or nil. Cancelled rendezvous nodes found along the
-// way are reaped. Owner goroutine only.
-func (p *Port) takeUnexpected(src, tag int) *Msg {
-	for {
-		m := p.findUnexpected(src, tag)
-		if m == nil {
-			return nil
-		}
-		p.dropUnexpected(m)
-		if m.rendezvous && atomic.LoadUint32(&m.state) == stateCancelled {
-			continue
-		}
-		return m
-	}
-}
-
-func (p *Port) findUnexpected(src, tag int) *Msg {
-	if src != simnet.AnySource && tag != simnet.AnyTag {
-		if b := p.unexBuckets[pairKey{src, tag}]; b != nil {
-			return b.first()
-		}
-		return nil
-	}
-	p.unexFifo.skip()
-	for _, m := range p.unexFifo.q[p.unexFifo.head:] {
-		if m != nil && matches(src, tag, m.src, m.tag) {
-			return m
-		}
-	}
-	return nil
-}
-
-func matches(wantSrc, wantTag, src, tag int) bool {
-	if wantSrc != simnet.AnySource && wantSrc != src {
-		return false
-	}
-	if wantTag != simnet.AnyTag && wantTag != tag {
-		return false
-	}
-	return true
 }
 
 // PostRecv implements transport.Port. Owner goroutine only.
-func (p *Port) PostRecv(src, tag int, buf []byte, postV model.Time) transport.RecvHandle {
-	if src != simnet.AnySource && (src < 0 || src >= len(p.net.ports)) {
+func (p *Port) PostRecv(src, tag int, buf []byte, postV model.Time) *transport.Recv {
+	if src != transport.AnySource && (src < 0 || src >= len(p.net.ports)) {
 		panic(fmt.Sprintf("shmtransport: recv from rank %d of %d", src, len(p.net.ports)))
 	}
-	r := recvPool.Get().(*Recv)
-	r.port = p
-	r.src, r.tag, r.buf, r.postV = src, tag, buf, postV
+	r := transport.NewRecv(p, src, tag, buf, postV)
 	p.drain()
 	for {
-		m := p.takeUnexpected(src, tag)
-		if m == nil {
-			break
-		}
-		if p.complete(r, m) {
+		// A message withdrawn since the drain fails its claim; the receive
+		// then takes the next candidate, and is filed once there is none.
+		m := p.tab.Post(r)
+		if m == nil || transport.Complete(r, m) {
 			return r
 		}
 	}
-	r.postSeq = p.postSeq
-	p.postSeq++
-	key := pairKey{src, tag}
-	rq := p.posted[key]
-	if rq == nil {
-		if p.posted == nil {
-			p.posted = make(map[pairKey]*recvQueue)
-		}
-		rq = &recvQueue{}
-		p.posted[key] = rq
-	}
-	rq.push(r)
-	p.postedCount++
-	return r
 }
 
-// progressUntil runs the receiver's progress loop until r completes or the
-// optional deadline passes, spin-then-parking between mailbox drains.
-func (p *Port) progressUntil(r *Recv, deadline *time.Time) bool {
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+// Poll implements transport.Waiter: one non-blocking progress step.
+func (p *Port) Poll() { p.drain() }
+
+// Await implements transport.Waiter: run the receiver's progress loop until
+// r completes or d (when positive) has elapsed, spin-then-parking between
+// mailbox drains. Completion happens on this goroutine, inside drain, so a
+// completed r has no other toucher.
+func (p *Port) Await(r *transport.Recv, d time.Duration) bool {
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	var expire <-chan time.Time // nil, which never fires, until a bounded wait first parks
 	spins := 0
 	for {
-		if r.done {
+		if r.Done() {
 			return true
 		}
 		if p.drain() {
@@ -641,34 +229,21 @@ func (p *Port) progressUntil(r *Recv, deadline *time.Time) bool {
 		// announcement precedes the sender's flag load (it deposits the
 		// token) — sequential consistency rules out missing both.
 		atomic.StoreUint32(&p.sleep, 1)
-		if p.inbox.Load() != nil {
-			atomic.StoreUint32(&p.sleep, 0)
-			spins = 0
-			continue
-		}
-		if deadline == nil {
-			<-p.wake
-			atomic.StoreUint32(&p.sleep, 0)
-			spins = 0
-			continue
-		}
-		rem := time.Until(*deadline)
-		if rem <= 0 {
-			atomic.StoreUint32(&p.sleep, 0)
-			p.drain()
-			return r.done
-		}
-		if timer == nil {
-			timer = time.NewTimer(rem)
-		} else {
-			timer.Reset(rem)
-		}
-		select {
-		case <-p.wake:
-			if !timer.Stop() {
-				<-timer.C
+		if p.inbox.Load() == nil {
+			if d > 0 && expire == nil {
+				// One timer for the absolute deadline serves every park of
+				// this wait; a tick that fires between parks stays buffered.
+				t := time.NewTimer(time.Until(deadline))
+				defer t.Stop()
+				expire = t.C
 			}
-		case <-timer.C:
+			select {
+			case <-p.wake:
+			case <-expire:
+				atomic.StoreUint32(&p.sleep, 0)
+				p.drain()
+				return r.Done()
+			}
 		}
 		atomic.StoreUint32(&p.sleep, 0)
 		spins = 0
@@ -676,61 +251,35 @@ func (p *Port) progressUntil(r *Recv, deadline *time.Time) bool {
 }
 
 // Probe implements transport.Port. Owner goroutine only. The envelope is
-// advisory: on a parallel transport a concurrent cancellation can invalidate
+// advisory: on a parallel transport a concurrent withdrawal can invalidate
 // it, exactly as a concurrent matching receive could on real hardware.
-func (p *Port) Probe(src, tag int) (simnet.Envelope, bool) {
+func (p *Port) Probe(src, tag int) (transport.Envelope, bool) {
 	p.drain()
-	for {
-		m := p.findUnexpected(src, tag)
-		if m == nil {
-			return simnet.Envelope{}, false
-		}
-		if m.rendezvous && atomic.LoadUint32(&m.state) == stateCancelled {
-			p.dropUnexpected(m)
-			continue
-		}
-		return simnet.Envelope{Src: m.src, Tag: m.tag, Bytes: len(m.data), ArriveV: m.arriveV}, true
-	}
+	return p.tab.Probe(src, tag)
 }
 
 // CancelRecv implements transport.Port: trivially race-free here because
-// the posted list is receiver-private. Owner goroutine only.
-func (p *Port) CancelRecv(h transport.RecvHandle) bool {
-	r := h.(*Recv)
-	if r.done {
-		return false
-	}
+// the table is receiver-private. Owner goroutine only.
+func (p *Port) CancelRecv(r *transport.Recv) bool {
 	p.drain()
-	if r.done {
+	if !p.tab.RemoveRecv(r) {
 		return false
 	}
-	rq := p.posted[pairKey{r.src, r.tag}]
-	if rq == nil || !rq.removeReq(r) {
-		return false
-	}
-	p.postedCount--
-	r.n = 0
-	r.srcRank = -1
-	r.tagVal = -1
-	r.arriveV = r.postV
-	r.fault = simnet.FaultCancelled
-	r.done = true
+	transport.CompleteCancelled(r)
 	return true
 }
 
 // CancelMsg implements transport.Port: the sender withdraws its own
 // rendezvous message wherever it sits (mailbox or unexpected queue) by
-// winning the state CAS; the receiver reaps the dead node lazily. On a win
-// the payload buffer returns to the pool — the receiver is guaranteed never
-// to touch it, because it only reads payloads after winning the same CAS.
-func (p *Port) CancelMsg(dst int, h transport.MsgHandle) bool {
-	m := h.(*Msg)
-	if !atomic.CompareAndSwapUint32(&m.state, stateQueued, stateCancelled) {
+// winning its state word, and tells dst's owner to drop the dead node at its
+// next progress step. On a win the payload buffer returns to the pool — the
+// receiver is guaranteed never to touch it, because it only reads payloads
+// after winning the same word.
+func (p *Port) CancelMsg(dst int, m *transport.Msg) bool {
+	if !m.Withdraw() {
 		return false
 	}
-	if m.data != nil {
-		simnet.PutBuf(m.data)
-	}
+	atomic.StoreUint32(&p.net.ports[dst].dead, 1)
 	return true
 }
 
@@ -738,14 +287,14 @@ func (p *Port) CancelMsg(dst int, h transport.MsgHandle) bool {
 // quiescent net).
 func (p *Port) PendingUnexpected() int {
 	p.drain()
-	return p.unexCount
+	return p.tab.Unexpected()
 }
 
 // PendingPosted implements transport.Port.
-func (p *Port) PendingPosted() int { return p.postedCount }
+func (p *Port) PendingPosted() int { return p.tab.Posted() }
 
 // UnexpectedHighWatermark implements transport.Port.
-func (p *Port) UnexpectedHighWatermark() int { return p.unexpHW }
+func (p *Port) UnexpectedHighWatermark() int { return p.tab.UnexpectedHighWatermark() }
 
 // MailboxHighWatermark reports the deepest single mailbox drain this port
 // has performed — how far senders ran ahead of the receiver's progress

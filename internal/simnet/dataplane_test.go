@@ -6,90 +6,13 @@ import (
 	"testing"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
-
-// TestProbeWildcardDeepQueue drives Probe's wildcard scan against a deep
-// unexpected queue: many senders and tags are interleaved, and each wildcard
-// pattern must report the first *delivered* match, in cross-bucket FIFO
-// order — the indexed buckets must not reorder the probe view — while
-// consuming nothing.
-func TestProbeWildcardDeepQueue(t *testing.T) {
-	const senders, perTag = 4, 32
-	f := NewFabric(senders + 1)
-	dst := f.Endpoint(senders)
-	// Distinct virtual arrival stamps, so the envelope can be checked
-	// against the exact message the probe should have seen.
-	arrive := func(src, tag, i int) model.Time {
-		return model.Time(i*1000 + (senders-src)*10 + tag)
-	}
-	for i := 0; i < perTag; i++ {
-		for src := 0; src < senders; src++ {
-			for tag := 0; tag < 3; tag++ {
-				f.Endpoint(src).Send(senders, tag, []byte{byte(src), byte(tag)}, arrive(src, tag, i))
-			}
-		}
-	}
-	depth := senders * 3 * perTag
-	if got := dst.PendingUnexpected(); got != depth {
-		t.Fatalf("queued %d messages, want %d", got, depth)
-	}
-
-	// Delivery order is (i, src, tag) lexicographic, so the first-delivered
-	// match for every pattern has i=0 and the smallest matching src, tag.
-	cases := []struct {
-		name     string
-		src, tag int
-		wantSrc  int
-		wantTag  int
-	}{
-		{"both wildcards", AnySource, AnyTag, 0, 0},
-		{"source wildcard", AnySource, 2, 0, 2},
-		{"tag wildcard", 1, AnyTag, 1, 0},
-		{"concrete", 2, 1, 2, 1},
-	}
-	for _, tc := range cases {
-		env, ok := dst.Probe(tc.src, tc.tag)
-		if !ok {
-			t.Fatalf("%s: no match in a %d-deep queue", tc.name, depth)
-		}
-		if env.Src != tc.wantSrc || env.Tag != tc.wantTag {
-			t.Errorf("%s: probed (src=%d tag=%d), want (src=%d tag=%d)",
-				tc.name, env.Src, env.Tag, tc.wantSrc, tc.wantTag)
-		}
-		if env.ArriveV != arrive(tc.wantSrc, tc.wantTag, 0) {
-			t.Errorf("%s: ArriveV = %v, want %v", tc.name, env.ArriveV, arrive(tc.wantSrc, tc.wantTag, 0))
-		}
-		if env.Bytes != 2 {
-			t.Errorf("%s: Bytes = %d, want 2", tc.name, env.Bytes)
-		}
-	}
-	if got := dst.PendingUnexpected(); got != depth {
-		t.Errorf("probing consumed messages: %d left, want %d", got, depth)
-	}
-	// A pattern with no queued match must miss without consuming.
-	if _, ok := dst.Probe(0, 99); ok {
-		t.Error("probe matched a tag never sent")
-	}
-
-	// Drain everything through wildcard receives and re-probe: the envelope
-	// view must track the queue exactly.
-	for i := 0; i < depth; i++ {
-		r := dst.PostRecv(AnySource, AnyTag, make([]byte, 2), 0)
-		if !r.Matched() {
-			t.Fatalf("drain %d: receive did not match queued message", i)
-		}
-	}
-	if _, ok := dst.Probe(AnySource, AnyTag); ok {
-		t.Error("probe matched on drained queue")
-	}
-}
 
 // TestEightSenderStress hammers one endpoint from 8 concurrent senders while
 // the receiver drains with concrete-pattern receives. Run under -race by
 // `make verify`, it checks the locked matching structures and the pools for
-// data races and checks per-pair FIFO order end to end. Senders alternate
-// Send and eager SendOwned so both the copying and the ownership-transfer
-// paths are exercised concurrently.
+// data races and checks per-pair FIFO order end to end.
 func TestEightSenderStress(t *testing.T) {
 	const senders = 8
 	perSender := 500
@@ -106,15 +29,9 @@ func TestEightSenderStress(t *testing.T) {
 			defer wg.Done()
 			ep := f.Endpoint(src)
 			for i := 0; i < perSender; i++ {
-				if i%2 == 0 {
-					var payload [4]byte
-					binary.LittleEndian.PutUint32(payload[:], uint32(i))
-					ep.Send(senders, src, payload[:], model.Time(i))
-				} else {
-					b := GetBuf(4)
-					binary.LittleEndian.PutUint32(b, uint32(i))
-					ep.SendOwned(senders, src, b, model.Time(i), false)
-				}
+				b := transport.GetBuf(4)
+				binary.LittleEndian.PutUint32(b, uint32(i))
+				ep.Send(senders, src, b, model.Time(i), false)
 			}
 		}(src)
 	}
@@ -142,119 +59,5 @@ func TestEightSenderStress(t *testing.T) {
 	}
 	if n := dst.PendingPosted(); n != 0 {
 		t.Errorf("%d posted receives leaked", n)
-	}
-}
-
-// TestSendOwnedEagerRecycles checks the ownership-transfer path end to end:
-// the payload round-trips correctly, the SendReq carries no Msg, and the
-// pooled buffer is reusable by a subsequent GetBuf.
-func TestSendOwnedEagerRecycles(t *testing.T) {
-	f := NewFabric(2)
-	b := GetBuf(16)
-	for i := range b {
-		b[i] = byte(i)
-	}
-	sr := f.Endpoint(0).SendOwned(1, 0, b, 5, false)
-	if sr.Msg != nil {
-		t.Error("eager SendOwned leaked its Msg header")
-	}
-	out := make([]byte, 16)
-	r := f.Endpoint(1).PostRecv(0, 0, out, 0)
-	r.Wait()
-	if r.Len() != 16 || r.ArriveV() != 5 || r.Src() != 0 || r.Tag() != 0 {
-		t.Errorf("completion metadata: len=%d arriveV=%v src=%d tag=%d",
-			r.Len(), r.ArriveV(), r.Src(), r.Tag())
-	}
-	for i := range out {
-		if out[i] != byte(i) {
-			t.Fatalf("payload corrupted at %d: %d", i, out[i])
-		}
-	}
-	if m, _ := r.Result(); m != nil {
-		t.Error("pooled message escaped through Result")
-	}
-}
-
-// TestSendOwnedRendezvousHandshake checks that a rendezvous SendOwned keeps
-// its Msg for the handshake and records the match time as the later of
-// arrival and posting.
-func TestSendOwnedRendezvousHandshake(t *testing.T) {
-	f := NewFabric(2)
-	b := GetBuf(8)
-	sr := f.Endpoint(0).SendOwned(1, 7, b, 100, true)
-	if sr.Msg == nil {
-		t.Fatal("rendezvous SendOwned must expose its Msg")
-	}
-	if sr.Msg.IsMatched() {
-		t.Fatal("matched before any receive was posted")
-	}
-	r := f.Endpoint(1).PostRecv(0, 7, make([]byte, 8), 300)
-	r.Wait()
-	sr.Msg.WaitMatched()
-	if v := sr.Msg.MatchV(); v != 300 {
-		t.Errorf("MatchV = %v, want 300 (posting after arrival)", v)
-	}
-}
-
-// TestBufPoolClasses checks GetBuf/PutBuf size-class routing: in-class
-// buffers are recycled with class-sized capacity, oversized requests fall
-// through to the allocator, and non-class-sized buffers are dropped (the
-// only foreign buffers PutBuf can detect; class-sized foreign buffers are
-// excluded by the ownership contract, see PutBuf's doc comment).
-func TestBufPoolClasses(t *testing.T) {
-	b := GetBuf(100)
-	if len(b) != 100 || cap(b) != 128 {
-		t.Fatalf("GetBuf(100): len=%d cap=%d, want 100/128", len(b), cap(b))
-	}
-	b[0] = 42
-	PutBuf(b)
-	b2 := GetBuf(128)
-	if cap(b2) != 128 {
-		t.Errorf("recycled cap = %d, want 128", cap(b2))
-	}
-	// Oversized buffers bypass the pool entirely.
-	big := GetBuf(1<<20 + 1)
-	if len(big) != 1<<20+1 {
-		t.Errorf("oversize len = %d", len(big))
-	}
-	PutBuf(big)
-	// A buffer whose capacity is not an exact class size must be dropped,
-	// not pooled (its class peer would come back with short capacity).
-	PutBuf(make([]byte, 100, 100))
-	hits0, misses0 := PoolStats()
-	GetBuf(64)
-	hits1, misses1 := PoolStats()
-	if hits1+misses1 != hits0+misses0+1 {
-		t.Errorf("PoolStats did not count: %d+%d -> %d+%d", hits0, misses0, hits1, misses1)
-	}
-}
-
-// TestMsgQueueReusesBacking checks that a drained queue rewinds to the front
-// of its backing array: steady-state fill/drain cycles must not grow or
-// reallocate it (the deep-queue benchmark regression guard).
-func TestMsgQueueReusesBacking(t *testing.T) {
-	var mq msgQueue
-	const rounds, depth = 64, 32
-	var stable int
-	for r := 0; r < rounds; r++ {
-		pos := make([]int, depth)
-		for i := 0; i < depth; i++ {
-			pos[i] = mq.push(&Msg{Tag: i})
-		}
-		// Remove from the back first — the worst case for head trimming.
-		for i := depth - 1; i >= 0; i-- {
-			if got := mq.first(); got == nil || got.Tag != 0 {
-				t.Fatalf("round %d: first = %+v, want tag 0", r, got)
-			}
-			mq.remove(pos[i])
-		}
-		if mq.first() != nil {
-			t.Fatalf("round %d: queue not empty after drain", r)
-		}
-		if r == 0 {
-			stable = cap(mq.q)
-		} else if cap(mq.q) != stable {
-			t.Fatalf("round %d: backing array reallocated (cap %d -> %d)", r, stable, cap(mq.q))
-		}
 	}
 }

@@ -5,398 +5,34 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
-// Msg is one in-flight or delivered two-sided message.
-type Msg struct {
-	Src, Dst int
-	Tag      int
-	Data     []byte     // payload; owned by the fabric after Send
-	SentV    model.Time // sender's virtual time when the send was issued
-	ArriveV  model.Time // virtual time at which the payload is on the target
-	seq      uint64     // fabric-wide FIFO tiebreak per (src,dst) pair
-
-	// Match signalling is lazy: most sends are eager and nobody ever waits
-	// on them, so the old eagerly-allocated per-Msg channel was pure
-	// overhead. matchFlag is set (atomically) by complete(); a waiter that
-	// finds it unset installs a channel into matchCh and parks. Both are
-	// plain words (not atomic.Uint32/atomic.Pointer) on purpose: pooled
-	// Msg headers are reset by struct assignment in putMsg, which go vet
-	// would flag as a lock copy if the fields carried noCopy sentinels.
-	matchFlag uint32
-	matchCh   unsafe.Pointer // *chan struct{}, installed by WaitMatched
-	matchV    model.Time     // virtual time of the match (set before matchFlag)
-
-	// Pooling controls for the ownership-transfer send path. poolPayload
-	// returns Data to the payload pool at completion; poolMsg additionally
-	// recycles the Msg header itself, which is only safe when no sender
-	// holds a reference (eager sends, which never await the match).
-	poolPayload bool
-	poolMsg     bool
-
-	// Absolute positions in the destination's unexpected FIFO and
-	// per-(src,tag) bucket, so the matcher can remove this message from
-	// both queues in O(1) when it is plucked out of the middle.
-	fifoPos   int
-	bucketPos int
-
-	// Fault-injection state. linkSeq numbers this message on its (src,dst)
-	// link (valid when hasSeq; only injector-eligible messages are
-	// numbered), which the receiver's dedupe window keys on. fault marks a
-	// ghost: a dropped or peer-dead message delivered payload-free so the
-	// matching receive resolves instead of hanging.
-	linkSeq uint64
-	hasSeq  bool
-	fault   FaultKind
-}
-
-// IsMatched reports, without blocking, whether a receive has matched this
-// message.
-func (m *Msg) IsMatched() bool { return atomic.LoadUint32(&m.matchFlag) == 1 }
-
-// WaitMatched blocks until a receive matches this message — the rendezvous
-// protocol's handshake. Only the sending goroutine may call it. The wait
-// channel is created here, on first need, rather than at send time: the
-// store/load ordering against complete()'s flag store guarantees that
-// either the waiter sees the flag or the completer sees the channel.
-func (m *Msg) WaitMatched() {
-	if atomic.LoadUint32(&m.matchFlag) == 1 {
-		return
-	}
-	ch := make(chan struct{})
-	atomic.StorePointer(&m.matchCh, unsafe.Pointer(&ch))
-	if atomic.LoadUint32(&m.matchFlag) == 1 {
-		// complete() may or may not have seen the channel; either way the
-		// match is published and we must not park.
-		return
-	}
-	<-ch
-}
-
-// WaitMatchedTimeout is WaitMatched bounded by real-time duration d. It
-// reports whether the match arrived; on false the message is still pending
-// (use the destination endpoint's CancelMsg to withdraw it, then re-check).
-// Only the sending goroutine may call it.
-func (m *Msg) WaitMatchedTimeout(d time.Duration) bool {
-	if atomic.LoadUint32(&m.matchFlag) == 1 {
-		return true
-	}
-	ch := make(chan struct{})
-	atomic.StorePointer(&m.matchCh, unsafe.Pointer(&ch))
-	if atomic.LoadUint32(&m.matchFlag) == 1 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-// MatchV reports the virtual time at which the match occurred: the later of
-// the message's arrival and the receive posting. Only valid once IsMatched
-// reports true (or WaitMatched has returned).
-func (m *Msg) MatchV() model.Time { return m.matchV }
-
-// Envelope is the value-copied metadata of a queued message, as reported by
-// Probe. Copying out (rather than exposing the *Msg) keeps probing safe
-// against payload pooling: by the time the caller looks, the message may
-// have been matched and its buffer recycled.
-type Envelope struct {
-	Src, Tag int
-	Bytes    int
-	ArriveV  model.Time
-}
-
-// SendReq tracks a non-blocking send. With eager-protocol semantics the
-// send buffer is reusable as soon as the call returns; LocalV is the virtual
-// time at which the sender's CPU was released. Msg is nil for eager
-// ownership-transfer sends: the fabric owns (and may recycle) the message.
-type SendReq struct {
-	Msg    *Msg
-	LocalV model.Time
-
-	// Fault is the injector's send-time verdict on this message (FaultNone
-	// on a healthy fabric). The sender learns a drop synchronously — the
-	// deterministic stand-in for an acknowledgement timeout — while the
-	// receiver learns it from the delivered ghost.
-	Fault FaultKind
-}
-
-// RecvReq tracks a posted receive until it is matched. Requests are pooled:
-// PostRecv draws one from a sync.Pool and Release returns it, so the
-// steady-state receive path allocates nothing. The completion handshake is
-// a reusable one-token channel plus an atomic flag — complete() publishes
-// the metadata, sets the flag, and finally deposits the token; the token
-// send is the completer's very last touch of the object, so once the owner
-// has consumed (or drained) it the object is provably quiescent and safe
-// to recycle.
-type RecvReq struct {
-	src, tag int
-	buf      []byte
-	postV    model.Time
-	postSeq  uint64 // endpoint-wide posting order, for wildcard-bucket ties
-
-	done     chan struct{} // cap-1 token channel, created once, reused forever
-	doneFlag uint32        // set (atomically) by complete() before the token
-	consumed bool          // owner-goroutine only: the token has been taken
-	msg      *Msg          // retained only for non-pooled messages; may be nil
-
-	// Completion metadata, cached by complete() so it survives the matched
-	// message's return to the pools. Valid once doneFlag is set.
-	n       int
-	srcRank int
-	tagVal  int
-	arriveV model.Time
-	fault   FaultKind // non-None when completed by a ghost or a cancellation
-}
-
-// recvReqPool recycles receive requests; each carries its token channel
-// for life, which is what makes the pooled receive path allocation-free.
-var recvReqPool = sync.Pool{
-	New: func() any { return &RecvReq{done: make(chan struct{}, 1)} },
-}
-
-// Wait blocks until the receive has been matched and the payload copied
-// into the posted buffer. Only the posting goroutine may call it; it is
-// idempotent.
-func (r *RecvReq) Wait() {
-	if !r.consumed {
-		<-r.done
-		r.consumed = true
-	}
-}
-
-// WaitTimeout is Wait bounded by real-time duration d: it reports whether
-// the receive completed. On false the receive is still posted; the owner
-// must either keep waiting or withdraw it with CancelRecv (and then Wait
-// for the token, which either path deposits). Only the posting goroutine
-// may call it.
-func (r *RecvReq) WaitTimeout(d time.Duration) bool {
-	if r.consumed {
-		return true
-	}
-	if atomic.LoadUint32(&r.doneFlag) == 1 {
-		<-r.done
-		r.consumed = true
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-r.done:
-		r.consumed = true
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-// Matched reports whether the receive has completed, without blocking.
-func (r *RecvReq) Matched() bool { return atomic.LoadUint32(&r.doneFlag) == 1 }
-
-// Fault reports how the receive completed: FaultNone for a real delivery,
-// FaultDropped/FaultPeerDead when it was resolved by a ghost, or
-// FaultCancelled after CancelRecv. Only valid after completion.
-func (r *RecvReq) Fault() FaultKind { r.mustBeDone(); return r.fault }
-
-// Release returns the request to the pool. It must only be called by the
-// posting goroutine, after the request is known to have completed (Wait
-// returned, or Matched reported true); no accessor may be used afterwards.
-// If the token has not been consumed yet, Release drains it first — the
-// token deposit is the completer's last touch, so after the drain no other
-// goroutine can still hold a reference.
-func (r *RecvReq) Release() {
-	if !r.consumed {
-		<-r.done
-	}
-	*r = RecvReq{done: r.done}
-	recvReqPool.Put(r)
-}
-
-// PostV reports the virtual time at which the receive was posted.
-func (r *RecvReq) PostV() model.Time { return r.postV }
-
-func (r *RecvReq) mustBeDone() {
-	if atomic.LoadUint32(&r.doneFlag) != 1 {
-		panic("simnet: RecvReq accessor before completion")
-	}
-}
-
-// Result returns the matched message and the number of payload bytes copied
-// into the posted buffer. It must only be called after completion. The
-// message is nil when the sender used the ownership-transfer path (its
-// header and payload went back to the pools); use the Src/Tag/Len/ArriveV
-// accessors, which are always valid.
-func (r *RecvReq) Result() (*Msg, int) {
-	r.mustBeDone()
-	return r.msg, r.n
-}
-
-// Src reports the sender's rank. Only valid after completion.
-func (r *RecvReq) Src() int { r.mustBeDone(); return r.srcRank }
-
-// Tag reports the matched message's tag. Only valid after completion.
-func (r *RecvReq) Tag() int { r.mustBeDone(); return r.tagVal }
-
-// Len reports the payload bytes copied into the posted buffer. Only valid
-// after completion.
-func (r *RecvReq) Len() int { r.mustBeDone(); return r.n }
-
-// ArriveV reports the matched message's virtual arrival time. Only valid
-// after completion.
-func (r *RecvReq) ArriveV() model.Time { r.mustBeDone(); return r.arriveV }
-
-// Unexpected reports, in virtual time, whether the message arrived before
-// the receive was posted (and therefore landed in the unexpected queue,
-// costing an extra staging copy in real MPI implementations). It must only
-// be called after completion.
-func (r *RecvReq) Unexpected() bool {
-	r.mustBeDone()
-	return r.arriveV < r.postV
-}
-
-// pairKey indexes the matching structures by (source, tag); posted-receive
-// keys may hold the AnySource/AnyTag wildcards, unexpected-message keys are
-// always concrete.
-type pairKey struct{ src, tag int }
-
-// msgQueue is an arrival-ordered queue of unexpected messages supporting
-// O(1) removal from the middle: entries are nilled out in place (positions
-// are absolute, base-relative indices), and a head index lazily advances
-// past the holes. The head is an index rather than a reslice so that a
-// drained queue resets to the *start* of its backing array — reslicing
-// forward would bleed capacity and force a reallocation per refill in
-// steady-state traffic.
-type msgQueue struct {
-	q    []*Msg
-	head int // index into q of the first live entry
-	base int // absolute position of q[0]
-}
-
-func (mq *msgQueue) push(m *Msg) int {
-	mq.q = append(mq.q, m)
-	return mq.base + len(mq.q) - 1
-}
-
-func (mq *msgQueue) remove(pos int) {
-	mq.q[pos-mq.base] = nil
-	mq.skip()
-}
-
-// skip advances head past leading holes, so first() is O(1) amortised, and
-// rewinds an emptied queue to reuse its backing array from the front.
-func (mq *msgQueue) skip() {
-	for mq.head < len(mq.q) && mq.q[mq.head] == nil {
-		mq.head++
-	}
-	if mq.head == len(mq.q) {
-		mq.base += len(mq.q)
-		mq.q = mq.q[:0]
-		mq.head = 0
-	}
-}
-
-func (mq *msgQueue) first() *Msg {
-	mq.skip()
-	if mq.head == len(mq.q) {
-		return nil
-	}
-	return mq.q[mq.head]
-}
-
-// recvQueue is a FIFO of posted receives for one (src,tag) pattern. Matches
-// consume the queue head; CancelRecv may nil out an entry in the middle, so
-// first() skips holes.
-type recvQueue struct {
-	q    []*RecvReq
-	head int
-}
-
-func (rq *recvQueue) push(r *RecvReq) { rq.q = append(rq.q, r) }
-
-func (rq *recvQueue) first() *RecvReq {
-	for rq.head < len(rq.q) && rq.q[rq.head] == nil {
-		rq.head++
-	}
-	if rq.head == len(rq.q) {
-		rq.q = rq.q[:0]
-		rq.head = 0
-		return nil
-	}
-	return rq.q[rq.head]
-}
-
-// pop removes the queue head; callers must have established it is live via
-// first() under the same lock acquisition.
-func (rq *recvQueue) pop() *RecvReq {
-	r := rq.q[rq.head]
-	rq.q[rq.head] = nil
-	rq.head++
-	if rq.head == len(rq.q) {
-		rq.q = rq.q[:0]
-		rq.head = 0
-	}
-	return r
-}
-
-// removeReq nils out r wherever it sits in the queue, reporting whether it
-// was found. Caller holds the endpoint lock.
-func (rq *recvQueue) removeReq(r *RecvReq) bool {
-	for i := rq.head; i < len(rq.q); i++ {
-		if rq.q[i] == r {
-			rq.q[i] = nil
-			return true
-		}
-	}
-	return false
-}
-
-// Endpoint is one rank's attachment to the fabric. All methods that mutate
-// the endpoint's own state must be called from that rank's goroutine; the
-// matching structures are internally locked because remote senders deliver
-// into them.
+// Endpoint is one rank's attachment to the fabric, and simnet's
+// transport.Port. All methods that mutate the endpoint's own state must be
+// called from that rank's goroutine.
 //
-// Matching is indexed: both queues are bucketed by (src,tag), so the common
-// concrete-pattern case is O(1) per message regardless of queue depth. A
-// linear scan survives only for wildcard receives and probes, which must
-// honour arrival order across buckets.
+// Matching itself is transport.Table's; the endpoint is its feeder and its
+// wait strategy. Feeding: a send runs the destination's table on the
+// *sender's* goroutine, under the destination's mutex, so a message is
+// matched or queued the moment it is sent and per-pair FIFO is the senders'
+// program order. Waiting: the sender that completes a receive deposits a
+// token in the handle's one-slot channel, on which the posting rank parks.
 type Endpoint struct {
 	f    *Fabric
 	rank int
 
 	clock model.Clock
 
-	// mu protects the matching structures. A plain sync.Mutex: the old
-	// chan-based binary semaphore cost two channel operations per critical
-	// section and queued every contended sender through the scheduler,
-	// which serialised delivery fan-in at high rank counts.
-	mu sync.Mutex
-
-	// Unexpected messages: arrival-order FIFO plus per-(src,tag) buckets
-	// over the same Msg set. Buckets persist once created (bounded by the
-	// number of distinct pairs) so steady-state traffic never reallocates.
-	// The map is allocated lazily at first unexpected arrival — at 64k
-	// ranks most endpoints never queue one, and bring-up must not pay 64k
-	// map headers. Nil-map reads are safe everywhere it is consulted.
-	unexFifo    msgQueue
-	unexBuckets map[pairKey]*msgQueue
-	unexCount   int
-	unexpHW     int // high-watermark of the unexpected queue depth
-
-	// Posted receives, bucketed by their (possibly wildcard) pattern.
-	// Lazily allocated at first posting, like unexBuckets.
-	posted      map[pairKey]*recvQueue
-	postedCount int
-	postSeq     uint64
-
-	sendSeq uint64
+	// mu protects tab (and seen), because remote senders deliver into
+	// them. A plain sync.Mutex: the old chan-based binary semaphore cost two
+	// channel operations per critical section and queued every contended
+	// sender through the scheduler, which serialised delivery fan-in at
+	// high rank counts.
+	mu  sync.Mutex
+	tab transport.Table
 
 	// region is the interned ID of the directive region the rank is
 	// currently executing (0 between regions). Written by the owning rank
@@ -413,14 +49,8 @@ type Endpoint struct {
 	seen []seqWindow
 }
 
-func (ep *Endpoint) lock()   { ep.mu.Lock() }
-func (ep *Endpoint) unlock() { ep.mu.Unlock() }
-
 // Rank reports this endpoint's rank.
 func (ep *Endpoint) Rank() int { return ep.rank }
-
-// Fabric returns the owning fabric.
-func (ep *Endpoint) Fabric() *Fabric { return ep.f }
 
 // Clock returns the rank's virtual clock. Only the owning rank goroutine
 // may use it.
@@ -436,364 +66,178 @@ func (ep *Endpoint) SetRegion(id int) { ep.region.Store(int64(id)) }
 // goroutine.
 func (ep *Endpoint) RegionID() int { return int(ep.region.Load()) }
 
-// Send injects a message destined for rank dst. data is copied, so the
-// caller's buffer is immediately reusable. arriveV is the virtual time at
-// which the payload is available at the destination, computed by the caller
-// from its cost model. Delivery — matching against dst's posted receives —
-// happens immediately in real time.
-func (ep *Endpoint) Send(dst, tag int, data []byte, arriveV model.Time) *SendReq {
+// Send implements transport.Port: it injects a message destined for rank
+// dst whose payload buffer's ownership transfers to the fabric. data must
+// not be touched by the caller afterwards, and is returned to the payload
+// pool (see transport.GetBuf) once the matching receive has copied it out.
+// arriveV is the virtual time at which the payload is available at the
+// destination, computed by the caller from its cost model. Delivery —
+// matching against dst's posted receives — happens immediately in real time.
+func (ep *Endpoint) Send(dst, tag int, data []byte, arriveV model.Time, rendezvous bool) transport.SendResult {
 	if dst < 0 || dst >= ep.f.n {
 		panic(fmt.Sprintf("simnet: send to rank %d of %d", dst, ep.f.n))
 	}
-	payload := make([]byte, len(data))
-	copy(payload, data)
-	m := &Msg{
-		Src:     ep.rank,
-		Dst:     dst,
-		Tag:     tag,
-		Data:    payload,
-		SentV:   ep.clock.Now(),
-		ArriveV: arriveV,
+	m := transport.NewMsg(ep.rank, tag, data, arriveV, rendezvous)
+	res := transport.SendResult{LocalV: ep.clock.Now()}
+	if rendezvous {
+		res.Msg = m
 	}
-	fault := ep.dispatch(dst, m)
-	return &SendReq{Msg: m, LocalV: ep.clock.Now(), Fault: fault}
-}
-
-// dispatch routes a message to the destination, through the fault injector
-// when one is installed. It returns the injector's verdict on the message;
-// callers must capture it rather than reading m afterwards (an eager pooled
-// message may already be recycled).
-func (ep *Endpoint) dispatch(dst int, m *Msg) FaultKind {
+	// The injector's verdict is captured from the call rather than read
+	// off m afterwards: an eager pooled message may already be recycled.
 	if ep.f.inj == nil {
 		ep.f.eps[dst].deliver(m)
-		return FaultNone
-	}
-	return ep.inject(dst, m)
-}
-
-// SendOwned injects a message whose payload buffer's ownership transfers to
-// the fabric: data must not be touched by the caller afterwards, and is
-// returned to the payload pool (see GetBuf) once the matching receive has
-// copied it out. With rendezvous the returned SendReq carries the Msg so
-// the sender can await the match handshake; eager sends also recycle the
-// Msg header, so SendReq.Msg is nil.
-func (ep *Endpoint) SendOwned(dst, tag int, data []byte, arriveV model.Time, rendezvous bool) SendReq {
-	if dst < 0 || dst >= ep.f.n {
-		panic(fmt.Sprintf("simnet: send to rank %d of %d", dst, ep.f.n))
-	}
-	var m *Msg
-	if rendezvous {
-		m = &Msg{}
 	} else {
-		m = getMsg()
-		m.poolMsg = true
+		res.Fault = ep.inject(dst, m)
 	}
-	m.Src = ep.rank
-	m.Dst = dst
-	m.Tag = tag
-	m.Data = data
-	m.SentV = ep.clock.Now()
-	m.ArriveV = arriveV
-	m.poolPayload = true
-	sr := SendReq{LocalV: ep.clock.Now()}
-	if rendezvous {
-		sr.Msg = m
-	}
-	sr.Fault = ep.dispatch(dst, m)
-	return sr
+	return res
 }
 
 // deliver matches m against the destination's posted receives or queues it
 // as unexpected. Runs on the sender's goroutine. Eager pooled messages may
 // be recycled before this returns, so callers must not touch m afterwards.
-func (ep *Endpoint) deliver(m *Msg) {
-	ep.lock()
-	if m.hasSeq {
+func (ep *Endpoint) deliver(m *transport.Msg) {
+	ep.mu.Lock()
+	if m.HasSeq {
 		if ep.seen == nil {
 			ep.seen = make([]seqWindow, ep.f.n)
 		}
-		if ep.seen[m.Src].seen(m.linkSeq) {
+		if ep.seen[m.Src].seen(m.LinkSeq) {
 			// Duplicate copy: discard before matching. Injected duplicates
-			// are payload-free, but a defensive release keeps the pool
-			// sound either way.
-			ep.unlock()
+			// are payload-free rendezvous-style headers, so there is nothing
+			// to hand back to the pools.
+			ep.mu.Unlock()
 			if inj := ep.f.inj; inj != nil {
 				inj.deduped.Add(1)
-			}
-			if m.poolPayload && m.Data != nil {
-				PutBuf(m.Data)
-				m.Data = nil
-			}
-			if m.poolMsg {
-				putMsg(m)
 			}
 			return
 		}
 	}
-	m.seq = ep.sendSeq
-	ep.sendSeq++
-	if r := ep.takePosted(m.Src, m.Tag); r != nil {
-		ep.unlock()
+	r := ep.tab.Arrive(m)
+	ep.mu.Unlock()
+	if r != nil {
 		complete(r, m)
-		return
 	}
-	m.fifoPos = ep.unexFifo.push(m)
-	key := pairKey{m.Src, m.Tag}
-	b := ep.unexBuckets[key]
-	if b == nil {
-		if ep.unexBuckets == nil {
-			ep.unexBuckets = make(map[pairKey]*msgQueue)
-		}
-		b = &msgQueue{}
-		ep.unexBuckets[key] = b
-	}
-	m.bucketPos = b.push(m)
-	ep.unexCount++
-	if ep.unexCount > ep.unexpHW {
-		ep.unexpHW = ep.unexCount
-	}
-	ep.unlock()
 }
 
-// takePosted pops and returns the earliest-posted receive matching
-// (src,tag), or nil. A message can match a receive through exactly four
-// patterns — concrete, source-wildcard, tag-wildcard, both — so only those
-// bucket heads are consulted; earliest posting wins, as with the linear
-// scan this replaces. Caller holds the lock.
-func (ep *Endpoint) takePosted(src, tag int) *RecvReq {
-	var best *recvQueue
-	var bestSeq uint64
-	for _, key := range [4]pairKey{
-		{src, tag}, {src, AnyTag}, {AnySource, tag}, {AnySource, AnyTag},
-	} {
-		rq := ep.posted[key]
-		if rq == nil {
-			continue
-		}
-		if r := rq.first(); r != nil && (best == nil || r.postSeq < bestSeq) {
-			best = rq
-			bestSeq = r.postSeq
-		}
+// complete finishes a pair the table matched and wakes the receive's owner.
+// The token deposit comes last: it is the completer's final touch of the
+// handle, which is what licenses Recv.Release to recycle it once the token
+// has been taken.
+func complete(r *transport.Recv, m *transport.Msg) {
+	if !transport.Complete(r, m) {
+		// CancelMsg decides withdrawals under the destination's lock, by
+		// table membership, so a message the table handed out is live.
+		panic("simnet: matched message was withdrawn outside the endpoint lock")
 	}
-	if best == nil {
-		return nil
-	}
-	ep.postedCount--
-	return best.pop()
+	r.Token <- struct{}{}
 }
 
-// takeUnexpected finds and dequeues the earliest-arrived unexpected message
-// matching the (possibly wildcard) pattern, or returns nil. Concrete
-// patterns hit their bucket directly; wildcards scan the arrival FIFO.
-// Caller holds the lock.
-func (ep *Endpoint) takeUnexpected(src, tag int) *Msg {
-	m := ep.findUnexpected(src, tag)
-	if m == nil {
-		return nil
+// tokenWait is simnet's wait strategy: park on the handle's token channel.
+// The completion flag lets a wait that can already succeed skip the timer.
+type tokenWait struct{}
+
+func (tokenWait) Await(r *transport.Recv, d time.Duration) bool {
+	if d <= 0 || r.Done() {
+		<-r.Token
+		return true
 	}
-	ep.unexFifo.remove(m.fifoPos)
-	ep.unexBuckets[pairKey{m.Src, m.Tag}].remove(m.bucketPos)
-	ep.unexCount--
-	return m
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-r.Token:
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
-func (ep *Endpoint) findUnexpected(src, tag int) *Msg {
-	if src != AnySource && tag != AnyTag {
-		if b := ep.unexBuckets[pairKey{src, tag}]; b != nil {
-			return b.first()
-		}
-		return nil
-	}
-	ep.unexFifo.skip()
-	for _, m := range ep.unexFifo.q[ep.unexFifo.head:] {
-		if m != nil && matches(src, tag, m.Src, m.Tag) {
-			return m
-		}
-	}
-	return nil
-}
+// Poll has nothing to do: senders make all the progress there is.
+func (tokenWait) Poll() {}
 
-// PostRecv posts a receive for a message from src (or AnySource) with tag
-// (or AnyTag). The payload will be copied into buf (truncated to len(buf)
-// if larger, mirroring MPI's contract that the receive count is an upper
-// bound). postV is the receiver's virtual time of the posting.
-func (ep *Endpoint) PostRecv(src, tag int, buf []byte, postV model.Time) *RecvReq {
-	if src != AnySource && (src < 0 || src >= ep.f.n) {
+// PostRecv implements transport.Port: it posts a receive for a message from
+// src (or AnySource) with tag (or AnyTag). The payload will be copied into
+// buf (truncated to len(buf) if larger, mirroring MPI's contract that the
+// receive count is an upper bound). postV is the receiver's virtual time of
+// the posting.
+func (ep *Endpoint) PostRecv(src, tag int, buf []byte, postV model.Time) *transport.Recv {
+	if src != transport.AnySource && (src < 0 || src >= ep.f.n) {
 		panic(fmt.Sprintf("simnet: recv from rank %d of %d", src, ep.f.n))
 	}
-	r := recvReqPool.Get().(*RecvReq)
-	r.src, r.tag, r.buf, r.postV = src, tag, buf, postV
-	ep.lock()
-	if m := ep.takeUnexpected(src, tag); m != nil {
-		ep.unlock()
+	r := transport.NewRecv(tokenWait{}, src, tag, buf, postV)
+	if r.Token == nil {
+		// Cap 1, created once per pooled handle and reused for its life.
+		r.Token = make(chan struct{}, 1)
+	}
+	ep.mu.Lock()
+	m := ep.tab.Post(r)
+	ep.mu.Unlock()
+	if m != nil {
 		complete(r, m)
-		return r
 	}
-	r.postSeq = ep.postSeq
-	ep.postSeq++
-	key := pairKey{src, tag}
-	rq := ep.posted[key]
-	if rq == nil {
-		if ep.posted == nil {
-			ep.posted = make(map[pairKey]*recvQueue)
-		}
-		rq = &recvQueue{}
-		ep.posted[key] = rq
-	}
-	rq.push(r)
-	ep.postedCount++
-	ep.unlock()
 	return r
 }
 
-// CancelRecv withdraws a posted-but-unmatched receive, completing it with
-// FaultCancelled; it reports whether the cancellation won. A false return
-// means a sender's delivery got there first (or is completing concurrently)
-// — the owner must then consume the normal completion with Wait. Only the
-// posting goroutine may call it, typically after WaitTimeout expired; it is
-// the last-resort escape hatch for traffic that was never sent at all.
-func (ep *Endpoint) CancelRecv(r *RecvReq) bool {
-	ep.lock()
-	if atomic.LoadUint32(&r.doneFlag) == 1 {
-		ep.unlock()
-		return false
+// CancelRecv implements transport.Port: it withdraws a posted-but-unmatched
+// receive, completing it with FaultCancelled, and reports whether the
+// cancellation won. A false return means a sender's delivery got there first
+// (or is completing concurrently: the table already handed the receive out
+// and complete() is in flight) — the owner must then consume the normal
+// completion with Wait. It is the last-resort escape hatch, typically after
+// WaitTimeout expired, for traffic that was never sent at all.
+func (ep *Endpoint) CancelRecv(r *transport.Recv) bool {
+	ep.mu.Lock()
+	won := ep.tab.RemoveRecv(r)
+	ep.mu.Unlock()
+	if won {
+		transport.CompleteCancelled(r)
+		r.Token <- struct{}{}
 	}
-	rq := ep.posted[pairKey{r.src, r.tag}]
-	if rq == nil || !rq.removeReq(r) {
-		// Lost the race: takePosted already popped it and complete() is in
-		// flight (the done flag just hasn't been published yet).
-		ep.unlock()
-		return false
-	}
-	ep.postedCount--
-	ep.unlock()
-	// The request is now exclusively ours: it is out of the matching
-	// structures, so no completer can touch it. Publish the cancellation
-	// through the normal completion protocol (metadata, flag, token).
-	r.n = 0
-	r.srcRank = -1
-	r.tagVal = -1
-	r.arriveV = r.postV
-	r.fault = FaultCancelled
-	atomic.StoreUint32(&r.doneFlag, 1)
-	r.done <- struct{}{}
-	return true
+	return won
 }
 
-// CancelMsg withdraws a queued unexpected message from this (destination)
-// endpoint, reporting whether the withdrawal won; false means a matching
-// receive already consumed it (or is doing so concurrently) and the sender
-// must complete the handshake normally. Only the sending goroutine may call
-// it, for its own rendezvous message after WaitMatchedTimeout expired.
-func (ep *Endpoint) CancelMsg(m *Msg) bool {
-	ep.lock()
-	if atomic.LoadUint32(&m.matchFlag) == 1 {
-		ep.unlock()
-		return false
-	}
-	b := ep.unexBuckets[pairKey{m.Src, m.Tag}]
-	if b == nil {
-		ep.unlock()
-		return false
-	}
-	i := m.bucketPos - b.base
-	if i < 0 || i >= len(b.q) || b.q[i] != m {
-		ep.unlock()
-		return false
-	}
-	b.remove(m.bucketPos)
-	ep.unexFifo.remove(m.fifoPos)
-	ep.unexCount--
-	ep.unlock()
-	if m.poolPayload && m.Data != nil {
-		PutBuf(m.Data)
-		m.Data = nil
-	}
-	return true
+// CancelMsg implements transport.Port: it withdraws this rank's own
+// rendezvous message from dst's unexpected queue, typically after
+// WaitMatchedTimeout expired, and reports whether the withdrawal won; false
+// means a matching receive already took it (or is completing concurrently)
+// and the sender must finish the handshake normally. Under dst's lock the
+// table's answer is final, so the message leaves the queue at once.
+func (ep *Endpoint) CancelMsg(dst int, m *transport.Msg) bool {
+	dep := ep.f.eps[dst]
+	dep.mu.Lock()
+	won := dep.tab.RemoveMsg(m)
+	dep.mu.Unlock()
+	return won && m.Withdraw()
 }
 
-// Probe reports whether a matching message is queued (without receiving it)
-// and, if so, its envelope. The envelope is copied out under the lock: with
-// pooled payloads a *Msg must not escape the matcher, since the message can
-// complete and be recycled the moment the lock is released.
-func (ep *Endpoint) Probe(src, tag int) (Envelope, bool) {
-	ep.lock()
-	m := ep.findUnexpected(src, tag)
-	if m == nil {
-		ep.unlock()
-		return Envelope{}, false
-	}
-	env := Envelope{Src: m.Src, Tag: m.Tag, Bytes: len(m.Data), ArriveV: m.ArriveV}
-	ep.unlock()
-	return env, true
+// Probe implements transport.Port: it reports whether a matching message is
+// queued (without receiving it) and, if so, its envelope — a copy taken under
+// the lock, since the message can complete and be recycled the moment the
+// lock is released.
+func (ep *Endpoint) Probe(src, tag int) (transport.Envelope, bool) {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.tab.Probe(src, tag)
 }
 
 // PendingUnexpected reports the number of queued unexpected messages.
 // Useful for leak checks in tests.
 func (ep *Endpoint) PendingUnexpected() int {
-	ep.lock()
-	n := ep.unexCount
-	ep.unlock()
-	return n
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.tab.Unexpected()
 }
 
 // UnexpectedHighWatermark reports the deepest the unexpected-message queue
-// has ever been — a direct measure of sender-ahead-of-receiver pressure
-// (each queued message costs an extra staging copy in real MPI).
+// has ever been.
 func (ep *Endpoint) UnexpectedHighWatermark() int {
-	ep.lock()
-	n := ep.unexpHW
-	ep.unlock()
-	return n
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.tab.UnexpectedHighWatermark()
 }
 
 // PendingPosted reports the number of posted-but-unmatched receives.
 func (ep *Endpoint) PendingPosted() int {
-	ep.lock()
-	n := ep.postedCount
-	ep.unlock()
-	return n
-}
-
-// complete finishes a matched (receive, message) pair: it copies the
-// payload into the posted buffer, caches the completion metadata on the
-// request, signals any rendezvous waiter, and returns pooled resources.
-// The request's token deposit comes last: it is the completer's final
-// touch, which is what licenses RecvReq.Release to recycle the object once
-// the token has been taken.
-func complete(r *RecvReq, m *Msg) {
-	n := copy(r.buf, m.Data)
-	r.n = n
-	r.srcRank = m.Src
-	r.tagVal = m.Tag
-	r.arriveV = m.ArriveV
-	r.fault = m.fault // ghost completions carry the fault to the receiver
-	m.matchV = model.Max(m.ArriveV, r.postV)
-	if m.poolPayload {
-		PutBuf(m.Data)
-		m.Data = nil
-	}
-	if m.poolMsg {
-		// Eager pooled header: by contract no sender holds a reference, so
-		// there is no rendezvous waiter to signal.
-		putMsg(m)
-	} else {
-		r.msg = m
-		atomic.StoreUint32(&m.matchFlag, 1)
-		if p := atomic.LoadPointer(&m.matchCh); p != nil {
-			close(*(*chan struct{})(p))
-		}
-	}
-	atomic.StoreUint32(&r.doneFlag, 1)
-	r.done <- struct{}{}
-}
-
-func matches(wantSrc, wantTag, src, tag int) bool {
-	if wantSrc != AnySource && wantSrc != src {
-		return false
-	}
-	if wantTag != AnyTag && wantTag != tag {
-		return false
-	}
-	return true
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.tab.Posted()
 }

@@ -1,11 +1,10 @@
 package simnet
 
 import (
-	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
 // Deterministic fault injection. The fabric is normally perfect — every
@@ -29,60 +28,14 @@ import (
 // payload-free *ghost* carrying its fault kind: the receiver's matching
 // engine completes the receive promptly (in real time) with the fault
 // recorded, and the virtual completion time is the ghost's deterministic
-// arrival. The sender learns the same fate synchronously via SendReq.Fault.
+// arrival. The sender learns the same fate synchronously via SendResult.Fault.
 // Both sides of a faulted transfer therefore observe the same per-attempt
 // outcome without any acknowledgement traffic — the property the directive
 // layer's lockstep retry protocol is built on.
-var (
-	// ErrDeadline reports that an operation's deadline passed with nothing
-	// delivered (including a real-time watchdog cancellation of a wait whose
-	// message was never sent).
-	ErrDeadline = errors.New("simnet: deadline exceeded before completion")
-	// ErrPeerDead reports that the operation's peer rank is configured dead.
-	ErrPeerDead = errors.New("simnet: peer rank is dead")
-	// ErrMessageLost reports that the fabric dropped the message.
-	ErrMessageLost = errors.New("simnet: message lost by the fabric")
-)
 
-// FaultKind classifies what the injector (or a watchdog cancellation) did
-// to a message or a pending wait.
-type FaultKind uint8
-
-const (
-	FaultNone      FaultKind = iota
-	FaultDropped             // message dropped; delivered as a payload-free ghost
-	FaultPeerDead            // source or destination rank is configured dead
-	FaultCancelled           // pending wait cancelled by a real-time watchdog
-)
-
-func (k FaultKind) String() string {
-	switch k {
-	case FaultNone:
-		return "none"
-	case FaultDropped:
-		return "dropped"
-	case FaultPeerDead:
-		return "peer-dead"
-	case FaultCancelled:
-		return "cancelled"
-	default:
-		return fmt.Sprintf("fault(%d)", int(k))
-	}
-}
-
-// Err maps a fault kind to its sentinel error (nil for FaultNone).
-func (k FaultKind) Err() error {
-	switch k {
-	case FaultDropped:
-		return ErrMessageLost
-	case FaultPeerDead:
-		return ErrPeerDead
-	case FaultCancelled:
-		return ErrDeadline
-	default:
-		return nil
-	}
-}
+// FaultNone is kept for the layer ladder only (benchmark/ spells the healthy
+// verdict simnet.FaultNone); product code uses transport.FaultNone.
+const FaultNone = transport.FaultNone
 
 // FaultConfig configures a Fabric's deterministic fault injector. All rates
 // are per-message probabilities in [0,1], decided independently per message
@@ -215,23 +168,12 @@ func (f *Fabric) FaultStats() FaultStats {
 	}
 }
 
-// ghost strips m to a payload-free fault carrier. The payload buffer goes
-// back to the pool here (the receive will copy zero bytes), so injection
-// does not leak pooled wire buffers.
-func (m *Msg) ghost(k FaultKind) {
-	if m.poolPayload && m.Data != nil {
-		PutBuf(m.Data)
-	}
-	m.Data = nil
-	m.fault = k
-}
-
 // linkFault is the sender-side per-destination injection state. It lives on
 // the sending endpoint and is only touched by that rank's goroutine, so the
 // link sequence numbers advance in program order — the determinism anchor.
 type linkFault struct {
 	seq  uint64
-	held *Msg // reorder stash: delivered after the next send on this link
+	held *transport.Msg // reorder stash: delivered after the next send on this link
 }
 
 // inject decides and applies this message's fate, then delivers it (and any
@@ -239,7 +181,7 @@ type linkFault struct {
 // on the sender's goroutine. Returns the fault assigned to m — captured
 // before delivery, because an eager pooled message may be recycled the
 // moment it is delivered.
-func (ep *Endpoint) inject(dst int, m *Msg) FaultKind {
+func (ep *Endpoint) inject(dst int, m *transport.Msg) transport.FaultKind {
 	inj := ep.f.inj
 	dep := ep.f.eps[dst]
 	if ep.flt == nil {
@@ -254,30 +196,30 @@ func (ep *Endpoint) inject(dst int, m *Msg) FaultKind {
 			dep.deliver(h)
 		}
 		dep.deliver(m)
-		return FaultNone
+		return transport.FaultNone
 	}
 	lf.seq++
 	seq := lf.seq
-	m.linkSeq, m.hasSeq = seq, true
+	m.LinkSeq, m.HasSeq = seq, true
 
-	fault := FaultNone
+	fault := transport.FaultNone
 	switch {
 	case inj.dead[ep.rank] || inj.dead[dst]:
-		fault = FaultPeerDead
+		fault = transport.FaultPeerDead
 		inj.peerDead.Add(1)
 	case inj.cfg.Drop > 0 && inj.roll(ep.rank, dst, seq, saltDrop) < inj.cfg.Drop:
-		fault = FaultDropped
+		fault = transport.FaultDropped
 		inj.dropped.Add(1)
 	}
-	if fault != FaultNone {
-		m.ghost(fault)
+	if fault != transport.FaultNone {
+		m.Ghost(fault)
 		// Forensic record of the verdict, stamped with the send time so the
 		// timeline shows the loss where it was decided. Purely observational:
 		// no virtual-clock state changes, so golden pins are unaffected.
 		if ep.f.Observed() {
 			ep.f.Emit(Event{
 				Rank: ep.rank, Kind: EvFault, Peer: dst, Tag: m.Tag,
-				V: m.SentV, Region: ep.RegionID(), Fault: fault,
+				V: ep.clock.Now(), Region: ep.RegionID(), Fault: fault,
 			})
 		}
 	} else {
@@ -294,13 +236,12 @@ func (ep *Endpoint) inject(dst int, m *Msg) FaultKind {
 	// sequence number: the receiver's dedupe window discards it before
 	// matching, so duplication exercises idempotence without ever aliasing
 	// a pooled payload. Only healthy messages are duplicated.
-	var dup *Msg
-	if fault == FaultNone && inj.cfg.Dup > 0 && inj.roll(ep.rank, dst, seq, saltDup) < inj.cfg.Dup {
-		dup = &Msg{
-			Src: m.Src, Dst: m.Dst, Tag: m.Tag,
-			SentV: m.SentV, ArriveV: m.ArriveV,
-			linkSeq: seq, hasSeq: true,
-		}
+	var dup *transport.Msg
+	if fault == transport.FaultNone && inj.cfg.Dup > 0 && inj.roll(ep.rank, dst, seq, saltDup) < inj.cfg.Dup {
+		// A header of its own, not from the pool: the dedupe window drops
+		// it before any receive could return it there.
+		dup = transport.NewMsg(m.Src, m.Tag, nil, m.ArriveV, true)
+		dup.LinkSeq, dup.HasSeq = seq, true
 		inj.duplicated.Add(1)
 	}
 
@@ -321,7 +262,7 @@ func (ep *Endpoint) inject(dst int, m *Msg) FaultKind {
 	// it. A stashed message with no follow-up send on the link stays held
 	// until the watchdog path cancels the receive; the chaos gate therefore
 	// sweeps drop rates, not reorder rates.
-	if fault == FaultNone && dup == nil && m.poolMsg &&
+	if fault == transport.FaultNone && dup == nil && !m.Rendezvous() &&
 		inj.cfg.Reorder > 0 && inj.roll(ep.rank, dst, seq, saltReorder) < inj.cfg.Reorder {
 		lf.held = m
 		inj.reordered.Add(1)

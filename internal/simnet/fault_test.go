@@ -2,15 +2,15 @@ package simnet
 
 import (
 	"testing"
-	"time"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
 // faultTrace records one run's observable fault decisions for a scripted
 // exchange: per-message (fault, arriveV, bytes) triples on the receiver.
 type faultTrace struct {
-	fault   []FaultKind
+	fault   []transport.FaultKind
 	arriveV []model.Time
 	n       []int
 }
@@ -24,7 +24,7 @@ func runScripted(cfg FaultConfig, msgs int) faultTrace {
 	var tr faultTrace
 	for i := 0; i < msgs; i++ {
 		r := dst.PostRecv(1, i, make([]byte, 4), model.Time(i))
-		src.Send(0, i, []byte{byte(i), 1, 2, 3}, model.Time(100+10*i))
+		send(src, 0, i, []byte{byte(i), 1, 2, 3}, model.Time(100+10*i))
 		r.Wait()
 		tr.fault = append(tr.fault, r.Fault())
 		tr.arriveV = append(tr.arriveV, r.ArriveV())
@@ -44,7 +44,7 @@ func TestFaultSameSeedBitIdentical(t *testing.T) {
 			t.Fatalf("message %d diverged between same-seed runs: %v/%d/%d vs %v/%d/%d",
 				i, a.fault[i], a.arriveV[i], a.n[i], b.fault[i], b.arriveV[i], b.n[i])
 		}
-		if a.fault[i] == FaultDropped {
+		if a.fault[i] == transport.FaultDropped {
 			drops++
 		}
 	}
@@ -69,12 +69,12 @@ func TestFaultDropDeliversGhost(t *testing.T) {
 	f.SetFaults(FaultConfig{Seed: 1, Drop: 1})
 	dst := f.Endpoint(0)
 	r := dst.PostRecv(1, 7, make([]byte, 4), 5)
-	sr := f.Endpoint(1).Send(0, 7, []byte{1, 2, 3, 4}, 50)
-	if sr.Fault != FaultDropped {
+	sr := send(f.Endpoint(1), 0, 7, []byte{1, 2, 3, 4}, 50)
+	if sr.Fault != transport.FaultDropped {
 		t.Fatalf("sender saw fault %v, want dropped", sr.Fault)
 	}
 	r.Wait()
-	if r.Fault() != FaultDropped {
+	if r.Fault() != transport.FaultDropped {
 		t.Fatalf("receiver saw fault %v, want dropped", r.Fault())
 	}
 	if r.Len() != 0 {
@@ -93,21 +93,21 @@ func TestFaultDeadRank(t *testing.T) {
 	f := NewFabric(3)
 	f.SetFaults(FaultConfig{Seed: 1, DeadRanks: map[int]bool{2: true}})
 	// Traffic *to* the dead rank ghosts on the sender...
-	sr := f.Endpoint(0).Send(2, 0, []byte{1}, 10)
-	if sr.Fault != FaultPeerDead {
+	sr := send(f.Endpoint(0), 2, 0, []byte{1}, 10)
+	if sr.Fault != transport.FaultPeerDead {
 		t.Fatalf("send to dead rank: fault %v", sr.Fault)
 	}
 	// ...and traffic *from* it ghosts on the receiver.
 	r := f.Endpoint(0).PostRecv(2, 3, make([]byte, 1), 0)
-	f.Endpoint(2).Send(0, 3, []byte{9}, 20)
+	send(f.Endpoint(2), 0, 3, []byte{9}, 20)
 	r.Wait()
-	if r.Fault() != FaultPeerDead || r.Len() != 0 {
+	if r.Fault() != transport.FaultPeerDead || r.Len() != 0 {
 		t.Fatalf("recv from dead rank: fault %v len %d", r.Fault(), r.Len())
 	}
 	r.Release()
 	// Healthy pair unaffected.
 	r = f.Endpoint(0).PostRecv(1, 4, make([]byte, 1), 0)
-	f.Endpoint(1).Send(0, 4, []byte{8}, 30)
+	send(f.Endpoint(1), 0, 4, []byte{8}, 30)
 	r.Wait()
 	if r.Fault() != FaultNone || r.Len() != 1 {
 		t.Fatalf("healthy pair: fault %v len %d", r.Fault(), r.Len())
@@ -119,14 +119,14 @@ func TestFaultSlowRankAddsLatency(t *testing.T) {
 	f := NewFabric(3)
 	f.SetFaults(FaultConfig{Seed: 1, SlowRanks: map[int]model.Time{1: 1000}})
 	r := f.Endpoint(0).PostRecv(1, 0, make([]byte, 1), 0)
-	f.Endpoint(1).Send(0, 0, []byte{1}, 100)
+	send(f.Endpoint(1), 0, 0, []byte{1}, 100)
 	r.Wait()
 	if r.ArriveV() != 1100 {
 		t.Fatalf("slow-source arrival %d, want 1100", r.ArriveV())
 	}
 	r.Release()
 	r = f.Endpoint(2).PostRecv(0, 0, make([]byte, 1), 0)
-	f.Endpoint(0).Send(2, 0, []byte{1}, 100)
+	send(f.Endpoint(0), 2, 0, []byte{1}, 100)
 	r.Wait()
 	if r.ArriveV() != 100 {
 		t.Fatalf("healthy-link arrival %d, want 100", r.ArriveV())
@@ -158,7 +158,7 @@ func TestFaultDuplicateDeduped(t *testing.T) {
 	dst := f.Endpoint(0)
 	const msgs = 20
 	for i := 0; i < msgs; i++ {
-		f.Endpoint(1).Send(0, 5, []byte{byte(i)}, model.Time(10*i))
+		send(f.Endpoint(1), 0, 5, []byte{byte(i)}, model.Time(10*i))
 	}
 	for i := 0; i < msgs; i++ {
 		r := dst.PostRecv(1, 5, make([]byte, 1), 0)
@@ -181,12 +181,10 @@ func TestFaultReorderAdjacentSwap(t *testing.T) {
 	f := NewFabric(2)
 	f.SetFaults(FaultConfig{Seed: 5, Reorder: 1})
 	dst := f.Endpoint(0)
-	// Only eager pooled (SendOwned non-rendezvous) messages are eligible
-	// for the stash; send four and expect pairwise swaps 2,1,4,3.
+	// Only eager messages are eligible for the stash; send four and expect
+	// pairwise swaps 2,1,4,3.
 	for i := 1; i <= 4; i++ {
-		b := GetBuf(1)
-		b[0] = byte(i)
-		f.Endpoint(1).SendOwned(0, 5, b, model.Time(10*i), false)
+		send(f.Endpoint(1), 0, 5, []byte{byte(i)}, model.Time(10*i))
 	}
 	var got []byte
 	for i := 0; i < 4; i++ {
@@ -213,102 +211,18 @@ func TestFaultTagScopeExcludesControlTraffic(t *testing.T) {
 	dst := f.Endpoint(0)
 	// Tag 10 is in the user half: dropped.
 	r := dst.PostRecv(1, 10, make([]byte, 1), 0)
-	f.Endpoint(1).Send(0, 10, []byte{1}, 10)
+	send(f.Endpoint(1), 0, 10, []byte{1}, 10)
 	r.Wait()
-	if r.Fault() != FaultDropped {
+	if r.Fault() != transport.FaultDropped {
 		t.Fatalf("user-scope tag: fault %v", r.Fault())
 	}
 	r.Release()
 	// Tag 60 is in the control half: delivered intact.
 	r = dst.PostRecv(1, 60, make([]byte, 1), 0)
-	f.Endpoint(1).Send(0, 60, []byte{2}, 20)
+	send(f.Endpoint(1), 0, 60, []byte{2}, 20)
 	r.Wait()
 	if r.Fault() != FaultNone || r.Len() != 1 {
 		t.Fatalf("control-scope tag: fault %v len %d", r.Fault(), r.Len())
-	}
-	r.Release()
-}
-
-func TestCancelRecvWithdrawsPostedReceive(t *testing.T) {
-	f := NewFabric(2)
-	dst := f.Endpoint(0)
-	r := dst.PostRecv(1, 0, make([]byte, 4), 10)
-	if r.WaitTimeout(5 * time.Millisecond) {
-		t.Fatal("receive completed with no sender")
-	}
-	if !dst.CancelRecv(r) {
-		t.Fatal("cancellation of an unmatched receive failed")
-	}
-	r.Wait()
-	if r.Fault() != FaultCancelled {
-		t.Fatalf("fault %v, want cancelled", r.Fault())
-	}
-	if dst.PendingPosted() != 0 {
-		t.Fatalf("%d posted receives leaked after cancel", dst.PendingPosted())
-	}
-	r.Release()
-	// A message arriving after the cancellation queues as unexpected and is
-	// claimable by a fresh receive.
-	f.Endpoint(1).Send(0, 0, []byte{1, 2, 3, 4}, 50)
-	r2 := dst.PostRecv(1, 0, make([]byte, 4), 60)
-	r2.Wait()
-	if r2.Fault() != FaultNone || r2.Len() != 4 {
-		t.Fatalf("post-cancel receive: fault %v len %d", r2.Fault(), r2.Len())
-	}
-	r2.Release()
-}
-
-func TestCancelRecvLosesRaceToDelivery(t *testing.T) {
-	f := NewFabric(2)
-	dst := f.Endpoint(0)
-	r := dst.PostRecv(1, 0, make([]byte, 1), 0)
-	f.Endpoint(1).Send(0, 0, []byte{9}, 10)
-	if dst.CancelRecv(r) {
-		t.Fatal("cancellation won against an already-delivered message")
-	}
-	r.Wait()
-	if r.Fault() != FaultNone || r.Len() != 1 {
-		t.Fatalf("fault %v len %d after losing cancel race", r.Fault(), r.Len())
-	}
-	r.Release()
-}
-
-func TestCancelMsgWithdrawsUnmatchedSend(t *testing.T) {
-	f := NewFabric(2)
-	dst := f.Endpoint(0)
-	sr := f.Endpoint(1).Send(0, 0, []byte{1}, 10)
-	if sr.Msg.WaitMatchedTimeout(5 * time.Millisecond) {
-		t.Fatal("matched with no receive posted")
-	}
-	if !dst.CancelMsg(sr.Msg) {
-		t.Fatal("cancellation of an unmatched message failed")
-	}
-	if dst.PendingUnexpected() != 0 {
-		t.Fatalf("%d unexpected messages remain after cancel", dst.PendingUnexpected())
-	}
-	// The withdrawn message must not match a later receive.
-	r := dst.PostRecv(1, 0, make([]byte, 1), 0)
-	if r.WaitTimeout(5 * time.Millisecond) {
-		t.Fatal("withdrawn message still matched a receive")
-	}
-	if !dst.CancelRecv(r) {
-		t.Fatal("cleanup cancel failed")
-	}
-	r.Wait()
-	r.Release()
-}
-
-func TestCancelMsgLosesRaceToMatch(t *testing.T) {
-	f := NewFabric(2)
-	dst := f.Endpoint(0)
-	sr := f.Endpoint(1).Send(0, 0, []byte{1}, 10)
-	r := dst.PostRecv(1, 0, make([]byte, 1), 0)
-	r.Wait()
-	if dst.CancelMsg(sr.Msg) {
-		t.Fatal("cancellation won against an already-matched message")
-	}
-	if !sr.Msg.WaitMatchedTimeout(time.Second) {
-		t.Fatal("match signal lost")
 	}
 	r.Release()
 }

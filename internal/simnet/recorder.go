@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
 // DefaultRecorderCap is the per-rank ring capacity EnableRecorder uses when
@@ -153,25 +154,25 @@ type RecvSummary struct {
 
 // FailingOp identifies the operation whose failure triggered a post-mortem.
 type FailingOp struct {
-	Rank   int        `json:"rank"`
-	Op     string     `json:"op"`   // e.g. "MPI_Wait(recv)", "comm_p2p send"
-	Peer   int        `json:"peer"` // -1 when unknown
-	Tag    int        `json:"tag"`  // -1 when unknown
-	Region int        `json:"region"`
-	Kind   FaultKind  `json:"fault_kind"`
-	Reason string     `json:"reason"`
-	V      model.Time `json:"v"` // failing rank's virtual time at the failure
+	Rank   int                 `json:"rank"`
+	Op     string              `json:"op"`   // e.g. "MPI_Wait(recv)", "comm_p2p send"
+	Peer   int                 `json:"peer"` // -1 when unknown
+	Tag    int                 `json:"tag"`  // -1 when unknown
+	Region int                 `json:"region"`
+	Kind   transport.FaultKind `json:"fault_kind"`
+	Reason string              `json:"reason"`
+	V      model.Time          `json:"v"` // failing rank's virtual time at the failure
 }
 
 // RankDump is one rank's slice of a post-mortem: the flight-recorder tail
 // plus the unmatched frontier at dump time.
 type RankDump struct {
-	Rank       int           `json:"rank"`
-	LastV      model.Time    `json:"last_v"`
-	Recorded   int64         `json:"events_recorded"`
-	Events     []Event       `json:"events"`
-	Posted     []RecvSummary `json:"posted_frontier"`     // receives with no matching send
-	Unexpected []Envelope    `json:"unexpected_frontier"` // arrived sends with no matching receive
+	Rank       int                  `json:"rank"`
+	LastV      model.Time           `json:"last_v"`
+	Recorded   int64                `json:"events_recorded"`
+	Events     []Event              `json:"events"`
+	Posted     []RecvSummary        `json:"posted_frontier"`     // receives with no matching send
+	Unexpected []transport.Envelope `json:"unexpected_frontier"` // arrived sends with no matching receive
 }
 
 // Postmortem is a terminal-failure dump: the failing op and the forensic
@@ -270,11 +271,11 @@ func (pm *Postmortem) String() string {
 			b.WriteString("    unmatched posted receives (no send arrived):\n")
 			for _, p := range d.Posted {
 				src := "any"
-				if p.Src != AnySource {
+				if p.Src != transport.AnySource {
 					src = fmt.Sprint(p.Src)
 				}
 				tag := "any"
-				if p.Tag != AnyTag {
+				if p.Tag != transport.AnyTag {
 					tag = fmt.Sprint(p.Tag)
 				}
 				fmt.Fprintf(&b, "      recv src=%s tag=%s posted at %v\n", src, tag, p.PostV)
@@ -316,16 +317,12 @@ func (pm *Postmortem) String() string {
 // PostedFrontier snapshots this endpoint's posted-but-unmatched receives,
 // ordered by posting time. Safe to call from any goroutine.
 func (ep *Endpoint) PostedFrontier() []RecvSummary {
-	ep.lock()
 	var out []RecvSummary
-	for key, rq := range ep.posted {
-		for i := rq.head; i < len(rq.q); i++ {
-			if r := rq.q[i]; r != nil {
-				out = append(out, RecvSummary{Src: key.src, Tag: key.tag, PostV: r.postV})
-			}
-		}
-	}
-	ep.unlock()
+	ep.mu.Lock()
+	ep.tab.EachPosted(func(src, tag int, postV model.Time) {
+		out = append(out, RecvSummary{Src: src, Tag: tag, PostV: postV})
+	})
+	ep.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].PostV != out[j].PostV {
 			return out[i].PostV < out[j].PostV
@@ -341,14 +338,10 @@ func (ep *Endpoint) PostedFrontier() []RecvSummary {
 // UnexpectedFrontier snapshots this endpoint's queued unexpected messages
 // (arrived sends no receive has matched), in arrival order. Envelopes are
 // copied out under the lock, as with Probe. Safe to call from any goroutine.
-func (ep *Endpoint) UnexpectedFrontier() []Envelope {
-	ep.lock()
-	var out []Envelope
-	for _, m := range ep.unexFifo.q[ep.unexFifo.head:] {
-		if m != nil {
-			out = append(out, Envelope{Src: m.Src, Tag: m.Tag, Bytes: len(m.Data), ArriveV: m.ArriveV})
-		}
-	}
-	ep.unlock()
+func (ep *Endpoint) UnexpectedFrontier() []transport.Envelope {
+	var out []transport.Envelope
+	ep.mu.Lock()
+	ep.tab.EachUnexpected(func(env transport.Envelope) { out = append(out, env) })
+	ep.mu.Unlock()
 	return out
 }

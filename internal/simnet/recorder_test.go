@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
 // emitN publishes n send events for rank on f with increasing virtual time.
@@ -126,7 +127,7 @@ func TestFrontiers(t *testing.T) {
 	}
 
 	// A sent message nothing received: lands on rank 0's unexpected queue.
-	ep1.Send(0, 9, []byte{1, 2, 3, 4}, 60)
+	send(ep1, 0, 9, []byte{1, 2, 3, 4}, 60)
 	unex := ep0.UnexpectedFrontier()
 	if len(unex) != 1 {
 		t.Fatalf("unexpected frontier has %d entries, want 1", len(unex))
@@ -138,7 +139,7 @@ func TestFrontiers(t *testing.T) {
 	// Matching traffic leaves both frontiers empty.
 	g := NewFabric(2)
 	r := g.Endpoint(0).PostRecv(1, 3, make([]byte, 4), 10)
-	g.Endpoint(1).Send(0, 3, []byte{1, 2, 3, 4}, 20)
+	send(g.Endpoint(1), 0, 3, []byte{1, 2, 3, 4}, 20)
 	r.Wait()
 	r.Release()
 	if len(g.Endpoint(0).PostedFrontier()) != 0 || len(g.Endpoint(0).UnexpectedFrontier()) != 0 {
@@ -153,7 +154,7 @@ func TestFaultEventEmittedWithRegion(t *testing.T) {
 	src := f.Endpoint(1)
 	src.SetRegion(f.InternRegion("exchange"))
 	r := f.Endpoint(0).PostRecv(1, 7, make([]byte, 4), 5)
-	src.Send(0, 7, []byte{1, 2, 3, 4}, 50)
+	send(src, 0, 7, []byte{1, 2, 3, 4}, 50)
 	r.Wait()
 	r.Release()
 
@@ -167,7 +168,7 @@ func TestFaultEventEmittedWithRegion(t *testing.T) {
 	if fault == nil {
 		t.Fatal("no EvFault recorded on the sender")
 	}
-	if fault.Fault != FaultDropped || fault.Peer != 0 || fault.Tag != 7 {
+	if fault.Fault != transport.FaultDropped || fault.Peer != 0 || fault.Tag != 7 {
 		t.Fatalf("fault event = %+v", fault)
 	}
 	if f.RegionLabel(fault.Region) != "exchange" {
@@ -185,7 +186,7 @@ func TestReportFailureDump(t *testing.T) {
 
 	pm := f.ReportFailure(FailingOp{
 		Rank: 0, Op: "MPI recv", Peer: 1, Tag: 7,
-		Region: rid, Kind: FaultCancelled,
+		Region: rid, Kind: transport.FaultCancelled,
 		Reason: "watchdog cancelled", V: 99,
 	})
 	if pm == nil {

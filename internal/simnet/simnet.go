@@ -5,9 +5,10 @@
 // timestamps to every message. It is deliberately cost-model-agnostic: the
 // caller (the mpi and shmem packages) computes arrival and completion times
 // from a model.Profile and hands them to the fabric. simnet's job is the
-// mechanics — source/tag matching with wildcard support, unexpected-message
-// queues, a virtual-time max-reducing barrier, and an event stream for the
-// trace package.
+// mechanics — delivering two-sided messages into each rank's match table
+// (transport.Table; the endpoint is this fabric's transport.Port), optional
+// deterministic fault injection in front of it, a virtual-time max-reducing
+// barrier, and an event stream for the trace package.
 package simnet
 
 import (
@@ -16,13 +17,14 @@ import (
 	"sync/atomic"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
-// Wildcards for two-sided matching, mirroring MPI_ANY_SOURCE / MPI_ANY_TAG.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
+// Kept for the layer ladder only: benchmark/ takes its wire buffers with
+// simnet.GetBuf and reads the pool counters with simnet.PoolStats. Product
+// code uses the transport package, where the pool lives.
+func GetBuf(n int) []byte             { return transport.GetBuf(n) }
+func PoolStats() (hits, misses int64) { return transport.PoolStats() }
 
 // EventKind labels an entry in the fabric's observer stream.
 type EventKind int
@@ -90,7 +92,7 @@ type Event struct {
 
 	// Fault is the injector verdict carried by EvFault events; FaultNone
 	// everywhere else.
-	Fault FaultKind
+	Fault transport.FaultKind
 }
 
 // Observer receives fabric events. Observers must be fast and must not call

@@ -3,156 +3,23 @@ package simnet
 import (
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
-func TestMatchingBySourceAndTag(t *testing.T) {
-	f := NewFabric(3)
-	dst := f.Endpoint(0)
-	f.Endpoint(1).Send(0, 5, []byte{1}, 10)
-	f.Endpoint(2).Send(0, 5, []byte{2}, 20)
-	f.Endpoint(1).Send(0, 6, []byte{3}, 30)
+// Matching semantics (source/tag/wildcards, FIFO, truncation, probe, cancel,
+// rendezvous, counts) are checked once for both transports by the Port
+// conformance suite in internal/transport; the tests in this package cover
+// what only simnet has: the barrier, the event stream, the fault injector in
+// front of the feeder, and the feeder and token wait under concurrency.
 
-	r := dst.PostRecv(2, 5, make([]byte, 1), 0)
-	if !r.Matched() {
-		t.Fatal("queued message not matched")
-	}
-	m, n := r.Result()
-	if m.Src != 2 || n != 1 || m.Data[0] != 2 {
-		t.Errorf("matched %+v n=%d", m, n)
-	}
-
-	r = dst.PostRecv(1, 6, make([]byte, 1), 0)
-	m, _ = r.Result()
-	if m.Data[0] != 3 {
-		t.Errorf("tag matching failed: got %d", m.Data[0])
-	}
-
-	r = dst.PostRecv(AnySource, AnyTag, make([]byte, 1), 0)
-	m, _ = r.Result()
-	if m.Data[0] != 1 {
-		t.Errorf("wildcard should take remaining message, got %d", m.Data[0])
-	}
-	if dst.PendingUnexpected() != 0 {
-		t.Errorf("%d unexpected messages leaked", dst.PendingUnexpected())
-	}
-}
-
-func TestPostedBeforeArrival(t *testing.T) {
-	f := NewFabric(2)
-	dst := f.Endpoint(0)
-	r := dst.PostRecv(1, 0, make([]byte, 4), 10)
-	if r.Matched() {
-		t.Fatal("matched before any send")
-	}
-	f.Endpoint(1).Send(0, 0, []byte{9, 8, 7, 6}, 50)
-	r.Wait()
-	if r.Unexpected() {
-		t.Error("receive posted at vtime 10 with arrival at 50 flagged unexpected")
-	}
-	_, n := r.Result()
-	if n != 4 {
-		t.Errorf("n = %d", n)
-	}
-}
-
-func TestUnexpectedFlagUsesVirtualTime(t *testing.T) {
-	f := NewFabric(2)
-	dst := f.Endpoint(0)
-	// Arrival vtime 500, receive posted at vtime 900: unexpected.
-	f.Endpoint(1).Send(0, 0, []byte{1}, 500)
-	r := dst.PostRecv(1, 0, make([]byte, 1), 900)
-	if !r.Unexpected() {
-		t.Error("late-posted receive not flagged unexpected")
-	}
-	// Arrival vtime 2000, posted at 900 (real order reversed): expected.
-	f.Endpoint(1).Send(0, 0, []byte{1}, 2000)
-	r2 := dst.PostRecv(1, 0, make([]byte, 1), 900)
-	r2.Wait()
-	if r2.Unexpected() {
-		t.Error("receive with later arrival vtime flagged unexpected")
-	}
-}
-
-func TestTruncationToPostedBuffer(t *testing.T) {
-	f := NewFabric(2)
-	f.Endpoint(1).Send(0, 0, []byte{1, 2, 3, 4, 5}, 0)
-	r := f.Endpoint(0).PostRecv(1, 0, make([]byte, 3), 0)
-	_, n := r.Result()
-	if n != 3 {
-		t.Errorf("truncated n = %d", n)
-	}
-}
-
-func TestSendCopiesPayload(t *testing.T) {
-	f := NewFabric(2)
-	buf := []byte{1, 2, 3}
-	f.Endpoint(0).Send(1, 0, buf, 0)
-	buf[0] = 99 // mutate after send: the fabric must have its own copy
-	r := f.Endpoint(1).PostRecv(0, 0, make([]byte, 3), 0)
-	m, _ := r.Result()
-	if m.Data[0] != 1 {
-		t.Error("send did not copy the payload")
-	}
-}
-
-func TestProbe(t *testing.T) {
-	f := NewFabric(2)
-	if _, ok := f.Endpoint(1).Probe(0, 3); ok {
-		t.Fatal("probe matched on empty queue")
-	}
-	f.Endpoint(0).Send(1, 3, []byte{42}, 7)
-	m, ok := f.Endpoint(1).Probe(0, 3)
-	if !ok || m.Tag != 3 || m.ArriveV != 7 {
-		t.Fatalf("probe = %+v ok=%v", m, ok)
-	}
-	// Probe must not consume.
-	if f.Endpoint(1).PendingUnexpected() != 1 {
-		t.Error("probe consumed the message")
-	}
-}
-
-func TestFIFOPerPairUnderConcurrency(t *testing.T) {
-	const k = 200
-	f := NewFabric(2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < k; i++ {
-			f.Endpoint(0).Send(1, 0, []byte{byte(i)}, model.Time(i))
-		}
-	}()
-	errs := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < k; i++ {
-			r := f.Endpoint(1).PostRecv(0, 0, make([]byte, 1), 0)
-			r.Wait()
-			m, _ := r.Result()
-			if m.Data[0] != byte(i) {
-				select {
-				case errs <- &outOfOrder{i, int(m.Data[0])}:
-				default:
-				}
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-}
-
-type outOfOrder struct{ want, got int }
-
-func (e *outOfOrder) Error() string {
-	return "out of order"
+// send is the copying convenience the tests want over the ownership-transfer
+// Send: an eager message carrying a pooled copy of data.
+func send(ep *Endpoint, dst, tag int, data []byte, arriveV model.Time) transport.SendResult {
+	b := transport.GetBuf(len(data))
+	copy(b, data)
+	return ep.Send(dst, tag, b, arriveV, false)
 }
 
 func TestBarrierMaxReduces(t *testing.T) {
@@ -197,28 +64,6 @@ func TestBarrierReusable(t *testing.T) {
 				t.Fatalf("round %d participant %d: %v want %v", round, i, r, want)
 			}
 		}
-	}
-}
-
-// Property: for any payload, what is received equals what was sent.
-func TestPayloadRoundTripProperty(t *testing.T) {
-	f := NewFabric(2)
-	prop := func(payload []byte, tag uint8) bool {
-		f.Endpoint(0).Send(1, int(tag), payload, 0)
-		r := f.Endpoint(1).PostRecv(0, int(tag), make([]byte, len(payload)), 0)
-		m, n := r.Result()
-		if n != len(payload) {
-			return false
-		}
-		for i := range payload {
-			if m.Data[i] != payload[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

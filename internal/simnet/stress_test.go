@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
 // Scale-out stress tests: the barrier and the lazily-allocated matched
@@ -98,15 +99,15 @@ func TestMatchStressLazy(t *testing.T) {
 				out[0] = byte(me)
 				sendFirst := rng.Intn(2) == 0
 				if sendFirst {
-					wire := GetBuf(len(out))
+					wire := transport.GetBuf(len(out))
 					copy(wire, out)
-					ep.SendOwned(right, r, wire, 0, false)
+					ep.Send(right, r, wire, 0, false)
 				}
 				rr := ep.PostRecv(left, r, buf, 0)
 				if !sendFirst {
-					wire := GetBuf(len(out))
+					wire := transport.GetBuf(len(out))
 					copy(wire, out)
-					ep.SendOwned(right, r, wire, 0, false)
+					ep.Send(right, r, wire, 0, false)
 				}
 				rr.Wait()
 				if rr.Len() != 8 || buf[0] != byte(left) {

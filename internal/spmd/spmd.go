@@ -92,7 +92,7 @@ func (w *World) Port(r int) transport.Port {
 	if w.shmNet != nil {
 		return w.shmNet.Port(r)
 	}
-	return transport.SimPort{Ep: w.fabric.Endpoint(r)}
+	return w.fabric.Endpoint(r)
 }
 
 // Size reports the number of ranks.

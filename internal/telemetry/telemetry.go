@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"commintent/internal/simnet"
+	"commintent/internal/transport"
 	"commintent/internal/typemap"
 )
 
@@ -105,9 +106,9 @@ func (t *Telemetry) BindFabric(f *simnet.Fabric) {
 // series carry no rank label.
 func (t *Telemetry) bindDataPlane() {
 	t.reg.GaugeFunc("simnet_payload_pool_ops_total",
-		func() int64 { h, _ := simnet.PoolStats(); return h }, L("result", "hit"))
+		func() int64 { h, _ := transport.PoolStats(); return h }, L("result", "hit"))
 	t.reg.GaugeFunc("simnet_payload_pool_ops_total",
-		func() int64 { _, m := simnet.PoolStats(); return m }, L("result", "miss"))
+		func() int64 { _, m := transport.PoolStats(); return m }, L("result", "miss"))
 	t.reg.GaugeFunc("typemap_pack_ops_total",
 		func() int64 { fe, _, _, _ := typemap.PathStats(); return fe }, L("op", "encode"), L("path", "fast"))
 	t.reg.GaugeFunc("typemap_pack_ops_total",

@@ -1,4 +1,4 @@
-package simnet
+package transport
 
 import (
 	"sync"
@@ -7,9 +7,9 @@ import (
 
 // Payload buffer pooling. Steady-state message traffic recycles its wire
 // buffers through size-classed freelists instead of allocating per message:
-// a sender takes a buffer with GetBuf, hands ownership to the fabric via
-// SendOwned, and the fabric returns it to the pool once complete() has
-// copied the payload into the posted receive.
+// a sender takes a buffer with GetBuf, hands ownership to the transport via
+// Port.Send, and Complete returns it to the pool once it has copied the
+// payload into the posted receive.
 //
 // The freelists are buffered channels rather than sync.Pool: a chan []byte
 // stores slice headers inline, so Get and Put are allocation-free, whereas
@@ -100,7 +100,7 @@ func GetBuf(n int) []byte {
 }
 
 // PutBuf returns a buffer to its freelist. b must have come from GetBuf —
-// directly, or via SendOwned's ownership transfer — and the caller must
+// directly, or via Port.Send's ownership transfer — and the caller must
 // not retain a reference afterwards. PutBuf routes by capacity alone, so a
 // foreign buffer whose capacity happens to be an exact class size would be
 // adopted into the pool while its original owner still holds it, and a
@@ -124,11 +124,15 @@ func PoolStats() (hits, misses int64) {
 	return poolHits.Load(), poolMisses.Load()
 }
 
-// msgPool recycles Msg headers for the ownership-transfer send path.
-// Only eager SendOwned messages are pooled: a rendezvous sender keeps a
-// reference to its Msg to read MatchV after the handshake, so those must
-// stay heap-owned until the sender drops them.
+// msgPool recycles Msg headers. Only eager messages are pooled: a
+// rendezvous sender keeps a reference to its Msg to read MatchV after the
+// handshake (and possibly to cancel it), so those must stay heap-owned
+// until the sender drops them.
 var msgPool = sync.Pool{New: func() any { return new(Msg) }}
 
-func getMsg() *Msg  { return msgPool.Get().(*Msg) }
 func putMsg(m *Msg) { *m = Msg{}; msgPool.Put(m) }
+
+// recvPool recycles receive handles, which is what makes the steady-state
+// receive path allocation-free. A handle keeps its wait strategy's Token
+// channel across cycles (see Recv.Release).
+var recvPool = sync.Pool{New: func() any { return new(Recv) }}

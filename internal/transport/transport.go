@@ -1,14 +1,23 @@
-// Package transport abstracts the two-sided data plane behind the MPI-like
-// substrate, so the same directive programs can be lowered onto different
-// interconnects: the deterministic virtual-time simnet fabric, or the truly
-// parallel in-process shared-memory transport (see internal/shmtransport).
+// Package transport is the two-sided data plane behind the MPI-like
+// substrate: the seam the same directive programs are lowered through onto
+// different interconnects — the deterministic virtual-time simnet fabric, or
+// the truly parallel in-process shared-memory transport (internal/shmtransport).
 //
-// The interface is cut exactly at the fabric's matching layer — post a send,
-// post a receive, probe, cancel — with virtual timestamps flowing through as
-// opaque model.Time values. On simnet those are cost-model arrival times; on
-// a wall-clock transport they are real monotonic readings from the same
-// Clock seam (see model.Clock.SetWall), so the completion, deadline and
-// telemetry machinery above does not fork on "what is time".
+// It is a leaf: it defines the Port interface, every type that crosses it
+// (the Recv and Msg handles, Envelope, FaultKind and its sentinel errors, the
+// AnySource/AnyTag wildcards, the pooled wire buffers) and the one
+// receiver-side match Table, and imports neither implementation. A transport
+// is a feeder — how an arrived message reaches its destination's Table under
+// mutual exclusion — plus a wait strategy — how the posting goroutine sleeps
+// until a receive completes. Everything about *what matches what* is here,
+// once.
+//
+// The interface is cut exactly at the matching layer — post a send, post a
+// receive, probe, cancel — with timestamps flowing through as opaque
+// model.Time values. On simnet those are cost-model arrival times; on a
+// wall-clock transport they are real monotonic readings from the same Clock
+// seam (see model.Clock.SetWall), so the completion, deadline and telemetry
+// machinery above does not fork on "what is time".
 //
 // What deliberately stays outside the interface:
 //
@@ -18,17 +27,16 @@
 //   - RMA window and SHMEM one-sided ops: in-process they are direct memory
 //     copies plus clock charges on the caller, with no per-transport
 //     mechanics to abstract;
-//   - fault injection and canonical-cost replay, which are simnet-only by
-//     design (they exist to make simulated runs deterministic).
+//   - the fault injector, which today sits in front of simnet's feeder only
+//     (FaultKind lives here so that a Port decorator can carry it to every
+//     transport), and canonical-cost replay, which is simnet-only by design.
 package transport
 
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"commintent/internal/model"
-	"commintent/internal/simnet"
 )
 
 // Kind names a two-sided transport implementation.
@@ -63,7 +71,7 @@ func Parse(name string) (Kind, error) {
 	switch name {
 	case "", "simnet":
 		return Simnet, nil
-	case "shm", "shmem", "parallel":
+	case "shm":
 		return SharedMem, nil
 	default:
 		return Simnet, fmt.Errorf("transport: unknown transport %q (want simnet or shm)", name)
@@ -80,40 +88,26 @@ func Select(profileTransport string) (Kind, error) {
 	return Parse(profileTransport)
 }
 
-// RecvHandle tracks one posted receive until completion. *simnet.RecvReq
-// satisfies it directly. Only the posting goroutine may use it. Release
-// recycles pooled handles; no accessor is valid afterwards.
-type RecvHandle interface {
-	Wait()
-	WaitTimeout(d time.Duration) bool
-	Matched() bool
-	Fault() simnet.FaultKind
-	Release()
-	PostV() model.Time
-	Src() int
-	Tag() int
-	Len() int
-	ArriveV() model.Time
-	Unexpected() bool
-}
+// Wildcards for two-sided matching, mirroring MPI_ANY_SOURCE / MPI_ANY_TAG.
+const (
+	AnySource = -1
+	AnyTag    = -1
+)
 
-// MsgHandle tracks one rendezvous send until the matching receive claims it.
-// *simnet.Msg satisfies it directly. Only the sending goroutine may use it.
-type MsgHandle interface {
-	IsMatched() bool
-	WaitMatched()
-	WaitMatchedTimeout(d time.Duration) bool
-	MatchV() model.Time
-}
+// RecvHandle is the name the layer ladder (benchmark/) spells a posted
+// receive by; product code says *Recv.
+type RecvHandle = *Recv
 
 // SendResult reports a posted send. Msg is nil for eager sends (the
 // transport owns and may already have recycled the message); rendezvous
 // sends carry the handle so the sender can await the match. Fault is the
-// injector's verdict on simnet, always FaultNone on parallel transports.
+// injector's send-time verdict — the sender learns a drop synchronously, the
+// deterministic stand-in for an acknowledgement timeout, while the receiver
+// learns it from the delivered ghost; FaultNone where nothing injects.
 type SendResult struct {
-	Msg    MsgHandle
+	Msg    *Msg
 	LocalV model.Time
-	Fault  simnet.FaultKind
+	Fault  FaultKind
 }
 
 // Port is one rank's attachment to a two-sided transport. All methods must
@@ -124,81 +118,33 @@ type Port interface {
 	Rank() int
 
 	// Send posts a message whose payload buffer's ownership transfers to
-	// the transport (callers obtain it from simnet.GetBuf); it is returned
-	// to the pool once the matching receive has copied it out. arriveV is
-	// the timestamp at which the payload is observable at the destination.
+	// the transport (callers obtain it from GetBuf); it is returned to the
+	// pool once the matching receive has copied it out. arriveV is the
+	// timestamp at which the payload is observable at the destination.
 	Send(dst, tag int, data []byte, arriveV model.Time, rendezvous bool) SendResult
 
 	// PostRecv posts a receive for (src|AnySource, tag|AnyTag); the payload
 	// is copied into buf, truncated to len(buf).
-	PostRecv(src, tag int, buf []byte, postV model.Time) RecvHandle
+	PostRecv(src, tag int, buf []byte, postV model.Time) *Recv
 
 	// Probe reports whether a matching unexpected message is queued,
 	// without receiving it.
-	Probe(src, tag int) (simnet.Envelope, bool)
+	Probe(src, tag int) (Envelope, bool)
 
 	// CancelRecv withdraws a posted-but-unmatched receive, reporting
 	// whether the cancellation won; on false the owner must consume the
 	// normal completion.
-	CancelRecv(r RecvHandle) bool
+	CancelRecv(r *Recv) bool
 
 	// CancelMsg withdraws this rank's own rendezvous message from dst's
-	// unexpected queue, reporting whether the withdrawal won.
-	CancelMsg(dst int, m MsgHandle) bool
+	// unexpected queue, reporting whether the withdrawal won; on false a
+	// receive claimed it and the sender completes the handshake normally.
+	CancelMsg(dst int, m *Msg) bool
 
-	// Queue introspection, mirrored from simnet for telemetry and leak
-	// checks.
+	// Queue introspection for telemetry and leak checks. A withdrawn
+	// message is not pending once the destination's owner has made
+	// progress, and never raises the high-watermark after its withdrawal.
 	PendingUnexpected() int
 	PendingPosted() int
 	UnexpectedHighWatermark() int
 }
-
-// SimPort adapts a simnet endpoint to the Port interface. It is a thin
-// wrapper: the fabric's matching layer already has exactly this shape.
-type SimPort struct {
-	Ep *simnet.Endpoint
-}
-
-// Rank implements Port.
-func (p SimPort) Rank() int { return p.Ep.Rank() }
-
-// Send implements Port via the fabric's ownership-transfer send.
-func (p SimPort) Send(dst, tag int, data []byte, arriveV model.Time, rendezvous bool) SendResult {
-	sr := p.Ep.SendOwned(dst, tag, data, arriveV, rendezvous)
-	res := SendResult{LocalV: sr.LocalV, Fault: sr.Fault}
-	if sr.Msg != nil {
-		res.Msg = sr.Msg
-	}
-	return res
-}
-
-// PostRecv implements Port.
-func (p SimPort) PostRecv(src, tag int, buf []byte, postV model.Time) RecvHandle {
-	return p.Ep.PostRecv(src, tag, buf, postV)
-}
-
-// Probe implements Port.
-func (p SimPort) Probe(src, tag int) (simnet.Envelope, bool) {
-	return p.Ep.Probe(src, tag)
-}
-
-// CancelRecv implements Port.
-func (p SimPort) CancelRecv(r RecvHandle) bool {
-	return p.Ep.CancelRecv(r.(*simnet.RecvReq))
-}
-
-// CancelMsg implements Port. The message lives in the destination's
-// unexpected queue, so the cancel is routed through the destination
-// endpoint, as the fabric requires.
-func (p SimPort) CancelMsg(dst int, m MsgHandle) bool {
-	return p.Ep.Fabric().Endpoint(dst).CancelMsg(m.(*simnet.Msg))
-}
-
-// PendingUnexpected implements Port.
-func (p SimPort) PendingUnexpected() int { return p.Ep.PendingUnexpected() }
-
-// PendingPosted implements Port.
-func (p SimPort) PendingPosted() int { return p.Ep.PendingPosted() }
-
-// UnexpectedHighWatermark implements Port.
-func (p SimPort) UnexpectedHighWatermark() int { return p.Ep.UnexpectedHighWatermark() }

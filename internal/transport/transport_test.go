@@ -11,8 +11,10 @@ func TestParse(t *testing.T) {
 		{"", Simnet, true},
 		{"simnet", Simnet, true},
 		{"shm", SharedMem, true},
-		{"shmem", SharedMem, true},
-		{"parallel", SharedMem, true},
+		// One spelling per transport: "shmem" would collide with the SHMEM
+		// *target*, and nothing ever used "parallel".
+		{"shmem", Simnet, false},
+		{"parallel", Simnet, false},
 		{"tcp", Simnet, false},
 		{"SHM", Simnet, false},
 	}
