@@ -17,8 +17,10 @@ test:
 # GOMAXPROCS, which on a single-P box would never exercise true rank
 # parallelism — the lock-free mailbox's memory-order claims are only
 # meaningfully checked by -race when ranks genuinely preempt each other;
-# the bound-directive replay property rides along, because that is where
-# ranks really share one parsed block concurrently, and so does the
+# the bound-directive replay property rides along — core's over clause
+# lists, pragma's over text, where ranks really share one parsed block
+# concurrently — with the WL-LSMS spin transfer on all three targets, whose
+# one-sided window is created by every rank at once, and so does the
 # back-to-back mixed-collective stress, whose point is ranks lapping each
 # other through the one-wave rendezvous under every algorithm), the
 # benchmark's smoke test under the race detector (the configuration in which
@@ -29,7 +31,9 @@ test:
 # exercised even though normal builds take the zero-copy path, and the
 # telemetry gates re-run without -race (the disabled-telemetry overhead
 # bound is a timing assertion the race detector would skew; the metric-name
-# collision check rides along). The final line is the golden-compatibility
+# collision check rides along, and so does the zero-allocation guard of a
+# replayed setEvec region: allocation counts under -race are not the
+# product's). The final line is the golden-compatibility
 # gate: with COMMINTENT_MANAGED_RUNTIME and COMMINTENT_TRANSPORT explicitly
 # cleared, every virtual-time golden (chaos hashes, pinned schedules, the
 # figure pins) must still be bit-identical — the adaptive layer off is
@@ -54,10 +58,10 @@ verify: vet-intent
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestCollectiveStress' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestSetEvecEveryTarget|TestCollectiveStress' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/
 	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/
-	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree' ./internal/telemetry/
+	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs' ./internal/telemetry/ ./internal/wllsms/
 	COMMINTENT_MANAGED_RUNTIME= COMMINTENT_TRANSPORT= $(GO) test -run 'TestChaosHaloSweep|TestVirtualTimePinned|TestFiguresPinned|TestRetuneOffIsBitIdentical' . ./internal/mpi/ ./internal/bench/
 
 # vet-intent is the static intent-verification gate: commvet analyses every

@@ -158,10 +158,7 @@ func (e *Env) classify(v any) (*bufInfo, error) {
 	key, cacheable := BufIDOf(v)
 	if cacheable {
 		if b, ok := e.resolve[key]; ok {
-			e.tele.resolveHits.Inc()
-			if b.class == bufStruct {
-				e.chargeLayout(true)
-			}
+			e.reuse(b)
 			return b, nil
 		}
 	}
@@ -174,6 +171,16 @@ func (e *Env) classify(v any) (*bufInfo, error) {
 		e.resolve[key] = b
 	}
 	return b, nil
+}
+
+// reuse accounts for a classified buffer met again, in the handle cache or
+// in a bound form: the hit is counted, and a struct buffer pays the
+// datatype-cache lookup its classification would.
+func (e *Env) reuse(b *bufInfo) {
+	e.tele.resolveHits.Inc()
+	if b.class == bufStruct {
+		e.chargeLayout(true)
+	}
 }
 
 // classifySlow analyses one clause buffer from scratch.

@@ -14,26 +14,21 @@ import (
 type Clauses struct {
 	// sender: expression evaluating to the id (comm rank) of the process
 	// that sends to the current process.
-	sender    func() int
-	senderSet bool
+	sender intClause
 	// receiver: expression evaluating to the id of the process that
 	// receives the message sent by the current process.
-	receiver    func() int
-	receiverSet bool
+	receiver intClause
 
 	sbuf []any
 	rbuf []any
 
-	sendWhen    func() bool
-	sendWhenSet bool
-	recvWhen    func() bool
-	recvWhenSet bool
+	sendWhen boolClause
+	recvWhen boolClause
 
 	target    Target
 	targetSet bool
 
-	count    func() int
-	countSet bool
+	count intClause
 
 	// comm_parameters-only clauses.
 	placeSync      SyncPlacement
@@ -46,39 +41,62 @@ type Clauses struct {
 	managedSet     bool
 }
 
+// intClause is an integer clause expression: the constant v, or fn when the
+// clause was given in its re-evaluated (*Fn) form. Keeping the constant as
+// a value is what lets a bound directive know its peers and count without
+// executing anything.
+type intClause struct {
+	fn  func() int
+	v   int
+	set bool
+}
+
+func (c intClause) eval() int {
+	if c.fn != nil {
+		return c.fn()
+	}
+	return c.v
+}
+
+// boolClause is the Boolean counterpart of intClause, for the when clauses.
+type boolClause struct {
+	fn  func() bool
+	v   bool
+	set bool
+}
+
+// holds reports whether the role the clause selects applies to this rank:
+// an absent when clause selects every rank.
+func (c boolClause) holds() bool {
+	if c.fn != nil {
+		return c.fn()
+	}
+	return !c.set || c.v
+}
+
 // Option asserts one clause.
 type Option func(*Clauses)
 
-// trueFn and falseFn back the constant-expression forms of the when/count
-// clauses, so a clause list built once outside a loop applies without
-// allocating per directive execution.
-var (
-	trueFn  = func() bool { return true }
-	falseFn = func() bool { return false }
-)
-
 // Sender asserts the id of the process that sends to the current process.
 func Sender(id int) Option {
-	f := func() int { return id }
-	return func(c *Clauses) { c.sender = f; c.senderSet = true }
+	return func(c *Clauses) { c.sender = intClause{v: id, set: true} }
 }
 
 // SenderFn is Sender with an expression re-evaluated at each comm_p2p
 // execution (for clause expressions over loop variables).
 func SenderFn(f func() int) Option {
-	return func(c *Clauses) { c.sender = f; c.senderSet = true }
+	return func(c *Clauses) { c.sender = intClause{fn: f, set: true} }
 }
 
 // Receiver asserts the id of the process that receives from the current
 // process.
 func Receiver(id int) Option {
-	f := func() int { return id }
-	return func(c *Clauses) { c.receiver = f; c.receiverSet = true }
+	return func(c *Clauses) { c.receiver = intClause{v: id, set: true} }
 }
 
 // ReceiverFn is Receiver with a re-evaluated expression.
 func ReceiverFn(f func() int) Option {
-	return func(c *Clauses) { c.receiver = f; c.receiverSet = true }
+	return func(c *Clauses) { c.receiver = intClause{fn: f, set: true} }
 }
 
 // SBuf lists the origin buffer(s) of the message. An empty list asserts
@@ -103,31 +121,23 @@ func RBuf(bufs ...any) Option {
 
 // SendWhen asserts the Boolean expression selecting which processes send.
 func SendWhen(b bool) Option {
-	f := falseFn
-	if b {
-		f = trueFn
-	}
-	return func(c *Clauses) { c.sendWhen = f; c.sendWhenSet = true }
+	return func(c *Clauses) { c.sendWhen = boolClause{v: b, set: true} }
 }
 
 // SendWhenFn is SendWhen with a re-evaluated expression.
 func SendWhenFn(f func() bool) Option {
-	return func(c *Clauses) { c.sendWhen = f; c.sendWhenSet = true }
+	return func(c *Clauses) { c.sendWhen = boolClause{fn: f, set: true} }
 }
 
 // ReceiveWhen asserts the Boolean expression selecting which processes
 // receive.
 func ReceiveWhen(b bool) Option {
-	f := falseFn
-	if b {
-		f = trueFn
-	}
-	return func(c *Clauses) { c.recvWhen = f; c.recvWhenSet = true }
+	return func(c *Clauses) { c.recvWhen = boolClause{v: b, set: true} }
 }
 
 // ReceiveWhenFn is ReceiveWhen with a re-evaluated expression.
 func ReceiveWhenFn(f func() bool) Option {
-	return func(c *Clauses) { c.recvWhen = f; c.recvWhenSet = true }
+	return func(c *Clauses) { c.recvWhen = boolClause{fn: f, set: true} }
 }
 
 // WithTarget asserts which library calls to generate.
@@ -138,13 +148,12 @@ func WithTarget(t Target) Option {
 // Count asserts the number of elements of the sender's buffer(s) passed to
 // the receiver's buffer(s).
 func Count(n int) Option {
-	f := func() int { return n }
-	return func(c *Clauses) { c.count = f; c.countSet = true }
+	return func(c *Clauses) { c.count = intClause{v: n, set: true} }
 }
 
 // CountFn is Count with a re-evaluated expression.
 func CountFn(f func() int) Option {
-	return func(c *Clauses) { c.count = f; c.countSet = true }
+	return func(c *Clauses) { c.count = intClause{fn: f, set: true} }
 }
 
 // PlaceSync asserts where completion synchronisation is placed. Only valid
@@ -200,12 +209,19 @@ func (c *Clauses) inherit(region *Clauses, opts []Option) {
 	}
 }
 
+// constant reports whether no clause expression of c is a *Fn form: what
+// the expressions evaluate to is then the same at every execution.
+func (c *Clauses) constant() bool {
+	return c.sender.fn == nil && c.receiver.fn == nil && c.count.fn == nil &&
+		c.sendWhen.fn == nil && c.recvWhen.fn == nil
+}
+
 // validateP2P checks a fully merged comm_p2p clause set.
 func validateP2P(c *Clauses) error {
-	if !c.senderSet {
+	if !c.sender.set {
 		return fmt.Errorf("%w: sender", ErrMissingClause)
 	}
-	if !c.receiverSet {
+	if !c.receiver.set {
 		return fmt.Errorf("%w: receiver", ErrMissingClause)
 	}
 	if len(c.sbuf) == 0 {
@@ -217,7 +233,7 @@ func validateP2P(c *Clauses) error {
 	if len(c.sbuf) != len(c.rbuf) {
 		return fmt.Errorf("%w: %d vs %d", ErrBufferMismatch, len(c.sbuf), len(c.rbuf))
 	}
-	if c.sendWhenSet != c.recvWhenSet {
+	if c.sendWhen.set != c.recvWhen.set {
 		return ErrWhenPairing
 	}
 	return nil

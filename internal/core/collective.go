@@ -120,8 +120,8 @@ func (e *Env) Coll(opts ...CollOption) error {
 	// contribution for ManyToOne, whole payload for OneToMany.
 	n := e.comm.Size()
 	var count int
-	if cl.countSet {
-		count = cl.count()
+	if cl.count.set {
+		count = cl.count.eval()
 		if count <= 0 {
 			return fmt.Errorf("core: count clause evaluated to %d", count)
 		}

@@ -14,7 +14,13 @@ func (d Decision) String() string {
 	return fmt.Sprintf("[region %d] %-12s %s", d.Region, d.Kind, d.Detail)
 }
 
-const maxRecordedDecisions = 4096
+// maxRecordedDecisions caps the log. Its storage is allocated once, at the
+// cap, by the first decision: grown by doubling it was reallocated five
+// times per rank on the way to a cap four times this one, which at 256 ranks
+// was most of a steady-state halo's allocation volume. Nothing reads past
+// the first few hundred records, and 16 KiB per rank does not show in a
+// world's set-up time.
+const maxRecordedDecisions = 1024
 
 // decisionCode selects the wording of a logged decision. The log stores
 // the code and the one integer the wording interpolates; Decisions renders
@@ -55,6 +61,9 @@ type decisionRec struct {
 // (datatype commits, first syncs) are the informative ones.
 func (e *Env) note(region int, code decisionCode, a int) {
 	if len(e.decisions) < maxRecordedDecisions {
+		if e.decisions == nil {
+			e.decisions = make([]decisionRec, 0, maxRecordedDecisions)
+		}
 		e.decisions = append(e.decisions, decisionRec{region: int32(region), code: code, a: a})
 	}
 }

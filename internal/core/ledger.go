@@ -202,7 +202,7 @@ func (e *Env) flush(l *ledger, region int) error {
 		return nil
 	}
 	fsp := e.span("flush", "sync")
-	defer func() { fsp.End(e.comm.SPMD().Now()) }()
+	defer e.endSpan(&fsp)
 	if coPending {
 		// Drain coalesced batches before the ledger Waitall: every batch
 		// send is posted before this rank blocks, so two ranks flushing at

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"commintent/internal/telemetry"
 )
 
 // emitSpanName precomputes the per-target "emit:<target>" span labels so
@@ -21,117 +23,88 @@ func emitSpanLabel(t Target) string {
 	return "emit:" + t.String()
 }
 
-// emit lowers one fully merged comm_p2p directive: role evaluation
-// (sendwhen/receivewhen), buffer classification, count inference, target
-// resolution, buffer-independence analysis against the region's pending
-// operations, and code generation for the chosen backend.
-func (e *Env) emit(r *Region, cl *Clauses) error {
+// xfer is what one execution of a lowered comm_p2p transfers: the values
+// of its clause expressions and what follows from them.
+type xfer struct {
+	doSend, doRecv   bool
+	sendTo, recvFrom int // comm ranks; -1 without the role
+	count            int
+	inferred         bool // count came from the inference rule, not a clause
+	target           Target
+	auto             bool // target was TargetAuto's choice, over autoBytes
+	autoBytes        int
+	idle             bool // no role on this rank and no collective obligation
+}
+
+// emit executes one comm_p2p form whose clause set is merged and valid.
+// Lowering — buffer classification, then role evaluation, count inference,
+// target resolution and peer evaluation (evaluate) — runs in full unless the
+// form replays; a replay re-evaluates only what the form does not fix.
+// Either way what follows is per execution: the buffer-independence
+// analysis against the region's pending operations, code generation for the
+// chosen backend, and the ledger pin.
+func (e *Env) emit(r *Region, b *Bound, replay bool) error {
 	e.tele.directives.Inc()
-	dsp := e.span("comm_p2p", "directive")
-	defer func() { dsp.End(e.comm.SPMD().Now()) }()
-	lsp := e.span("lower", "directive")
+	var dsp, lsp, esp telemetry.SpanHandle
+	e.beginSpan(&dsp, "comm_p2p")
+	defer e.endSpan(&dsp)
+	e.beginSpan(&lsp, "lower")
 
-	doSend := !cl.sendWhenSet || cl.sendWhen()
-	doRecv := !cl.recvWhenSet || cl.recvWhen()
-
-	// Classify buffers. Both lists are analysed on every rank reaching the
-	// directive: the compiler sees the whole clause list regardless of the
-	// rank's role, and the one-sided backend needs collective window
-	// creation even on non-participants. The short clause lists of a
-	// typical directive fit the stack-backed arrays, keeping the steady
-	// state allocation-free.
-	var sarr, rarr [4]*bufInfo
-	sinfos, rinfos := sarr[:0], rarr[:0]
-	if len(cl.sbuf) > len(sarr) {
-		sinfos = make([]*bufInfo, 0, len(cl.sbuf))
-	}
-	if len(cl.rbuf) > len(rarr) {
-		rinfos = make([]*bufInfo, 0, len(cl.rbuf))
-	}
-	for i, b := range cl.sbuf {
-		bi, err := e.classify(b)
-		if err != nil {
-			return fmt.Errorf("core: sbuf[%d]: %w", i, err)
+	if replay {
+		// The buffers are met again: count and charge what the handle
+		// cache would on a hit, so that a replay and a fresh lowering of
+		// the same directive read the same clock.
+		for _, bi := range b.sinfos {
+			e.reuse(bi)
 		}
-		sinfos = append(sinfos, bi)
-	}
-	for i, b := range cl.rbuf {
-		bi, err := e.classify(b)
-		if err != nil {
-			return fmt.Errorf("core: rbuf[%d]: %w", i, err)
+		for _, bi := range b.rinfos {
+			e.reuse(bi)
 		}
-		rinfos = append(rinfos, bi)
+	} else if err := e.classifyAll(b); err != nil {
+		return err
 	}
 
-	// Count: explicit clause or the paper's inference rule.
-	var count int
-	if cl.countSet {
-		count = cl.count()
-		if count <= 0 {
-			return fmt.Errorf("core: count clause evaluated to %d", count)
-		}
-	} else {
-		var err error
-		count, err = inferCount(sinfos, rinfos)
-		if err != nil {
+	x, ranges := &b.x, b.ranges
+	if !replay || !b.fixed {
+		var (
+			dyn    xfer
+			rngArr [8]bufRange
+			err    error
+		)
+		x = &dyn
+		if ranges, err = e.evaluate(b, x, rngArr[:0]); err != nil {
 			return err
 		}
+		if !replay && r.bound != nil && b != &r.transient {
+			// Keep the lowering: the form replays under this region from
+			// now on, and with no *Fn clause so does what was evaluated.
+			b.env, b.parent = e, r.bound
+			if b.fixed = b.merged.constant(); b.fixed {
+				b.x, b.ranges = dyn, append(b.ranges[:0], ranges...)
+			}
+		}
+	}
+	if x.inferred {
 		e.tele.inferred.Inc()
-		e.note(r.id, decCountInfer, count)
+		e.note(r.id, decCountInfer, x.count)
 	}
-	// Scalar composite buffers always move exactly one element (their
-	// emission clamps to 1), so the count capacity check applies to array
-	// buffers only.
-	for i, b := range sinfos {
-		if doSend && b.isArray && count > b.elems {
-			return fmt.Errorf("core: count %d exceeds sbuf[%d] capacity %d", count, i, b.elems)
+	if x.auto {
+		code := decAutoMPI
+		if x.target == TargetSHMEM {
+			code = decAutoSHMEM
 		}
+		e.note(r.id, code, x.autoBytes)
+		e.tele.autoTarget[x.target].Inc()
 	}
-	for i, b := range rinfos {
-		if doRecv && b.isArray && count > b.elems {
-			return fmt.Errorf("core: count %d exceeds rbuf[%d] capacity %d", count, i, b.elems)
-		}
-	}
-
-	target := e.resolveTarget(r, cl, sinfos, rinfos, count)
-	lsp.End(e.comm.SPMD().Now())
-
-	if !doSend && !doRecv && target != TargetMPI1Side {
-		// No role on this rank and no collective obligations: the
-		// directive generates nothing here.
+	e.endSpan(&lsp)
+	if x.idle {
+		// The directive generates nothing here.
 		return nil
-	}
-
-	// Peer evaluation.
-	sendTo, recvFrom := -1, -1
-	if doSend {
-		sendTo = cl.receiver()
-		if sendTo < 0 || sendTo >= e.comm.Size() {
-			return fmt.Errorf("core: receiver clause evaluated to rank %d of comm size %d", sendTo, e.comm.Size())
-		}
-	}
-	if doRecv {
-		recvFrom = cl.sender()
-		if recvFrom < 0 || recvFrom >= e.comm.Size() {
-			return fmt.Errorf("core: sender clause evaluated to rank %d of comm size %d", recvFrom, e.comm.Size())
-		}
 	}
 
 	// Buffer-independence analysis: a directive whose buffers overlap a
 	// pending operation's buffers is dependent on it, so the consolidated
 	// synchronisation cannot be delayed past this point.
-	var rngArr [8]bufRange
-	ranges := rngArr[:0]
-	if doSend {
-		for _, b := range sinfos {
-			ranges = append(ranges, b.rangeFor(count))
-		}
-	}
-	if doRecv {
-		for _, b := range rinfos {
-			ranges = append(ranges, b.rangeFor(count))
-		}
-	}
 	if r.led.overlapsAny(ranges) {
 		if err := e.flush(r.led, r.id); err != nil {
 			return err
@@ -139,9 +112,10 @@ func (e *Env) emit(r *Region, cl *Clauses) error {
 		e.note(r.id, decSyncDependent, 0)
 	}
 
-	esp := e.span(emitSpanLabel(target), "directive")
+	sinfos, rinfos := b.sinfos, b.rinfos
+	e.beginSpan(&esp, emitSpanLabel(x.target))
 	var err error
-	switch target {
+	switch x.target {
 	case TargetMPI2Side:
 		if r.cfg.Coalesce {
 			// Managed runtime: an eligible small transfer joins the pending
@@ -149,20 +123,20 @@ func (e *Env) emit(r *Region, cl *Clauses) error {
 			// The pins below still register its buffers, so a dependent
 			// directive flushes the batch exactly as it would a request.
 			var handled bool
-			handled, err = e.coalesceP2P(r, sinfos, rinfos, count, doSend, doRecv, sendTo, recvFrom)
+			handled, err = e.coalesceP2P(r, sinfos, rinfos, x.count, x.doSend, x.doRecv, x.sendTo, x.recvFrom)
 			if handled || err != nil {
 				break
 			}
 		}
-		err = e.emitMPI2Side(r, sinfos, rinfos, count, doSend, doRecv, sendTo, recvFrom)
+		err = e.emitMPI2Side(r, sinfos, rinfos, x.count, x.doSend, x.doRecv, x.sendTo, x.recvFrom)
 	case TargetMPI1Side:
-		err = e.emitMPI1Side(r, sinfos, rinfos, count, doSend, sendTo)
+		err = e.emitMPI1Side(r, sinfos, rinfos, x.count, x.doSend, x.sendTo)
 	case TargetSHMEM:
-		err = e.emitSHMEM(r, sinfos, rinfos, count, doSend, doRecv, sendTo, recvFrom)
+		err = e.emitSHMEM(r, sinfos, rinfos, x.count, x.doSend, x.doRecv, x.sendTo, x.recvFrom)
 	default:
-		err = fmt.Errorf("core: unresolved target %v", target)
+		err = fmt.Errorf("core: unresolved target %v", x.target)
 	}
-	esp.End(e.comm.SPMD().Now())
+	e.endSpan(&esp)
 	if err != nil {
 		return err
 	}
@@ -170,18 +144,112 @@ func (e *Env) emit(r *Region, cl *Clauses) error {
 	return nil
 }
 
+// classifyAll classifies the merged clause set's buffers into the form.
+// Both lists are analysed on every rank reaching the directive: the
+// compiler sees the whole clause list regardless of the rank's role, and
+// the one-sided backend needs collective window creation even on
+// non-participants. The short clause lists of a typical directive fit the
+// form's own arrays, keeping a lowering from a clause list allocation-free.
+func (e *Env) classifyAll(b *Bound) error {
+	cl := &b.merged
+	b.sinfos, b.rinfos = b.sarr[:0], b.rarr[:0]
+	if len(cl.sbuf) > len(b.sarr) {
+		b.sinfos = make([]*bufInfo, 0, len(cl.sbuf))
+	}
+	if len(cl.rbuf) > len(b.rarr) {
+		b.rinfos = make([]*bufInfo, 0, len(cl.rbuf))
+	}
+	for i, v := range cl.sbuf {
+		bi, err := e.classify(v)
+		if err != nil {
+			return fmt.Errorf("core: sbuf[%d]: %w", i, err)
+		}
+		b.sinfos = append(b.sinfos, bi)
+	}
+	for i, v := range cl.rbuf {
+		bi, err := e.classify(v)
+		if err != nil {
+			return fmt.Errorf("core: rbuf[%d]: %w", i, err)
+		}
+		b.rinfos = append(b.rinfos, bi)
+	}
+	return nil
+}
+
+// evaluate computes x from the clause expressions of a classified form and
+// appends the buffer ranges the transfer touches to ranges: the roles
+// (sendwhen/receivewhen), the count (explicit clause or the paper's
+// inference rule) checked against the buffers' capacity, the target, and
+// the peers of the roles this rank holds. It records nothing, so what it
+// computes from constant clauses can be kept.
+func (e *Env) evaluate(b *Bound, x *xfer, ranges []bufRange) ([]bufRange, error) {
+	cl, sinfos, rinfos := &b.merged, b.sinfos, b.rinfos
+	x.doSend, x.doRecv = cl.sendWhen.holds(), cl.recvWhen.holds()
+
+	if cl.count.set {
+		x.count = cl.count.eval()
+		if x.count <= 0 {
+			return nil, fmt.Errorf("core: count clause evaluated to %d", x.count)
+		}
+	} else {
+		var err error
+		if x.count, err = inferCount(sinfos, rinfos); err != nil {
+			return nil, err
+		}
+		x.inferred = true
+	}
+	// Scalar composite buffers always move exactly one element (their
+	// emission clamps to 1), so the count capacity check applies to array
+	// buffers only.
+	for i, bi := range sinfos {
+		if x.doSend && bi.isArray && x.count > bi.elems {
+			return nil, fmt.Errorf("core: count %d exceeds sbuf[%d] capacity %d", x.count, i, bi.elems)
+		}
+	}
+	for i, bi := range rinfos {
+		if x.doRecv && bi.isArray && x.count > bi.elems {
+			return nil, fmt.Errorf("core: count %d exceeds rbuf[%d] capacity %d", x.count, i, bi.elems)
+		}
+	}
+
+	x.target, x.auto, x.autoBytes = e.resolveTarget(cl, sinfos, rinfos, x.count)
+	x.sendTo, x.recvFrom = -1, -1
+	if !x.doSend && !x.doRecv && x.target != TargetMPI1Side {
+		x.idle = true
+		return ranges, nil
+	}
+
+	size := e.comm.Size()
+	if x.doSend {
+		if x.sendTo = cl.receiver.eval(); x.sendTo < 0 || x.sendTo >= size {
+			return nil, fmt.Errorf("core: receiver clause evaluated to rank %d of comm size %d", x.sendTo, size)
+		}
+		for _, bi := range sinfos {
+			ranges = append(ranges, bi.rangeFor(x.count))
+		}
+	}
+	if x.doRecv {
+		if x.recvFrom = cl.sender.eval(); x.recvFrom < 0 || x.recvFrom >= size {
+			return nil, fmt.Errorf("core: sender clause evaluated to rank %d of comm size %d", x.recvFrom, size)
+		}
+		for _, bi := range rinfos {
+			ranges = append(ranges, bi.rangeFor(x.count))
+		}
+	}
+	return ranges, nil
+}
+
 // resolveTarget applies the target clause, the paper's default (MPI
-// non-blocking two-sided), or the auto heuristic.
-func (e *Env) resolveTarget(r *Region, cl *Clauses, sinfos, rinfos []*bufInfo, count int) Target {
-	t := TargetDefault
+// non-blocking two-sided), or the auto heuristic, whose choice is reported
+// with the byte count it was made over.
+func (e *Env) resolveTarget(cl *Clauses, sinfos, rinfos []*bufInfo, count int) (t Target, auto bool, bytes int) {
 	if cl.targetSet {
 		t = cl.target
 	}
 	switch t {
 	case TargetDefault:
-		return TargetMPI2Side
+		return TargetMPI2Side, false, 0
 	case TargetAuto:
-		bytes := 0
 		allSym := true
 		for _, b := range rinfos {
 			bytes += count * b.elemBytes
@@ -195,15 +263,11 @@ func (e *Env) resolveTarget(r *Region, cl *Clauses, sinfos, rinfos []*bufInfo, c
 			}
 		}
 		if allSym && e.shm != nil && bytes <= AutoSmallMessageBytes {
-			e.note(r.id, decAutoSHMEM, bytes)
-			e.tele.autoTarget[TargetSHMEM].Inc()
-			return TargetSHMEM
+			return TargetSHMEM, true, bytes
 		}
-		e.note(r.id, decAutoMPI, bytes)
-		e.tele.autoTarget[TargetMPI2Side].Inc()
-		return TargetMPI2Side
+		return TargetMPI2Side, true, bytes
 	default:
-		return t
+		return t, false, 0
 	}
 }
 

@@ -28,11 +28,14 @@ type Region struct {
 	// under one consistent policy.
 	cfg rt.Config
 
-	// merged is the clause set of the comm_p2p being executed: the region's
-	// assertions overlaid with the directive's own. It is only valid until
-	// the next comm_p2p on this region, which is safe because emit consumes
-	// it synchronously.
-	merged Clauses
+	// bound is the form the region was opened with, nil when it was opened
+	// from a clause list: what a comm_p2p form's lowering is valid under.
+	bound *Bound
+
+	// transient is the form of a comm_p2p executed from a clause list: it
+	// goes through the one lowering path like any other form and is thrown
+	// away when the directive returns.
+	transient Bound
 }
 
 // ID reports the region's sequence number within its environment.
@@ -46,6 +49,17 @@ func (r *Region) Env() *Env { return r.env }
 // completion synchronisation is placed according to the place_sync clause
 // (END_PARAM_REGION if absent).
 func (e *Env) Parameters(body func(*Region) error, opts ...Option) error {
+	return e.parameters(nil, opts, body)
+}
+
+// ParametersBound is Parameters for a frozen clause list: the comm_p2p
+// forms executed in body keep their lowering from one execution of the
+// region to the next.
+func (e *Env) ParametersBound(b *Bound, body func(*Region) error) error {
+	return e.parameters(b, b.opts, body)
+}
+
+func (e *Env) parameters(b *Bound, opts []Option, body func(*Region) error) error {
 	if e.closed {
 		return ErrClosed
 	}
@@ -60,7 +74,7 @@ func (e *Env) Parameters(body func(*Region) error, opts ...Option) error {
 		r = &Region{led: newLedger()}
 	}
 	e.regionSeq++
-	r.env, r.id = e, e.regionSeq
+	r.env, r.id, r.bound = e, e.regionSeq, b
 	r.defaults.set(opts)
 	cl := &r.defaults
 	e.tele.regions.Inc()
@@ -189,22 +203,38 @@ func (r *Region) P2P(opts ...Option) error {
 // computation overlapped with the communication: the body runs after the
 // transfers are posted and before any completion synchronisation.
 func (r *Region) P2POverlap(body func() error, opts ...Option) error {
-	if r.env.closed {
+	t := &r.transient
+	t.opts = opts
+	err := r.P2PBound(t, body)
+	t.opts = nil
+	return err
+}
+
+// P2PBound is P2POverlap for a frozen clause list (body may be nil). The
+// first execution under a bound region lowers the directive; later ones
+// under the same region replay that lowering.
+func (r *Region) P2PBound(b *Bound, body func() error) error {
+	e := r.env
+	if e.closed {
 		return ErrClosed
 	}
-	cl := &r.merged
-	cl.inherit(&r.defaults, opts)
-	if err := validateP2POnly(cl); err != nil {
-		return err
-	}
-	if err := validateP2P(cl); err != nil {
-		return err
+	replay := b.env == e && b.parent == r.bound
+	if !replay {
+		b.env = nil
+		cl := &b.merged
+		cl.inherit(&r.defaults, b.opts)
+		if err := validateP2POnly(cl); err != nil {
+			return err
+		}
+		if err := validateP2P(cl); err != nil {
+			return err
+		}
 	}
 	r.led.p2pCount++
 	if r.defaults.maxCommIterSet && r.led.p2pCount > r.defaults.maxCommIter {
 		return fmt.Errorf("%w: %d > %d", ErrMaxCommIter, r.led.p2pCount, r.defaults.maxCommIter)
 	}
-	if err := r.env.emit(r, cl); err != nil {
+	if err := e.emit(r, b, replay); err != nil {
 		return err
 	}
 	if body != nil {
@@ -224,5 +254,12 @@ func (e *Env) P2P(opts ...Option) error {
 func (e *Env) P2POverlap(body func() error, opts ...Option) error {
 	return e.Parameters(func(r *Region) error {
 		return r.P2POverlap(body, opts...)
+	})
+}
+
+// P2PBound is the standalone form of Region.P2PBound.
+func (e *Env) P2PBound(b *Bound, body func() error) error {
+	return e.ParametersBound(standalone, func(r *Region) error {
+		return r.P2PBound(b, body)
 	})
 }

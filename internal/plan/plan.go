@@ -302,20 +302,20 @@ func (pl *Plan) bindingRanges(binding Binding) (map[Slot]core.BufRange, bool) {
 }
 
 // bound is a plan lowered on one core.Env for one set of buffers: the
-// option lists Execute hands the directive layer, and the identity of the
-// buffer each slot was bound to. A plan's clause expressions read only
+// frozen clause lists Execute hands the directive layer, and the identity of
+// the buffer each slot was bound to. A plan's clause expressions read only
 // (rank, size), which an Env fixes, so the buffers are the one input that
 // can differ between two executions on the same Env.
 type bound struct {
-	ids    []core.BufID    // per pl.slots entry
-	region []core.Option   // comm_parameters clauses
-	steps  [][]core.Option // comm_p2p clauses, per step
-	sync   []bool          // steps an aliased binding forces a sync before; nil if none
+	ids    []core.BufID  // per pl.slots entry
+	region *core.Bound   // comm_parameters clauses
+	steps  []*core.Bound // comm_p2p clauses, per step
+	sync   []bool        // steps an aliased binding forces a sync before; nil if none
 	body   func(*core.Region) error
 }
 
 // current reports whether binding still binds every slot to the buffer the
-// plan was lowered for. The identities cannot have gone stale: the option
+// plan was lowered for. The identities cannot have gone stale: the clause
 // lists hold the buffers, so their storage is alive and not reused.
 func (b *bound) current(pl *Plan, binding Binding) bool {
 	for i, s := range pl.slots {
@@ -348,7 +348,7 @@ func (pl *Plan) Execute(env *core.Env, binding Binding) error {
 			return err
 		}
 	}
-	return env.Parameters(b.body, b.region...)
+	return env.ParametersBound(b.region, b.body)
 }
 
 // bind lowers the plan for env's rank and the binding's buffers.
@@ -403,18 +403,18 @@ func (pl *Plan) bind(env *core.Env, binding Binding) (*bound, error) {
 		}, nil)
 	}
 
-	b.region = []core.Option{core.PlaceSync(p.PlaceSync)}
+	region := []core.Option{core.PlaceSync(p.PlaceSync)}
 	if p.Target != core.TargetDefault {
-		b.region = append(b.region, core.WithTarget(p.Target))
+		region = append(region, core.WithTarget(p.Target))
 	}
 	maxIter := p.MaxCommIter
 	if maxIter == 0 {
 		maxIter = len(p.Steps)
 	}
-	b.region = append(b.region, core.MaxCommIter(maxIter))
-	b.region = appendRoles(b.region, rank, size, p.Sender, p.Receiver, p.SendWhen, p.RecvWhen)
+	region = append(region, core.MaxCommIter(maxIter))
+	b.region = core.Bind(appendRoles(region, rank, size, p.Sender, p.Receiver, p.SendWhen, p.RecvWhen)...)
 
-	b.steps = make([][]core.Option, len(p.Steps))
+	b.steps = make([]*core.Bound, len(p.Steps))
 	for idx, st := range p.Steps {
 		sb := make([]any, len(st.SBuf))
 		for i, s := range st.SBuf {
@@ -429,17 +429,17 @@ func (pl *Plan) bind(env *core.Env, binding Binding) (*bound, error) {
 		if st.Count > 0 {
 			opts = append(opts, core.Count(st.Count))
 		}
-		b.steps[idx] = opts
+		b.steps[idx] = core.Bind(opts...)
 	}
 	b.body = func(r *core.Region) error {
-		for idx, opts := range b.steps {
+		for idx, step := range b.steps {
 			st := &p.Steps[idx]
 			if b.sync != nil && b.sync[idx] {
 				if err := r.Sync(); err != nil {
 					return fmt.Errorf("plan: %s: aliased binding sync before step %q: %w", p.Name, st.Name, err)
 				}
 			}
-			if err := r.P2P(opts...); err != nil {
+			if err := r.P2PBound(step, nil); err != nil {
 				return fmt.Errorf("plan: %s step %q: %w", p.Name, st.Name, err)
 			}
 		}

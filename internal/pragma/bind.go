@@ -5,15 +5,15 @@ import "commintent/internal/core"
 // A directive is lowered when it first executes on a core.Env and replayed
 // after that: the paper's compiler lowers a directive once, at compile
 // time, and that is why its directive curves track the hand-written ones.
-// What a lowering depends on is small — the values of the variables the
+// What a clause list depends on is small — the values of the variables the
 // clause expressions read, and which buffers the sbuf/rbuf names denote —
 // so the bound form snapshots exactly that, and an execution that finds the
-// snapshot unchanged reuses the option list. Anything else goes back
-// through Spec.Options; there is no second lowering path.
+// snapshot unchanged replays the core.Bound the list was frozen into.
+// Anything else goes back through Spec.Options: one lowering path.
 
 // bound is one Spec lowered on one core.Env.
 type bound struct {
-	opts []core.Option
+	dir  *core.Bound
 	vars []varSnap    // parallel to Spec.free
 	bufs []core.BufID // one per sbuf name, then one per rbuf name
 }
@@ -26,29 +26,30 @@ type varSnap struct {
 	ok  bool
 }
 
-// lower returns the option list for executing s on cenv against env.
-func (s *Spec) lower(cenv *core.Env, env Env) ([]core.Option, error) {
+// lower returns the form for executing s on cenv against env.
+func (s *Spec) lower(cenv *core.Env, env Env) (*core.Bound, error) {
 	if b, _ := cenv.Site(&s.site).(*bound); b != nil && b.current(s, env) {
-		return b.opts, nil
+		return b.dir, nil
 	}
 	opts, err := s.Options(env)
 	if err != nil {
 		return nil, err
 	}
-	if b := s.bind(env, opts); b != nil {
+	dir := core.Bind(opts...)
+	if b := s.bind(env, dir); b != nil {
 		cenv.SetSite(&s.site, b)
 	}
-	return opts, nil
+	return dir, nil
 }
 
 // bind snapshots what Options just read. It returns nil when the spec
 // cannot be bound: it was not built by Parse, or a buffer has no identity.
-func (s *Spec) bind(env Env, opts []core.Option) *bound {
+func (s *Spec) bind(env Env, dir *core.Bound) *bound {
 	if s.free == nil {
 		return nil
 	}
 	b := &bound{
-		opts: opts,
+		dir:  dir,
 		vars: make([]varSnap, len(s.free)),
 		bufs: make([]core.BufID, 0, len(s.SBuf)+len(s.RBuf)),
 	}
@@ -67,9 +68,8 @@ func (s *Spec) bind(env Env, opts []core.Option) *bound {
 	return b
 }
 
-// current reports whether env still holds what the lowering read. The
-// identities cannot have gone stale: the option list holds the buffers
-// themselves, so their storage is alive and its address not reused.
+// current reports whether env still holds what the lowering read. The frozen
+// list holds the buffers themselves, so an identity's address is not reused.
 func (b *bound) current(s *Spec, env Env) bool {
 	for i, name := range s.free {
 		if v, ok := env.Vars[name]; ok != b.vars[i].ok || v != b.vars[i].val {

@@ -173,11 +173,11 @@ func (s *Spec) Exec(cenv *core.Env, env Env) error {
 	if s.Params {
 		return fmt.Errorf("pragma: Exec on a comm_parameters directive; use Region")
 	}
-	opts, err := s.lower(cenv, env)
+	dir, err := s.lower(cenv, env)
 	if err != nil {
 		return err
 	}
-	return cenv.P2P(opts...)
+	return cenv.P2PBound(dir, nil)
 }
 
 // ExecIn executes a parsed comm_p2p spec inside an open region, with an
@@ -186,11 +186,11 @@ func (s *Spec) ExecIn(r *core.Region, env Env, body func() error) error {
 	if s.Params {
 		return fmt.Errorf("pragma: ExecIn on a comm_parameters directive")
 	}
-	opts, err := s.lower(r.Env(), env)
+	dir, err := s.lower(r.Env(), env)
 	if err != nil {
 		return err
 	}
-	return r.P2POverlap(body, opts...)
+	return r.P2PBound(dir, body)
 }
 
 // Region opens the comm_parameters region described by a parsed spec and
@@ -199,9 +199,9 @@ func (s *Spec) Region(cenv *core.Env, env Env, body func(*core.Region) error) er
 	if !s.Params {
 		return fmt.Errorf("pragma: Region on a comm_p2p directive; use Exec")
 	}
-	opts, err := s.lower(cenv, env)
+	dir, err := s.lower(cenv, env)
 	if err != nil {
 		return err
 	}
-	return cenv.Parameters(body, opts...)
+	return cenv.ParametersBound(dir, body)
 }

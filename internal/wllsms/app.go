@@ -62,6 +62,15 @@ type App struct {
 	// transfers (a composite cannot live in typed symmetric memory).
 	scalStage []byte
 
+	// sites keys the bound forms of the App's directive regions in Env's
+	// site table, per region kind and target (see sites.go).
+	sites [numSiteKinds][core.TargetAuto + 1]core.SiteKey
+	// overlap is the overlap body of the setEvec region being executed:
+	// the bound per-atom bodies call through it.
+	overlap func(li int) error
+	// stageReqs is StageSpins' request scratch on the WL master.
+	stageReqs []*mpi.Request
+
 	wl *WangLandau // WL master state (rank 0 only)
 }
 

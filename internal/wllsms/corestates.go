@@ -71,9 +71,6 @@ func (a *App) localEnergy(gpuSpeedup float64) float64 {
 func (a *App) CoreStatesSequential(v Variant, target core.Target, gpuSpeedup float64) (model.Time, float64, error) {
 	var energy float64
 	d, err := a.Measure(func() error {
-		if a.Role == RoleWL {
-			return nil
-		}
 		if err := a.setEvecInner(v, target, nil); err != nil {
 			return err
 		}
@@ -90,9 +87,6 @@ func (a *App) CoreStatesSequential(v Variant, target core.Target, gpuSpeedup flo
 func (a *App) CoreStatesOverlapped(target core.Target, gpuSpeedup float64) (model.Time, float64, error) {
 	var energy float64
 	d, err := a.Measure(func() error {
-		if a.Role == RoleWL {
-			return nil
-		}
 		partial := make([]float64, len(a.Local))
 		err := a.setEvecInner(VariantDirective, target, func(li int) error {
 			partial[li] = a.coreStatesIndependent(li, gpuSpeedup)

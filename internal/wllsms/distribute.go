@@ -273,6 +273,42 @@ func (a *App) transferAtomDirective(atomIdx, to int, target core.Target) error {
 	from := privGroupRank
 	li := a.L.LocalIndexOf(to, atomIdx)
 
+	regions, err := a.regions(siteDistribute, target, a.P.NumAtoms)
+	if err != nil {
+		return err
+	}
+	s := &regions[atomIdx]
+	if s.params == nil {
+		a.bindTransferAtom(s, atomIdx, to, li, target)
+	}
+
+	onSHMEM := target == core.TargetSHMEM
+	if onSHMEM && me == from {
+		if err := a.encodeScalars(a.AllAtoms[atomIdx], int32(atomIdx)); err != nil {
+			return err
+		}
+	}
+	if err := a.Env.ParametersBound(s.params, s.body); err != nil {
+		return err
+	}
+	if me != to {
+		return nil
+	}
+	if onSHMEM {
+		return a.decodeScalars(a.Local[li], li)
+	}
+	a.Local[li].Scalars.LocalID = int32(atomIdx)
+	return nil
+}
+
+// bindTransferAtom freezes Listing 5 for one atom: three comm_p2p, the
+// scalar composite, the potential/density matrices and the core-state
+// matrices.
+func (a *App) bindTransferAtom(s *boundRegion, atomIdx, to, li int, target core.Target) {
+	me := a.Group.Rank()
+	from := privGroupRank
+	p := a.P
+
 	// Buffer expressions, evaluated on every rank reaching the directive
 	// (non-participants name scratch storage, like unused variables in the
 	// paper's C code).
@@ -285,85 +321,52 @@ func (a *App) transferAtomDirective(atomIdx, to int, target core.Target) error {
 		dst = a.Local[li]
 	}
 
-	env := a.Env
-	p := a.P
-	grpComm := a.groupRankToWorld
-
+	s.params = core.Bind(
+		core.SendWhen(me == from), core.ReceiveWhen(me == to),
+		core.Sender(a.groupRankToWorld(from)), core.Receiver(a.groupRankToWorld(to)),
+		core.WithTarget(target),
+	)
 	if target == core.TargetSHMEM {
 		// Symmetric addressing: every rank computes the owner's offsets.
+		// The composite is staged as bytes (encodeScalars): it cannot live
+		// in typed symmetric memory.
 		t, tc := p.TRows, p.CoreRows
-		if me == from {
-			if err := a.encodeScalars(src, int32(atomIdx)); err != nil {
-				return err
-			}
-		}
-		err := env.Parameters(func(r *core.Region) error {
-			if err := r.P2P(
+		s.p2p = []*core.Bound{
+			core.Bind(
 				core.SBuf(a.scalStage),
 				core.RBuf(core.At(a.symScalars, li*a.scalarsWire)),
 				core.Count(a.scalarsWire),
-			); err != nil {
-				return err
-			}
-			if err := r.P2P(
+			),
+			core.Bind(
 				core.SBuf(src.VR, src.RhoTot),
 				core.RBuf(core.At(a.symVR, li*2*t), core.At(a.symRho, li*2*t)),
 				core.Count(2*t),
-			); err != nil {
-				return err
-			}
-			return r.P2P(
+			),
+			core.Bind(
 				core.SBuf(src.EC, src.NC, src.LC, src.KC),
 				core.RBuf(core.At(a.symEC, li*2*tc), core.At(a.symNC, li*2*tc),
 					core.At(a.symLC, li*2*tc), core.At(a.symKC, li*2*tc)),
 				core.Count(2*tc),
-			)
-		},
-			core.SendWhen(me == from), core.ReceiveWhen(me == to),
-			core.Sender(grpComm(from)), core.Receiver(grpComm(to)),
-			core.WithTarget(core.TargetSHMEM),
-		)
-		if err != nil {
-			return err
+			),
 		}
-		if me == to {
-			return a.decodeScalars(dst, li)
+	} else {
+		// MPI targets: the composite moves via an automatically created
+		// derived datatype; the matrices move as typed slices (which alias
+		// the symmetric arrays, so the data lands in place either way).
+		s.p2p = []*core.Bound{
+			core.Bind(core.SBuf(&src.Scalars), core.RBuf(&dst.Scalars), core.Count(1)),
+			core.Bind(
+				core.SBuf(src.VR, src.RhoTot), core.RBuf(dst.VR, dst.RhoTot),
+				core.Count(2*p.TRows),
+			),
+			core.Bind(
+				core.SBuf(src.EC, src.NC, src.LC, src.KC),
+				core.RBuf(dst.EC, dst.NC, dst.LC, dst.KC),
+				core.Count(2*p.CoreRows),
+			),
 		}
-		return nil
 	}
-
-	// MPI targets: the composite moves via an automatically created derived
-	// datatype; the matrices move as typed slices (which alias the
-	// symmetric arrays, so the data lands in place either way).
-	err := env.Parameters(func(r *core.Region) error {
-		if err := r.P2P(
-			core.SBuf(&src.Scalars), core.RBuf(&dst.Scalars), core.Count(1),
-		); err != nil {
-			return err
-		}
-		if err := r.P2P(
-			core.SBuf(src.VR, src.RhoTot), core.RBuf(dst.VR, dst.RhoTot),
-			core.Count(2*p.TRows),
-		); err != nil {
-			return err
-		}
-		return r.P2P(
-			core.SBuf(src.EC, src.NC, src.LC, src.KC),
-			core.RBuf(dst.EC, dst.NC, dst.LC, dst.KC),
-			core.Count(2*p.CoreRows),
-		)
-	},
-		core.SendWhen(me == from), core.ReceiveWhen(me == to),
-		core.Sender(grpComm(from)), core.Receiver(grpComm(to)),
-		core.WithTarget(target),
-	)
-	if err != nil {
-		return err
-	}
-	if me == to {
-		dst.Scalars.LocalID = int32(atomIdx)
-	}
-	return nil
+	s.body = s.each
 }
 
 // groupRankToWorld translates a group rank to the directive environment's

@@ -74,65 +74,22 @@ func (a *App) mixDensityOriginal() error {
 // The second region depends on data computed from the first, so the
 // regions synchronise at their boundaries by construction.
 func (a *App) mixDensityDirective(target core.Target) error {
-	c := a.Group
 	p := a.P
 	t := p.TRows
-	me := c.Rank()
-	w2 := a.groupRankToWorld
-
-	// Region 1: densities flow worker -> privileged. On the SHMEM target
-	// the privileged rank's AllAtoms matrices are not symmetric, so
-	// workers put into the shared symRho staging (indexed by atom), which
-	// the privileged rank unstages after the region.
-	err := a.Env.Parameters(func(r *core.Region) error {
-		for atomIdx := 0; atomIdx < p.NumAtoms; atomIdx++ {
-			owner := a.L.AtomOwner(atomIdx)
-			if owner == privGroupRank {
-				if me == privGroupRank {
-					li := a.L.LocalIndexOf(owner, atomIdx)
-					copy(a.AllAtoms[atomIdx].RhoTot, a.Local[li].RhoTot)
-				}
-				continue
-			}
-			li := a.L.LocalIndexOf(owner, atomIdx)
-			var sb, rb any
-			if target == core.TargetSHMEM {
-				// Symmetric staging on the privileged PE, one slot per
-				// atom (the workers' own storage aliases other slots, so
-				// a dedicated staging array keeps them disjoint).
-				sb = any(a.scratch.RhoTot)
-				rb = core.At(a.symMix, atomIdx*2*t)
-				if me == owner {
-					sb = a.Local[li].RhoTot
-				}
-			} else {
-				sb, rb = a.scratch.RhoTot, a.scratch.RhoTot
-				if me == owner {
-					sb = a.Local[li].RhoTot
-				}
-				if me == privGroupRank {
-					rb = a.AllAtoms[atomIdx].RhoTot
-				}
-			}
-			if err := r.P2P(
-				core.SBuf(sb), core.RBuf(rb), core.Count(2*t),
-				core.SenderFn(func() int { return w2(owner) }),
-				core.Receiver(w2(privGroupRank)),
-				core.SendWhen(me == owner), core.ReceiveWhen(me == privGroupRank),
-			); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
-		core.MaxCommIter(p.NumAtoms),
-		core.PlaceSync(core.EndParamRegion),
-		core.WithTarget(target),
-	)
+	regions, err := a.regions(siteMixing, target, 2)
 	if err != nil {
+		return err
+	}
+	ret, redist := &regions[0], &regions[1]
+	if ret.params == nil {
+		a.bindMixing(ret, redist, target)
+	}
+
+	// Region 1: densities flow worker -> privileged.
+	if err := a.Env.ParametersBound(ret.params, ret.body); err != nil {
 		return fmt.Errorf("wllsms: density return: %w", err)
 	}
-	if target == core.TargetSHMEM && me == privGroupRank {
+	if target == core.TargetSHMEM && a.Role == RolePrivileged {
 		// Unstage worker densities from the per-atom symmetric staging.
 		rho := a.symMix.Local(a.Shm)
 		for atomIdx := 0; atomIdx < p.NumAtoms; atomIdx++ {
@@ -149,46 +106,87 @@ func (a *App) mixDensityDirective(target core.Target) error {
 
 	// Region 2: updated potentials flow privileged -> worker, landing
 	// directly in the workers' symmetric-backed VR storage.
-	err = a.Env.Parameters(func(r *core.Region) error {
-		for atomIdx := 0; atomIdx < p.NumAtoms; atomIdx++ {
-			owner := a.L.AtomOwner(atomIdx)
-			li := a.L.LocalIndexOf(owner, atomIdx)
-			if owner == privGroupRank {
-				if me == privGroupRank {
-					copy(a.Local[li].VR, a.AllAtoms[atomIdx].VR)
-				}
-				continue
-			}
-			sb := any(a.scratch.VR)
-			if me == privGroupRank {
-				sb = a.AllAtoms[atomIdx].VR
-			}
-			var rb any = core.At(a.symVR, li*2*t)
-			if target != core.TargetSHMEM {
-				rb = a.scratch.VR
-				if me == owner {
-					rb = a.Local[li].VR
-				}
-			}
-			if err := r.P2P(
-				core.SBuf(sb), core.RBuf(rb), core.Count(2*t),
-				core.Sender(w2(privGroupRank)),
-				core.ReceiverFn(func() int { return w2(owner) }),
-				core.SendWhen(me == privGroupRank), core.ReceiveWhen(me == owner),
-			); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
+	if err := a.Env.ParametersBound(redist.params, redist.body); err != nil {
+		return fmt.Errorf("wllsms: potential redistribution: %w", err)
+	}
+	return nil
+}
+
+// bindMixing freezes the two mixing regions: one comm_p2p per atom a worker
+// owns, in atom order; the privileged rank moves its own atoms between its
+// staged set and its local storage in place.
+func (a *App) bindMixing(ret, redist *boundRegion, target core.Target) {
+	p := a.P
+	t := p.TRows
+	me := a.Group.Rank()
+	w2 := a.groupRankToWorld
+	params := core.Bind(
 		core.MaxCommIter(p.NumAtoms),
 		core.PlaceSync(core.EndParamRegion),
 		core.WithTarget(target),
 	)
-	if err != nil {
-		return fmt.Errorf("wllsms: potential redistribution: %w", err)
+	ret.params, redist.params = params, params
+	for atomIdx := 0; atomIdx < p.NumAtoms; atomIdx++ {
+		owner := a.L.AtomOwner(atomIdx)
+		if owner == privGroupRank {
+			continue
+		}
+		li := a.L.LocalIndexOf(owner, atomIdx)
+
+		// Return. On the SHMEM target the privileged rank's AllAtoms
+		// matrices are not symmetric, so workers put into the symMix
+		// staging, one slot per atom (the workers' own storage aliases
+		// other slots, so a dedicated staging array keeps them disjoint),
+		// which the privileged rank unstages after the region.
+		sb, rb := any(a.scratch.RhoTot), any(a.scratch.RhoTot)
+		if me == owner {
+			sb = a.Local[li].RhoTot
+		}
+		if target == core.TargetSHMEM {
+			rb = core.At(a.symMix, atomIdx*2*t)
+		} else if me == privGroupRank {
+			rb = a.AllAtoms[atomIdx].RhoTot
+		}
+		ret.p2p = append(ret.p2p, core.Bind(
+			core.SBuf(sb), core.RBuf(rb), core.Count(2*t),
+			core.Sender(w2(owner)), core.Receiver(w2(privGroupRank)),
+			core.SendWhen(me == owner), core.ReceiveWhen(me == privGroupRank),
+		))
+
+		// Redistribution.
+		sb = a.scratch.VR
+		if me == privGroupRank {
+			sb = a.AllAtoms[atomIdx].VR
+		}
+		rb = core.At(a.symVR, li*2*t)
+		if target != core.TargetSHMEM {
+			rb = a.scratch.VR
+			if me == owner {
+				rb = a.Local[li].VR
+			}
+		}
+		redist.p2p = append(redist.p2p, core.Bind(
+			core.SBuf(sb), core.RBuf(rb), core.Count(2*t),
+			core.Sender(w2(privGroupRank)), core.Receiver(w2(owner)),
+			core.SendWhen(me == privGroupRank), core.ReceiveWhen(me == owner),
+		))
 	}
-	return nil
+	ret.body = func(r *core.Region) error {
+		if me == privGroupRank {
+			for li, atomIdx := range a.LocalAtoms {
+				copy(a.AllAtoms[atomIdx].RhoTot, a.Local[li].RhoTot)
+			}
+		}
+		return ret.each(r)
+	}
+	redist.body = func(r *core.Region) error {
+		if me == privGroupRank {
+			for li, atomIdx := range a.LocalAtoms {
+				copy(a.Local[li].VR, a.AllAtoms[atomIdx].VR)
+			}
+		}
+		return redist.each(r)
+	}
 }
 
 // mixOnPrivileged applies linear mixing rho_new into the potentials on the

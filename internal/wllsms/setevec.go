@@ -19,7 +19,7 @@ func (a *App) StageSpins(spins [][]float64) error {
 		if len(spins) != p.Groups {
 			return fmt.Errorf("wllsms: StageSpins wants %d spin sets, got %d", p.Groups, len(spins))
 		}
-		reqs := make([]*mpi.Request, 0, p.Groups)
+		reqs := a.stageReqs[:0]
 		for g := 0; g < p.Groups; g++ {
 			if len(spins[g]) != 3*p.NumAtoms {
 				return fmt.Errorf("wllsms: spin set %d has %d values, want %d", g, len(spins[g]), 3*p.NumAtoms)
@@ -31,6 +31,8 @@ func (a *App) StageSpins(spins [][]float64) error {
 			reqs = append(reqs, r)
 		}
 		_, err := a.World.Waitall(reqs)
+		clear(reqs) // the scratch outlives the call; the requests must not
+		a.stageReqs = reqs
 		return err
 	case RolePrivileged:
 		ev := a.symEv.Local(a.Shm)
@@ -115,67 +117,25 @@ func (a *App) setEvecNonblocking(complete func(*mpi.Comm, []*mpi.Request) error)
 // the communication-only measurement of Figure 4). The region's
 // consolidated synchronisation replaces both the wait loops and the
 // original's trailing barrier.
+//
+// Every rank of the environment's communicator executes the region, the WL
+// master included: it holds neither role, but all ranks execute directives
+// in the same program order, and the one-sided target creates and fences
+// its window collectively.
 func (a *App) setEvecDirective(target core.Target, overlap func(li int) error) error {
-	c := a.Group
-	p := a.P
-	me := c.Rank()
-	w2 := a.groupRankToWorld
-	err := a.Env.Parameters(func(r *core.Region) error {
-		if me == privGroupRank {
-			ev := a.symEv.Local(a.Shm)
-			for atom := 0; atom < p.NumAtoms; atom++ {
-				w := a.L.AtomOwner(atom)
-				li := a.L.LocalIndexOf(w, atom)
-				if w == privGroupRank {
-					copy(a.Local[li].Scalars.Evec[:], ev[3*atom:3*atom+3])
-					continue
-				}
-				if err := r.P2P(
-					core.SBuf(core.At(a.symEv, 3*atom)),
-					core.RBuf(core.At(a.symEvec, 3*li)),
-					core.Count(3),
-					core.Receiver(w2(w)),
-				); err != nil {
-					return err
-				}
-			}
-			if overlap != nil {
-				for li := range a.LocalAtoms {
-					if err := overlap(li); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		for li := range a.LocalAtoms {
-			li := li
-			var body func() error
-			if overlap != nil {
-				body = func() error { return overlap(li) }
-			}
-			if err := r.P2POverlap(body,
-				core.SBuf(core.At(a.symEv, 0)),
-				core.RBuf(core.At(a.symEvec, 3*li)),
-				core.Count(3),
-			); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
-		core.SendWhen(me == privGroupRank),
-		core.ReceiveWhen(me != privGroupRank),
-		core.Sender(w2(privGroupRank)),
-		core.ReceiverFn(func() int { return w2(privGroupRank) }), // overridden per comm_p2p on the sender
-		core.MaxCommIter(p.NumAtoms),
-		core.PlaceSync(core.EndParamRegion),
-		core.WithTarget(target),
-	)
+	regions, err := a.regions(siteSetEvec, target, 1)
 	if err != nil {
 		return err
 	}
-	if me != privGroupRank {
+	s := &regions[0]
+	if s.params == nil {
+		a.bindSetEvec(s, target)
+	}
+	a.overlap = overlap
+	if err := a.Env.ParametersBound(s.params, s.body); err != nil {
+		return err
+	}
+	if a.Role == RoleWorker {
 		evec := a.symEvec.Local(a.Shm)
 		for li := range a.LocalAtoms {
 			copy(a.Local[li].Scalars.Evec[:], evec[3*li:3*li+3])
@@ -184,20 +144,93 @@ func (a *App) setEvecDirective(target core.Target, overlap func(li int) error) e
 	return nil
 }
 
+// bindSetEvec freezes Listing 7 for this rank's role: on the privileged
+// rank one comm_p2p per atom another rank owns, in atom order; on a worker
+// one per owned atom, indexed like LocalAtoms; on the WL master a single
+// one it takes no part in.
+func (a *App) bindSetEvec(s *boundRegion, target core.Target) {
+	p := a.P
+	priv := a.RK.ID // the WL master names itself: it holds neither role
+	if a.Role != RoleWL {
+		priv = a.groupRankToWorld(privGroupRank)
+	}
+	s.params = core.Bind(
+		core.SendWhen(a.Role == RolePrivileged),
+		core.ReceiveWhen(a.Role == RoleWorker),
+		core.Sender(priv),
+		core.Receiver(priv), // overridden per comm_p2p on the sender
+		core.MaxCommIter(p.NumAtoms),
+		core.PlaceSync(core.EndParamRegion),
+		core.WithTarget(target),
+	)
+	spin := func(atom, li int, more ...core.Option) *core.Bound {
+		return core.Bind(append([]core.Option{
+			core.SBuf(core.At(a.symEv, 3*atom)),
+			core.RBuf(core.At(a.symEvec, 3*li)),
+			core.Count(3),
+		}, more...)...)
+	}
+	switch a.Role {
+	case RoleWL:
+		s.p2p = []*core.Bound{spin(0, 0)}
+		s.body = s.each
+	case RolePrivileged:
+		for atom := 0; atom < p.NumAtoms; atom++ {
+			if w := a.L.AtomOwner(atom); w != privGroupRank {
+				s.p2p = append(s.p2p, spin(atom, a.L.LocalIndexOf(w, atom), core.Receiver(a.groupRankToWorld(w))))
+			}
+		}
+		s.body = func(r *core.Region) error {
+			ev := a.symEv.Local(a.Shm)
+			for li, atom := range a.LocalAtoms { // this rank's own atoms
+				copy(a.Local[li].Scalars.Evec[:], ev[3*atom:3*atom+3])
+			}
+			if err := s.each(r); err != nil {
+				return err
+			}
+			if a.overlap != nil {
+				for li := range a.LocalAtoms {
+					if err := a.overlap(li); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+	default:
+		s.p2p = make([]*core.Bound, len(a.LocalAtoms))
+		bodies := make([]func() error, len(a.LocalAtoms))
+		for li := range s.p2p {
+			s.p2p[li] = spin(0, li)
+			bodies[li] = func() error { return a.overlap(li) }
+		}
+		s.body = func(r *core.Region) error {
+			for li, d := range s.p2p {
+				var body func() error
+				if a.overlap != nil {
+					body = bodies[li]
+				}
+				if err := r.P2PBound(d, body); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+}
+
 // SetEvec runs the within-LIZ random-spin-configuration transfer (the
 // paper's second experiment, Figure 4) with the selected implementation and
 // returns the measured virtual-time span. Spins must already be staged on
 // the privileged ranks (StageSpins).
 func (a *App) SetEvec(v Variant, target core.Target) (model.Time, error) {
-	return a.Measure(func() error {
-		if a.Role == RoleWL {
-			return nil
-		}
-		return a.setEvecInner(v, target, nil)
-	})
+	return a.Measure(func() error { return a.setEvecInner(v, target, nil) })
 }
 
 func (a *App) setEvecInner(v Variant, target core.Target, overlap func(li int) error) error {
+	if a.Role == RoleWL && v != VariantDirective {
+		return nil // the original's phase is group-local: no call on the WL master
+	}
 	switch v {
 	case VariantOriginal:
 		return a.setEvecWaitLoop()

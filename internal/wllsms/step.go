@@ -48,10 +48,8 @@ func (a *App) Step(v Variant, target core.Target) (StepStats, error) {
 	if err := a.StageSpins(proposals); err != nil {
 		return st, err
 	}
-	if a.Role != RoleWL {
-		if err := a.setEvecInner(v, target, nil); err != nil {
-			return st, err
-		}
+	if err := a.setEvecInner(v, target, nil); err != nil {
+		return st, err
 	}
 	commEnd()
 
