@@ -19,9 +19,10 @@ test:
 # meaningfully checked by -race when ranks genuinely preempt each other;
 # the bound-directive replay property rides along — core's over clause
 # lists, pragma's over text, where ranks really share one parsed block
-# concurrently — with the WL-LSMS spin transfer on all three targets, whose
-# one-sided window is created by every rank at once, and so does the
-# back-to-back mixed-collective stress, whose point is ranks lapping each
+# concurrently — with every WL-LSMS phase on all three targets, whose
+# one-sided windows are created by every rank at once, and the request-reuse
+# equivalence, where a reused receive is completed in place by another rank's
+# goroutine; so does the back-to-back mixed-collective stress, whose point is ranks lapping each
 # other through the one-wave rendezvous under every algorithm), the
 # benchmark's smoke test under the race detector (the configuration in which
 # the barrier's lost wakeup was seen: every fence of the halo workload parks
@@ -31,9 +32,9 @@ test:
 # exercised even though normal builds take the zero-copy path, and the
 # telemetry gates re-run without -race (the disabled-telemetry overhead
 # bound is a timing assertion the race detector would skew; the metric-name
-# collision check rides along, and so does the zero-allocation guard of a
-# replayed setEvec region: allocation counts under -race are not the
-# product's). The final line is the golden-compatibility
+# collision check rides along, and so do the zero-allocation guards of a
+# replayed setEvec region and a replayed two-sided halo region: allocation
+# counts under -race are not the product's). The final line is the golden-compatibility
 # gate: with COMMINTENT_MANAGED_RUNTIME and COMMINTENT_TRANSPORT explicitly
 # cleared, every virtual-time golden (chaos hashes, pinned schedules, the
 # figure pins) must still be bit-identical — the adaptive layer off is
@@ -50,18 +51,21 @@ test:
 # The three lines after it keep the transport seam the shape it was given:
 # internal/transport (the Port interface, the handles and the one match
 # table) imports neither of its implementations, the shm transport does not
-# import simnet, and the matcher's core routines are each defined once.
+# import simnet, and the matcher's core routines are each defined once. The
+# line after those does the same for mpi's non-blocking start path: Isend,
+# Irecv and their *Into forms allocate a request in one place.
 verify: vet-intent
 	! $(GO) list -deps ./internal/transport | grep -E 'internal/(simnet|shmtransport)$$'
 	! $(GO) list -deps ./internal/shmtransport | grep -E 'internal/simnet$$'
 	for f in takePosted findUnexpected matches; do test "$$(grep -rEh "^func (\([^)]*\) )?$$f\(" --include='*.go' internal | wc -l)" -eq 1 || { echo "$$f must be defined exactly once under internal/"; exit 1; }; done
+	test "$$(grep -rF 'new(Request)' --include='*.go' --exclude='*_test.go' internal/mpi | wc -l)" -eq 1 || { echo "new(Request) must occur exactly once under internal/mpi: Isend and Irecv start operations through one path"; exit 1; }
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestSetEvecEveryTarget|TestCollectiveStress' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/
 	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/
-	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs' ./internal/telemetry/ ./internal/wllsms/
+	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs|TestHalo2sReplayAllocs' ./internal/telemetry/ ./internal/wllsms/ ./internal/core/
 	COMMINTENT_MANAGED_RUNTIME= COMMINTENT_TRANSPORT= $(GO) test -run 'TestChaosHaloSweep|TestVirtualTimePinned|TestFiguresPinned|TestRetuneOffIsBitIdentical' . ./internal/mpi/ ./internal/bench/
 
 # vet-intent is the static intent-verification gate: commvet analyses every

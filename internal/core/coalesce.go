@@ -314,7 +314,7 @@ func (e *Env) flushCoalesced(region int) error {
 			reqs = append(reqs, b.req)
 		}
 		if !e.faults {
-			if _, err := e.comm.Waitall(reqs); err != nil {
+			if err := e.comm.WaitallIgnore(reqs); err != nil {
 				return err
 			}
 			next := live[:0]
@@ -328,7 +328,7 @@ func (e *Env) flushCoalesced(region int) error {
 			live = next
 			continue
 		}
-		_, errs, firstErr := e.comm.WaitallTimeout(reqs, e.retry.OpTimeout)
+		errs, firstErr := e.comm.WaitallTimeout(reqs, e.retry.OpTimeout)
 		if firstErr != nil && errs == nil {
 			return firstErr // hard usage error, not a fabric fault
 		}

@@ -253,7 +253,7 @@ func (e *Env) collMPI(kind CollKind, root int, sb, rb *bufInfo, count int) error
 			}
 			reqs = append(reqs, r)
 		}
-		_, err = e.comm.Waitall(reqs)
+		err = e.comm.WaitallIgnore(reqs)
 		if err == nil {
 			e.noteText(e.regionSeq, "sync", fmt.Sprintf("MPI_Waitall over %d request(s) (all-to-all)", len(reqs)))
 		}

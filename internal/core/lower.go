@@ -273,7 +273,8 @@ func (e *Env) resolveTarget(cl *Clauses, sinfos, rinfos []*bufInfo, count int) (
 
 // emitMPI2Side generates MPI_Irecv / MPI_Isend pairs. Receives are posted
 // first (the lowering knows both roles), and all completions land in the
-// region ledger for the consolidated MPI_Waitall.
+// region ledger for the consolidated MPI_Waitall. The operations are
+// started in the ledger's own requests: the directive knows they repeat.
 func (e *Env) emitMPI2Side(r *Region, sinfos, rinfos []*bufInfo, count int, doSend, doRecv bool, sendTo, recvFrom int) error {
 	if doRecv {
 		for i, b := range rinfos {
@@ -289,8 +290,8 @@ func (e *Env) emitMPI2Side(r *Region, sinfos, rinfos []*bufInfo, count int, doSe
 			if !b.isArray {
 				n = 1
 			}
-			req, err := e.comm.Irecv(view, n, dt, recvFrom, directiveTag)
-			if err != nil {
+			req := r.led.request()
+			if err := e.comm.IrecvInto(req, view, n, dt, recvFrom, directiveTag); err != nil {
 				return fmt.Errorf("core: rbuf[%d]: %w", i, err)
 			}
 			r.led.reqs = append(r.led.reqs, req)
@@ -313,8 +314,8 @@ func (e *Env) emitMPI2Side(r *Region, sinfos, rinfos []*bufInfo, count int, doSe
 			if !b.isArray {
 				n = 1
 			}
-			req, err := e.comm.Isend(view, n, dt, sendTo, directiveTag)
-			if err != nil {
+			req := r.led.request()
+			if err := e.comm.IsendInto(req, view, n, dt, sendTo, directiveTag); err != nil {
 				return fmt.Errorf("core: sbuf[%d]: %w", i, err)
 			}
 			r.led.reqs = append(r.led.reqs, req)

@@ -120,7 +120,7 @@ func (e *Env) waitWithRetry(l *ledger, region int) error {
 		attempt[i] = 1
 	}
 	for {
-		_, errs, firstErr := e.comm.WaitallTimeout(reqs, e.retry.OpTimeout)
+		errs, firstErr := e.comm.WaitallTimeout(reqs, e.retry.OpTimeout)
 		if firstErr == nil {
 			return nil
 		}
@@ -159,17 +159,17 @@ func (e *Env) waitWithRetry(l *ledger, region int) error {
 			op := ops[i]
 			tag := directiveTag + attempt[i]<<retryTagShift
 			attempt[i]++
-			var req *mpi.Request
+			// A request completed with a fault is inactive: the re-post
+			// goes into the same one, whichever ledger's store it is in.
 			var err error
 			if op.isSend {
-				req, err = e.comm.Isend(op.view, op.count, op.dt, op.peer, tag)
+				err = e.comm.IsendInto(reqs[i], op.view, op.count, op.dt, op.peer, tag)
 			} else {
-				req, err = e.comm.Irecv(op.view, op.count, op.dt, op.peer, tag)
+				err = e.comm.IrecvInto(reqs[i], op.view, op.count, op.dt, op.peer, tag)
 			}
 			if err != nil {
 				return err
 			}
-			reqs[i] = req
 			e.tele.retries.Inc()
 		}
 	}

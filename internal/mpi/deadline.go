@@ -119,7 +119,7 @@ func (c *Comm) countFault(k transport.FaultKind) {
 // deadline. See Recv for the NoEscape soundness argument.
 func (c *Comm) RecvTimeout(buf any, count int, d *Datatype, source, tag int, timeout model.Time) (Status, error) {
 	deadline := c.clock().Now() + timeout
-	r, err := c.makeRecvReq(typemap.NoEscape(buf), count, d, source, tag)
+	r, err := c.makeRecvReq(typemap.NoEscape(buf), count, d, source, tag, false)
 	if err != nil {
 		return Status{}, err
 	}
@@ -137,12 +137,13 @@ func (c *Comm) WaitTimeout(r *Request, timeout model.Time) (Status, error) {
 	return c.wait(r, c.clock().Now()+timeout)
 }
 
-// WaitallTimeout is Waitall with an explicit deadline of timeout virtual ns
-// from the call. Unlike Waitall it keeps going past faulted requests,
-// completing every one, and reports per-request outcomes: errs[i] is the
-// fault (or nil) for reqs[i], and the single error is the first fault, nil
-// when the batch was clean. errs is nil when every request succeeded. Hard
-// usage errors (decode mismatch) abort immediately as in Waitall.
-func (c *Comm) WaitallTimeout(reqs []*Request, timeout model.Time) ([]Status, []error, error) {
-	return c.waitallImpl(reqs, c.clock().Now()+timeout)
+// WaitallTimeout is WaitallIgnore with an explicit deadline of timeout
+// virtual ns from the call. Unlike Waitall it keeps going past faulted
+// requests, completing every one, and reports per-request outcomes: errs[i]
+// is the fault (or nil) for reqs[i], and the single error is the first
+// fault, nil when the batch was clean. errs is nil when every request
+// succeeded. Hard usage errors (decode mismatch) abort immediately as in
+// Waitall.
+func (c *Comm) WaitallTimeout(reqs []*Request, timeout model.Time) ([]error, error) {
+	return c.waitallImpl(reqs, nil, c.clock().Now()+timeout)
 }

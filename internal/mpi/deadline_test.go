@@ -244,7 +244,7 @@ func ringTimes(t *testing.T, useTimeout bool, inject bool) model.Time {
 			}
 			reqs := []*mpi.Request{rr, sr}
 			if useTimeout {
-				_, errs, err := c.WaitallTimeout(reqs, 1_000_000)
+				errs, err := c.WaitallTimeout(reqs, 1_000_000)
 				if err != nil || errs != nil {
 					t.Errorf("WaitallTimeout: %v %v", errs, err)
 				}

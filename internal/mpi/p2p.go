@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 
 	"commintent/internal/model"
@@ -15,6 +16,11 @@ const (
 	AnyTag    = transport.AnyTag
 )
 
+// ErrRequestActive is returned by IsendInto/IrecvInto when the request's
+// previous operation has not been completed: its storage still tracks that
+// operation, which stays completable.
+var ErrRequestActive = errors.New("mpi: request is still active")
+
 // Isend starts a non-blocking send of count elements of buf (datatype d) to
 // comm rank dest with the given tag. Messages up to the profile's eager
 // threshold use the eager protocol (buffer reusable on return); larger
@@ -22,13 +28,43 @@ const (
 // matching receive is posted. Either way the returned request must be
 // completed with Wait/Waitall/Test.
 func (c *Comm) Isend(buf any, count int, d *Datatype, dest, tag int) (*Request, error) {
-	r, err := c.makeSendReq(buf, count, d, dest, tag)
+	return c.isend(nil, buf, count, d, dest, tag)
+}
+
+// IsendInto is Isend in request storage the caller owns — what a caller
+// that knows the operation repeats (the directive layer's region ledger)
+// uses to start it, iteration after iteration, on memory that exists. r
+// must be inactive: zero, or completed (cleanly or with a fault) by
+// Wait/Waitall/Test.
+func (c *Comm) IsendInto(r *Request, buf any, count int, d *Datatype, dest, tag int) error {
+	_, err := c.isend(r, buf, count, d, dest, tag)
+	return err
+}
+
+func (c *Comm) isend(r *Request, buf any, count int, d *Datatype, dest, tag int) (*Request, error) {
+	r, err := idle(r)
 	if err != nil {
 		return nil, err
 	}
-	rp := new(Request)
-	*rp = r
-	return rp, nil
+	if *r, err = c.makeSendReq(buf, count, d, dest, tag); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// idle returns the storage a non-blocking operation may be started in: r
+// when it is inactive, a new request when r is nil. Starting overwrites the
+// whole request, so nothing of a previous operation — status, sticky fault,
+// Waitany claim — survives into the next, and a start that fails leaves it
+// zero, hence inactive.
+func idle(r *Request) (*Request, error) {
+	switch {
+	case r == nil:
+		return new(Request), nil
+	case r.comm != nil && !r.done:
+		return nil, ErrRequestActive
+	}
+	return r, nil
 }
 
 // makeSendReq starts the send and returns the tracking request by value, so
@@ -95,21 +131,44 @@ func (c *Comm) Send(buf any, count int, d *Datatype, dest, tag int) error {
 
 // Irecv starts a non-blocking receive of up to count elements of datatype d
 // into buf from comm rank source (or AnySource) with the given tag (or
-// AnyTag).
+// AnyTag). buf belongs to the operation until the request completes: a
+// basic datatype whose storage is its own wire encoding is received in
+// place (see makeRecvReq), so its contents are undefined until then.
 func (c *Comm) Irecv(buf any, count int, d *Datatype, source, tag int) (*Request, error) {
-	r, err := c.makeRecvReq(buf, count, d, source, tag)
+	return c.irecv(nil, buf, count, d, source, tag)
+}
+
+// IrecvInto is Irecv in request storage the caller owns; see IsendInto.
+func (c *Comm) IrecvInto(r *Request, buf any, count int, d *Datatype, source, tag int) error {
+	_, err := c.irecv(r, buf, count, d, source, tag)
+	return err
+}
+
+func (c *Comm) irecv(r *Request, buf any, count int, d *Datatype, source, tag int) (*Request, error) {
+	r, err := idle(r)
 	if err != nil {
 		return nil, err
 	}
-	rp := new(Request)
-	*rp = r
-	return rp, nil
+	if *r, err = c.makeRecvReq(buf, count, d, source, tag, true); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // makeRecvReq posts the receive and returns the tracking request by value
-// (see makeSendReq for why); the staging wire buffer comes from the payload
-// pool and goes back in finish().
-func (c *Comm) makeRecvReq(buf any, count int, d *Datatype, source, tag int) (Request, error) {
+// (see makeSendReq for why).
+//
+// With inPlace, a basic datatype whose storage is its own wire encoding
+// (typemap.WireView: not under `purego`, not on a big-endian host) is
+// posted on buf's own bytes: the transport's one copy lands the payload
+// where it was asked for, and completion neither decodes nor touches the
+// payload pool. Anything else is staged through a pooled wire buffer that
+// finishDeadline decodes and returns. The modelled charges are computed
+// from the delivered byte count either way (a basic type's decode cost is
+// 0), so virtual time cannot tell the two apart. The blocking callers
+// launder buf and must pass false: a pooled receive handle is a heap object
+// and must not point at storage the compiler was told may stay on a stack.
+func (c *Comm) makeRecvReq(buf any, count int, d *Datatype, source, tag int, inPlace bool) (Request, error) {
 	if err := c.checkTag(tag); err != nil {
 		return Request{}, err
 	}
@@ -131,15 +190,24 @@ func (c *Comm) makeRecvReq(buf any, count int, d *Datatype, source, tag int) (Re
 	clk.Advance(p.MPIRecvOverhead + p.MPIRequestPerItem)
 	now := clk.Now() // shared read; see makeSendReq
 	defer sp.End(now)
-	wire := transport.GetBuf(count * d.Size())
+	n := count * d.Size()
+	var wire []byte
+	if inPlace = inPlace && d.layout == nil; inPlace {
+		wire, _, inPlace = typemap.WireView(buf)
+	}
+	if inPlace {
+		wire = wire[:n]
+	} else {
+		wire = transport.GetBuf(n)
+	}
 	wtag := transport.AnyTag
 	if tag != AnyTag {
 		wtag = c.wireTag(tag)
 	}
 	rr := c.port.PostRecv(c.WorldRank(source), wtag, wire, now)
-	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvRecvPost, Peer: c.WorldRank(source), Tag: tag, Bytes: len(wire), V: now})
+	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvRecvPost, Peer: c.WorldRank(source), Tag: tag, Bytes: n, V: now})
 	c.reqPosted()
-	return Request{comm: c, recv: rr, wire: wire, recvBuf: buf, recvCount: count, dt: d}, nil
+	return Request{comm: c, recv: rr, inPlace: inPlace, wire: wire, recvBuf: buf, recvCount: count, dt: d}, nil
 }
 
 // Recv is the blocking receive.
@@ -149,7 +217,7 @@ func (c *Comm) makeRecvReq(buf any, count int, d *Datatype, source, tag int) (Re
 // the caller's interface box may stay on its stack. Irecv must NOT launder
 // its buffer: its heap request can outlive the caller's frame.
 func (c *Comm) Recv(buf any, count int, d *Datatype, source, tag int) (Status, error) {
-	r, err := c.makeRecvReq(typemap.NoEscape(buf), count, d, source, tag)
+	r, err := c.makeRecvReq(typemap.NoEscape(buf), count, d, source, tag, false)
 	if err != nil {
 		return Status{}, err
 	}
@@ -173,7 +241,7 @@ func (c *Comm) Sendrecv(
 	// heap allocation, and a heap object must not hold a stack-pinned
 	// (laundered) buffer reference — the GC would not fix it up if the
 	// caller's stack moved while the receive was pending.
-	rr, err := c.makeRecvReq(typemap.NoEscape(rbuf), rcount, rdt, source, rtag)
+	rr, err := c.makeRecvReq(typemap.NoEscape(rbuf), rcount, rdt, source, rtag, false)
 	if err != nil {
 		return Status{}, err
 	}

@@ -31,6 +31,7 @@ type Request struct {
 	recv       transport.RecvHandle
 	isSend     bool
 	rendezvous bool // send larger than the eager threshold
+	inPlace    bool // receive posted on recvBuf's own bytes: wire is a view, not a pooled buffer
 
 	// Receive-side decode state.
 	wire      []byte
@@ -155,12 +156,15 @@ func (r *Request) finishDeadline(D model.Time) error {
 	r.recv = nil
 	var cost model.Time
 	var err error
-	if r.batch != nil {
+	switch {
+	case r.inPlace:
+		// The transport's copy landed the payload in recvBuf itself.
+	case r.batch != nil:
 		cost, err = r.batch.scatter(p, r.wire[:n])
 		if err != nil {
 			return err
 		}
-	} else {
+	default:
 		count := r.recvCount
 		if max := n / r.dt.Size(); max < count {
 			count = max
@@ -170,8 +174,7 @@ func (r *Request) finishDeadline(D model.Time) error {
 			return fmt.Errorf("mpi: recv decode: %w", err)
 		}
 	}
-	transport.PutBuf(r.wire)
-	r.wire = nil
+	r.dropWire()
 	ready += cost
 	if r.comm.wall {
 		// Measured: the payload is decoded and in place right now; the
@@ -188,6 +191,17 @@ func (r *Request) finishDeadline(D model.Time) error {
 		Peer: src, Tag: r.status.Tag, Bytes: n, V: ready,
 	})
 	return nil
+}
+
+// dropWire lets go of a completed receive's wire bytes: a staging buffer
+// goes back to the payload pool, an in-place view must not — PutBuf adopts
+// any buffer whose capacity is a class size, and would hand the caller's
+// storage to the next GetBuf.
+func (r *Request) dropWire() {
+	if !r.inPlace {
+		transport.PutBuf(r.wire)
+	}
+	r.wire = nil
 }
 
 // failSend completes a faulted send: the request is done (re-waiting returns
@@ -227,8 +241,7 @@ func (r *Request) failRecv(k transport.FaultKind, D model.Time) error {
 	ready := model.Max(r.recv.ArriveV(), r.recv.PostV())
 	r.recv.Release()
 	r.recv = nil
-	transport.PutBuf(r.wire)
-	r.wire = nil
+	r.dropWire()
 	if k == transport.FaultCancelled {
 		ready = model.Max(D, ready)
 	}
@@ -299,22 +312,29 @@ func (c *Comm) wait(r *Request, D model.Time) (Status, error) {
 // reports the first typed fault; WaitallTimeout exposes the per-request
 // outcomes that the directive layer's retry protocol needs.
 func (c *Comm) Waitall(reqs []*Request) ([]Status, error) {
-	stats, _, err := c.waitallImpl(reqs, c.opDeadline())
-	if err != nil {
+	stats := make([]Status, len(reqs))
+	if _, err := c.waitallImpl(reqs, stats, c.opDeadline()); err != nil {
 		return nil, err
 	}
 	return stats, nil
 }
 
-// waitallImpl is the shared body of Waitall and WaitallTimeout. Charging is
+// WaitallIgnore is Waitall with MPI_STATUSES_IGNORE: the same call, the
+// same charges, no status array. Each request's own Status stays readable.
+func (c *Comm) WaitallIgnore(reqs []*Request) error {
+	_, err := c.waitallImpl(reqs, nil, c.opDeadline())
+	return err
+}
+
+// waitallImpl is the shared body of Waitall, WaitallIgnore and
+// WaitallTimeout; stats, when not nil, receives the statuses. Charging is
 // identical to the historical Waitall on a clean batch — one WaitallTime
 // advance plus a jump to the latest readiness — so injection-off virtual
 // times are unchanged. Faulted requests contribute their fault-resolution
 // times to the jump and their errors to errs.
-func (c *Comm) waitallImpl(reqs []*Request, D model.Time) ([]Status, []error, error) {
+func (c *Comm) waitallImpl(reqs []*Request, stats []Status, D model.Time) ([]error, error) {
 	start := c.clock().Now()
 	sp := c.span("MPI_Waitall", start)
-	stats := make([]Status, len(reqs))
 	var errs []error
 	var firstErr error
 	var maxReady model.Time
@@ -324,7 +344,7 @@ func (c *Comm) waitallImpl(reqs []*Request, D model.Time) ([]Status, []error, er
 		}
 		if err := r.finishDeadline(D); err != nil {
 			if !IsFault(err) {
-				return nil, nil, err
+				return nil, err
 			}
 			if errs == nil {
 				errs = make([]error, len(reqs))
@@ -334,7 +354,9 @@ func (c *Comm) waitallImpl(reqs []*Request, D model.Time) ([]Status, []error, er
 				firstErr = err
 			}
 		}
-		stats[i] = r.status
+		if stats != nil {
+			stats[i] = r.status
+		}
 		if r.readyV > maxReady {
 			maxReady = r.readyV
 		}
@@ -358,7 +380,7 @@ func (c *Comm) waitallImpl(reqs []*Request, D model.Time) ([]Status, []error, er
 		sp.End(end)
 		c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvSync, Peer: -1, Bytes: len(reqs), V: end, Idle: idle})
 	}
-	return stats, errs, firstErr
+	return errs, firstErr
 }
 
 // Waitany blocks until at least one request completes and returns its

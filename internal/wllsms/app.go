@@ -45,7 +45,8 @@ type App struct {
 	symLC       *shmem.Slice[int32]
 	symKC       *shmem.Slice[int32]
 
-	// symMix stages worker densities per atom for the SHMEM mixing phase.
+	// symMix stages worker densities per atom for the mixing phase on the
+	// one-sided targets.
 	symMix *shmem.Slice[float64]
 
 	// Spin-configuration staging: symEv holds the instance's full spin set
@@ -58,8 +59,8 @@ type App struct {
 	// ranks that neither send nor receive a given directive (the variable
 	// must still name valid storage, as in the paper's C listings).
 	scratch *AtomData
-	// scalStage stages the encoded scalar struct for SHMEM-targeted
-	// transfers (a composite cannot live in typed symmetric memory).
+	// scalStage stages the encoded scalar struct for one-sided transfers
+	// (a composite cannot live in typed symmetric memory).
 	scalStage []byte
 
 	// sites keys the bound forms of the App's directive regions in Env's
@@ -68,7 +69,8 @@ type App struct {
 	// overlap is the overlap body of the setEvec region being executed:
 	// the bound per-atom bodies call through it.
 	overlap func(li int) error
-	// stageReqs is StageSpins' request scratch on the WL master.
+	// stageReqs are StageSpins' requests on the WL master, one per group,
+	// started again by every call.
 	stageReqs []*mpi.Request
 
 	wl *WangLandau // WL master state (rank 0 only)
@@ -160,6 +162,8 @@ func Setup(rk *spmd.Rank, p Params) (*App, error) {
 // LSMS rank.
 func (a *App) initAtoms() {
 	p := a.P
+	a.scratch = NewAtomData(p.TRows, p.CoreRows)
+	a.scalStage = make([]byte, a.scalarsWire)
 	if a.Role == RoleWL {
 		// The master holds the input atom set (the paper's 16 iron atoms)
 		// and stages it to each LSMS instance's privileged rank.
@@ -197,8 +201,6 @@ func (a *App) initAtoms() {
 		}
 		a.Local[li] = atom
 	}
-	a.scratch = NewAtomData(t, tc)
-	a.scalStage = make([]byte, a.scalarsWire)
 }
 
 // Close releases the directive environment (flushing deferred syncs).

@@ -12,14 +12,17 @@ import (
 	"commintent/internal/wllsms"
 )
 
-// TestSetEvecEveryTarget: Listing 7 delivers the staged spins on all three
-// targets of one 9-rank world, the first execution of each (which binds the
-// region, and on the one-sided target creates its window collectively) and
-// the replays after it. The WL master holds no role in the region but
-// executes it: when it sat the region out, the one-sided target's 8 other
-// ranks waited in WinCreate for ever, hence the deadline.
-func TestSetEvecEveryTarget(t *testing.T) {
+// TestEveryPhaseEveryTarget: the distribution (Listing 5), the spin
+// transfer (Listing 7) and both mixing regions land their data on all three
+// targets of one 9-rank world — the first execution of each (which binds
+// the regions, and on the one-sided target creates their windows
+// collectively) and the replays after it. The WL master holds no role in
+// any of these regions but executes every one: when it sat a region out,
+// the one-sided target's 8 other ranks waited in WinCreate for ever, hence
+// the deadline.
+func TestEveryPhaseEveryTarget(t *testing.T) {
 	p := smallParams()
+	ref := referenceAtoms(p)
 	spin := func(round, g, k int) float64 { return float64(round*100000 + g*1000 + k) }
 	done := make(chan error, 1)
 	go func() {
@@ -29,9 +32,6 @@ func TestSetEvecEveryTarget(t *testing.T) {
 				return err
 			}
 			defer app.Close()
-			if _, err := app.DistributeAtoms(wllsms.VariantOriginal, core.TargetDefault); err != nil {
-				return err
-			}
 			var spins [][]float64
 			if app.Role == wllsms.RoleWL {
 				spins = make([][]float64, p.Groups)
@@ -43,6 +43,15 @@ func TestSetEvecEveryTarget(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				for _, target := range []core.Target{core.TargetMPI2Side, core.TargetMPI1Side, core.TargetSHMEM} {
 					round++
+					tag := fmt.Sprintf("%v round %d", target, round)
+
+					// The previous round's mixing changed every potential,
+					// so the reference can only be back if it landed again.
+					if _, err := app.DistributeAtoms(wllsms.VariantDirective, target); err != nil {
+						return fmt.Errorf("%s: distribute: %w", tag, err)
+					}
+					verifyDistribution(t, app, ref, tag)
+
 					for g := range spins {
 						for k := range spins[g] {
 							spins[g][k] = spin(round, g, k)
@@ -52,13 +61,31 @@ func TestSetEvecEveryTarget(t *testing.T) {
 						return err
 					}
 					if _, err := app.SetEvec(wllsms.VariantDirective, target); err != nil {
-						return fmt.Errorf("%v: %w", target, err)
+						return fmt.Errorf("%s: setEvec: %w", tag, err)
 					}
 					for li, atom := range app.LocalAtoms {
 						for k, got := range app.Local[li].Scalars.Evec {
 							if want := spin(round, app.GroupIdx, 3*atom+k); got != want {
-								return fmt.Errorf("%v round %d: rank %d atom %d evec[%d] = %v, want %v",
-									target, round, rk.ID, atom, k, got, want)
+								return fmt.Errorf("%s: rank %d atom %d evec[%d] = %v, want %v",
+									tag, rk.ID, atom, k, got, want)
+							}
+						}
+					}
+
+					for li, atom := range app.LocalAtoms {
+						for i := range app.Local[li].RhoTot {
+							app.Local[li].RhoTot[i] += float64(round*10000 + atom*1000 + i)
+						}
+					}
+					if _, err := app.MixDensities(wllsms.VariantDirective, target); err != nil {
+						return fmt.Errorf("%s: mixing: %w", tag, err)
+					}
+					for li, atom := range app.LocalAtoms {
+						for i, got := range app.Local[li].VR {
+							want := (1-wllsms.MixingFraction)*ref[atom].VR[i] - wllsms.MixingFraction*0.01*app.Local[li].RhoTot[i]
+							if got != want {
+								return fmt.Errorf("%s: rank %d atom %d mixed vr[%d] = %v, want %v",
+									tag, rk.ID, atom, i, got, want)
 							}
 						}
 					}
@@ -73,7 +100,7 @@ func TestSetEvecEveryTarget(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("SetEvec did not return on every rank within 30s")
+		t.Fatal("a phase did not return on every rank within 30s")
 	}
 }
 
@@ -108,16 +135,10 @@ func TestBoundRegionsMatchFreshClauseLists(t *testing.T) {
 						return err
 					}
 					for round := 0; round < 3; round++ {
-						if target != core.TargetMPI1Side { // a struct composite has no one-sided lowering
-							if err := phase(func() (model.Time, error) {
-								return app.DistributeAtoms(wllsms.VariantDirective, target)
-							}); err != nil {
-								return err
-							}
-						} else if round == 0 {
-							if _, err := app.DistributeAtoms(wllsms.VariantOriginal, core.TargetDefault); err != nil {
-								return err
-							}
+						if err := phase(func() (model.Time, error) {
+							return app.DistributeAtoms(wllsms.VariantDirective, target)
+						}); err != nil {
+							return err
 						}
 						for g := range spins {
 							for k := range spins[g] {
@@ -137,9 +158,6 @@ func TestBoundRegionsMatchFreshClauseLists(t *testing.T) {
 							return d, err
 						}); err != nil {
 							return err
-						}
-						if target == core.TargetMPI1Side {
-							continue // the WL master sits the mixing regions out: no collective window
 						}
 						if err := phase(func() (model.Time, error) {
 							return app.MixDensities(wllsms.VariantDirective, target)
@@ -171,8 +189,9 @@ var raceEnabled bool
 
 // TestSetEvecReplayAllocs: once bound, Listing 7's region allocates nothing
 // per execution on any rank — the privileged rank's 6 comm_p2p, a worker's
-// 2, the WL master's idle one — on the targets whose own calls allocate
-// nothing (two-sided MPI allocates its requests for hand-written code too).
+// 2, the WL master's idle one — on any target (the two-sided one starts its
+// operations in the region ledger's requests), and neither does the staging
+// before it: the WL master's sends reuse the App's requests.
 func TestSetEvecReplayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -183,7 +202,7 @@ func TestSetEvecReplayAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := smallParams()
 	p.NumAtoms = 8
-	for _, target := range []core.Target{core.TargetSHMEM, core.TargetMPI1Side} {
+	for _, target := range []core.Target{core.TargetSHMEM, core.TargetMPI1Side, core.TargetMPI2Side} {
 		var before, after runtime.MemStats
 		runApp(t, p, model.GeminiLike(), func(app *wllsms.App) error {
 			if _, err := app.DistributeAtoms(wllsms.VariantOriginal, core.TargetDefault); err != nil {
@@ -198,9 +217,19 @@ func TestSetEvecReplayAllocs(t *testing.T) {
 				}
 				app.World.Barrier()
 			}
+			var spins [][]float64
+			if app.Role == wllsms.RoleWL {
+				spins = make([][]float64, p.Groups)
+				for g := range spins {
+					spins[g] = make([]float64, 3*p.NumAtoms)
+				}
+			}
 			for i := 0; i < warm+ops; i++ {
 				if i == warm {
 					read(&before)
+				}
+				if err := app.StageSpins(spins); err != nil {
+					return err
 				}
 				if err := app.SetEvecInnerForDebug(wllsms.VariantDirective, target); err != nil {
 					return err

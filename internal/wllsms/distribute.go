@@ -251,12 +251,16 @@ func (a *App) distributeOriginal() error {
 // comm_parameters region containing three comm_p2p instances — the scalar
 // composite (derived datatype), the potential/density matrices, and the
 // core-state matrices — with one consolidated synchronisation.
+//
+// Every rank of the environment's communicator executes every region, the
+// WL master included, as in setEvecDirective: the one-sided target creates
+// and fences its windows collectively.
 func (a *App) distributeDirective(target core.Target) error {
 	p := a.P
 	for atomIdx := 0; atomIdx < p.NumAtoms; atomIdx++ {
 		to := a.L.AtomOwner(atomIdx)
 		if to == privGroupRank {
-			if a.Group.Rank() == privGroupRank {
+			if a.Role == RolePrivileged {
 				a.adoptLocal(atomIdx)
 			}
 			continue
@@ -269,7 +273,7 @@ func (a *App) distributeDirective(target core.Target) error {
 }
 
 func (a *App) transferAtomDirective(atomIdx, to int, target core.Target) error {
-	me := a.Group.Rank()
+	me := a.groupRank()
 	from := privGroupRank
 	li := a.L.LocalIndexOf(to, atomIdx)
 
@@ -282,8 +286,8 @@ func (a *App) transferAtomDirective(atomIdx, to int, target core.Target) error {
 		a.bindTransferAtom(s, atomIdx, to, li, target)
 	}
 
-	onSHMEM := target == core.TargetSHMEM
-	if onSHMEM && me == from {
+	staged := oneSided(target)
+	if staged && me == from {
 		if err := a.encodeScalars(a.AllAtoms[atomIdx], int32(atomIdx)); err != nil {
 			return err
 		}
@@ -294,7 +298,7 @@ func (a *App) transferAtomDirective(atomIdx, to int, target core.Target) error {
 	if me != to {
 		return nil
 	}
-	if onSHMEM {
+	if staged {
 		return a.decodeScalars(a.Local[li], li)
 	}
 	a.Local[li].Scalars.LocalID = int32(atomIdx)
@@ -305,7 +309,7 @@ func (a *App) transferAtomDirective(atomIdx, to int, target core.Target) error {
 // scalar composite, the potential/density matrices and the core-state
 // matrices.
 func (a *App) bindTransferAtom(s *boundRegion, atomIdx, to, li int, target core.Target) {
-	me := a.Group.Rank()
+	me := a.groupRank()
 	from := privGroupRank
 	p := a.P
 
@@ -326,7 +330,7 @@ func (a *App) bindTransferAtom(s *boundRegion, atomIdx, to, li int, target core.
 		core.Sender(a.groupRankToWorld(from)), core.Receiver(a.groupRankToWorld(to)),
 		core.WithTarget(target),
 	)
-	if target == core.TargetSHMEM {
+	if oneSided(target) {
 		// Symmetric addressing: every rank computes the owner's offsets.
 		// The composite is staged as bytes (encodeScalars): it cannot live
 		// in typed symmetric memory.
@@ -350,7 +354,7 @@ func (a *App) bindTransferAtom(s *boundRegion, atomIdx, to, li int, target core.
 			),
 		}
 	} else {
-		// MPI targets: the composite moves via an automatically created
+		// Two-sided MPI: the composite moves via an automatically created
 		// derived datatype; the matrices move as typed slices (which alias
 		// the symmetric arrays, so the data lands in place either way).
 		s.p2p = []*core.Bound{
@@ -371,13 +375,35 @@ func (a *App) bindTransferAtom(s *boundRegion, atomIdx, to, li int, target core.
 
 // groupRankToWorld translates a group rank to the directive environment's
 // communicator (the world): the environment is built over the world comm,
-// so clause ids are world ranks.
+// so clause ids are world ranks. The WL master is in no group and holds no
+// role in any region: its sender and receiver clauses name itself.
 func (a *App) groupRankToWorld(groupRank int) int {
+	if a.Group == nil {
+		return a.RK.ID
+	}
 	return a.Group.WorldRank(groupRank)
 }
 
-// encodeScalars stages the scalar composite as bytes for the SHMEM path,
-// charging the staging copy.
+// groupRank is this rank's rank in its group; -1 on the WL master.
+func (a *App) groupRank() int {
+	if a.Group == nil {
+		return -1
+	}
+	return a.Group.Rank()
+}
+
+// oneSided reports whether target writes into the receiver's memory, which
+// the directive's clause list must then be able to address from the sender:
+// the App's regions name symmetric storage for both one-sided targets (an
+// MPI window over a symmetric array is one window on every rank, where
+// per-rank destination slices would be a different collective WinCreate
+// sequence on each).
+func oneSided(target core.Target) bool {
+	return target == core.TargetSHMEM || target == core.TargetMPI1Side
+}
+
+// encodeScalars stages the scalar composite as bytes for the one-sided
+// targets, charging the staging copy.
 func (a *App) encodeScalars(atom *AtomData, localID int32) error {
 	lay, err := scalarsLayout()
 	if err != nil {
@@ -434,8 +460,8 @@ func (a *App) DistributeAtoms(v Variant, target core.Target) (model.Time, error)
 		if err := a.stageAtomsToPrivileged(); err != nil {
 			return err
 		}
-		if a.Role == RoleWL {
-			return nil
+		if a.Role == RoleWL && v != VariantDirective {
+			return nil // the original's phase is group-local: no call on the WL master
 		}
 		switch v {
 		case VariantOriginal, VariantOriginalWaitall:

@@ -72,7 +72,8 @@ func (a *App) mixDensityOriginal() error {
 // regions: a worker->privileged return of densities, then (after the
 // privileged mixing) a privileged->worker redistribution of potentials.
 // The second region depends on data computed from the first, so the
-// regions synchronise at their boundaries by construction.
+// regions synchronise at their boundaries by construction. Every rank
+// executes both, the WL master included (see distributeDirective).
 func (a *App) mixDensityDirective(target core.Target) error {
 	p := a.P
 	t := p.TRows
@@ -89,7 +90,7 @@ func (a *App) mixDensityDirective(target core.Target) error {
 	if err := a.Env.ParametersBound(ret.params, ret.body); err != nil {
 		return fmt.Errorf("wllsms: density return: %w", err)
 	}
-	if target == core.TargetSHMEM && a.Role == RolePrivileged {
+	if oneSided(target) && a.Role == RolePrivileged {
 		// Unstage worker densities from the per-atom symmetric staging.
 		rho := a.symMix.Local(a.Shm)
 		for atomIdx := 0; atomIdx < p.NumAtoms; atomIdx++ {
@@ -118,7 +119,7 @@ func (a *App) mixDensityDirective(target core.Target) error {
 func (a *App) bindMixing(ret, redist *boundRegion, target core.Target) {
 	p := a.P
 	t := p.TRows
-	me := a.Group.Rank()
+	me := a.groupRank()
 	w2 := a.groupRankToWorld
 	params := core.Bind(
 		core.MaxCommIter(p.NumAtoms),
@@ -133,7 +134,7 @@ func (a *App) bindMixing(ret, redist *boundRegion, target core.Target) {
 		}
 		li := a.L.LocalIndexOf(owner, atomIdx)
 
-		// Return. On the SHMEM target the privileged rank's AllAtoms
+		// Return. On a one-sided target the privileged rank's AllAtoms
 		// matrices are not symmetric, so workers put into the symMix
 		// staging, one slot per atom (the workers' own storage aliases
 		// other slots, so a dedicated staging array keeps them disjoint),
@@ -142,7 +143,7 @@ func (a *App) bindMixing(ret, redist *boundRegion, target core.Target) {
 		if me == owner {
 			sb = a.Local[li].RhoTot
 		}
-		if target == core.TargetSHMEM {
+		if oneSided(target) {
 			rb = core.At(a.symMix, atomIdx*2*t)
 		} else if me == privGroupRank {
 			rb = a.AllAtoms[atomIdx].RhoTot
@@ -159,7 +160,7 @@ func (a *App) bindMixing(ret, redist *boundRegion, target core.Target) {
 			sb = a.AllAtoms[atomIdx].VR
 		}
 		rb = core.At(a.symVR, li*2*t)
-		if target != core.TargetSHMEM {
+		if !oneSided(target) {
 			rb = a.scratch.VR
 			if me == owner {
 				rb = a.Local[li].VR
@@ -208,8 +209,8 @@ func (a *App) mixOnPrivileged() {
 // implementation and returns the measured virtual-time span.
 func (a *App) MixDensities(v Variant, target core.Target) (model.Time, error) {
 	return a.Measure(func() error {
-		if a.Role == RoleWL {
-			return nil
+		if a.Role == RoleWL && v != VariantDirective {
+			return nil // the original's phase is group-local: no call on the WL master
 		}
 		switch v {
 		case VariantOriginal, VariantOriginalWaitall:

@@ -19,21 +19,21 @@ func (a *App) StageSpins(spins [][]float64) error {
 		if len(spins) != p.Groups {
 			return fmt.Errorf("wllsms: StageSpins wants %d spin sets, got %d", p.Groups, len(spins))
 		}
-		reqs := a.stageReqs[:0]
+		if a.stageReqs == nil {
+			a.stageReqs = make([]*mpi.Request, p.Groups)
+			for g := range a.stageReqs {
+				a.stageReqs[g] = new(mpi.Request)
+			}
+		}
 		for g := 0; g < p.Groups; g++ {
 			if len(spins[g]) != 3*p.NumAtoms {
 				return fmt.Errorf("wllsms: spin set %d has %d values, want %d", g, len(spins[g]), 3*p.NumAtoms)
 			}
-			r, err := a.World.Isend(spins[g], 3*p.NumAtoms, mpi.Float64, a.L.PrivilegedWorldRank(g), spinTag)
-			if err != nil {
+			if err := a.World.IsendInto(a.stageReqs[g], spins[g], 3*p.NumAtoms, mpi.Float64, a.L.PrivilegedWorldRank(g), spinTag); err != nil {
 				return err
 			}
-			reqs = append(reqs, r)
 		}
-		_, err := a.World.Waitall(reqs)
-		clear(reqs) // the scratch outlives the call; the requests must not
-		a.stageReqs = reqs
-		return err
+		return a.World.WaitallIgnore(a.stageReqs)
 	case RolePrivileged:
 		ev := a.symEv.Local(a.Shm)
 		_, err := a.World.Recv(ev, 3*p.NumAtoms, mpi.Float64, 0, spinTag)
@@ -150,10 +150,7 @@ func (a *App) setEvecDirective(target core.Target, overlap func(li int) error) e
 // one it takes no part in.
 func (a *App) bindSetEvec(s *boundRegion, target core.Target) {
 	p := a.P
-	priv := a.RK.ID // the WL master names itself: it holds neither role
-	if a.Role != RoleWL {
-		priv = a.groupRankToWorld(privGroupRank)
-	}
+	priv := a.groupRankToWorld(privGroupRank)
 	s.params = core.Bind(
 		core.SendWhen(a.Role == RolePrivileged),
 		core.ReceiveWhen(a.Role == RoleWorker),
