@@ -23,7 +23,7 @@ test:
 # one-sided windows are created by every rank at once, and the request-reuse
 # equivalence, where a reused receive is completed in place by another rank's
 # goroutine; so does the back-to-back mixed-collective stress, whose point is ranks lapping each
-# other through the one-wave rendezvous under every algorithm), the
+# other through the one-wave rendezvous), the
 # benchmark's smoke test under the race detector (the configuration in which
 # the barrier's lost wakeup was seen: every fence of the halo workload parks
 # there),
@@ -53,12 +53,15 @@ test:
 # table) imports neither of its implementations, the shm transport does not
 # import simnet, and the matcher's core routines are each defined once. The
 # line after those does the same for mpi's non-blocking start path: Isend,
-# Irecv and their *Into forms allocate a request in one place.
+# Irecv and their *Into forms allocate a request in one place. The next one
+# keeps the host's parallelism out of every decision but the barrier's shape:
+# runtime.GOMAXPROCS is read under internal/ only in simnet/barrier.go.
 verify: vet-intent
 	! $(GO) list -deps ./internal/transport | grep -E 'internal/(simnet|shmtransport)$$'
 	! $(GO) list -deps ./internal/shmtransport | grep -E 'internal/simnet$$'
 	for f in takePosted findUnexpected matches; do test "$$(grep -rEh "^func (\([^)]*\) )?$$f\(" --include='*.go' internal | wc -l)" -eq 1 || { echo "$$f must be defined exactly once under internal/"; exit 1; }; done
 	test "$$(grep -rF 'new(Request)' --include='*.go' --exclude='*_test.go' internal/mpi | wc -l)" -eq 1 || { echo "new(Request) must occur exactly once under internal/mpi: Isend and Irecv start operations through one path"; exit 1; }
+	test "$$(grep -rlF 'runtime.GOMAXPROCS' --include='*.go' --exclude='*_test.go' internal)" = internal/simnet/barrier.go || { echo "runtime.GOMAXPROCS may be read under internal/ only in internal/simnet/barrier.go"; exit 1; }
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
@@ -66,7 +69,7 @@ verify: vet-intent
 	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/
 	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs|TestHalo2sReplayAllocs' ./internal/telemetry/ ./internal/wllsms/ ./internal/core/
-	COMMINTENT_MANAGED_RUNTIME= COMMINTENT_TRANSPORT= $(GO) test -run 'TestChaosHaloSweep|TestVirtualTimePinned|TestFiguresPinned|TestRetuneOffIsBitIdentical' . ./internal/mpi/ ./internal/bench/
+	COMMINTENT_MANAGED_RUNTIME= COMMINTENT_TRANSPORT= $(GO) test -run 'TestChaosHaloSweep|TestVirtualTimePinned|TestFiguresPinned' . ./internal/mpi/ ./internal/bench/
 
 # vet-intent is the static intent-verification gate: commvet analyses every
 # shipped pattern's communication graph over its size sweep (must be clean,
@@ -108,8 +111,8 @@ bench:
 	@echo wrote BENCH_dataplane.json
 
 # bench-scale runs the scale suite (whole-world barrier / allreduce / halo
-# cost at 64/256/1024 ranks, plus the 4096/16384/65536 big-scale sweep and
-# the 16384-rank hierarchical-vs-flat allreduce pair) and snapshots it,
+# cost at 64/256/1024 ranks, plus the 4096/16384/65536 big-scale sweep of
+# barrier and allreduce) and snapshots it,
 # diffed against the committed pre-redesign baseline, into BENCH_scale.json.
 # -timeout 0 matters: the test binary's watchdog timer otherwise adds
 # measurable scheduler overhead to every goroutine switch on a single-P box.
@@ -117,8 +120,8 @@ bench:
 # letting the framework ramp toward 1s/benchmark at 64k goroutine ranks
 # spends minutes re-spawning worlds for no extra signal.
 bench-scale:
-	$(GO) test -run XXX -bench BenchmarkScale -skip 'Big|Hier' -benchmem -count=5 -timeout 0 . | tee bench_scale.out
-	$(GO) test -run XXX -bench 'BenchmarkScale.*(Big|Hier)' -benchmem -count=3 -benchtime 10x -timeout 0 . | tee -a bench_scale.out
+	$(GO) test -run XXX -bench BenchmarkScale -skip Big -benchmem -count=5 -timeout 0 . | tee bench_scale.out
+	$(GO) test -run XXX -bench 'BenchmarkScale.*Big' -benchmem -count=3 -benchtime 10x -timeout 0 . | tee -a bench_scale.out
 	$(GO) run ./cmd/benchjson -baseline testdata/bench_baseline_scale.txt < bench_scale.out > BENCH_scale.json
 	@rm -f bench_scale.out
 	@echo wrote BENCH_scale.json
@@ -128,8 +131,8 @@ bench-scale:
 # committed BENCH_scale.json median (min-vs-median rides out scheduler
 # noise; a real regression shifts even the cleanest sample).
 bench-scale-check:
-	( $(GO) test -run XXX -bench BenchmarkScale -skip 'Big|Hier' -benchmem -count=5 -timeout 0 . ; \
-	  $(GO) test -run XXX -bench 'BenchmarkScale.*(Big|Hier)' -benchmem -count=3 -benchtime 10x -timeout 0 . ) \
+	( $(GO) test -run XXX -bench BenchmarkScale -skip Big -benchmem -count=5 -timeout 0 . ; \
+	  $(GO) test -run XXX -bench 'BenchmarkScale.*Big' -benchmem -count=3 -benchtime 10x -timeout 0 . ) \
 	  | $(GO) run ./cmd/benchjson -compare BENCH_scale.json > /dev/null
 	@echo scale benchmarks within budget
 

@@ -4,7 +4,7 @@
 // -benchmem), not virtual time: one op is one whole-world operation
 // (barrier, allreduce, gather, halo exchange) across every rank. They are
 // the regression guard for the contention-free matching/barrier work and
-// the size-adaptive collective algorithms; `make bench-scale` snapshots
+// the one-wave collectives; `make bench-scale` snapshots
 // them into BENCH_scale.json against the committed pre-redesign baseline.
 package commintent
 
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"testing"
 
-	"commintent/internal/coll"
 	"commintent/internal/model"
 	"commintent/internal/mpi"
 	"commintent/internal/spmd"
@@ -143,28 +142,6 @@ func BenchmarkScaleHalo(b *testing.B) {
 // payload-heavy shapes would measure the allocator, not the fabric.
 var scaleRanksBig = []int{4096, 16384, 65536}
 
-// benchWorldProf is benchWorld over an explicit machine profile.
-func benchWorldProf(b *testing.B, n int, prof *model.Profile, body func(c *mpi.Comm, i int) error) {
-	b.Helper()
-	b.ReportAllocs()
-	err := spmd.Run(n, prof, func(rk *spmd.Rank) error {
-		c := mpi.World(rk)
-		c.Barrier()
-		if rk.ID == 0 {
-			b.ResetTimer()
-		}
-		for i := 0; i < b.N; i++ {
-			if err := body(c, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkScaleBarrierBig measures one world barrier per op at the
 // committed large-scale sizes.
 func BenchmarkScaleBarrierBig(b *testing.B) {
@@ -195,35 +172,6 @@ func BenchmarkScaleAllreduceBig(b *testing.B) {
 	for _, n := range scaleRanksBig {
 		b.Run(fmt.Sprintf("r%d", n), func(b *testing.B) {
 			benchWorld(b, n, func(c *mpi.Comm, _ int) error {
-				in := make([]float64, 16)
-				out := make([]float64, 16)
-				in[0] = 1
-				return c.Allreduce(in, out, 16, mpi.Float64, mpi.OpSum)
-			})
-		})
-	}
-}
-
-// BenchmarkScaleAllreduceHier is the committed hierarchical-vs-flat pair:
-// a 16384-rank 16-element allreduce on the gemini-torus placement (8x8x8
-// nodes, 16 ranks/node — the rank count wraps the machine twice, so every
-// node hosts 32 members), once under the node-leader hierarchical schedule
-// and once under the forced-flat recursive-doubling schedule it replaces.
-// The committed BENCH_scale.json medians are the >=2x speedup evidence.
-func BenchmarkScaleAllreduceHier(b *testing.B) {
-	const n = 16384
-	prof := model.GeminiLike().WithTorus(8, 8, 8, 16, 300*model.Nanosecond, 200*model.Nanosecond)
-	for _, tc := range []struct {
-		name string
-		algo coll.Algo
-	}{
-		{"hier", coll.HierAllreduce},
-		{"flat", coll.RecDouble},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			restore := coll.Force(tc.algo)
-			defer restore()
-			benchWorldProf(b, n, prof, func(c *mpi.Comm, _ int) error {
 				in := make([]float64, 16)
 				out := make([]float64, 16)
 				in[0] = 1

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"commintent/internal/coll"
 	"commintent/internal/core"
 	"commintent/internal/model"
 	"commintent/internal/mpi"
@@ -203,15 +202,15 @@ func TestChaosSameSeedBitIdentical(t *testing.T) {
 	}
 }
 
-// chaosHierAllreduce interleaves a retried ring p2p exchange with a forced
-// node-leader allreduce on a wrapped-torus placement (64 ranks on a
-// 32-rank-capacity torus, so node membership is non-contiguous) under
-// injected drops. The p2p traffic is fault-eligible and retried; the
-// collective's internal leader traffic is tag-exempt by design, and this run
+// chaosTorusAllreduce interleaves a retried ring p2p exchange with an
+// allreduce on a wrapped-torus placement (64 ranks on a 32-rank-capacity
+// torus, so node membership is non-contiguous and the communicator's
+// barrier is the node-grouped tree) under injected drops. The p2p traffic is
+// fault-eligible and retried; the collective sends no message, and this run
 // proves the two coexist: every iteration's halo and allreduce results are
 // exact, and the per-rank virtual times it returns are same-seed
 // deterministic.
-func chaosHierAllreduce(t *testing.T, n int, drop float64, seed uint64) []int64 {
+func chaosTorusAllreduce(t *testing.T, n int, drop float64, seed uint64) []int64 {
 	t.Helper()
 	w, err := spmd.NewWorld(n, model.GeminiLike().WithTorus(2, 2, 2, 4, 300, 200))
 	if err != nil {
@@ -268,15 +267,12 @@ func chaosHierAllreduce(t *testing.T, n int, drop float64, seed uint64) []int64 
 	return times
 }
 
-// TestChaosHierAllreduce is the hierarchical-schedule chaos gate: with
-// HierAllreduce forced, the faulty run completes with exact data (asserted
-// inside chaosHierAllreduce) and two same-seed runs produce bit-identical
-// per-rank virtual times.
-func TestChaosHierAllreduce(t *testing.T) {
-	restore := coll.Force(coll.HierAllreduce)
-	defer restore()
-	a := chaosHierAllreduce(t, 64, 0.05, chaosSeed)
-	b := chaosHierAllreduce(t, 64, 0.05, chaosSeed)
+// TestChaosTorusAllreduce is the torus-placement chaos gate: the faulty run
+// completes with exact data (asserted inside chaosTorusAllreduce) and two
+// same-seed runs produce bit-identical per-rank virtual times.
+func TestChaosTorusAllreduce(t *testing.T) {
+	a := chaosTorusAllreduce(t, 64, 0.05, chaosSeed)
+	b := chaosTorusAllreduce(t, 64, 0.05, chaosSeed)
 	for r := range a {
 		if a[r] != b[r] {
 			t.Fatalf("rank %d: %d != %d across same-seed runs", r, a[r], b[r])

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"commintent/internal/coll"
 	"commintent/internal/core"
 	"commintent/internal/model"
 	"commintent/internal/mpi"
@@ -61,7 +60,7 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "fault-injector seed; same seed replays the same faults (with -drop)")
 	postmortem := flag.String("postmortem", "", "enable the flight recorder; on a terminal fault write post-mortem dumps as JSON to this file (\"-\" for stdout) and render them on stderr")
 	serveAddr := flag.String("serve", "", "serve the live introspection plane (/metrics /snapshot.json /ranks /postmortem) on this address and keep serving after the run")
-	managed := flag.String("managed", "", "managed-runtime config for this run: off, on, full, or a comma list of retune,coalesce,autosync (overrides $"+rt.EnvVar+")")
+	managed := flag.String("managed", "", "managed-runtime config for this run: off, on, full, or a comma list of coalesce,autosync (overrides $"+rt.EnvVar+")")
 	profile := flag.String("profile", "gemini", "machine profile: gemini, ethernet, torus or dragonfly")
 	profileFile := flag.String("profile-file", "", "load a custom machine profile from a JSON file (overrides -profile)")
 	transportSel := flag.String("transport", "", "two-sided transport: simnet (virtual time) or shm (parallel, wall time); overrides the profile's transport field ($"+transport.EnvVar+" still wins)")
@@ -210,20 +209,9 @@ func main() {
 		sumCounter(reg, "core_p2p_giveups_total", *n))
 
 	if calls := sumCounter(reg, "mpi_coll_calls_total", *n); calls > 0 {
-		line := fmt.Sprintf("collectives: %d calls; algorithms:", calls)
-		for a := coll.Algo(0); a < coll.NAlgos; a++ {
-			var tot int64
-			for r := 0; r < *n; r++ {
-				tot += reg.CounterValue("mpi_coll_algo_total",
-					telemetry.Rank(r), telemetry.Label{Key: "algo", Value: a.String()})
-			}
-			if tot > 0 {
-				line += fmt.Sprintf(" %s=%d", a, tot)
-			}
-		}
-		fmt.Println(line)
+		fmt.Printf("collectives: %d calls\n", calls)
 	}
-	printTopology(prof, reg, hops, *n)
+	printTopology(prof, hops, *n)
 	printTransport(w, *n)
 	printRuntimeDecisions(reg, mpi.ManagedTrace(w), *n)
 
@@ -327,11 +315,10 @@ func observeHops(f *simnet.Fabric, prof *model.Profile, n int) *hopHist {
 	return hh
 }
 
-// printTopology renders the placement picture: the active topology, the
-// hop-distance histogram of the traffic the run actually put on the wire,
-// and how often each collective kind ran a hierarchical schedule versus a
-// flat one. Every line is n/a-safe on a flat profile.
-func printTopology(prof *model.Profile, reg *telemetry.Registry, hh *hopHist, n int) {
+// printTopology renders the placement picture: the active topology and the
+// hop-distance histogram of the traffic the run actually put on the wire.
+// Every line is n/a-safe on a flat profile.
+func printTopology(prof *model.Profile, hh *hopHist, n int) {
 	fmt.Printf("\n== topology ==\n")
 	if prof.Topo == nil {
 		fmt.Println("topology: flat (single crossbar); hop histogram: n/a")
@@ -360,27 +347,6 @@ func printTopology(prof *model.Profile, reg *telemetry.Registry, hh *hopHist, n 
 			fmt.Println("  (no traffic observed)")
 		}
 	}
-	line := "schedules (hier/flat per collective kind):"
-	any := false
-	for k := coll.Kind(0); k < coll.NKinds; k++ {
-		var hier, flat int64
-		for r := 0; r < n; r++ {
-			hier += reg.CounterValue("mpi_coll_sched_total", telemetry.Rank(r),
-				telemetry.Label{Key: "kind", Value: k.String()},
-				telemetry.Label{Key: "class", Value: "hier"})
-			flat += reg.CounterValue("mpi_coll_sched_total", telemetry.Rank(r),
-				telemetry.Label{Key: "kind", Value: k.String()},
-				telemetry.Label{Key: "class", Value: "flat"})
-		}
-		if hier+flat > 0 {
-			any = true
-			line += fmt.Sprintf(" %s=%d/%d", k, hier, flat)
-		}
-	}
-	if !any {
-		line += " n/a (no collectives ran)"
-	}
-	fmt.Println(line)
 }
 
 // printTransport renders the data-plane picture: which two-sided transport
@@ -429,19 +395,13 @@ func printTransport(w *spmd.World, n int) {
 }
 
 // printRuntimeDecisions renders the managed runtime's adaptive picture:
-// what the active config is, how often the collective tuner was consulted
-// and switched algorithms, what coalescing batched and saved, and the
+// what the active config is, what coalescing batched and saved, and the
 // canonical decision trace itself (the replayable record post-mortems diff
 // against). All rates are n/a-safe — with the runtime off every line prints
 // zeros rather than NaN.
 func printRuntimeDecisions(reg *telemetry.Registry, tr *rt.Trace, n int) {
 	fmt.Printf("\n== runtime decisions ==\n")
 	fmt.Printf("managed runtime: %s\n", rt.Active())
-
-	evals := sumCounter(reg, "runtime_retune_evals_total", n)
-	switches := sumCounter(reg, "runtime_retune_switches_total", n)
-	fmt.Printf("retune: %d evaluation(s), %d algorithm switch(es) (switch rate %s)\n",
-		evals, switches, rate(switches, evals))
 
 	batches := sumCounter(reg, "runtime_coalesce_batches_total", n)
 	parts := sumCounter(reg, "runtime_coalesce_parts_total", n)

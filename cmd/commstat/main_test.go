@@ -88,13 +88,15 @@ func TestCommstatRuntimeDecisionsOff(t *testing.T) {
 	for _, want := range []string{
 		"== runtime decisions ==",
 		"managed runtime: off",
-		"retune: 0 evaluation(s), 0 algorithm switch(es) (switch rate n/a)",
 		"coalesce: 0 small message(s) packed into 0 batch(es), 0 wire message(s) saved (save rate n/a)",
 		"decision trace: empty",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+	if strings.Contains(out, "retune") {
+		t.Error("the collective tuner is gone; the report must not mention retuning")
 	}
 }
 
@@ -104,7 +106,7 @@ func TestCommstatRuntimeDecisionsOff(t *testing.T) {
 func TestCommstatRuntimeDecisionsOn(t *testing.T) {
 	out := runMain(t, "-n", "4", "-pattern", "ring", "-iters", "2", "-managed", "on")
 	for _, want := range []string{
-		"managed runtime: retune,coalesce",
+		"managed runtime: coalesce",
 		"batch sizes (parts per batch, per rank):",
 		"decision trace:",
 		"fingerprint",
@@ -154,7 +156,6 @@ func TestCommstatTopologySection(t *testing.T) {
 		"diameter 3",
 		"hop-distance histogram (observed wire traffic):",
 		" 0 hop(s):",
-		"schedules (hier/flat per collective kind): n/a (no collectives ran)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("torus output missing %q:\n%s", want, out)
@@ -164,7 +165,6 @@ func TestCommstatTopologySection(t *testing.T) {
 	flat := runMain(t, "-n", "4", "-pattern", "ring")
 	for _, want := range []string{
 		"topology: flat (single crossbar); hop histogram: n/a",
-		"schedules (hier/flat per collective kind): n/a (no collectives ran)",
 	} {
 		if !strings.Contains(flat, want) {
 			t.Errorf("flat output missing %q:\n%s", want, flat)

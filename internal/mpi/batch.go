@@ -104,7 +104,6 @@ func (c *Comm) IsendBatch(parts []BatchPart, dest, tag int) (*Request, error) {
 	}
 	sr := c.port.Send(c.WorldRank(dest), c.wireTag(tag), wire, arrive, false)
 	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvSend, Peer: c.WorldRank(dest), Tag: tag, Bytes: n, V: clk.Now()})
-	c.reqPosted()
 	return &Request{comm: c, send: sr, isSend: true, destWorld: c.WorldRank(dest)}, nil
 }
 
@@ -269,6 +268,5 @@ func (c *Comm) IrecvBatch(q *BatchQueue, source, tag int) (*Request, error) {
 	wire := transport.GetBuf(BatchWireCap)
 	rr := c.port.PostRecv(c.WorldRank(source), c.wireTag(tag), wire, clk.Now())
 	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvRecvPost, Peer: c.WorldRank(source), Tag: tag, Bytes: len(wire), V: clk.Now()})
-	c.reqPosted()
 	return &Request{comm: c, recv: rr, wire: wire, batch: q}, nil
 }

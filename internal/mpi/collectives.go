@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"commintent/internal/coll"
 	"commintent/internal/model"
-	rt "commintent/internal/runtime"
 	"commintent/internal/transport"
 	"commintent/internal/typemap"
 )
@@ -20,10 +18,10 @@ import (
 // every rank made the same call, replays the canonical cost model over the
 // entry clocks (internal/mpi/replay.go) to produce every rank's exit clock —
 // the exact arithmetic the original per-message implementation performed —
-// picks the data-movement algorithm and, when that is the direct move,
-// moves the bytes. The release flip publishes exits, algorithm and error;
-// each rank then sets its clock and, for any other algorithm, runs its part
-// of the clockless data movement.
+// and moves the bytes between the published views (moveDirect). The
+// release flip publishes exits and error; each rank then sets its clock.
+// There is one schedule representation, the replay, and one data movement,
+// the direct copy: no collective sends a message.
 //
 // Happens-before, link by link: a rank's entry stores precede its arrival
 // fetch-add; the arrival words order every arrival before the last one (up
@@ -34,26 +32,43 @@ import (
 // the next step, which needs every rank to have arrived again — that is,
 // to have read this one first.
 //
-// Virtual time is a pure function of the cost model and entry state: the
-// data-movement algorithm (internal/coll) can change per size, per rank
-// count, or per test force without moving a single virtual nanosecond, and
-// the step reads only published state (entries, and comm rank 0's tuner
-// inputs), so it computes the same thing whichever rank happens to run it.
+// Virtual time is a pure function of the cost model and entry state, and
+// the step reads only published state (the entries), so it computes the same
+// thing whichever rank happens to run it.
 
-// Internal tag codes for collective data-plane plumbing (offsets into the
-// reserved tag window, so they can never collide with user point-to-point
-// traffic). The legacy codes keep their values; scatter historically rode
-// on tagGather round 1.
+// collKind identifies a collective operation family.
+type collKind uint8
+
 const (
-	tagBcast = iota
-	tagReduce
-	tagGather
-	tagAllreduce
-	tagAllgather
-	tagAlltoall
-	tagScatter
-	tagHier // hierarchical (node-leader and topology-ring) mover traffic
+	collBcast collKind = iota
+	collReduce
+	collAllreduce
+	collGather
+	collScatter
+	collAllgather
+	collAlltoall
 )
+
+func (k collKind) String() string {
+	switch k {
+	case collBcast:
+		return "bcast"
+	case collReduce:
+		return "reduce"
+	case collAllreduce:
+		return "allreduce"
+	case collGather:
+		return "gather"
+	case collScatter:
+		return "scatter"
+	case collAllgather:
+		return "allgather"
+	case collAlltoall:
+		return "alltoall"
+	default:
+		return "kind?"
+	}
+}
 
 // Op is a reduction operator.
 type Op int
@@ -97,38 +112,14 @@ type collShared struct {
 	exits   []model.Time
 	arr     []model.Time // replay arrival-time scratch
 	entryV  []model.Time // replay entry-clock scratch (alltoall)
-	algo    coll.Algo
-	err     error // step-detected failure, read by every rank
+	err     error        // step-detected failure, read by every rank
 
 	// owner is comm rank 0's handle and step the completion function every
 	// rank hands the barrier: whichever rank arrives last runs the owner's
-	// collStep, so the tuner observation, decision trace and retune
-	// counters are rank 0's however the arrival order falls. step is built
-	// with the area and owner set by rank 0 before its first arrival.
+	// collStep. step is built with the area and owner set by rank 0 before
+	// its first arrival.
 	owner *Comm
 	step  func()
-
-	// topo is the communicator's placement summary (zero when the profile
-	// has no hierarchical topology) and hl the node-membership layout the
-	// hierarchical movers walk. Both are built once at communicator
-	// creation and read-only afterwards.
-	topo coll.Topo
-	hl   *hierLayout
-
-	// tuner is the managed runtime's per-communicator decision cache,
-	// touched only inside the step (so it needs no locking). Lazily created
-	// the first time the step runs with retuning active.
-	tuner *rt.CollTuner
-
-	// Wall-mode tuner feedback. There are no replayed exits to subtract, so
-	// rank 0 measures each invocation end to end (earliest published entry
-	// to its own post-mover clock) and the step feeds that duration to the
-	// tuner on the NEXT comparable invocation, by when rank 0 has arrived
-	// again.
-	wallStart model.Time // earliest entry reading of the current invocation
-	lastObs   rt.CollObs // measured observation from the previous invocation
-	lastKind  coll.Kind  // what lastObs measured...
-	lastBytes int        // ...so stale observations are not cross-applied
 
 	// acc is the step's reduction accumulator, in wire form, grown on
 	// demand so steady-state collectives allocate nothing.
@@ -152,14 +143,6 @@ func collFor(c *Comm) *collShared {
 			entryV:  make([]model.Time, n),
 		}
 		sh.step = func() { sh.owner.collStep() }
-		if h, ok := c.prof().Topo.(model.Hierarchical); ok {
-			sh.hl = newHierLayout(h, c.ranks)
-			sh.topo = coll.Topo{
-				Nodes:        sh.hl.nodes,
-				RanksPerNode: sh.hl.maxPer,
-				Diameter:     h.Diameter(),
-			}
-		}
 		reg.coll[key] = sh
 	}
 	if c.myIdx == 0 {
@@ -170,7 +153,7 @@ func collFor(c *Comm) *collShared {
 
 // collOp describes one collective invocation.
 type collOp struct {
-	kind  coll.Kind
+	kind  collKind
 	root  int
 	count int
 	d     *Datatype
@@ -253,7 +236,7 @@ func (c *Comm) runCollective(op collOp, send any, sn int, recv any, rn int) erro
 		return fmt.Errorf("mpi: %s: root %d of comm size %d", op.kind, op.root, c.Size())
 	}
 	e.send, e.recv = nil, nil
-	if op.kind == coll.Reduce || op.kind == coll.Allreduce {
+	if op.kind == collReduce || op.kind == collAllreduce {
 		err = checkReducible(op.d)
 	}
 	if err == nil && sn >= 0 {
@@ -274,13 +257,8 @@ func (c *Comm) runCollective(op collOp, send any, sn int, recv any, rn int) erro
 	bar.WaitStep(me, 0, sh.step)
 
 	if err == nil {
-		err = sh.err
-	}
-	algo := sh.algo
-	if err == nil {
-		c.clk.Set(sh.exits[me])
-		if algo != coll.Direct {
-			err = c.runMover(op, e.send, e.recv, algo)
+		if err = sh.err; err == nil {
+			c.clk.Set(sh.exits[me])
 		}
 	}
 	if rst {
@@ -295,32 +273,18 @@ func (c *Comm) runCollective(op collOp, send any, sn int, recv any, rn int) erro
 	if err != nil {
 		return err
 	}
-	if c.wall && me == 0 && rt.Active().Retune {
-		// Rank 0 records this invocation's measured duration for the NEXT
-		// comparable invocation's tuner feedback (see chooseAlgo): the next
-		// step cannot run before rank 0 has arrived again.
-		sh.lastObs = rt.CollObs{Duration: c.clk.Now() - sh.wallStart}
-		sh.lastKind = op.kind
-		sh.lastBytes = op.count * op.d.Size()
-	}
 	if c.tele.collCalls != nil {
 		c.tele.collCalls.Inc()
-		c.tele.collAlgo[algo].Inc()
-		class := 0
-		if algo.Hierarchical() {
-			class = 1
-		}
-		c.tele.collSched[op.kind][class].Inc()
 	}
 	return nil
 }
 
 // collStep is the owner step: it checks the published calls against each
-// other, replays the canonical schedule over the published entry clocks
-// and, for the direct algorithm, performs the data movement in place. The
-// receiver is comm rank 0's handle, but the goroutine is the last
-// arriver's, between the last arrival and the release: rank 0 is parked in
-// the barrier like everyone else, so its fields can be read freely.
+// other, replays the canonical schedule over the published entry clocks and
+// performs the data movement in place. The receiver is comm rank 0's
+// handle, but the goroutine is the last arriver's, between the last arrival
+// and the release: rank 0 is parked in the barrier like everyone else, so
+// its fields can be read freely.
 func (c *Comm) collStep() {
 	sh := c.csh
 	ent := sh.entries
@@ -337,99 +301,30 @@ func (c *Comm) collStep() {
 		}
 		sh.exits[i] = ent[i].v
 	}
-	if c.wall {
-		// No canonical replay on the wall clock: exits stay the published
-		// entry readings (rank clocks ignore Set in wall mode) and
-		// durations are measured, not modelled. Record the invocation's
-		// earliest entry so rank 0 can measure it end to end.
-		minEntry := ent[0].v
-		for i := 1; i < len(ent); i++ {
-			if v := ent[i].v; v < minEntry {
-				minEntry = v
-			}
-		}
-		sh.wallStart = minEntry
-	} else {
+	// On the wall clock there is no replay: exits stay the published entry
+	// readings (rank clocks ignore Set in wall mode).
+	if !c.wall {
 		r := replayer{p: c.prof(), c: c, v: sh.exits}
 		switch op.kind {
-		case coll.Bcast:
+		case collBcast:
 			r.bcast(op.root, op.count, op.d, sh.arr)
-		case coll.Reduce:
+		case collReduce:
 			r.reduce(op.root, op.count, op.d, sh.arr)
-		case coll.Allreduce:
+		case collAllreduce:
 			r.reduce(0, op.count, op.d, sh.arr)
 			r.bcast(0, op.count, op.d, sh.arr)
-		case coll.Gather:
+		case collGather:
 			r.gather(op.root, op.count, op.d, sh.arr)
-		case coll.Scatter:
+		case collScatter:
 			r.scatter(op.root, op.count, op.d, sh.arr)
-		case coll.Allgather:
+		case collAllgather:
 			r.gather(0, op.count, op.d, sh.arr)
 			r.bcast(0, c.Size()*op.count, op.d, sh.arr)
-		case coll.Alltoall:
+		case collAlltoall:
 			r.alltoall(op.count, op.d, sh.entryV)
 		}
 	}
-	sh.algo = c.chooseAlgo(sh, op)
-	if sh.algo == coll.Direct {
-		sh.err = moveDirect(sh, op)
-	}
-}
-
-// chooseAlgo picks the data-movement algorithm for this invocation. With
-// the managed runtime's retuning off this is exactly the static table
-// lookup. With it on, the step feeds the tuner this collective's
-// virtual-time observation — duration from the already-replayed entry/exit
-// clocks, the profile's pure-bandwidth wire cost, and rank 0's
-// deterministic outstanding-request high-watermark — and uses the tuned
-// (hysteresis-damped) choice. Either way the choice only affects how real
-// bytes move: virtual time comes from the canonical replay above, so
-// retuning never moves a golden.
-func (c *Comm) chooseAlgo(sh *collShared, op collOp) coll.Algo {
-	bytes := op.count * op.d.Size()
-	cfg := rt.Active()
-	if !cfg.Retune {
-		return coll.ChooseTopo(op.kind, c.Size(), bytes, sh.topo)
-	}
-	if sh.tuner == nil {
-		sh.tuner = rt.NewCollTuner(ManagedTrace(c.rk.World()), c.id)
-	}
-	var obs rt.CollObs
-	if c.wall {
-		// Measured feedback runs one invocation late: the previous
-		// comparable invocation's end-to-end wall duration. A zero
-		// duration (first invocation, or shape change) is ignored by the
-		// tuner, so the static choice stands until real data exists.
-		if sh.lastKind == op.kind && sh.lastBytes == bytes {
-			obs.Duration = sh.lastObs.Duration
-		}
-	} else {
-		minEntry := sh.entries[0].v
-		maxExit := sh.exits[0]
-		for i := 1; i < len(sh.entries); i++ {
-			if v := sh.entries[i].v; v < minEntry {
-				minEntry = v
-			}
-			if v := sh.exits[i]; v > maxExit {
-				maxExit = v
-			}
-		}
-		obs.Duration = maxExit - minEntry
-	}
-	obs.Wire = c.prof().WireTime(bytes)
-	obs.Bytes = bytes
-	obs.QueueHighWater = c.liveReqsHW
-	obs.Rank = c.rk.ID
-	obs.V = sh.entries[0].v
-	algo, switched := sh.tuner.Choose(op.kind, c.Size(), bytes, sh.topo, obs)
-	if c.tele.retuneEvals != nil {
-		c.tele.retuneEvals.Inc()
-		if switched {
-			c.tele.retuneSwitches.Inc()
-			c.tele.retuneDecs.Inc()
-		}
-	}
-	return algo
+	sh.err = moveDirect(sh, op)
 }
 
 // Bcast broadcasts count elements of buf (datatype d) from root to all
@@ -440,7 +335,7 @@ func (c *Comm) Bcast(buf any, count int, d *Datatype, root int) error {
 	if c.Rank() == root {
 		sn, rn = count, -1
 	}
-	return c.runCollective(collOp{kind: coll.Bcast, root: root, count: count, d: d}, buf, sn, buf, rn)
+	return c.runCollective(collOp{kind: collBcast, root: root, count: count, d: d}, buf, sn, buf, rn)
 }
 
 // Reduce combines sendbuf across all ranks element-wise with op, leaving
@@ -452,7 +347,7 @@ func (c *Comm) Reduce(sendbuf, recvbuf any, count int, d *Datatype, op Op, root 
 	if c.Rank() == root {
 		rn = count
 	}
-	return c.runCollective(collOp{kind: coll.Reduce, root: root, count: count, d: d, op: op},
+	return c.runCollective(collOp{kind: collReduce, root: root, count: count, d: d, op: op},
 		sendbuf, count, recvbuf, rn)
 }
 
@@ -463,7 +358,7 @@ func (c *Comm) Allreduce(sendbuf, recvbuf any, count int, d *Datatype, op Op) er
 	if recvbuf == nil {
 		return fmt.Errorf("mpi: Allreduce: nil recvbuf")
 	}
-	return c.runCollective(collOp{kind: coll.Allreduce, count: count, d: d, op: op},
+	return c.runCollective(collOp{kind: collAllreduce, count: count, d: d, op: op},
 		sendbuf, count, recvbuf, count)
 }
 
@@ -476,7 +371,7 @@ func (c *Comm) Gather(sendbuf any, count int, d *Datatype, recvbuf any, root int
 	if c.Rank() == root {
 		rn = c.Size() * count
 	}
-	return c.runCollective(collOp{kind: coll.Gather, root: root, count: count, d: d},
+	return c.runCollective(collOp{kind: collGather, root: root, count: count, d: d},
 		sendbuf, count, recvbuf, rn)
 }
 
@@ -489,13 +384,13 @@ func moveDirect(sh *collShared, op collOp) error {
 	ent := sh.entries
 	nb := op.count * op.d.Size()
 	switch op.kind {
-	case coll.Bcast:
+	case collBcast:
 		for i := range ent {
 			if i != op.root {
 				copy(ent[i].recv, ent[op.root].send)
 			}
 		}
-	case coll.Reduce, coll.Allreduce:
+	case collReduce, collAllreduce:
 		if cap(sh.acc) < nb {
 			sh.acc = make([]byte, nb)
 		}
@@ -506,28 +401,28 @@ func moveDirect(sh *collShared, op collOp) error {
 				return fmt.Errorf("mpi: %s: %w", op.kind, err)
 			}
 		}
-		if op.kind == coll.Reduce {
+		if op.kind == collReduce {
 			copy(ent[op.root].recv, acc)
 			break
 		}
 		for i := range ent {
 			copy(ent[i].recv, acc)
 		}
-	case coll.Gather:
+	case collGather:
 		for i := range ent {
 			copy(ent[op.root].recv[i*nb:], ent[i].send)
 		}
-	case coll.Scatter:
+	case collScatter:
 		for i := range ent {
 			copy(ent[i].recv, ent[op.root].send[i*nb:(i+1)*nb])
 		}
-	case coll.Allgather:
+	case collAllgather:
 		for i := range ent {
 			for j := range ent {
 				copy(ent[j].recv[i*nb:], ent[i].send)
 			}
 		}
-	case coll.Alltoall:
+	case collAlltoall:
 		for s := range ent {
 			for r := range ent {
 				copy(ent[r].recv[s*nb:], ent[s].send[r*nb:(r+1)*nb])
@@ -535,35 +430,4 @@ func moveDirect(sh *collShared, op collOp) error {
 		}
 	}
 	return nil
-}
-
-// relRank renumbers so root becomes rank 0; absRank undoes it.
-func relRank(rank, root, n int) int { return (rank - root + n) % n }
-func absRank(rel, root, n int) int  { return (rel + root) % n }
-
-// topBit returns the highest set bit of x (x > 0).
-func topBit(x int) int {
-	b := 1
-	for b<<1 <= x {
-		b <<= 1
-	}
-	return b
-}
-
-// fanStart returns the bit at which rank me starts fanning out in a
-// binomial broadcast: 1 for the root, else one above its highest set bit.
-func fanStart(me int) int {
-	if me == 0 {
-		return 1
-	}
-	return topBit(me) << 1
-}
-
-func bitLog(bit int) int {
-	k := 0
-	for bit > 1 {
-		bit >>= 1
-		k++
-	}
-	return k
 }

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"commintent/internal/coll"
-)
+import "fmt"
 
 // Additional collectives: Scatter, Allgather and Alltoall, completing the
 // set the application layer and examples draw on. Like the core set they
@@ -22,7 +18,7 @@ func (c *Comm) Scatter(sendbuf any, count int, d *Datatype, recvbuf any, root in
 	if c.Rank() == root {
 		sn = c.Size() * count
 	}
-	return c.runCollective(collOp{kind: coll.Scatter, root: root, count: count, d: d},
+	return c.runCollective(collOp{kind: collScatter, root: root, count: count, d: d},
 		sendbuf, sn, recvbuf, count)
 }
 
@@ -33,7 +29,7 @@ func (c *Comm) Allgather(sendbuf any, count int, d *Datatype, recvbuf any) error
 	if recvbuf == nil {
 		return fmt.Errorf("mpi: Allgather: nil recvbuf")
 	}
-	return c.runCollective(collOp{kind: coll.Allgather, count: count, d: d},
+	return c.runCollective(collOp{kind: collAllgather, count: count, d: d},
 		sendbuf, count, recvbuf, c.Size()*count)
 }
 
@@ -46,6 +42,6 @@ func (c *Comm) Alltoall(sendbuf any, count int, d *Datatype, recvbuf any) error 
 	if recvbuf == nil {
 		return fmt.Errorf("mpi: Alltoall: nil recvbuf")
 	}
-	return c.runCollective(collOp{kind: coll.Alltoall, count: count, d: d},
+	return c.runCollective(collOp{kind: collAlltoall, count: count, d: d},
 		sendbuf, c.Size()*count, recvbuf, c.Size()*count)
 }

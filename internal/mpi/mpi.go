@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"commintent/internal/coll"
 	"commintent/internal/model"
 	rt "commintent/internal/runtime"
 	"commintent/internal/simnet"
@@ -31,11 +30,9 @@ import (
 // fabric's tag space.
 const MaxUserTag = 1 << 20
 
-// internalTagBase is where a communicator's reserved (collective) tags live,
-// relative to its tag base.
-const internalTagBase = MaxUserTag
-
-// tagSpan is the total tag window reserved per communicator.
+// tagSpan is the total tag window reserved per communicator. Only the lower
+// MaxUserTag tags carry traffic; the span fixes every communicator's tag
+// base and the fault injector's tag scope (P2PFaultScope).
 const tagSpan = 2 * MaxUserTag
 
 // Comm is a communicator: an ordered group of world ranks with a private
@@ -71,14 +68,6 @@ type Comm struct {
 	defTimeout model.Time
 	wdog       time.Duration
 
-	// Outstanding-request depth and its high-watermark. Only this rank's
-	// goroutine posts and completes requests on its communicators, so the
-	// counts are plain ints and — unlike the fabric's real-time
-	// arrival-order watermarks — deterministic, which lets the managed
-	// runtime's tuner consume them without breaking replay.
-	liveReqs   int
-	liveReqsHW int
-
 	tele commTele // metric handles; all nil (no-op) when telemetry is off
 }
 
@@ -98,12 +87,7 @@ type commTele struct {
 	barriers  *telemetry.Counter // MPI_Barrier calls
 	barIdle   *telemetry.Counter // virtual ns blocked inside barriers
 
-	collCalls *telemetry.Counter              // collective invocations
-	collAlgo  [coll.NAlgos]*telemetry.Counter // invocations per selected algorithm
-	// collSched counts, per collective kind, whether the executed schedule
-	// was topology-aware ([kind][1]) or flat ([kind][0]) — the
-	// hierarchical-engagement picture commstat prints.
-	collSched [coll.NKinds][2]*telemetry.Counter
+	collCalls *telemetry.Counter // collective invocations
 
 	rmaPutBytes    *telemetry.Counter // one-sided bytes put into windows
 	rmaGetBytes    *telemetry.Counter // one-sided bytes read from windows
@@ -113,10 +97,6 @@ type commTele struct {
 	faultLost     *telemetry.Counter // operations failed with ErrMessageLost
 	faultDead     *telemetry.Counter // operations failed with ErrPeerDead
 	faultDeadline *telemetry.Counter // operations failed with ErrDeadline
-
-	retuneEvals    *telemetry.Counter // managed-runtime collective tuner consultations
-	retuneSwitches *telemetry.Counter // tuner decisions that switched algorithm
-	retuneDecs     *telemetry.Counter // runtime_decisions_total{domain=retune}
 }
 
 // initTele resolves the communicator's metric handles from the world's
@@ -148,22 +128,6 @@ func (c *Comm) initTele() {
 		faultLost:     reg.Counter("mpi_fault_message_lost_total", r),
 		faultDead:     reg.Counter("mpi_fault_peer_dead_total", r),
 		faultDeadline: reg.Counter("mpi_fault_deadline_total", r),
-
-		retuneEvals:    reg.Counter("runtime_retune_evals_total", r),
-		retuneSwitches: reg.Counter("runtime_retune_switches_total", r),
-		retuneDecs: reg.Counter("runtime_decisions_total", r,
-			telemetry.Label{Key: "domain", Value: "retune"}),
-	}
-	for a := coll.Algo(0); a < coll.NAlgos; a++ {
-		c.tele.collAlgo[a] = reg.Counter("mpi_coll_algo_total", r,
-			telemetry.Label{Key: "algo", Value: a.String()})
-	}
-	for k := coll.Kind(0); k < coll.NKinds; k++ {
-		for ci, class := range [2]string{"flat", "hier"} {
-			c.tele.collSched[k][ci] = reg.Counter("mpi_coll_sched_total", r,
-				telemetry.Label{Key: "kind", Value: k.String()},
-				telemetry.Label{Key: "class", Value: class})
-		}
 	}
 	c.traced = c.tele.tr != nil
 }
@@ -235,31 +199,12 @@ func registry(w *spmd.World) *commRegistry {
 }
 
 // ManagedTrace returns the world's managed-runtime decision trace. Every
-// adaptive choice made anywhere in the world (collective retunes here,
-// coalesce/autosync decisions in the directive layer) lands in this one
-// trace, so a single fingerprint pins a whole run's adaptive behavior.
+// adaptive choice made anywhere in the world (the directive layer's
+// coalesce/autosync decisions) lands in this one trace, so a single
+// fingerprint pins a whole run's adaptive behavior.
 func ManagedTrace(w *spmd.World) *rt.Trace {
 	return registry(w).trace
 }
-
-// reqPosted/reqDone maintain the communicator's deterministic
-// outstanding-request depth (see the field comment on Comm).
-func (c *Comm) reqPosted() {
-	c.liveReqs++
-	if c.liveReqs > c.liveReqsHW {
-		c.liveReqsHW = c.liveReqs
-	}
-}
-
-func (c *Comm) reqDone() {
-	if c.liveReqs > 0 {
-		c.liveReqs--
-	}
-}
-
-// RequestHighWater reports the deterministic outstanding-request
-// high-watermark observed on this rank's communicator.
-func (c *Comm) RequestHighWater() int { return c.liveReqsHW }
 
 func tagBaseFor(w *spmd.World, id string) int {
 	reg := registry(w)
@@ -373,7 +318,6 @@ func (c *Comm) observeRegionWait(idle model.Time) {
 }
 
 func (c *Comm) wireTag(userTag int) int { return c.tagBase + userTag }
-func (c *Comm) innerTag(opTag int) int  { return c.tagBase + internalTagBase + opTag }
 func (c *Comm) checkTag(tag int) error {
 	if tag != transport.AnyTag && (tag < 0 || tag >= MaxUserTag) {
 		return fmt.Errorf("mpi: tag %d out of range [0,%d)", tag, MaxUserTag)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"commintent/internal/coll"
 	"commintent/internal/model"
 	"commintent/internal/mpi"
 	"commintent/internal/spmd"
@@ -108,6 +107,10 @@ const maxCount = 9
 
 func val(r, i, k int) int { return (31*r + 7*i + k) % 97 }
 
+// collKinds names the seven collectives in the order the script rotates
+// through them.
+var collKinds = [...]string{"bcast", "reduce", "allreduce", "gather", "scatter", "allgather", "alltoall"}
+
 func newCollCase[T number](c *mpi.Comm, dt *mpi.Datatype) *collCase[T] {
 	return &collCase[T]{c: c, dt: dt, send: make([]T, c.Size()*maxCount), recv: make([]T, c.Size()*maxCount)}
 }
@@ -116,7 +119,7 @@ func newCollCase[T number](c *mpi.Comm, dt *mpi.Datatype) *collCase[T] {
 // operator all rotate with i — and checks every element that landed.
 func (k *collCase[T]) call(i int) error {
 	c, n, me := k.c, k.c.Size(), k.c.Rank()
-	kind, root, count := coll.Kind(i%int(coll.NKinds)), i%n, 1+(5*i+3)%maxCount
+	kind, root, count := collKinds[i%len(collKinds)], i%n, 1+(5*i+3)%maxCount
 	op := []mpi.Op{mpi.OpSum, mpi.OpMax, mpi.OpMin}[i%3]
 	for j := range k.send {
 		k.send[j] = T(val(me, i, j))
@@ -125,7 +128,7 @@ func (k *collCase[T]) call(i int) error {
 	want := func(j int) int { return -1 } // what recv[j] must hold afterwards
 	var err error
 	switch kind {
-	case coll.Bcast:
+	case "bcast":
 		buf := k.recv
 		if me == root {
 			buf = k.send
@@ -134,13 +137,13 @@ func (k *collCase[T]) call(i int) error {
 		if me != root {
 			want = func(j int) int { return val(root, i, j) }
 		}
-	case coll.Reduce, coll.Allreduce:
-		if kind == coll.Reduce {
+	case "reduce", "allreduce":
+		if kind == "reduce" {
 			err = c.Reduce(k.send, k.recv, count, k.dt, op, root)
 		} else {
 			err = c.Allreduce(k.send, k.recv, count, k.dt, op)
 		}
-		if kind == coll.Allreduce || me == root {
+		if kind == "allreduce" || me == root {
 			want = func(j int) int {
 				acc := val(0, i, j)
 				for r := 1; r < n; r++ {
@@ -154,20 +157,20 @@ func (k *collCase[T]) call(i int) error {
 				return acc
 			}
 		}
-	case coll.Gather, coll.Allgather:
-		if kind == coll.Gather {
+	case "gather", "allgather":
+		if kind == "gather" {
 			err = c.Gather(k.send, count, k.dt, k.recv, root)
 		} else {
 			err = c.Allgather(k.send, count, k.dt, k.recv)
 		}
-		if kind == coll.Allgather || me == root {
+		if kind == "allgather" || me == root {
 			count *= n
 			want = func(j int) int { return val(j/(count/n), i, j%(count/n)) }
 		}
-	case coll.Scatter:
+	case "scatter":
 		err = c.Scatter(k.send, count, k.dt, k.recv, root)
 		want = func(j int) int { return val(root, i, me*count+j) }
-	case coll.Alltoall:
+	case "alltoall":
 		err = c.Alltoall(k.send, count, k.dt, k.recv)
 		per := count
 		count *= n
@@ -206,43 +209,34 @@ func collScript(rk *spmd.Rank) (func(i int) error, error) {
 
 // TestCollectiveStress runs the mixed script back to back — no barrier, no
 // pause between calls, buffers reused, every landed element checked — long
-// enough under the static selection and under every forced algorithm for a
-// rank to lap its neighbours: an entry, exit slot, shared outcome or buffer
-// view reused before its last reader is done shows as a wrong element or,
-// under -race (make verify runs this at GOMAXPROCS=4), as a report. The
-// profile is a torus with several ranks per node, so the hierarchical
-// movers and the node-grouped barrier shape are in play too.
+// enough for a rank to lap its neighbours: an entry, exit slot, shared
+// outcome or buffer view reused before its last reader is done shows as a
+// wrong element or, under -race (make verify runs this at GOMAXPROCS=4), as
+// a report. The profile is a torus with several ranks per node, so every
+// kind runs over the node-grouped barrier shape; the subtests keep the name
+// "static" they had when a selector could be forced.
 func TestCollectiveStress(t *testing.T) {
-	const n = 8
+	const n, calls = 8, 10080
 	prof := model.GeminiLike().WithTorus(2, 2, 1, 2, 300, 200)
 	for _, kind := range []string{"simnet", "shm"} {
-		for _, algo := range append([]coll.Algo{coll.NAlgos}, collAlgos[1:]...) {
-			name, calls := "static", 10080
-			if algo != coll.NAlgos {
-				name, calls = algo.String(), 1050
-			}
-			t.Run(kind+"/"+name, func(t *testing.T) {
-				t.Setenv(transport.EnvVar, kind)
-				if algo != coll.NAlgos {
-					defer coll.Force(algo)()
+		t.Run(kind+"/static", func(t *testing.T) {
+			t.Setenv(transport.EnvVar, kind)
+			err := spmd.Run(n, prof, func(rk *spmd.Rank) error {
+				call, err := collScript(rk)
+				for i := 0; err == nil && i < calls; i++ {
+					err = call(i)
 				}
-				err := spmd.Run(n, prof, func(rk *spmd.Rank) error {
-					call, err := collScript(rk)
-					for i := 0; err == nil && i < calls; i++ {
-						err = call(i)
-					}
-					return err
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				return err
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// TestCollectiveSteadyStateAllocs: under the direct algorithm a collective
-// on primitive slices allocates nothing, on any rank, for any of the seven
+// TestCollectiveSteadyStateAllocs: a collective on primitive slices
+// allocates nothing, on any rank, for any of the seven
 // kinds and three element types — the buffers are published as views of the
 // caller's memory, not boxed. One P, as in testing.AllocsPerRun: a waiter
 // that spins out and parks in the barrier allocates there, which is not
@@ -255,7 +249,6 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 		t.Skip("no zero-copy wire views in this build (purego or big-endian): buffers are staged")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer coll.Force(coll.Direct)()
 	const n, warm, rounds = 4, 3, 40
 	var before, after runtime.MemStats
 	run(t, n, func(rk *spmd.Rank) error {

@@ -109,7 +109,6 @@ func (c *Comm) makeSendReq(buf any, count int, d *Datatype, dest, tag int) (Requ
 	rendezvous := n > p.MPIEagerThreshold
 	sr := c.port.Send(c.WorldRank(dest), c.wireTag(tag), wire, arrive, rendezvous)
 	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvSend, Peer: c.WorldRank(dest), Tag: tag, Bytes: n, V: now})
-	c.reqPosted()
 	return Request{comm: c, send: sr, isSend: true, rendezvous: rendezvous, destWorld: c.WorldRank(dest)}, nil
 }
 
@@ -206,7 +205,6 @@ func (c *Comm) makeRecvReq(buf any, count int, d *Datatype, source, tag int, inP
 	}
 	rr := c.port.PostRecv(c.WorldRank(source), wtag, wire, now)
 	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvRecvPost, Peer: c.WorldRank(source), Tag: tag, Bytes: n, V: now})
-	c.reqPosted()
 	return Request{comm: c, recv: rr, inPlace: inPlace, wire: wire, recvBuf: buf, recvCount: count, dt: d}, nil
 }
 

@@ -11,8 +11,9 @@ import (
 // pairwise alltoall. The replayer evaluates that exact arithmetic serially
 // over the participants' entry clocks — every Advance, every rendezvous
 // max(arriveV, postV) coupling, every unexpected-message penalty — without
-// moving a byte. The executing data-movement algorithm (internal/coll) is
-// then free to move the real bytes however it likes: the clocks the ranks
+// moving a byte, and it is the package's one representation of a collective
+// schedule: the bytes themselves move once, by the owner step's direct copy
+// between the published wire views (moveDirect), so the clocks the ranks
 // leave with are the model's, not the transport's.
 //
 // Every cost term below must stay in lockstep with sendInternal /
@@ -169,4 +170,25 @@ func (r *replayer) alltoall(count int, d *Datatype, entry []model.Time) {
 			r.v[me] += cc
 		}
 	}
+}
+
+// absRank maps a root-relative rank back to a comm rank.
+func absRank(rel, root, n int) int { return (rel + root) % n }
+
+// topBit returns the highest set bit of x (x > 0).
+func topBit(x int) int {
+	b := 1
+	for b<<1 <= x {
+		b <<= 1
+	}
+	return b
+}
+
+// fanStart returns the bit at which rank me starts fanning out in a
+// binomial broadcast: 1 for the root, else one above its highest set bit.
+func fanStart(me int) int {
+	if me == 0 {
+		return 1
+	}
+	return topBit(me) << 1
 }

@@ -130,7 +130,6 @@ func (r *Request) finishDeadline(D model.Time) error {
 			r.readyV = r.send.LocalV
 		}
 		r.done = true
-		r.comm.reqDone()
 		return nil
 	}
 	if D > 0 && !r.recv.WaitTimeout(r.comm.watchdog()) {
@@ -185,7 +184,6 @@ func (r *Request) finishDeadline(D model.Time) error {
 	r.status = Status{Source: srcComm, Tag: tag - r.comm.tagBase, Bytes: n}
 	r.readyV = ready
 	r.done = true
-	r.comm.reqDone()
 	r.comm.emit(simnet.Event{
 		Rank: r.comm.rk.ID, Kind: simnet.EvRecvComplete,
 		Peer: src, Tag: r.status.Tag, Bytes: n, V: ready,
@@ -209,7 +207,6 @@ func (r *Request) dropWire() {
 func (r *Request) failSend(k transport.FaultKind, ready, D model.Time) error {
 	r.readyV = ready
 	r.done = true
-	r.comm.reqDone()
 	r.comm.countFault(k)
 	r.err = &FaultError{Op: "send", Peer: r.comm.commRankOf(r.destWorld), Kind: k, Deadline: D}
 	if k == transport.FaultCancelled {
@@ -252,7 +249,6 @@ func (r *Request) failRecv(k transport.FaultKind, D model.Time) error {
 	r.status = Status{Source: peer, Tag: -1, Bytes: 0}
 	r.readyV = ready
 	r.done = true
-	r.comm.reqDone()
 	r.comm.countFault(k)
 	r.err = &FaultError{Op: "recv", Peer: peer, Kind: k, Deadline: D}
 	if k == transport.FaultCancelled {

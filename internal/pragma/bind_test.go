@@ -168,9 +168,7 @@ func TestBoundReplayMatchesFreshLowering(t *testing.T) {
 var raceEnabled bool
 
 // TestHaloTextSteadyStateAllocs: the ring halo written as directive text
-// allocates nothing per execution once bound on the one-sided targets, and
-// on the two-sided target no more than the requests a hand-written
-// Irecv x2, Isend x2, Waitall allocates too.
+// allocates nothing per execution once bound, on every target.
 func TestHaloTextSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -179,9 +177,14 @@ func TestHaloTextSteadyStateAllocs(t *testing.T) {
 	// One P, as in testing.AllocsPerRun: a waiter that spins out and parks
 	// in the simnet barrier allocates there, which is not what is measured.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// measure reports heap allocations per rank per op; rank 0 reads the
-	// counters while the others sit between two barriers.
-	measure := func(setup func(*spmd.Rank, *core.Env, [4]any) func() error) float64 {
+	for _, target := range []string{"TARGET_COMM_MPI_1SIDE", "TARGET_COMM_SHMEM", "TARGET_COMM_MPI_2SIDE"} {
+		block := pragma.MustParseBlock(`#pragma comm_parameters target(` + target + `) max_comm_iter(2)
+		{
+		  #pragma comm_p2p sender((rank-1+nprocs)%nprocs) receiver((rank+1)%nprocs) sbuf(edgeR) rbuf(haloL) count(8)
+		  #pragma comm_p2p sender((rank+1)%nprocs) receiver((rank-1+nprocs)%nprocs) sbuf(edgeL) rbuf(haloR) count(8)
+		}`)
+		// Heap allocations per rank per execution: rank 0 reads the
+		// counters while the others sit between two barriers.
 		var before, after runtime.MemStats
 		err := spmd.Run(n, model.GeminiLike(), func(rk *spmd.Rank) error {
 			comm := mpi.World(rk)
@@ -191,10 +194,13 @@ func TestHaloTextSteadyStateAllocs(t *testing.T) {
 				return err
 			}
 			defer cenv.Close()
-			op := setup(rk, cenv, [4]any{
-				make([]float64, count), make([]float64, count),
-				shmem.MustAlloc[float64](shm, count), shmem.MustAlloc[float64](shm, count),
-			})
+			penv := pragma.Env{
+				Vars: map[string]int{"rank": rk.ID, "nprocs": n},
+				Bufs: map[string]any{
+					"edgeL": make([]float64, count), "edgeR": make([]float64, count),
+					"haloL": shmem.MustAlloc[float64](shm, count), "haloR": shmem.MustAlloc[float64](shm, count),
+				},
+			}
 			read := func(m *runtime.MemStats) {
 				comm.Barrier()
 				if rk.ID == 0 {
@@ -206,8 +212,11 @@ func TestHaloTextSteadyStateAllocs(t *testing.T) {
 				if i == warm {
 					read(&before)
 				}
-				if err := op(); err != nil {
+				if err := block.Exec(cenv, penv); err != nil {
 					return err
+				}
+				if target == "TARGET_COMM_SHMEM" {
+					shm.BarrierAll() // the halos are reused: consumption sync
 				}
 			}
 			read(&after)
@@ -216,63 +225,10 @@ func TestHaloTextSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(after.Mallocs-before.Mallocs) / float64(n*ops)
-	}
-	text := func(target string) float64 {
-		block := pragma.MustParseBlock(`#pragma comm_parameters target(` + target + `) max_comm_iter(2)
-		{
-		  #pragma comm_p2p sender((rank-1+nprocs)%nprocs) receiver((rank+1)%nprocs) sbuf(edgeR) rbuf(haloL) count(8)
-		  #pragma comm_p2p sender((rank+1)%nprocs) receiver((rank-1+nprocs)%nprocs) sbuf(edgeL) rbuf(haloR) count(8)
-		}`)
-		return measure(func(rk *spmd.Rank, cenv *core.Env, b [4]any) func() error {
-			penv := pragma.Env{
-				Vars: map[string]int{"rank": rk.ID, "nprocs": n},
-				Bufs: map[string]any{"edgeL": b[0], "edgeR": b[1], "haloL": b[2], "haloR": b[3]},
-			}
-			return func() error {
-				if err := block.Exec(cenv, penv); err != nil {
-					return err
-				}
-				if target == "TARGET_COMM_SHMEM" {
-					cenv.Shmem().BarrierAll() // the halos are reused: consumption sync
-				}
-				return nil
-			}
-		})
-	}
-	for _, target := range []string{"TARGET_COMM_MPI_1SIDE", "TARGET_COMM_SHMEM"} {
-		got := text(target)
+		got := float64(after.Mallocs-before.Mallocs) / float64(n*ops)
 		t.Logf("%s: %.3f allocations per rank per execution", target, got)
 		if got >= 0.05 {
 			t.Errorf("%s: %.2f allocations per rank per execution, want 0", target, got)
 		}
-	}
-
-	handwritten := measure(func(rk *spmd.Rank, cenv *core.Env, b [4]any) func() error {
-		c, shm := cenv.Comm(), cenv.Shmem()
-		var hl, hr any = b[2].(*shmem.Slice[float64]).Local(shm), b[3].(*shmem.Slice[float64]).Local(shm)
-		left, right := (rk.ID+n-1)%n, (rk.ID+1)%n
-		reqs := make([]*mpi.Request, 4)
-		return func() (err error) {
-			if reqs[0], err = c.Irecv(hl, count, mpi.Float64, left, 1); err != nil {
-				return err
-			}
-			if reqs[1], err = c.Irecv(hr, count, mpi.Float64, right, 2); err != nil {
-				return err
-			}
-			if reqs[2], err = c.Isend(b[1], count, mpi.Float64, right, 1); err != nil {
-				return err
-			}
-			if reqs[3], err = c.Isend(b[0], count, mpi.Float64, left, 2); err != nil {
-				return err
-			}
-			_, err = c.Waitall(reqs)
-			return err
-		}
-	})
-	got := text("TARGET_COMM_MPI_2SIDE")
-	t.Logf("two-sided: %.3f allocations per rank per execution, hand-written exchange %.3f", got, handwritten)
-	if got > handwritten+0.05 {
-		t.Errorf("two-sided: %.2f allocations per rank per execution, hand-written exchange %.2f", got, handwritten)
 	}
 }

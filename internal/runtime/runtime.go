@@ -1,22 +1,20 @@
 // Package runtime is the managed adaptive layer: the paper's thesis is that
 // declared communication intent lets the *system*, not the programmer, pick
 // the best realization, and MDMP takes this furthest by letting a managed
-// runtime schedule communication from observed behavior. This package closes
-// that loop over the pieces the repo already holds — telemetry observes
-// per-pattern bytes, latencies and queue depths; internal/coll picks
-// collective schedules from static size tables; internal/core lowers
-// directives — by providing:
+// runtime schedule communication from observed behavior. This package holds
+// the directive layer's (internal/core) adaptive choices:
 //
 //   - the opt-in configuration (env knob + per-region managed_runtime
 //     clause) that gates every adaptive behavior, so all pinned goldens are
 //     bit-identical with it off;
-//   - the deterministic decision trace: every adaptive choice (a collective
-//     algorithm switch, a coalesced batch close, an automatic sync
-//     deferral) is recorded with its virtual timestamp, and same-seed runs
-//     produce identical traces because every input the decisions consume is
-//     itself virtual-time deterministic;
-//   - the online collective tuner (tuner.go) and the small-message
-//     coalescing policy (coalesce.go).
+//   - the deterministic decision trace: every adaptive choice (a coalesced
+//     batch close, an automatic sync deferral) is recorded with its virtual
+//     timestamp, and same-seed runs produce identical traces because every
+//     input the decisions consume is itself virtual-time deterministic;
+//   - the small-message coalescing policy (coalesce.go).
+//
+// Collectives are not among the choices: they have one data movement, the
+// owner step's direct copy in internal/mpi, so there is nothing to retune.
 package runtime
 
 import (
@@ -34,22 +32,19 @@ import (
 // EnvVar is the environment knob that enables the managed runtime.
 //
 //	""/"0"/"off"            disabled (the default; all goldens bit-identical)
-//	"1"/"on"/"true"         online retuning + small-message coalescing
-//	"full"                  retuning + coalescing + automatic sync placement
-//	"retune,coalesce,..."   a comma list selecting individual behaviors
+//	"1"/"on"/"true"         small-message coalescing
+//	"full"/"all"            coalescing + automatic sync placement
+//	"coalesce,autosync"     a comma list selecting individual behaviors
 //
 // Automatic sync placement is deliberately excluded from "1": deferring a
 // region's completion past its end changes the directive contract exactly
 // the way an explicit place_sync clause does, so it needs the stronger
-// opt-in ("full" or the autosync token), while retuning and coalescing are
-// semantically transparent — data is fully delivered at region end.
+// opt-in ("full" or the autosync token), while coalescing is semantically
+// transparent — data is fully delivered at region end.
 const EnvVar = "COMMINTENT_MANAGED_RUNTIME"
 
 // Config selects which adaptive behaviors run.
 type Config struct {
-	// Retune re-invokes the collective algorithm selection mid-run from
-	// live virtual-time observations (internal/mpi's owner step).
-	Retune bool
 	// Coalesce batches adjacent small comm_p2p transfers to the same
 	// destination inside a comm_parameters region into one wire message.
 	Coalesce bool
@@ -61,16 +56,13 @@ type Config struct {
 }
 
 // Enabled reports whether any adaptive behavior is selected.
-func (c Config) Enabled() bool { return c.Retune || c.Coalesce || c.AutoSync }
+func (c Config) Enabled() bool { return c.Coalesce || c.AutoSync }
 
 func (c Config) String() string {
 	if !c.Enabled() {
 		return "off"
 	}
 	var parts []string
-	if c.Retune {
-		parts = append(parts, "retune")
-	}
 	if c.Coalesce {
 		parts = append(parts, "coalesce")
 	}
@@ -81,7 +73,7 @@ func (c Config) String() string {
 }
 
 // Parse maps an EnvVar-style value ("off", "1", "full", or a comma list of
-// retune,coalesce,autosync) to a Config, for tools that take the same knob
+// coalesce,autosync) to a Config, for tools that take the same knob
 // as a flag.
 func Parse(v string) Config { return parseConfig(v) }
 
@@ -92,15 +84,13 @@ func parseConfig(v string) Config {
 	case "", "0", "off", "false", "no":
 		return Config{}
 	case "1", "on", "true", "yes":
-		return Config{Retune: true, Coalesce: true}
+		return Config{Coalesce: true}
 	case "full", "all":
-		return Config{Retune: true, Coalesce: true, AutoSync: true}
+		return Config{Coalesce: true, AutoSync: true}
 	}
 	var c Config
 	for _, tok := range strings.Split(v, ",") {
 		switch strings.ToLower(strings.TrimSpace(tok)) {
-		case "retune":
-			c.Retune = true
 		case "coalesce":
 			c.Coalesce = true
 		case "autosync", "sync":
@@ -129,9 +119,9 @@ func FromEnv() Config {
 
 // Override pins the active configuration, returning a restore func; the
 // usual form is defer Override(cfg)(). It exists so tests can exercise the
-// managed runtime without mutating the process environment (the coll.Force
-// pattern). Overrides do not nest: restore reinstates whatever was active
-// when this Override was installed.
+// managed runtime without mutating the process environment. Overrides do
+// not nest: restore reinstates whatever was active when this Override was
+// installed.
 func Override(cfg Config) (restore func()) {
 	old := override.Swap(&cfg)
 	return func() { override.Store(old) }
@@ -152,7 +142,7 @@ func Active() Config {
 type Decision struct {
 	Rank   int        `json:"rank"`   // world rank that made the choice
 	V      model.Time `json:"v"`      // virtual time of the choice
-	Domain string     `json:"domain"` // "retune" | "coalesce" | "autosync"
+	Domain string     `json:"domain"` // "coalesce" | "autosync"
 	Key    string     `json:"key"`    // what was decided about (comm/collective/peer/region)
 	From   string     `json:"from"`   // previous realization
 	To     string     `json:"to"`     // chosen realization

@@ -1,10 +1,6 @@
 package runtime
 
-import (
-	"testing"
-
-	"commintent/internal/coll"
-)
+import "testing"
 
 func TestParseConfig(t *testing.T) {
 	cases := []struct {
@@ -15,18 +11,19 @@ func TestParseConfig(t *testing.T) {
 		{"0", Config{}},
 		{"off", Config{}},
 		{"no", Config{}},
-		{"1", Config{Retune: true, Coalesce: true}},
-		{"on", Config{Retune: true, Coalesce: true}},
-		{"TRUE", Config{Retune: true, Coalesce: true}},
-		{"full", Config{Retune: true, Coalesce: true, AutoSync: true}},
-		{"all", Config{Retune: true, Coalesce: true, AutoSync: true}},
-		{"retune", Config{Retune: true}},
+		{"1", Config{Coalesce: true}},
+		{"on", Config{Coalesce: true}},
+		{"TRUE", Config{Coalesce: true}},
+		{"full", Config{Coalesce: true, AutoSync: true}},
+		{"all", Config{Coalesce: true, AutoSync: true}},
 		{"coalesce", Config{Coalesce: true}},
 		{"autosync", Config{AutoSync: true}},
-		{"retune, coalesce", Config{Retune: true, Coalesce: true}},
+		{"autosync, coalesce", Config{Coalesce: true, AutoSync: true}},
 		{"coalesce,sync", Config{Coalesce: true, AutoSync: true}},
 		{"bogus", Config{}},
-		{"bogus,retune", Config{Retune: true}},
+		{"bogus,coalesce", Config{Coalesce: true}},
+		// The collective tuner is gone; its token is an unknown one.
+		{"retune", Config{}},
 	}
 	for _, c := range cases {
 		if got := parseConfig(c.in); got != c.want {
@@ -39,7 +36,7 @@ func TestConfigString(t *testing.T) {
 	if s := (Config{}).String(); s != "off" {
 		t.Errorf("zero config String() = %q, want off", s)
 	}
-	if s := (Config{Retune: true, Coalesce: true, AutoSync: true}).String(); s != "retune,coalesce,autosync" {
+	if s := (Config{Coalesce: true, AutoSync: true}).String(); s != "coalesce,autosync" {
 		t.Errorf("full config String() = %q", s)
 	}
 	if (Config{}).Enabled() {
@@ -66,10 +63,10 @@ func TestOverride(t *testing.T) {
 // real-time interleaving of Record calls — the replay-determinism contract.
 func TestTraceCanonical(t *testing.T) {
 	ds := []Decision{
-		{Rank: 1, V: 200, Domain: "retune", Key: "a", From: "x", To: "y"},
+		{Rank: 1, V: 200, Domain: "coalesce", Key: "a", From: "x", To: "y"},
 		{Rank: 0, V: 100, Domain: "coalesce", Key: "b", From: "4 msgs", To: "1 batch"},
 		{Rank: 2, V: 100, Domain: "autosync", Key: "c"},
-		{Rank: 0, V: 100, Domain: "retune", Key: "b"},
+		{Rank: 0, V: 100, Domain: "autosync", Key: "b"},
 	}
 	var fwd, rev Trace
 	for _, d := range ds {
@@ -108,70 +105,6 @@ func TestTraceNilAndCap(t *testing.T) {
 	}
 	if tr.Dropped() != 10 {
 		t.Errorf("Dropped = %d, want 10", tr.Dropped())
-	}
-}
-
-// TestTunerHysteresis: the tuner starts at the static choice, ignores one or
-// two observations recommending a different algorithm, and switches exactly
-// at the hysteresis threshold, recording the decision.
-func TestTunerHysteresis(t *testing.T) {
-	var tr Trace
-	tu := NewCollTuner(&tr, "world")
-	const n, bytes = 8, 64 << 10 // large payload: static table picks Ring for allreduce
-	static := coll.Choose(coll.Allreduce, n, bytes)
-
-	// A strongly latency-bound observation drives ChooseTuned toward the
-	// small-message (tree) regime: wire cost is a tiny share of duration.
-	obs := CollObs{Duration: 1000000, Wire: 10, Bytes: bytes, Rank: 0}
-	want := coll.ChooseTuned(coll.Allreduce, n, bytes, Feedback(obs))
-	if want == static {
-		t.Skip("profile regime does not separate static vs tuned choice for this slot")
-	}
-
-	for i := 1; i < TunerHysteresis; i++ {
-		algo, switched := tu.Choose(coll.Allreduce, n, bytes, coll.Topo{}, obs)
-		if switched || algo != static {
-			t.Fatalf("obs %d: algo=%v switched=%v, want pinned %v", i, algo, switched, static)
-		}
-	}
-	algo, switched := tu.Choose(coll.Allreduce, n, bytes, coll.Topo{}, obs)
-	if !switched || algo != want {
-		t.Fatalf("at threshold: algo=%v switched=%v, want switch to %v", algo, switched, want)
-	}
-	if tu.Switches() != 1 {
-		t.Errorf("Switches = %d, want 1", tu.Switches())
-	}
-	if tr.Len() != 1 {
-		t.Errorf("trace recorded %d decisions, want 1", tr.Len())
-	}
-	// Stable afterwards: the same observation keeps the new pin.
-	if _, sw := tu.Choose(coll.Allreduce, n, bytes, coll.Topo{}, obs); sw {
-		t.Error("tuner switched again on an observation matching its pin")
-	}
-}
-
-// Feedback converts an observation the way CollTuner.Choose does for its
-// first observation (EWMA not yet warmed).
-func Feedback(o CollObs) coll.Feedback {
-	return coll.Feedback{
-		LatencyShare:   latencyShare(o.Duration, o.Wire),
-		NSPerByte:      float64(o.Duration) / float64(max(o.Bytes, 1)),
-		QueueHighWater: o.QueueHighWater,
-	}
-}
-
-func TestLatencyShare(t *testing.T) {
-	if s := latencyShare(0, 100); s != -1 {
-		t.Errorf("no observation: %v, want -1", s)
-	}
-	if s := latencyShare(100, 100); s != 0 {
-		t.Errorf("pure wire: %v, want 0", s)
-	}
-	if s := latencyShare(200, 100); s != 0.5 {
-		t.Errorf("half wire: %v, want 0.5", s)
-	}
-	if s := latencyShare(100, 200); s != 0 {
-		t.Errorf("wire above duration clamps: %v, want 0", s)
 	}
 }
 

@@ -1,39 +1,13 @@
 package shmem
 
-import (
-	"fmt"
-
-	"commintent/internal/coll"
-)
+import "fmt"
 
 // Team collectives in the OpenSHMEM style: broadcast and collect over an
 // explicit PE list (the generalisation of the strided active sets of
 // SHMEM's shmem_broadcast/shmem_fcollect). All listed PEs must call the
 // routine with the same list; symmetric source and destination arrays are
-// required, and the routines synchronise the team on completion.
-//
-// The put *schedule* is picked by the shared algorithm-selection layer
-// (internal/coll). A put's virtual cost is independent of its target-visit
-// order — the clock advance per put is constant and the destination
-// boards' last-arrival tracking is a commutative max — so reordering the
-// schedule is observationally pure on virtual time; it only changes which
-// destination boards contend on the wall clock. With no real hardware
-// parallelism the selector returns Direct and the loops run in team order,
-// byte-identical to the original path.
-
-// putSchedule returns the starting offset into the team for this PE's put
-// loop: 0 for the in-order schedules, the caller's own team index for the
-// contention-avoiding rotated schedule (every PE starts its sweep at a
-// different destination, so the per-board locks are visited staggered
-// instead of in lockstep).
-func putSchedule(k coll.Kind, team []int, self, bytes int) int {
-	switch coll.Choose(k, len(team), bytes) {
-	case coll.Direct, coll.Linear:
-		return 0
-	default:
-		return self
-	}
-}
+// required, and the routines synchronise the team on completion. Every PE
+// puts to the team in team order.
 
 // Broadcast copies count elements of src (on root) into dst on every PE of
 // the team, at offset 0. src and dst may alias on the root.
@@ -49,9 +23,7 @@ func Broadcast[T Elem](c *Ctx, team []int, root int, src, dst *Slice[T], count i
 	}
 	if c.MyPE() == root {
 		local := src.Local(c)[:count]
-		start := putSchedule(coll.Bcast, team, indexOf(team, root), count*src.esz)
-		for k := range team {
-			pe := team[(start+k)%len(team)]
+		for _, pe := range team {
 			if pe == root {
 				if src != dst {
 					copy(dst.Local(c)[:count], local)
@@ -81,9 +53,7 @@ func Collect[T Elem](c *Ctx, team []int, src, dst *Slice[T], count int) error {
 	}
 	idx := indexOf(team, c.MyPE())
 	local := src.Local(c)[:count]
-	start := putSchedule(coll.Allgather, team, idx, count*src.esz)
-	for k := range team {
-		pe := team[(start+k)%len(team)]
+	for _, pe := range team {
 		if pe == c.MyPE() {
 			copy(dst.Local(c)[idx*count:(idx+1)*count], local)
 			continue

@@ -60,10 +60,9 @@ type FaultConfig struct {
 
 	// Tag scoping: when TagSpan > 0, only messages whose tag satisfies
 	// tag % TagSpan < UserSpan are fault-eligible. The mpi package reserves
-	// the upper half of each communicator's tag window for collective
-	// control traffic whose replay protocol assumes lossless delivery;
-	// P2PFaultScope exposes the (span, user) pair that scopes injection to
-	// user point-to-point traffic. Zero means every tag is eligible.
+	// the upper half of each communicator's tag window; P2PFaultScope
+	// exposes the (span, user) pair that scopes injection to user
+	// point-to-point traffic. Zero means every tag is eligible.
 	TagSpan  int
 	UserSpan int
 }

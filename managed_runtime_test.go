@@ -101,7 +101,7 @@ func measureFig4Directive(t *testing.T, p wllsms.Params, cfg rt.Config) (model.T
 func TestManagedRuntimeFig4Speedup(t *testing.T) {
 	p := fig4Params()
 	off, _ := measureFig4Directive(t, p, rt.Config{})
-	on, _ := measureFig4Directive(t, p, rt.Config{Retune: true, Coalesce: true})
+	on, _ := measureFig4Directive(t, p, rt.Config{Coalesce: true})
 	if off <= 0 || on <= 0 {
 		t.Fatalf("non-positive virtual times: off=%d on=%d", off, on)
 	}
@@ -117,8 +117,8 @@ func TestManagedRuntimeFig4Speedup(t *testing.T) {
 // is the replayability contract ISSUE 7 requires for post-mortem debugging.
 func TestManagedRuntimeDeterministicTrace(t *testing.T) {
 	p := fig4Params()
-	v1, tr1 := measureFig4Directive(t, p, rt.Config{Retune: true, Coalesce: true})
-	v2, tr2 := measureFig4Directive(t, p, rt.Config{Retune: true, Coalesce: true})
+	v1, tr1 := measureFig4Directive(t, p, rt.Config{Coalesce: true})
+	v2, tr2 := measureFig4Directive(t, p, rt.Config{Coalesce: true})
 	if v1 != v2 {
 		t.Errorf("virtual times diverged across same-seed runs: %d != %d", v1, v2)
 	}
