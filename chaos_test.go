@@ -202,7 +202,7 @@ func TestChaosSameSeedBitIdentical(t *testing.T) {
 	}
 }
 
-// chaosTorusAllreduce interleaves a retried ring p2p exchange with an
+// chaosHierAllreduce interleaves a retried ring p2p exchange with an
 // allreduce on a wrapped-torus placement (64 ranks on a 32-rank-capacity
 // torus, so node membership is non-contiguous and the communicator's
 // barrier is the node-grouped tree) under injected drops. The p2p traffic is
@@ -210,7 +210,7 @@ func TestChaosSameSeedBitIdentical(t *testing.T) {
 // proves the two coexist: every iteration's halo and allreduce results are
 // exact, and the per-rank virtual times it returns are same-seed
 // deterministic.
-func chaosTorusAllreduce(t *testing.T, n int, drop float64, seed uint64) []int64 {
+func chaosHierAllreduce(t *testing.T, n int, drop float64, seed uint64) []int64 {
 	t.Helper()
 	w, err := spmd.NewWorld(n, model.GeminiLike().WithTorus(2, 2, 2, 4, 300, 200))
 	if err != nil {
@@ -267,12 +267,12 @@ func chaosTorusAllreduce(t *testing.T, n int, drop float64, seed uint64) []int64
 	return times
 }
 
-// TestChaosTorusAllreduce is the torus-placement chaos gate: the faulty run
-// completes with exact data (asserted inside chaosTorusAllreduce) and two
-// same-seed runs produce bit-identical per-rank virtual times.
-func TestChaosTorusAllreduce(t *testing.T) {
-	a := chaosTorusAllreduce(t, 64, 0.05, chaosSeed)
-	b := chaosTorusAllreduce(t, 64, 0.05, chaosSeed)
+// TestChaosHierAllreduce is the hierarchical-placement chaos gate: the
+// faulty run completes with exact data (asserted inside chaosHierAllreduce)
+// and two same-seed runs produce bit-identical per-rank virtual times.
+func TestChaosHierAllreduce(t *testing.T) {
+	a := chaosHierAllreduce(t, 64, 0.05, chaosSeed)
+	b := chaosHierAllreduce(t, 64, 0.05, chaosSeed)
 	for r := range a {
 		if a[r] != b[r] {
 			t.Fatalf("rank %d: %d != %d across same-seed runs", r, a[r], b[r])

@@ -48,9 +48,91 @@ func TestHierarchicalCollectives(t *testing.T) {
 	}
 }
 
+// TestHierEngages pins that a hierarchical placement actually reaches the
+// collectives rather than being silently treated as flat, and that it
+// reaches them only through the replay's per-hop latency: on a torus with
+// two ranks per node and a per-hop latency large enough to show through
+// the alltoall's receive posts, every collective finishes later in virtual
+// time than on the flat network, and with the per-hop latency zeroed it
+// finishes at exactly the flat time — the node-grouped barrier the
+// placement also shapes never leaks into virtual time.
+func TestHierEngages(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(c *mpi.Comm, n int) error
+	}{
+		{"allreduce", func(c *mpi.Comm, n int) error {
+			out := make([]float64, 1)
+			if err := c.Allreduce([]float64{1}, out, 1, mpi.Float64, mpi.OpSum); err != nil {
+				return err
+			}
+			if out[0] != float64(n) {
+				return fmt.Errorf("rank %d: allreduce = %v, want %d", c.Rank(), out[0], n)
+			}
+			return nil
+		}},
+		{"bcast", func(c *mpi.Comm, n int) error {
+			b := []float64{0, 0}
+			if c.Rank() == 0 {
+				b = []float64{3, 4}
+			}
+			if err := c.Bcast(b, 2, mpi.Float64, 0); err != nil {
+				return err
+			}
+			if b[0] != 3 || b[1] != 4 {
+				return fmt.Errorf("rank %d: bcast = %v, want [3 4]", c.Rank(), b)
+			}
+			return nil
+		}},
+		{"alltoall", func(c *mpi.Comm, n int) error {
+			in, out := make([]float64, n), make([]float64, n)
+			for i := range in {
+				in[i] = float64(100*c.Rank() + i)
+			}
+			if err := c.Alltoall(in, 1, mpi.Float64, out); err != nil {
+				return err
+			}
+			for src, v := range out {
+				if v != float64(100*src+c.Rank()) {
+					return fmt.Errorf("rank %d: alltoall[%d] = %v", c.Rank(), src, v)
+				}
+			}
+			return nil
+		}},
+	}
+	const n = 8
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			makespan := func(prof *model.Profile) model.Time {
+				w, err := spmd.NewWorld(n, prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Run(func(rk *spmd.Rank) error {
+					return tc.run(mpi.World(rk), n)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return w.MaxVirtualTime()
+			}
+			flat := makespan(model.GeminiLike())
+			zeroHop := makespan(model.GeminiLike().WithTorus(2, 2, 1, 2, 0, 0))
+			torus := makespan(model.GeminiLike().WithTorus(2, 2, 1, 2, 20000, 200))
+			if zeroHop != flat {
+				t.Errorf("torus with zero per-hop latency: %d, want the flat %d", zeroHop, flat)
+			}
+			if torus <= flat {
+				t.Errorf("torus placement: %d, want later than the flat %d", torus, flat)
+			}
+		})
+	}
+}
+
 // collRun captures everything observable from one execution of the
-// collective script: the data every collective produced, rank-major.
+// collective script: the data every collective produced and the virtual
+// clock after every operation, rank-major.
 type collRun struct {
+	clocks [][]int64
 	bcast  [][]float64
 	reduce []float64   // root only
 	allred [][]float64 // max op
@@ -68,6 +150,7 @@ func runCollScriptProf(t *testing.T, n int, prof *model.Profile) *collRun {
 	t.Helper()
 	const largeN = 10000
 	out := &collRun{
+		clocks: make([][]int64, n),
 		bcast:  make([][]float64, n),
 		allred: make([][]float64, n),
 		scat:   make([][]float64, n),
@@ -78,6 +161,8 @@ func runCollScriptProf(t *testing.T, n int, prof *model.Profile) *collRun {
 	err := spmd.Run(n, prof, func(rk *spmd.Rank) error {
 		c := mpi.World(rk)
 		me := c.Rank()
+		var clocks []int64
+		tick := func() { clocks = append(clocks, int64(rk.Now())) }
 
 		b := make([]float64, 5)
 		if me == 2%n {
@@ -88,18 +173,21 @@ func runCollScriptProf(t *testing.T, n int, prof *model.Profile) *collRun {
 		if err := c.Bcast(b, 5, mpi.Float64, 2%n); err != nil {
 			return err
 		}
+		tick()
 
 		rs := []float64{float64(me), float64(2 * me), 7}
 		rr := make([]float64, 3)
 		if err := c.Reduce(rs, rr, 3, mpi.Float64, mpi.OpSum, 1%n); err != nil {
 			return err
 		}
+		tick()
 
 		as := []float64{float64(me), float64(-me), 3.5, float64(me % 3)}
 		ar := make([]float64, 4)
 		if err := c.Allreduce(as, ar, 4, mpi.Float64, mpi.OpMax); err != nil {
 			return err
 		}
+		tick()
 
 		gs := []int64{int64(me), int64(100 + me)}
 		var gr []int64
@@ -109,6 +197,7 @@ func runCollScriptProf(t *testing.T, n int, prof *model.Profile) *collRun {
 		if err := c.Gather(gs, 2, mpi.Int64, gr, 0); err != nil {
 			return err
 		}
+		tick()
 
 		var ss []float64
 		if me == n-1 {
@@ -121,12 +210,14 @@ func runCollScriptProf(t *testing.T, n int, prof *model.Profile) *collRun {
 		if err := c.Scatter(ss, 2, mpi.Float64, sr, n-1); err != nil {
 			return err
 		}
+		tick()
 
 		ags := []int32{int32(me), int32(me * me), int32(5 - me)}
 		agr := make([]int32, 3*n)
 		if err := c.Allgather(ags, 3, mpi.Int32, agr); err != nil {
 			return err
 		}
+		tick()
 
 		ats := make([]float64, 2*n)
 		for i := range ats {
@@ -136,6 +227,7 @@ func runCollScriptProf(t *testing.T, n int, prof *model.Profile) *collRun {
 		if err := c.Alltoall(ats, 2, mpi.Float64, atr); err != nil {
 			return err
 		}
+		tick()
 
 		ls := make([]float64, largeN)
 		for i := range ls {
@@ -145,7 +237,9 @@ func runCollScriptProf(t *testing.T, n int, prof *model.Profile) *collRun {
 		if err := c.Allreduce(ls, lr, largeN, mpi.Float64, mpi.OpSum); err != nil {
 			return err
 		}
+		tick()
 
+		out.clocks[me] = clocks
 		out.bcast[me] = b
 		if me == 1%n {
 			out.reduce = rr

@@ -7,11 +7,15 @@ import (
 	"commintent/internal/mpi"
 	rt "commintent/internal/runtime"
 	"commintent/internal/spmd"
-	"commintent/internal/telemetry"
 )
 
-// retuneWorkload runs a shifting mix of allreduce sizes so the tuner sees
-// several size-class slots and repeated observations per slot.
+// The managed runtime no longer retunes collectives: they have one data
+// movement, so there is no choice to make. These tests pin what that leaves
+// behind on the collective path — the runtime's configuration cannot reach
+// a collective's virtual time, and runs stay deterministic either way.
+
+// retuneWorkload runs a shifting mix of allreduce sizes, the workload the
+// tuner used to observe, and spot-checks every result.
 func retuneWorkload(t *testing.T, w *spmd.World, iters int) {
 	t.Helper()
 	if err := w.Run(func(rk *spmd.Rank) error {
@@ -44,69 +48,50 @@ func retuneWorkload(t *testing.T, w *spmd.World, iters int) {
 	}
 }
 
-// TestRetuneObservesAndStaysCorrect: with online retuning enabled the tuner
-// is consulted on every collective after the first, results stay correct
-// whether or not it switches, and the consultation counters move.
-func TestRetuneObservesAndStaysCorrect(t *testing.T) {
-	defer rt.Override(rt.Config{Retune: true})()
-	const n = 8
-	w, err := spmd.NewWorld(n, model.GeminiLike())
+// retuneRun runs the workload once under cfg and returns the world's
+// virtual makespan and its managed-runtime decision trace.
+func retuneRun(t *testing.T, cfg rt.Config, iters int) (model.Time, *rt.Trace) {
+	t.Helper()
+	defer rt.Override(cfg)()
+	w, err := spmd.NewWorld(8, model.GeminiLike())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tele := telemetry.New(n, 0)
-	w.SetTelemetry(tele)
-	retuneWorkload(t, w, 6)
-	var evals int64
-	for r := 0; r < n; r++ {
-		evals += tele.Registry().CounterValue("runtime_retune_evals_total", telemetry.Rank(r))
-	}
-	if evals == 0 {
-		t.Error("retuning on but the tuner was never consulted")
-	}
+	retuneWorkload(t, w, iters)
+	return w.MaxVirtualTime(), mpi.ManagedTrace(w)
 }
 
-// TestRetuneDeterministic: same program, same profile → identical virtual
-// times and identical decision-trace fingerprints, because every tuner
-// input (entry/exit clocks, wire model, request high-watermark) is
-// virtual-time deterministic.
+// TestRetuneDeterministic: same program, same profile, the managed runtime
+// fully on → identical virtual times and identical decision-trace
+// fingerprints, and the trace holds no decision: collectives are not among
+// the runtime's choices.
 func TestRetuneDeterministic(t *testing.T) {
-	runOnce := func() (model.Time, uint64) {
-		defer rt.Override(rt.Config{Retune: true})()
-		w, err := spmd.NewWorld(8, model.GeminiLike())
-		if err != nil {
-			t.Fatal(err)
-		}
-		retuneWorkload(t, w, 6)
-		return w.MaxVirtualTime(), mpi.ManagedTrace(w).Fingerprint()
-	}
-	v1, f1 := runOnce()
-	v2, f2 := runOnce()
+	full := rt.Config{Coalesce: true, AutoSync: true}
+	v1, tr1 := retuneRun(t, full, 6)
+	v2, tr2 := retuneRun(t, full, 6)
 	if v1 != v2 {
 		t.Errorf("virtual times diverged: %d != %d", v1, v2)
 	}
-	if f1 != f2 {
+	if f1, f2 := tr1.Fingerprint(), tr2.Fingerprint(); f1 != f2 {
 		t.Errorf("decision traces diverged: %x != %x", f1, f2)
+	}
+	if n := tr1.Len(); n != 0 {
+		t.Errorf("collective workload recorded %d managed-runtime decisions, want 0", n)
 	}
 }
 
 // TestRetuneOffIsBitIdentical: the managed runtime disabled must not change
-// a single virtual nanosecond relative to a build that never had it — the
-// golden-compatibility contract.
+// a single virtual nanosecond between runs, and — with retuning gone — the
+// runtime fully enabled must not change one either: a collective's virtual
+// time is the cost model's alone (the golden-compatibility contract).
 func TestRetuneOffIsBitIdentical(t *testing.T) {
-	runOnce := func(cfg rt.Config) model.Time {
-		defer rt.Override(cfg)()
-		w, err := spmd.NewWorld(8, model.GeminiLike())
-		if err != nil {
-			t.Fatal(err)
-		}
-		retuneWorkload(t, w, 3)
-		return w.MaxVirtualTime()
-	}
-	a := runOnce(rt.Config{})
-	b := runOnce(rt.Config{})
+	a, _ := retuneRun(t, rt.Config{}, 3)
+	b, _ := retuneRun(t, rt.Config{}, 3)
 	if a != b {
 		t.Fatalf("runtime-off runs disagree with each other: %d != %d", a, b)
+	}
+	if on, _ := retuneRun(t, rt.Config{Coalesce: true, AutoSync: true}, 3); on != a {
+		t.Errorf("managed runtime on: %d, want the runtime-off %d", on, a)
 	}
 	if tr := rt.Active(); tr.Enabled() {
 		t.Fatal("override leak")
