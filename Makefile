@@ -23,7 +23,8 @@ test:
 # one-sided windows are created by every rank at once, and the request-reuse
 # equivalence, where a reused receive is completed in place by another rank's
 # goroutine; so does the back-to-back mixed-collective stress, whose point is ranks lapping each
-# other through the one-wave rendezvous), the
+# other through the one-wave rendezvous, and the recorder's concurrent-emission
+# test, where every rank goroutine appends to its own ring of one recorder), the
 # benchmark's smoke test under the race detector (the configuration in which
 # the barrier's lost wakeup was seen: every fence of the halo workload parks
 # there),
@@ -55,17 +56,20 @@ test:
 # line after those does the same for mpi's non-blocking start path: Isend,
 # Irecv and their *Into forms allocate a request in one place. The next one
 # keeps the host's parallelism out of every decision but the barrier's shape:
-# runtime.GOMAXPROCS is read under internal/ only in simnet/barrier.go.
+# runtime.GOMAXPROCS is read under internal/ only in simnet/barrier.go. The
+# last keeps one event spine: product code registers fabric observers only in
+# the recorder and in telemetry; every other consumer reads recorded events.
 verify: vet-intent
 	! $(GO) list -deps ./internal/transport | grep -E 'internal/(simnet|shmtransport)$$'
 	! $(GO) list -deps ./internal/shmtransport | grep -E 'internal/simnet$$'
 	for f in takePosted findUnexpected matches; do test "$$(grep -rEh "^func (\([^)]*\) )?$$f\(" --include='*.go' internal | wc -l)" -eq 1 || { echo "$$f must be defined exactly once under internal/"; exit 1; }; done
 	test "$$(grep -rF 'new(Request)' --include='*.go' --exclude='*_test.go' internal/mpi | wc -l)" -eq 1 || { echo "new(Request) must occur exactly once under internal/mpi: Isend and Irecv start operations through one path"; exit 1; }
 	test "$$(grep -rlF 'runtime.GOMAXPROCS' --include='*.go' --exclude='*_test.go' internal)" = internal/simnet/barrier.go || { echo "runtime.GOMAXPROCS may be read under internal/ only in internal/simnet/barrier.go"; exit 1; }
+	test "$$(grep -rlE '\.Observe\(func|(Fabric\(\)|fabric|\<f)\.Observe\(' --include='*.go' --exclude='*_test.go' internal cmd | sort | tr '\n' ' ')" = "internal/simnet/recorder.go internal/telemetry/telemetry.go " || { echo "fabric observers may be registered only in internal/simnet/recorder.go and internal/telemetry/telemetry.go"; exit 1; }
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/
 	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/
 	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs|TestHalo2sReplayAllocs' ./internal/telemetry/ ./internal/wllsms/ ./internal/core/

@@ -10,11 +10,11 @@
 // point-to-point traffic (seeded by -fault-seed, so a run is replayable);
 // the "faults" summary line then shows the typed-fault and retry counters.
 //
-// With -postmortem the fabric's flight recorder is enabled: on a terminal
-// fault (watchdog cancellation, dead peer, exhausted retry budget) the
-// post-mortem dumps — the failing op, its directive region, both ranks'
-// recent event tails and unmatched send/recv frontiers — are written as
-// JSON to the given file and rendered human-readable on stderr.
+// Every run records the fabric's events. On a terminal fault (watchdog
+// cancellation, dead peer, exhausted retry budget) the post-mortem dumps —
+// the failing op, its directive region, both ranks' recent event tails and
+// unmatched send/recv frontiers — are rendered human-readable on stderr, and
+// with -postmortem also written as JSON to the given file.
 //
 // With -serve the live introspection plane is exposed over HTTP
 // (/metrics, /snapshot.json, /ranks, /postmortem) and the process keeps
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"commintent/internal/core"
@@ -43,7 +42,6 @@ import (
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
 	"commintent/internal/telemetry"
-	"commintent/internal/trace"
 	"commintent/internal/transport"
 	"commintent/internal/typemap"
 )
@@ -58,7 +56,7 @@ func main() {
 	emitTrace := flag.String("emit-trace", "", "also write the span trace in Chrome trace_event JSON")
 	drop := flag.Float64("drop", 0, "inject this message-loss probability on user point-to-point traffic (0 disables)")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault-injector seed; same seed replays the same faults (with -drop)")
-	postmortem := flag.String("postmortem", "", "enable the flight recorder; on a terminal fault write post-mortem dumps as JSON to this file (\"-\" for stdout) and render them on stderr")
+	postmortem := flag.String("postmortem", "", "on a terminal fault write the post-mortem dumps as JSON to this file (\"-\" for stdout)")
 	serveAddr := flag.String("serve", "", "serve the live introspection plane (/metrics /snapshot.json /ranks /postmortem) on this address and keep serving after the run")
 	managed := flag.String("managed", "", "managed-runtime config for this run: off, on, full, or a comma list of coalesce,autosync (overrides $"+rt.EnvVar+")")
 	profile := flag.String("profile", "gemini", "machine profile: gemini, ethernet, torus or dragonfly")
@@ -113,17 +111,14 @@ func main() {
 	}
 	tele := telemetry.New(*n, telemetry.DefaultSpanCap)
 	w.SetTelemetry(tele)
-	col := trace.Attach(w.Fabric())
-	hops := observeHops(w.Fabric(), prof, *n)
+	// One unbounded recorder keeps the whole run: the critical path and the
+	// hop histogram read it after the run, /ranks reads its per-rank counts
+	// live, and post-mortem dumps take a bounded tail of it.
+	rec := w.Fabric().EnableRecorder(0)
 	if *drop > 0 {
 		cfg := simnet.FaultConfig{Seed: *faultSeed, Drop: *drop}
 		cfg.TagSpan, cfg.UserSpan = mpi.P2PFaultScope()
 		w.Fabric().SetFaults(cfg)
-	}
-	if *postmortem != "" || *serveAddr != "" {
-		// The flight recorder feeds both /postmortem dumps and the
-		// events_recorded column of /ranks.
-		w.Fabric().EnableRecorder(simnet.DefaultRecorderCap)
 	}
 	var srv *telemetry.Server
 	if *serveAddr != "" {
@@ -134,6 +129,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "commstat: serving introspection plane on http://%s\n", srv.Addr())
 	}
 
+	decisions := make([][]core.Decision, *n)
 	err = w.Run(func(rk *spmd.Rank) error {
 		comm := mpi.World(rk)
 		shm := shmem.New(rk)
@@ -141,6 +137,8 @@ func main() {
 		if err != nil {
 			return err
 		}
+		// Deferred first so it runs last, after Close has logged its flush.
+		defer func() { decisions[rk.ID] = env.Decisions() }()
 		defer env.Close()
 		return patterns.Run(*pattern, rk, env, shm, tgt, *count, *iters)
 	})
@@ -211,9 +209,10 @@ func main() {
 	if calls := sumCounter(reg, "mpi_coll_calls_total", *n); calls > 0 {
 		fmt.Printf("collectives: %d calls\n", calls)
 	}
-	printTopology(prof, hops, *n)
+	events := rec.Events()
+	printTopology(prof, events, *n)
 	printTransport(w, *n)
-	printRuntimeDecisions(reg, mpi.ManagedTrace(w), *n)
+	printRuntimeDecisions(reg, decisions, *n)
 
 	if bc := sumCounter(reg, "mpi_barrier_calls_total", *n); bc > 0 {
 		fmt.Printf("barriers: %d calls, %v total blocked virtual time\n",
@@ -244,7 +243,7 @@ func main() {
 	}
 
 	fmt.Println("\n== critical path ==")
-	fmt.Print(telemetry.CriticalPath(col.Events(), *n).StringWithLabels(w.Fabric().RegionLabel))
+	fmt.Print(telemetry.CriticalPath(events, *n).StringWithLabels(w.Fabric().RegionLabel))
 
 	if *emitTrace != "" {
 		f, err := os.Create(*emitTrace)
@@ -268,84 +267,58 @@ func main() {
 	}
 }
 
-// hopHist accumulates observed wire traffic bucketed by topological hop
-// distance. Observers run concurrently on every rank goroutine, so the
-// cells are atomic.
-type hopHist struct {
-	topo  model.Topology
-	msgs  []atomic.Int64
-	bytes []atomic.Int64
-}
-
-// observeHops registers a fabric observer that buckets every send, put and
-// get by the hop distance between the two endpoints under the profile's
-// topology. Returns nil on a profile with no topology installed.
-func observeHops(f *simnet.Fabric, prof *model.Profile, n int) *hopHist {
-	if prof.Topo == nil {
-		return nil
-	}
-	size := 2
-	if h, ok := prof.Topo.(model.Hierarchical); ok {
-		size = h.Diameter() + 1
-	}
-	hh := &hopHist{
-		topo:  prof.Topo,
-		msgs:  make([]atomic.Int64, size),
-		bytes: make([]atomic.Int64, size),
-	}
-	f.Observe(func(e simnet.Event) {
-		switch e.Kind {
-		case simnet.EvSend, simnet.EvPut, simnet.EvGet:
-		default:
-			return
-		}
-		if e.Peer < 0 || e.Peer >= n {
-			return
-		}
-		d := hh.topo.Hops(e.Rank, e.Peer)
-		if d < 0 {
-			return
-		}
-		if d >= len(hh.msgs) {
-			d = len(hh.msgs) - 1
-		}
-		hh.msgs[d].Add(1)
-		hh.bytes[d].Add(int64(e.Bytes))
-	})
-	return hh
-}
-
 // printTopology renders the placement picture: the active topology and the
-// hop-distance histogram of the traffic the run actually put on the wire.
-// Every line is n/a-safe on a flat profile.
-func printTopology(prof *model.Profile, hh *hopHist, n int) {
+// hop-distance histogram of the traffic the run actually put on the wire —
+// every send, put and get bucketed by the hop distance between its two
+// endpoints under the profile's topology. Every line is n/a-safe on a flat
+// profile.
+func printTopology(prof *model.Profile, events []simnet.Event, n int) {
 	fmt.Printf("\n== topology ==\n")
 	if prof.Topo == nil {
 		fmt.Println("topology: flat (single crossbar); hop histogram: n/a")
+		return
+	}
+	size := 2
+	if h, ok := prof.Topo.(model.Hierarchical); ok {
+		nodes := make(map[int]struct{})
+		for r := 0; r < n; r++ {
+			nodes[h.NodeOf(r)] = struct{}{}
+		}
+		fmt.Printf("topology: %s (%d node(s) occupied, diameter %d)\n",
+			prof.Topo.Name(), len(nodes), h.Diameter())
+		size = h.Diameter() + 1
 	} else {
-		if h, ok := prof.Topo.(model.Hierarchical); ok {
-			nodes := make(map[int]struct{})
-			for r := 0; r < n; r++ {
-				nodes[h.NodeOf(r)] = struct{}{}
-			}
-			fmt.Printf("topology: %s (%d node(s) occupied, diameter %d)\n",
-				prof.Topo.Name(), len(nodes), h.Diameter())
-		} else {
-			fmt.Printf("topology: %s\n", prof.Topo.Name())
+		fmt.Printf("topology: %s\n", prof.Topo.Name())
+	}
+	msgs, bytes := make([]int64, size), make([]int64, size)
+	for _, e := range events {
+		switch e.Kind {
+		case simnet.EvSend, simnet.EvPut, simnet.EvGet:
+		default:
+			continue
 		}
-		fmt.Println("hop-distance histogram (observed wire traffic):")
-		any := false
-		for d := range hh.msgs {
-			m := hh.msgs[d].Load()
-			if m == 0 {
-				continue
-			}
-			any = true
-			fmt.Printf("  %2d hop(s): %8d message(s) %12d byte(s)\n", d, m, hh.bytes[d].Load())
+		if e.Peer < 0 || e.Peer >= n {
+			continue
 		}
-		if !any {
-			fmt.Println("  (no traffic observed)")
+		d := prof.Topo.Hops(e.Rank, e.Peer)
+		if d < 0 {
+			continue
 		}
+		d = min(d, size-1)
+		msgs[d]++
+		bytes[d] += int64(e.Bytes)
+	}
+	fmt.Println("hop-distance histogram (observed wire traffic):")
+	seen := false
+	for d, m := range msgs {
+		if m == 0 {
+			continue
+		}
+		seen = true
+		fmt.Printf("  %2d hop(s): %8d message(s) %12d byte(s)\n", d, m, bytes[d])
+	}
+	if !seen {
+		fmt.Println("  (no traffic observed)")
 	}
 }
 
@@ -396,10 +369,11 @@ func printTransport(w *spmd.World, n int) {
 
 // printRuntimeDecisions renders the managed runtime's adaptive picture:
 // what the active config is, what coalescing batched and saved, and the
-// canonical decision trace itself (the replayable record post-mortems diff
-// against). All rates are n/a-safe — with the runtime off every line prints
-// zeros rather than NaN.
-func printRuntimeDecisions(reg *telemetry.Registry, tr *rt.Trace, n int) {
+// runtime's decisions themselves — each rank's coalesce and autosync entries
+// from its decision log, in the order the rank made them, with the evidence
+// they rest on. All rates are n/a-safe — with the runtime off every line
+// prints zeros rather than NaN.
+func printRuntimeDecisions(reg *telemetry.Registry, decisions [][]core.Decision, n int) {
 	fmt.Printf("\n== runtime decisions ==\n")
 	fmt.Printf("managed runtime: %s\n", rt.Active())
 
@@ -429,25 +403,32 @@ func printRuntimeDecisions(reg *telemetry.Registry, tr *rt.Trace, n int) {
 			int64(h.Quantile(0.50)), int64(h.Quantile(0.95)), int64(h.Quantile(1)))
 	}
 
-	if tr == nil || tr.Len() == 0 {
+	var managed []string
+	for rank, ds := range decisions {
+		for _, d := range ds {
+			if d.Kind == "coalesce" || d.Kind == "autosync" {
+				managed = append(managed, fmt.Sprintf("rank %d %s", rank, d))
+			}
+		}
+	}
+	if len(managed) == 0 {
 		fmt.Println("decision trace: empty")
 		return
 	}
-	fmt.Printf("decision trace: %d decision(s), %d dropped, fingerprint %016x\n",
-		tr.Len(), tr.Dropped(), tr.Fingerprint())
+	fmt.Printf("decision trace: %d decision(s)\n", len(managed))
 	const maxShown = 20
-	for i, d := range tr.Snapshot() {
+	for i, d := range managed {
 		if i == maxShown {
-			fmt.Printf("  ... %d more\n", tr.Len()-maxShown)
+			fmt.Printf("  ... %d more\n", len(managed)-maxShown)
 			break
 		}
 		fmt.Printf("  %s\n", d)
 	}
 }
 
-// renderPostmortems writes any flight-recorder dumps as JSON to path ("-"
-// for stdout) and renders them human-readable on stderr. No-op when the
-// recorder was not enabled or nothing failed.
+// renderPostmortems writes any post-mortem dumps as JSON to path ("-" for
+// stdout) and renders them human-readable on stderr. No-op when nothing
+// failed.
 func renderPostmortems(f *simnet.Fabric, path string) {
 	pms := f.Postmortems()
 	if len(pms) == 0 {

@@ -102,15 +102,16 @@ func TestCommstatRuntimeDecisionsOff(t *testing.T) {
 
 // TestCommstatRuntimeDecisionsOn: -managed on coalesces the ring pattern's
 // small sends and renders the nonzero counters, the batch-size quantiles,
-// and the canonical decision trace with its fingerprint.
+// and each rank's coalesce decisions with the evidence behind them.
 func TestCommstatRuntimeDecisionsOn(t *testing.T) {
 	out := runMain(t, "-n", "4", "-pattern", "ring", "-iters", "2", "-managed", "on")
 	for _, want := range []string{
 		"managed runtime: coalesce",
 		"batch sizes (parts per batch, per rank):",
 		"decision trace:",
-		"fingerprint",
-		"1 batch",
+		"coalesce",
+		"-> 1 batch (",
+		"B header)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -55,7 +55,7 @@ func main() {
 		tele = telemetry.New(*n, telemetry.DefaultSpanCap)
 		w.SetTelemetry(tele)
 	}
-	col := trace.Attach(w.Fabric())
+	rec := w.Fabric().EnableRecorder(0)
 
 	var mu sync.Mutex
 	decisions := map[int][]core.Decision{}
@@ -101,19 +101,20 @@ func main() {
 		}
 	}
 
+	events := rec.Events()
 	fmt.Println("\n== event timeline (first 40 events) ==")
-	fmt.Print(col.Timeline(40))
+	fmt.Print(trace.Timeline(events, 40))
 
-	m := col.CommMatrix()
+	m := trace.CommMatrix(events, *n)
 	fmt.Println("\n== communication matrix (bytes) ==")
 	fmt.Print(trace.FormatMatrix(m))
 	fmt.Printf("\ndetected pattern: %s\n", trace.DetectPattern(m))
 
-	st := col.Stats()
+	st := trace.StatsOf(events)
 	fmt.Printf("totals: %d messages, %d payload bytes, %d sync ops\n", st.Messages, st.DataBytes, st.Syncs)
 
 	fmt.Println("\n== invariants ==")
-	fmt.Println(verify.Check(col.Events(), *n, false))
+	fmt.Println(verify.Check(events, *n, false))
 
 	if *metrics {
 		fmt.Println("\n== metrics ==")

@@ -50,9 +50,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var col *trace.Collector
 	if *doTrace || *doVerify {
-		col = trace.Attach(w.Fabric())
+		w.Fabric().EnableRecorder(0)
 	}
 
 	var mu sync.Mutex
@@ -94,11 +93,12 @@ func main() {
 	fmt.Printf("  last walker energy:    %.6f\n", master.LastEnergy)
 	fmt.Printf("  max virtual time:      %v\n", w.MaxVirtualTime())
 
+	events := w.Fabric().Recorder().Events()
 	if *doVerify {
-		fmt.Printf("\n%s\n", verify.Check(col.Events(), p.NProcs(), false))
+		fmt.Printf("\n%s\n", verify.Check(events, p.NProcs(), false))
 	}
-	if col != nil && *doTrace {
-		st := col.Stats()
+	if *doTrace {
+		st := trace.StatsOf(events)
 		fmt.Printf("\ntrace: %d messages, %d bytes of payload, %d synchronisation ops\n",
 			st.Messages, st.DataBytes, st.Syncs)
 		for k, n := range st.PerKind {

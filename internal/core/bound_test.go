@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -19,7 +18,6 @@ import (
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
 	"commintent/internal/telemetry"
-	"commintent/internal/trace"
 )
 
 // The replay property's programs. A program is data drawn from a seed — a
@@ -247,7 +245,7 @@ type replayResult struct {
 	V         model.Time
 	Decisions []core.Decision
 	Counters  map[string]int64
-	Events    []simnet.Event // sorted: a multiset
+	Events    []simnet.Event // in the rank's program order
 }
 
 var replayCounters = []string{
@@ -273,7 +271,7 @@ func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.Faul
 	}
 	tele := telemetry.New(n, 0)
 	w.SetTelemetry(tele)
-	events := trace.Attach(w.Fabric())
+	rec := w.Fabric().EnableRecorder(0)
 	out := make([]replayResult, n)
 	restore := func() {}
 	defer func() { restore() }()
@@ -432,12 +430,8 @@ func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.Faul
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range events.Events() {
-		out[ev.Rank].Events = append(out[ev.Rank].Events, ev)
-	}
 	for r := range out {
-		evs := out[r].Events
-		sort.Slice(evs, func(i, j int) bool { return fmt.Sprint(evs[i]) < fmt.Sprint(evs[j]) })
+		out[r].Events = rec.RankEvents(r)
 	}
 	return out
 }

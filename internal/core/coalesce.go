@@ -272,19 +272,11 @@ func (e *Env) flushCoalesced(region int) error {
 			e.tele.coBatches.Inc()
 			e.tele.coParts.Add(int64(k))
 			e.tele.coSaved.Add(int64(k - 1))
-			e.tele.coHeaderBytes.Add(int64(4 + 4*k))
+			e.tele.coHeaderBytes.Add(int64(mpi.BatchHeaderSize(k)))
 			e.tele.coPayloadBytes.Add(int64(bytes))
 			e.tele.coBatchParts.Observe(model.Time(k))
 			e.tele.decCoalesce.Inc()
-			e.rtTrace.Record(rt.Decision{
-				Rank:   rk.ID,
-				V:      rk.Now(),
-				Domain: "coalesce",
-				Key:    fmt.Sprintf("region %d -> rank %d", region, peer),
-				From:   fmt.Sprintf("%d msgs", k),
-				To:     "1 batch",
-				Reason: fmt.Sprintf("%d B payload, %d B header", bytes, 4+4*k),
-			})
+			e.noteBatch(region, peer, k, bytes)
 			parts = parts[k:]
 		}
 		acc.parts = acc.parts[:0]

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"commintent/internal/mpi"
+)
 
 // Decision is one recorded lowering decision, the runtime analogue of a
 // line of compiler-generated code.
@@ -23,10 +27,10 @@ func (d Decision) String() string {
 const maxRecordedDecisions = 1024
 
 // decisionCode selects the wording of a logged decision. The log stores
-// the code and the one integer the wording interpolates; Decisions renders
-// kind and detail on read, so recording a decision on the directive hot
-// path formats nothing, allocates nothing, and leaves the collector nothing
-// to scan.
+// the code and the integers the wording interpolates — the evidence the
+// decision was made on; Decisions renders kind and detail on read, so
+// recording a decision on the directive hot path formats nothing, allocates
+// nothing, and leaves the collector nothing to scan.
 type decisionCode uint8
 
 const (
@@ -46,6 +50,7 @@ const (
 	decSyncAuto                           //
 	decSyncExplicit                       //
 	decSyncScopeClose                     //
+	decCoalesce                           // a = destination comm rank, b = payload bytes, k = parts
 )
 
 // decisionRec is one pointer-free log entry: 16 bytes, against the 40 of a
@@ -53,18 +58,31 @@ const (
 type decisionRec struct {
 	region int32
 	code   decisionCode
-	a      int
+	k      uint8
+	a, b   int32
 }
 
-// note records a lowering decision. The log is capped so long-running
-// loops of directives cannot grow it without bound; the earliest decisions
-// (datatype commits, first syncs) are the informative ones.
+// note records a lowering decision that interpolates one integer.
 func (e *Env) note(region int, code decisionCode, a int) {
+	e.record(decisionRec{region: int32(region), code: code, a: int32(a)})
+}
+
+// noteBatch records the close of one coalesced batch with the evidence it
+// was closed on: the destination, the member count and the payload bytes
+// (the header bytes follow from the member count).
+func (e *Env) noteBatch(region, peer, parts, payload int) {
+	e.record(decisionRec{region: int32(region), code: decCoalesce, k: uint8(parts), a: int32(peer), b: int32(payload)})
+}
+
+// record appends one entry. The log is capped so long-running loops of
+// directives cannot grow it without bound; the earliest decisions
+// (datatype commits, first syncs) are the informative ones.
+func (e *Env) record(d decisionRec) {
 	if len(e.decisions) < maxRecordedDecisions {
 		if e.decisions == nil {
 			e.decisions = make([]decisionRec, 0, maxRecordedDecisions)
 		}
-		e.decisions = append(e.decisions, decisionRec{region: int32(region), code: code, a: a})
+		e.decisions = append(e.decisions, d)
 	}
 }
 
@@ -119,11 +137,14 @@ func (e *Env) render(d decisionRec) (kind, detail string) {
 	case decSyncDeferred:
 		return "sync", fmt.Sprintf("synchronisation deferred (%s)", SyncPlacement(d.a))
 	case decSyncAuto:
-		return "sync", "managed runtime deferred synchronisation (auto place_sync)"
+		return "autosync", "managed runtime deferred synchronisation (auto place_sync)"
 	case decSyncExplicit:
 		return "sync", "explicit mid-region synchronisation (Region.Sync)"
 	case decSyncScopeClose:
 		return "sync", "deferred synchronisation flushed at scope close"
+	case decCoalesce:
+		return "coalesce", fmt.Sprintf("%d msg(s) to rank %d -> 1 batch (%d B payload, %d B header)",
+			d.k, d.a, d.b, mpi.BatchHeaderSize(int(d.k)))
 	default:
 		return "unknown", fmt.Sprintf("decision record %+v", d)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"commintent/internal/model"
 	"commintent/internal/mpi"
-	rt "commintent/internal/runtime"
 	"commintent/internal/shmem"
 	"commintent/internal/telemetry"
 	"commintent/internal/typemap"
@@ -52,13 +51,11 @@ type Env struct {
 	faults bool
 	retry  RetryPolicy
 
-	// Managed-runtime state (see coalesce.go): pending coalesced traffic
-	// and the world's shared decision trace. The coalescer is only ever
-	// populated by regions whose resolved runtime config enables
-	// coalescing; with the managed runtime off it stays empty and every
-	// flush path is byte-for-byte the pre-managed one.
-	co      coalescer
-	rtTrace *rt.Trace
+	// Managed-runtime state (see coalesce.go): pending coalesced traffic.
+	// The coalescer is only ever populated by regions whose resolved
+	// runtime config enables coalescing; with the managed runtime off it
+	// stays empty and every flush path is byte-for-byte the pre-managed one.
+	co coalescer
 
 	regionSeq int
 	closed    bool
@@ -198,7 +195,6 @@ func NewEnv(comm *mpi.Comm, shm *shmem.Ctx) (*Env, error) {
 	}
 	e.faults = comm.SPMD().World().Fabric().FaultsEnabled()
 	e.retry = defaultRetryPolicy(comm.SPMD().Profile())
-	e.rtTrace = mpi.ManagedTrace(comm.SPMD().World())
 	if shm != nil {
 		flags, err := shmem.Alloc[int64](shm, shm.NPEs())
 		if err != nil {

@@ -163,16 +163,6 @@ func (e *Env) parameters(b *Bound, opts []Option, body func(*Region) error) erro
 		}
 		if autoSync && (!r.led.empty() || !e.co.empty()) {
 			e.tele.decAutosync.Inc()
-			rk := e.comm.SPMD()
-			e.rtTrace.Record(rt.Decision{
-				Rank:   rk.ID,
-				V:      rk.Now(),
-				Domain: "autosync",
-				Key:    fmt.Sprintf("region %d", r.id),
-				From:   "END_PARAM_REGION",
-				To:     "END_ADJ_PARAM_REGIONS",
-				Reason: "no place_sync clause; dependency ledger guards reuse",
-			})
 			e.note(r.id, decSyncAuto, 0)
 		}
 	}

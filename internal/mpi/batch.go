@@ -37,8 +37,8 @@ type BatchPart struct {
 // Bytes reports the part's wire size.
 func (bp BatchPart) Bytes() int { return bp.Count * bp.Dt.Size() }
 
-// batchHeaderSize is the offset-table size for nparts members.
-func batchHeaderSize(nparts int) int { return 4 + 4*nparts }
+// BatchHeaderSize is the offset-table size for nparts members.
+func BatchHeaderSize(nparts int) int { return 4 + 4*nparts }
 
 // BatchHeaderMax is the largest possible batch header, used to budget the
 // eager-threshold payload cap before a batch's part count is known.
@@ -75,14 +75,14 @@ func (c *Comm) IsendBatch(parts []BatchPart, dest, tag int) (*Request, error) {
 		return nil, fmt.Errorf("mpi: IsendBatch: payload %d exceeds cap %d", payload, rt.MaxBatchBytes)
 	}
 	p := c.prof()
-	n := batchHeaderSize(len(parts)) + payload
+	n := BatchHeaderSize(len(parts)) + payload
 	if n > p.MPIEagerThreshold {
 		return nil, fmt.Errorf("mpi: IsendBatch: wire size %d exceeds eager threshold %d", n, p.MPIEagerThreshold)
 	}
 	sp := c.span("MPI_IsendBatch", c.clock().Now())
 	wire := transport.GetBuf(n)
 	binary.LittleEndian.PutUint32(wire, uint32(len(parts)))
-	off := batchHeaderSize(len(parts))
+	off := BatchHeaderSize(len(parts))
 	var encCost model.Time
 	for i, bp := range parts {
 		b := bp.Bytes()
@@ -192,7 +192,7 @@ func (q *BatchQueue) scatter(p *model.Profile, wire []byte) (model.Time, error) 
 	if nparts < 1 || nparts > rt.MaxBatchParts {
 		return 0, fmt.Errorf("mpi: batch scatter: part count %d outside [1,%d]", nparts, rt.MaxBatchParts)
 	}
-	off := batchHeaderSize(nparts)
+	off := BatchHeaderSize(nparts)
 	if len(wire) < off {
 		return 0, fmt.Errorf("mpi: batch scatter: truncated offset table")
 	}

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"commintent/internal/model"
-	rt "commintent/internal/runtime"
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
 	"commintent/internal/telemetry"
@@ -178,7 +177,6 @@ type commRegistry struct {
 	barriers map[string]*simnet.Barrier
 	scratch  map[string][]splitEntry
 	coll     map[string]*collShared
-	trace    *rt.Trace // the world's managed-runtime decision trace
 }
 
 type splitEntry struct {
@@ -193,17 +191,8 @@ func registry(w *spmd.World) *commRegistry {
 			barriers: make(map[string]*simnet.Barrier),
 			scratch:  make(map[string][]splitEntry),
 			coll:     make(map[string]*collShared),
-			trace:    new(rt.Trace),
 		}
 	}).(*commRegistry)
-}
-
-// ManagedTrace returns the world's managed-runtime decision trace. Every
-// adaptive choice made anywhere in the world (the directive layer's
-// coalesce/autosync decisions) lands in this one trace, so a single
-// fingerprint pins a whole run's adaptive behavior.
-func ManagedTrace(w *spmd.World) *rt.Trace {
-	return registry(w).trace
 }
 
 func tagBaseFor(w *spmd.World, id string) int {

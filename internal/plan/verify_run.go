@@ -45,7 +45,7 @@ func RunCounterexample(pl *Plan, cex *simnet.Schedule, aliases [][]Slot) error {
 		cfg.TagSpan, cfg.UserSpan = mpi.P2PFaultScope()
 		w.Fabric().SetFaults(cfg)
 	}
-	col := trace.Attach(w.Fabric())
+	rec := w.Fabric().EnableRecorder(0)
 
 	// Bindings: one []float64 per alias class per rank, sized to the
 	// largest explicit count (so an asserted count always fits the send
@@ -89,7 +89,7 @@ func RunCounterexample(pl *Plan, cex *simnet.Schedule, aliases [][]Slot) error {
 		return execErr
 	})
 
-	events := col.Events()
+	events := rec.Events()
 	switch cex.Expect {
 	case "deadline":
 		if runErr == nil {
@@ -147,23 +147,9 @@ func RunCounterexample(pl *Plan, cex *simnet.Schedule, aliases [][]Slot) error {
 // count mismatch (the post-run verifier tolerates short receives by
 // design, so the schedule gate checks it directly).
 func traceHasTruncation(events []simnet.Event) bool {
-	type pair struct{ s, d int }
-	sends := map[pair][]simnet.Event{}
-	recvs := map[pair][]simnet.Event{}
-	for _, e := range events {
-		switch e.Kind {
-		case simnet.EvSend:
-			sends[pair{e.Rank, e.Peer}] = append(sends[pair{e.Rank, e.Peer}], e)
-		case simnet.EvRecvComplete:
-			recvs[pair{e.Peer, e.Rank}] = append(recvs[pair{e.Peer, e.Rank}], e)
-		}
-	}
-	for p, rs := range recvs {
-		ss := sends[p]
-		for i := range rs {
-			if i < len(ss) && rs[i].Bytes < ss[i].Bytes {
-				return true
-			}
+	for _, p := range trace.Match(events).Pairs {
+		if events[p.Recv].Bytes < events[p.Send].Bytes {
+			return true
 		}
 	}
 	return false

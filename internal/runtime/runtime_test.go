@@ -59,55 +59,6 @@ func TestOverride(t *testing.T) {
 	}
 }
 
-// TestTraceCanonical: Snapshot and Fingerprint are insensitive to the
-// real-time interleaving of Record calls — the replay-determinism contract.
-func TestTraceCanonical(t *testing.T) {
-	ds := []Decision{
-		{Rank: 1, V: 200, Domain: "coalesce", Key: "a", From: "x", To: "y"},
-		{Rank: 0, V: 100, Domain: "coalesce", Key: "b", From: "4 msgs", To: "1 batch"},
-		{Rank: 2, V: 100, Domain: "autosync", Key: "c"},
-		{Rank: 0, V: 100, Domain: "autosync", Key: "b"},
-	}
-	var fwd, rev Trace
-	for _, d := range ds {
-		fwd.Record(d)
-	}
-	for i := len(ds) - 1; i >= 0; i-- {
-		rev.Record(ds[i])
-	}
-	if fwd.Fingerprint() != rev.Fingerprint() {
-		t.Error("fingerprint depends on record order")
-	}
-	snap := fwd.Snapshot()
-	for i := 1; i < len(snap); i++ {
-		a, b := snap[i-1], snap[i]
-		if a.V > b.V || (a.V == b.V && a.Rank > b.Rank) {
-			t.Errorf("snapshot not canonically ordered at %d: %+v then %+v", i, a, b)
-		}
-	}
-	if fwd.Len() != len(ds) {
-		t.Errorf("Len = %d, want %d", fwd.Len(), len(ds))
-	}
-}
-
-func TestTraceNilAndCap(t *testing.T) {
-	var nilT *Trace
-	nilT.Record(Decision{}) // must not panic
-	if nilT.Len() != 0 || nilT.Dropped() != 0 || nilT.Snapshot() != nil {
-		t.Error("nil trace accessors not zero")
-	}
-	var tr Trace
-	for i := 0; i < MaxTraceDecisions+10; i++ {
-		tr.Record(Decision{Rank: i})
-	}
-	if tr.Len() != MaxTraceDecisions {
-		t.Errorf("Len = %d, want cap %d", tr.Len(), MaxTraceDecisions)
-	}
-	if tr.Dropped() != 10 {
-		t.Errorf("Dropped = %d, want 10", tr.Dropped())
-	}
-}
-
 func TestBatchPayloadCap(t *testing.T) {
 	if c := BatchPayloadCap(1<<30, 68); c != MaxBatchBytes {
 		t.Errorf("huge eager: cap %d, want %d", c, MaxBatchBytes)

@@ -1,10 +1,12 @@
 package simnet
 
-// The flight recorder and post-mortem forensics. A Recorder subscribes to
-// the fabric's observer stream and keeps the last capacity events of every
-// rank in a fixed-size ring — cheap enough to leave on for chaos runs, and
-// exactly what a human needs when a world dies: what was each involved rank
-// doing in its final virtual microseconds?
+// The event recorder and post-mortem forensics. A Recorder subscribes to the
+// fabric's observer stream and keeps every rank's events in a per-rank ring
+// with a capacity policy: bounded, it is the flight recorder — the last
+// capacity events of every rank, cheap enough to leave on for chaos runs and
+// exactly what a human needs when a world dies; unbounded, it keeps the whole
+// run for the post-run analyses (statistics, the communication matrix, the
+// invariant checker, the critical path).
 //
 // When a fault becomes terminal (a real-time watchdog cancels a wait, or the
 // directive layer's retry protocol gives up), the failing layer calls
@@ -23,25 +25,30 @@ import (
 	"commintent/internal/transport"
 )
 
-// DefaultRecorderCap is the per-rank ring capacity EnableRecorder uses when
-// given a non-positive capacity.
+// DefaultRecorderCap is the flight recorder's customary per-rank capacity,
+// and the most tail events per rank a post-mortem dump carries whatever the
+// recorder keeps.
 const DefaultRecorderCap = 256
 
 // maxPostmortems bounds how many dumps a fabric retains; a fault storm after
 // the first few terminal failures adds no forensic value.
 const maxPostmortems = 16
 
-// Recorder is a per-rank ring buffer over the fabric event stream. Each rank
-// writes (via the sender- or owner-goroutine emitting the event) into its own
-// mutex-guarded ring, so recording never contends across ranks.
+// Recorder buffers the fabric event stream per rank. Every event is emitted
+// by the goroutine of the rank it names (Event.Rank), so each rank's ring is
+// written by one goroutine in that rank's program order, and recording never
+// contends across ranks.
 type Recorder struct {
 	rings []recRing
+	// unbounded keeps every event instead of the last len(buf) per rank.
+	// Set only before rank goroutines start (EnableRecorder).
+	unbounded bool
 }
 
 type recRing struct {
 	mu      sync.Mutex
 	buf     []Event
-	next    int
+	next    int // bounded: the slot the next event overwrites; unbounded: len(buf)
 	wrapped bool
 	total   int64      // events ever recorded for this rank
 	lastV   model.Time // largest virtual timestamp observed for this rank
@@ -50,27 +57,43 @@ type recRing struct {
 	_ [64]byte
 }
 
-// EnableRecorder installs a flight recorder with the given per-rank ring
-// capacity (DefaultRecorderCap when cap <= 0) and subscribes it to the event
-// stream. Like SetFaults it must be called before rank goroutines start;
-// calling it again returns the existing recorder unchanged.
+// EnableRecorder installs a recorder and subscribes it to the event stream.
+// A positive capacity bounds each rank's ring to its last capacity events
+// (the flight recorder); capacity <= 0 keeps every event. Like SetFaults it
+// must be called before rank goroutines start. Calling it again returns the
+// existing recorder, widened to unbounded if capacity <= 0 asks for that; a
+// recorder is never narrowed.
 func (f *Fabric) EnableRecorder(capacity int) *Recorder {
-	if f.rec != nil {
-		return f.rec
+	if r := f.rec; r != nil {
+		if capacity <= 0 && !r.unbounded {
+			r.widen()
+		}
+		return r
 	}
-	if capacity <= 0 {
-		capacity = DefaultRecorderCap
-	}
-	r := &Recorder{rings: make([]recRing, f.n)}
-	for i := range r.rings {
-		r.rings[i].buf = make([]Event, capacity)
+	r := &Recorder{rings: make([]recRing, f.n), unbounded: capacity <= 0}
+	if !r.unbounded {
+		for i := range r.rings {
+			r.rings[i].buf = make([]Event, capacity)
+		}
 	}
 	f.rec = r
 	f.Observe(r.record)
 	return r
 }
 
-// Recorder returns the installed flight recorder, or nil.
+// widen turns a bounded recorder unbounded, keeping what each ring holds.
+func (r *Recorder) widen() {
+	for i := range r.rings {
+		rg := &r.rings[i]
+		rg.mu.Lock()
+		rg.buf = rg.tail(0)
+		rg.next, rg.wrapped = len(rg.buf), false
+		rg.mu.Unlock()
+	}
+	r.unbounded = true
+}
+
+// Recorder returns the installed recorder, or nil.
 func (f *Fabric) Recorder() *Recorder { return f.rec }
 
 func (r *Recorder) record(e Event) {
@@ -79,11 +102,16 @@ func (r *Recorder) record(e Event) {
 	}
 	rg := &r.rings[e.Rank]
 	rg.mu.Lock()
-	rg.buf[rg.next] = e
-	rg.next++
-	if rg.next == len(rg.buf) {
-		rg.next = 0
-		rg.wrapped = true
+	if r.unbounded {
+		rg.buf = append(rg.buf, e)
+		rg.next = len(rg.buf)
+	} else {
+		rg.buf[rg.next] = e
+		rg.next++
+		if rg.next == len(rg.buf) {
+			rg.next = 0
+			rg.wrapped = true
+		}
 	}
 	rg.total++
 	if e.V > rg.lastV {
@@ -92,31 +120,59 @@ func (r *Recorder) record(e Event) {
 	rg.mu.Unlock()
 }
 
-// Cap reports the per-rank ring capacity.
+// tail copies out the ring's last limit events (all of them when limit <= 0),
+// oldest first. The caller holds rg.mu.
+func (rg *recRing) tail(limit int) []Event {
+	older, newer := []Event(nil), rg.buf[:rg.next]
+	if rg.wrapped {
+		older = rg.buf[rg.next:]
+	}
+	held := len(older) + len(newer)
+	if limit <= 0 || limit > held {
+		limit = held
+	}
+	if skip := held - limit; skip >= len(older) {
+		older, newer = nil, newer[skip-len(older):]
+	} else {
+		older = older[skip:]
+	}
+	return append(append(make([]Event, 0, limit), older...), newer...)
+}
+
+// Cap reports the per-rank ring capacity; 0 when the recorder is unbounded.
 func (r *Recorder) Cap() int {
-	if r == nil || len(r.rings) == 0 {
+	if r == nil || r.unbounded || len(r.rings) == 0 {
 		return 0
 	}
 	return len(r.rings[0].buf)
 }
 
-// RankEvents returns rank's recorded tail, oldest first. Nil receiver and
+// RankEvents returns rank's recorded events, oldest first. Nil receiver and
 // out-of-range ranks return nil.
-func (r *Recorder) RankEvents(rank int) []Event {
+func (r *Recorder) RankEvents(rank int) []Event { return r.rankTail(rank, 0) }
+
+func (r *Recorder) rankTail(rank, limit int) []Event {
 	if r == nil || rank < 0 || rank >= len(r.rings) {
 		return nil
 	}
 	rg := &r.rings[rank]
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	if !rg.wrapped {
-		out := make([]Event, rg.next)
-		copy(out, rg.buf[:rg.next])
-		return out
+	return rg.tail(limit)
+}
+
+// Events returns every recorded event rank by rank: rank 0's in the order
+// rank 0 emitted them, then rank 1's, and so on. Each rank's events are in
+// its program order, so the result does not depend on how the rank
+// goroutines interleaved. A nil receiver returns nil.
+func (r *Recorder) Events() []Event {
+	if r == nil {
+		return nil
 	}
-	out := make([]Event, 0, len(rg.buf))
-	out = append(out, rg.buf[rg.next:]...)
-	out = append(out, rg.buf[:rg.next]...)
+	var out []Event
+	for rank := range r.rings {
+		out = append(out, r.RankEvents(rank)...)
+	}
 	return out
 }
 
@@ -223,7 +279,7 @@ func (f *Fabric) ReportFailure(fail FailingOp) *Postmortem {
 			Rank:       rk,
 			LastV:      f.rec.LastV(rk),
 			Recorded:   f.rec.Total(rk),
-			Events:     f.rec.RankEvents(rk),
+			Events:     f.rec.rankTail(rk, DefaultRecorderCap),
 			Posted:     ep.PostedFrontier(),
 			Unexpected: ep.UnexpectedFrontier(),
 		}

@@ -60,12 +60,86 @@ func TestRecorderNilAndIdempotent(t *testing.T) {
 		t.Fatal("EnableRecorder is not idempotent")
 	}
 	if a.Cap() != 8 {
-		t.Fatalf("second EnableRecorder changed capacity: %d", a.Cap())
+		t.Fatalf("second bounded EnableRecorder changed capacity: %d", a.Cap())
 	}
-	// Zero capacity falls back to the default.
-	g := NewFabric(1).EnableRecorder(0)
-	if g.Cap() != DefaultRecorderCap {
-		t.Fatalf("default capacity = %d, want %d", g.Cap(), DefaultRecorderCap)
+	// Zero capacity means unbounded.
+	if g := NewFabric(1).EnableRecorder(0); g.Cap() != 0 {
+		t.Fatalf("EnableRecorder(0) capacity = %d, want 0 (unbounded)", g.Cap())
+	}
+}
+
+func TestRecorderUnboundedKeepsEverything(t *testing.T) {
+	f := NewFabric(2)
+	rec := f.EnableRecorder(-1)
+	const n = 3*DefaultRecorderCap + 7
+	emitN(f, 1, n)
+	evs := rec.RankEvents(1)
+	if len(evs) != n || rec.Total(1) != n {
+		t.Fatalf("kept %d of %d events (total %d)", len(evs), n, rec.Total(1))
+	}
+	for i, e := range evs {
+		if e.Tag != i {
+			t.Fatalf("event %d has tag %d", i, e.Tag)
+		}
+	}
+}
+
+func TestRecorderWidensNeverNarrows(t *testing.T) {
+	f := NewFabric(1)
+	rec := f.EnableRecorder(4)
+	emitN(f, 0, 6) // the ring keeps tags 2..5
+	if f.EnableRecorder(0) != rec || rec.Cap() != 0 {
+		t.Fatalf("EnableRecorder(0) did not widen the bounded recorder: cap %d", rec.Cap())
+	}
+	emitN(f, 0, 6)
+	evs := rec.RankEvents(0)
+	if len(evs) != 10 || evs[0].Tag != 2 || evs[3].Tag != 5 || evs[4].Tag != 0 || evs[9].Tag != 5 {
+		t.Fatalf("widened ring lost or reordered events: %d kept, first tag %d", len(evs), evs[0].Tag)
+	}
+	if f.EnableRecorder(4) != rec || rec.Cap() != 0 {
+		t.Fatalf("a bounded EnableRecorder narrowed the unbounded recorder to cap %d", rec.Cap())
+	}
+}
+
+func TestRecorderEventsRankMajor(t *testing.T) {
+	f := NewFabric(3)
+	rec := f.EnableRecorder(0)
+	// Interleave the ranks; each rank's tags count up in its own order.
+	for i := 0; i < 12; i++ {
+		f.Emit(Event{Rank: 2 - i%3, Kind: EvSend, Tag: i / 3})
+	}
+	evs := rec.Events()
+	if len(evs) != 12 {
+		t.Fatalf("%d events, want 12", len(evs))
+	}
+	for i, e := range evs {
+		if e.Rank != i/4 || e.Tag != i%4 {
+			t.Fatalf("event %d is rank %d tag %d, want rank %d tag %d", i, e.Rank, e.Tag, i/4, i%4)
+		}
+	}
+	if (*Recorder)(nil).Events() != nil {
+		t.Fatal("nil recorder returned events")
+	}
+}
+
+func TestReportFailureDumpIsBounded(t *testing.T) {
+	// Unbounded, and a bounded ring larger than a dump that has wrapped.
+	for _, capacity := range []int{0, DefaultRecorderCap + 20} {
+		f := NewFabric(2)
+		f.EnableRecorder(capacity)
+		const n = DefaultRecorderCap + 50
+		emitN(f, 0, n)
+		pm := f.ReportFailure(FailingOp{Rank: 0, Op: "x", Peer: 1})
+		d := pm.Ranks[0]
+		if d.Rank != 0 || len(d.Events) != DefaultRecorderCap || d.Recorded != n {
+			t.Fatalf("cap %d: dump of rank %d: %d events of %d recorded, want the last %d",
+				capacity, d.Rank, len(d.Events), d.Recorded, DefaultRecorderCap)
+		}
+		for i, e := range d.Events {
+			if want := n - DefaultRecorderCap + i; e.Tag != want {
+				t.Fatalf("cap %d: dump event %d has tag %d, want %d", capacity, i, e.Tag, want)
+			}
+		}
 	}
 }
 

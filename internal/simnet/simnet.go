@@ -114,7 +114,7 @@ type Fabric struct {
 	obsMu     sync.Mutex                 // serializes Observe registrations
 	observers atomic.Pointer[[]Observer] // read lock-free on every Emit
 
-	// rec is the optional flight recorder (see recorder.go). Installed once
+	// rec is the optional event recorder (see recorder.go). Installed once
 	// by EnableRecorder before rank goroutines start; nil on an unobserved
 	// fabric, so recording costs nothing when disabled.
 	rec *Recorder

@@ -7,6 +7,7 @@ import (
 
 	"commintent/internal/model"
 	"commintent/internal/simnet"
+	"commintent/internal/trace"
 )
 
 // PathSegment is one same-rank stretch of the critical path: the rank
@@ -114,11 +115,6 @@ func (r *CritReport) StringWithLabels(resolve func(int) string) string {
 	return b.String()
 }
 
-// pairKey identifies a FIFO send->recv matching stream.
-type pairKey struct {
-	src, dst, tag int
-}
-
 // CriticalPath analyses a run's fabric events. It matches each
 // recv-complete to the earliest unconsumed send of the same (source,
 // destination, tag) stream — the fabric delivers and matches FIFO per
@@ -178,29 +174,12 @@ func CriticalPath(events []simnet.Event, n int) *CritReport {
 		}
 	}
 
-	// FIFO send matching: sends enqueue per (src,dst,tag) in program
-	// order; recv-completes consume in program order.
-	sendQ := make(map[pairKey][]int)
-	for r := 0; r < n; r++ {
-		for _, i := range perRank[r] {
-			e := events[i]
-			if e.Kind == simnet.EvSend && e.Peer >= 0 {
-				k := pairKey{src: r, dst: e.Peer, tag: e.Tag}
-				sendQ[k] = append(sendQ[k], i)
-			}
-		}
-	}
+	// FIFO send matching per (src,dst,tag) stream; a send from outside the
+	// world is no predecessor.
 	matchedSend := make(map[int]int) // recv-complete event index -> send event index
-	for r := 0; r < n; r++ {
-		for _, i := range perRank[r] {
-			e := events[i]
-			if e.Kind == simnet.EvRecvComplete && e.Peer >= 0 {
-				k := pairKey{src: e.Peer, dst: r, tag: e.Tag}
-				if q := sendQ[k]; len(q) > 0 {
-					matchedSend[i] = q[0]
-					sendQ[k] = q[1:]
-				}
-			}
+	for _, p := range trace.Match(events).Pairs {
+		if s := events[p.Send].Rank; s >= 0 && s < n {
+			matchedSend[p.Recv] = p.Send
 		}
 	}
 

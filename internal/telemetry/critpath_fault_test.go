@@ -15,7 +15,6 @@ import (
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
 	"commintent/internal/telemetry"
-	"commintent/internal/trace"
 )
 
 // faultyRun executes a ring exchange at the given drop rate and returns the
@@ -23,7 +22,7 @@ import (
 // completes — but the trace now contains ghost deliveries, cancelled
 // receives and re-sent rounds, exactly what the critical-path analyser must
 // not trip over.
-func faultyRun(t *testing.T, n int, seed uint64, drop float64, iters int) *trace.Collector {
+func faultyRun(t *testing.T, n int, seed uint64, drop float64, iters int) []simnet.Event {
 	t.Helper()
 	w, err := spmd.NewWorld(n, model.GeminiLike())
 	if err != nil {
@@ -34,7 +33,7 @@ func faultyRun(t *testing.T, n int, seed uint64, drop float64, iters int) *trace
 		cfg.TagSpan, cfg.UserSpan = mpi.P2PFaultScope()
 		w.Fabric().SetFaults(cfg)
 	}
-	col := trace.Attach(w.Fabric())
+	rec := w.Fabric().EnableRecorder(0)
 	err = w.Run(func(rk *spmd.Rank) error {
 		c := mpi.World(rk)
 		c.SetWatchdog(10 * time.Second)
@@ -49,7 +48,7 @@ func faultyRun(t *testing.T, n int, seed uint64, drop float64, iters int) *trace
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col
+	return rec.Events()
 }
 
 // finishHash folds a report's makespan and per-rank finish times into one
@@ -136,10 +135,10 @@ func TestCriticalPathOnFaultyRun(t *testing.T) {
 	const n, iters = 8, 2
 	const seed, drop = 3, 0.05
 
-	healthy := telemetry.CriticalPath(faultyRun(t, n, 0, 0, iters).Events(), n)
+	healthy := telemetry.CriticalPath(faultyRun(t, n, 0, 0, iters), n)
 	checkStructure(t, healthy)
 
-	faulty := telemetry.CriticalPath(faultyRun(t, n, seed, drop, iters).Events(), n)
+	faulty := telemetry.CriticalPath(faultyRun(t, n, seed, drop, iters), n)
 	checkStructure(t, faulty)
 
 	// Recovery costs virtual time: the faulty makespan can only grow.
@@ -149,7 +148,7 @@ func TestCriticalPathOnFaultyRun(t *testing.T) {
 
 	// Same seed, same analysis — bit-identical makespan, per-rank finish
 	// times, and chain shape.
-	again := telemetry.CriticalPath(faultyRun(t, n, seed, drop, iters).Events(), n)
+	again := telemetry.CriticalPath(faultyRun(t, n, seed, drop, iters), n)
 	if finishHash(faulty) != finishHash(again) {
 		t.Fatalf("same-seed runs analyse differently: %x vs %x", finishHash(faulty), finishHash(again))
 	}
@@ -169,7 +168,7 @@ func TestCritPathRegionBreakdown(t *testing.T) {
 	}
 	tele := telemetry.New(n, 0)
 	w.SetTelemetry(tele)
-	col := trace.Attach(w.Fabric())
+	rec := w.Fabric().EnableRecorder(0)
 	err = w.Run(func(rk *spmd.Rank) error {
 		shm := shmem.New(rk)
 		env, err := core.NewEnv(mpi.World(rk), shm)
@@ -190,7 +189,7 @@ func TestCritPathRegionBreakdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	rid := w.Fabric().InternRegion("exchange")
-	rep := telemetry.CriticalPath(col.Events(), n)
+	rep := telemetry.CriticalPath(rec.Events(), n)
 	if len(rep.Regions) == 0 {
 		t.Fatal("attributed trace produced no per-region breakdown")
 	}

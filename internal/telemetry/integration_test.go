@@ -10,14 +10,14 @@ import (
 	"commintent/internal/mpi"
 	"commintent/internal/patterns"
 	"commintent/internal/shmem"
+	"commintent/internal/simnet"
 	"commintent/internal/spmd"
 	"commintent/internal/telemetry"
-	"commintent/internal/trace"
 )
 
 // runInstrumented executes a named pattern over n ranks with telemetry
 // attached and returns the telemetry and the raw event trace.
-func runInstrumented(t testing.TB, n int, pattern string, iters int) (*telemetry.Telemetry, *trace.Collector) {
+func runInstrumented(t testing.TB, n int, pattern string, iters int) (*telemetry.Telemetry, []simnet.Event) {
 	t.Helper()
 	w, err := spmd.NewWorld(n, model.GeminiLike())
 	if err != nil {
@@ -25,7 +25,7 @@ func runInstrumented(t testing.TB, n int, pattern string, iters int) (*telemetry
 	}
 	tele := telemetry.New(n, 0)
 	w.SetTelemetry(tele)
-	col := trace.Attach(w.Fabric())
+	rec := w.Fabric().EnableRecorder(0)
 	err = w.Run(func(rk *spmd.Rank) error {
 		shm := shmem.New(rk)
 		env, err := core.NewEnv(mpi.World(rk), shm)
@@ -38,12 +38,12 @@ func runInstrumented(t testing.TB, n int, pattern string, iters int) (*telemetry
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tele, col
+	return tele, rec.Events()
 }
 
 func TestEndToEndMetricsAndSpans(t *testing.T) {
 	const n = 4
-	tele, col := runInstrumented(t, n, "halo", 2)
+	tele, events := runInstrumented(t, n, "halo", 2)
 	reg := tele.Registry()
 
 	// Every rank executed 2 regions with 2 directives each.
@@ -104,7 +104,7 @@ func TestEndToEndMetricsAndSpans(t *testing.T) {
 
 	// The critical-path report sums the same idle time the MPI layer
 	// counted, and sees all ranks finish.
-	rep := telemetry.CriticalPath(col.Events(), n)
+	rep := telemetry.CriticalPath(events, n)
 	if rep.Makespan <= 0 || rep.ChainEvents == 0 {
 		t.Fatalf("degenerate report: %+v", rep)
 	}

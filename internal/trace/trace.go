@@ -1,121 +1,22 @@
-// Package trace collects and analyses fabric events: per-rank operation
-// logs, aggregate statistics, communication matrices and simple pattern
-// detection. It is the observability layer behind cmd/commtrace and the
-// analysis assertions in tests — the kind of static/dynamic communication
-// analysis the paper argues directives enable.
+// Package trace analyses a run's fabric events: aggregate statistics,
+// communication matrices, the send-to-receive matching, timelines and simple
+// pattern detection. The events come from the fabric's recorder
+// (simnet.Fabric.EnableRecorder); every function here reads only each rank's
+// own order, never the interleaving across ranks. It is the analysis layer
+// behind cmd/commtrace and the trace assertions in tests — the kind of
+// static/dynamic communication analysis the paper argues directives enable.
 package trace
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"commintent/internal/simnet"
 )
 
-// Collector accumulates fabric events. The buffer is sharded per rank so
-// concurrently emitting rank goroutines do not contend on one mutex; a
-// global atomic sequence number stamped at emission lets Events reconstruct
-// the exact arrival order on read.
-type Collector struct {
-	n      int
-	seq    atomic.Uint64
-	shards []collectorShard
-}
-
-type collectorShard struct {
-	mu     sync.Mutex
-	events []seqEvent
-	// Pad each shard past a cache line: adjacent shards are written by
-	// different rank goroutines, and false sharing would hand back the
-	// contention the sharding removes.
-	_ [96]byte
-}
-
-type seqEvent struct {
-	seq uint64
-	e   simnet.Event
-}
-
-// NewCollector creates an unattached collector over n ranks (events arrive
-// via Add); most callers use Attach instead.
-func NewCollector(n int) *Collector {
-	if n < 1 {
-		n = 1
-	}
-	return &Collector{n: n, shards: make([]collectorShard, n)}
-}
-
-// Attach subscribes a new collector to all events of the fabric.
-func Attach(f *simnet.Fabric) *Collector {
-	c := NewCollector(f.Size())
-	f.Observe(c.Add)
-	return c
-}
-
-// Add records one event in the emitting rank's shard.
-func (c *Collector) Add(e simnet.Event) {
-	idx := e.Rank
-	if idx < 0 || idx >= len(c.shards) {
-		idx = 0
-	}
-	seq := c.seq.Add(1)
-	sh := &c.shards[idx]
-	sh.mu.Lock()
-	sh.events = append(sh.events, seqEvent{seq: seq, e: e})
-	sh.mu.Unlock()
-}
-
-// snapshot copies all shards and merges them back into arrival order.
-func (c *Collector) snapshot() []seqEvent {
-	var all []seqEvent
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		all = append(all, sh.events...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	return all
-}
-
-// Events returns a copy of everything collected so far, in arrival order.
-func (c *Collector) Events() []simnet.Event {
-	all := c.snapshot()
-	out := make([]simnet.Event, len(all))
-	for i, se := range all {
-		out[i] = se.e
-	}
-	return out
-}
-
-// Reset discards collected events.
-func (c *Collector) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.events = sh.events[:0]
-		sh.mu.Unlock()
-	}
-}
-
-// Len reports the number of collected events.
-func (c *Collector) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.events)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Stats summarises collected events.
+// Stats summarises a run's events.
 type Stats struct {
-	Ranks     int
 	PerKind   map[simnet.EventKind]int
 	DataBytes int64 // payload bytes of sends, puts and gets
 	RecvBytes int64 // payload bytes delivered into receive buffers
@@ -123,48 +24,35 @@ type Stats struct {
 	Syncs     int   // waits, waitalls, fences, quiets, barriers
 }
 
-// Stats computes aggregate statistics. Stats needs no ordering, so it
-// iterates the shards directly without the merge Events performs.
-func (c *Collector) Stats() Stats {
-	s := Stats{Ranks: c.n, PerKind: make(map[simnet.EventKind]int)}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, se := range sh.events {
-			e := se.e
-			s.PerKind[e.Kind]++
-			switch e.Kind {
-			case simnet.EvSend, simnet.EvPut, simnet.EvGet:
-				s.DataBytes += int64(e.Bytes)
-				s.Messages++
-			case simnet.EvRecvComplete:
-				s.RecvBytes += int64(e.Bytes)
-			case simnet.EvWait, simnet.EvSync, simnet.EvBarrier:
-				s.Syncs++
-			}
+// StatsOf computes aggregate statistics over a run's events.
+func StatsOf(events []simnet.Event) Stats {
+	s := Stats{PerKind: make(map[simnet.EventKind]int)}
+	for _, e := range events {
+		s.PerKind[e.Kind]++
+		switch e.Kind {
+		case simnet.EvSend, simnet.EvPut, simnet.EvGet:
+			s.DataBytes += int64(e.Bytes)
+			s.Messages++
+		case simnet.EvRecvComplete:
+			s.RecvBytes += int64(e.Bytes)
+		case simnet.EvWait, simnet.EvSync, simnet.EvBarrier:
+			s.Syncs++
 		}
-		sh.mu.Unlock()
 	}
 	return s
 }
 
 // CommMatrix returns bytes moved from each source rank to each destination
-// rank by sends and puts.
-func (c *Collector) CommMatrix() [][]int64 {
-	m := make([][]int64, c.n)
+// rank of an n-rank run by sends and puts.
+func CommMatrix(events []simnet.Event, n int) [][]int64 {
+	m := make([][]int64, n)
 	for i := range m {
-		m[i] = make([]int64, c.n)
+		m[i] = make([]int64, n)
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, se := range sh.events {
-			e := se.e
-			if (e.Kind == simnet.EvSend || e.Kind == simnet.EvPut) && e.Peer >= 0 && e.Peer < c.n && e.Rank >= 0 && e.Rank < c.n {
-				m[e.Rank][e.Peer] += int64(e.Bytes)
-			}
+	for _, e := range events {
+		if (e.Kind == simnet.EvSend || e.Kind == simnet.EvPut) && e.Peer >= 0 && e.Peer < n && e.Rank >= 0 && e.Rank < n {
+			m[e.Rank][e.Peer] += int64(e.Bytes)
 		}
-		sh.mu.Unlock()
 	}
 	return m
 }
@@ -261,14 +149,13 @@ func FormatMatrix(m [][]int64) string {
 
 // Timeline renders the first limit events of selected ranks, ordered by
 // virtual time (then rank), as a readable trace.
-func (c *Collector) Timeline(limit int, ranks ...int) string {
-	evs := c.Events()
+func Timeline(events []simnet.Event, limit int, ranks ...int) string {
 	want := map[int]bool{}
 	for _, r := range ranks {
 		want[r] = true
 	}
 	var sel []simnet.Event
-	for _, e := range evs {
+	for _, e := range events {
 		if len(want) == 0 || want[e.Rank] {
 			sel = append(sel, e)
 		}

@@ -8,10 +8,10 @@ package verify
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"commintent/internal/simnet"
+	"commintent/internal/trace"
 )
 
 // Violation is one failed invariant.
@@ -76,58 +76,38 @@ func Check(events []simnet.Event, n int, pending bool) *Report {
 		lastV[e.Rank] = int64(e.V)
 	}
 
-	// Two-sided matching: per (src,dst) pair, receives complete in send
-	// order with identical byte counts, never exceeding the sends, and
-	// never before them in virtual time.
-	type pair struct{ s, d int }
-	sends := map[pair][]simnet.Event{}
-	recvs := map[pair][]simnet.Event{}
+	// Two-sided matching: per (src,dst,tag) stream, receives complete in
+	// send order, never carry more bytes than their send (a posted buffer
+	// may bound the delivered count below it), never complete before it in
+	// virtual time, and never outnumber the sends.
+	m := trace.Match(events)
 	for _, e := range events {
 		switch e.Kind {
 		case simnet.EvSend:
 			r.Sends++
-			sends[pair{e.Rank, e.Peer}] = append(sends[pair{e.Rank, e.Peer}], e)
 		case simnet.EvRecvComplete:
 			r.Receives++
-			recvs[pair{e.Peer, e.Rank}] = append(recvs[pair{e.Peer, e.Rank}], e)
 		case simnet.EvPut:
 			r.Puts++
 		}
 	}
-	pairs := make([]pair, 0, len(sends))
-	for p := range sends {
-		pairs = append(pairs, p)
-	}
-	for p := range recvs {
-		if _, ok := sends[p]; !ok {
-			pairs = append(pairs, p)
+	for _, p := range m.Pairs {
+		s, rc := events[p.Send], events[p.Recv]
+		if rc.Bytes > s.Bytes {
+			add("conservation", "%d->%d tag %d: received %dB of a %dB send", s.Rank, s.Peer, s.Tag, rc.Bytes, s.Bytes)
+		}
+		if rc.V < s.V {
+			add("causality", "%d->%d tag %d: receive completed at %v before the send at %v", s.Rank, s.Peer, s.Tag, rc.V, s.V)
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].s != pairs[j].s {
-			return pairs[i].s < pairs[j].s
-		}
-		return pairs[i].d < pairs[j].d
-	})
-	for _, p := range pairs {
-		ss, rs := sends[p], recvs[p]
-		if len(rs) > len(ss) {
-			add("completeness", "pair %d->%d completed %d receives for %d sends", p.s, p.d, len(rs), len(ss))
-			continue
-		}
-		if !pending && len(rs) < len(ss) {
-			add("completeness", "pair %d->%d left %d send(s) unreceived after shutdown", p.s, p.d, len(ss)-len(rs))
-		}
-		// Receives must be truncations of sends, matched in FIFO order,
-		// and causally after them. (A receive may be shorter than its
-		// send: posted buffers bound the delivered count.)
-		for i := range rs {
-			if rs[i].Bytes > ss[i].Bytes {
-				add("conservation", "pair %d->%d message %d: received %dB of a %dB send", p.s, p.d, i, rs[i].Bytes, ss[i].Bytes)
-			}
-			if rs[i].V < ss[i].V {
-				add("causality", "pair %d->%d message %d: receive completed at %v before the send at %v", p.s, p.d, i, rs[i].V, ss[i].V)
-			}
+	for _, i := range m.Unmatched {
+		e := events[i]
+		add("completeness", "%d->%d tag %d: receive completed at %v with no send left to match", e.Peer, e.Rank, e.Tag, e.V)
+	}
+	if !pending {
+		for _, i := range m.Unreceived {
+			e := events[i]
+			add("completeness", "%d->%d tag %d: %dB send at %v left unreceived after shutdown", e.Rank, e.Peer, e.Tag, e.Bytes, e.V)
 		}
 	}
 

@@ -10,7 +10,6 @@ import (
 	"commintent/internal/shmem"
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
-	"commintent/internal/trace"
 	"commintent/internal/verify"
 	"commintent/internal/wllsms"
 )
@@ -21,7 +20,7 @@ func TestCleanRunVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := trace.Attach(w.Fabric())
+	rec := w.Fabric().EnableRecorder(0)
 	err = w.Run(func(rk *spmd.Rank) error {
 		c := mpi.World(rk)
 		shm := shmem.New(rk)
@@ -46,7 +45,7 @@ func TestCleanRunVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := verify.Check(col.Events(), n, false)
+	rep := verify.Check(rec.Events(), n, false)
 	if !rep.OK() {
 		t.Errorf("clean run violated invariants:\n%s", rep)
 	}
@@ -67,7 +66,7 @@ func TestFullAppTraceVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := trace.Attach(w.Fabric())
+	rec := w.Fabric().EnableRecorder(0)
 	err = w.Run(func(rk *spmd.Rank) error {
 		app, err := wllsms.Setup(rk, p)
 		if err != nil {
@@ -83,7 +82,7 @@ func TestFullAppTraceVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := verify.Check(col.Events(), p.NProcs(), false)
+	rep := verify.Check(rec.Events(), p.NProcs(), false)
 	if !rep.OK() {
 		t.Errorf("full app trace violated invariants:\n%s", rep)
 	}
@@ -177,5 +176,49 @@ func TestReportStringHealthy(t *testing.T) {
 	rep := verify.Check(nil, 1, false)
 	if !strings.Contains(rep.String(), "all invariants hold") {
 		t.Errorf("report: %s", rep)
+	}
+}
+
+// TestOutOfTagOrderReceivesVerify: a legal program whose receiver takes a
+// pair's messages in a different order than they were sent, by tag, verifies
+// clean. Rank 0 sends one double under tag 1 and then two under tag 2; rank 1
+// receives tag 2 first. Matching per (src, dst) alone would pair the 16-byte
+// receive with the 8-byte send and report a conservation violation.
+func TestOutOfTagOrderReceivesVerify(t *testing.T) {
+	evs := []simnet.Event{
+		{Rank: 0, Kind: simnet.EvSend, Peer: 1, Tag: 1, Bytes: 8, V: 10},
+		{Rank: 0, Kind: simnet.EvSend, Peer: 1, Tag: 2, Bytes: 16, V: 20},
+		{Rank: 1, Kind: simnet.EvRecvComplete, Peer: 0, Tag: 2, Bytes: 16, V: 30},
+		{Rank: 1, Kind: simnet.EvRecvComplete, Peer: 0, Tag: 1, Bytes: 8, V: 40},
+	}
+	if rep := verify.Check(evs, 2, false); !rep.OK() {
+		t.Errorf("out-of-tag-order receives flagged:\n%s", rep)
+	}
+
+	// The same program run for real, checked on its recorded events.
+	w, err := spmd.NewWorld(2, model.GeminiLike())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := w.Fabric().EnableRecorder(0)
+	if err := w.Run(func(rk *spmd.Rank) error {
+		c := mpi.World(rk)
+		if rk.ID == 0 {
+			if err := c.Send([]float64{1}, 1, mpi.Float64, 1, 1); err != nil {
+				return err
+			}
+			return c.Send([]float64{2, 3}, 2, mpi.Float64, 1, 2)
+		}
+		two, one := make([]float64, 2), make([]float64, 1)
+		if _, err := c.Recv(two, 2, mpi.Float64, 0, 2); err != nil {
+			return err
+		}
+		_, err := c.Recv(one, 1, mpi.Float64, 0, 1)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rep := verify.Check(rec.Events(), 2, false); !rep.OK() || rep.Receives != 2 {
+		t.Errorf("out-of-tag-order run:\n%s", rep)
 	}
 }

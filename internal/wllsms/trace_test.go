@@ -5,6 +5,7 @@ import (
 
 	"commintent/internal/core"
 	"commintent/internal/model"
+	"commintent/internal/simnet"
 	"commintent/internal/spmd"
 	"commintent/internal/trace"
 	"commintent/internal/wllsms"
@@ -25,7 +26,11 @@ func TestSetEvecTraceIsStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := trace.Attach(w.Fabric())
+	rec := w.Fabric().EnableRecorder(0)
+	// start[r] is how many events rank r had emitted when setEvec began:
+	// each rank's events are recorded in its own program order, so the
+	// phase is the tail from there.
+	start := make([]int64, p.NProcs())
 	err = w.Run(func(rk *spmd.Rank) error {
 		app, err := wllsms.Setup(rk, p)
 		if err != nil {
@@ -42,14 +47,18 @@ func TestSetEvecTraceIsStar(t *testing.T) {
 		if err := app.StageSpins(spins); err != nil {
 			return err
 		}
-		col.Reset() // isolate the setEvec phase
+		start[rk.ID] = rec.Total(rk.ID)
 		_, err = app.SetEvec(wllsms.VariantOriginal, core.TargetDefault)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := col.CommMatrix()
+	var phase []simnet.Event
+	for r := range start {
+		phase = append(phase, rec.RankEvents(r)[start[r]:]...)
+	}
+	m := trace.CommMatrix(phase, p.NProcs())
 	// Restrict to the LSMS group (world ranks 1..6 -> indices 0..5).
 	sub := make([][]int64, p.GroupSize)
 	for i := range sub {
@@ -83,7 +92,7 @@ func TestDistributionByteVolume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := trace.Attach(w.Fabric())
+		rec := w.Fabric().EnableRecorder(0)
 		err = w.Run(func(rk *spmd.Rank) error {
 			app, err := wllsms.Setup(rk, p)
 			if err != nil {
@@ -96,7 +105,7 @@ func TestDistributionByteVolume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return col.Stats().DataBytes
+		return trace.StatsOf(rec.Events()).DataBytes
 	}
 
 	orig := volume(wllsms.VariantOriginal, core.TargetDefault)

@@ -1,12 +1,12 @@
 package commintent
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"commintent/internal/core"
 	"commintent/internal/model"
-	"commintent/internal/mpi"
 	rt "commintent/internal/runtime"
 	"commintent/internal/spmd"
 	"commintent/internal/wllsms"
@@ -26,10 +26,10 @@ func fig4Params() wllsms.Params {
 
 // measureFig4Directive runs the committed Figure 4 directive workload —
 // unmodified wllsms source, directives and all — under the given runtime
-// config and returns the measured SetEvec virtual time plus the world's
-// decision-trace fingerprint. Every delivered spin vector is verified, so a
-// coalescing bug cannot masquerade as a speedup.
-func measureFig4Directive(t *testing.T, p wllsms.Params, cfg rt.Config) (model.Time, *rt.Trace) {
+// config and returns the measured SetEvec virtual time plus every rank's
+// decision log. Every delivered spin vector is verified, so a coalescing bug
+// cannot masquerade as a speedup.
+func measureFig4Directive(t *testing.T, p wllsms.Params, cfg rt.Config) (model.Time, [][]core.Decision) {
 	t.Helper()
 	defer rt.Override(cfg)()
 	w, err := spmd.NewWorld(p.NProcs(), model.GeminiLike())
@@ -38,11 +38,14 @@ func measureFig4Directive(t *testing.T, p wllsms.Params, cfg rt.Config) (model.T
 	}
 	var mu sync.Mutex
 	var out model.Time
+	logs := make([][]core.Decision, p.NProcs())
 	err = w.Run(func(rk *spmd.Rank) error {
 		app, err := wllsms.Setup(rk, p)
 		if err != nil {
 			return err
 		}
+		// Deferred first so it runs last, after Close has logged its flush.
+		defer func() { logs[rk.ID] = app.Env.Decisions() }()
 		defer app.Close()
 		if _, err := app.DistributeAtoms(wllsms.VariantOriginal, core.TargetDefault); err != nil {
 			return err
@@ -85,11 +88,25 @@ func measureFig4Directive(t *testing.T, p wllsms.Params, cfg rt.Config) (model.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := mpi.ManagedTrace(w)
-	if !cfg.Enabled() && tr.Len() != 0 {
-		t.Errorf("runtime off but trace recorded %d decisions; goldens are no longer bit-identical", tr.Len())
+	if !cfg.Enabled() {
+		if n := managedDecisions(logs); n != 0 {
+			t.Errorf("runtime off but %d coalesce/autosync decision(s) recorded; goldens are no longer bit-identical", n)
+		}
 	}
-	return out, tr
+	return out, logs
+}
+
+// managedDecisions counts the managed runtime's entries across all logs.
+func managedDecisions(logs [][]core.Decision) int {
+	n := 0
+	for _, ds := range logs {
+		for _, d := range ds {
+			if d.Kind == "coalesce" || d.Kind == "autosync" {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestManagedRuntimeFig4Speedup is the headline acceptance gate: enabling
@@ -113,19 +130,22 @@ func TestManagedRuntimeFig4Speedup(t *testing.T) {
 }
 
 // TestManagedRuntimeDeterministicTrace: same seed, same program, managed
-// runtime on → identical virtual times and identical decision traces. This
-// is the replayability contract ISSUE 7 requires for post-mortem debugging.
+// runtime on → identical virtual times and, on every rank, the identical
+// sequence of decisions. This is the replayability contract post-mortem
+// debugging relies on.
 func TestManagedRuntimeDeterministicTrace(t *testing.T) {
 	p := fig4Params()
-	v1, tr1 := measureFig4Directive(t, p, rt.Config{Coalesce: true})
-	v2, tr2 := measureFig4Directive(t, p, rt.Config{Coalesce: true})
+	v1, logs1 := measureFig4Directive(t, p, rt.Config{Coalesce: true})
+	v2, logs2 := measureFig4Directive(t, p, rt.Config{Coalesce: true})
 	if v1 != v2 {
 		t.Errorf("virtual times diverged across same-seed runs: %d != %d", v1, v2)
 	}
-	if f1, f2 := tr1.Fingerprint(), tr2.Fingerprint(); f1 != f2 {
-		t.Errorf("decision traces diverged across same-seed runs: %x != %x", f1, f2)
+	for rank := range logs1 {
+		if !reflect.DeepEqual(logs1[rank], logs2[rank]) {
+			t.Errorf("rank %d decision logs diverged across same-seed runs:\n%v\n%v", rank, logs1[rank], logs2[rank])
+		}
 	}
-	if tr1.Len() == 0 {
-		t.Error("managed runtime on but the decision trace is empty")
+	if managedDecisions(logs1) == 0 {
+		t.Error("managed runtime on but no rank recorded a coalesce decision")
 	}
 }
