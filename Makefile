@@ -24,7 +24,11 @@ test:
 # equivalence, where a reused receive is completed in place by another rank's
 # goroutine; so does the back-to-back mixed-collective stress, whose point is ranks lapping each
 # other through the one-wave rendezvous, and the recorder's concurrent-emission
-# test, where every rank goroutine appends to its own ring of one recorder), the
+# test, where every rank goroutine appends to its own ring of one recorder, the
+# barrier's gate tests, whose waiters park at once at more than one P, and the
+# payload pool's working-set test), the simnet suite again at GOMAXPROCS=2 (two Ps is a
+# barrier shape of its own: the radix-16 tree with park-at-once waiters,
+# which neither the host's default pass nor four Ps pins), the
 # benchmark's smoke test under the race detector (the configuration in which
 # the barrier's lost wakeup was seen: every fence of the halo workload parks
 # there),
@@ -69,7 +73,8 @@ verify: vet-intent
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/
+	GOMAXPROCS=2 $(GO) test -race ./internal/simnet/
 	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/
 	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs|TestHalo2sReplayAllocs' ./internal/telemetry/ ./internal/wllsms/ ./internal/core/

@@ -174,6 +174,12 @@ func main() {
 
 	ph, pm := transport.PoolStats()
 	fmt.Printf("payload pool: %d hits / %d misses (hit rate %s)\n", ph, pm, rate(ph, ph+pm))
+	bg, bp := simnet.BarrierStats()
+	perGen := "n/a"
+	if bg > 0 {
+		perGen = fmt.Sprintf("%.2f", float64(bp)/float64(bg))
+	}
+	fmt.Printf("barrier: %d generation(s), %d parked wait(s) (parks per generation %s)\n", bg, bp, perGen)
 	fe, fd, re, rd := typemap.PathStats()
 	fast, slow := fe+fd, re+rd
 	fmt.Printf("pack/unpack: %d zero-copy / %d reflection (fast-path share %s)\n",

@@ -70,7 +70,7 @@ func TestCommstatZeroDenominatorRates(t *testing.T) {
 	if !strings.Contains(out, "elision rate n/a") {
 		t.Errorf("zero-fence run should print `elision rate n/a`:\n%s", out)
 	}
-	for _, want := range []string{"payload pool:", "pack/unpack:", "handle cache:"} {
+	for _, want := range []string{"payload pool:", "parks per generation", "pack/unpack:", "handle cache:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

@@ -36,9 +36,12 @@ import (
 	"commintent/internal/transport"
 )
 
-// spinYields bounds the Gosched spin phase before a waiter parks, mirroring
-// the simnet barrier's spin. A yield costs ~100ns; parking costs a
-// park/unpark pair plus (at low core counts) a likely futex round trip.
+// spinYields bounds the Gosched spin phase before a waiter parks. A yield
+// costs ~100ns at one P; parking costs a park/unpark pair plus (at low core
+// counts) a likely futex round trip. At more than one P every yield also
+// takes the scheduler's global run-queue lock, which is why the simnet
+// barrier's waiters park at once there; this spin is kept at every P count
+// because setting it to 0 did not resolve either way on the two-P halo.
 const spinYields = 128
 
 // Port is one rank's mailbox plus its private match table. The hot

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"commintent/internal/model"
@@ -21,20 +22,18 @@ import (
 // count share one atomic word, so a rank's check-in is a single fetch-add
 // that simultaneously reads the generation it must wait out, and the
 // winner's release is a single fetch-add that resets the count and flips
-// the generation. Waiters spin with runtime.Gosched for a bounded number of
-// yields — on an oversubscribed scheduler the release almost always lands
-// within a yield or two — and only then park on a lazily-installed per-node
-// channel, so the steady-state barrier performs no allocation, no mutex
-// handoff chain, and no O(n) broadcast herd: wakeups are point-to-point per
-// tree node.
+// the generation. A waiter that does not see the flip parks on its node's
+// gate for that generation, so the steady-state barrier performs no
+// allocation, no mutex handoff chain, and no O(n) broadcast herd: wakeups
+// are per tree node.
 //
-// The radix adapts to the runtime: with real hardware parallelism the tree
-// keeps each release wave O(radix) so waiters spin on their own node's
-// generation word rather than one global line; with GOMAXPROCS=1 the tree
-// degenerates to a single node, because point-to-point release waves only
-// pay for themselves when waves can actually overlap (measured on a
-// single-P box, a dissemination barrier is ~3x slower than the flat
-// combining node — every hop is a scheduler round trip).
+// Shape and wait follow one rule, read when the barrier is built (waitRule):
+// with one P the tree is a single densely packed node and a waiter yields a
+// bounded number of times before parking, because the release is one
+// scheduler turn away; with more than one P the tree is radix 16 (node-
+// grouped where placement says), slots sit a cache line apart, and a waiter
+// parks at once — there every yield goes through the scheduler's global run
+// queue lock, which both Ps then fight over.
 //
 // A generation may carry a completion step (WaitStep): the global winner —
 // the participant whose arrival completes the root node, whatever the tree
@@ -46,7 +45,8 @@ import (
 // at the parent only afterwards, so the global winner's step observes every
 // participant's stores; the step's own stores precede the root's release
 // flip, each released winner flips the nodes it won only after seeing its
-// own release, and a waiter returns only after loading the flipped word.
+// own release, and a waiter returns only after loading the flipped word or
+// leaving the gate the release opened after it.
 //
 // A Barrier is safe for repeated use by the same fixed set of n goroutines;
 // participant i must always pass me == i.
@@ -57,34 +57,54 @@ type Barrier struct {
 	// the minimum number of distinct lines.
 	flat   *barNode // the whole tree, when it is a single node
 	lslot  []int    // slot index within the leaf for each rank
+	spin   int      // Gosched yields before a waiter parks
 	n      int
 	leaves []*barNode // leaf node for each rank
 	depth  int
 	hier   bool // leaves grouped by topology node, not rank order
 }
 
-// barrierSpin bounds the Gosched spin phase before a waiter parks. A yield
-// costs ~100ns; the bound keeps worst-case busy work per waiter well under
-// the cost of the park/unpark pair it avoids.
-var barrierSpin = 64
+// barrierSpin bounds the one-P rule's Gosched spin before a waiter parks. A
+// yield costs ~100ns there; the bound keeps worst-case busy work per waiter
+// well under the cost of the park/unpark pair it avoids.
+const barrierSpin = 64
 
-// barGen is a parked-waiter registration for one generation of one node.
-type barGen struct {
-	g  uint32
-	ch chan struct{}
+// Process-wide barrier counters, surfaced through BarrierStats: the global
+// winner adds one per generation, and a waiter one as it parks.
+var barGenerations, barParks atomic.Int64
+
+// BarrierStats reports the process-lifetime number of completed barrier
+// generations and of waits that parked, over every barrier.
+func BarrierStats() (generations, parks int64) {
+	return barGenerations.Load(), barParks.Load()
+}
+
+// waitRule is the barrier's one reading of the host's parallelism: its tree
+// fan-in (0 for a single node), the spacing of per-child slots in words, and
+// the yields a waiter spends before parking.
+type waitRule struct{ radix, stride, spin int }
+
+// readRule reads GOMAXPROCS. With one P, yields pay: the releaser runs
+// within a turn or two, and parking at once made the 256-rank allreduce
+// ~35% slower. With more than one P, every yield takes the scheduler's
+// global run-queue lock (65% of a two-P 256-rank allreduce's CPU was under
+// gosched_m), so waiters park at once, the radix-16 tree keeps each
+// release wave short, and slots a cache line apart keep parallel check-ins
+// from false-sharing.
+func readRule() waitRule {
+	if runtime.GOMAXPROCS(0) == 1 {
+		return waitRule{stride: 1, spin: barrierSpin}
+	}
+	return waitRule{radix: 16, stride: 8}
 }
 
 // barNode's state word: low 32 bits arrival count, high 32 bits generation.
 // An arrival is one fetch-add of 1 (returning both its arrival position and
 // the generation it belongs to); the winner's release is one fetch-add of
 // 1<<32 - nchild (flipping the generation and zeroing the count together).
-// The generation comparison is modular, so 32-bit wraparound is harmless:
-// parked registrations never span even two generations.
+// The generation comparison is modular, so 32-bit wraparound is harmless.
 type barNode struct {
-	// slots holds one virtual-time slot per child at a stride chosen for
-	// the runtime: one cache line apart when children write in parallel,
-	// densely packed when GOMAXPROCS rules parallel writes out (padding
-	// then only inflates the winner's fold footprint).
+	// slots holds one virtual-time slot per child, stride words apart.
 	slots  []model.Time
 	stride int
 	nchild int
@@ -94,65 +114,60 @@ type barNode struct {
 	_    [64]byte
 	word atomic.Uint64
 	_    [56]byte
-	// park holds the waiters' lazily-installed wakeup channel for the
-	// generation currently completing, one slot per generation parity; nil
-	// or stale when nobody parked. Two slots because a fast rank can park
-	// for generation g+1 between release(g)'s flip and its look at the
-	// record: were there one slot, that parker would replace the
-	// generation-g record and release would find nothing to close, leaving
-	// g's sleepers asleep for ever. Nobody can park for g+2, the next user
-	// of g's slot, before all of them have woken and arrived at g+1.
-	park [2]atomic.Pointer[barGen]
+	// gate[g&1] holds generation g's parked waiters: armed (count 1) before
+	// the flip that starts g, opened by the release that ends it. Two gates
+	// because a fast rank can arrive for g+1, and park, between release(g)'s
+	// flip and its Done. A gate is re-armed only at the flip that starts
+	// g+2, inside release(g+1), which needs every child's arrival for g+1 —
+	// and each of those happens after the g waiter from that child's subtree
+	// has left Wait (on a leaf it is the waiter itself; higher up, the child
+	// node's next winner arrives only after that waiter released the child).
+	// So no Wait of g is ever in flight across its gate's re-arming, which
+	// is what lets one WaitGroup per parity serve every generation.
+	gate [2]sync.WaitGroup
 	out  model.Time // generation result; published by the release flip
 }
 
-// slotStride picks the spacing of per-child slots: a cache line (8 words)
-// under real parallelism, dense otherwise.
-func slotStride() int {
-	if runtime.GOMAXPROCS(0) <= 2 {
-		return 1
-	}
-	return 8
+// newBarNode returns a node for k children with generation 0's gate armed.
+func newBarNode(k, stride int) *barNode {
+	nd := &barNode{slots: make([]model.Time, k*stride), stride: stride, nchild: k}
+	nd.gate[0].Add(1)
+	return nd
 }
 
-// barrierRadix picks the tree fan-in: wide (flat) when the scheduler has no
-// real parallelism or the world is small, 16 otherwise.
-func barrierRadix(n int) int {
-	if n <= 16 || runtime.GOMAXPROCS(0) <= 2 {
-		return n
-	}
-	return 16
-}
-
-// NewBarrier creates a barrier for n participants with an automatically
-// chosen tree radix.
+// NewBarrier creates a barrier for n participants, shaped by the wait rule.
 func NewBarrier(n int) *Barrier {
-	return NewBarrierRadix(n, barrierRadix(n))
+	r := readRule()
+	return r.build(n, r.radix)
 }
 
 // NewBarrierRadix creates a barrier with an explicit tree fan-in; radix >=
 // n yields a single combining node. Exposed so tests can force the
 // multi-level tree shape regardless of GOMAXPROCS.
 func NewBarrierRadix(n, radix int) *Barrier {
+	return readRule().build(n, max(radix, 2))
+}
+
+// build creates an n-participant barrier of the given fan-in (0 or >= n: one
+// node) with the rule's slot stride and spin.
+func (r waitRule) build(n, radix int) *Barrier {
 	if n < 1 {
 		panic("simnet: barrier size must be >= 1")
 	}
-	if radix < 2 {
-		radix = 2
+	if radix == 0 || radix > n {
+		radix = n
 	}
-	stride := slotStride()
-	b := &Barrier{n: n, leaves: make([]*barNode, n), lslot: make([]int, n)}
+	b := &Barrier{n: n, spin: r.spin, leaves: make([]*barNode, n), lslot: make([]int, n)}
 	level := make([]*barNode, 0, (n+radix-1)/radix)
 	for i := 0; i < n; i += radix {
-		k := min(radix, n-i)
-		nd := &barNode{slots: make([]model.Time, k*stride), stride: stride, nchild: k}
-		for j := 0; j < k; j++ {
+		nd := newBarNode(min(radix, n-i), r.stride)
+		for j := 0; j < nd.nchild; j++ {
 			b.leaves[i+j] = nd
-			b.lslot[i+j] = j * stride
+			b.lslot[i+j] = j * r.stride
 		}
 		level = append(level, nd)
 	}
-	b.buildUpper(level, radix, stride)
+	b.buildUpper(level, radix, r.stride)
 	return b
 }
 
@@ -162,44 +177,42 @@ func NewBarrierRadix(n, radix int) *Barrier {
 // per-node winners — the "leaders" — feed the radix tree above, so a
 // 64k-rank world does not collapse onto one combining root and release
 // waves stay node-local. nodeOf maps a rank to its node id; nil means no
-// topology. On a scheduler without real parallelism the tree degenerates to
-// the flat single node exactly like NewBarrier — point-to-point waves only
-// pay for themselves when they can overlap — so the hierarchical shape is
-// strictly an arrangement of the existing combining tree, never a change to
-// the max-fold result.
+// topology. Where the wait rule builds a single node (one P) this is
+// NewBarrier, so the hierarchical shape is strictly an arrangement of the
+// existing combining tree, never a change to the max-fold result.
 func NewBarrierTopo(n int, nodeOf func(rank int) int) *Barrier {
-	if nodeOf == nil || n < 2 || runtime.GOMAXPROCS(0) <= 2 {
-		return NewBarrier(n)
+	r := readRule()
+	if nodeOf == nil || n < 2 || r.radix == 0 {
+		return r.build(n, r.radix)
 	}
 	// Group ranks by node, preserving first-seen node order.
 	idx := make(map[int]int)
 	var groups [][]int
-	for r := 0; r < n; r++ {
-		nid := nodeOf(r)
+	for rank := 0; rank < n; rank++ {
+		nid := nodeOf(rank)
 		gi, ok := idx[nid]
 		if !ok {
 			gi = len(groups)
 			idx[nid] = gi
 			groups = append(groups, nil)
 		}
-		groups[gi] = append(groups[gi], r)
+		groups[gi] = append(groups[gi], rank)
 	}
 	if len(groups) <= 1 || len(groups) == n {
 		// One node, or one rank per node: hierarchy adds nothing.
-		return NewBarrier(n)
+		return r.build(n, r.radix)
 	}
-	stride := slotStride()
-	b := &Barrier{n: n, leaves: make([]*barNode, n), lslot: make([]int, n), hier: true}
+	b := &Barrier{n: n, spin: r.spin, leaves: make([]*barNode, n), lslot: make([]int, n), hier: true}
 	level := make([]*barNode, 0, len(groups))
 	for _, g := range groups {
-		nd := &barNode{slots: make([]model.Time, len(g)*stride), stride: stride, nchild: len(g)}
-		for j, r := range g {
-			b.leaves[r] = nd
-			b.lslot[r] = j * stride
+		nd := newBarNode(len(g), r.stride)
+		for j, rank := range g {
+			b.leaves[rank] = nd
+			b.lslot[rank] = j * r.stride
 		}
 		level = append(level, nd)
 	}
-	b.buildUpper(level, barrierRadix(len(level)), stride)
+	b.buildUpper(level, r.radix, r.stride)
 	return b
 }
 
@@ -211,9 +224,8 @@ func (b *Barrier) buildUpper(level []*barNode, radix, stride int) {
 	for len(level) > 1 {
 		next := level[:0:0]
 		for i := 0; i < len(level); i += radix {
-			k := min(radix, len(level)-i)
-			nd := &barNode{slots: make([]model.Time, k*stride), stride: stride, nchild: k}
-			for j := 0; j < k; j++ {
+			nd := newBarNode(min(radix, len(level)-i), stride)
+			for j := 0; j < nd.nchild; j++ {
 				level[i+j].parent = nd
 				level[i+j].pslot = j * stride
 			}
@@ -251,28 +263,29 @@ func (b *Barrier) Wait(me int, myV model.Time) model.Time {
 // call into the barrier.
 func (b *Barrier) WaitStep(me int, myV model.Time, step func()) model.Time {
 	if nd := b.flat; nd != nil {
-		// Flat barrier (the common shape on a scheduler without real
-		// parallelism): publish the clock with one plain slot store — the
+		// Flat barrier: publish the clock with one plain slot store — the
 		// check-in fetch-add below orders it for the winner's fold — and
-		// spin inline; one yield almost always suffices, so the common
-		// waiter path is store, add, load, yield, load.
+		// wait inline: with one P, one yield almost always suffices, so the
+		// common waiter path is store, add, load, yield, load (a call to
+		// waitRelease per wait costs the 256-rank barrier ~7% there).
 		nd.slots[b.lslot[me]] = myV
 		s := nd.word.Add(1)
 		if int(s&0xffffffff) < nd.nchild {
 			g := uint32(s >> 32)
-			for i := 0; i < barrierSpin; i++ {
+			for i := 0; i < b.spin; i++ {
 				if uint32(nd.word.Load()>>32) != g {
 					return nd.out
 				}
 				runtime.Gosched()
 			}
-			nd.parkWait(g)
+			nd.park(g)
 			return nd.out
 		}
 		v := nd.fold(myV)
 		if step != nil {
 			step()
 		}
+		barGenerations.Add(1)
 		nd.release(v)
 		return v
 	}
@@ -285,7 +298,7 @@ func (b *Barrier) WaitStep(me int, myV model.Time, step func()) model.Time {
 		nd.slots[slot] = v
 		s := nd.word.Add(1)
 		if int(s&0xffffffff) < nd.nchild {
-			nd.waitRelease(uint32(s >> 32))
+			nd.waitRelease(uint32(s>>32), b.spin)
 			v = nd.out
 			break
 		}
@@ -299,6 +312,7 @@ func (b *Barrier) WaitStep(me int, myV model.Time, step func()) model.Time {
 			if step != nil {
 				step()
 			}
+			barGenerations.Add(1)
 			break
 		}
 		slot = nd.pslot
@@ -322,63 +336,34 @@ func (nd *barNode) fold(v model.Time) model.Time {
 	return v
 }
 
-// release publishes the generation result, then flips the node's generation
-// and zeroes its arrival count in one atomic add, waking any parked waiters
-// point-to-point.
+// release publishes the generation result, arms the next generation's gate,
+// flips the node's generation and zeroes its arrival count in one atomic
+// add, and opens the finished generation's gate.
 func (nd *barNode) release(v model.Time) {
 	nd.out = v
-	s := nd.word.Add(1<<32 - uint64(nd.nchild))
-	nd.wakeParked(uint32(s>>32) - 1)
+	g := uint32(nd.word.Load() >> 32)
+	nd.gate[(g+1)&1].Add(1)
+	nd.word.Add(1<<32 - uint64(nd.nchild))
+	nd.gate[g&1].Done()
 }
 
-// wakeParked wakes the waiters parked for generation g, which the caller
-// has just flipped past. Waiter parking and that flip are both sequentially
-// consistent, so either the parker's re-check sees the flip or this load
-// sees the parker's registration — never neither.
-func (nd *barNode) wakeParked(g uint32) {
-	if p := nd.park[g&1].Load(); p != nil && p.g == g {
-		close(p.ch)
-	}
-}
-
-// waitRelease waits for the node's generation g to complete: a bounded
-// Gosched spin, then a parked wait on a lazily-installed channel shared by
-// all of this node's parked waiters.
-func (nd *barNode) waitRelease(g uint32) {
-	for i := 0; i < barrierSpin; i++ {
+// waitRelease waits for the node's generation g to complete: up to spin
+// Gosched yields watching the word, then a park on the generation's gate.
+func (nd *barNode) waitRelease(g uint32, spin int) {
+	for i := 0; i < spin; i++ {
 		if uint32(nd.word.Load()>>32) != g {
 			return
 		}
 		runtime.Gosched()
 	}
-	nd.parkWait(g)
+	nd.park(g)
 }
 
-// parkWait is the slow tail of waitRelease: register on (or adopt) the
-// node's parked-waiter channel for generation g and sleep until release.
-func (nd *barNode) parkWait(g uint32) {
-	park := &nd.park[g&1]
-	for {
-		p := park.Load()
-		if p != nil && p.g == g {
-			if uint32(nd.word.Load()>>32) != g {
-				return
-			}
-			<-p.ch
-			return
-		}
-		if uint32(nd.word.Load()>>32) != g {
-			return
-		}
-		np := &barGen{g: g, ch: make(chan struct{})}
-		if park.CompareAndSwap(p, np) {
-			if uint32(nd.word.Load()>>32) != g {
-				// The release may have run before our registration was
-				// visible; the channel is then never closed, so leave.
-				return
-			}
-			<-np.ch
-			return
-		}
+// park sleeps on generation g's gate unless g has already completed.
+func (nd *barNode) park(g uint32) {
+	if uint32(nd.word.Load()>>32) != g {
+		return
 	}
+	barParks.Add(1)
+	nd.gate[g&1].Wait()
 }

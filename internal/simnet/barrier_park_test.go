@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -9,16 +10,18 @@ import (
 // TestBarrierParkedWaitersSurviveNextGeneration drives, step by step on one
 // node, the interleaving that used to lose a wakeup: release(g) flips the
 // generation, a fast rank comes round again and parks for g+1 before
-// release(g) has looked at the park record, and only then does release(g)
-// look. The generation-g sleepers must still be woken.
+// release(g) has opened g's gate, and only then does release(g) open it.
+// The generation-g sleepers must wake, and the g+1 sleeper must not until
+// release(g+1).
 func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
 	const g = 6
-	nd := &barNode{nchild: 3}
+	nd := newBarNode(3, 1) // generation 0's gate armed, and 6 has its parity
 	nd.word.Store(g << 32)
 	woke := make(chan uint32, 3)
+	_, parks0 := BarrierStats()
 	park := func(gen uint32) {
 		go func() {
-			nd.parkWait(gen)
+			nd.waitRelease(gen, 0)
 			woke <- gen
 		}()
 	}
@@ -34,35 +37,105 @@ func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
 		}
 	}
 
-	park(g) // installs the record
-	awaitParked(t, nd, g)
-	park(g) // adopts it, or sees the flip below; it must return either way
+	park(g)
+	park(g)
+	awaitParked(t, parks0+2)
 
-	nd.word.Store((g + 1) << 32) // release(g), first half: the flip
+	nd.gate[(g+1)&1].Add(1)      // release(g), first half: arm g+1's gate
+	nd.word.Store((g + 1) << 32) // and flip
 	park(g + 1)                  // the fast rank, a generation ahead
-	awaitParked(t, nd, g+1)
-	nd.wakeParked(g) // release(g), second half
+	awaitParked(t, parks0+3)
+	nd.gate[g&1].Done() // release(g), second half
 
 	expect(g)
 	expect(g)
+	select {
+	case gen := <-woke:
+		t.Fatalf("generation %d waiter woke before its release", gen)
+	case <-time.After(20 * time.Millisecond):
+	}
 
-	nd.word.Store((g + 2) << 32)
-	nd.wakeParked(g + 1)
+	nd.release(0) // release(g+1)
 	expect(g + 1)
 }
 
-// awaitParked returns once some waiter has installed nd's park record for
-// generation gen.
-func awaitParked(t *testing.T, nd *barNode, gen uint32) {
+// awaitParked returns once the process-wide park count reaches parks. A
+// counted waiter has seen its generation still open and is in, or entering,
+// its gate's Wait, where only the release can let it out.
+func awaitParked(t *testing.T, parks int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if p := nd.park[gen&1].Load(); p != nil && p.g == gen {
+		if _, p := BarrierStats(); p >= parks {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no park record for generation %d", gen)
+			t.Fatalf("fewer than %d parked waits", parks)
 		}
 		runtime.Gosched()
+	}
+}
+
+// TestBarrierParkAllocFree: a parked wait allocates nothing, on the flat
+// node, up a radix-16 tree and on the node-grouped shape. With more than one
+// P every waiter that misses the flip parks. The semaphore under a gate
+// takes a sudog per sleeper from the runtime's caches, allocating only when
+// the sleeper's P and the central cache are both empty; so garbage
+// collection, which drops the central cache, is off, and a 1024-rank warm-up
+// leaves more sudogs cached than four Ps can hoard (128 each). The runtime
+// still starts the odd thread to run woken goroutines (a new M is five
+// allocations), so each shape gets three windows of 1000 generations and
+// one must read zero; an allocating park moves every window.
+func TestBarrierParkAllocFree(t *testing.T) {
+	const n, warm, gens, windows = 48, 200, 1000, 3
+	withParallelism(t, 4)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runBarrier(t, NewBarrierRadix(1024, 1024), 1024, 4)
+	shapes := map[string]*Barrier{
+		"flat":    NewBarrierRadix(n, n),
+		"radix16": NewBarrierRadix(n, 16),
+		"topo":    NewBarrierTopo(n, func(r int) int { return r / 6 }),
+	}
+	for name, b := range shapes {
+		t.Run(name, func(t *testing.T) {
+			if b.spin != 0 {
+				t.Fatalf("spin = %d at four Ps, want 0 (park at once)", b.spin)
+			}
+			size := b.Size()
+			done := make(chan struct{}, size) // a finished waiter must not park on it
+			for me := 1; me < size; me++ {
+				go func() {
+					for i := 0; i < warm+windows*gens; i++ {
+						b.Wait(me, 0)
+					}
+					done <- struct{}{}
+				}()
+			}
+			for i := 0; i < warm; i++ {
+				b.Wait(0, 0)
+			}
+			var mallocs [windows]uint64
+			_, parks0 := BarrierStats()
+			for w := range mallocs {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < gens; i++ {
+					b.Wait(0, 0)
+				}
+				runtime.ReadMemStats(&after)
+				mallocs[w] = after.Mallocs - before.Mallocs
+			}
+			_, parks1 := BarrierStats()
+			for me := 1; me < size; me++ {
+				<-done
+			}
+			if parks1 == parks0 {
+				t.Fatalf("no waiter parked in %d generations", windows*gens)
+			}
+			if min(mallocs[0], mallocs[1], mallocs[2]) != 0 {
+				t.Errorf("allocations per window of %d generations %v with %d parked waits, want a window of 0",
+					gens, mallocs, parks1-parks0)
+			}
+		})
 	}
 }

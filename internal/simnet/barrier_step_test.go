@@ -15,7 +15,7 @@ import (
 // node, radix trees two to many levels deep, and a node-grouped first level.
 func stepShapes(t *testing.T, n int) map[string]*Barrier {
 	t.Helper()
-	withParallelism(t, 4) // NewBarrierTopo degrades to flat below three Ps
+	withParallelism(t, 4) // NewBarrierTopo degrades to flat at one P
 	shapes := map[string]*Barrier{
 		"flat": NewBarrierRadix(n, n),
 		"topo": NewBarrierTopo(n, func(r int) int { return r / 5 }),
@@ -40,8 +40,7 @@ func TestBarrierStepOncePerGeneration(t *testing.T) {
 	for _, spin := range []int{barrierSpin, 0} {
 		for name, b := range stepShapes(t, n) {
 			t.Run(fmt.Sprintf("%s/spin%d", name, spin), func(t *testing.T) {
-				defer func(old int) { barrierSpin = old }(barrierSpin)
-				barrierSpin = spin
+				b.spin = spin
 				var (
 					pub  [n]int // pub[i]: participant i's store before arriving
 					ran  int    // steps run so far
@@ -81,15 +80,15 @@ func TestBarrierStepOncePerGeneration(t *testing.T) {
 }
 
 // TestBarrierStepBeforeParkedWaitersWake drives the parked case step by step
-// on one node: two participants are asleep on the node's park record when
-// the third arrives, and its step must run while both are still asleep.
+// on one node: two participants are parked on the node's gate when the
+// third arrives, and its step must run while both are still parked.
 func TestBarrierStepBeforeParkedWaitersWake(t *testing.T) {
-	defer func(old int) { barrierSpin = old }(barrierSpin)
-	barrierSpin = 0
 	b := NewBarrierRadix(3, 3)
+	b.spin = 0
 	var returned atomic.Int32
 	var stepSaw int32 = -1
 	done := make(chan int, 2)
+	_, parks0 := BarrierStats()
 	for me := 0; me < 2; me++ {
 		go func() {
 			b.WaitStep(me, 0, nil)
@@ -97,7 +96,7 @@ func TestBarrierStepBeforeParkedWaitersWake(t *testing.T) {
 			done <- int(stepSaw)
 		}()
 	}
-	awaitParked(t, b.flat, 0)
+	awaitParked(t, parks0+2)
 	for deadline := time.Now().Add(10 * time.Second); b.flat.word.Load() != 2; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatal("the two waiters never both arrived")
@@ -127,8 +126,8 @@ func TestBarrierWaitAllocs(t *testing.T) {
 				}
 			}()
 		}
-		// AllocsPerRun counts the whole process's mallocs and pins one P,
-		// where every waiter yields rather than parks.
+		// AllocsPerRun counts the whole process's mallocs and pins one P;
+		// waiters yield or park by the rule the barrier was built under.
 		got := testing.AllocsPerRun(runs, func() {
 			b.Wait(0, 0)
 			b.WaitStep(0, 0, step)

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -8,14 +9,49 @@ import (
 	"commintent/internal/model"
 )
 
-// withParallelism forces GOMAXPROCS high enough that NewBarrierTopo builds
-// the hierarchical tree instead of degrading to the single-P flat node, and
-// restores the old setting on cleanup. The topo barrier's shape decision is
-// deliberately scheduler-aware, so its tests must pin the scheduler.
+// withParallelism sets GOMAXPROCS to p for the test, so a barrier built in
+// it takes the wait rule for p Ps, and restores the old setting on cleanup.
+// The barrier's shape decision is deliberately scheduler-aware, so its
+// tests must pin the scheduler.
 func withParallelism(t *testing.T, p int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(p)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestBarrierWaitRule: the rule read at construction. One P: a single node
+// with dense slots whose waiters yield before parking, whatever the
+// placement. More than one P: a radix-16 tree (node-grouped where placement
+// says) with slots a cache line apart, whose waiters park at once.
+func TestBarrierWaitRule(t *testing.T) {
+	const n = 64
+	nodeOf := func(r int) int { return r / 8 }
+	for _, p := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
+			withParallelism(t, p)
+			wantStride, wantSpin, wantDepth := 8, 0, 2
+			if p == 1 {
+				wantStride, wantSpin, wantDepth = 1, barrierSpin, 1
+			}
+			for name, b := range map[string]*Barrier{
+				"plain": NewBarrier(n),
+				"topo":  NewBarrierTopo(n, nodeOf),
+				"small": NewBarrier(16),
+			} {
+				depth := wantDepth
+				if name == "small" {
+					depth = 1 // sixteen participants fit one node of radix 16
+				}
+				nd := b.leaves[0]
+				if b.depth != depth || (b.flat != nil) != (depth == 1) || nd.stride != wantStride ||
+					b.spin != wantSpin || b.Hierarchical() != (name == "topo" && p > 1) {
+					t.Errorf("%s: depth %d flat %v stride %d spin %d hierarchical %v; want depth %d stride %d spin %d",
+						name, b.depth, b.flat != nil, nd.stride, b.spin, b.Hierarchical(), depth, wantStride, wantSpin)
+				}
+				runBarrier(t, b, b.Size(), 4)
+			}
+		})
+	}
 }
 
 // runBarrier drives n goroutines through iters generations of b and checks
@@ -60,8 +96,8 @@ func TestBarrierTopoEquivalence(t *testing.T) {
 }
 
 // TestBarrierTopoDegenerate: shapes where hierarchy adds nothing — nil
-// nodeOf, a single node, one rank per node — fall back to the flat barrier
-// and still fold correctly.
+// nodeOf, a single node, one rank per node — fall back to NewBarrier's
+// rank-order shape and still fold correctly.
 func TestBarrierTopoDegenerate(t *testing.T) {
 	withParallelism(t, 4)
 	cases := []struct {
@@ -77,7 +113,7 @@ func TestBarrierTopoDegenerate(t *testing.T) {
 			const n = 37
 			b := NewBarrierTopo(n, tc.nodeOf)
 			if b.Hierarchical() {
-				t.Fatal("degenerate shape must degrade to the flat barrier")
+				t.Fatal("degenerate shape must degrade to the rank-order barrier")
 			}
 			runBarrier(t, b, n, 4)
 		})

@@ -143,8 +143,8 @@ func NewFabric(n int) *Fabric {
 // NewFabricTopo creates a fabric whose world barrier groups check-ins
 // hierarchically when nodeOf is non-nil: nodeOf maps a rank to its node ID,
 // and the barrier runs node-local combining phases that feed a radix tree
-// over node leaders (see NewBarrierTopo). A nil nodeOf yields the flat
-// barrier, which is bit-identical in virtual time either way.
+// over node leaders (see NewBarrierTopo). A nil nodeOf yields NewBarrier's
+// rank-order shape, which is bit-identical in virtual time either way.
 //
 // Endpoints are arena-allocated in one contiguous slice: at 64k ranks,
 // bring-up makes one allocation instead of 64k, and the matching state of

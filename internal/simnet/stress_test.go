@@ -53,7 +53,7 @@ func runBarrierStress(t *testing.T, b *Barrier, n, iters int) {
 }
 
 // TestBarrierStressFlat exercises the single-node combining barrier (the
-// shape a GOMAXPROCS<=2 runtime selects) at 1024 ranks.
+// shape one P selects) at 1024 ranks.
 func TestBarrierStressFlat(t *testing.T) {
 	iters := 40
 	if testing.Short() {

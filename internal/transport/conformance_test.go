@@ -284,10 +284,15 @@ var conformance = []struct {
 			t.Errorf("payload = %v", out)
 		}
 		// The buffer is the transport's from Send on; once copied out it is
-		// back on its size class's freelist, behind whatever was there.
-		for i := 0; i < 200; i++ {
+		// back on its size class's freelist: take from the class until it
+		// runs dry.
+		for {
+			hits, _ := transport.PoolStats()
 			if g := transport.GetBuf(3); &g[0] == first {
 				return
+			}
+			if h, _ := transport.PoolStats(); h == hits {
+				break
 			}
 		}
 		t.Error("the sent buffer never came back through GetBuf")

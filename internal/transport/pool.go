@@ -11,11 +11,14 @@ import (
 // Port.Send, and Complete returns it to the pool once it has copied the
 // payload into the posted receive.
 //
-// The freelists are buffered channels rather than sync.Pool: a chan []byte
-// stores slice headers inline, so Get and Put are allocation-free, whereas
-// sync.Pool would box every []byte header into an interface on Put. The
-// trade-off — buffers surviving GC — is bounded per class both by buffer
-// count and by retained bytes (see classDepth).
+// The freelists are mutex-guarded stacks of slice headers. sync.Pool would
+// box every []byte header into an interface on Put and is emptied by every
+// collection; a buffered channel must be sized for the cap up front, which at
+// the byte cap below is 1.5 MiB of pointer slots on the heap from init. A
+// stack grows its backing array only when a class reaches a new high-water
+// mark, so steady-state Get and Put allocate nothing. The trade-off —
+// buffers surviving GC — is bounded per class by retained bytes (see
+// maxClassRetain).
 //
 // Ownership caveat for the one-sided plane: memory exposed through an MPI
 // window (WinCreate) or registered as symmetric-heap backing must NOT be
@@ -30,36 +33,23 @@ const (
 	maxClassBits = 20 // 1 MiB
 	numClasses   = maxClassBits - minClassBits + 1
 
-	// Retention is capped two ways so the process-global pool cannot pin
-	// unbounded memory across simulations: at most maxClassDepth buffers
-	// per class, and at most maxClassRetain bytes per class. Small classes
-	// hit the depth cap (64 B × 128 = 8 KiB); large classes hit the byte
-	// cap (the 1 MiB class retains 4 buffers). Worst-case total retention
-	// is ~28 MiB, versus the ~250 MiB a uniform depth of 128 would allow.
-	maxClassDepth  = 128
-	maxClassRetain = 4 << 20
+	// Retention is capped by bytes alone, so the process-global pool cannot
+	// pin unbounded memory across simulations: each class holds at most
+	// maxClassRetain bytes (32 768 buffers of 64 B, two of 1 MiB), ~30 MiB
+	// over all classes. A count cap would make a class's hit rate depend on
+	// how many sends happen to be in flight at once: a 256-rank halo op has
+	// 512 256-B sends outstanding.
+	maxClassRetain = 2 << 20
 )
 
-var bufClasses [numClasses]chan []byte
-
-// classDepth returns the freelist capacity for class c: the depth cap or
-// the byte cap, whichever binds first.
-func classDepth(c int) int {
-	depth := maxClassRetain >> (minClassBits + c)
-	if depth > maxClassDepth {
-		depth = maxClassDepth
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	return depth
+// bufClass is one size class's freelist, padded to a cache line.
+type bufClass struct {
+	mu   sync.Mutex
+	free [][]byte
+	_    [32]byte
 }
 
-func init() {
-	for i := range bufClasses {
-		bufClasses[i] = make(chan []byte, classDepth(i))
-	}
-}
+var bufClasses [numClasses]bufClass
 
 // Pool traffic counters, surfaced through PoolStats for telemetry.
 var (
@@ -89,14 +79,19 @@ func GetBuf(n int) []byte {
 		poolMisses.Add(1)
 		return make([]byte, n)
 	}
-	select {
-	case b := <-bufClasses[c]:
+	cl := &bufClasses[c]
+	cl.mu.Lock()
+	if k := len(cl.free) - 1; k >= 0 {
+		b := cl.free[k]
+		cl.free[k] = nil
+		cl.free = cl.free[:k]
+		cl.mu.Unlock()
 		poolHits.Add(1)
 		return b[:n]
-	default:
-		poolMisses.Add(1)
-		return make([]byte, n, 1<<(minClassBits+c))
 	}
+	cl.mu.Unlock()
+	poolMisses.Add(1)
+	return make([]byte, n, 1<<(minClassBits+c))
 }
 
 // PutBuf returns a buffer to its freelist. b must have come from GetBuf —
@@ -113,10 +108,12 @@ func PutBuf(b []byte) {
 	if c < 0 || cap(b) != 1<<(minClassBits+c) {
 		return
 	}
-	select {
-	case bufClasses[c] <- b[:cap(b)]:
-	default:
+	cl := &bufClasses[c]
+	cl.mu.Lock()
+	if len(cl.free) < maxClassRetain>>(minClassBits+c) {
+		cl.free = append(cl.free, b[:cap(b)])
 	}
+	cl.mu.Unlock()
 }
 
 // PoolStats reports the process-lifetime payload-pool hit and miss counts.

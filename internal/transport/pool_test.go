@@ -34,3 +34,27 @@ func TestBufPoolClasses(t *testing.T) {
 		t.Errorf("PoolStats did not count: %d+%d -> %d+%d", hits0, misses0, hits1, misses1)
 	}
 }
+
+// TestPoolHoldsInFlightWorkingSet: a class keeps a whole op's in-flight
+// buffers. A 256-rank halo op has 512 256-B sends outstanding at once; once
+// they have been returned, as many GetBuf calls must all hit, so the hit
+// rate does not depend on how many sends the scheduler let pile up.
+func TestPoolHoldsInFlightWorkingSet(t *testing.T) {
+	const inFlight, size = 512, 256
+	bufs := make([][]byte, inFlight)
+	for i := range bufs {
+		bufs[i] = make([]byte, size)
+	}
+	for _, b := range bufs {
+		PutBuf(b)
+	}
+	hits0, misses0 := PoolStats()
+	for range bufs {
+		GetBuf(size)
+	}
+	hits1, misses1 := PoolStats()
+	if misses := misses1 - misses0; misses != 0 || hits1-hits0 != inFlight {
+		t.Errorf("%d GetBuf(%d) after %d PutBuf: %d hits, %d misses; want every one to hit",
+			inFlight, size, inFlight, hits1-hits0, misses)
+	}
+}

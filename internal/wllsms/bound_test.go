@@ -197,8 +197,10 @@ func TestSetEvecReplayAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const warm, ops = 20, 200
-	// One P, as in testing.AllocsPerRun: a waiter that spins out and parks
-	// in the simnet barrier allocates there, which is not what is measured.
+	// One P, as in testing.AllocsPerRun: with more than one, a rank that
+	// parks — in a receive, or in the barrier, whose park allocates nothing
+	// itself — can make the runtime allocate (a sudog when its caches are
+	// empty, a thread to run the woken rank), which is not what is measured.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := smallParams()
 	p.NumAtoms = 8
