@@ -61,8 +61,13 @@ test:
 # Irecv and their *Into forms allocate a request in one place. The next one
 # keeps the host's parallelism out of every decision but the barrier's shape:
 # runtime.GOMAXPROCS is read under internal/ only in simnet/barrier.go. The
-# last keeps one event spine: product code registers fabric observers only in
+# next keeps one event spine: product code registers fabric observers only in
 # the recorder and in telemetry; every other consumer reads recorded events.
+# The last two keep two measured decisions: message headers and receive
+# handles are recycled per port, not through sync.Pool, whose per-P caches
+# missed whenever a header was freed on another P; and core closes one-sided
+# windows only through mpi.Fence over the region's windows, one barrier wave
+# per region, never window by window.
 verify: vet-intent
 	! $(GO) list -deps ./internal/transport | grep -E 'internal/(simnet|shmtransport)$$'
 	! $(GO) list -deps ./internal/shmtransport | grep -E 'internal/simnet$$'
@@ -70,11 +75,14 @@ verify: vet-intent
 	test "$$(grep -rF 'new(Request)' --include='*.go' --exclude='*_test.go' internal/mpi | wc -l)" -eq 1 || { echo "new(Request) must occur exactly once under internal/mpi: Isend and Irecv start operations through one path"; exit 1; }
 	test "$$(grep -rlF 'runtime.GOMAXPROCS' --include='*.go' --exclude='*_test.go' internal)" = internal/simnet/barrier.go || { echo "runtime.GOMAXPROCS may be read under internal/ only in internal/simnet/barrier.go"; exit 1; }
 	test "$$(grep -rlE '\.Observe\(func|(Fabric\(\)|fabric|\<f)\.Observe\(' --include='*.go' --exclude='*_test.go' internal cmd | sort | tr '\n' ' ')" = "internal/simnet/recorder.go internal/telemetry/telemetry.go " || { echo "fabric observers may be registered only in internal/simnet/recorder.go and internal/telemetry/telemetry.go"; exit 1; }
+	! grep -rnE '^[^/]*\<sync\.Pool\>' --include='*.go' --exclude='*_test.go' internal/transport || { echo "sync.Pool may not be used under internal/transport: headers and handles are recycled per port"; exit 1; }
+	! grep -rnF '.Fence()' --include='*.go' --exclude='*_test.go' internal/core || { echo "internal/core closes windows only through mpi.Fence, one wave per region"; exit 1; }
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/
 	GOMAXPROCS=2 $(GO) test -race ./internal/simnet/
+	GOMAXPROCS=2 $(GO) test -count=1 -run TestRecycledHeadersAllocFree ./internal/transport/
 	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/
 	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs|TestHalo2sReplayAllocs' ./internal/telemetry/ ./internal/wllsms/ ./internal/core/

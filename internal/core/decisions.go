@@ -41,7 +41,7 @@ const (
 	decSyncDependent                      //
 	decWaitall                            // a = requests
 	decWaitallRetry                       // a = requests
-	decFence                              //
+	decFence                              // a = windows
 	decQuietFlags                         // a = flags
 	decWaitUntil                          // a = flags
 	decSyncCarried                        //
@@ -125,7 +125,7 @@ func (e *Env) render(d decisionRec) (kind, detail string) {
 	case decWaitallRetry:
 		return "sync", fmt.Sprintf("retry-guarded MPI_Waitall over %d request(s)", d.a)
 	case decFence:
-		return "sync", "MPI_Win_fence"
+		return "sync", fmt.Sprintf("MPI_Win_fence closing %d window(s)", d.a)
 	case decQuietFlags:
 		return "sync", fmt.Sprintf("shmem_quiet + %d notification flag(s)", d.a)
 	case decWaitUntil:

@@ -33,9 +33,9 @@ type ledger struct {
 
 	// The completion sets are small slices kept in the order flush visits
 	// them — world PEs ascending, windows by creation sequence (all ranks
-	// hold the same windows in the same creation order, which keeps the
-	// collective fences aligned) — and truncated in place by reset, so a
-	// steady-state region loop neither sorts nor allocates.
+	// hold the same windows in the same creation order, so every rank folds
+	// the same set into its one fence wave) — and truncated in place by
+	// reset, so a steady-state region loop neither sorts nor allocates.
 	shmemDst []int      // world PEs this rank put data to
 	shmemSrc []int      // world PEs this rank expects data from
 	wins     []*mpi.Win // windows with an open put epoch
@@ -207,8 +207,8 @@ func (l *ledger) absorb(o *ledger) {
 }
 
 // flush performs the consolidated completion synchronisation: one
-// MPI_Waitall for all pending two-sided requests, one fence per one-sided
-// window, and — for the SHMEM path — one quiet plus one notification flag
+// MPI_Waitall for all pending two-sided requests, one fence wave over all
+// one-sided windows, and — for the SHMEM path — one quiet plus one flag
 // per destination PE on the sending side and one wait-until per source PE
 // on the receiving side. Returns a description of what was emitted.
 func (e *Env) flush(l *ledger, region int) error {
@@ -252,9 +252,10 @@ func (e *Env) flush(l *ledger, region int) error {
 			e.note(region, decWaitall, len(l.reqs))
 		}
 	}
-	for _, w := range l.wins {
-		w.Fence()
-		e.note(region, decFence, 0)
+	if len(l.wins) > 0 {
+		// The region's one-sided epoch: one wave closes all its windows.
+		mpi.Fence(l.wins)
+		e.note(region, decFence, len(l.wins))
 	}
 	if len(l.shmemDst) > 0 {
 		e.shm.Quiet()

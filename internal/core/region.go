@@ -74,8 +74,12 @@ func (e *Env) parameters(b *Bound, opts []Option, body func(*Region) error) erro
 		r = &Region{led: newLedger()}
 	}
 	e.regionSeq++
+	if b == nil || r.bound != b {
+		// A region recycled from an execution of the same bound form holds
+		// that form's clause set already.
+		r.defaults.set(opts)
+	}
 	r.env, r.id, r.bound = e, e.regionSeq, b
-	r.defaults.set(opts)
 	cl := &r.defaults
 	e.tele.regions.Inc()
 	// A labelled region stamps the rank's endpoint for the duration of the

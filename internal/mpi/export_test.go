@@ -9,3 +9,6 @@ func SetForceSlowRMA(on bool) { forceSlowRMA.Store(on) }
 // RaceDetector reports whether the race detector is compiled in; allocation
 // guards skip under it.
 const RaceDetector = raceDetector
+
+// CommRankOf exposes the world-to-comm rank translation.
+func (c *Comm) CommRankOf(worldRank int) int { return c.commRankOf(worldRank) }

@@ -53,7 +53,8 @@ type Comm struct {
 	traced  bool           // tele.tr != nil, duplicated onto the hot line
 
 	rk      *spmd.Rank
-	ranks   []int // world ranks of the members, in comm-rank order
+	ranks   []int       // world ranks of the members, in comm-rank order
+	commOf  map[int]int // world rank → comm rank; nil on the world, where it is the identity
 	id      string
 	tagBase int
 	csh     *collShared // shared collective rendezvous area
@@ -90,8 +91,8 @@ type commTele struct {
 
 	rmaPutBytes    *telemetry.Counter // one-sided bytes put into windows
 	rmaGetBytes    *telemetry.Counter // one-sided bytes read from windows
-	rmaFences      *telemetry.Counter // window fences executed
-	rmaFenceElided *telemetry.Counter // fences whose epoch was already quiesced
+	rmaFences      *telemetry.Counter // fence waves executed
+	rmaFenceElided *telemetry.Counter // waves whose windows were all quiesced
 
 	faultLost     *telemetry.Counter // operations failed with ErrMessageLost
 	faultDead     *telemetry.Counter // operations failed with ErrPeerDead
@@ -243,12 +244,14 @@ func (c *Comm) WorldRank(commRank int) int {
 	return c.ranks[commRank]
 }
 
-// commRankOf translates a world rank to a comm rank (-1 if not a member).
+// commRankOf translates a world rank to a comm rank (-1 if not a member),
+// at every receive completion.
 func (c *Comm) commRankOf(worldRank int) int {
-	for i, r := range c.ranks {
-		if r == worldRank {
-			return i
-		}
+	if c.commOf == nil {
+		return worldRank
+	}
+	if i, ok := c.commOf[worldRank]; ok {
+		return i
 	}
 	return -1
 }
@@ -399,8 +402,10 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		id: fmt.Sprintf("%s/%d/c%d", c.id, c.splitSeq, color),
 	}
 	nc.ranks = make([]int, len(members))
+	nc.commOf = make(map[int]int, len(members))
 	for i, m := range members {
 		nc.ranks[i] = m.worldRank
+		nc.commOf[m.worldRank] = i
 		if m.worldRank == c.rk.ID {
 			nc.myIdx = i
 		}

@@ -91,8 +91,9 @@ type winSlot struct {
 	// parity. Each rank atomically adds its (previous + current) epoch put
 	// counts to cell[epoch%2] before entering the fence barrier, so after
 	// the barrier the cell holds the exact cumulative world total through
-	// the closing epoch. Two full barriers separate reuses of a cell, so
-	// the post-barrier read cannot race the next adds.
+	// the closing epoch. Two of the window's fences separate reuses of a
+	// cell, and each is a full barrier wave even when other windows share
+	// it, so the post-barrier read cannot race the next adds.
 	puts [2]atomic.Int64
 }
 
@@ -377,34 +378,64 @@ func (w *Win) Flush(target int) error {
 // anything (the MPI_MODE_NOPRECEDE shape) still synchronises but elides
 // the fence's data-ordering cost; the decision is made from the folded
 // world-total put count, so every rank decides identically and virtual
-// time stays deterministic.
-func (w *Win) Fence() {
-	c := w.comm
-	clk := c.clock()
-	// Fold this rank's put counts of the two epochs since cell[epoch%2]
-	// was last updated, so the cell reads as the exact cumulative total
-	// after the barrier.
-	cell := &w.slot.puts[w.epoch&1]
-	if add := w.prevPuts + w.curPuts; add != 0 {
-		cell.Add(add)
+// time stays deterministic. It is the one-window case of Fence(wins).
+func (w *Win) Fence() { w.comm.fence([]*Win{w}) }
+
+// Fence closes the access epochs of every window in wins with one barrier
+// wave, charged as one fence, per communicator. Every rank of a
+// communicator must pass the same windows of it, each once.
+func Fence(wins []*Win) {
+next:
+	for i, w := range wins {
+		for _, v := range wins[:i] {
+			if v.comm == w.comm {
+				continue next
+			}
+		}
+		w.comm.fence(wins)
 	}
-	enter := model.Max(clk.Now(), w.maxOut)
-	maxV := c.barrier.Wait(c.myIdx, enter)
-	clk.AdvanceTo(maxV)
-	total := cell.Load()
-	if total != w.lastTotal {
+}
+
+// fence is one barrier wave of c closing the windows of wins that live on
+// c. Each folds this rank's put counts of the two epochs since its
+// cell[epoch%2] was last updated, so the cell reads as the exact cumulative
+// total after the barrier, and closes its epoch before it; the wave enters
+// at the latest arrival of any window's puts. One fence is charged, elided
+// only when no window's total moved.
+func (c *Comm) fence(wins []*Win) {
+	clk := c.clock()
+	enter := clk.Now()
+	for _, w := range wins {
+		if w.comm != c {
+			continue
+		}
+		if add := w.prevPuts + w.curPuts; add != 0 {
+			w.slot.puts[w.epoch&1].Add(add)
+		}
+		enter = model.Max(enter, w.maxOut)
+		w.prevPuts, w.curPuts = w.curPuts, 0
+		w.epoch++
+		for _, t := range w.touched {
+			w.outstanding[t] = 0
+		}
+		w.touched = w.touched[:0]
+		w.maxOut = 0
+	}
+	clk.AdvanceTo(c.barrier.Wait(c.myIdx, enter))
+	moved := false
+	for _, w := range wins {
+		if w.comm != c {
+			continue
+		}
+		total := w.slot.puts[(w.epoch-1)&1].Load() // the cell the wave closed
+		moved = moved || total != w.lastTotal
+		w.lastTotal = total
+	}
+	if moved {
 		clk.Advance(c.prof().MPIWinFence)
 	} else {
 		c.tele.rmaFenceElided.Inc()
 	}
-	w.lastTotal = total
-	w.prevPuts, w.curPuts = w.curPuts, 0
-	w.epoch++
-	for _, t := range w.touched {
-		w.outstanding[t] = 0
-	}
-	w.touched = w.touched[:0]
-	w.maxOut = 0
 	c.tele.rmaFences.Inc()
 	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvSync, Peer: -1, V: clk.Now()})
 }

@@ -35,10 +35,29 @@ var replayBlocks = func() (blocks []*pragma.Block) {
 			// No region: the standalone Spec.Exec path.
 			pragma.MustParseBlock(`#pragma comm_p2p target(`+target+`) sbuf(&src[off]) rbuf(&dst[off]) count(n)
 				sendwhen(all || rank%2==phase) receivewhen(all || rank%2!=phase)
-				sender((rank-1+nprocs)%nprocs) receiver((rank+1)%nprocs)`))
+				sender((rank-1+nprocs)%nprocs) receiver((rank+1)%nprocs)`),
+			// Two directives bound as one block: n and src are read by the
+			// first only, m and aux by the second only. The second names
+			// its own peers, so it also runs standalone (sharedSpec).
+			pragma.MustParseBlock(`#pragma comm_parameters target(`+target+`)
+				sendwhen(all || rank%2==phase) receivewhen(all || rank%2!=phase)
+				sender((rank-1+nprocs)%nprocs) receiver((rank+1)%nprocs)
+			{
+			  #pragma comm_p2p sbuf(&src[off]) rbuf(&dst[off]) count(n)
+			  #pragma comm_p2p sender((rank+1)%nprocs) receiver((rank-1+nprocs)%nprocs) sbuf(aux) rbuf(auxdst) count(m)
+			}`))
 	}
 	return blocks
 }()
+
+// sharedSpec is the second directive of a two-directive replay block: a
+// spec a block and a standalone Spec.Exec both execute.
+func sharedSpec(b *pragma.Block) *pragma.Spec {
+	if len(b.P2P) == 2 {
+		return b.P2P[1]
+	}
+	return nil
+}
 
 // replayOutcome is what one rank has to show for a replay sequence.
 type replayOutcome struct {
@@ -66,6 +85,15 @@ func replaySequence(t *testing.T, prof *model.Profile, n, steps int, seed int64,
 		defer cenv.Close()
 		srcs := [][]float64{make([]float64, 16), make([]float64, 16), make([]float64, 10)}
 		dsts := []*shmem.Slice[float64]{shmem.MustAlloc[float64](shm, 16), shmem.MustAlloc[float64](shm, 12)}
+		auxs := [][]float64{make([]float64, 8), make([]float64, 6)}
+		auxdst := shmem.MustAlloc[float64](shm, 8)
+		aux, m := auxs[0], 1
+		var (
+			block                *pragma.Block
+			src                  []float64
+			dst                  *shmem.Slice[float64]
+			off, cnt, phase, all int
+		)
 		penv := pragma.Env{
 			Vars: map[string]int{"rank": rk.ID, "nprocs": n},
 			Bufs: map[string]any{},
@@ -77,17 +105,34 @@ func replaySequence(t *testing.T, prof *model.Profile, n, steps int, seed int64,
 		var wrong error
 		rng := rand.New(rand.NewSource(seed)) // the same draws on every rank
 		for step := 0; step < steps; step++ {
-			block := replayBlocks[rng.Intn(len(replayBlocks))]
-			src, dst := srcs[rng.Intn(len(srcs))], dsts[rng.Intn(len(dsts))]
-			off, cnt, phase, all := 2*rng.Intn(3), 1+rng.Intn(4), rng.Intn(2), rng.Intn(4)/3
-			if rng.Intn(3) == 0 {
-				// Same name, same base, another length: a different buffer.
-				src = src[:len(src)-1]
+			// One step in two runs the block of the step before with what
+			// its first directive reads unchanged, so that a block whose
+			// second directive's inputs alone have changed is met often.
+			if step == 0 || rng.Intn(2) == 0 {
+				block = replayBlocks[rng.Intn(len(replayBlocks))]
+				src, dst = srcs[rng.Intn(len(srcs))], dsts[rng.Intn(len(dsts))]
+				off, cnt, phase, all = 2*rng.Intn(3), 1+rng.Intn(4), rng.Intn(2), rng.Intn(4)/3
+				if rng.Intn(3) == 0 {
+					// Same name, same base, another length: a different buffer.
+					src = src[:len(src)-1]
+				}
 			}
-			penv.Bufs["src"], penv.Bufs["dst"] = src, dst
-			penv.Vars["off"], penv.Vars["n"], penv.Vars["phase"], penv.Vars["all"] = off, cnt, phase, all
+			// The second directive's inputs change on their own: one step
+			// in three rebinds aux, and one in three draws another m.
+			if rng.Intn(3) == 0 {
+				aux = auxs[rng.Intn(len(auxs))]
+			}
+			if rng.Intn(3) == 0 {
+				m = 1 + rng.Intn(4)
+			}
+			standalone := sharedSpec(block) != nil && rng.Intn(2) == 0
+			penv.Bufs["src"], penv.Bufs["dst"], penv.Bufs["aux"], penv.Bufs["auxdst"] = src, dst, aux, auxdst
+			penv.Vars["off"], penv.Vars["n"], penv.Vars["phase"], penv.Vars["all"], penv.Vars["m"] = off, cnt, phase, all, m
 			for i := range src {
 				src[i] = value(rk.ID, step, i)
+			}
+			for i := range aux {
+				aux[i] = value(rk.ID, step, i) + 0.5
 			}
 			if drop {
 				pragma.DropBound(cenv, block)
@@ -106,7 +151,21 @@ func replaySequence(t *testing.T, prof *model.Profile, n, steps int, seed int64,
 					}
 				}
 			}
-			for _, d := range dsts {
+			if standalone {
+				// The shared spec on its own: every rank sends aux to the
+				// left, on the default target.
+				if err := sharedSpec(block).Exec(cenv, penv); err != nil {
+					return fmt.Errorf("step %d: standalone: %w", step, err)
+				}
+				comm.Barrier()
+				for i, v := range auxdst.Local(shm)[:m] {
+					if want := value((rk.ID+1)%n, step, i) + 0.5; v != want && wrong == nil {
+						wrong = fmt.Errorf("step %d: auxdst[%d] = %v, want %v", step, i, v, want)
+					}
+				}
+				comm.Barrier()
+			}
+			for _, d := range append(dsts, auxdst) {
 				for _, v := range d.Local(shm) {
 					var b [8]byte
 					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))

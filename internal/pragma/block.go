@@ -13,6 +13,8 @@ import (
 type Block struct {
 	Params *Spec // nil for a bare sequence of comm_p2p directives
 	P2P    []*Spec
+
+	site core.SiteKey // where a core.Env keeps the block's bound form
 }
 
 // ParseBlock parses a source block of directive lines. Each directive
@@ -83,22 +85,41 @@ func MustParseBlock(src string) *Block {
 
 // Exec runs the block: the comm_parameters region (if any) is opened with
 // its clauses and every comm_p2p executes inside it in order, inheriting
-// the region's assertions exactly as the paper specifies.
+// the region's assertions exactly as the paper specifies. The block is
+// bound as a whole, so a replay checks its inputs once (see bind.go).
 func (b *Block) Exec(cenv *core.Env, env Env) error {
+	bd := cached(cenv, &b.site, env)
+	if bd == nil {
+		specs, off := b.P2P, 0
+		if b.Params != nil {
+			specs, off = append([]*Spec{b.Params}, b.P2P...), 1
+		}
+		nb, i, err := bind(cenv, &b.site, env, specs)
+		if err != nil {
+			if i < off {
+				return err
+			}
+			return fmt.Errorf("pragma: comm_p2p %d: %w", i-off, err)
+		}
+		if bd = nb; off == 1 {
+			p2p := bd.dirs[1:]
+			bd.body = func(r *core.Region) error {
+				for i, d := range p2p {
+					if err := r.P2PBound(d, nil); err != nil {
+						return fmt.Errorf("pragma: comm_p2p %d: %w", i, err)
+					}
+				}
+				return nil
+			}
+		}
+	}
 	if b.Params == nil {
-		for i, s := range b.P2P {
-			if err := s.Exec(cenv, env); err != nil {
+		for i, d := range bd.dirs {
+			if err := cenv.P2PBound(d, nil); err != nil {
 				return fmt.Errorf("pragma: comm_p2p %d: %w", i, err)
 			}
 		}
 		return nil
 	}
-	return b.Params.Region(cenv, env, func(r *core.Region) error {
-		for i, s := range b.P2P {
-			if err := s.ExecIn(r, env, nil); err != nil {
-				return fmt.Errorf("pragma: comm_p2p %d: %w", i, err)
-			}
-		}
-		return nil
-	})
+	return cenv.ParametersBound(bd.dirs[0], bd.body)
 }

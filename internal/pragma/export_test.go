@@ -6,6 +6,7 @@ import "commintent/internal/core"
 // that their next execution lowers them afresh through Spec.Options: the
 // reference the replayed path is compared against.
 func DropBound(cenv *core.Env, b *Block) {
+	cenv.SetSite(&b.site, nil)
 	if b.Params != nil {
 		cenv.SetSite(&b.Params.site, nil)
 	}

@@ -62,6 +62,8 @@ type Port struct {
 	// Receiver-private; owner goroutine only.
 	tab     transport.Table
 	drainHW int // deepest single mailbox drain (occupancy high-watermark)
+
+	hdr transport.Headers // this rank's recycled headers and handles
 }
 
 // Net is one in-process interconnect: n mailboxes.
@@ -119,7 +121,7 @@ func (p *Port) Send(dst, tag int, data []byte, arriveV model.Time, rendezvous bo
 	if dst < 0 || dst >= len(p.net.ports) {
 		panic(fmt.Sprintf("shmtransport: send to rank %d of %d", dst, len(p.net.ports)))
 	}
-	m := transport.NewMsg(p.rank, tag, data, arriveV, rendezvous)
+	m := p.hdr.NewMsg(p.rank, tag, data, arriveV, rendezvous)
 	m.Spin = spinYields
 	res := transport.SendResult{LocalV: arriveV}
 	if rendezvous {
@@ -188,7 +190,7 @@ func (p *Port) PostRecv(src, tag int, buf []byte, postV model.Time) *transport.R
 	if src != transport.AnySource && (src < 0 || src >= len(p.net.ports)) {
 		panic(fmt.Sprintf("shmtransport: recv from rank %d of %d", src, len(p.net.ports)))
 	}
-	r := transport.NewRecv(p, src, tag, buf, postV)
+	r := p.hdr.NewRecv(p, src, tag, buf, postV)
 	p.drain()
 	for {
 		// A message withdrawn since the drain fails its claim; the receive

@@ -34,6 +34,8 @@ type Endpoint struct {
 	mu  sync.Mutex
 	tab transport.Table
 
+	hdr transport.Headers // this rank's recycled headers and handles
+
 	// region is the interned ID of the directive region the rank is
 	// currently executing (0 between regions). Written by the owning rank
 	// goroutine at region entry/exit; read atomically by that goroutine's
@@ -77,7 +79,7 @@ func (ep *Endpoint) Send(dst, tag int, data []byte, arriveV model.Time, rendezvo
 	if dst < 0 || dst >= ep.f.n {
 		panic(fmt.Sprintf("simnet: send to rank %d of %d", dst, ep.f.n))
 	}
-	m := transport.NewMsg(ep.rank, tag, data, arriveV, rendezvous)
+	m := ep.hdr.NewMsg(ep.rank, tag, data, arriveV, rendezvous)
 	res := transport.SendResult{LocalV: ep.clock.Now()}
 	if rendezvous {
 		res.Msg = m
@@ -163,9 +165,9 @@ func (ep *Endpoint) PostRecv(src, tag int, buf []byte, postV model.Time) *transp
 	if src != transport.AnySource && (src < 0 || src >= ep.f.n) {
 		panic(fmt.Sprintf("simnet: recv from rank %d of %d", src, ep.f.n))
 	}
-	r := transport.NewRecv(tokenWait{}, src, tag, buf, postV)
+	r := ep.hdr.NewRecv(tokenWait{}, src, tag, buf, postV)
 	if r.Token == nil {
-		// Cap 1, created once per pooled handle and reused for its life.
+		// Cap 1, created once per recycled handle and reused for its life.
 		r.Token = make(chan struct{}, 1)
 	}
 	ep.mu.Lock()

@@ -237,10 +237,9 @@ func (ep *Endpoint) inject(dst int, m *transport.Msg) transport.FaultKind {
 	// a pooled payload. Only healthy messages are duplicated.
 	var dup *transport.Msg
 	if fault == transport.FaultNone && inj.cfg.Dup > 0 && inj.roll(ep.rank, dst, seq, saltDup) < inj.cfg.Dup {
-		// A header of its own, not from the pool: the dedupe window drops
-		// it before any receive could return it there.
-		dup = transport.NewMsg(m.Src, m.Tag, nil, m.ArriveV, true)
-		dup.LinkSeq, dup.HasSeq = seq, true
+		// A header of its own, not a recycled one: the dedupe window drops
+		// it before any receive could complete it.
+		dup = &transport.Msg{Src: m.Src, Tag: m.Tag, ArriveV: m.ArriveV, LinkSeq: seq, HasSeq: true}
 		inj.duplicated.Add(1)
 	}
 

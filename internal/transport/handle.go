@@ -11,7 +11,7 @@ import (
 
 // Rendezvous handshake states. A plain uint32 manipulated atomically (not
 // atomic.Uint32), like every other cross-goroutine word of Msg and Recv:
-// pooled headers are reset by struct assignment, which go vet would flag as
+// recycled headers are reset by struct assignment, which go vet would flag as
 // a lock copy if the fields carried noCopy sentinels.
 const (
 	stateQueued uint32 = iota
@@ -41,10 +41,9 @@ type Msg struct {
 	HasSeq  bool
 	Spin    int
 
-	// pooled headers return to msgPool at completion, which is only safe
-	// because no sender holds a reference: eager sends never await the
-	// match. Every other message is a rendezvous message.
-	pooled bool
+	// home is where an eager header returns at completion, which is safe
+	// because no eager sender awaits the match; nil for rendezvous.
+	home *Headers
 
 	// The rendezvous handshake resolves through one state word: queued →
 	// matched (the receiver claims, in Complete) or queued → withdrawn (the
@@ -61,24 +60,8 @@ type Msg struct {
 	fifoPos, bucketPos int
 }
 
-// NewMsg returns a message header for one send. Eager headers are pooled;
-// rendezvous headers are GC-allocated, because the sender retains the handle
-// across the match (and possibly a cancellation) and pooling them would need
-// a full quiescence protocol for a rare path.
-func NewMsg(src, tag int, data []byte, arriveV model.Time, rendezvous bool) *Msg {
-	var m *Msg
-	if rendezvous {
-		m = &Msg{}
-	} else {
-		m = msgPool.Get().(*Msg)
-		m.pooled = true
-	}
-	m.Src, m.Tag, m.Data, m.ArriveV = src, tag, data, arriveV
-	return m
-}
-
 // Rendezvous reports whether the sender kept a handle on this message.
-func (m *Msg) Rendezvous() bool { return !m.pooled }
+func (m *Msg) Rendezvous() bool { return m.home == nil }
 
 // Ghost strips m to a payload-free carrier of fault k: the matching receive
 // completes promptly with the fault recorded instead of hanging. The payload
@@ -192,7 +175,7 @@ type Waiter interface {
 // Recv tracks one posted receive from PostRecv to Release: the pattern and
 // buffer the match Table files, the completion record, and the hook to the
 // transport's wait strategy. Only the posting goroutine may use it. Handles
-// are pooled (Port.PostRecv draws one, Release returns it).
+// are recycled per port (Port.PostRecv draws one, Release returns it).
 type Recv struct {
 	src, tag int
 	buf      []byte
@@ -209,21 +192,13 @@ type Recv struct {
 	fault   FaultKind // non-None when completed by a ghost or a cancellation
 
 	w       Waiter
-	awaited bool // owner-goroutine only: Await has reported completion
+	awaited bool     // owner-goroutine only: Await has reported completion
+	home    *Headers // the posting port's store, where Release returns it
 
 	// Token belongs to the wait strategy and survives Release, so a
 	// strategy that parks on a per-receive channel (simnet) creates it once
-	// per pooled handle. The table never touches it.
+	// per recycled handle. The table never touches it.
 	Token chan struct{}
-}
-
-// NewRecv draws a receive handle for the pattern (src|AnySource,
-// tag|AnyTag) whose waits go through w.
-func NewRecv(w Waiter, src, tag int, buf []byte, postV model.Time) *Recv {
-	r := recvPool.Get().(*Recv)
-	r.w = w
-	r.src, r.tag, r.buf, r.postV = src, tag, buf, postV
-	return r
 }
 
 // Wait blocks until the receive has been matched and the payload copied
@@ -254,7 +229,7 @@ func (r *Recv) Matched() bool {
 // makes no progress.
 func (r *Recv) Done() bool { return atomic.LoadUint32(&r.done) == 1 }
 
-// Release returns the handle to the pool. It may only be called after the
+// Release returns the handle to its port. It may only be called after the
 // request is known to have completed (Wait returned, or Matched reported
 // true); no accessor may be used afterwards. It goes through Wait first: a
 // completer on another goroutine may still be between publishing the
@@ -262,8 +237,9 @@ func (r *Recv) Done() bool { return atomic.LoadUint32(&r.done) == 1 }
 // that.
 func (r *Recv) Release() {
 	r.Wait()
-	*r = Recv{Token: r.Token}
-	recvPool.Put(r)
+	h := r.home
+	*r = Recv{Token: r.Token, home: h}
+	h.recvs = append(h.recvs, r)
 }
 
 func (r *Recv) mustBeDone() {
@@ -312,7 +288,7 @@ func (r *Recv) Unexpected() bool {
 // (Table.Repost) or offers it the next message. After a true return the
 // caller's wait strategy delivers its wake-up, if it has one.
 func Complete(r *Recv, m *Msg) bool {
-	if !m.pooled {
+	if m.home == nil {
 		// Claim before touching the payload: a sender that wins the
 		// withdraw CAS instead may already have recycled its buffer.
 		m.matchV = model.Max(m.ArriveV, r.postV)
@@ -331,7 +307,7 @@ func Complete(r *Recv, m *Msg) bool {
 	// the sender has no reference to the wire, and leaving the return to it
 	// would leak a pooled buffer per rendezvous message.
 	PutBuf(m.Data)
-	if m.pooled {
+	if m.home != nil {
 		putMsg(m)
 	} else {
 		m.Data = nil

@@ -3,6 +3,8 @@ package transport
 import (
 	"sync"
 	"sync/atomic"
+
+	"commintent/internal/model"
 )
 
 // Payload buffer pooling. Steady-state message traffic recycles its wire
@@ -121,15 +123,66 @@ func PoolStats() (hits, misses int64) {
 	return poolHits.Load(), poolMisses.Load()
 }
 
-// msgPool recycles Msg headers. Only eager messages are pooled: a
-// rendezvous sender keeps a reference to its Msg to read MatchV after the
-// handshake (and possibly to cancel it), so those must stay heap-owned
-// until the sender drops them.
-var msgPool = sync.Pool{New: func() any { return new(Msg) }}
+// Headers recycles one port's message headers and receive handles, so the
+// steady-state send and receive paths allocate nothing. Each port embeds
+// one and no path takes a lock. Receive handles are drawn and released by
+// the posting goroutine alone: an owner-only stack. An eager header is
+// drawn by its sender and completed wherever it was matched; the completer
+// pushes it onto the sender's return stack with a CAS, and the sender takes
+// the whole stack with one Swap when its own runs dry — the shm mailbox's
+// pattern, so there is no ABA. sync.Pool is not used: at two Ps its per-P
+// caches missed whenever a header was freed on the other P (DESIGN §9.2).
+type Headers struct {
+	recvs []*Recv // owner only
+	msgs  *Msg    // owner only: free eager headers, linked through Next
 
-func putMsg(m *Msg) { *m = Msg{}; msgPool.Put(m) }
+	// ret is the one word other goroutines write: padded off the owner's.
+	_   [56]byte
+	ret atomic.Pointer[Msg] // completed eager headers, pushed by completers
+}
 
-// recvPool recycles receive handles, which is what makes the steady-state
-// receive path allocation-free. A handle keeps its wait strategy's Token
-// channel across cycles (see Recv.Release).
-var recvPool = sync.Pool{New: func() any { return new(Recv) }}
+// NewMsg returns a message header for one send from the owning port. Only
+// eager headers are recycled: a rendezvous sender keeps its handle across
+// the match (and possibly a cancellation). Owner goroutine only.
+func (h *Headers) NewMsg(src, tag int, data []byte, arriveV model.Time, rendezvous bool) *Msg {
+	var m *Msg
+	if rendezvous {
+		m = &Msg{}
+	} else {
+		if h.msgs == nil {
+			h.msgs = h.ret.Swap(nil)
+		}
+		if m = h.msgs; m == nil {
+			m = new(Msg)
+		}
+		h.msgs, m.Next, m.home = m.Next, nil, h
+	}
+	m.Src, m.Tag, m.Data, m.ArriveV = src, tag, data, arriveV
+	return m
+}
+
+// putMsg returns a completed eager header to its sender's port.
+func putMsg(m *Msg) {
+	h := m.home
+	*m = Msg{}
+	for {
+		m.Next = h.ret.Load()
+		if h.ret.CompareAndSwap(m.Next, m) {
+			return
+		}
+	}
+}
+
+// NewRecv draws a receive handle for the pattern (src|AnySource,
+// tag|AnyTag) whose waits go through w. Owner goroutine only.
+func (h *Headers) NewRecv(w Waiter, src, tag int, buf []byte, postV model.Time) *Recv {
+	var r *Recv
+	if k := len(h.recvs) - 1; k >= 0 {
+		r, h.recvs = h.recvs[k], h.recvs[:k]
+	} else {
+		r = &Recv{home: h}
+	}
+	r.w = w
+	r.src, r.tag, r.buf, r.postV = src, tag, buf, postV
+	return r
+}

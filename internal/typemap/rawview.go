@@ -7,6 +7,24 @@ import (
 	"unsafe"
 )
 
+// TypeWord returns a stable, non-zero identity word for v's dynamic type —
+// the interface header's type pointer. Two values share a TypeWord exactly
+// when they have the same dynamic type, which makes it a compact map-key
+// ingredient for per-type caches on hot paths (a plain-old-data key hashes
+// much faster than one embedding a reflect.Type interface). The purego
+// build derives the same identity through reflect.
+func TypeWord(v any) uintptr {
+	return uintptr((*[2]unsafe.Pointer)(unsafe.Pointer(&v))[0])
+}
+
+// SameWords reports whether a and b have the same type and data words. A
+// data word is the value's pointer or its immutable box, so while both are
+// live, true means the same value; false means nothing (two boxes of one
+// slice differ, and the purego build always reports false).
+func SameWords(a, b any) bool {
+	return *(*[2]unsafe.Pointer)(unsafe.Pointer(&a)) == *(*[2]unsafe.Pointer)(unsafe.Pointer(&b))
+}
+
 // RawBytes returns the raw in-memory backing bytes of slice v, its element
 // size, and ok=true when this build can take the native view. It is the
 // RMA data plane's bulk-copy primitive: a Put or Get between two buffers of
@@ -22,16 +40,6 @@ import (
 // reinterprets storage. The returned bytes alias v's backing array. In a
 // purego build RawBytes always reports ok=false and callers fall back to
 // the reflection copy path.
-// TypeWord returns a stable, non-zero identity word for v's dynamic type —
-// the interface header's type pointer. Two values share a TypeWord exactly
-// when they have the same dynamic type, which makes it a compact map-key
-// ingredient for per-type caches on hot paths (a plain-old-data key hashes
-// much faster than one embedding a reflect.Type interface). The purego
-// build derives the same identity through reflect.
-func TypeWord(v any) uintptr {
-	return uintptr((*[2]unsafe.Pointer)(unsafe.Pointer(&v))[0])
-}
-
 func RawBytes(v any) (raw []byte, esize int, ok bool) {
 	switch s := v.(type) {
 	case []byte:

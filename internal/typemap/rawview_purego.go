@@ -15,3 +15,6 @@ func RawBytes(any) ([]byte, int, bool) { return nil, 0, false }
 func TypeWord(v any) uintptr {
 	return reflect.ValueOf(reflect.TypeOf(v)).Pointer()
 }
+
+// SameWords reports false: the purego build does not read interface words.
+func SameWords(any, any) bool { return false }
