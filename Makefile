@@ -25,16 +25,20 @@ test:
 # goroutine; so does the back-to-back mixed-collective stress, whose point is ranks lapping each
 # other through the one-wave rendezvous, and the recorder's concurrent-emission
 # test, where every rank goroutine appends to its own ring of one recorder, the
-# barrier's gate tests, whose waiters park at once at more than one P, and the
-# payload pool's working-set test), the simnet suite again at GOMAXPROCS=2 (two Ps is a
+# barrier's gate tests, whose waiters park at once at more than one P, the
+# Port conformance suite and the transport gate's park test, whose waits park
+# at once there too, and the payload pool's working-set test), the simnet
+# suite again at GOMAXPROCS=2 (two Ps is a
 # barrier shape of its own: the radix-16 tree with park-at-once waiters,
-# which neither the host's default pass nor four Ps pins), the
+# which neither the host's default pass nor four Ps pins), the two
+# allocation-counting transport tests at GOMAXPROCS=2 without the detector, the
 # benchmark's smoke test under the race detector (the configuration in which
 # the barrier's lost wakeup was seen: every fence of the halo workload parks
 # there),
-# the typemap suite again under the `purego` tag so the
-# reflection pack/unpack path — the fast path's correctness oracle — stays
-# exercised even though normal builds take the zero-copy path, and the
+# the typemap, mpi, shmem and pragma suites again under the `purego` tag so
+# the reflection pack/unpack path and the element-typed window copies — the
+# fast paths' correctness oracles — stay exercised (and, in pragma, stay
+# allocation-free) even though normal builds take the zero-copy path, and the
 # telemetry gates re-run without -race (the disabled-telemetry overhead
 # bound is a timing assertion the race detector would skew; the metric-name
 # collision check rides along, and so do the zero-allocation guards of a
@@ -58,9 +62,12 @@ test:
 # table) imports neither of its implementations, the shm transport does not
 # import simnet, and the matcher's core routines are each defined once. The
 # line after those does the same for mpi's non-blocking start path: Isend,
-# Irecv and their *Into forms allocate a request in one place. The next one
-# keeps the host's parallelism out of every decision but the barrier's shape:
-# runtime.GOMAXPROCS is read under internal/ only in simnet/barrier.go. The
+# Irecv and their *Into forms allocate a request in one place. The next two
+# keep one wait: runtime.GOMAXPROCS is read under internal/ only in
+# transport/wait.go, where the one spin rule is chosen (the barrier takes its
+# shape from that rule), and runtime.Gosched is called only there and in
+# simnet/barrier.go, whose flat-node spin stays written out inline because a
+# call per wait measured ~5% slower on the one-P 256-rank barrier. The
 # next keeps one event spine: product code registers fabric observers only in
 # the recorder and in telemetry; every other consumer reads recorded events.
 # The last two keep two measured decisions: message headers and receive
@@ -73,18 +80,19 @@ verify: vet-intent
 	! $(GO) list -deps ./internal/shmtransport | grep -E 'internal/simnet$$'
 	for f in takePosted findUnexpected matches; do test "$$(grep -rEh "^func (\([^)]*\) )?$$f\(" --include='*.go' internal | wc -l)" -eq 1 || { echo "$$f must be defined exactly once under internal/"; exit 1; }; done
 	test "$$(grep -rF 'new(Request)' --include='*.go' --exclude='*_test.go' internal/mpi | wc -l)" -eq 1 || { echo "new(Request) must occur exactly once under internal/mpi: Isend and Irecv start operations through one path"; exit 1; }
-	test "$$(grep -rlF 'runtime.GOMAXPROCS' --include='*.go' --exclude='*_test.go' internal)" = internal/simnet/barrier.go || { echo "runtime.GOMAXPROCS may be read under internal/ only in internal/simnet/barrier.go"; exit 1; }
+	test "$$(grep -rlF 'runtime.GOMAXPROCS' --include='*.go' --exclude='*_test.go' internal)" = internal/transport/wait.go || { echo "runtime.GOMAXPROCS may be read under internal/ only in internal/transport/wait.go"; exit 1; }
+	test "$$(grep -rlE '^[^/]*runtime\.Gosched\(' --include='*.go' --exclude='*_test.go' internal | sort | tr '\n' ' ')" = "internal/simnet/barrier.go internal/transport/wait.go " || { echo "runtime.Gosched may be called under internal/ only in internal/transport/wait.go and internal/simnet/barrier.go"; exit 1; }
 	test "$$(grep -rlE '\.Observe\(func|(Fabric\(\)|fabric|\<f)\.Observe\(' --include='*.go' --exclude='*_test.go' internal cmd | sort | tr '\n' ' ')" = "internal/simnet/recorder.go internal/telemetry/telemetry.go " || { echo "fabric observers may be registered only in internal/simnet/recorder.go and internal/telemetry/telemetry.go"; exit 1; }
 	! grep -rnE '^[^/]*\<sync\.Pool\>' --include='*.go' --exclude='*_test.go' internal/transport || { echo "sync.Pool may not be used under internal/transport: headers and handles are recycled per port"; exit 1; }
 	! grep -rnF '.Fence()' --include='*.go' --exclude='*_test.go' internal/core || { echo "internal/core closes windows only through mpi.Fence, one wave per region"; exit 1; }
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree|TestPortConformance|TestGateParkAllocFree' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/
 	GOMAXPROCS=2 $(GO) test -race ./internal/simnet/
-	GOMAXPROCS=2 $(GO) test -count=1 -run TestRecycledHeadersAllocFree ./internal/transport/
+	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestRecycledHeadersAllocFree|TestGateParkAllocFree' ./internal/transport/
 	$(GO) test -race ./benchmark/
-	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/
+	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/ ./internal/pragma/
 	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs|TestHalo2sReplayAllocs' ./internal/telemetry/ ./internal/wllsms/ ./internal/core/
 	COMMINTENT_MANAGED_RUNTIME= COMMINTENT_TRANSPORT= $(GO) test -run 'TestChaosHaloSweep|TestVirtualTimePinned|TestFiguresPinned' . ./internal/mpi/ ./internal/bench/
 

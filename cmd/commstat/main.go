@@ -180,6 +180,7 @@ func main() {
 		perGen = fmt.Sprintf("%.2f", float64(bp)/float64(bg))
 	}
 	fmt.Printf("barrier: %d generation(s), %d parked wait(s) (parks per generation %s)\n", bg, bp, perGen)
+	fmt.Printf("transport: %d parked wait(s)\n", transport.GateParks())
 	fe, fd, re, rd := typemap.PathStats()
 	fast, slow := fe+fd, re+rd
 	fmt.Printf("pack/unpack: %d zero-copy / %d reflection (fast-path share %s)\n",

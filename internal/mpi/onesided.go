@@ -181,21 +181,21 @@ func (s *winSlot) resolve() {
 			continue
 		}
 		// purego build: keep the metadata, leave bytes nil so transfers
-		// take the reflection path.
+		// take the slow path.
 		rv := reflect.ValueOf(b)
 		v.esz = int(rv.Type().Elem().Size())
 		v.n = rv.Len()
 	}
 }
 
-// forceSlowRMA routes every window transfer through the reflection copy
+// forceSlowRMA routes every window transfer through the element-typed copy
 // path; the fast/slow equivalence tests flip it via export_test.go.
 var forceSlowRMA atomic.Bool
 
 // copyIn copies count elements of origin into target's exposed buffer at
 // element offset off. Steady state is the raw bulk-copy path; mismatched
 // types, purego builds and the forced-slow test hook fall back to the
-// reflection oracle.
+// slow oracle.
 func (s *winSlot) copyIn(origin any, target, off, count int) error {
 	dst := &s.views[target]
 	if dst.bytes == nil && dst.n > 0 || forceSlowRMA.Load() {
@@ -220,7 +220,7 @@ func (s *winSlot) copyIn(origin any, target, off, count int) error {
 	return nil
 }
 
-// copyInSlow is the reflection oracle for copyIn.
+// copyInSlow is the oracle for copyIn: element-typed, not byte-wise.
 func (s *winSlot) copyInSlow(origin any, target, off, count int) error {
 	dv := reflect.ValueOf(s.bufs[target])
 	sv := reflect.ValueOf(origin)
@@ -235,7 +235,9 @@ func (s *winSlot) copyInSlow(origin any, target, off, count int) error {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 	}
-	reflect.Copy(dv.Slice(off, off+count), sv.Slice(0, count))
+	if !copyElems(s.bufs[target], origin, off, 0, count) {
+		reflect.Copy(dv.Slice(off, off+count), sv.Slice(0, count))
+	}
 	return nil
 }
 
@@ -265,7 +267,7 @@ func (s *winSlot) copyOut(origin any, target, off, count int) error {
 	return nil
 }
 
-// copyOutSlow is the reflection oracle for copyOut.
+// copyOutSlow is the oracle for copyOut: element-typed, not byte-wise.
 func (s *winSlot) copyOutSlow(origin any, target, off, count int) error {
 	sv := reflect.ValueOf(s.bufs[target])
 	dv := reflect.ValueOf(origin)
@@ -280,8 +282,47 @@ func (s *winSlot) copyOutSlow(origin any, target, off, count int) error {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 	}
-	reflect.Copy(dv.Slice(0, count), sv.Slice(off, off+count))
+	if !copyElems(origin, s.bufs[target], 0, off, count) {
+		reflect.Copy(dv.Slice(0, count), sv.Slice(off, off+count))
+	}
 	return nil
+}
+
+// copyElems copies count elements from src at soff to dst at doff with the
+// builtin copy when dst is one of the primitive slice types winBufCheck
+// admits, and reports false for the rest (struct windows), which take
+// reflection: reflect.Value.Slice allocates. The caller has checked that
+// both have dst's type and that the ranges fit.
+func copyElems(dst, src any, doff, soff, count int) bool {
+	switch d := dst.(type) {
+	case []float64:
+		copyAt(d, src, doff, soff, count)
+	case []float32:
+		copyAt(d, src, doff, soff, count)
+	case []int64:
+		copyAt(d, src, doff, soff, count)
+	case []int32:
+		copyAt(d, src, doff, soff, count)
+	case []int16:
+		copyAt(d, src, doff, soff, count)
+	case []int8:
+		copyAt(d, src, doff, soff, count)
+	case []uint64:
+		copyAt(d, src, doff, soff, count)
+	case []uint32:
+		copyAt(d, src, doff, soff, count)
+	case []uint16:
+		copyAt(d, src, doff, soff, count)
+	case []byte:
+		copyAt(d, src, doff, soff, count)
+	default:
+		return false
+	}
+	return true
+}
+
+func copyAt[T any](dst []T, src any, doff, soff, count int) {
+	copy(dst[doff:doff+count], src.([]T)[soff:soff+count])
 }
 
 // Put copies count elements of origin into target's window at element

@@ -37,7 +37,7 @@ func (s *Slice[T]) FetchAdd(c *Ctx, pe int, off int, delta T) (T, error) {
 	old := buf[off]
 	buf[off] = old + delta
 	s.signalled(pe, off, buf[off], c.clock().Now())
-	board.wake()
+	board.gate.Wake()
 	board.mu.Unlock()
 	c.amoClock()
 	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvPut, Peer: pe, Bytes: s.esz, V: c.clock().Now()})
@@ -60,7 +60,7 @@ func (s *Slice[T]) Swap(c *Ctx, pe int, off int, v T) (T, error) {
 	old := buf[off]
 	buf[off] = v
 	s.signalled(pe, off, v, c.clock().Now())
-	board.wake()
+	board.gate.Wake()
 	board.mu.Unlock()
 	c.amoClock()
 	return old, nil
@@ -84,7 +84,7 @@ func (s *Slice[T]) CompareSwap(c *Ctx, pe int, off int, cond, v T) (T, error) {
 	if old == cond {
 		buf[off] = v
 		s.signalled(pe, off, v, c.clock().Now())
-		board.wake()
+		board.gate.Wake()
 	}
 	board.mu.Unlock()
 	c.amoClock()

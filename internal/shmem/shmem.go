@@ -21,6 +21,7 @@ import (
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
 	"commintent/internal/telemetry"
+	"commintent/internal/transport"
 )
 
 // Elem constrains the element types the symmetric heap supports.
@@ -96,37 +97,24 @@ type entry struct {
 }
 
 // rmaBoard serialises one-sided traffic arriving at a PE (puts, atomics and
-// each allocation's signal log) and wakes its wait_until.
-// Arrival signalling is a channel rather than a sync.Cond so the waiter can
-// select against a timer — which is what makes WaitUntilTimeout possible (a
-// Cond.Wait cannot be interrupted). Only the owning PE ever waits on its
-// board, and a PE is one goroutine, so one token channel made with the
-// board serves every wait: signalling allocates nothing.
+// each allocation's signal log) and wakes its wait_until. Only the owning PE
+// ever waits on its board, and a PE is one goroutine, so the board's one
+// transport.Gate — the park point every rank-owned wait uses — serves every
+// wait: a writer publishes under mu, then wakes the gate, which with no one
+// parked is one load. The gate's park can race a timer, which is what makes
+// WaitUntilTimeout possible (a sync.Cond wait cannot be interrupted).
 type rmaBoard struct {
-	mu      sync.Mutex
-	sig     chan struct{} // capacity 1: a token means "traffic arrived since you parked"
-	waiting bool          // the owner is parked in waitUntil; guards the send
-}
-
-// wake signals the parked owner, if any. Caller holds b.mu. With no one
-// parked this is a single flag check, so the put fast path pays nothing. A
-// token nobody consumes (the owner saw its condition first, or timed out)
-// costs the next wait one spurious re-check.
-func (b *rmaBoard) wake() {
-	if !b.waiting {
-		return
-	}
-	select {
-	case b.sig <- struct{}{}:
-	default:
-	}
+	mu   sync.Mutex
+	gate transport.Gate
 }
 
 func state(w *spmd.World) *worldState {
 	ws := w.Shared("shmem/worldState", func() any {
 		s := &worldState{rma: make([]*rmaBoard, w.Size())}
+		spin := transport.WaitSpin()
 		for i := range s.rma {
-			s.rma[i] = &rmaBoard{sig: make(chan struct{}, 1)}
+			s.rma[i] = &rmaBoard{}
+			s.rma[i].gate.Init(spin)
 		}
 		return s
 	}).(*worldState)

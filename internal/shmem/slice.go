@@ -242,7 +242,7 @@ func (s *Slice[T]) Put(c *Ctx, pe int, src []T, dstOff int) error {
 	} else {
 		s.bulk[pe].cover(dstOff, dstOff+len(src), arrive)
 	}
-	board.wake()
+	board.gate.Wake()
 	board.mu.Unlock()
 
 	c.notePut(arrive)
@@ -287,7 +287,7 @@ func (s *Slice[T]) Get(c *Ctx, pe int, dst []T, srcOff int) error {
 // exactly when that was a P, one-element Put or atomic, and to no earlier
 // than it when a multi-element Put carried the element (see satisfiedAt).
 func (s *Slice[T]) WaitUntil(c *Ctx, off int, cmp Cmp, v T) error {
-	return s.waitUntil(c, off, cmp, v, nil, 0)
+	return s.waitUntil(c, off, cmp, v, 0, 0)
 }
 
 // WaitUntilTimeout is WaitUntil with a deadline of timeout virtual ns from
@@ -297,12 +297,10 @@ func (s *Slice[T]) WaitUntil(c *Ctx, off int, cmp Cmp, v T) error {
 // deadline. This is the one-sided analogue of mpi.RecvTimeout: a peer that
 // died before signalling turns into a typed error instead of a hang.
 func (s *Slice[T]) WaitUntilTimeout(c *Ctx, off int, cmp Cmp, v T, timeout model.Time) error {
-	t := time.NewTimer(c.watchdog())
-	defer t.Stop()
-	return s.waitUntil(c, off, cmp, v, t.C, c.clock().Now()+timeout)
+	return s.waitUntil(c, off, cmp, v, c.watchdog(), c.clock().Now()+timeout)
 }
 
-func (s *Slice[T]) waitUntil(c *Ctx, off int, cmp Cmp, v T, expire <-chan time.Time, deadline model.Time) error {
+func (s *Slice[T]) waitUntil(c *Ctx, off int, cmp Cmp, v T, watchdog time.Duration, deadline model.Time) error {
 	if off < 0 || off >= s.n {
 		return fmt.Errorf("shmem: WaitUntil offset %d of %d", off, s.n)
 	}
@@ -310,30 +308,25 @@ func (s *Slice[T]) waitUntil(c *Ctx, off int, cmp Cmp, v T, expire <-chan time.T
 	clk := c.clock()
 	sp := c.span("shmem_wait_until", clk.Now())
 	board := s.ws.rma[c.MyPE()]
-	board.mu.Lock()
-	for !satisfies(local[off], cmp, v) {
-		// Declare the wait under the lock, then park outside it; wake()
-		// deposits its token under the same lock, so a signal between unlock
-		// and select cannot be missed. The flag keeps wake() free for
-		// arrivals nobody is waiting on.
-		board.waiting = true
-		board.mu.Unlock()
-		select {
-		case <-board.sig:
-		case <-expire:
-			board.mu.Lock()
-			board.waiting = false
-			board.mu.Unlock()
-			clk.Advance(c.prof().ShmemWaitPoll)
-			if idle := deadline - clk.Now(); idle > 0 {
-				c.tele.idle.AddTime(idle)
-			}
-			clk.AdvanceTo(deadline)
-			sp.End(clk.Now())
-			return fmt.Errorf("shmem: wait_until PE %d offset %d: %w", c.MyPE(), off, transport.ErrDeadline)
-		}
+	// Check under the board lock, which writers hold while they publish and
+	// wake the gate. A check that succeeds keeps the lock, so satisfiedAt
+	// reads the log that check saw.
+	satisfied := func() bool {
 		board.mu.Lock()
-		board.waiting = false
+		if satisfies(local[off], cmp, v) {
+			return true
+		}
+		board.mu.Unlock()
+		return false
+	}
+	if !board.gate.Wait(satisfied, watchdog) {
+		clk.Advance(c.prof().ShmemWaitPoll)
+		if idle := deadline - clk.Now(); idle > 0 {
+			c.tele.idle.AddTime(idle)
+		}
+		clk.AdvanceTo(deadline)
+		sp.End(clk.Now())
+		return fmt.Errorf("shmem: wait_until PE %d offset %d: %w", c.MyPE(), off, transport.ErrDeadline)
 	}
 	arrival := s.satisfiedAt(c.MyPE(), off, cmp, v)
 	board.mu.Unlock()

@@ -3,8 +3,8 @@
 // goroutines run truly parallel across Ps and completion is real sync/atomic
 // instead of virtual-time replay.
 //
-// Matching is transport.Table's; this package is its feeder and its wait
-// strategy. Feeding: one mailbox per rank. Senders push message nodes onto
+// Matching is transport.Table's, and waiting transport.Gate's; this package
+// is the table's feeder and the gate's waker. Feeding: one mailbox per rank. Senders push message nodes onto
 // the destination's lock-free intrusive LIFO (one CAS per send, no locks, no
 // channels); the receiver drains the mailbox with a single atomic swap,
 // reverses the batch to restore arrival order, and offers each node to its
@@ -12,13 +12,13 @@
 // rank posts, probes and waits — the SPMD invariant the simnet endpoint
 // spends a mutex re-establishing on every delivery.
 //
-// Waiting is spin-then-park both ways: a bounded runtime.Gosched spin (on an
-// oversubscribed scheduler the counterpart almost always runs within a yield
-// or two) before falling back to a one-token wake channel guarded by a
-// sleep flag, so the steady-state message path performs no allocation and no
-// park/unpark pair. Payload buffers are the shared pooled wire buffers
-// (transport.GetBuf/PutBuf), so the zero-copy pack paths above are
-// unchanged.
+// Waiting is the one wait (transport.Gate) both ways: the world's spin rule
+// — a bounded runtime.Gosched spin at one P, none at more — then a park on
+// the port's gate, which a sender wakes only after the receiver has
+// announced it is parking, so the steady-state message path performs no
+// allocation and no park/unpark pair. Payload buffers are the shared pooled
+// wire buffers (transport.GetBuf/PutBuf), so the zero-copy pack paths above
+// are unchanged.
 //
 // A sender withdraws a rendezvous message by winning the message's state
 // word (transport.Msg.Withdraw) wherever the node sits — mailbox or table —
@@ -28,25 +28,15 @@ package shmtransport
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"commintent/internal/model"
 	"commintent/internal/transport"
 )
 
-// spinYields bounds the Gosched spin phase before a waiter parks. A yield
-// costs ~100ns at one P; parking costs a park/unpark pair plus (at low core
-// counts) a likely futex round trip. At more than one P every yield also
-// takes the scheduler's global run-queue lock, which is why the simnet
-// barrier's waiters park at once there; this spin is kept at every P count
-// because setting it to 0 did not resolve either way on the two-P halo.
-const spinYields = 128
-
-// Port is one rank's mailbox plus its private match table. The hot
-// cross-goroutine words (mailbox head, sleep flag) are padded apart so
-// senders hammering the mailbox do not false-share the receiver's flag.
+// Port is one rank's mailbox plus its private match table. The mailbox
+// head, which senders hammer, is padded off the owner's words; the gate in
+// hdr pads its own sleep word.
 type Port struct {
 	net  *Net
 	rank int
@@ -54,16 +44,13 @@ type Port struct {
 	_     [64]byte
 	inbox atomic.Pointer[transport.Msg]
 	_     [56]byte
-	sleep uint32 // atomic: receiver has announced intent to park
 	dead  uint32 // atomic: a sender has withdrawn a message bound here
-	_     [56]byte
-	wake  chan struct{} // cap-1 token deposited by senders
 
 	// Receiver-private; owner goroutine only.
 	tab     transport.Table
 	drainHW int // deepest single mailbox drain (occupancy high-watermark)
 
-	hdr transport.Headers // this rank's recycled headers and handles
+	hdr transport.Headers // this rank's recycled headers, handles and gate
 }
 
 // Net is one in-process interconnect: n mailboxes.
@@ -78,10 +65,11 @@ func New(n int) *Net {
 	}
 	net := &Net{ports: make([]*Port, n)}
 	arena := make([]Port, n)
+	spin := transport.WaitSpin()
 	for i := range net.ports {
 		arena[i].net = net
 		arena[i].rank = i
-		arena[i].wake = make(chan struct{}, 1)
+		arena[i].hdr.Gate.Init(spin)
 		net.ports[i] = &arena[i]
 	}
 	return net
@@ -106,12 +94,7 @@ func (p *Port) push(m *transport.Msg) {
 			break
 		}
 	}
-	if atomic.LoadUint32(&p.sleep) == 1 {
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-	}
+	p.hdr.Gate.Wake()
 }
 
 // Send implements transport.Port: ownership of data transfers to the
@@ -122,7 +105,6 @@ func (p *Port) Send(dst, tag int, data []byte, arriveV model.Time, rendezvous bo
 		panic(fmt.Sprintf("shmtransport: send to rank %d of %d", dst, len(p.net.ports)))
 	}
 	m := p.hdr.NewMsg(p.rank, tag, data, arriveV, rendezvous)
-	m.Spin = spinYields
 	res := transport.SendResult{LocalV: arriveV}
 	if rendezvous {
 		res.Msg = m
@@ -202,58 +184,12 @@ func (p *Port) PostRecv(src, tag int, buf []byte, postV model.Time) *transport.R
 	}
 }
 
-// Poll implements transport.Waiter: one non-blocking progress step.
+// Poll implements transport.Poller: one non-blocking progress step. A
+// receive's wait runs it on the port's gate, between re-checks; a push wakes
+// the gate, so the re-check after the gate's announcement drains whatever
+// the push published. Completion happens on this goroutine, inside drain,
+// so a completed receive has no other toucher.
 func (p *Port) Poll() { p.drain() }
-
-// Await implements transport.Waiter: run the receiver's progress loop until
-// r completes or d (when positive) has elapsed, spin-then-parking between
-// mailbox drains. Completion happens on this goroutine, inside drain, so a
-// completed r has no other toucher.
-func (p *Port) Await(r *transport.Recv, d time.Duration) bool {
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	var expire <-chan time.Time // nil, which never fires, until a bounded wait first parks
-	spins := 0
-	for {
-		if r.Done() {
-			return true
-		}
-		if p.drain() {
-			spins = 0
-			continue
-		}
-		if spins < spinYields {
-			spins++
-			runtime.Gosched()
-			continue
-		}
-		// Announce intent to park, then re-check the mailbox: either the
-		// sender's push precedes our re-check (we drain it) or our
-		// announcement precedes the sender's flag load (it deposits the
-		// token) — sequential consistency rules out missing both.
-		atomic.StoreUint32(&p.sleep, 1)
-		if p.inbox.Load() == nil {
-			if d > 0 && expire == nil {
-				// One timer for the absolute deadline serves every park of
-				// this wait; a tick that fires between parks stays buffered.
-				t := time.NewTimer(time.Until(deadline))
-				defer t.Stop()
-				expire = t.C
-			}
-			select {
-			case <-p.wake:
-			case <-expire:
-				atomic.StoreUint32(&p.sleep, 0)
-				p.drain()
-				return r.Done()
-			}
-		}
-		atomic.StoreUint32(&p.sleep, 0)
-		spins = 0
-	}
-}
 
 // Probe implements transport.Port. Owner goroutine only. The envelope is
 // advisory: on a parallel transport a concurrent withdrawal can invalidate

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
 // Barrier is a reusable rendezvous that also max-reduces the participants'
@@ -27,13 +28,13 @@ import (
 // allocation, no mutex handoff chain, and no O(n) broadcast herd: wakeups
 // are per tree node.
 //
-// Shape and wait follow one rule, read when the barrier is built (waitRule):
-// with one P the tree is a single densely packed node and a waiter yields a
-// bounded number of times before parking, because the release is one
-// scheduler turn away; with more than one P the tree is radix 16 (node-
-// grouped where placement says), slots sit a cache line apart, and a waiter
-// parks at once — there every yield goes through the scheduler's global run
-// queue lock, which both Ps then fight over.
+// Shape and wait follow the one wait rule (transport.WaitSpin), read when
+// the barrier is built: with one P the tree is a single densely packed node
+// and a waiter yields a bounded number of times before parking, because the
+// release is one scheduler turn away; with more than one P the tree is
+// radix 16 (node-grouped where placement says), slots sit a cache line
+// apart, and a waiter parks at once — there every yield goes through the
+// scheduler's global run queue lock, which both Ps then fight over.
 //
 // A generation may carry a completion step (WaitStep): the global winner —
 // the participant whose arrival completes the root node, whatever the tree
@@ -57,17 +58,12 @@ type Barrier struct {
 	// the minimum number of distinct lines.
 	flat   *barNode // the whole tree, when it is a single node
 	lslot  []int    // slot index within the leaf for each rank
-	spin   int      // Gosched yields before a waiter parks
+	spin   int      // Gosched yields before a waiter parks: transport.WaitSpin
 	n      int
 	leaves []*barNode // leaf node for each rank
 	depth  int
 	hier   bool // leaves grouped by topology node, not rank order
 }
-
-// barrierSpin bounds the one-P rule's Gosched spin before a waiter parks. A
-// yield costs ~100ns there; the bound keeps worst-case busy work per waiter
-// well under the cost of the park/unpark pair it avoids.
-const barrierSpin = 64
 
 // Process-wide barrier counters, surfaced through BarrierStats: the global
 // winner adds one per generation, and a waiter one as it parks.
@@ -79,21 +75,23 @@ func BarrierStats() (generations, parks int64) {
 	return barGenerations.Load(), barParks.Load()
 }
 
-// waitRule is the barrier's one reading of the host's parallelism: its tree
-// fan-in (0 for a single node), the spacing of per-child slots in words, and
-// the yields a waiter spends before parking.
+// waitRule is the barrier's shape and wait: its tree fan-in (0 for a single
+// node), the spacing of per-child slots in words, and the yields a waiter
+// spends before parking.
 type waitRule struct{ radix, stride, spin int }
 
-// readRule reads GOMAXPROCS. With one P, yields pay: the releaser runs
-// within a turn or two, and parking at once made the 256-rank allreduce
-// ~35% slower. With more than one P, every yield takes the scheduler's
-// global run-queue lock (65% of a two-P 256-rank allreduce's CPU was under
-// gosched_m), so waiters park at once, the radix-16 tree keeps each
-// release wave short, and slots a cache line apart keep parallel check-ins
-// from false-sharing.
+// readRule takes the barrier's spin from transport.WaitSpin, the one wait
+// rule, and the shape with it: the rule spins only at one P. There yields
+// pay — the releaser runs within a turn or two, and parking at once made
+// the 256-rank allreduce ~35% slower — and one densely packed node is the
+// whole tree. With more than one P every yield takes the scheduler's global
+// run-queue lock (65% of a two-P 256-rank allreduce's CPU was under
+// gosched_m), so waiters park at once, the radix-16 tree keeps each release
+// wave short, and slots a cache line apart keep parallel check-ins from
+// false-sharing.
 func readRule() waitRule {
-	if runtime.GOMAXPROCS(0) == 1 {
-		return waitRule{stride: 1, spin: barrierSpin}
+	if spin := transport.WaitSpin(); spin > 0 {
+		return waitRule{stride: 1, spin: spin}
 	}
 	return waitRule{radix: 16, stride: 8}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
 // withParallelism sets GOMAXPROCS to p for the test, so a barrier built in
@@ -19,19 +20,24 @@ func withParallelism(t *testing.T, p int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// TestBarrierWaitRule: the rule read at construction. One P: a single node
-// with dense slots whose waiters yield before parking, whatever the
-// placement. More than one P: a radix-16 tree (node-grouped where placement
-// says) with slots a cache line apart, whose waiters park at once.
+// TestBarrierWaitRule: the rule read at construction. The shared spin rule
+// (transport.WaitSpin) yields 64 times at one P and parks at once above it,
+// and the barrier follows it. One P: a single node with dense slots whose
+// waiters yield before parking, whatever the placement. More than one P: a
+// radix-16 tree (node-grouped where placement says) with slots a cache line
+// apart, whose waiters park at once.
 func TestBarrierWaitRule(t *testing.T) {
 	const n = 64
 	nodeOf := func(r int) int { return r / 8 }
-	for _, p := range []int{1, 2, 4} {
+	for p, wantSpin := range map[int]int{1: 64, 2: 0, 4: 0} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 			withParallelism(t, p)
-			wantStride, wantSpin, wantDepth := 8, 0, 2
+			if got := transport.WaitSpin(); got != wantSpin {
+				t.Fatalf("transport.WaitSpin() = %d at %d P(s), want %d", got, p, wantSpin)
+			}
+			wantStride, wantDepth := 8, 2
 			if p == 1 {
-				wantStride, wantSpin, wantDepth = 1, barrierSpin, 1
+				wantStride, wantDepth = 1, 1
 			}
 			for name, b := range map[string]*Barrier{
 				"plain": NewBarrier(n),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"commintent/internal/model"
 	"commintent/internal/transport"
@@ -14,12 +13,12 @@ import (
 // transport.Port. All methods that mutate the endpoint's own state must be
 // called from that rank's goroutine.
 //
-// Matching itself is transport.Table's; the endpoint is its feeder and its
-// wait strategy. Feeding: a send runs the destination's table on the
+// Matching itself is transport.Table's, and waiting transport.Gate's; the
+// endpoint is the table's feeder and the gate's waker. Feeding: a send runs the destination's table on the
 // *sender's* goroutine, under the destination's mutex, so a message is
 // matched or queued the moment it is sent and per-pair FIFO is the senders'
-// program order. Waiting: the sender that completes a receive deposits a
-// token in the handle's one-slot channel, on which the posting rank parks.
+// program order. Waiting: the posting rank parks on its port's gate
+// (transport.Gate), which the completer wakes once the receive is published.
 type Endpoint struct {
 	f    *Fabric
 	rank int
@@ -117,44 +116,25 @@ func (ep *Endpoint) deliver(m *transport.Msg) {
 	r := ep.tab.Arrive(m)
 	ep.mu.Unlock()
 	if r != nil {
-		complete(r, m)
+		ep.complete(r, m)
 	}
 }
 
-// complete finishes a pair the table matched and wakes the receive's owner.
-// The token deposit comes last: it is the completer's final touch of the
-// handle, which is what licenses Recv.Release to recycle it once the token
-// has been taken.
-func complete(r *transport.Recv, m *transport.Msg) {
+// complete finishes a pair the table matched for this (destination)
+// endpoint and wakes its owner. The wake goes to the endpoint's gate, not
+// the handle, which the owner may recycle once Complete has published it.
+func (ep *Endpoint) complete(r *transport.Recv, m *transport.Msg) {
 	if !transport.Complete(r, m) {
 		// CancelMsg decides withdrawals under the destination's lock, by
 		// table membership, so a message the table handed out is live.
 		panic("simnet: matched message was withdrawn outside the endpoint lock")
 	}
-	r.Token <- struct{}{}
+	ep.hdr.Gate.Wake()
 }
 
-// tokenWait is simnet's wait strategy: park on the handle's token channel.
-// The completion flag lets a wait that can already succeed skip the timer.
-type tokenWait struct{}
-
-func (tokenWait) Await(r *transport.Recv, d time.Duration) bool {
-	if d <= 0 || r.Done() {
-		<-r.Token
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-r.Token:
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-// Poll has nothing to do: senders make all the progress there is.
-func (tokenWait) Poll() {}
+// Poll implements transport.Poller. It has nothing to do: senders make all
+// the progress there is.
+func (ep *Endpoint) Poll() {}
 
 // PostRecv implements transport.Port: it posts a receive for a message from
 // src (or AnySource) with tag (or AnyTag). The payload will be copied into
@@ -165,16 +145,12 @@ func (ep *Endpoint) PostRecv(src, tag int, buf []byte, postV model.Time) *transp
 	if src != transport.AnySource && (src < 0 || src >= ep.f.n) {
 		panic(fmt.Sprintf("simnet: recv from rank %d of %d", src, ep.f.n))
 	}
-	r := ep.hdr.NewRecv(tokenWait{}, src, tag, buf, postV)
-	if r.Token == nil {
-		// Cap 1, created once per recycled handle and reused for its life.
-		r.Token = make(chan struct{}, 1)
-	}
+	r := ep.hdr.NewRecv(ep, src, tag, buf, postV)
 	ep.mu.Lock()
 	m := ep.tab.Post(r)
 	ep.mu.Unlock()
 	if m != nil {
-		complete(r, m)
+		ep.complete(r, m)
 	}
 	return r
 }
@@ -192,7 +168,6 @@ func (ep *Endpoint) CancelRecv(r *transport.Recv) bool {
 	ep.mu.Unlock()
 	if won {
 		transport.CompleteCancelled(r)
-		r.Token <- struct{}{}
 	}
 	return won
 }

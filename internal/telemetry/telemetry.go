@@ -101,15 +101,16 @@ func (t *Telemetry) BindFabric(f *simnet.Fabric) {
 
 // bindDataPlane registers pull gauges over the data plane's process-global
 // counters: the payload pool's hit/miss totals, the barrier's completed
-// generations and parked waits, and the pack/unpack path split (zero-copy
-// fast path vs reflection walk). They are process-wide — the pool, the
-// barrier counters and the typemap dispatch are shared across worlds — so
-// the series carry no rank label.
+// generations and parked waits, the waits parked on a transport gate, and
+// the pack/unpack path split (zero-copy fast path vs reflection walk). They
+// are process-wide — the pool, the wait counters and the typemap dispatch
+// are shared across worlds — so the series carry no rank label.
 func (t *Telemetry) bindDataPlane() {
 	t.reg.GaugeFunc("simnet_barrier_ops_total",
 		func() int64 { g, _ := simnet.BarrierStats(); return g }, L("event", "generation"))
 	t.reg.GaugeFunc("simnet_barrier_ops_total",
 		func() int64 { _, p := simnet.BarrierStats(); return p }, L("event", "park"))
+	t.reg.GaugeFunc("transport_wait_parks_total", transport.GateParks)
 	t.reg.GaugeFunc("simnet_payload_pool_ops_total",
 		func() int64 { h, _ := transport.PoolStats(); return h }, L("result", "hit"))
 	t.reg.GaugeFunc("simnet_payload_pool_ops_total",

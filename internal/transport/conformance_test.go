@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,46 @@ func recvNow(t *testing.T, p transport.Port, src, tag int, buf []byte, postV mod
 		t.Fatalf("receive (%d,%d) did not match a message already sent", src, tag)
 	}
 	return r
+}
+
+// waitOn runs wait on a goroutine of its own — the port's owner for the
+// while — and returns a channel closed when it returns.
+func waitOn(wait func()) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		wait()
+		close(done)
+	}()
+	return done
+}
+
+// stillWaiting returns once transport.GateParks reaches parks — the waiter
+// behind done has announced a park and found its condition false, parks
+// times in all — and fails if that waiter returns first.
+func stillWaiting(t *testing.T, done <-chan struct{}, parks int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for transport.GateParks() < parks {
+		select {
+		case <-done:
+			t.Fatal("the wait returned before its own condition held")
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d parked waits", parks)
+		}
+		runtime.Gosched()
+	}
+}
+
+// returns fails unless the wait behind done returns.
+func returns(t *testing.T, done <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the wait never returned")
+	}
 }
 
 var conformance = []struct {
@@ -492,6 +533,93 @@ var conformance = []struct {
 		case <-time.After(5 * time.Second):
 			t.Fatal("parked sender never woke")
 		}
+	}},
+
+	{"a token left by another receive's completion does not end a Wait", func(t *testing.T, port func(int) transport.Port) {
+		// A port has one gate and one owner, so a token deposited for one
+		// completion can be found by the owner's next wait on another: it
+		// must cost a re-check, not a return.
+		dst := port(0)
+		var a, b [1]byte
+		ra := dst.PostRecv(1, 0, a[:], 0)
+		rb := dst.PostRecv(2, 0, b[:], 0)
+		send(port(1), 0, 0, []byte{1}, 0) // ra completes, unwaited (shm: at the next drain)
+		transport.LeaveToken(ra)
+		parks := transport.GateParks()
+		done := waitOn(rb.Wait)
+		stillWaiting(t, done, parks+2) // parked, took the token, parked again
+		send(port(2), 0, 0, []byte{2}, 0)
+		returns(t, done)
+		ra.Wait()
+		if a[0] != 1 || b[0] != 2 || ra.Src() != 1 || rb.Src() != 2 {
+			t.Errorf("payloads %d/%d from %d/%d, want 1/2 from 1/2", a[0], b[0], ra.Src(), rb.Src())
+		}
+		ra.Release()
+		rb.Release()
+	}},
+
+	{"a wake for another receive does not end a Wait", func(t *testing.T, port func(int) transport.Port) {
+		dst := port(0)
+		var a, b [1]byte
+		ra := dst.PostRecv(1, 0, a[:], 0)
+		rb := dst.PostRecv(2, 0, b[:], 0)
+		parks := transport.GateParks()
+		done := waitOn(rb.Wait)
+		stillWaiting(t, done, parks+1)
+		send(port(1), 0, 0, []byte{1}, 0) // wakes the owner parked on rb
+		stillWaiting(t, done, parks+2)
+		send(port(2), 0, 0, []byte{2}, 0)
+		returns(t, done)
+		ra.Wait()
+		if a[0] != 1 || b[0] != 2 {
+			t.Errorf("payloads %d/%d, want 1/2", a[0], b[0])
+		}
+		ra.Release()
+		rb.Release()
+	}},
+
+	{"a WaitTimeout with a token left over times out, then CancelRecv completes it", func(t *testing.T, port func(int) transport.Port) {
+		dst := port(0)
+		var a, b [1]byte
+		send(port(1), 0, 0, []byte{1}, 0)
+		ra := recvNow(t, dst, 1, 0, a[:], 0)
+		rb := dst.PostRecv(2, 0, b[:], 0)
+		transport.LeaveToken(ra)
+		if rb.WaitTimeout(5 * time.Millisecond) {
+			t.Fatal("WaitTimeout reported a completion with no sender")
+		}
+		if !dst.CancelRecv(rb) {
+			t.Fatal("cancellation of the timed-out receive failed")
+		}
+		rb.Wait()
+		if rb.Fault() != transport.FaultCancelled || rb.Len() != 0 {
+			t.Errorf("fault %v len %d, want cancelled/0", rb.Fault(), rb.Len())
+		}
+		ra.Release()
+		rb.Release()
+	}},
+
+	{"a rendezvous WaitMatched after an unrelated wake waits for its match", func(t *testing.T, port func(int) transport.Port) {
+		src := port(0)
+		var x [1]byte
+		rx := src.PostRecv(2, 0, x[:], 0)
+		sr := src.Send(1, 3, transport.GetBuf(1), 0, true)
+		parks := transport.GateParks()
+		done := waitOn(sr.Msg.WaitMatched)
+		stillWaiting(t, done, parks+1)
+		send(port(2), 0, 0, []byte{7}, 0) // completes or queues rx: wakes port 0
+		stillWaiting(t, done, parks+2)
+		var got [1]byte
+		recvNow(t, port(1), 0, 3, got[:], 0).Release()
+		returns(t, done)
+		if !sr.Msg.IsMatched() {
+			t.Error("WaitMatched returned unmatched")
+		}
+		rx.Wait()
+		if x[0] != 7 {
+			t.Errorf("unrelated receive got %d, want 7", x[0])
+		}
+		rx.Release()
 	}},
 
 	{"CancelMsg wins: the message is gone", func(t *testing.T, port func(int) transport.Port) {

@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"commintent/internal/model"
 )
@@ -33,26 +31,23 @@ type Msg struct {
 	// Feeder-owned; the table never reads them. Next links messages in
 	// whatever intrusive structure carries them to the destination (shm's
 	// mailbox). LinkSeq numbers the message on its (src,dst) link when
-	// HasSeq (simnet's dedupe window keys on it). Spin is the sender's half
-	// of the wait strategy: how many scheduler yields WaitMatched tries
-	// before it parks.
+	// HasSeq (simnet's dedupe window keys on it).
 	Next    *Msg
 	LinkSeq uint64
 	HasSeq  bool
-	Spin    int
 
 	// home is where an eager header returns at completion, which is safe
-	// because no eager sender awaits the match; nil for rendezvous.
+	// because no eager sender awaits the match; nil for rendezvous. gate is
+	// a rendezvous sender's port gate, which Complete wakes.
 	home *Headers
+	gate *Gate
 
 	// The rendezvous handshake resolves through one state word: queued →
 	// matched (the receiver claims, in Complete) or queued → withdrawn (the
 	// sender gives up after a deadline); whoever wins the CAS owns the
-	// outcome and the payload. Match signalling is lazy: a waiter that finds
-	// the message unmatched installs a channel into matchCh and parks.
-	state   uint32
-	matchCh unsafe.Pointer // *chan struct{}, installed by WaitMatched
-	matchV  model.Time     // set before the matched CAS publishes it
+	// outcome and the payload.
+	state  uint32
+	matchV model.Time // set before the matched CAS publishes it
 
 	// Absolute positions in the table's unexpected FIFO and per-(src,tag)
 	// bucket, so the message can be removed from both in O(1) when it is
@@ -106,75 +101,29 @@ func (m *Msg) Withdraw() bool {
 	return true
 }
 
-// park installs the lazily-created match channel and returns it, or nil if
-// the match was published meanwhile. The store/load ordering against
-// Complete's state CAS guarantees that either the waiter sees the match or
-// the completer sees the channel.
-func (m *Msg) park() chan struct{} {
-	for i := 0; i < m.Spin; i++ {
-		if m.IsMatched() {
-			return nil
-		}
-		runtime.Gosched()
-	}
-	if m.IsMatched() {
-		return nil
-	}
-	ch := make(chan struct{})
-	atomic.StorePointer(&m.matchCh, unsafe.Pointer(&ch))
-	if m.IsMatched() {
-		// Complete may or may not have seen the channel; either way the
-		// match is published and we must not park.
-		return nil
-	}
-	return ch
-}
-
 // WaitMatched blocks until a receive claims this message — the rendezvous
 // protocol's handshake. Only the sending goroutine may call it.
-func (m *Msg) WaitMatched() {
-	if ch := m.park(); ch != nil {
-		<-ch
-	}
-}
+func (m *Msg) WaitMatched() { m.gate.Wait(m.IsMatched, 0) }
 
 // WaitMatchedTimeout is WaitMatched bounded by real-time duration d. It
 // reports whether the match arrived; on false the message is still pending
 // (withdraw it with Port.CancelMsg, then re-check). Only the sending
 // goroutine may call it.
-func (m *Msg) WaitMatchedTimeout(d time.Duration) bool {
-	ch := m.park()
-	if ch == nil {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		return m.IsMatched()
-	}
-}
+func (m *Msg) WaitMatchedTimeout(d time.Duration) bool { return m.gate.Wait(m.IsMatched, d) }
 
 // MatchV reports the timestamp of the match: the later of the message's
 // arrival and the receive posting. Only valid once IsMatched reports true
 // (or WaitMatched has returned).
 func (m *Msg) MatchV() model.Time { return m.matchV }
 
-// Waiter is a transport's wait strategy for posted receives.
-type Waiter interface {
-	// Await blocks the posting goroutine until r has completed and its
-	// completer has finished touching it, or — when d > 0 — until d has
-	// elapsed, and reports which.
-	Await(r *Recv, d time.Duration) bool
-	// Poll makes whatever progress is possible without blocking.
-	Poll()
-}
+// Poller is a transport's progress step for posted receives: Poll makes
+// whatever progress is possible without blocking (shm drains the port's
+// mailbox; on simnet the senders make all the progress there is).
+type Poller interface{ Poll() }
 
 // Recv tracks one posted receive from PostRecv to Release: the pattern and
-// buffer the match Table files, the completion record, and the hook to the
-// transport's wait strategy. Only the posting goroutine may use it. Handles
+// buffer the match Table files, the completion record, and the transport's
+// progress step. Only the posting goroutine may use it. Handles
 // are recycled per port (Port.PostRecv draws one, Release returns it).
 type Recv struct {
 	src, tag int
@@ -191,14 +140,8 @@ type Recv struct {
 	arriveV model.Time
 	fault   FaultKind // non-None when completed by a ghost or a cancellation
 
-	w       Waiter
-	awaited bool     // owner-goroutine only: Await has reported completion
-	home    *Headers // the posting port's store, where Release returns it
-
-	// Token belongs to the wait strategy and survives Release, so a
-	// strategy that parks on a per-receive channel (simnet) creates it once
-	// per recycled handle. The table never touches it.
-	Token chan struct{}
+	p    Poller
+	home *Headers // the posting port's store and gate; Release returns it there
 }
 
 // Wait blocks until the receive has been matched and the payload copied
@@ -209,36 +152,29 @@ func (r *Recv) Wait() { r.WaitTimeout(0) }
 // not positive): it reports whether the receive completed. On false the
 // receive is still posted; the owner must either keep waiting or withdraw it
 // with Port.CancelRecv (and then Wait, which either path satisfies).
-func (r *Recv) WaitTimeout(d time.Duration) bool {
-	if !r.awaited {
-		r.awaited = r.w.Await(r, d)
-	}
-	return r.awaited
-}
+func (r *Recv) WaitTimeout(d time.Duration) bool { return r.home.Gate.Wait(r.Matched, d) }
 
 // Matched reports whether the receive has completed, without blocking.
 func (r *Recv) Matched() bool {
 	if r.Done() {
 		return true
 	}
-	r.w.Poll()
+	r.p.Poll()
 	return r.Done()
 }
 
-// Done is the bare completion flag, for wait strategies: unlike Matched it
-// makes no progress.
+// Done is the bare completion flag: unlike Matched it makes no progress.
 func (r *Recv) Done() bool { return atomic.LoadUint32(&r.done) == 1 }
 
 // Release returns the handle to its port. It may only be called after the
 // request is known to have completed (Wait returned, or Matched reported
-// true); no accessor may be used afterwards. It goes through Wait first: a
-// completer on another goroutine may still be between publishing the
-// completion and its last touch of the handle, and Await returns only after
-// that.
+// true); no accessor may be used afterwards. Setting done is a completer's
+// last touch of the handle (the wake that follows goes to the port's gate),
+// so once done is seen the handle is the owner's alone.
 func (r *Recv) Release() {
-	r.Wait()
+	r.mustBeDone()
 	h := r.home
-	*r = Recv{Token: r.Token, home: h}
+	*r = Recv{home: h}
 	h.recvs = append(h.recvs, r)
 }
 
@@ -282,11 +218,12 @@ func (r *Recv) Unexpected() bool {
 // Complete finishes a matched (receive, message) pair on whichever
 // goroutine made the match: it claims a rendezvous message, copies the
 // payload into the posted buffer, caches the completion record on the
-// handle, returns pooled resources and wakes a rendezvous waiter. It reports
-// false — having touched nothing — when the sender's Withdraw won the
-// message first; the receive is then still live and the caller puts it back
-// (Table.Repost) or offers it the next message. After a true return the
-// caller's wait strategy delivers its wake-up, if it has one.
+// handle, returns pooled resources and wakes a rendezvous sender's gate. It
+// reports false — having touched nothing — when the sender's Withdraw won
+// the message first; the receive is then still live and the caller puts it
+// back (Table.Repost) or offers it the next message. Setting done is the
+// last touch of r; a completer on another goroutine than r's owner then
+// wakes the owner's port gate.
 func Complete(r *Recv, m *Msg) bool {
 	if m.home == nil {
 		// Claim before touching the payload: a sender that wins the
@@ -311,9 +248,7 @@ func Complete(r *Recv, m *Msg) bool {
 		putMsg(m)
 	} else {
 		m.Data = nil
-		if p := atomic.LoadPointer(&m.matchCh); p != nil {
-			close(*(*chan struct{})(p))
-		}
+		m.gate.Wake()
 	}
 	atomic.StoreUint32(&r.done, 1)
 	return true

@@ -2,7 +2,6 @@ package transport_test
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -72,7 +71,19 @@ func TestRecycledHeadersAllocFree(t *testing.T) {
 // a WaitGroup may make the runtime allocate its wait record; those are the
 // runtime's, and the profile names the runtime for them.
 func transportAllocs() int64 {
-	// The profile is published by garbage collections and may lag by two.
+	var total int64
+	for _, r := range memProfile() {
+		f, _ := runtime.CallersFrames(r.Stack()).Next()
+		if ours(f.Function, "transport", "simnet", "shmtransport") {
+			total += r.AllocObjects
+		}
+	}
+	return total
+}
+
+// memProfile returns the heap profile's records. The profile is published
+// by garbage collections and may lag by two.
+func memProfile() []runtime.MemProfileRecord {
 	for range 3 {
 		runtime.GC()
 	}
@@ -80,19 +91,8 @@ func transportAllocs() int64 {
 	for {
 		n, ok := runtime.MemProfile(recs, true)
 		if ok {
-			recs = recs[:n]
-			break
+			return recs[:n]
 		}
 		recs = make([]runtime.MemProfileRecord, n+64)
 	}
-	var total int64
-	for _, r := range recs {
-		f, _ := runtime.CallersFrames(r.Stack()).Next()
-		for _, pkg := range []string{"transport", "simnet", "shmtransport"} {
-			if strings.HasPrefix(f.Function, "commintent/internal/"+pkg+".") {
-				total += r.AllocObjects
-			}
-		}
-	}
-	return total
 }

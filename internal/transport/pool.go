@@ -124,9 +124,10 @@ func PoolStats() (hits, misses int64) {
 }
 
 // Headers recycles one port's message headers and receive handles, so the
-// steady-state send and receive paths allocate nothing. Each port embeds
-// one and no path takes a lock. Receive handles are drawn and released by
-// the posting goroutine alone: an owner-only stack. An eager header is
+// steady-state send and receive paths allocate nothing, and holds the
+// port's Gate (the port calls Gate.Init). Each port embeds one and no path
+// takes a lock. Receive handles are drawn and released by the posting
+// goroutine alone: an owner-only stack. An eager header is
 // drawn by its sender and completed wherever it was matched; the completer
 // pushes it onto the sender's return stack with a CAS, and the sender takes
 // the whole stack with one Swap when its own runs dry — the shm mailbox's
@@ -139,6 +140,8 @@ type Headers struct {
 	// ret is the one word other goroutines write: padded off the owner's.
 	_   [56]byte
 	ret atomic.Pointer[Msg] // completed eager headers, pushed by completers
+
+	Gate Gate // where the port's owner parks
 }
 
 // NewMsg returns a message header for one send from the owning port. Only
@@ -147,7 +150,7 @@ type Headers struct {
 func (h *Headers) NewMsg(src, tag int, data []byte, arriveV model.Time, rendezvous bool) *Msg {
 	var m *Msg
 	if rendezvous {
-		m = &Msg{}
+		m = &Msg{gate: &h.Gate}
 	} else {
 		if h.msgs == nil {
 			h.msgs = h.ret.Swap(nil)
@@ -174,15 +177,15 @@ func putMsg(m *Msg) {
 }
 
 // NewRecv draws a receive handle for the pattern (src|AnySource,
-// tag|AnyTag) whose waits go through w. Owner goroutine only.
-func (h *Headers) NewRecv(w Waiter, src, tag int, buf []byte, postV model.Time) *Recv {
+// tag|AnyTag) whose progress step is p. Owner goroutine only.
+func (h *Headers) NewRecv(p Poller, src, tag int, buf []byte, postV model.Time) *Recv {
 	var r *Recv
 	if k := len(h.recvs) - 1; k >= 0 {
 		r, h.recvs = h.recvs[k], h.recvs[:k]
 	} else {
 		r = &Recv{home: h}
 	}
-	r.w = w
+	r.p = p
 	r.src, r.tag, r.buf, r.postV = src, tag, buf, postV
 	return r
 }

@@ -8,9 +8,9 @@
 // AnySource/AnyTag wildcards, the pooled wire buffers) and the one
 // receiver-side match Table, and imports neither implementation. A transport
 // is a feeder — how an arrived message reaches its destination's Table under
-// mutual exclusion — plus a wait strategy — how the posting goroutine sleeps
-// until a receive completes. Everything about *what matches what* is here,
-// once.
+// mutual exclusion — plus a progress step and its wakes: every wait parks on
+// the port's one Gate (wait.go). Everything about *what matches what* and
+// *how a rank waits* is here, once.
 //
 // The interface is cut exactly at the matching layer — post a send, post a
 // receive, probe, cancel — with timestamps flowing through as opaque
