@@ -27,11 +27,14 @@ test:
 # test, where every rank goroutine appends to its own ring of one recorder, the
 # barrier's gate tests, whose waiters park at once at more than one P, the
 # Port conformance suite and the transport gate's park test, whose waits park
-# at once there too, and the payload pool's working-set test), the simnet
-# suite again at GOMAXPROCS=2 (two Ps is a
+# at once there too, the payload pool's working-set test, the wire-buffer
+# exchange, the match table's oracle with its wildcard count, the wall-clock
+# unexpected flag and the traced shm run that must still read its stamps),
+# the simnet suite again at GOMAXPROCS=2 (two Ps is a
 # barrier shape of its own: the radix-16 tree with park-at-once waiters,
-# which neither the host's default pass nor four Ps pins), the two
-# allocation-counting transport tests at GOMAXPROCS=2 without the detector, the
+# which neither the host's default pass nor four Ps pins), the three
+# allocation-counting transport tests (headers, wire buffers, gate parks)
+# at GOMAXPROCS=2 without the detector, the
 # benchmark's smoke test under the race detector (the configuration in which
 # the barrier's lost wakeup was seen: every fence of the halo workload parks
 # there),
@@ -74,7 +77,11 @@ test:
 # handles are recycled per port, not through sync.Pool, whose per-P caches
 # missed whenever a header was freed on another P; and core closes one-sided
 # windows only through mpi.Fence over the region's windows, one barrier wave
-# per region, never window by window.
+# per region, never window by window. The two after those keep the two-P
+# eager path free of clock reads and locks: mpi's p2p, request, collective
+# and batch code reads the rank clock only through Comm.stamp, which skips
+# a wall reading nothing will read; and the payload pool takes no
+# sync.Mutex, because each port recycles its own wire buffers.
 verify: vet-intent
 	! $(GO) list -deps ./internal/transport | grep -E 'internal/(simnet|shmtransport)$$'
 	! $(GO) list -deps ./internal/shmtransport | grep -E 'internal/simnet$$'
@@ -85,12 +92,14 @@ verify: vet-intent
 	test "$$(grep -rlE '\.Observe\(func|(Fabric\(\)|fabric|\<f)\.Observe\(' --include='*.go' --exclude='*_test.go' internal cmd | sort | tr '\n' ' ')" = "internal/simnet/recorder.go internal/telemetry/telemetry.go " || { echo "fabric observers may be registered only in internal/simnet/recorder.go and internal/telemetry/telemetry.go"; exit 1; }
 	! grep -rnE '^[^/]*\<sync\.Pool\>' --include='*.go' --exclude='*_test.go' internal/transport || { echo "sync.Pool may not be used under internal/transport: headers and handles are recycled per port"; exit 1; }
 	! grep -rnF '.Fence()' --include='*.go' --exclude='*_test.go' internal/core || { echo "internal/core closes windows only through mpi.Fence, one wave per region"; exit 1; }
+	! grep -nF '.Now()' internal/mpi/p2p.go internal/mpi/request.go internal/mpi/collectives.go internal/mpi/batch.go || { echo "internal/mpi reads the clock for a timestamp only through Comm.stamp"; exit 1; }
+	! grep -nE '\<sync\.Mutex\>' internal/transport/pool.go || { echo "internal/transport/pool.go takes no sync.Mutex: wire buffers are recycled per port"; exit 1; }
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree|TestPortConformance|TestGateParkAllocFree' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree|TestPortConformance|TestGateParkAllocFree|TestWireBuffersAllocFree|TestTableMatchesOracle|TestUnexpectedOnWallClock|TestTracedShmStampsWall' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/ ./internal/telemetry/
 	GOMAXPROCS=2 $(GO) test -race ./internal/simnet/
-	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestRecycledHeadersAllocFree|TestGateParkAllocFree' ./internal/transport/
+	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestRecycledHeadersAllocFree|TestWireBuffersAllocFree|TestGateParkAllocFree' ./internal/transport/
 	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/ ./internal/pragma/
 	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs|TestHalo2sReplayAllocs' ./internal/telemetry/ ./internal/wllsms/ ./internal/core/

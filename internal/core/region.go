@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"commintent/internal/model"
 	rt "commintent/internal/runtime"
 )
 
@@ -92,9 +93,19 @@ func (e *Env) parameters(b *Bound, opts []Option, body func(*Region) error) erro
 	if rid != 0 {
 		ep.SetRegion(rid)
 	}
-	start := e.comm.SPMD().Now()
+	// The region's duration is read only when something records it: the
+	// per-region histogram of a labelled region, or the tracer's span. On
+	// the wall clock each read is a monotonic-clock call.
+	timed := rid != 0 || e.tele.tr != nil
+	var start model.Time
+	if timed {
+		start = e.comm.SPMD().Now()
+	}
 	rsp := e.span("comm_parameters", "directive")
 	defer func() {
+		if !timed {
+			return
+		}
 		end := e.comm.SPMD().Now()
 		rsp.End(end)
 		if rid != 0 {

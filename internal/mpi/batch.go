@@ -7,7 +7,6 @@ import (
 	"commintent/internal/model"
 	rt "commintent/internal/runtime"
 	"commintent/internal/simnet"
-	"commintent/internal/transport"
 )
 
 // Small-message coalescing wire format. A batch folds several logically
@@ -79,8 +78,8 @@ func (c *Comm) IsendBatch(parts []BatchPart, dest, tag int) (*Request, error) {
 	if n > p.MPIEagerThreshold {
 		return nil, fmt.Errorf("mpi: IsendBatch: wire size %d exceeds eager threshold %d", n, p.MPIEagerThreshold)
 	}
-	sp := c.span("MPI_IsendBatch", c.clock().Now())
-	wire := transport.GetBuf(n)
+	sp := c.span("MPI_IsendBatch", c.stamp())
+	wire := c.bufs.GetBuf(n)
 	binary.LittleEndian.PutUint32(wire, uint32(len(parts)))
 	off := BatchHeaderSize(len(parts))
 	var encCost model.Time
@@ -89,21 +88,21 @@ func (c *Comm) IsendBatch(parts []BatchPart, dest, tag int) (*Request, error) {
 		binary.LittleEndian.PutUint32(wire[4+4*i:], uint32(b))
 		cost, err := bp.Dt.encodeInto(p, wire[off:off+b], bp.Buf, bp.Count)
 		if err != nil {
-			transport.PutBuf(wire)
+			c.bufs.PutBuf(wire)
 			return nil, fmt.Errorf("mpi: IsendBatch part %d: %w", i, err)
 		}
 		encCost += cost
 		off += b
 	}
-	clk := c.clock()
-	clk.Advance(p.MPISendOverhead + p.MPIRequestPerItem + encCost + p.InjectTime(n))
-	defer sp.End(clk.Now())
-	arrive := clk.Now()
+	c.clock().Advance(p.MPISendOverhead + p.MPIRequestPerItem + encCost + p.InjectTime(n))
+	now := c.stamp()
+	defer sp.End(now)
+	arrive := now
 	if !c.wall {
 		arrive += p.MPILatencyBetween(c.rk.ID, c.WorldRank(dest))
 	}
 	sr := c.port.Send(c.WorldRank(dest), c.wireTag(tag), wire, arrive, false)
-	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvSend, Peer: c.WorldRank(dest), Tag: tag, Bytes: n, V: clk.Now()})
+	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvSend, Peer: c.WorldRank(dest), Tag: tag, Bytes: n, V: now})
 	return &Request{comm: c, send: sr, isSend: true, destWorld: c.WorldRank(dest)}, nil
 }
 
@@ -261,12 +260,12 @@ func (c *Comm) IrecvBatch(q *BatchQueue, source, tag int) (*Request, error) {
 		return nil, fmt.Errorf("mpi: IrecvBatch with no pending parts")
 	}
 	p := c.prof()
-	sp := c.span("MPI_IrecvBatch", c.clock().Now())
-	clk := c.clock()
-	clk.Advance(p.MPIRecvOverhead + p.MPIRequestPerItem)
-	defer sp.End(clk.Now())
-	wire := transport.GetBuf(BatchWireCap)
-	rr := c.port.PostRecv(c.WorldRank(source), c.wireTag(tag), wire, clk.Now())
-	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvRecvPost, Peer: c.WorldRank(source), Tag: tag, Bytes: len(wire), V: clk.Now()})
+	sp := c.span("MPI_IrecvBatch", c.stamp())
+	c.clock().Advance(p.MPIRecvOverhead + p.MPIRequestPerItem)
+	now := c.stamp()
+	defer sp.End(now)
+	wire := c.bufs.GetBuf(BatchWireCap)
+	rr := c.port.PostRecv(c.WorldRank(source), c.wireTag(tag), wire, now)
+	c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvRecvPost, Peer: c.WorldRank(source), Tag: tag, Bytes: len(wire), V: now})
 	return &Request{comm: c, recv: rr, wire: wire, batch: q}, nil
 }

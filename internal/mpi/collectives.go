@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"commintent/internal/model"
-	"commintent/internal/transport"
 	"commintent/internal/typemap"
 )
 
@@ -211,10 +210,10 @@ func (c *Comm) wire(buf any, d *Datatype, count int, fill bool) (w []byte, stage
 	if have < count {
 		return nil, false, fmt.Errorf("buffer holds %d elements, need %d", have, count)
 	}
-	w = transport.GetBuf(count * d.Size())
+	w = c.bufs.GetBuf(count * d.Size())
 	if fill {
 		if _, err := d.encodeInto(c.prof(), w, buf, count); err != nil {
-			transport.PutBuf(w)
+			c.bufs.PutBuf(w)
 			return nil, false, err
 		}
 	}
@@ -252,7 +251,7 @@ func (c *Comm) runCollective(op collOp, send any, sn int, recv any, rn int) erro
 	if err != nil {
 		err = fmt.Errorf("mpi: %s: %w", op.kind, err)
 	}
-	e.v, e.op, e.err = c.clk.Now(), op, err
+	e.v, e.op, e.err = c.stamp(), op, err
 
 	bar.WaitStep(me, 0, sh.step)
 
@@ -265,10 +264,10 @@ func (c *Comm) runCollective(op collOp, send any, sn int, recv any, rn int) erro
 		if err == nil {
 			_, err = op.d.decode(c.prof(), e.recv, recv, rn)
 		}
-		transport.PutBuf(e.recv)
+		c.bufs.PutBuf(e.recv)
 	}
 	if sst {
-		transport.PutBuf(e.send)
+		c.bufs.PutBuf(e.send)
 	}
 	if err != nil {
 		return err

@@ -52,6 +52,7 @@ type Comm struct {
 	wall    bool           // clock is wall-time: skip cost arithmetic, measure instead
 	traced  bool           // tele.tr != nil, duplicated onto the hot line
 
+	bufs    *transport.Headers // the port's wire buffers
 	rk      *spmd.Rank
 	ranks   []int       // world ranks of the members, in comm-rank order
 	commOf  map[int]int // world rank → comm rank; nil on the world, where it is the identity
@@ -147,6 +148,7 @@ func World(rk *spmd.Rank) *Comm {
 	c.clk = rk.Clock()
 	c.fab = rk.World().Fabric()
 	c.port = rk.Port()
+	c.bufs = c.port.Headers()
 	c.wall = c.clk.Wall()
 	c.tagBase = tagBaseFor(rk.World(), c.id)
 	c.csh = collFor(c)
@@ -266,6 +268,22 @@ func (c *Comm) prof() *model.Profile   { return c.rk.Profile() }
 func (c *Comm) ep() *simnet.Endpoint   { return c.rk.Endpoint() }
 func (c *Comm) clock() *model.Clock    { return c.clk }
 func (c *Comm) fabric() *simnet.Fabric { return c.fab }
+
+// stamp is the one place p2p, request completion and collectives read the
+// rank clock for a timestamp. On the virtual clock that is the model's time,
+// which every charge and golden is made of. On the wall clock a reading is a
+// monotonic-clock call, and its only readers are telemetry (spans, idle and
+// wait histograms, stall counters) and fabric observers (events, the flight
+// recorder): with neither attached every stamp is 0 and none is read. A
+// world attaches both before its ranks start, so the stamps of one run are
+// all read or all 0; matching never compares them on the wall clock (see
+// Request.Unexpected).
+func (c *Comm) stamp() model.Time {
+	if c.wall && c.tele.reg == nil && !c.fab.Observed() {
+		return 0
+	}
+	return c.clk.Now()
+}
 
 // emit publishes a fabric event stamped with the rank's current directive
 // region, so every trace entry is attributable to the causing directive. The
@@ -416,6 +434,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	nc.clk = c.clk
 	nc.fab = c.fab
 	nc.port = c.port
+	nc.bufs = c.bufs
 	nc.wall = c.wall
 	nc.defTimeout = c.defTimeout
 	nc.wdog = c.wdog

@@ -82,22 +82,19 @@ func (c *Comm) makeSendReq(buf any, count int, d *Datatype, dest, tag int) (Requ
 	p := c.prof()
 	var spStart model.Time
 	if c.traced {
-		spStart = c.clock().Now()
+		spStart = c.stamp()
 	}
 	sp := c.span("MPI_Isend", spStart)
 	n := count * d.Size()
-	wire := transport.GetBuf(n)
+	wire := c.bufs.GetBuf(n)
 	encCost, err := d.encodeInto(p, wire, buf, count)
 	if err != nil {
-		transport.PutBuf(wire)
+		c.bufs.PutBuf(wire)
 		return Request{}, fmt.Errorf("mpi: Isend: %w", err)
 	}
-	clk := c.clock()
-	clk.Advance(p.MPISendOverhead + p.MPIRequestPerItem + encCost + p.InjectTime(n))
-	// One clock read serves the injection stamp, the span end, and the
-	// event timestamp — in wall mode each read is a monotonic-clock call
-	// that would otherwise dominate the eager path.
-	now := clk.Now()
+	c.clock().Advance(p.MPISendOverhead + p.MPIRequestPerItem + encCost + p.InjectTime(n))
+	// One stamp serves the injection time, the span end and the event.
+	now := c.stamp()
 	defer sp.End(now)
 	// On the wall clock the payload is observable the moment it is pushed;
 	// adding the modelled wire latency would hide it from Iprobe until the
@@ -182,12 +179,11 @@ func (c *Comm) makeRecvReq(buf any, count int, d *Datatype, source, tag int, inP
 	p := c.prof()
 	var spStart model.Time
 	if c.traced {
-		spStart = c.clock().Now()
+		spStart = c.stamp()
 	}
 	sp := c.span("MPI_Irecv", spStart)
-	clk := c.clock()
-	clk.Advance(p.MPIRecvOverhead + p.MPIRequestPerItem)
-	now := clk.Now() // shared read; see makeSendReq
+	c.clock().Advance(p.MPIRecvOverhead + p.MPIRequestPerItem)
+	now := c.stamp() // shared stamp; see makeSendReq
 	defer sp.End(now)
 	n := count * d.Size()
 	var wire []byte
@@ -197,7 +193,7 @@ func (c *Comm) makeRecvReq(buf any, count int, d *Datatype, source, tag int, inP
 	if inPlace {
 		wire = wire[:n]
 	} else {
-		wire = transport.GetBuf(n)
+		wire = c.bufs.GetBuf(n)
 	}
 	wtag := transport.AnyTag
 	if tag != AnyTag {
@@ -268,7 +264,7 @@ func (c *Comm) Iprobe(source, tag int) (Status, bool, error) {
 		wtag = c.wireTag(tag)
 	}
 	env, ok := c.port.Probe(wsrc, wtag)
-	if !ok || env.ArriveV > c.clock().Now() {
+	if !ok || env.ArriveV > c.stamp() {
 		// Not observable yet in virtual time.
 		return Status{}, false, nil
 	}

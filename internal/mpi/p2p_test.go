@@ -6,6 +6,7 @@ import (
 	"commintent/internal/model"
 	"commintent/internal/mpi"
 	"commintent/internal/spmd"
+	"commintent/internal/transport"
 )
 
 func run(t *testing.T, n int, body func(*spmd.Rank) error) {
@@ -249,6 +250,50 @@ func TestUnexpectedMessagePenalty(t *testing.T) {
 		}
 		if !req.Unexpected() {
 			t.Error("late-posted receive was not flagged unexpected")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnexpectedOnWallClock: on the shared-memory transport with nothing
+// attached that reads a wall stamp, the stamps are 0 and the flag comes
+// from the match path. A receive posted after its send completed found the
+// message queued; one posted before its send did not.
+func TestUnexpectedOnWallClock(t *testing.T) {
+	t.Setenv(transport.EnvVar, "shm")
+	if err := spmd.Run(2, model.GeminiLike(), func(rk *spmd.Rank) error {
+		c := mpi.World(rk)
+		if rk.ID == 0 {
+			if err := c.Send([]float64{1}, 1, mpi.Float64, 1, 0); err != nil {
+				return err
+			}
+			c.Barrier() // the first send has completed
+			c.Barrier() // rank 1 has posted the second receive
+			return c.Send([]float64{2}, 1, mpi.Float64, 1, 1)
+		}
+		c.Barrier()
+		late, err := c.Irecv(make([]float64, 1), 1, mpi.Float64, 0, 0)
+		if err != nil {
+			return err
+		}
+		early, err := c.Irecv(make([]float64, 1), 1, mpi.Float64, 0, 1)
+		if err != nil {
+			return err
+		}
+		c.Barrier()
+		if err := c.WaitallIgnore([]*mpi.Request{late, early}); err != nil {
+			return err
+		}
+		if !late.Unexpected() {
+			t.Error("receive posted after its send completed was not flagged unexpected")
+		}
+		if early.Unexpected() {
+			t.Error("receive posted before its send was flagged unexpected")
+		}
+		if v := late.CompletionV() + early.CompletionV(); v != 0 {
+			t.Errorf("completions stamped %d with nothing attached to read it, want 0", v)
 		}
 		return nil
 	}); err != nil {

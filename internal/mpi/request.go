@@ -63,9 +63,11 @@ func (r *Request) Status() Status { return r.status }
 func (r *Request) CompletionV() model.Time { return r.readyV }
 
 // Unexpected reports whether a completed receive found its message already
-// queued (it arrived, in virtual time, before the receive was posted).
-// Always false for sends; only valid after completion. The value is cached
-// at finish time because the underlying receive request is recycled then.
+// queued: on the virtual clock, it arrived in modelled time before the
+// receive was posted; on the wall clock, it was in the unexpected queue
+// when the receive was posted. Always false for sends; only valid after
+// completion. The value is cached at finish time because the underlying
+// receive request is recycled then.
 func (r *Request) Unexpected() bool {
 	return r.done && r.unexpected
 }
@@ -109,7 +111,7 @@ func (r *Request) finishDeadline(D model.Time) error {
 			if r.comm.wall {
 				// Measured: the handshake cleared the moment WaitMatched
 				// returned; no modelled clearing latency to add.
-				r.readyV = r.comm.clock().Now()
+				r.readyV = r.comm.stamp()
 			} else {
 				r.readyV = model.Max(r.send.LocalV, r.send.Msg.MatchV()+p.MPILatency)
 			}
@@ -144,7 +146,13 @@ func (r *Request) finishDeadline(D model.Time) error {
 	n := r.recv.Len()
 	src := r.recv.Src()
 	tag := r.recv.Tag()
-	r.unexpected = r.recv.Unexpected()
+	if r.comm.wall {
+		// Wall stamps may all be 0 (Comm.stamp); the match path says it
+		// directly.
+		r.unexpected = r.recv.Queued()
+	} else {
+		r.unexpected = r.recv.Unexpected()
+	}
 	ready := model.Max(r.recv.ArriveV(), r.recv.PostV()) + p.MPIMatchCost + p.RecvCopyTime(n)
 	if r.unexpected {
 		ready += p.MPIUnexpected
@@ -178,7 +186,7 @@ func (r *Request) finishDeadline(D model.Time) error {
 	if r.comm.wall {
 		// Measured: the payload is decoded and in place right now; the
 		// modelled match/copy charges above are zero in wall mode anyway.
-		ready = r.comm.clock().Now()
+		ready = r.comm.stamp()
 	}
 	srcComm := r.comm.commRankOf(src)
 	r.status = Status{Source: srcComm, Tag: tag - r.comm.tagBase, Bytes: n}
@@ -197,7 +205,7 @@ func (r *Request) finishDeadline(D model.Time) error {
 // storage to the next GetBuf.
 func (r *Request) dropWire() {
 	if !r.inPlace {
-		transport.PutBuf(r.wire)
+		r.comm.bufs.PutBuf(r.wire)
 	}
 	r.wire = nil
 }
@@ -268,7 +276,7 @@ func (c *Comm) Wait(r *Request) (Status, error) {
 }
 
 func (c *Comm) wait(r *Request, D model.Time) (Status, error) {
-	start := c.clock().Now()
+	start := c.stamp()
 	sp := c.span("MPI_Wait", start)
 	err := r.finishDeadline(D)
 	if err != nil && !IsFault(err) {
@@ -276,11 +284,11 @@ func (c *Comm) wait(r *Request, D model.Time) (Status, error) {
 	}
 	clk := c.clock()
 	clk.Advance(c.prof().MPIWaitEach)
-	idle := r.readyV - clk.Now()
-	if c.wall {
-		// Measured: the wall time this call actually spent blocked, fed
-		// into the same idle/wait histograms the virtual path fills.
-		idle = r.readyV - start
+	// Measured on the wall clock: the time this call actually spent
+	// blocked, fed into the same idle/wait histograms the virtual path fills.
+	idle := r.readyV - start
+	if !c.wall {
+		idle = r.readyV - c.stamp()
 	}
 	if idle < 0 {
 		idle = 0
@@ -290,11 +298,9 @@ func (c *Comm) wait(r *Request, D model.Time) (Status, error) {
 	c.tele.waitNS.Observe(idle)
 	c.observeRegionWait(idle)
 	if c.traced || c.fab.Observed() {
-		// One shared clock read: with neither a tracer nor observers the
-		// span End and the emit are both no-ops, and in wall mode the
-		// monotonic read they would stamp is the hot path's single biggest
-		// line item.
-		end := clk.Now()
+		// One shared stamp: with neither a tracer nor observers the span
+		// End and the emit are both no-ops.
+		end := c.stamp()
 		sp.End(end)
 		c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvWait, Peer: -1, V: end, Idle: idle})
 	}
@@ -329,7 +335,7 @@ func (c *Comm) WaitallIgnore(reqs []*Request) error {
 // times are unchanged. Faulted requests contribute their fault-resolution
 // times to the jump and their errors to errs.
 func (c *Comm) waitallImpl(reqs []*Request, stats []Status, D model.Time) ([]error, error) {
-	start := c.clock().Now()
+	start := c.stamp()
 	sp := c.span("MPI_Waitall", start)
 	var errs []error
 	var firstErr error
@@ -359,10 +365,9 @@ func (c *Comm) waitallImpl(reqs []*Request, stats []Status, D model.Time) ([]err
 	}
 	clk := c.clock()
 	clk.Advance(c.prof().WaitallTime(len(reqs)))
-	idle := maxReady - clk.Now()
-	if c.wall {
-		// Measured wall time spent completing the batch (see wait).
-		idle = maxReady - start
+	idle := maxReady - start // measured on the wall clock (see wait)
+	if !c.wall {
+		idle = maxReady - c.stamp()
 	}
 	if idle < 0 {
 		idle = 0
@@ -372,7 +377,7 @@ func (c *Comm) waitallImpl(reqs []*Request, stats []Status, D model.Time) ([]err
 	c.tele.waitNS.Observe(idle)
 	c.observeRegionWait(idle)
 	if c.traced || c.fab.Observed() {
-		end := clk.Now() // shared read; see wait
+		end := c.stamp() // shared stamp; see wait
 		sp.End(end)
 		c.emit(simnet.Event{Rank: c.rk.ID, Kind: simnet.EvSync, Peer: -1, Bytes: len(reqs), V: end, Idle: idle})
 	}
@@ -414,7 +419,7 @@ func (c *Comm) Waitany(reqs []*Request) (int, Status, error) {
 			r.claimed = true
 			clk := c.clock()
 			clk.Advance(c.prof().MPIWaitEach)
-			if idle := r.readyV - clk.Now(); idle > 0 {
+			if idle := r.readyV - c.stamp(); idle > 0 {
 				c.tele.idle.AddTime(idle)
 				c.tele.waitNS.Observe(idle)
 			}
@@ -445,7 +450,7 @@ func (c *Comm) Test(r *Request) (bool, Status, error) {
 	}
 	// An operation is only observable as complete once virtual time has
 	// caught up with it.
-	if r.readyV > c.clock().Now() {
+	if r.readyV > c.stamp() {
 		return false, Status{}, nil
 	}
 	return true, r.status, nil
@@ -462,7 +467,7 @@ func (c *Comm) Waitsome(reqs []*Request) ([]int, []Status, error) {
 	}
 	idxs := []int{first}
 	stats := []Status{st}
-	now := c.clock().Now()
+	now := c.stamp()
 	for i, r := range reqs {
 		if r == nil || r.claimed {
 			continue

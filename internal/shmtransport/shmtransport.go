@@ -16,9 +16,9 @@
 // — a bounded runtime.Gosched spin at one P, none at more — then a park on
 // the port's gate, which a sender wakes only after the receiver has
 // announced it is parking, so the steady-state message path performs no
-// allocation and no park/unpark pair. Payload buffers are the shared pooled
-// wire buffers (transport.GetBuf/PutBuf), so the zero-copy pack paths above
-// are unchanged.
+// allocation and no park/unpark pair. Payload buffers are the port's pooled
+// wire buffers (transport.Headers.GetBuf/PutBuf), so the zero-copy pack
+// paths above are unchanged.
 //
 // A sender withdraws a rendezvous message by winning the message's state
 // word (transport.Msg.Withdraw) wherever the node sits — mailbox or table —
@@ -230,6 +230,9 @@ func (p *Port) PendingUnexpected() int {
 	p.drain()
 	return p.tab.Unexpected()
 }
+
+// Headers implements transport.Port.
+func (p *Port) Headers() *transport.Headers { return &p.hdr }
 
 // PendingPosted implements transport.Port.
 func (p *Port) PendingPosted() int { return p.tab.Posted() }

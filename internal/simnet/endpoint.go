@@ -33,7 +33,7 @@ type Endpoint struct {
 	mu  sync.Mutex
 	tab transport.Table
 
-	hdr transport.Headers // this rank's recycled headers and handles
+	hdr transport.Headers // this rank's recycled headers, handles and buffers
 
 	// region is the interned ID of the directive region the rank is
 	// currently executing (0 between regions). Written by the owning rank
@@ -69,8 +69,9 @@ func (ep *Endpoint) RegionID() int { return int(ep.region.Load()) }
 
 // Send implements transport.Port: it injects a message destined for rank
 // dst whose payload buffer's ownership transfers to the fabric. data must
-// not be touched by the caller afterwards, and is returned to the payload
-// pool (see transport.GetBuf) once the matching receive has copied it out.
+// not be touched by the caller afterwards, and goes back to this endpoint's
+// buffers (see transport.Headers) once the matching receive has copied it
+// out.
 // arriveV is the virtual time at which the payload is available at the
 // destination, computed by the caller from its cost model. Delivery —
 // matching against dst's posted receives — happens immediately in real time.
@@ -211,6 +212,9 @@ func (ep *Endpoint) UnexpectedHighWatermark() int {
 	defer ep.mu.Unlock()
 	return ep.tab.UnexpectedHighWatermark()
 }
+
+// Headers implements transport.Port.
+func (ep *Endpoint) Headers() *transport.Headers { return &ep.hdr }
 
 // PendingPosted reports the number of posted-but-unmatched receives.
 func (ep *Endpoint) PendingPosted() int {

@@ -148,7 +148,7 @@ type Rank struct {
 
 	world *World
 	ep    *simnet.Endpoint
-	rng   *rand.Rand
+	rng   *rand.Rand // seeded on first use: few rank bodies draw from it
 }
 
 // World returns the world this rank belongs to.
@@ -170,7 +170,13 @@ func (r *Rank) Clock() *model.Clock { return r.ep.Clock() }
 func (r *Rank) Now() model.Time { return r.ep.Clock().Now() }
 
 // Rand returns the rank's deterministic PRNG (seeded from the rank id).
-func (r *Rank) Rand() *rand.Rand { return r.rng }
+// Only the rank's own goroutine may call it.
+func (r *Rank) Rand() *rand.Rand {
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(int64(r.ID)*2654435761 + 12345))
+	}
+	return r.rng
+}
 
 // Compute charges d of local computation to the rank's virtual clock. It is
 // how application kernels account for their (synthetic) work.
@@ -213,7 +219,6 @@ func (w *World) Run(body func(*Rank) error) error {
 			N:     n,
 			world: w,
 			ep:    w.fabric.Endpoint(i),
-			rng:   rand.New(rand.NewSource(int64(i)*2654435761 + 12345)),
 		}
 		go func(rk *Rank) {
 			defer wg.Done()
@@ -226,6 +231,10 @@ func (w *World) Run(body func(*Rank) error) error {
 		}(rk)
 	}
 	wg.Wait()
+	// The ranks have stopped: publish the pool hits their ports have not.
+	for i := 0; i < n; i++ {
+		w.Port(i).Headers().FlushPoolStats()
+	}
 	var joined []error
 	for i, e := range errs {
 		if e != nil {

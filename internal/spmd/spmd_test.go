@@ -95,6 +95,44 @@ func TestDeterministicPerRankRand(t *testing.T) {
 	}
 }
 
+// TestRandStreamPinned: a rank's PRNG is seeded on first use, from the
+// rank id alone, so its stream is the same whether a body draws at once,
+// late, or in a later Run of the same world. The first two values of three
+// ranks are pinned.
+func TestRandStreamPinned(t *testing.T) {
+	want := map[int][2]int64{
+		0: {7828158075477027098, 5950071357434416446},
+		1: {3209185051482558585, 6289542567862173439},
+		3: {2681727524249887407, 7151695045356185611},
+	}
+	w, err := spmd.NewWorld(4, model.Uniform(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := range 2 {
+		var mu sync.Mutex
+		got := map[int][2]int64{}
+		if err := w.Run(func(rk *spmd.Rank) error {
+			if run == 1 {
+				rk.Compute(model.Microsecond) // draw late
+			}
+			a := rk.Rand().Int63()
+			b := rk.Rand().Int63()
+			mu.Lock()
+			got[rk.ID] = [2]int64{a, b}
+			mu.Unlock()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range want {
+			if got[r] != v {
+				t.Errorf("run %d rank %d: first values %v, want %v", run, r, got[r], v)
+			}
+		}
+	}
+}
+
 func TestSharedReturnsOneValue(t *testing.T) {
 	w, err := spmd.NewWorld(8, model.Uniform(1))
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
 	"commintent/internal/telemetry"
+	"commintent/internal/transport"
 )
 
 // runInstrumented executes a named pattern over n ranks with telemetry
@@ -121,6 +122,36 @@ func TestEndToEndMetricsAndSpans(t *testing.T) {
 	}
 	if repIdle > ctrIdle {
 		t.Errorf("report idle %d exceeds substrate-counted idle %d", repIdle, ctrIdle)
+	}
+}
+
+// TestTracedShmStampsWall: on the wall clock mpi reads a stamp only when
+// something reads it (mpi.Comm.stamp). With a tracer and the recorder
+// attached, every send and receive completion carries a wall reading and
+// the waits' blocked time reaches the idle counter.
+func TestTracedShmStampsWall(t *testing.T) {
+	const n = 4
+	t.Setenv(transport.EnvVar, "shm")
+	tele, events := runInstrumented(t, n, "halo", 2)
+	seen := map[simnet.EventKind]int{}
+	for _, ev := range events {
+		if ev.Kind != simnet.EvSend && ev.Kind != simnet.EvRecvComplete {
+			continue
+		}
+		seen[ev.Kind]++
+		if ev.V <= 0 {
+			t.Errorf("rank %d %v event stamped %d, want a wall reading", ev.Rank, ev.Kind, ev.V)
+		}
+	}
+	if seen[simnet.EvSend] == 0 || seen[simnet.EvRecvComplete] == 0 {
+		t.Fatalf("recorded %d sends and %d receive completions, want both", seen[simnet.EvSend], seen[simnet.EvRecvComplete])
+	}
+	var idle int64
+	for r := 0; r < n; r++ {
+		idle += tele.Registry().CounterValue("mpi_idle_virtual_ns_total", telemetry.Rank(r))
+	}
+	if idle <= 0 {
+		t.Errorf("mpi_idle_virtual_ns_total = %d over %d ranks, want the waits' wall time", idle, n)
 	}
 }
 

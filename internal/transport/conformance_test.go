@@ -313,30 +313,47 @@ var conformance = []struct {
 	}},
 
 	{"send takes ownership of the buffer and returns it to the pool", func(t *testing.T, port func(int) transport.Port) {
+		src, dst := port(0), port(1)
+		// A buffer from the shared pool: once copied out it rides home on
+		// its header, and the sender's next send hands it back to the
+		// shared pool (the port keeps only what it drew itself). Take from
+		// the class until it runs dry.
 		b := transport.GetBuf(3)
 		copy(b, []byte{1, 2, 3})
 		first := &b[0]
-		if sr := port(0).Send(1, 0, b, 0, false); sr.Msg != nil {
+		if sr := src.Send(1, 0, b, 0, false); sr.Msg != nil {
 			t.Error("eager send exposed a message handle")
 		}
 		var out [3]byte
-		recvNow(t, port(1), 0, 0, out[:], 0).Release()
+		recvNow(t, dst, 0, 0, out[:], 0).Release()
 		if out != [3]byte{1, 2, 3} {
 			t.Errorf("payload = %v", out)
 		}
-		// The buffer is the transport's from Send on; once copied out it is
-		// back on its size class's freelist: take from the class until it
-		// runs dry.
-		for {
+		src.Send(1, 1, nil, 0, false)
+		recvNow(t, dst, 0, 1, nil, 0).Release()
+		for found := false; !found; {
 			hits, _ := transport.PoolStats()
-			if g := transport.GetBuf(3); &g[0] == first {
-				return
-			}
-			if h, _ := transport.PoolStats(); h == hits {
-				break
+			found = &transport.GetBuf(3)[0] == first
+			if h, _ := transport.PoolStats(); !found && h == hits {
+				t.Fatal("the sent buffer never came back through GetBuf")
 			}
 		}
-		t.Error("the sent buffer never came back through GetBuf")
+		// Buffers the port drew itself come back to it: an eager payload
+		// on its header, a rendezvous one once WaitMatched has seen the
+		// copy done.
+		for _, rendezvous := range []bool{false, true} {
+			b := src.Headers().GetBuf(100)
+			first := &b[0]
+			sr := src.Send(1, 2, b, 0, rendezvous)
+			var out [100]byte
+			recvNow(t, dst, 0, 2, out[:], 0).Release()
+			if rendezvous {
+				sr.Msg.WaitMatched()
+			}
+			if g := src.Headers().GetBuf(100); &g[0] != first {
+				t.Errorf("rendezvous %v: the port's next buffer is not the one it sent", rendezvous)
+			}
+		}
 	}},
 
 	{"completion record and the unexpected flag", func(t *testing.T, port func(int) transport.Port) {

@@ -11,3 +11,12 @@ func LeaveToken(r *Recv) {
 	g.Wake()
 	atomic.StoreUint32(&g.sleep, 0)
 }
+
+// Drawn reports how many buffers of n bytes' class h has drawn from the
+// shared pool. Owner goroutine only, or while the owner is idle.
+func Drawn(h *Headers, n int) int {
+	if h.bufs == nil {
+		return 0
+	}
+	return h.bufs[classFor(n)].drawn
+}

@@ -12,9 +12,10 @@ import (
 // recycled headers are reset by struct assignment, which go vet would flag as
 // a lock copy if the fields carried noCopy sentinels.
 const (
-	stateQueued uint32 = iota
-	stateMatched
-	stateWithdrawn
+	stateQueued    uint32 = iota
+	stateClaimed          // a receive won the message and is copying it out
+	stateMatched          // the copy is done: the payload is the sender's again
+	stateWithdrawn        // the sender won the message back
 )
 
 // Msg is one in-flight two-sided message: the entry the match Table files
@@ -36,18 +37,18 @@ type Msg struct {
 	LinkSeq uint64
 	HasSeq  bool
 
-	// home is where an eager header returns at completion, which is safe
-	// because no eager sender awaits the match; nil for rendezvous. gate is
-	// a rendezvous sender's port gate, which Complete wakes.
+	// home is the sender's port: where an eager header returns with its
+	// payload at completion, which is safe because no eager sender awaits
+	// the match, and whose gate Complete wakes for a rendezvous sender.
 	home *Headers
-	gate *Gate
+	rdv  bool
 
 	// The rendezvous handshake resolves through one state word: queued →
-	// matched (the receiver claims, in Complete) or queued → withdrawn (the
-	// sender gives up after a deadline); whoever wins the CAS owns the
-	// outcome and the payload.
+	// claimed → matched (the receiver claims, in Complete, and publishes
+	// the finished copy) or queued → withdrawn (the sender gives up after a
+	// deadline); whoever wins the CAS owns the outcome and the payload.
 	state  uint32
-	matchV model.Time // set before the matched CAS publishes it
+	matchV model.Time // set before the claim; the matched store publishes it
 
 	// Absolute positions in the table's unexpected FIFO and per-(src,tag)
 	// bucket, so the message can be removed from both in O(1) when it is
@@ -56,13 +57,14 @@ type Msg struct {
 }
 
 // Rendezvous reports whether the sender kept a handle on this message.
-func (m *Msg) Rendezvous() bool { return m.home == nil }
+func (m *Msg) Rendezvous() bool { return m.rdv }
 
 // Ghost strips m to a payload-free carrier of fault k: the matching receive
 // completes promptly with the fault recorded instead of hanging. The payload
-// goes back to the pool here (the receive will copy zero bytes).
+// goes back to the sender's port here (the receive will copy zero bytes).
+// Sender goroutine only.
 func (m *Msg) Ghost(k FaultKind) {
-	PutBuf(m.Data)
+	m.home.PutBuf(m.Data)
 	m.Data = nil
 	m.Fault = k
 }
@@ -91,25 +93,42 @@ func (m *Msg) Withdrawn() bool { return atomic.LoadUint32(&m.state) == stateWith
 
 // Withdraw is the sender's side of the cancellation race: it reports whether
 // the message was still unclaimed, in which case no receive will ever touch
-// it and its payload goes back to the pool. Transports call it from
-// Port.CancelMsg.
+// it and its payload goes back to the sender's port. Transports call it
+// from Port.CancelMsg, on the sender's goroutine.
 func (m *Msg) Withdraw() bool {
 	if !atomic.CompareAndSwapUint32(&m.state, stateQueued, stateWithdrawn) {
 		return false
 	}
-	PutBuf(m.Data)
+	m.reclaim()
 	return true
 }
 
-// WaitMatched blocks until a receive claims this message — the rendezvous
-// protocol's handshake. Only the sending goroutine may call it.
-func (m *Msg) WaitMatched() { m.gate.Wait(m.IsMatched, 0) }
+// reclaim returns a rendezvous payload no receive will read again to the
+// sender's port.
+func (m *Msg) reclaim() {
+	m.home.PutBuf(m.Data)
+	m.Data = nil
+}
 
-// WaitMatchedTimeout is WaitMatched bounded by real-time duration d. It
-// reports whether the match arrived; on false the message is still pending
-// (withdraw it with Port.CancelMsg, then re-check). Only the sending
-// goroutine may call it.
-func (m *Msg) WaitMatchedTimeout(d time.Duration) bool { return m.gate.Wait(m.IsMatched, d) }
+// WaitMatched blocks until a receive has matched this message and copied
+// it out — the rendezvous protocol's handshake — and then takes the
+// payload back into the sender's port. Only the sending goroutine may call
+// it.
+func (m *Msg) WaitMatched() { m.WaitMatchedTimeout(0) }
+
+// WaitMatchedTimeout is WaitMatched bounded by real-time duration d
+// (unbounded when d is not positive). It reports whether the match
+// arrived; on false the message is still pending (withdraw it with
+// Port.CancelMsg, then re-check). Only the sending goroutine may call it.
+func (m *Msg) WaitMatchedTimeout(d time.Duration) bool {
+	if !m.home.Gate.Wait(m.IsMatched, d) {
+		return false
+	}
+	if m.Data != nil {
+		m.reclaim()
+	}
+	return true
+}
 
 // MatchV reports the timestamp of the match: the later of the message's
 // arrival and the receive posting. Only valid once IsMatched reports true
@@ -130,6 +149,7 @@ type Recv struct {
 	buf      []byte
 	postV    model.Time
 	postSeq  uint64 // table-wide posting order, for wildcard-bucket ties
+	queued   bool   // Table.Post found its message already queued
 
 	// Completion record, cached by Complete so it survives the matched
 	// message's return to the pools. Valid once done is set.
@@ -209,27 +229,36 @@ func (r *Recv) ArriveV() model.Time { r.mustBeDone(); return r.arriveV }
 // Unexpected reports, by timestamp, whether the message arrived before the
 // receive was posted (and therefore landed in the unexpected queue, costing
 // an extra staging copy in real MPI implementations). Only valid after
-// completion.
+// completion. This is the virtual clock's answer, where a message can sit
+// in the table before its modelled arrival; on the wall clock see Queued.
 func (r *Recv) Unexpected() bool {
 	r.mustBeDone()
 	return r.arriveV < r.postV
 }
 
+// Queued reports, by the match path, whether the message was already in the
+// unexpected queue when the receive was posted: the wall clock's answer to
+// Unexpected, which needs no timestamp. Only valid after completion.
+func (r *Recv) Queued() bool {
+	r.mustBeDone()
+	return r.queued
+}
+
 // Complete finishes a matched (receive, message) pair on whichever
 // goroutine made the match: it claims a rendezvous message, copies the
 // payload into the posted buffer, caches the completion record on the
-// handle, returns pooled resources and wakes a rendezvous sender's gate. It
-// reports false — having touched nothing — when the sender's Withdraw won
-// the message first; the receive is then still live and the caller puts it
-// back (Table.Repost) or offers it the next message. Setting done is the
-// last touch of r; a completer on another goroutine than r's owner then
-// wakes the owner's port gate.
+// handle, sends an eager header home with its payload and wakes a
+// rendezvous sender's gate. It reports false — having touched nothing —
+// when the sender's Withdraw won the message first; the receive is then
+// still live and the caller puts it back (Table.Repost) or offers it the
+// next message. Setting done is the last touch of r; a completer on another
+// goroutine than r's owner then wakes the owner's port gate.
 func Complete(r *Recv, m *Msg) bool {
-	if m.home == nil {
+	if m.rdv {
 		// Claim before touching the payload: a sender that wins the
 		// withdraw CAS instead may already have recycled its buffer.
 		m.matchV = model.Max(m.ArriveV, r.postV)
-		if !atomic.CompareAndSwapUint32(&m.state, stateQueued, stateMatched) {
+		if !atomic.CompareAndSwapUint32(&m.state, stateQueued, stateClaimed) {
 			return false
 		}
 	}
@@ -238,17 +267,16 @@ func Complete(r *Recv, m *Msg) bool {
 	r.tagVal = m.Tag
 	r.arriveV = m.ArriveV
 	r.fault = m.Fault // ghost completions carry the fault to the receiver
-	// The payload is copied out and no sender path touches Data again
-	// (WaitMatched/MatchV read only state and matchV; a concurrent Withdraw
-	// lost the CAS and bailed before its PutBuf), so it is returned here —
-	// the sender has no reference to the wire, and leaving the return to it
-	// would leak a pooled buffer per rendezvous message.
-	PutBuf(m.Data)
-	if m.home != nil {
-		putMsg(m)
+	// The payload is copied out. An eager one rides home on its header; a
+	// rendezvous sender takes its own back once it sees the match, which
+	// is published only now (a concurrent Withdraw lost the claim and
+	// bailed). The rendezvous message is not recycled, so its home stays
+	// readable after the publication.
+	if m.rdv {
+		atomic.StoreUint32(&m.state, stateMatched)
+		m.home.Gate.Wake()
 	} else {
-		m.Data = nil
-		m.gate.Wake()
+		putMsg(m)
 	}
 	atomic.StoreUint32(&r.done, 1)
 	return true

@@ -3,15 +3,29 @@ package transport_test
 import (
 	"runtime"
 	"testing"
+
+	"commintent/internal/transport"
 )
 
 // TestRecycledHeadersAllocFree: with the ranks on two Ps or more, two ranks
 // exchanging eager messages allocate nothing once warm, on either feeder.
 // Each rank's receive handles stay on its own port, and a header completed
 // on the receiver's goroutine goes back to its sender's port, so neither
-// side draws on memory the other keeps. make verify runs it under -race at
-// four Ps, and without the detector at two.
-func TestRecycledHeadersAllocFree(t *testing.T) {
+// side draws on memory the other keeps. The messages carry no payload,
+// which keeps the payload pool out of the count. make verify runs it under
+// -race at four Ps, and without the detector at two.
+func TestRecycledHeadersAllocFree(t *testing.T) { exchangeAllocFree(t, 0) }
+
+// TestWireBuffersAllocFree is TestRecycledHeadersAllocFree with a 256-B
+// payload drawn from the sender's port: the payload rides home on its
+// header, so the exchange allocates nothing and never falls back to the
+// shared pool.
+func TestWireBuffersAllocFree(t *testing.T) { exchangeAllocFree(t, 256) }
+
+// exchangeAllocFree runs the two-rank exchange with payload bytes per
+// message and fails if, once warm, the transport allocates or a port draws
+// on the shared pool.
+func exchangeAllocFree(t *testing.T, payload int) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	const warm, msgs = 2000, 10000
 	// Every allocation is profiled from here on, so transportAllocs counts
@@ -23,19 +37,25 @@ func TestRecycledHeadersAllocFree(t *testing.T) {
 			port := w.open(2)
 			// Each rank runs on a goroutine of its own for the whole test
 			// and, per exchange, sends the peer rounds messages: post the
-			// receive, send, wait. The messages carry no payload, which
-			// keeps the payload pool and its own high-water marks out of
-			// the count.
+			// receive, send, wait.
 			var start [2]chan int
 			done := make(chan struct{})
 			for rank := range 2 {
 				start[rank] = make(chan int)
 				go func() {
 					p, peer := port(rank), 1-rank
+					var buf []byte
+					if payload > 0 {
+						buf = make([]byte, payload)
+					}
 					for rounds := range start[rank] {
 						for range rounds {
-							r := p.PostRecv(peer, 7, nil, 0)
-							p.Send(peer, 7, nil, 0, false)
+							r := p.PostRecv(peer, 7, buf, 0)
+							var data []byte
+							if payload > 0 {
+								data = p.Headers().GetBuf(payload)
+							}
+							p.Send(peer, 7, data, 0, false)
 							r.Wait()
 							r.Release()
 						}
@@ -55,11 +75,17 @@ func TestRecycledHeadersAllocFree(t *testing.T) {
 				<-done
 				<-done
 			}
+			drawn := func() int {
+				return transport.Drawn(port(0).Headers(), payload) + transport.Drawn(port(1).Headers(), payload)
+			}
 			exchange(warm)
-			before := transportAllocs()
+			before, drawn0 := transportAllocs(), drawn()
 			exchange(msgs / 2)
 			if got := transportAllocs() - before; got != 0 {
 				t.Errorf("%d eager messages: the transport allocated %d times, want none", msgs, got)
+			}
+			if d := drawn() - drawn0; d != 0 {
+				t.Errorf("%d eager messages: the ports drew %d buffers from the shared pool, want none", msgs, d)
 			}
 		})
 	}

@@ -145,11 +145,17 @@ type Table struct {
 	unexHW      int // high-watermark of the unexpected queue depth
 
 	// Posted receives, bucketed by their (possibly wildcard) pattern.
-	// Lazily allocated at first posting, like unexBuckets.
+	// Lazily allocated at first posting, like unexBuckets. wild counts the
+	// posted receives with a wildcard pattern: while it is 0 an arrival
+	// probes its own bucket alone.
 	posted      map[pairKey]*recvQueue
 	postedCount int
+	wild        int
 	postSeq     uint64
 }
+
+// wildcard reports whether r's pattern holds AnySource or AnyTag.
+func (r *Recv) wildcard() bool { return r.src == AnySource || r.tag == AnyTag }
 
 // Arrive offers an arrived message to the table: it returns the
 // earliest-posted receive matching it, taken out of the table, or files m
@@ -181,8 +187,10 @@ func (t *Table) Arrive(m *Msg) *Recv {
 // r as posted and returns nil.
 func (t *Table) Post(r *Recv) *Msg {
 	if m := t.takeUnexpected(r.src, r.tag); m != nil {
+		r.queued = true
 		return m
 	}
+	r.queued = false
 	r.postSeq = t.postSeq
 	t.postSeq++
 	key := pairKey{r.src, r.tag}
@@ -195,8 +203,16 @@ func (t *Table) Post(r *Recv) *Msg {
 		t.posted[key] = rq
 	}
 	rq.push(r)
-	t.postedCount++
+	t.countPosted(r, 1)
 	return nil
+}
+
+// countPosted moves the posted counts by d for r.
+func (t *Table) countPosted(r *Recv, d int) {
+	t.postedCount += d
+	if r.wildcard() {
+		t.wild += d
+	}
 }
 
 // Repost puts back, ahead of every other receive with its pattern, a receive
@@ -205,20 +221,24 @@ func (t *Table) Post(r *Recv) *Msg {
 // which is only still the earliest of its queue if nothing ran in between.
 func (t *Table) Repost(r *Recv) {
 	t.posted[pairKey{r.src, r.tag}].unpop(r)
-	t.postedCount++
+	t.countPosted(r, 1)
 }
 
 // takePosted pops and returns the earliest-posted receive matching
 // (src,tag), or nil. A message can match a receive through exactly four
 // patterns — concrete, source-wildcard, tag-wildcard, both — so only those
-// bucket heads are consulted; earliest posting wins, as with the linear
-// scan this replaces.
+// bucket heads are consulted, and only the concrete one while no wildcard
+// receive is posted; earliest posting wins, as with the linear scan this
+// replaces.
 func (t *Table) takePosted(src, tag int) *Recv {
 	var best *recvQueue
 	var bestSeq uint64
-	for _, key := range [4]pairKey{
-		{src, tag}, {src, AnyTag}, {AnySource, tag}, {AnySource, AnyTag},
-	} {
+	keys := [4]pairKey{{src, tag}, {src, AnyTag}, {AnySource, tag}, {AnySource, AnyTag}}
+	probe := keys[:]
+	if t.wild == 0 {
+		probe = keys[:1]
+	}
+	for _, key := range probe {
 		rq := t.posted[key]
 		if rq == nil {
 			continue
@@ -231,8 +251,9 @@ func (t *Table) takePosted(src, tag int) *Recv {
 	if best == nil {
 		return nil
 	}
-	t.postedCount--
-	return best.pop()
+	r := best.pop()
+	t.countPosted(r, -1)
+	return r
 }
 
 // takeUnexpected finds and dequeues the earliest-arrived unexpected message
@@ -320,7 +341,7 @@ func (t *Table) RemoveRecv(r *Recv) bool {
 	if rq == nil || !rq.removeReq(r) {
 		return false
 	}
-	t.postedCount--
+	t.countPosted(r, -1)
 	return true
 }
 

@@ -89,6 +89,17 @@ func (o *oracle) removeMsg(m *Msg) bool {
 	return false
 }
 
+// wild counts the posted receives with a wildcard pattern.
+func (o *oracle) wild() int {
+	n := 0
+	for _, r := range o.posted {
+		if r.src == AnySource || r.tag == AnyTag {
+			n++
+		}
+	}
+	return n
+}
+
 func (o *oracle) removeRecv(r *Recv) bool {
 	for i, q := range o.posted {
 		if q == r {
@@ -106,27 +117,34 @@ func (o *oracle) removeRecv(r *Recv) bool {
 // identical answers — by identity, not just by count — at every step. The
 // narrow (source, tag) space keeps every bucket contended; the phase bias
 // makes both queues grow deep and drain empty many times, which is where the
-// hole-skipping and backing-array rewinds live.
+// hole-skipping and backing-array rewinds live. Every third phase posts no
+// wildcard, so the posted wildcards drain (matched or cancelled) and
+// arrivals take the one-probe path; the table's wildcard count must equal
+// the oracle's after every step.
 func TestTableMatchesOracle(t *testing.T) {
 	const nsrc, ntag = 3, 3
+	// Paths the seeds must have exercised between them.
+	var oneProbe, wildRemoved, wildReposted int
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var tab Table
 		var ref oracle
 		var msgs []*Msg   // every message ever made, taken or not
 		var recvs []*Recv // every receive ever made
+		var wildOK bool
 		pattern := func() (int, int) {
 			src, tag := rng.Intn(nsrc), rng.Intn(ntag)
-			if rng.Intn(3) == 0 {
+			if wildOK && rng.Intn(3) == 0 {
 				src = AnySource
 			}
-			if rng.Intn(3) == 0 {
+			if wildOK && rng.Intn(3) == 0 {
 				tag = AnyTag
 			}
 			return src, tag
 		}
 		var fifoCap int
 		for step := 0; step < 4000; step++ {
+			wildOK = (step/400)%3 != 2
 			// Alternate phases that favour arrivals and postings, so the
 			// queues swing between deep and empty.
 			arriveBias := 2 + 5*((step/250)%2)
@@ -135,11 +153,17 @@ func TestTableMatchesOracle(t *testing.T) {
 				m := &Msg{Src: rng.Intn(nsrc), Tag: rng.Intn(ntag)}
 				msgs = append(msgs, m)
 				before := append([]*Recv(nil), ref.posted...)
+				if tab.wild == 0 && tab.Posted() > 0 {
+					oneProbe++
+				}
 				got, want := tab.Arrive(m), ref.arrive(m)
 				if got != want {
 					t.Fatalf("seed %d step %d: Arrive(%d,%d) took receive %p, oracle %p", seed, step, m.Src, m.Tag, got, want)
 				}
 				if got != nil && rng.Intn(4) == 0 {
+					if got.wildcard() {
+						wildReposted++
+					}
 					// The message turned out to be withdrawn: the receive
 					// goes back to the head of its pattern, and must still
 					// be the earliest-posted candidate afterwards.
@@ -173,9 +197,16 @@ func TestTableMatchesOracle(t *testing.T) {
 				}
 			case op == 11 && len(recvs) > 0:
 				r := recvs[rng.Intn(len(recvs))]
-				if got, want := tab.RemoveRecv(r), ref.removeRecv(r); got != want {
+				got, want := tab.RemoveRecv(r), ref.removeRecv(r)
+				if got != want {
 					t.Fatalf("seed %d step %d: RemoveRecv = %v, oracle %v", seed, step, got, want)
 				}
+				if got && r.wildcard() {
+					wildRemoved++
+				}
+			}
+			if tab.wild != ref.wild() {
+				t.Fatalf("seed %d step %d: %d wildcard receives counted, oracle %d posted", seed, step, tab.wild, ref.wild())
 			}
 			if tab.Unexpected() != len(ref.unexpected) || tab.Posted() != len(ref.posted) {
 				t.Fatalf("seed %d step %d: counts %d/%d, oracle %d/%d", seed, step,
@@ -215,5 +246,9 @@ func TestTableMatchesOracle(t *testing.T) {
 		if n != len(ref.posted) {
 			t.Fatalf("seed %d: EachPosted yielded %d, oracle %d", seed, n, len(ref.posted))
 		}
+	}
+	if oneProbe == 0 || wildRemoved == 0 || wildReposted == 0 {
+		t.Errorf("paths not exercised: %d one-probe arrivals, %d wildcard cancellations, %d wildcard reposts",
+			oneProbe, wildRemoved, wildReposted)
 	}
 }

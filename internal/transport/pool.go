@@ -1,30 +1,32 @@
 package transport
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"commintent/internal/model"
 )
 
 // Payload buffer pooling. Steady-state message traffic recycles its wire
-// buffers through size-classed freelists instead of allocating per message:
-// a sender takes a buffer with GetBuf, hands ownership to the transport via
-// Port.Send, and Complete returns it to the pool once it has copied the
-// payload into the posted receive.
+// buffers through size-classed freelists instead of allocating per message.
+// Each port keeps its own (Headers.GetBuf/PutBuf), so no step of a send,
+// its match or its completion takes a lock or touches a word another port
+// writes: a buffer its owner frees goes on an owner-only stack; an eager
+// payload rides home on its header through the header return stack; a
+// rendezvous sender takes its payload back once the match has copied it
+// out (Msg.WaitMatched). A port keeps at most as many buffers of a class as
+// it has drawn from the shared pool, so memory it never asked for — the
+// buffers of a caller that sends from the shared pool directly — goes back
+// there, and its working set stays bounded by what it once had in flight.
 //
-// The freelists are mutex-guarded stacks of slice headers. sync.Pool would
-// box every []byte header into an interface on Put and is emptied by every
-// collection; a buffered channel must be sized for the cap up front, which at
-// the byte cap below is 1.5 MiB of pointer slots on the heap from init. A
-// stack grows its backing array only when a class reaches a new high-water
-// mark, so steady-state Get and Put allocate nothing. The trade-off —
-// buffers surviving GC — is bounded per class by retained bytes (see
-// maxClassRetain).
+// The shared pool (GetBuf/PutBuf) is the ports' fallback and the pool of
+// callers without a port. Each class is a buffered channel, made at its
+// first use, that holds at most sharedRetain bytes (and between 2 and
+// maxShared buffers). A channel moves a slice header by value, so Get and
+// Put allocate nothing, and it needs no lock of ours.
 //
 // Ownership caveat for the one-sided plane: memory exposed through an MPI
 // window (WinCreate) or registered as symmetric-heap backing must NOT be
-// returned with PutBuf while that exposure lives. Window creation resolves
+// returned to a pool while that exposure lives. Window creation resolves
 // raw views that alias the backing array for the window's lifetime; a
 // recycled buffer would be scribbled on by unrelated pooled traffic. Pooled
 // buffers are for transient wire payloads, exposed buffers are caller-owned
@@ -35,25 +37,21 @@ const (
 	maxClassBits = 20 // 1 MiB
 	numClasses   = maxClassBits - minClassBits + 1
 
-	// Retention is capped by bytes alone, so the process-global pool cannot
-	// pin unbounded memory across simulations: each class holds at most
-	// maxClassRetain bytes (32 768 buffers of 64 B, two of 1 MiB), ~30 MiB
-	// over all classes. A count cap would make a class's hit rate depend on
-	// how many sends happen to be in flight at once: a 256-rank halo op has
-	// 512 256-B sends outstanding.
-	maxClassRetain = 2 << 20
+	// The shared pool retains at most sharedRetain bytes per class, and
+	// never fewer than two or more than maxShared buffers.
+	sharedRetain = 2 << 20
+	maxShared    = 4096
+
+	// flushHits is how many hits a port counts before it publishes them
+	// to PoolStats.
+	flushHits = 64
 )
 
-// bufClass is one size class's freelist, padded to a cache line.
-type bufClass struct {
-	mu   sync.Mutex
-	free [][]byte
-	_    [32]byte
-}
+// shared holds each class's channel once made.
+var shared [numClasses]atomic.Pointer[chan []byte]
 
-var bufClasses [numClasses]bufClass
-
-// Pool traffic counters, surfaced through PoolStats for telemetry.
+// Pool traffic counters, surfaced through PoolStats for telemetry. Ports
+// publish their hits in batches of flushHits.
 var (
 	poolHits   atomic.Int64
 	poolMisses atomic.Int64
@@ -72,76 +70,100 @@ func classFor(n int) int {
 	return c
 }
 
-// GetBuf returns a length-n byte buffer, reusing a pooled one when
-// available. The buffer's capacity is the size class, so PutBuf can route
-// it home. Oversized requests fall back to plain allocation.
+// classOf returns the class b's capacity is exactly the size of, or -1.
+func classOf(b []byte) int {
+	c := classFor(cap(b))
+	if c < 0 || cap(b) != 1<<(minClassBits+c) {
+		return -1
+	}
+	return c
+}
+
+// sharedClass returns class c's channel, making it on first use.
+func sharedClass(c int) chan []byte {
+	if p := shared[c].Load(); p != nil {
+		return *p
+	}
+	ch := make(chan []byte, min(max(sharedRetain>>(minClassBits+c), 2), maxShared))
+	shared[c].CompareAndSwap(nil, &ch)
+	return *shared[c].Load()
+}
+
+// GetBuf returns a length-n byte buffer from the shared pool, allocating
+// when the class is empty. The buffer's capacity is the size class, so
+// PutBuf can route it home. Oversized requests fall back to plain
+// allocation.
 func GetBuf(n int) []byte {
 	c := classFor(n)
 	if c < 0 {
 		poolMisses.Add(1)
 		return make([]byte, n)
 	}
-	cl := &bufClasses[c]
-	cl.mu.Lock()
-	if k := len(cl.free) - 1; k >= 0 {
-		b := cl.free[k]
-		cl.free[k] = nil
-		cl.free = cl.free[:k]
-		cl.mu.Unlock()
+	select {
+	case b := <-sharedClass(c):
 		poolHits.Add(1)
 		return b[:n]
+	default:
 	}
-	cl.mu.Unlock()
 	poolMisses.Add(1)
 	return make([]byte, n, 1<<(minClassBits+c))
 }
 
-// PutBuf returns a buffer to its freelist. b must have come from GetBuf —
-// directly, or via Port.Send's ownership transfer — and the caller must
+// PutBuf returns a buffer to the shared pool. b must have come from a pool
+// — directly, or via Port.Send's ownership transfer — and the caller must
 // not retain a reference afterwards. PutBuf routes by capacity alone, so a
 // foreign buffer whose capacity happens to be an exact class size would be
 // adopted into the pool while its original owner still holds it, and a
 // later GetBuf would hand out an aliased buffer: silent cross-message
 // corruption. Buffers whose capacity is not an exact class size (oversized
-// GetBuf allocations fall out here) or whose class freelist is full are
-// dropped for the GC.
+// GetBuf allocations fall out here) or whose class is full are dropped for
+// the GC.
 func PutBuf(b []byte) {
-	c := classFor(cap(b))
-	if c < 0 || cap(b) != 1<<(minClassBits+c) {
+	c := classOf(b)
+	if c < 0 {
 		return
 	}
-	cl := &bufClasses[c]
-	cl.mu.Lock()
-	if len(cl.free) < maxClassRetain>>(minClassBits+c) {
-		cl.free = append(cl.free, b[:cap(b)])
+	select {
+	case sharedClass(c) <- b[:cap(b)]:
+	default:
 	}
-	cl.mu.Unlock()
 }
 
 // PoolStats reports the process-lifetime payload-pool hit and miss counts.
+// A port's hits appear in batches of flushHits, and all of them when
+// Headers.FlushPoolStats runs (spmd does at the end of every World.Run).
 func PoolStats() (hits, misses int64) {
 	return poolHits.Load(), poolMisses.Load()
 }
 
-// Headers recycles one port's message headers and receive handles, so the
-// steady-state send and receive paths allocate nothing, and holds the
-// port's Gate (the port calls Gate.Init). Each port embeds one and no path
-// takes a lock. Receive handles are drawn and released by the posting
-// goroutine alone: an owner-only stack. An eager header is
-// drawn by its sender and completed wherever it was matched; the completer
-// pushes it onto the sender's return stack with a CAS, and the sender takes
-// the whole stack with one Swap when its own runs dry — the shm mailbox's
-// pattern, so there is no ABA. sync.Pool is not used: at two Ps its per-P
-// caches missed whenever a header was freed on the other P (DESIGN §9.2).
+// Headers recycles one port's message headers, receive handles and wire
+// buffers, so the steady-state send and receive paths allocate nothing,
+// and holds the port's Gate (the port calls Gate.Init). Each port embeds
+// one and no path takes a lock. Receive handles and freed buffers are drawn
+// and released by the owning goroutine alone: owner-only stacks. An eager
+// header, with its payload, is drawn by its sender and completed wherever
+// it was matched; the completer pushes it onto the sender's return stack
+// with a CAS, and the sender takes the whole stack with one Swap when its
+// own runs dry — the shm mailbox's pattern, so there is no ABA. sync.Pool
+// is not used: at two Ps its per-P caches missed whenever a header was
+// freed on the other P (DESIGN §9.2).
 type Headers struct {
-	recvs []*Recv // owner only
-	msgs  *Msg    // owner only: free eager headers, linked through Next
+	recvs []*Recv               // owner only
+	msgs  *Msg                  // owner only: free eager headers, linked through Next
+	bufs  *[numClasses]bufStack // owner only: made at the first buffer
+	hits  int                   // owner only: hits not yet in PoolStats
 
 	// ret is the one word other goroutines write: padded off the owner's.
-	_   [56]byte
+	_   [64]byte
 	ret atomic.Pointer[Msg] // completed eager headers, pushed by completers
 
 	Gate Gate // where the port's owner parks
+}
+
+// bufStack is one class of a port's free buffers.
+type bufStack struct {
+	free  [][]byte
+	drawn int // buffers this port has taken from the shared pool
 }
 
 // NewMsg returns a message header for one send from the owning port. Only
@@ -150,30 +172,97 @@ type Headers struct {
 func (h *Headers) NewMsg(src, tag int, data []byte, arriveV model.Time, rendezvous bool) *Msg {
 	var m *Msg
 	if rendezvous {
-		m = &Msg{gate: &h.Gate}
+		m = &Msg{rdv: true}
 	} else {
 		if h.msgs == nil {
-			h.msgs = h.ret.Swap(nil)
+			h.harvest()
 		}
 		if m = h.msgs; m == nil {
 			m = new(Msg)
 		}
-		h.msgs, m.Next, m.home = m.Next, nil, h
+		h.msgs, m.Next = m.Next, nil
 	}
+	m.home = h
 	m.Src, m.Tag, m.Data, m.ArriveV = src, tag, data, arriveV
 	return m
 }
 
-// putMsg returns a completed eager header to its sender's port.
+// harvest takes back every eager header completers have returned, and the
+// payload each carries.
+func (h *Headers) harvest() {
+	for m := h.ret.Swap(nil); m != nil; {
+		next := m.Next
+		if m.Data != nil {
+			h.PutBuf(m.Data)
+			m.Data = nil
+		}
+		m.Next, h.msgs = h.msgs, m
+		m = next
+	}
+}
+
+// putMsg returns a completed eager header to its sender's port, carrying
+// its payload home.
 func putMsg(m *Msg) {
-	h := m.home
-	*m = Msg{}
+	h, data := m.home, m.Data
+	*m = Msg{Data: data}
 	for {
 		m.Next = h.ret.Load()
 		if h.ret.CompareAndSwap(m.Next, m) {
 			return
 		}
 	}
+}
+
+// GetBuf is the shared GetBuf served from the port's own buffers first.
+// Owner goroutine only.
+func (h *Headers) GetBuf(n int) []byte {
+	c := classFor(n)
+	if c < 0 {
+		return GetBuf(n)
+	}
+	if h.bufs == nil {
+		h.bufs = new([numClasses]bufStack)
+	}
+	s := &h.bufs[c]
+	if len(s.free) == 0 {
+		h.harvest()
+	}
+	if k := len(s.free) - 1; k >= 0 {
+		b := s.free[k]
+		s.free[k] = nil
+		s.free = s.free[:k]
+		if h.hits++; h.hits == flushHits {
+			h.FlushPoolStats()
+		}
+		return b[:n]
+	}
+	s.drawn++
+	return GetBuf(n)
+}
+
+// PutBuf returns a buffer to the port: onto its class's stack while the
+// port holds fewer than it has drawn, else to the shared pool. The
+// ownership contract is PutBuf's. Owner goroutine only.
+func (h *Headers) PutBuf(b []byte) {
+	c := classOf(b)
+	if c < 0 {
+		return
+	}
+	if h.bufs != nil {
+		if s := &h.bufs[c]; len(s.free) < s.drawn {
+			s.free = append(s.free, b[:cap(b)])
+			return
+		}
+	}
+	PutBuf(b)
+}
+
+// FlushPoolStats publishes the port's uncounted hits to PoolStats. Owner
+// goroutine only, or once the owner has stopped.
+func (h *Headers) FlushPoolStats() {
+	poolHits.Add(int64(h.hits))
+	h.hits = 0
 }
 
 // NewRecv draws a receive handle for the pattern (src|AnySource,

@@ -35,26 +35,33 @@ func TestBufPoolClasses(t *testing.T) {
 	}
 }
 
-// TestPoolHoldsInFlightWorkingSet: a class keeps a whole op's in-flight
+// TestPoolHoldsInFlightWorkingSet: a port keeps a whole op's in-flight
 // buffers. A 256-rank halo op has 512 256-B sends outstanding at once; once
-// they have been returned, as many GetBuf calls must all hit, so the hit
-// rate does not depend on how many sends the scheduler let pile up.
+// they have come home on their headers, the port's next 512 draws must all
+// hit, so the hit rate does not depend on how many sends the scheduler let
+// pile up.
 func TestPoolHoldsInFlightWorkingSet(t *testing.T) {
 	const inFlight, size = 512, 256
-	bufs := make([][]byte, inFlight)
-	for i := range bufs {
-		bufs[i] = make([]byte, size)
+	var src, dst Headers
+	buf := make([]byte, size)
+	op := func() {
+		msgs := make([]*Msg, inFlight)
+		for i := range msgs {
+			msgs[i] = src.NewMsg(0, 7, src.GetBuf(size), 0, false)
+		}
+		for _, m := range msgs {
+			r := dst.NewRecv(nil, 0, 7, buf, 0)
+			Complete(r, m)
+			r.Release()
+		}
+		src.FlushPoolStats()
 	}
-	for _, b := range bufs {
-		PutBuf(b)
-	}
+	op() // the first op draws its buffers from the shared pool
 	hits0, misses0 := PoolStats()
-	for range bufs {
-		GetBuf(size)
-	}
+	op()
 	hits1, misses1 := PoolStats()
 	if misses := misses1 - misses0; misses != 0 || hits1-hits0 != inFlight {
-		t.Errorf("%d GetBuf(%d) after %d PutBuf: %d hits, %d misses; want every one to hit",
+		t.Errorf("%d GetBuf(%d) after %d sends came home: %d hits, %d misses; want every one to hit",
 			inFlight, size, inFlight, hits1-hits0, misses)
 	}
 }

@@ -118,9 +118,10 @@ type Port interface {
 	Rank() int
 
 	// Send posts a message whose payload buffer's ownership transfers to
-	// the transport (callers obtain it from GetBuf); it is returned to the
-	// pool once the matching receive has copied it out. arriveV is the
-	// timestamp at which the payload is observable at the destination.
+	// the transport (callers obtain it from Headers().GetBuf or GetBuf); it
+	// goes back to this port once the matching receive has copied it out.
+	// arriveV is the timestamp at which the payload is observable at the
+	// destination.
 	Send(dst, tag int, data []byte, arriveV model.Time, rendezvous bool) SendResult
 
 	// PostRecv posts a receive for (src|AnySource, tag|AnyTag); the payload
@@ -140,6 +141,10 @@ type Port interface {
 	// unexpected queue, reporting whether the withdrawal won; on false a
 	// receive claimed it and the sender completes the handshake normally.
 	CancelMsg(dst int, m *Msg) bool
+
+	// Headers returns the port's recycled store: its message headers,
+	// receive handles and wire buffers, and its gate.
+	Headers() *Headers
 
 	// Queue introspection for telemetry and leak checks. A withdrawn
 	// message is not pending once the destination's owner has made
