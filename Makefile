@@ -45,8 +45,10 @@ test:
 # telemetry gates re-run without -race (the disabled-telemetry overhead
 # bound is a timing assertion the race detector would skew; the metric-name
 # collision check rides along, and so do the zero-allocation guards of a
-# replayed setEvec region and a replayed two-sided halo region: allocation
-# counts under -race are not the product's). The final line is the golden-compatibility
+# replayed setEvec region, a replayed two-sided halo region, the halo text
+# run as a block and as a compiled plan, a region of prebuilt clause lists
+# and the collectives: allocation counts under -race are not the product's,
+# and those tests skip themselves there). The final line is the golden-compatibility
 # gate: with COMMINTENT_MANAGED_RUNTIME and COMMINTENT_TRANSPORT explicitly
 # cleared, every virtual-time golden (chaos hashes, pinned schedules, the
 # figure pins) must still be bit-identical — the adaptive layer off is
@@ -102,7 +104,7 @@ verify: vet-intent
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestRecycledHeadersAllocFree|TestWireBuffersAllocFree|TestGateParkAllocFree' ./internal/transport/
 	$(GO) test -race ./benchmark/
 	$(GO) test -tags purego ./internal/typemap/ ./internal/mpi/ ./internal/shmem/ ./internal/pragma/
-	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs|TestHalo2sReplayAllocs' ./internal/telemetry/ ./internal/wllsms/ ./internal/core/
+	$(GO) test -run 'TestDisabledTelemetryOverhead|TestMetricNamesCollisionFree|TestSetEvecReplayAllocs|TestHalo2sReplayAllocs|TestHaloTextSteadyStateAllocs|TestRegionSteadyStateAllocs|TestCollectiveSteadyStateAllocs' ./internal/telemetry/ ./internal/wllsms/ ./internal/core/ ./internal/pragma/ ./internal/mpi/
 	COMMINTENT_MANAGED_RUNTIME= COMMINTENT_TRANSPORT= $(GO) test -run 'TestChaosHaloSweep|TestVirtualTimePinned|TestFiguresPinned' . ./internal/mpi/ ./internal/bench/
 
 # vet-intent is the static intent-verification gate: commvet analyses every

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -74,6 +75,7 @@ type clauseSpec struct {
 	peersFn    bool  // SenderFn/ReceiverFn over the step's shift variable
 	when       int   // 0: no when clauses; 1, 2: senders are ranks of parity when-1
 	whenFn     bool  // SendWhenFn/ReceiveWhenFn over the step's phase variable
+	onePair    bool  // rank 0 sends, its receiver receives, every other rank has no role
 	count      int   // 0: no count clause (inferred, or inherited)
 	countFn    bool  // CountFn over the step's count variable
 
@@ -115,6 +117,8 @@ func (c *clauseSpec) options(rank, n int, bufs []any, v *stepVars) []core.Option
 			core.ReceiveWhenFn(func() bool { return rank%2 != v.phase }))
 	case c.when != 0:
 		opts = append(opts, core.SendWhen(rank%2 == c.when-1), core.ReceiveWhen(rank%2 != c.when-1))
+	case c.onePair:
+		opts = append(opts, core.SendWhen(rank == 0), core.ReceiveWhen(rank == c.shift%n))
 	}
 	switch {
 	case c.countFn:
@@ -135,7 +139,12 @@ type replayStep struct {
 	p2p        []int // indices into the family's directives; executed in order
 	standalone bool  // execute p2p[0] with no enclosing region instead
 	twice      bool  // execute the region twice: the second absorbs what the first deferred
-	coalesce   bool  // flip the managed runtime's coalescing before the step
+	coalesce   bool  // flip the managed runtime's coalescing before the step, until flipped again
+	fallback   bool  // the region cannot run as a plan at this step
+
+	// then is a region executed next in the same step, before anything
+	// deferred is flushed: it receives what this one carries.
+	then *replayStep
 }
 
 type replayProgram struct {
@@ -144,6 +153,10 @@ type replayProgram struct {
 	p2ps    [][]clauseSpec // per family; the last of each asserts every clause
 	steps   []replayStep
 }
+
+// minRuns is how often the programs execute each region with each of its
+// bodies at least: the second execution records a plan, the third runs it.
+const minRuns = 3
 
 func newReplayProgram(seed int64, haveShm bool, steps int) *replayProgram {
 	rng := rand.New(rand.NewSource(seed))
@@ -178,6 +191,13 @@ func newReplayProgram(seed int64, haveShm bool, steps int) *replayProgram {
 			if (c.target == core.TargetDefault || c.target == core.TargetMPI2Side) && rng.Intn(2) == 0 {
 				c.placeSync = core.EndAdjParamRegions
 			}
+			if i == 0 {
+				// Constant clauses and its synchronisation at its end: the
+				// first region can run as a plan, with a target the seed
+				// picks so that the seeds between them cover every target.
+				c.peersFn, c.whenFn, c.countFn = false, false, false
+				c.target, c.placeSync = f.targets[int(seed)%len(f.targets)], core.EndParamRegion
+			}
 			regions = append(regions, c)
 		}
 		for i := 0; i < 5; i++ {
@@ -195,37 +215,77 @@ func newReplayProgram(seed int64, haveShm bool, steps int) *replayProgram {
 			if last || rng.Intn(2) == 0 {
 				c.count, c.countFn = 1+rng.Intn(4), rng.Intn(3) == 0
 			}
+			if i == 0 {
+				c.peersFn, c.whenFn, c.countFn = false, false, false
+			}
 			p2ps = append(p2ps, c)
 		}
 		p.regions, p.p2ps = append(p.regions, regions), append(p.p2ps, p2ps)
 	}
-	for i := 0; i < steps; i++ {
+	// Every region has two bodies, each a list of its family's directives
+	// executed in order, so that a region recurs with the same body and can
+	// run as a plan.
+	bodies := make([][][2][]int, len(p.fams))
+	for f := range p.fams {
+		bodies[f] = make([][2][]int, len(p.regions[f]))
+		for r := range bodies[f] {
+			for b := range bodies[f][r] {
+				k := 1 + rng.Intn(3)
+				if t := p.regions[f][r].target; t != core.TargetDefault && t != core.TargetMPI2Side {
+					// A directive that depends on an earlier one of its
+					// region forces a synchronisation before it, but only on
+					// the ranks whose roles touch the shared buffer.
+					// Two-sided, that is a Waitall over the rank's own
+					// requests; on the one-sided targets it is a fence or a
+					// flag exchange the other ranks never take part in. One
+					// directive per region has no such dependence.
+					k = 1
+				}
+				if r == 0 && b == 0 {
+					bodies[f][r][b] = []int{0} // the first region's plan
+					continue
+				}
+				for ; k > 0; k-- {
+					bodies[f][r][b] = append(bodies[f][r][b], rng.Intn(5))
+				}
+			}
+		}
+	}
+	runs := make(map[[3]int]int)
+	step := func(fam, region, body int) replayStep {
 		s := replayStep{
 			vars:     stepVars{shift: oddShift(), phase: rng.Intn(2), count: 1 + rng.Intn(4)},
-			fam:      rng.Intn(len(p.fams)),
-			region:   rng.Intn(3),
+			fam:      fam,
+			region:   region,
+			p2p:      bodies[fam][region][body],
 			coalesce: rng.Intn(12) == 0,
 		}
+		s.twice = p.regions[fam][region].placeSync == core.EndAdjParamRegions && rng.Intn(2) == 0
+		runs[[3]int{fam, region, body}]++
+		return s
+	}
+	for i := 0; i < steps; i++ {
+		fam := rng.Intn(len(p.fams))
 		if rng.Intn(6) == 0 {
-			s.standalone, s.p2p = true, []int{4}
-		} else {
-			k := 1 + rng.Intn(3)
-			if t := p.regions[s.fam][s.region].target; t != core.TargetDefault && t != core.TargetMPI2Side {
-				// A directive that depends on an earlier one of its region
-				// forces a synchronisation before it, but only on the ranks
-				// whose roles touch the shared buffer. Two-sided, that is a
-				// Waitall over the rank's own requests; on the one-sided
-				// targets it is a fence or a flag exchange the other ranks
-				// never take part in. One directive per region has no such
-				// dependence.
-				k = 1
+			s := replayStep{
+				vars:       stepVars{shift: oddShift(), phase: rng.Intn(2), count: 1 + rng.Intn(4)},
+				fam:        fam,
+				standalone: true, p2p: []int{4},
+				coalesce: rng.Intn(12) == 0,
 			}
-			for ; k > 0; k-- {
-				s.p2p = append(s.p2p, rng.Intn(5))
-			}
-			s.twice = p.regions[s.fam][s.region].placeSync == core.EndAdjParamRegions && rng.Intn(2) == 0
+			p.steps = append(p.steps, s)
+			continue
 		}
-		p.steps = append(p.steps, s)
+		p.steps = append(p.steps, step(fam, rng.Intn(3), rng.Intn(2)))
+	}
+	for f := range bodies {
+		for r := range bodies[f] {
+			for b := range bodies[f][r] {
+				for runs[[3]int{f, r, b}] < minRuns {
+					p.steps = append(p.steps, step(f, r, b))
+				}
+			}
+		}
 	}
 	return p
 }
@@ -246,18 +306,29 @@ type replayResult struct {
 	Decisions []core.Decision
 	Counters  map[string]int64
 	Events    []simnet.Event // in the rank's program order
+
+	// Plans counts the regions that ran as their recorded plan, by the
+	// target their clause list asserts (the default counted as two-sided).
+	Plans map[core.Target]int64
 }
+
+// planReplays counts a bound region executed as its plan: a bound run and a
+// fresh one differ in it by design, so the comparison skips it.
+const planReplays = "core_region_plan_replays_total"
 
 var replayCounters = []string{
 	"core_handle_cache_hits_total", "core_handle_cache_misses_total", "core_counts_inferred_total",
 	"core_syncs_consolidated_total", "core_directives_total", "core_regions_total",
-	"core_datatype_cache_hits_total", "core_p2p_retries_total",
+	"core_datatype_cache_hits_total", "core_p2p_retries_total", planReplays,
 }
 
 // runReplayProgram executes p on a fresh n-rank world. Bound: every clause
-// list is frozen once per rank and executed through ParametersBound and
-// P2PBound. Fresh: every execution builds its clause lists anew and goes
-// through Parameters and P2P, the path that keeps nothing.
+// list is frozen once per rank, a region and the list of directives it
+// executes are bound together and executed through RunRegion, and a
+// standalone directive through P2PBound. Fresh: every execution builds its
+// clause lists anew and goes through Parameters and P2P, the path that
+// keeps nothing. The world's telemetry has no tracer, under which a bound
+// region would never run as a plan.
 func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.FaultConfig, bound bool) []replayResult {
 	t.Helper()
 	w, err := spmd.NewWorld(n, model.GeminiLike())
@@ -269,7 +340,7 @@ func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.Faul
 		cfg.TagSpan, cfg.UserSpan = mpi.P2PFaultScope()
 		w.Fabric().SetFaults(cfg)
 	}
-	tele := telemetry.New(n, 0)
+	tele := telemetry.NewMetrics()
 	w.SetTelemetry(tele)
 	rec := w.Fabric().EnableRecorder(0)
 	out := make([]replayResult, n)
@@ -318,6 +389,26 @@ func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.Faul
 			}
 			return forms[i]
 		}
+		// A region bound with a body shares its forms with every other body
+		// they occur in, so that a form still runs under regions other than
+		// the one it was lowered in.
+		boundRegions := make(map[string]*core.BoundRegion)
+		boundRegion := func(s *replayStep) *core.BoundRegion {
+			key := fmt.Sprint(s.fam, s.region, s.p2p)
+			br := boundRegions[key]
+			if br == nil {
+				d := make([]*core.Bound, len(s.p2p))
+				for i, j := range s.p2p {
+					d[i] = form(p2pForms[s.fam], p.p2ps[s.fam], j)
+				}
+				br = core.BindRegion(form(regionForms[s.fam], p.regions[s.fam], s.region), d...)
+				boundRegions[key] = br
+			}
+			return br
+		}
+		reg := tele.Registry()
+		plans := make(map[core.Target]int64)
+		replays := func() int64 { return reg.CounterValue(planReplays, telemetry.Rank(rk.ID)) }
 
 		landed := fnv.New64a()
 		var word [8]byte
@@ -350,16 +441,16 @@ func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.Faul
 			}
 			comm.Barrier()
 			if s.coalesce && rk.ID == 0 {
-				restore()
 				cfg := rt.Active()
 				cfg.Coalesce = !cfg.Coalesce
+				restore()
 				restore = rt.Override(cfg)
 			}
 			comm.Barrier()
 			*vars = s.vars
 
-			regions, p2ps := p.regions[s.fam], p.p2ps[s.fam]
-			exec := func() error {
+			exec := func(s *replayStep) error {
+				regions, p2ps := p.regions[s.fam], p.p2ps[s.fam]
 				switch {
 				case s.standalone && bound:
 					return e.P2PBound(form(p2pForms[s.fam], p2ps, s.p2p[0]), nil)
@@ -368,14 +459,20 @@ func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.Faul
 					// paper's default either way.
 					return e.P2P(p2ps[s.p2p[0]].options(rk.ID, n, bufs, vars)...)
 				case bound:
-					return e.ParametersBound(form(regionForms[s.fam], regions, s.region), func(r *core.Region) error {
-						for _, j := range s.p2p {
-							if err := r.P2PBound(form(p2pForms[s.fam], p2ps, j), nil); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
+					before := replays()
+					if _, err := e.RunRegion(boundRegion(s)); err != nil {
+						return err
+					}
+					ran := replays() - before
+					if ran > 0 && (s.fallback || faults != nil || rt.Active().Enabled() || regions[s.region].placeSync != core.EndParamRegion) {
+						return fmt.Errorf("region ran as a plan where it cannot")
+					}
+					target := regions[s.region].target
+					if target == core.TargetDefault {
+						target = core.TargetMPI2Side
+					}
+					plans[target] += ran
+					return nil
 				default:
 					return e.Parameters(func(r *core.Region) error {
 						for _, j := range s.p2p {
@@ -387,9 +484,12 @@ func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.Faul
 					}, regions[s.region].options(rk.ID, n, bufs, vars)...)
 				}
 			}
-			err := exec()
+			err := exec(&s)
 			if err == nil && s.twice {
-				err = exec()
+				err = exec(&s)
+			}
+			if err == nil && s.then != nil {
+				err = exec(s.then)
 			}
 			if err != nil {
 				return fmt.Errorf("step %d (%+v): %w", si, s, err)
@@ -416,8 +516,7 @@ func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.Faul
 				hashCell(*c)
 			}
 		}
-		res := replayResult{Landed: landed.Sum64(), V: rk.Now(), Decisions: e.Decisions(), Counters: map[string]int64{}}
-		reg := tele.Registry()
+		res := replayResult{Landed: landed.Sum64(), V: rk.Now(), Decisions: e.Decisions(), Counters: map[string]int64{}, Plans: plans}
 		for _, name := range replayCounters {
 			res.Counters[name] = reg.CounterValue(name, telemetry.Rank(rk.ID))
 		}
@@ -442,10 +541,10 @@ func runReplayProgram(t *testing.T, p *replayProgram, n int, faults *simnet.Faul
 // virtual time on every rank, the same fabric events, lowering decisions and
 // telemetry counts — over all targets and buffer kinds, constant and *Fn
 // clauses, clauses inherited from the region, directives replayed under a
-// region other than the one they were lowered in, the managed runtime's
-// coalescing switched on and off between two replays of one form, and a
-// fabric that drops messages. make verify runs it under -race at
-// GOMAXPROCS=4.
+// region other than the one they were lowered in, regions run as their
+// recorded plans, the managed runtime's coalescing switched on and off
+// between two replays of one form, and a fabric that drops messages. make
+// verify runs it under -race at GOMAXPROCS=4.
 func TestBoundReplayMatchesFreshLowering(t *testing.T) {
 	const n, steps = 4, 150
 	for _, tc := range []struct {
@@ -456,6 +555,7 @@ func TestBoundReplayMatchesFreshLowering(t *testing.T) {
 		{"faults", &simnet.FaultConfig{Seed: 7, Drop: 0.05}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			plans := make(map[core.Target]int64)
 			for seed := int64(1); seed <= 4; seed++ {
 				p := newReplayProgram(seed, tc.faults == nil, steps)
 				bound := runReplayProgram(t, p, n, tc.faults, true)
@@ -469,24 +569,126 @@ func TestBoundReplayMatchesFreshLowering(t *testing.T) {
 						t.Errorf("seed %d: no transfer was re-sent: the faults case no longer exercises the retry path", seed)
 					}
 				}
-				for rank := range bound {
-					b, f := bound[rank], fresh[rank]
-					if b.Landed != f.Landed || b.V != f.V {
-						t.Errorf("seed %d rank %d: bound landed %x at %v, fresh %x at %v", seed, rank, b.Landed, b.V, f.Landed, f.V)
-					}
-					if !reflect.DeepEqual(b.Decisions, f.Decisions) {
-						t.Errorf("seed %d rank %d: decisions differ\nbound: %v\nfresh: %v", seed, rank, b.Decisions, f.Decisions)
-					}
-					if !reflect.DeepEqual(b.Counters, f.Counters) {
-						t.Errorf("seed %d rank %d: counters differ\nbound: %v\nfresh: %v", seed, rank, b.Counters, f.Counters)
-					}
-					if !reflect.DeepEqual(b.Events, f.Events) {
-						t.Errorf("seed %d rank %d: fabric events differ (%d bound, %d fresh)", seed, rank, len(b.Events), len(f.Events))
-					}
-					if len(b.Events) == 0 || b.Counters["core_directives_total"] == 0 {
-						t.Errorf("seed %d rank %d: nothing executed", seed, rank)
+				compareReplay(t, fmt.Sprintf("seed %d", seed), bound, fresh)
+				for _, b := range bound {
+					for target, k := range b.Plans {
+						plans[target] += k
 					}
 				}
+			}
+			if tc.faults == nil {
+				for _, target := range []core.Target{core.TargetMPI2Side, core.TargetMPI1Side, core.TargetSHMEM, core.TargetAuto} {
+					if plans[target] == 0 {
+						t.Errorf("no %v region ran as its plan", target)
+					}
+				}
+			}
+			t.Logf("regions run as plans: %v", plans)
+		})
+	}
+}
+
+// compareReplay requires a bound and a fresh run of one program to agree on
+// every rank, in all but the count of plan replays.
+func compareReplay(t *testing.T, label string, bound, fresh []replayResult) {
+	t.Helper()
+	for rank := range bound {
+		b, f := bound[rank], fresh[rank]
+		if b.Landed != f.Landed || b.V != f.V {
+			t.Errorf("%s rank %d: bound landed %x at %v, fresh %x at %v", label, rank, b.Landed, b.V, f.Landed, f.V)
+		}
+		if !reflect.DeepEqual(b.Decisions, f.Decisions) {
+			t.Errorf("%s rank %d: decisions differ\nbound: %v\nfresh: %v", label, rank, b.Decisions, f.Decisions)
+		}
+		bc, fc := maps.Clone(b.Counters), maps.Clone(f.Counters)
+		delete(bc, planReplays)
+		delete(fc, planReplays)
+		if !reflect.DeepEqual(bc, fc) {
+			t.Errorf("%s rank %d: counters differ\nbound: %v\nfresh: %v", label, rank, bc, fc)
+		}
+		if !reflect.DeepEqual(b.Events, f.Events) {
+			t.Errorf("%s rank %d: fabric events differ (%d bound, %d fresh)", label, rank, len(b.Events), len(f.Events))
+		}
+		if len(b.Events) == 0 || b.Counters["core_directives_total"] == 0 {
+			t.Errorf("%s rank %d: nothing executed", label, rank)
+		}
+	}
+}
+
+// TestRegionPlanCases: a bound region runs its recorded plan where the plan
+// describes the execution and the per-directive path everywhere else, and
+// both agree with the fresh lowering throughout. The fallbacks: a
+// synchronisation carried in by BEGIN_NEXT_PARAM_REGION, the managed
+// runtime's coalescing switched on between executions, a *Fn clause, and a
+// comm_p2p that depends on an earlier one of its region; the harness fails
+// a step marked fallback that ran as a plan. And a plan whose last comm_p2p
+// has no role on most ranks but moves struct buffers, whose cache-hit
+// charges no call of the plan follows there.
+func TestRegionPlanCases(t *testing.T) {
+	const n = 4
+	toRight := clauseSpec{sbuf: []int{prims}, rbuf: []int{prims + 1}, shift: 1, count: 4}
+	other := clauseSpec{sbuf: []int{prims + 2}, rbuf: []int{prims + 3}, shift: 1, count: 4}
+	counted := toRight
+	counted.countFn = true
+	dependent := clauseSpec{sbuf: []int{prims + 1}, rbuf: []int{prims + 2}, shift: 1, count: 4}
+	region := clauseSpec{params: true, shift: 1, target: core.TargetMPI2Side}
+	carrier := region
+	carrier.placeSync = core.BeginNextParamRegion
+	const (
+		pToRight, pOther, pCounted, pDependent = 0, 1, 2, 3
+		rRegion, rCarrier                      = 0, 1
+	)
+	step := func(body []int, fallback bool) replayStep {
+		return replayStep{vars: stepVars{shift: 1, count: 2}, region: rRegion, p2p: body, fallback: fallback}
+	}
+	plain := step([]int{pToRight, pOther}, false)
+	carried := step([]int{pOther}, true)
+	carried.region, carried.then = rCarrier, &replayStep{vars: plain.vars, region: rRegion, p2p: plain.p2p, fallback: true}
+	coalesceOn, coalescing, coalesceOff := step(plain.p2p, true), step(plain.p2p, true), plain
+	coalesceOn.coalesce, coalesceOff.coalesce = true, true
+	structs := replayProgram{
+		fams:    families(true)[1:2],
+		regions: [][]clauseSpec{{{params: true, shift: 1, target: core.TargetMPI2Side}}},
+		p2ps: [][]clauseSpec{{
+			{sbuf: []int{ptrs}, rbuf: []int{ptrs + 1}, shift: 1},
+			{sbuf: []int{ptrs + 2}, rbuf: []int{ptrs + 3}, shift: 1, onePair: true},
+		}},
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []replayStep
+		plans bool
+		p     *replayProgram
+	}{
+		{"carried BEGIN_NEXT_PARAM_REGION sync", []replayStep{plain, plain, plain, carried, carried, plain, plain}, true, nil},
+		{"coalescing switched on", []replayStep{plain, plain, plain, coalesceOn, coalescing, coalesceOff, plain}, true, nil},
+		{"*Fn clause", []replayStep{
+			step([]int{pCounted, pOther}, true), step([]int{pCounted, pOther}, true),
+			step([]int{pCounted, pOther}, true), step([]int{pCounted, pOther}, true)}, false, nil},
+		{"dependent comm_p2p", []replayStep{
+			step([]int{pToRight, pDependent}, true), step([]int{pToRight, pDependent}, true),
+			step([]int{pToRight, pDependent}, true), step([]int{pToRight, pDependent}, true)}, false, nil},
+		{"struct comm_p2p with no role last", []replayStep{
+			step([]int{0, 1}, false), step([]int{0, 1}, false), step([]int{0, 1}, false), step([]int{0, 1}, false)}, true, &structs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			if p == nil {
+				p = &replayProgram{
+					fams:    families(true)[:1],
+					regions: [][]clauseSpec{{region, carrier}},
+					p2ps:    [][]clauseSpec{{toRight, other, counted, dependent}},
+				}
+			}
+			p.steps = tc.steps
+			bound := runReplayProgram(t, p, n, nil, true)
+			compareReplay(t, tc.name, bound, runReplayProgram(t, p, n, nil, false))
+			var plans int64
+			for _, b := range bound {
+				plans += b.Plans[core.TargetMPI2Side]
+			}
+			if (plans > 0) != tc.plans {
+				t.Errorf("%d regions ran as their plan; want some: %v", plans, tc.plans)
 			}
 		})
 	}

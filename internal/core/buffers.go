@@ -264,8 +264,7 @@ func (e *Env) classifySlow(v any) (*bufInfo, error) {
 func (e *Env) datatype(b *bufInfo) (*mpi.Datatype, error) {
 	if b.dt != nil {
 		if b.class == bufStruct {
-			e.comm.SPMD().Clock().Advance(e.comm.SPMD().Profile().MPITypeCacheHit)
-			e.tele.dtypeHits.Inc()
+			e.cacheHits(1)
 		}
 		return b.dt, nil
 	}

@@ -108,7 +108,7 @@ func sortedRanks[T any](m map[int]T) []int {
 
 // coalesceP2P diverts one two-sided directive's transfers into the
 // coalescer if every part qualifies, returning handled=false (and posting
-// nothing) when the directive must take the normal emitMPI2Side path. A
+// nothing) when the directive must make its own two-sided calls. A
 // directive coalesces whole or not at all, and eligibility depends only on
 // per-part wire sizes and the shared profile — both identical on the two
 // endpoint ranks — so the sender and receiver of a transfer always agree.

@@ -92,6 +92,8 @@ type envTele struct {
 	retries *telemetry.Counter // comm_p2p transfers re-sent after a fault
 	giveups *telemetry.Counter // comm_p2p regions abandoned (dead peer / budget)
 
+	planReplays *telemetry.Counter // bound regions executed as their recorded plan
+
 	// Managed-runtime coalescing metrics (zero unless coalescing is on).
 	coBatches      *telemetry.Counter   // batch wire messages posted
 	coParts        *telemetry.Counter   // member transfers carried in batches
@@ -220,6 +222,7 @@ func NewEnv(comm *mpi.Comm, shm *shmem.Ctx) (*Env, error) {
 			resolveMisses:  reg.Counter("core_handle_cache_misses_total", r),
 			retries:        reg.Counter("core_p2p_retries_total", r),
 			giveups:        reg.Counter("core_p2p_giveups_total", r),
+			planReplays:    reg.Counter("core_region_plan_replays_total", r),
 			coBatches:      reg.Counter("runtime_coalesce_batches_total", r),
 			coParts:        reg.Counter("runtime_coalesce_parts_total", r),
 			coSaved:        reg.Counter("runtime_coalesce_msgs_saved_total", r),
@@ -283,22 +286,26 @@ func (e *Env) HasDeferred() bool {
 // chargeLayout charges the cost of resolving a struct layout: a full
 // derived-type commit on a miss, a cache lookup on a hit.
 func (e *Env) chargeLayout(hit bool) {
-	p := e.comm.SPMD().Profile()
 	if hit {
-		e.comm.SPMD().Clock().Advance(p.MPITypeCacheHit)
-		e.tele.dtypeHits.Inc()
+		e.cacheHits(1)
 	} else {
 		e.tele.dtypeMisses.Inc()
 	}
 	// The commit cost itself is charged by structType on a datatype miss.
 }
 
+// cacheHits charges n lookups that hit the scope's type cache.
+func (e *Env) cacheHits(n int32) {
+	rk := e.comm.SPMD()
+	rk.Clock().Advance(model.Time(n) * rk.Profile().MPITypeCacheHit)
+	e.tele.dtypeHits.Add(int64(n))
+}
+
 // structType resolves (and caches per scope) the committed MPI struct
 // datatype for t.
 func (e *Env) structType(t reflect.Type, example any) (*mpi.Datatype, error) {
 	if dt, ok := e.dtypes[t]; ok {
-		e.comm.SPMD().Clock().Advance(e.comm.SPMD().Profile().MPITypeCacheHit)
-		e.tele.dtypeHits.Inc()
+		e.cacheHits(1)
 		return dt, nil
 	}
 	e.tele.dtypeMisses.Inc()

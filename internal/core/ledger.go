@@ -26,10 +26,10 @@ type ledger struct {
 	store []*mpi.Request
 	used  int
 
-	// resend carries the intent behind each request — parallel to reqs —
-	// so flush can re-express lost transfers on a fault-injecting fabric.
-	// Only populated when the environment runs with faults enabled.
-	resend []resendOp
+	// resend carries the call behind each request — parallel to reqs — so
+	// flush can re-express lost transfers on a fault-injecting fabric. Only
+	// populated when the environment runs with faults enabled.
+	resend []planOp
 
 	// The completion sets are small slices kept in the order flush visits
 	// them — world PEs ascending, windows by creation sequence (all ranks
@@ -86,6 +86,19 @@ func (l *ledger) noteWin(w *mpi.Win) {
 		i--
 	}
 	l.wins = slices.Insert(l.wins, i, w)
+}
+
+// leave records the completion a call it was handed needs.
+func (l *ledger) leave(op *planOp, faults bool) {
+	switch op.kind {
+	case opIrecv, opIsend:
+		l.reqs = append(l.reqs, op.req)
+		if faults {
+			l.resend = append(l.resend, *op)
+		}
+	case opShmemPut:
+		l.noteShmemDst(int(op.peer))
+	}
 }
 
 // noteShmemDst records a world PE this rank put data to.
@@ -234,6 +247,17 @@ func (e *Env) flush(l *ledger, region int) error {
 	if l == nil {
 		return nil
 	}
+	if err := e.complete(l, region); err != nil {
+		return err
+	}
+	l.reset()
+	return nil
+}
+
+// complete is the consolidated completion of a ledger's sets, in flush's
+// order; it leaves the ledger as it found it. A recorded region plan keeps
+// its sets in a ledger of its own and completes every replay here.
+func (e *Env) complete(l *ledger, region int) error {
 	if len(l.reqs) > 0 {
 		if len(l.reqs) > 1 {
 			// Each consolidated request beyond the first is one per-request
@@ -276,6 +300,5 @@ func (e *Env) flush(l *ledger, region int) error {
 		}
 		e.note(region, decWaitUntil, len(l.shmemSrc))
 	}
-	l.reset()
 	return nil
 }

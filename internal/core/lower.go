@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 
+	"commintent/internal/mpi"
+	"commintent/internal/shmem"
 	"commintent/internal/telemetry"
 )
 
@@ -84,18 +86,8 @@ func (e *Env) emit(r *Region, b *Bound, replay bool) error {
 			}
 		}
 	}
-	if x.inferred {
-		e.tele.inferred.Inc()
-		e.note(r.id, decCountInfer, x.count)
-	}
-	if x.auto {
-		code := decAutoMPI
-		if x.target == TargetSHMEM {
-			code = decAutoSHMEM
-		}
-		e.note(r.id, code, x.autoBytes)
-		e.tele.autoTarget[x.target].Inc()
-	}
+	var notes [2]decisionRec
+	e.logNotes(r.id, x.notes(notes[:0]))
 	e.endSpan(&lsp)
 	if x.idle {
 		// The directive generates nothing here.
@@ -112,29 +104,20 @@ func (e *Env) emit(r *Region, b *Bound, replay bool) error {
 		e.note(r.id, decSyncDependent, 0)
 	}
 
-	sinfos, rinfos := b.sinfos, b.rinfos
 	e.beginSpan(&esp, emitSpanLabel(x.target))
-	var err error
-	switch x.target {
-	case TargetMPI2Side:
-		if r.cfg.Coalesce {
-			// Managed runtime: an eligible small transfer joins the pending
-			// batch for its destination instead of posting its own message.
-			// The pins below still register its buffers, so a dependent
-			// directive flushes the batch exactly as it would a request.
-			var handled bool
-			handled, err = e.coalesceP2P(r, sinfos, rinfos, x.count, x.doSend, x.doRecv, x.sendTo, x.recvFrom)
-			if handled || err != nil {
-				break
-			}
-		}
-		err = e.emitMPI2Side(r, sinfos, rinfos, x.count, x.doSend, x.doRecv, x.sendTo, x.recvFrom)
-	case TargetMPI1Side:
-		err = e.emitMPI1Side(r, sinfos, rinfos, x.count, x.doSend, x.sendTo)
-	case TargetSHMEM:
-		err = e.emitSHMEM(r, sinfos, rinfos, x.count, x.doSend, x.doRecv, x.sendTo, x.recvFrom)
-	default:
-		err = fmt.Errorf("core: unresolved target %v", x.target)
+	var (
+		handled bool
+		err     error
+	)
+	if x.target == TargetMPI2Side && r.cfg.Coalesce {
+		// Managed runtime: an eligible small transfer joins the pending
+		// batch for its destination instead of posting its own message.
+		// The pins below still register its buffers, so a dependent
+		// directive flushes the batch exactly as it would a request.
+		handled, err = e.coalesceP2P(r, b.sinfos, b.rinfos, x.count, x.doSend, x.doRecv, x.sendTo, x.recvFrom)
+	}
+	if !handled && err == nil {
+		err = e.lowerCalls(nil, r.led, b, x, 0)
 	}
 	e.endSpan(&esp)
 	if err != nil {
@@ -142,6 +125,38 @@ func (e *Env) emit(r *Region, b *Bound, replay bool) error {
 	}
 	r.led.pin(ranges)
 	return nil
+}
+
+// notes appends the decisions one execution of the transfer logs: the
+// inferred count and the auto target's choice, with their evidence.
+func (x *xfer) notes(out []decisionRec) []decisionRec {
+	if x.inferred {
+		out = append(out, decisionRec{code: decCountInfer, a: int32(x.count)})
+	}
+	if x.auto {
+		code := decAutoMPI
+		if x.target == TargetSHMEM {
+			code = decAutoSHMEM
+		}
+		out = append(out, decisionRec{code: code, a: int32(x.autoBytes)})
+	}
+	return out
+}
+
+// logNotes records a transfer's notes under region and counts them.
+func (e *Env) logNotes(region int, notes []decisionRec) {
+	for _, d := range notes {
+		d.region = int32(region)
+		e.record(d)
+		switch d.code {
+		case decCountInfer:
+			e.tele.inferred.Inc()
+		case decAutoSHMEM:
+			e.tele.autoTarget[TargetSHMEM].Inc()
+		case decAutoMPI:
+			e.tele.autoTarget[TargetMPI2Side].Inc()
+		}
+	}
 }
 
 // classifyAll classifies the merged clause set's buffers into the form.
@@ -271,152 +286,182 @@ func (e *Env) resolveTarget(cl *Clauses, sinfos, rinfos []*bufInfo, count int) (
 	}
 }
 
-// emitMPI2Side generates MPI_Irecv / MPI_Isend pairs. Receives are posted
-// first (the lowering knows both roles), and all completions land in the
-// region ledger for the consolidated MPI_Waitall. The operations are
-// started in the ledger's own requests: the directive knows they repeat.
-func (e *Env) emitMPI2Side(r *Region, sinfos, rinfos []*bufInfo, count int, doSend, doRecv bool, sendTo, recvFrom int) error {
-	if doRecv {
-		for i, b := range rinfos {
-			view, err := b.mpiView(e)
-			if err != nil {
-				return fmt.Errorf("core: rbuf[%d]: %w", i, err)
-			}
-			dt, err := e.datatype(b)
-			if err != nil {
-				return fmt.Errorf("core: rbuf[%d]: %w", i, err)
-			}
-			n := count
-			if !b.isArray {
-				n = 1
-			}
-			req := r.led.request()
-			if err := e.comm.IrecvInto(req, view, n, dt, recvFrom, directiveTag); err != nil {
-				return fmt.Errorf("core: rbuf[%d]: %w", i, err)
-			}
-			r.led.reqs = append(r.led.reqs, req)
-			if e.faults {
-				r.led.resend = append(r.led.resend, resendOp{view: view, count: n, dt: dt, peer: recvFrom})
-			}
-		}
-	}
-	if doSend {
-		for i, b := range sinfos {
-			view, err := b.mpiView(e)
-			if err != nil {
-				return fmt.Errorf("core: sbuf[%d]: %w", i, err)
-			}
-			dt, err := e.datatype(b)
-			if err != nil {
-				return fmt.Errorf("core: sbuf[%d]: %w", i, err)
-			}
-			n := count
-			if !b.isArray {
-				n = 1
-			}
-			req := r.led.request()
-			if err := e.comm.IsendInto(req, view, n, dt, sendTo, directiveTag); err != nil {
-				return fmt.Errorf("core: sbuf[%d]: %w", i, err)
-			}
-			r.led.reqs = append(r.led.reqs, req)
-			if e.faults {
-				r.led.resend = append(r.led.resend, resendOp{view: view, count: n, dt: dt, peer: sendTo, isSend: true})
-			}
-		}
-	}
-	return nil
+type opKind uint8
+
+const (
+	opIrecv opKind = iota
+	opIsend
+	opPut
+	opShmemPut
+)
+
+// planOp is one library call a comm_p2p lowers to, its handles resolved.
+type planOp struct {
+	buf any            // receive or send view, put origin, SHMEM source
+	dt  *mpi.Datatype  // the MPI calls
+	win *mpi.Win       // opPut
+	req *mpi.Request   // opIrecv, opIsend
+	sym shmem.AnySlice // opShmemPut: the destination array
+
+	peer, count int32 // comm rank; world PE for opShmemPut
+	off, srcOff int32 // window or symmetric destination offset; SHMEM source offset
+	charges     int32 // MPITypeCacheHit charges owed before the call
+	step, idx   int32 // the comm_p2p in its region, and the buffer in its lists
+	kind        opKind
 }
 
-// emitMPI1Side generates MPI_Put calls into cached collectively created
-// windows; the epoch-closing fence lands in the region ledger.
-func (e *Env) emitMPI1Side(r *Region, sinfos, rinfos []*bufInfo, count int, doSend bool, sendTo int) error {
-	for i, b := range rinfos {
-		if b.class == bufStruct {
-			return fmt.Errorf("core: rbuf[%d]: one-sided target requires primitive or symmetric buffers", i)
+// lowerCalls generates the library calls of one execution of a lowered
+// comm_p2p and makes each as it is generated or, recording a plan, hands it
+// to rec. Their completion lands in l. MPI two-sided: MPI_Irecv per receive
+// buffer, then MPI_Isend per send buffer, started in requests l owns (the
+// directive knows they repeat). MPI one-sided: MPI_Put into cached,
+// collectively created windows, which every rank names (the fence is
+// collective). SHMEM: a typed shmem_put per buffer; the quiet +
+// notification-flag completion is one-directional (sender -> receiver), so
+// a destination reused across regions needs the application to
+// resynchronise, exactly as in hand-written SHMEM.
+func (e *Env) lowerCalls(rec *regionPlan, l *ledger, b *Bound, x *xfer, step int) error {
+	issue := func(op planOp) error {
+		op.step = int32(step)
+		if rec != nil {
+			rec.keep(op)
+			return nil
 		}
-		// The resolved window rides the cached bufInfo: after the first
-		// iteration the collective WinCreate (and even the winFor map
-		// lookup) is skipped entirely.
-		w := b.win
-		if w == nil {
-			var local any
-			if b.class == bufSym {
-				local = b.sym.LocalAny(e.shm)
-			} else {
-				local = b.raw
-			}
-			var err error
-			w, err = e.winFor(local)
-			if err != nil {
-				return fmt.Errorf("core: rbuf[%d]: %w", i, err)
-			}
-			b.win = w
-		}
-		var off int
-		if b.class == bufSym {
-			off = b.symOff
-		}
-		r.led.noteWin(w)
-		if !doSend {
-			continue
-		}
-		sb := sinfos[i]
-		if sb.class == bufStruct {
-			return fmt.Errorf("core: sbuf[%d]: one-sided target requires primitive or symmetric buffers", i)
-		}
-		origin, err := sb.mpiView(e)
-		if err != nil {
-			return fmt.Errorf("core: sbuf[%d]: %w", i, err)
-		}
-		dt, err := e.datatype(b)
-		if err != nil {
-			return fmt.Errorf("core: rbuf[%d]: %w", i, err)
-		}
-		if err := w.Put(origin, count, dt, sendTo, off); err != nil {
-			return fmt.Errorf("core: sbuf[%d]: %w", i, err)
-		}
+		return e.call(&op, l)
 	}
-	return nil
-}
-
-// emitSHMEM generates typed shmem_put calls (the element size selects the
-// variant) into the receiver's symmetric buffer; the quiet + notification
-// flag completion is one-directional (sender -> receiver), matching SHMEM
-// semantics: the sender's region completes without waiting for the receiver
-// to consume the data. A destination buffer reused across regions therefore
-// requires the application to resynchronise (barrier or return flag) before
-// the next region's puts, exactly as in hand-written SHMEM.
-// flags and the receiver-side wait_untils land in the region ledger.
-func (e *Env) emitSHMEM(r *Region, sinfos, rinfos []*bufInfo, count int, doSend, doRecv bool, sendTo, recvFrom int) error {
-	if e.shm == nil {
-		return fmt.Errorf("core: TARGET_COMM_SHMEM requires a SHMEM context in the environment")
-	}
-	for i, b := range rinfos {
-		if b.class != bufSym {
-			return fmt.Errorf("core: rbuf[%d] (%T): %w", i, b.raw, ErrNotSymmetric)
+	sinfos, rinfos := b.sinfos, b.rinfos
+	switch x.target {
+	case TargetMPI2Side:
+		for side, infos := range [2][]*bufInfo{rinfos, sinfos} {
+			on, kind, peer, name := x.doRecv, opIrecv, x.recvFrom, "rbuf"
+			if side == 1 {
+				on, kind, peer, name = x.doSend, opIsend, x.sendTo, "sbuf"
+			}
+			for i, bi := range infos {
+				if !on {
+					break
+				}
+				op := planOp{kind: kind, peer: int32(peer), count: int32(x.count), idx: int32(i), dt: bi.dt}
+				if !bi.isArray {
+					op.count = 1
+				}
+				var err error
+				op.buf, err = bi.mpiView(e)
+				switch {
+				case err != nil:
+				case op.dt == nil:
+					op.dt, err = e.datatype(bi)
+				case bi.class == bufStruct:
+					op.charges = 1 // the committed type's scope-cache lookup
+				}
+				if err != nil {
+					return fmt.Errorf("core: %s[%d]: %w", name, i, err)
+				}
+				op.req = l.request()
+				if err := issue(op); err != nil {
+					return err
+				}
+			}
 		}
-		if doSend {
+	case TargetMPI1Side:
+		for i, bi := range rinfos {
+			if bi.class == bufStruct {
+				return fmt.Errorf("core: rbuf[%d]: one-sided target requires primitive or symmetric buffers", i)
+			}
+			// The resolved window rides the cached bufInfo: after the first
+			// iteration the collective WinCreate (and even the winFor map
+			// lookup) is skipped entirely.
+			if bi.win == nil {
+				local := bi.raw
+				if bi.class == bufSym {
+					local = bi.sym.LocalAny(e.shm)
+				}
+				w, err := e.winFor(local)
+				if err != nil {
+					return fmt.Errorf("core: rbuf[%d]: %w", i, err)
+				}
+				bi.win = w
+			}
+			l.noteWin(bi.win)
+			if !x.doSend {
+				continue
+			}
 			sb := sinfos[i]
-			var src any
-			srcOff := 0
+			if sb.class == bufStruct {
+				return fmt.Errorf("core: sbuf[%d]: one-sided target requires primitive or symmetric buffers", i)
+			}
+			op := planOp{kind: opPut, win: bi.win, peer: int32(x.sendTo), count: int32(x.count), off: int32(bi.symOff), idx: int32(i)}
+			var err error
+			if op.buf, err = sb.mpiView(e); err != nil {
+				return fmt.Errorf("core: sbuf[%d]: %w", i, err)
+			}
+			if op.dt, err = e.datatype(bi); err != nil {
+				return fmt.Errorf("core: rbuf[%d]: %w", i, err)
+			}
+			if err := issue(op); err != nil {
+				return err
+			}
+		}
+	case TargetSHMEM:
+		if e.shm == nil {
+			return fmt.Errorf("core: TARGET_COMM_SHMEM requires a SHMEM context in the environment")
+		}
+		for i, bi := range rinfos {
+			if bi.class != bufSym {
+				return fmt.Errorf("core: rbuf[%d] (%T): %w", i, bi.raw, ErrNotSymmetric)
+			}
+			if !x.doSend {
+				continue
+			}
+			sb := sinfos[i]
+			op := planOp{kind: opShmemPut, sym: bi.sym, peer: int32(e.comm.WorldRank(x.sendTo)), count: int32(x.count), off: int32(bi.symOff), idx: int32(i)}
 			switch sb.class {
 			case bufSym:
-				src = sb.sym.LocalAny(e.shm)
-				srcOff = sb.symOff
+				op.buf, op.srcOff = sb.sym.LocalAny(e.shm), int32(sb.symOff)
 			case bufPrimSlice:
-				src = sb.raw
+				op.buf = sb.raw
 			default:
 				return fmt.Errorf("core: sbuf[%d]: SHMEM target requires symmetric or primitive-slice source buffers", i)
 			}
-			dstPE := e.comm.WorldRank(sendTo)
-			if err := b.sym.PutAny(e.shm, dstPE, src, srcOff, b.symOff, count); err != nil {
-				return fmt.Errorf("core: sbuf[%d]: %w", i, err)
+			if err := issue(op); err != nil {
+				return err
 			}
-			r.led.noteShmemDst(dstPE)
 		}
+		if x.doRecv {
+			l.noteShmemSrc(e.comm.WorldRank(x.recvFrom))
+		}
+	default:
+		return fmt.Errorf("core: unresolved target %v", x.target)
 	}
-	if doRecv {
-		r.led.noteShmemSrc(e.comm.WorldRank(recvFrom))
+	return nil
+}
+
+// call makes one lowered call after the cache-hit charges owed before it,
+// and with a ledger leaves there the completion the call needs.
+func (e *Env) call(op *planOp, l *ledger) error {
+	if op.charges > 0 {
+		e.cacheHits(op.charges)
+	}
+	var err error
+	switch op.kind {
+	case opIrecv:
+		err = e.comm.IrecvInto(op.req, op.buf, int(op.count), op.dt, int(op.peer), directiveTag)
+	case opIsend:
+		err = e.comm.IsendInto(op.req, op.buf, int(op.count), op.dt, int(op.peer), directiveTag)
+	case opPut:
+		err = op.win.Put(op.buf, int(op.count), op.dt, int(op.peer), int(op.off))
+	case opShmemPut:
+		err = op.sym.PutAny(e.shm, int(op.peer), op.buf, int(op.srcOff), int(op.off), int(op.count))
+	}
+	if err != nil {
+		name := "sbuf"
+		if op.kind == opIrecv {
+			name = "rbuf"
+		}
+		return fmt.Errorf("core: %s[%d]: %w", name, op.idx, err)
+	}
+	if l != nil {
+		l.leave(op, e.faults)
 	}
 	return nil
 }

@@ -70,25 +70,15 @@ func (e *Env) SetRetryPolicy(rp RetryPolicy) {
 	}
 }
 
-// resendOp is the intent behind one ledger request — everything needed to
-// re-express the transfer if the fabric eats an attempt.
-type resendOp struct {
-	view   any
-	count  int
-	dt     *mpi.Datatype
-	peer   int
-	isSend bool
-}
-
 // reportGiveup files a flight-recorder post-mortem for a comm_p2p transfer
 // the retry protocol is abandoning — the terminal failure, not the per-
 // attempt faults the protocol absorbs. The dump captures the failing intent
 // (direction, peer, directive region) plus both ranks' recent event tails
 // and unmatched frontiers.
-func (e *Env) reportGiveup(op resendOp, region, attempts int, opErr error, why string) {
+func (e *Env) reportGiveup(op *planOp, region, attempts int, opErr error, why string) {
 	rk := e.comm.SPMD()
 	opName := "comm_p2p recv"
-	if op.isSend {
+	if op.kind == opIsend {
 		opName = "comm_p2p send"
 	}
 	kind := transport.FaultNone
@@ -99,7 +89,7 @@ func (e *Env) reportGiveup(op resendOp, region, attempts int, opErr error, why s
 	rk.World().Fabric().ReportFailure(simnet.FailingOp{
 		Rank:   rk.ID,
 		Op:     opName,
-		Peer:   e.comm.WorldRank(op.peer),
+		Peer:   e.comm.WorldRank(int(op.peer)),
 		Tag:    -1,
 		Region: rk.Endpoint().RegionID(),
 		Kind:   kind,
@@ -137,12 +127,12 @@ func (e *Env) waitWithRetry(l *ledger, region int) error {
 				// A dead peer is never coming back; retrying would only
 				// burn the budget.
 				e.tele.giveups.Inc()
-				e.reportGiveup(ops[i], region, attempt[i], opErr, "peer declared dead")
+				e.reportGiveup(&ops[i], region, attempt[i], opErr, "peer declared dead")
 				return fmt.Errorf("core: comm_p2p region %d: %w", region, opErr)
 			}
 			if attempt[i] >= e.retry.MaxAttempts {
 				e.tele.giveups.Inc()
-				e.reportGiveup(ops[i], region, attempt[i], opErr, "retry budget exhausted")
+				e.reportGiveup(&ops[i], region, attempt[i], opErr, "retry budget exhausted")
 				return fmt.Errorf("core: comm_p2p region %d gave up after %d attempts: %w",
 					region, attempt[i], opErr)
 			}
@@ -156,16 +146,16 @@ func (e *Env) waitWithRetry(l *ledger, region int) error {
 		// back off by the same deterministic amount.
 		e.comm.SPMD().Clock().Advance(e.retry.Backoff << (maxAttempt - 1))
 		for _, i := range failed {
-			op := ops[i]
+			op := &ops[i]
 			tag := directiveTag + attempt[i]<<retryTagShift
 			attempt[i]++
 			// A request completed with a fault is inactive: the re-post
 			// goes into the same one, whichever ledger's store it is in.
 			var err error
-			if op.isSend {
-				err = e.comm.IsendInto(reqs[i], op.view, op.count, op.dt, op.peer, tag)
+			if op.kind == opIsend {
+				err = e.comm.IsendInto(reqs[i], op.buf, int(op.count), op.dt, int(op.peer), tag)
 			} else {
-				err = e.comm.IrecvInto(reqs[i], op.view, op.count, op.dt, op.peer, tag)
+				err = e.comm.IrecvInto(reqs[i], op.buf, int(op.count), op.dt, int(op.peer), tag)
 			}
 			if err != nil {
 				return err

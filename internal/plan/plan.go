@@ -310,8 +310,8 @@ type bound struct {
 	ids    []core.BufID  // per pl.slots entry
 	region *core.Bound   // comm_parameters clauses
 	steps  []*core.Bound // comm_p2p clauses, per step
-	sync   []bool        // steps an aliased binding forces a sync before; nil if none
-	body   func(*core.Region) error
+	run    *core.BoundRegion
+	alias  func(*core.Region) error // the steps with the syncs an aliased binding forces
 }
 
 // current reports whether binding still binds every slot to the buffer the
@@ -348,7 +348,16 @@ func (pl *Plan) Execute(env *core.Env, binding Binding) error {
 			return err
 		}
 	}
-	return env.ParametersBound(b.region, b.body)
+	if b.alias != nil {
+		return env.ParametersBound(b.region, b.alias)
+	}
+	if i, err := env.RunRegion(b.run); err != nil {
+		if i < 0 {
+			return err
+		}
+		return fmt.Errorf("plan: %s step %q: %w", pl.pattern.Name, pl.pattern.Steps[i].Name, err)
+	}
+	return nil
 }
 
 // bind lowers the plan for env's rank and the binding's buffers.
@@ -391,9 +400,10 @@ func (pl *Plan) bind(env *core.Env, binding Binding) (*bound, error) {
 	// Cross-step reuse through the alias: re-run the dependence walk at
 	// this concrete size with slot overlap generalised to concrete-range
 	// overlap, and force a sync before each step it flags.
+	var sync []bool // steps an aliased binding forces a sync before
 	if aliased {
 		roles := evalRoles(&p, size, true)
-		b.sync = syncBefore(&p, roles, func(a, b Slot) bool {
+		sync = syncBefore(&p, roles, func(a, b Slot) bool {
 			ra, aok := ranges[a]
 			rb, bok := ranges[b]
 			if aok && bok {
@@ -431,19 +441,23 @@ func (pl *Plan) bind(env *core.Env, binding Binding) (*bound, error) {
 		}
 		b.steps[idx] = core.Bind(opts...)
 	}
-	b.body = func(r *core.Region) error {
-		for idx, step := range b.steps {
-			st := &p.Steps[idx]
-			if b.sync != nil && b.sync[idx] {
-				if err := r.Sync(); err != nil {
-					return fmt.Errorf("plan: %s: aliased binding sync before step %q: %w", p.Name, st.Name, err)
+	if sync == nil {
+		b.run = core.BindRegion(b.region, b.steps...)
+	} else {
+		b.alias = func(r *core.Region) error {
+			for idx, step := range b.steps {
+				st := &p.Steps[idx]
+				if sync[idx] {
+					if err := r.Sync(); err != nil {
+						return fmt.Errorf("plan: %s: aliased binding sync before step %q: %w", p.Name, st.Name, err)
+					}
+				}
+				if err := r.P2PBound(step, nil); err != nil {
+					return fmt.Errorf("plan: %s step %q: %w", p.Name, st.Name, err)
 				}
 			}
-			if err := r.P2PBound(step, nil); err != nil {
-				return fmt.Errorf("plan: %s step %q: %w", p.Name, st.Name, err)
-			}
+			return nil
 		}
-		return nil
 	}
 	if cacheable {
 		env.SetSite(&pl.site, b)

@@ -28,9 +28,9 @@ type bound struct {
 
 	dirs []*core.Bound // parallel to the spec list
 
-	// body replays a block's comm_p2p forms inside its region (dirs[0]);
-	// built when the block is bound, so a replay builds no closure.
-	body func(*core.Region) error
+	// region is a block's comm_parameters form (dirs[0]) with its comm_p2p
+	// forms, and the plan it records; nil for a spec list with no region.
+	region *core.BoundRegion
 }
 
 // varSnap is a variable as the lowering saw it. An undefined variable is

@@ -16,6 +16,7 @@ import (
 	"commintent/internal/pragma"
 	"commintent/internal/shmem"
 	"commintent/internal/spmd"
+	"commintent/internal/telemetry"
 )
 
 // The replay blocks: one text per target, parsed once and shared by every
@@ -64,6 +65,7 @@ type replayOutcome struct {
 	Landed    uint64 // hash of every destination buffer after every step
 	V         model.Time
 	Decisions []core.Decision
+	Plans     int64 // blocks executed as their region's recorded plan
 }
 
 // replaySequence runs a seeded sequence of block executions on an n-rank
@@ -75,7 +77,13 @@ type replayOutcome struct {
 func replaySequence(t *testing.T, prof *model.Profile, n, steps int, seed int64, drop bool) []replayOutcome {
 	t.Helper()
 	out := make([]replayOutcome, n)
-	err := spmd.Run(n, prof, func(rk *spmd.Rank) error {
+	w, err := spmd.NewWorld(n, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tele := telemetry.NewMetrics()
+	w.SetTelemetry(tele)
+	err = w.Run(func(rk *spmd.Rank) error {
 		comm := mpi.World(rk)
 		shm := shmem.New(rk)
 		cenv, err := core.NewEnv(comm, shm)
@@ -174,7 +182,8 @@ func replaySequence(t *testing.T, prof *model.Profile, n, steps int, seed int64,
 			}
 			comm.Barrier()
 		}
-		out[rk.ID] = replayOutcome{Landed: landed.Sum64(), V: rk.Now(), Decisions: cenv.Decisions()}
+		out[rk.ID] = replayOutcome{Landed: landed.Sum64(), V: rk.Now(), Decisions: cenv.Decisions(),
+			Plans: tele.Registry().CounterValue("core_region_plan_replays_total", telemetry.Rank(rk.ID))}
 		return wrong
 	})
 	if err != nil {
@@ -188,8 +197,9 @@ func replaySequence(t *testing.T, prof *model.Profile, n, steps int, seed int64,
 // time — the same bytes landed, the same lowering decisions, and on the
 // modelled fabric the same virtual time to the bit — however the variables,
 // the buffers behind the names, the roles and the target change between
-// executions. make verify runs this under -race at GOMAXPROCS=4, where the
-// ranks really do share the parsed blocks concurrently.
+// executions, and whether or not a block runs as its region's plan. make
+// verify runs this under -race at GOMAXPROCS=4, where the ranks really do
+// share the parsed blocks concurrently.
 func TestBoundReplayMatchesFreshLowering(t *testing.T) {
 	shm := *model.GeminiLike()
 	shm.Transport = "shm"
@@ -205,6 +215,13 @@ func TestBoundReplayMatchesFreshLowering(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				bound := replaySequence(t, tc.prof, 4, 120, seed, false)
 				fresh := replaySequence(t, tc.prof, 4, 120, seed, true)
+				var plans int64
+				for _, b := range bound {
+					plans += b.Plans
+				}
+				if plans == 0 {
+					t.Errorf("seed %d: no block ran as its region's plan", seed)
+				}
 				for rank := range bound {
 					b, f := bound[rank], fresh[rank]
 					if !tc.virtual {
@@ -227,7 +244,8 @@ func TestBoundReplayMatchesFreshLowering(t *testing.T) {
 var raceEnabled bool
 
 // TestHaloTextSteadyStateAllocs: the ring halo written as directive text
-// allocates nothing per execution once bound, on every target.
+// allocates nothing per execution once bound, on every target, executed as
+// text (Block.Exec) and compiled to a plan (CompileBlock, Plan.Execute).
 func TestHaloTextSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -242,52 +260,77 @@ func TestHaloTextSteadyStateAllocs(t *testing.T) {
 		  #pragma comm_p2p sender((rank-1+nprocs)%nprocs) receiver((rank+1)%nprocs) sbuf(edgeR) rbuf(haloL) count(8)
 		  #pragma comm_p2p sender((rank+1)%nprocs) receiver((rank-1+nprocs)%nprocs) sbuf(edgeL) rbuf(haloR) count(8)
 		}`)
-		// Heap allocations per rank per execution: rank 0 reads the
-		// counters while the others sit between two barriers.
-		var before, after runtime.MemStats
-		err := spmd.Run(n, model.GeminiLike(), func(rk *spmd.Rank) error {
-			comm := mpi.World(rk)
-			shm := shmem.New(rk)
-			cenv, err := core.NewEnv(comm, shm)
-			if err != nil {
-				return err
-			}
-			defer cenv.Close()
-			penv := pragma.Env{
-				Vars: map[string]int{"rank": rk.ID, "nprocs": n},
-				Bufs: map[string]any{
-					"edgeL": make([]float64, count), "edgeR": make([]float64, count),
-					"haloL": shmem.MustAlloc[float64](shm, count), "haloR": shmem.MustAlloc[float64](shm, count),
-				},
-			}
-			read := func(m *runtime.MemStats) {
-				comm.Barrier()
-				if rk.ID == 0 {
-					runtime.ReadMemStats(m)
-				}
-				comm.Barrier()
-			}
-			for i := 0; i < warm+ops; i++ {
-				if i == warm {
-					read(&before)
-				}
-				if err := block.Exec(cenv, penv); err != nil {
-					return err
-				}
-				if target == "TARGET_COMM_SHMEM" {
-					shm.BarrierAll() // the halos are reused: consumption sync
-				}
-			}
-			read(&after)
-			return nil
-		})
+		pl, err := pragma.CompileBlock(block, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := float64(after.Mallocs-before.Mallocs) / float64(n*ops)
-		t.Logf("%s: %.3f allocations per rank per execution", target, got)
-		if got >= 0.05 {
-			t.Errorf("%s: %.2f allocations per rank per execution, want 0", target, got)
+		for _, compiled := range []bool{false, true} {
+			name := target
+			if compiled {
+				name += " (plan)"
+			}
+			haloTextAllocs(t, name, n, warm, ops, count, func(cenv *core.Env, penv pragma.Env) func() error {
+				if !compiled {
+					return func() error { return block.Exec(cenv, penv) }
+				}
+				binding := pragma.BindingFromBufs(penv.Bufs)
+				return func() error { return pl.Execute(cenv, binding) }
+			}, target == "TARGET_COMM_SHMEM")
 		}
+	}
+}
+
+// haloTextAllocs runs the ring halo's execute (built per rank from its
+// environments) and fails unless a rank allocates nothing per execution
+// in the steady state.
+func haloTextAllocs(t *testing.T, name string, n, warm, ops, count int, build func(*core.Env, pragma.Env) func() error, shmemTarget bool) {
+	t.Helper()
+	// Heap allocations per rank per execution: rank 0 reads the
+	// counters while the others sit between two barriers.
+	var before, after runtime.MemStats
+	err := spmd.Run(n, model.GeminiLike(), func(rk *spmd.Rank) error {
+		comm := mpi.World(rk)
+		shm := shmem.New(rk)
+		cenv, err := core.NewEnv(comm, shm)
+		if err != nil {
+			return err
+		}
+		defer cenv.Close()
+		penv := pragma.Env{
+			Vars: map[string]int{"rank": rk.ID, "nprocs": n},
+			Bufs: map[string]any{
+				"edgeL": make([]float64, count), "edgeR": make([]float64, count),
+				"haloL": shmem.MustAlloc[float64](shm, count), "haloR": shmem.MustAlloc[float64](shm, count),
+			},
+		}
+		read := func(m *runtime.MemStats) {
+			comm.Barrier()
+			if rk.ID == 0 {
+				runtime.ReadMemStats(m)
+			}
+			comm.Barrier()
+		}
+		exec := build(cenv, penv)
+		for i := 0; i < warm+ops; i++ {
+			if i == warm {
+				read(&before)
+			}
+			if err := exec(); err != nil {
+				return err
+			}
+			if shmemTarget {
+				shm.BarrierAll() // the halos are reused: consumption sync
+			}
+		}
+		read(&after)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64(after.Mallocs-before.Mallocs) / float64(n*ops)
+	t.Logf("%s: %.3f allocations per rank per execution", name, got)
+	if got >= 0.05 {
+		t.Errorf("%s: %.2f allocations per rank per execution, want 0", name, got)
 	}
 }

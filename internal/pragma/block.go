@@ -102,15 +102,7 @@ func (b *Block) Exec(cenv *core.Env, env Env) error {
 			return fmt.Errorf("pragma: comm_p2p %d: %w", i-off, err)
 		}
 		if bd = nb; off == 1 {
-			p2p := bd.dirs[1:]
-			bd.body = func(r *core.Region) error {
-				for i, d := range p2p {
-					if err := r.P2PBound(d, nil); err != nil {
-						return fmt.Errorf("pragma: comm_p2p %d: %w", i, err)
-					}
-				}
-				return nil
-			}
+			bd.region = core.BindRegion(bd.dirs[0], bd.dirs[1:]...)
 		}
 	}
 	if b.Params == nil {
@@ -121,5 +113,11 @@ func (b *Block) Exec(cenv *core.Env, env Env) error {
 		}
 		return nil
 	}
-	return cenv.ParametersBound(bd.dirs[0], bd.body)
+	if i, err := cenv.RunRegion(bd.region); err != nil {
+		if i < 0 {
+			return err
+		}
+		return fmt.Errorf("pragma: comm_p2p %d: %w", i, err)
+	}
+	return nil
 }

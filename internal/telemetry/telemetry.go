@@ -29,6 +29,12 @@ func New(n, perRankSpanCap int) *Telemetry {
 	return t
 }
 
+// NewMetrics creates a Telemetry with the metrics registry and no span
+// tracer. A tracer records a span per directive, so the directive layer
+// takes its per-directive path under one (a bound region runs no plan);
+// metrics alone leave every path as it runs untraced.
+func NewMetrics() *Telemetry { return &Telemetry{reg: NewRegistry()} }
+
 // Registry returns the metrics registry (nil when disabled).
 func (t *Telemetry) Registry() *Registry {
 	if t == nil {

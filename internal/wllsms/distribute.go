@@ -282,7 +282,7 @@ func (a *App) transferAtomDirective(atomIdx, to int, target core.Target) error {
 		return err
 	}
 	s := &regions[atomIdx]
-	if s.params == nil {
+	if s.run == nil {
 		a.bindTransferAtom(s, atomIdx, to, li, target)
 	}
 
@@ -292,7 +292,7 @@ func (a *App) transferAtomDirective(atomIdx, to int, target core.Target) error {
 			return err
 		}
 	}
-	if err := a.Env.ParametersBound(s.params, s.body); err != nil {
+	if _, err := a.Env.RunRegion(s.run); err != nil {
 		return err
 	}
 	if me != to {
@@ -325,7 +325,7 @@ func (a *App) bindTransferAtom(s *boundRegion, atomIdx, to, li int, target core.
 		dst = a.Local[li]
 	}
 
-	s.params = core.Bind(
+	params := core.Bind(
 		core.SendWhen(me == from), core.ReceiveWhen(me == to),
 		core.Sender(a.groupRankToWorld(from)), core.Receiver(a.groupRankToWorld(to)),
 		core.WithTarget(target),
@@ -335,7 +335,7 @@ func (a *App) bindTransferAtom(s *boundRegion, atomIdx, to, li int, target core.
 		// The composite is staged as bytes (encodeScalars): it cannot live
 		// in typed symmetric memory.
 		t, tc := p.TRows, p.CoreRows
-		s.p2p = []*core.Bound{
+		s.run = core.BindRegion(params,
 			core.Bind(
 				core.SBuf(a.scalStage),
 				core.RBuf(core.At(a.symScalars, li*a.scalarsWire)),
@@ -352,12 +352,12 @@ func (a *App) bindTransferAtom(s *boundRegion, atomIdx, to, li int, target core.
 					core.At(a.symLC, li*2*tc), core.At(a.symKC, li*2*tc)),
 				core.Count(2*tc),
 			),
-		}
+		)
 	} else {
 		// Two-sided MPI: the composite moves via an automatically created
 		// derived datatype; the matrices move as typed slices (which alias
 		// the symmetric arrays, so the data lands in place either way).
-		s.p2p = []*core.Bound{
+		s.run = core.BindRegion(params,
 			core.Bind(core.SBuf(&src.Scalars), core.RBuf(&dst.Scalars), core.Count(1)),
 			core.Bind(
 				core.SBuf(src.VR, src.RhoTot), core.RBuf(dst.VR, dst.RhoTot),
@@ -368,9 +368,8 @@ func (a *App) bindTransferAtom(s *boundRegion, atomIdx, to, li int, target core.
 				core.RBuf(dst.EC, dst.NC, dst.LC, dst.KC),
 				core.Count(2*p.CoreRows),
 			),
-		}
+		)
 	}
-	s.body = s.each
 }
 
 // groupRankToWorld translates a group rank to the directive environment's

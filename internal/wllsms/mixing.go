@@ -82,12 +82,21 @@ func (a *App) mixDensityDirective(target core.Target) error {
 		return err
 	}
 	ret, redist := &regions[0], &regions[1]
-	if ret.params == nil {
+	if ret.run == nil {
 		a.bindMixing(ret, redist, target)
 	}
+	// The privileged rank moves its own atoms between its staged set and
+	// its local storage in place, before each region: no transfer of either
+	// region reads or writes them.
+	priv := a.groupRank() == privGroupRank
 
 	// Region 1: densities flow worker -> privileged.
-	if err := a.Env.ParametersBound(ret.params, ret.body); err != nil {
+	if priv {
+		for li, atomIdx := range a.LocalAtoms {
+			copy(a.AllAtoms[atomIdx].RhoTot, a.Local[li].RhoTot)
+		}
+	}
+	if _, err := a.Env.RunRegion(ret.run); err != nil {
 		return fmt.Errorf("wllsms: density return: %w", err)
 	}
 	if oneSided(target) && a.Role == RolePrivileged {
@@ -107,15 +116,19 @@ func (a *App) mixDensityDirective(target core.Target) error {
 
 	// Region 2: updated potentials flow privileged -> worker, landing
 	// directly in the workers' symmetric-backed VR storage.
-	if err := a.Env.ParametersBound(redist.params, redist.body); err != nil {
+	if priv {
+		for li, atomIdx := range a.LocalAtoms {
+			copy(a.Local[li].VR, a.AllAtoms[atomIdx].VR)
+		}
+	}
+	if _, err := a.Env.RunRegion(redist.run); err != nil {
 		return fmt.Errorf("wllsms: potential redistribution: %w", err)
 	}
 	return nil
 }
 
 // bindMixing freezes the two mixing regions: one comm_p2p per atom a worker
-// owns, in atom order; the privileged rank moves its own atoms between its
-// staged set and its local storage in place.
+// owns, in atom order.
 func (a *App) bindMixing(ret, redist *boundRegion, target core.Target) {
 	p := a.P
 	t := p.TRows
@@ -126,7 +139,7 @@ func (a *App) bindMixing(ret, redist *boundRegion, target core.Target) {
 		core.PlaceSync(core.EndParamRegion),
 		core.WithTarget(target),
 	)
-	ret.params, redist.params = params, params
+	var retP2P, redistP2P []*core.Bound
 	for atomIdx := 0; atomIdx < p.NumAtoms; atomIdx++ {
 		owner := a.L.AtomOwner(atomIdx)
 		if owner == privGroupRank {
@@ -148,7 +161,7 @@ func (a *App) bindMixing(ret, redist *boundRegion, target core.Target) {
 		} else if me == privGroupRank {
 			rb = a.AllAtoms[atomIdx].RhoTot
 		}
-		ret.p2p = append(ret.p2p, core.Bind(
+		retP2P = append(retP2P, core.Bind(
 			core.SBuf(sb), core.RBuf(rb), core.Count(2*t),
 			core.Sender(w2(owner)), core.Receiver(w2(privGroupRank)),
 			core.SendWhen(me == owner), core.ReceiveWhen(me == privGroupRank),
@@ -166,28 +179,14 @@ func (a *App) bindMixing(ret, redist *boundRegion, target core.Target) {
 				rb = a.Local[li].VR
 			}
 		}
-		redist.p2p = append(redist.p2p, core.Bind(
+		redistP2P = append(redistP2P, core.Bind(
 			core.SBuf(sb), core.RBuf(rb), core.Count(2*t),
 			core.Sender(w2(privGroupRank)), core.Receiver(w2(owner)),
 			core.SendWhen(me == privGroupRank), core.ReceiveWhen(me == owner),
 		))
 	}
-	ret.body = func(r *core.Region) error {
-		if me == privGroupRank {
-			for li, atomIdx := range a.LocalAtoms {
-				copy(a.AllAtoms[atomIdx].RhoTot, a.Local[li].RhoTot)
-			}
-		}
-		return ret.each(r)
-	}
-	redist.body = func(r *core.Region) error {
-		if me == privGroupRank {
-			for li, atomIdx := range a.LocalAtoms {
-				copy(a.Local[li].VR, a.AllAtoms[atomIdx].VR)
-			}
-		}
-		return redist.each(r)
-	}
+	ret.run = core.BindRegion(params, retP2P...)
+	redist.run = core.BindRegion(params, redistP2P...)
 }
 
 // mixOnPrivileged applies linear mixing rho_new into the potentials on the

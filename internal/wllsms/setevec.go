@@ -128,11 +128,23 @@ func (a *App) setEvecDirective(target core.Target, overlap func(li int) error) e
 		return err
 	}
 	s := &regions[0]
-	if s.params == nil {
+	if s.run == nil {
 		a.bindSetEvec(s, target)
 	}
+	if a.Role == RolePrivileged {
+		// This rank's own atoms, in place: no transfer touches them.
+		ev := a.symEv.Local(a.Shm)
+		for li, atom := range a.LocalAtoms {
+			copy(a.Local[li].Scalars.Evec[:], ev[3*atom:3*atom+3])
+		}
+	}
 	a.overlap = overlap
-	if err := a.Env.ParametersBound(s.params, s.body); err != nil {
+	if overlap == nil || s.overlapped == nil {
+		_, err = a.Env.RunRegion(s.run)
+	} else {
+		err = a.Env.ParametersBound(s.params, s.overlapped)
+	}
+	if err != nil {
 		return err
 	}
 	if a.Role == RoleWorker {
@@ -147,7 +159,9 @@ func (a *App) setEvecDirective(target core.Target, overlap func(li int) error) e
 // bindSetEvec freezes Listing 7 for this rank's role: on the privileged
 // rank one comm_p2p per atom another rank owns, in atom order; on a worker
 // one per owned atom, indexed like LocalAtoms; on the WL master a single
-// one it takes no part in.
+// one it takes no part in. With an overlap body a worker overlaps each
+// owned atom's computation with its own comm_p2p, and the privileged rank
+// overlaps its own atoms' with all of them.
 func (a *App) bindSetEvec(s *boundRegion, target core.Target) {
 	p := a.P
 	priv := a.groupRankToWorld(privGroupRank)
@@ -167,52 +181,40 @@ func (a *App) bindSetEvec(s *boundRegion, target core.Target) {
 			core.Count(3),
 		}, more...)...)
 	}
+	var p2p []*core.Bound
+	var bodies []func() error // a worker's overlap body per comm_p2p
 	switch a.Role {
 	case RoleWL:
-		s.p2p = []*core.Bound{spin(0, 0)}
-		s.body = s.each
+		s.run = core.BindRegion(s.params, spin(0, 0))
+		return
 	case RolePrivileged:
 		for atom := 0; atom < p.NumAtoms; atom++ {
 			if w := a.L.AtomOwner(atom); w != privGroupRank {
-				s.p2p = append(s.p2p, spin(atom, a.L.LocalIndexOf(w, atom), core.Receiver(a.groupRankToWorld(w))))
+				p2p = append(p2p, spin(atom, a.L.LocalIndexOf(w, atom), core.Receiver(a.groupRankToWorld(w))))
 			}
 		}
-		s.body = func(r *core.Region) error {
-			ev := a.symEv.Local(a.Shm)
-			for li, atom := range a.LocalAtoms { // this rank's own atoms
-				copy(a.Local[li].Scalars.Evec[:], ev[3*atom:3*atom+3])
-			}
-			if err := s.each(r); err != nil {
+		bodies = make([]func() error, len(p2p))
+	default:
+		for li := range a.LocalAtoms {
+			p2p = append(p2p, spin(0, li))
+			bodies = append(bodies, func() error { return a.overlap(li) })
+		}
+	}
+	s.run = core.BindRegion(s.params, p2p...)
+	s.overlapped = func(r *core.Region) error {
+		for i, d := range p2p {
+			if err := r.P2PBound(d, bodies[i]); err != nil {
 				return err
 			}
-			if a.overlap != nil {
-				for li := range a.LocalAtoms {
-					if err := a.overlap(li); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
 		}
-	default:
-		s.p2p = make([]*core.Bound, len(a.LocalAtoms))
-		bodies := make([]func() error, len(a.LocalAtoms))
-		for li := range s.p2p {
-			s.p2p[li] = spin(0, li)
-			bodies[li] = func() error { return a.overlap(li) }
-		}
-		s.body = func(r *core.Region) error {
-			for li, d := range s.p2p {
-				var body func() error
-				if a.overlap != nil {
-					body = bodies[li]
-				}
-				if err := r.P2PBound(d, body); err != nil {
+		if a.Role == RolePrivileged {
+			for li := range a.LocalAtoms {
+				if err := a.overlap(li); err != nil {
 					return err
 				}
 			}
-			return nil
 		}
+		return nil
 	}
 }
 

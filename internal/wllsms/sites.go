@@ -24,26 +24,17 @@ const (
 )
 
 // boundRegion is one comm_parameters region with the comm_p2p directives
-// this rank executes in it and the body that executes them.
+// this rank executes in it, in order: run, executed by core.Env.RunRegion.
+// Listing 7 with an overlap body is the one region that is more than its
+// comm_p2p list; overlapped executes it then, under params.
 type boundRegion struct {
-	params *core.Bound
-	p2p    []*core.Bound
-	body   func(*core.Region) error
-}
-
-// each executes the region's comm_p2p directives in order, with no overlap
-// body.
-func (s *boundRegion) each(r *core.Region) error {
-	for _, d := range s.p2p {
-		if err := r.P2PBound(d, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	run        *core.BoundRegion
+	params     *core.Bound
+	overlapped func(*core.Region) error
 }
 
 // regions returns the n regions of one kind kept for target on this rank's
-// environment; a region whose params is nil has not been bound yet.
+// environment; a region whose run is nil has not been bound yet.
 func (a *App) regions(kind siteKind, target core.Target, n int) ([]boundRegion, error) {
 	if target < 0 || int(target) >= len(a.sites[kind]) {
 		return nil, fmt.Errorf("wllsms: unknown target %v", target)
