@@ -29,7 +29,11 @@ test:
 # Port conformance suite and the transport gate's park test, whose waits park
 # at once there too, the payload pool's working-set test, the wire-buffer
 # exchange, the match table's oracle with its wildcard count, the wall-clock
-# unexpected flag and the traced shm run that must still read its stamps),
+# unexpected flag, the traced shm run that must still read its stamps, and
+# the one-ring tests: the traced halo's golden export, the analyses of a
+# traced run, which share the recorder's rings with its spans, the lazily
+# grown ring, the traced post-mortem's span tail and a compiled block's
+# frozen vars),
 # the simnet suite again at GOMAXPROCS=2 (two Ps is a
 # barrier shape of its own: the radix-16 tree with park-at-once waiters,
 # which neither the host's default pass nor four Ps pins), the three
@@ -99,7 +103,7 @@ verify: vet-intent
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree|TestPortConformance|TestGateParkAllocFree|TestWireBuffersAllocFree|TestTableMatchesOracle|TestUnexpectedOnWallClock|TestTracedShmStampsWall' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/ ./internal/telemetry/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree|TestPortConformance|TestGateParkAllocFree|TestWireBuffersAllocFree|TestTableMatchesOracle|TestUnexpectedOnWallClock|TestTracedShmStampsWall|TestTracedHaloGolden|TestAnalysesDoNotSeeSpans|TestSpanRingMemoryFollowsUse|TestPostmortemTracedTailHoldsSpans|TestCompileBlockFreezesVars' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/ ./internal/telemetry/ .
 	GOMAXPROCS=2 $(GO) test -race ./internal/simnet/
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestRecycledHeadersAllocFree|TestWireBuffersAllocFree|TestGateParkAllocFree' ./internal/transport/
 	$(GO) test -race ./benchmark/

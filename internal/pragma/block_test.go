@@ -214,3 +214,39 @@ func TestCompileBlockRejectsOffsets(t *testing.T) {
 		t.Error("offset buffers compiled statically")
 	}
 }
+
+// TestCompileBlockFreezesVars: vars are compile-time constants. Writing the
+// caller's map after CompileBlock must not move the plan's roles, or a
+// binding made before the write and one made after it would disagree on who
+// sends.
+func TestCompileBlockFreezesVars(t *testing.T) {
+	block, err := pragma.ParseBlock(`
+	#pragma comm_parameters sender(from) receiver(to) sendwhen(rank==from) receivewhen(rank==to)
+	#pragma comm_p2p sbuf(a) rbuf(a) count(1)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := map[string]int{"from": 0, "to": 1}
+	pl, err := pragma.CompileBlock(block, vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars["from"], vars["to"] = 1, 0
+	if err := spmd.Run(2, model.Uniform(10), func(rk *spmd.Rank) error {
+		cenv, err := core.NewEnv(mpi.World(rk), nil)
+		if err != nil {
+			return err
+		}
+		defer cenv.Close()
+		a := []float64{float64(10 + rk.ID)}
+		if err := pl.Execute(cenv, pragma.BindingFromBufs(map[string]any{"a": a})); err != nil {
+			return err
+		}
+		if a[0] != 10 {
+			t.Errorf("rank %d holds %v after the exchange, want rank 0's 10", rk.ID, a[0])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package pragma
 
 import (
 	"fmt"
+	"maps"
 
 	"commintent/internal/plan"
 )
@@ -11,12 +12,14 @@ import (
 // paper's system: source text -> parsed clauses -> static analysis ->
 // reusable plan. Buffer names become the pattern's slots; clause
 // expressions are evaluated per rank against vars supplemented with "rank"
-// and "nprocs" at execution.
+// and "nprocs" at execution. Vars are compile-time constants: the plan keeps
+// its own copy, so writing the caller's map afterwards changes nothing.
 //
 // Restriction: a static pattern binds one buffer per slot, so block
 // buffers with per-instance offsets (&buf[p]) cannot be compiled — bind
 // views per execution with the dynamic Block.Exec instead.
 func CompileBlock(b *Block, vars map[string]int) (*plan.Plan, error) {
+	vars = maps.Clone(vars)
 	toExpr := func(e Expr) plan.Expr {
 		if e == nil {
 			return nil

@@ -1,12 +1,13 @@
 package simnet
 
 // The event recorder and post-mortem forensics. A Recorder subscribes to the
-// fabric's observer stream and keeps every rank's events in a per-rank ring
-// with a capacity policy: bounded, it is the flight recorder — the last
-// capacity events of every rank, cheap enough to leave on for chaos runs and
-// exactly what a human needs when a world dies; unbounded, it keeps the whole
-// run for the post-run analyses (statistics, the communication matrix, the
-// invariant checker, the critical path).
+// fabric's observer stream and keeps every rank's events, and the spans a
+// telemetry tracer ends, in one per-rank ring with a capacity policy:
+// bounded, it is the flight recorder — the last capacity records of every
+// rank, cheap enough to leave on for chaos runs and exactly what a human
+// needs when a world dies; unbounded, it keeps the whole run for the
+// post-run analyses (statistics, the communication matrix, the invariant
+// checker, the critical path).
 //
 // When a fault becomes terminal (a real-time watchdog cancels a wait, or the
 // directive layer's retry protocol gives up), the failing layer calls
@@ -17,6 +18,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,85 +36,122 @@ const DefaultRecorderCap = 256
 // the first few terminal failures adds no forensic value.
 const maxPostmortems = 16
 
-// Recorder buffers the fabric event stream per rank. Every event is emitted
-// by the goroutine of the rank it names (Event.Rank), so each rank's ring is
-// written by one goroutine in that rank's program order, and recording never
-// contends across ranks.
+// Recorder buffers the fabric event stream per rank, and a span tracer's
+// finished spans with it. Every event is emitted, and every span ended, by
+// the goroutine of the rank it names, so each rank's ring is written by one
+// goroutine in that rank's program order, and recording never contends
+// across ranks.
 type Recorder struct {
 	rings []recRing
-	// unbounded keeps every event instead of the last len(buf) per rank.
-	// Set only before rank goroutines start (EnableRecorder).
-	unbounded bool
+	// capacity bounds each ring to its last capacity records; 0 keeps every
+	// record. Changed only before rank goroutines start.
+	capacity int
+	flight   bool // EnableRecorder has chosen the bound
 }
 
 type recRing struct {
 	mu      sync.Mutex
-	buf     []Event
-	next    int // bounded: the slot the next event overwrites; unbounded: len(buf)
-	wrapped bool
-	total   int64      // events ever recorded for this rank
-	lastV   model.Time // largest virtual timestamp observed for this rank
+	buf     []record   // grows as it fills; once full, buf[next] is the oldest
+	next    int        // 0 until the ring is full
+	total   int64      // fabric events ever recorded for this rank
+	lastV   model.Time // largest virtual timestamp of this rank's fabric events
+	dropped int64      // spans overwritten after the ring filled
 	// Pad past a cache line: adjacent rings are written by different rank
 	// goroutines.
 	_ [64]byte
 }
 
+// record is one slot of a rank's ring: a fabric event, or a finished span
+// when Kind is spanKind. Only the half the Kind names is current.
+type record struct {
+	Event
+	span Span
+}
+
+const spanKind EventKind = -1 // never an observed event's kind
+
+// Span is one finished, virtually-timed interval on a rank: a directive
+// execution, a lowering phase, or a fabric operation. Parent is the ID of the
+// span that was open on the same rank when this one began (0 = root).
+type Span struct {
+	Rank   int
+	Name   string
+	Cat    string
+	Start  model.Time
+	End    model.Time
+	ID     int64
+	Parent int64
+
+	// Region is the interned directive-region ID active when the span began
+	// (see Fabric.InternRegion); 0 = unattributed.
+	Region int
+}
+
+// Dur reports the span's virtual duration.
+func (s Span) Dur() model.Time { return s.End - s.Start }
+
+// NewRecorder makes a recorder for n ranks that no fabric feeds, for a span
+// tracer without a fabric. Capacity is as for EnableRecorder.
+func NewRecorder(n, capacity int) *Recorder {
+	return &Recorder{rings: make([]recRing, n), capacity: max(capacity, 0)}
+}
+
 // EnableRecorder installs a recorder and subscribes it to the event stream.
-// A positive capacity bounds each rank's ring to its last capacity events
-// (the flight recorder); capacity <= 0 keeps every event. Like SetFaults it
-// must be called before rank goroutines start. Calling it again returns the
+// A positive capacity bounds each rank's ring to its last capacity records
+// (the flight recorder); capacity <= 0 keeps every record. A ring grows as it
+// fills, so a large bound costs only what is recorded. Like SetFaults it must
+// be called before rank goroutines start. Calling it again returns the
 // existing recorder, widened to unbounded if capacity <= 0 asks for that; a
-// recorder is never narrowed.
+// recorder a span tracer installed (SpanRecorder) grows to the larger
+// capacity instead. A recorder is never narrowed.
 func (f *Fabric) EnableRecorder(capacity int) *Recorder {
-	if r := f.rec; r != nil {
-		if capacity <= 0 && !r.unbounded {
-			r.widen()
-		}
+	if r := f.rec; r != nil && r.flight && capacity > 0 {
 		return r
 	}
-	r := &Recorder{rings: make([]recRing, f.n), unbounded: capacity <= 0}
-	if !r.unbounded {
-		for i := range r.rings {
-			r.rings[i].buf = make([]Event, capacity)
-		}
-	}
-	f.rec = r
-	f.Observe(r.record)
+	r := f.SpanRecorder(capacity)
+	r.flight = true
 	return r
 }
 
-// widen turns a bounded recorder unbounded, keeping what each ring holds.
-func (r *Recorder) widen() {
+// SpanRecorder returns the recorder a span tracer bound to this fabric writes
+// into: the installed one grown to capacity (the larger bound wins, and
+// unbounded is the largest), or a new one. Call it before ranks start.
+func (f *Fabric) SpanRecorder(capacity int) *Recorder {
+	if r := f.rec; r != nil {
+		r.grow(capacity)
+		return r
+	}
+	f.rec = NewRecorder(f.n, capacity)
+	f.Observe(f.rec.record)
+	return f.rec
+}
+
+// grow raises a bounded recorder's capacity to capacity (unbounded when
+// capacity <= 0), keeping what each ring holds in order.
+func (r *Recorder) grow(capacity int) {
+	if r.capacity == 0 || (capacity > 0 && capacity <= r.capacity) {
+		return
+	}
 	for i := range r.rings {
 		rg := &r.rings[i]
 		rg.mu.Lock()
-		rg.buf = rg.tail(0)
-		rg.next, rg.wrapped = len(rg.buf), false
+		rg.buf = append(rg.buf[rg.next:len(rg.buf):len(rg.buf)], rg.buf[:rg.next]...)
+		rg.next = 0
 		rg.mu.Unlock()
 	}
-	r.unbounded = true
+	r.capacity = max(capacity, 0)
 }
 
 // Recorder returns the installed recorder, or nil.
 func (f *Fabric) Recorder() *Recorder { return f.rec }
 
 func (r *Recorder) record(e Event) {
-	if e.Rank < 0 || e.Rank >= len(r.rings) {
+	rg := r.ring(e.Rank)
+	if rg == nil {
 		return
 	}
-	rg := &r.rings[e.Rank]
 	rg.mu.Lock()
-	if r.unbounded {
-		rg.buf = append(rg.buf, e)
-		rg.next = len(rg.buf)
-	} else {
-		rg.buf[rg.next] = e
-		rg.next++
-		if rg.next == len(rg.buf) {
-			rg.next = 0
-			rg.wrapped = true
-		}
-	}
+	rg.slot(r.capacity).Event = e
 	rg.total++
 	if e.V > rg.lastV {
 		rg.lastV = e.V
@@ -120,46 +159,100 @@ func (r *Recorder) record(e Event) {
 	rg.mu.Unlock()
 }
 
-// tail copies out the ring's last limit events (all of them when limit <= 0),
-// oldest first. The caller holds rg.mu.
-func (rg *recRing) tail(limit int) []Event {
-	older, newer := []Event(nil), rg.buf[:rg.next]
-	if rg.wrapped {
-		older = rg.buf[rg.next:]
+// RecordSpan writes a finished span into its rank's ring; s is not
+// retained. Nil receivers and out-of-range ranks record nothing.
+func (r *Recorder) RecordSpan(s *Span) {
+	rg := r.ring(s.Rank)
+	if rg == nil {
+		return
 	}
-	held := len(older) + len(newer)
-	if limit <= 0 || limit > held {
-		limit = held
+	rg.mu.Lock()
+	x := rg.slot(r.capacity)
+	x.Kind, x.span = spanKind, *s
+	rg.mu.Unlock()
+}
+
+// slot returns the slot the next record goes in: a new one while the ring
+// grows, else the oldest, whose span (if any) is dropped. The caller holds
+// rg.mu.
+func (rg *recRing) slot(capacity int) *record {
+	if n := len(rg.buf); capacity == 0 || n < capacity {
+		if n == cap(rg.buf) {
+			more := max(n, 8)
+			if capacity > 0 {
+				more = min(more, capacity-n)
+			}
+			rg.buf = slices.Grow(rg.buf, more)
+		}
+		rg.buf = rg.buf[:n+1]
+		return &rg.buf[n]
 	}
-	if skip := held - limit; skip >= len(older) {
-		older, newer = nil, newer[skip-len(older):]
-	} else {
-		older = older[skip:]
+	x := &rg.buf[rg.next]
+	if x.Kind == spanKind {
+		rg.dropped++
 	}
-	return append(append(make([]Event, 0, limit), older...), newer...)
+	if rg.next++; rg.next == len(rg.buf) {
+		rg.next = 0
+	}
+	return x
+}
+
+// ring returns rank's ring; nil for a nil receiver or an out-of-range rank.
+func (r *Recorder) ring(rank int) *recRing {
+	if r == nil || rank < 0 || rank >= len(r.rings) {
+		return nil
+	}
+	return &r.rings[rank]
+}
+
+// tail copies out the last limit spans (spans set) or fabric events that
+// rank's ring holds, oldest first; all of them when limit <= 0. It returns
+// nil for a nil receiver or an out-of-range rank.
+func tail[T any](r *Recorder, rank, limit int, spans bool, get func(*record) T) []T {
+	rg := r.ring(rank)
+	if rg == nil {
+		return nil
+	}
+	out := []T{}
+	rg.mu.Lock()
+	for i := len(rg.buf) - 1; i >= 0 && (limit <= 0 || len(out) < limit); i-- {
+		if x := &rg.buf[(rg.next+i)%len(rg.buf)]; (x.Kind == spanKind) == spans {
+			out = append(out, get(x))
+		}
+	}
+	rg.mu.Unlock()
+	slices.Reverse(out)
+	return out
+}
+
+func eventOf(x *record) Event { return x.Event }
+func spanOf(x *record) Span   { return x.span }
+
+// count reads one of rank's counters under the ring's lock; 0 without a ring.
+func count[T any](r *Recorder, rank int, get func(*recRing) T) (v T) {
+	if rg := r.ring(rank); rg != nil {
+		rg.mu.Lock()
+		v = get(rg)
+		rg.mu.Unlock()
+	}
+	return v
 }
 
 // Cap reports the per-rank ring capacity; 0 when the recorder is unbounded.
 func (r *Recorder) Cap() int {
-	if r == nil || r.unbounded || len(r.rings) == 0 {
+	if r == nil {
 		return 0
 	}
-	return len(r.rings[0].buf)
+	return r.capacity
 }
 
-// RankEvents returns rank's recorded events, oldest first. Nil receiver and
-// out-of-range ranks return nil.
-func (r *Recorder) RankEvents(rank int) []Event { return r.rankTail(rank, 0) }
+// RankEvents returns rank's recorded fabric events, oldest first. Nil
+// receiver and out-of-range ranks return nil.
+func (r *Recorder) RankEvents(rank int) []Event { return tail(r, rank, 0, false, eventOf) }
 
-func (r *Recorder) rankTail(rank, limit int) []Event {
-	if r == nil || rank < 0 || rank >= len(r.rings) {
-		return nil
-	}
-	rg := &r.rings[rank]
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	return rg.tail(limit)
-}
+// RankSpans returns rank's retained spans in the order they ended, oldest
+// first. Nil receiver and out-of-range ranks return nil.
+func (r *Recorder) RankSpans(rank int) []Span { return tail(r, rank, 0, true, spanOf) }
 
 // Events returns every recorded event rank by rank: rank 0's in the order
 // rank 0 emitted them, then rank 1's, and so on. Each rank's events are in
@@ -179,26 +272,20 @@ func (r *Recorder) Events() []Event {
 // Total reports how many events have ever been recorded for rank (including
 // those the ring has since overwritten).
 func (r *Recorder) Total(rank int) int64 {
-	if r == nil || rank < 0 || rank >= len(r.rings) {
-		return 0
-	}
-	rg := &r.rings[rank]
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	return rg.total
+	return count(r, rank, func(rg *recRing) int64 { return rg.total })
 }
 
 // LastV reports the largest virtual timestamp observed for rank — a safe
 // cross-goroutine proxy for the rank's (goroutine-private) virtual clock,
 // which the live /ranks endpoint uses to estimate clock skew.
 func (r *Recorder) LastV(rank int) model.Time {
-	if r == nil || rank < 0 || rank >= len(r.rings) {
-		return 0
-	}
-	rg := &r.rings[rank]
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	return rg.lastV
+	return count(r, rank, func(rg *recRing) model.Time { return rg.lastV })
+}
+
+// SpansDropped reports how many spans rank's ring has overwritten after it
+// filled. Overwritten fabric events are not counted: Total tells them.
+func (r *Recorder) SpansDropped(rank int) int64 {
+	return count(r, rank, func(rg *recRing) int64 { return rg.dropped })
 }
 
 // RecvSummary describes one posted-but-unmatched receive in a frontier dump.
@@ -221,12 +308,15 @@ type FailingOp struct {
 }
 
 // RankDump is one rank's slice of a post-mortem: the flight-recorder tail
-// plus the unmatched frontier at dump time.
+// plus the unmatched frontier at dump time. Spans holds the rank's last
+// finished spans, in the order they ended, when a tracer writes into the
+// recorder: what the directive lowered to just before the failure.
 type RankDump struct {
 	Rank       int                  `json:"rank"`
 	LastV      model.Time           `json:"last_v"`
 	Recorded   int64                `json:"events_recorded"`
 	Events     []Event              `json:"events"`
+	Spans      []Span               `json:"spans,omitempty"`
 	Posted     []RecvSummary        `json:"posted_frontier"`     // receives with no matching send
 	Unexpected []transport.Envelope `json:"unexpected_frontier"` // arrived sends with no matching receive
 }
@@ -279,12 +369,16 @@ func (f *Fabric) ReportFailure(fail FailingOp) *Postmortem {
 			Rank:       rk,
 			LastV:      f.rec.LastV(rk),
 			Recorded:   f.rec.Total(rk),
-			Events:     f.rec.rankTail(rk, DefaultRecorderCap),
+			Events:     tail(f.rec, rk, DefaultRecorderCap, false, eventOf),
+			Spans:      tail(f.rec, rk, DefaultRecorderCap, true, spanOf),
 			Posted:     ep.PostedFrontier(),
 			Unexpected: ep.UnexpectedFrontier(),
 		}
 		for _, e := range d.Events {
 			needLabel(e.Region)
+		}
+		for _, s := range d.Spans {
+			needLabel(s.Region)
 		}
 		pm.Ranks = append(pm.Ranks, d)
 	}
@@ -345,6 +439,16 @@ func (pm *Postmortem) String() string {
 		}
 		if len(d.Posted) == 0 && len(d.Unexpected) == 0 {
 			b.WriteString("    frontier empty (all traffic matched or cancelled)\n")
+		}
+		if len(d.Spans) > 0 {
+			fmt.Fprintf(&b, "    last %d span(s), in the order they ended:\n", len(d.Spans))
+			for _, s := range d.Spans {
+				region := ""
+				if s.Region != 0 {
+					region = " region=" + lbl(s.Region)
+				}
+				fmt.Fprintf(&b, "       %12v %-20s %-9s dur=%v%s\n", s.End, s.Name, s.Cat, s.Dur(), region)
+			}
 		}
 		if len(d.Events) == 0 {
 			b.WriteString("    no events recorded (recorder disabled or rank silent)\n")

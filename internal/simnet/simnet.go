@@ -114,9 +114,10 @@ type Fabric struct {
 	obsMu     sync.Mutex                 // serializes Observe registrations
 	observers atomic.Pointer[[]Observer] // read lock-free on every Emit
 
-	// rec is the optional event recorder (see recorder.go). Installed once
-	// by EnableRecorder before rank goroutines start; nil on an unobserved
-	// fabric, so recording costs nothing when disabled.
+	// rec is the optional event and span recorder (see recorder.go).
+	// Installed once by EnableRecorder or SpanRecorder before rank
+	// goroutines start; nil on an unobserved fabric, so recording costs
+	// nothing when disabled.
 	rec *Recorder
 
 	// Directive-region label interning. Region IDs on events, spans and

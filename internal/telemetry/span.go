@@ -1,53 +1,36 @@
 package telemetry
 
 import (
-	"sync"
-
 	"commintent/internal/model"
+	"commintent/internal/simnet"
 )
 
 // DefaultSpanCap is the per-rank ring-buffer capacity used when the caller
 // does not configure one.
 const DefaultSpanCap = 4096
 
-// Span is one completed, virtually-timed interval on a rank: a directive
-// execution, a lowering phase, or a fabric operation. Parent is the ID of
-// the span that was open on the same rank when this one began (0 = root).
-type Span struct {
-	Rank   int
-	Name   string
-	Cat    string
-	Start  model.Time
-	End    model.Time
-	ID     int64
-	Parent int64
+// Span is one completed, virtually-timed interval on a rank, as the tracer
+// reads it back from the recorder's ring (see simnet.Span).
+type Span = simnet.Span
 
-	// Region is the interned directive-region ID active when the span began
-	// (see simnet.Fabric.InternRegion); 0 = unattributed.
-	Region int
-}
-
-// Dur reports the span's virtual duration.
-func (s Span) Dur() model.Time { return s.End - s.Start }
-
-// rankSpans is one rank's recording state. Each rank is a single
-// goroutine, so the mutex is effectively uncontended; it exists so that
-// export (Spans, WriteChromeTrace) can run concurrently with a live rank.
-type rankSpans struct {
-	mu      sync.Mutex
-	nextID  int64
-	stack   []int64 // open span IDs, innermost last
-	ring    []Span  // capacity-bounded record of finished spans
-	next    int     // ring write position
-	wrapped bool
-	dropped int64 // finished spans overwritten after wrap
-}
-
-// Tracer records spans into per-rank ring buffers with a configurable
-// capacity. A nil *Tracer hands out no-op span handles.
+// Tracer writes spans into a simnet recorder's per-rank ring and reads them
+// back. Bound to a fabric (Telemetry.BindFabric) it writes into the fabric's
+// recorder, beside the fabric events; standalone it writes into a recorder of
+// its own. A nil *Tracer hands out no-op span handles.
 type Tracer struct {
 	cap   int
-	ranks []rankSpans
+	rec   *simnet.Recorder
+	ranks []openSpans
+}
+
+// openSpans is one rank's span id counter and open-span stack. Only the
+// rank's own goroutine begins and ends its spans, so it takes no lock.
+type openSpans struct {
+	nextID int64
+	stack  []int64 // open span IDs, innermost last
+	// Pad to a cache line: adjacent ranks are written by different rank
+	// goroutines.
+	_ [32]byte
 }
 
 // NewTracer creates a tracer for n ranks with the given per-rank span
@@ -56,20 +39,14 @@ func NewTracer(n, perRankCap int) *Tracer {
 	if perRankCap <= 0 {
 		perRankCap = DefaultSpanCap
 	}
-	return &Tracer{cap: perRankCap, ranks: make([]rankSpans, n)}
+	return &Tracer{cap: perRankCap, rec: simnet.NewRecorder(n, perRankCap), ranks: make([]openSpans, n)}
 }
 
 // SpanHandle is an open span. It is a value type so that beginning a span
 // on a disabled (nil) tracer allocates nothing.
 type SpanHandle struct {
-	t      *Tracer
-	rank   int
-	name   string
-	cat    string
-	start  model.Time
-	id     int64
-	parent int64
-	region int
+	t *Tracer
+	s Span // End not yet set
 }
 
 // Begin opens a span on rank at virtual time start. The parent is the
@@ -85,50 +62,32 @@ func (t *Tracer) BeginRegion(rank int, name, cat string, start model.Time, regio
 		return SpanHandle{}
 	}
 	rs := &t.ranks[rank]
-	rs.mu.Lock()
 	rs.nextID++
-	id := rs.nextID
 	var parent int64
 	if len(rs.stack) > 0 {
 		parent = rs.stack[len(rs.stack)-1]
 	}
-	rs.stack = append(rs.stack, id)
-	rs.mu.Unlock()
-	return SpanHandle{t: t, rank: rank, name: name, cat: cat, start: start, id: id, parent: parent, region: region}
+	rs.stack = append(rs.stack, rs.nextID)
+	return SpanHandle{t: t, s: Span{Rank: rank, Name: name, Cat: cat, Start: start, ID: rs.nextID, Parent: parent, Region: region}}
 }
 
-// End closes the span at virtual time end and records it into the rank's
-// ring buffer. Safe on a zero handle.
+// End closes the span at virtual time end and writes it into the rank's
+// ring. Safe on a zero handle.
 func (h SpanHandle) End(end model.Time) {
 	if h.t == nil {
 		return
 	}
-	if end < h.start {
-		end = h.start
-	}
-	rs := &h.t.ranks[h.rank]
-	sp := Span{Rank: h.rank, Name: h.name, Cat: h.cat, Start: h.start, End: end, ID: h.id, Parent: h.parent, Region: h.region}
-	rs.mu.Lock()
+	rs := &h.t.ranks[h.s.Rank]
 	// Pop this span from the open stack; spans end LIFO in practice, but
 	// tolerate out-of-order ends by removing wherever the ID sits.
 	for i := len(rs.stack) - 1; i >= 0; i-- {
-		if rs.stack[i] == h.id {
+		if rs.stack[i] == h.s.ID {
 			rs.stack = append(rs.stack[:i], rs.stack[i+1:]...)
 			break
 		}
 	}
-	if len(rs.ring) < h.t.cap {
-		rs.ring = append(rs.ring, sp)
-	} else {
-		rs.ring[rs.next] = sp
-		rs.wrapped = true
-		rs.dropped++
-	}
-	rs.next++
-	if rs.next == h.t.cap {
-		rs.next = 0
-	}
-	rs.mu.Unlock()
+	h.s.End = max(end, h.s.Start)
+	h.t.rec.RecordSpan(&h.s)
 }
 
 // Ranks reports the number of ranks the tracer records.
@@ -139,7 +98,8 @@ func (t *Tracer) Ranks() int {
 	return len(t.ranks)
 }
 
-// Cap reports the per-rank ring capacity.
+// Cap reports the per-rank span capacity the tracer was made with. Bound to
+// a fabric whose recorder keeps more, the ring keeps more.
 func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0
@@ -150,31 +110,19 @@ func (t *Tracer) Cap() int {
 // Dropped reports how many finished spans were overwritten on rank after
 // its ring filled.
 func (t *Tracer) Dropped(rank int) int64 {
-	if t == nil || rank < 0 || rank >= len(t.ranks) {
+	if t == nil {
 		return 0
 	}
-	rs := &t.ranks[rank]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.dropped
+	return t.rec.SpansDropped(rank)
 }
 
-// RankSpans returns rank's retained spans, oldest first.
+// RankSpans returns rank's retained spans in the order they ended, oldest
+// first.
 func (t *Tracer) RankSpans(rank int) []Span {
-	if t == nil || rank < 0 || rank >= len(t.ranks) {
+	if t == nil {
 		return nil
 	}
-	rs := &t.ranks[rank]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make([]Span, 0, len(rs.ring))
-	if rs.wrapped {
-		out = append(out, rs.ring[rs.next:]...)
-		out = append(out, rs.ring[:rs.next]...)
-	} else {
-		out = append(out, rs.ring...)
-	}
-	return out
+	return t.rec.RankSpans(rank)
 }
 
 // Spans returns every retained span of every rank, rank by rank, each

@@ -19,7 +19,7 @@ type Telemetry struct {
 // capacity (DefaultSpanCap if perRankSpanCap <= 0).
 func New(n, perRankSpanCap int) *Telemetry {
 	t := &Telemetry{reg: NewRegistry(), tr: NewTracer(n, perRankSpanCap)}
-	// Surface tracer ring overflow as a pull counter so truncated Chrome
+	// Surface overwritten spans as a pull counter so truncated Chrome
 	// exports are detectable from the metrics plane alone.
 	for r := 0; r < n; r++ {
 		r := r
@@ -65,10 +65,16 @@ const eventKinds = int(simnet.EvFault) + 1
 // BindFabric subscribes the telemetry to all events of the fabric,
 // populating the per-rank operation counters and byte totals, and
 // registers pull gauges for each endpoint's unexpected-queue
-// high-watermark. Call before ranks start (spmd.World.SetTelemetry does).
+// high-watermark. A tracer then writes its spans into the fabric's
+// recorder, which keeps at least the tracer's capacity per rank (see
+// simnet.Fabric.SpanRecorder). Call before ranks start
+// (spmd.World.SetTelemetry does).
 func (t *Telemetry) BindFabric(f *simnet.Fabric) {
 	if t == nil || f == nil {
 		return
+	}
+	if t.tr != nil {
+		t.tr.rec = f.SpanRecorder(t.tr.cap)
 	}
 	n := f.Size()
 	m := &fabricMeters{

@@ -11,6 +11,7 @@ import (
 	"commintent/internal/shmem"
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
+	"commintent/internal/telemetry"
 	"commintent/internal/trace"
 )
 
@@ -181,22 +182,48 @@ func TestSyncCounting(t *testing.T) {
 
 // TestCollectorConcurrentAdd: ranks emitting concurrently into one unbounded
 // recorder lose nothing, and each rank's events come back in the order that
-// rank emitted them.
+// rank emitted them. Half the ranks also end spans into the same rings while
+// a reader takes spans and events out of them; the events read afterwards are
+// exactly the emitted ones, and every span is kept in the order it ended.
 func TestCollectorConcurrentAdd(t *testing.T) {
 	const n, each = 8, 500
 	f := simnet.NewFabric(n)
 	rec := f.EnableRecorder(0)
-	var wg sync.WaitGroup
+	tele := telemetry.New(n, 0)
+	tele.BindFabric(f)
+	tr := tele.Tracer()
+	var wg, reader sync.WaitGroup
+	done := make(chan struct{})
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for r := 0; ; r = (r + 1) % n {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			tr.RankSpans(r)
+			rec.Events()
+		}
+	}()
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
+				var sp telemetry.SpanHandle // a zero handle ends nothing
+				if r%2 == 1 {
+					sp = tr.Begin(r, "emit", "test", model.Time(i))
+				}
 				f.Emit(simnet.Event{Rank: r, Kind: simnet.EvSend, Peer: 0, Tag: i, Bytes: 8})
+				sp.End(model.Time(i + 1))
 			}
 		}(r)
 	}
 	wg.Wait()
+	close(done)
+	reader.Wait()
 	evs := rec.Events()
 	if len(evs) != n*each {
 		t.Fatalf("events = %d, want %d", len(evs), n*each)
@@ -208,6 +235,20 @@ func TestCollectorConcurrentAdd(t *testing.T) {
 	}
 	if st := trace.StatsOf(evs); st.Messages != n*each {
 		t.Fatalf("messages = %d", st.Messages)
+	}
+	for r := 0; r < n; r++ {
+		spans, want := tr.RankSpans(r), 0
+		if r%2 == 1 {
+			want = each
+		}
+		if len(spans) != want {
+			t.Fatalf("rank %d kept %d spans, want %d", r, len(spans), want)
+		}
+		for i, s := range spans {
+			if s.Start != model.Time(i) || s.Name != "emit" {
+				t.Fatalf("rank %d span %d is %s from %v, want emit from %v", r, i, s.Name, s.Start, model.Time(i))
+			}
+		}
 	}
 }
 

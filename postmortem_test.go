@@ -12,6 +12,7 @@ import (
 	"commintent/internal/mpi"
 	"commintent/internal/simnet"
 	"commintent/internal/spmd"
+	"commintent/internal/telemetry"
 )
 
 // TestPostmortemOnRetryGiveup is the forensics contract end to end: a chaos
@@ -20,42 +21,7 @@ import (
 // the typed error says *that* it failed, the dump says *what* was dying.
 func TestPostmortemOnRetryGiveup(t *testing.T) {
 	const n = 2
-	w, err := spmd.NewWorld(n, model.Uniform(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := simnet.FaultConfig{Seed: 9, Drop: 1}
-	cfg.TagSpan, cfg.UserSpan = mpi.P2PFaultScope()
-	w.Fabric().SetFaults(cfg)
-	w.Fabric().EnableRecorder(simnet.DefaultRecorderCap)
-
-	errs := make([]error, n)
-	if err := w.Run(func(rk *spmd.Rank) error {
-		c := mpi.World(rk)
-		c.SetWatchdog(2 * time.Second)
-		e, err := core.NewEnv(c, nil)
-		if err != nil {
-			return err
-		}
-		defer e.Close()
-		src, dst := []float64{1}, []float64{-1}
-		errs[rk.ID] = e.Parameters(func(r *core.Region) error {
-			return r.P2P(
-				core.Sender(1-rk.ID), core.Receiver(1-rk.ID),
-				core.SBuf(src), core.RBuf(dst),
-				core.WithTarget(core.TargetMPI2Side),
-			)
-		}, core.Label("doomed-exchange"))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for r, err := range errs {
-		if !errors.Is(err, mpi.ErrMessageLost) {
-			t.Errorf("rank %d: err = %v, want wrapped ErrMessageLost", r, err)
-		}
-	}
-
+	w := runDoomedExchange(t, nil)
 	pms := w.Fabric().Postmortems()
 	if len(pms) == 0 {
 		t.Fatal("retry give-up filed no post-mortem")
@@ -114,6 +80,91 @@ func TestPostmortemOnRetryGiveup(t *testing.T) {
 	}
 	if back[0].Fail.Region != pm.Fail.Region {
 		t.Error("JSON round-trip lost the region attribution")
+	}
+}
+
+// runDoomedExchange runs a two-rank exchange under total message loss, with
+// the flight recorder on and tele (which may be nil) bound, and returns the
+// world once every rank has given up.
+func runDoomedExchange(t *testing.T, tele *telemetry.Telemetry) *spmd.World {
+	t.Helper()
+	const n = 2
+	w, err := spmd.NewWorld(n, model.Uniform(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simnet.FaultConfig{Seed: 9, Drop: 1}
+	cfg.TagSpan, cfg.UserSpan = mpi.P2PFaultScope()
+	w.Fabric().SetFaults(cfg)
+	w.Fabric().EnableRecorder(simnet.DefaultRecorderCap)
+	if tele != nil {
+		w.SetTelemetry(tele)
+	}
+
+	errs := make([]error, n)
+	if err := w.Run(func(rk *spmd.Rank) error {
+		c := mpi.World(rk)
+		c.SetWatchdog(2 * time.Second)
+		e, err := core.NewEnv(c, nil)
+		if err != nil {
+			return err
+		}
+		defer e.Close()
+		src, dst := []float64{1}, []float64{-1}
+		errs[rk.ID] = e.Parameters(func(r *core.Region) error {
+			return r.P2P(
+				core.Sender(1-rk.ID), core.Receiver(1-rk.ID),
+				core.SBuf(src), core.RBuf(dst),
+				core.WithTarget(core.TargetMPI2Side),
+			)
+		}, core.Label("doomed-exchange"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r, err := range errs {
+		if !errors.Is(err, mpi.ErrMessageLost) {
+			t.Errorf("rank %d: err = %v, want wrapped ErrMessageLost", r, err)
+		}
+	}
+	return w
+}
+
+// TestPostmortemTracedTailHoldsSpans: with a tracer writing into the flight
+// recorder, the failing rank's dump also carries its last finished spans, so
+// the rendering shows the MPI calls the directive lowered to before it died.
+func TestPostmortemTracedTailHoldsSpans(t *testing.T) {
+	w := runDoomedExchange(t, telemetry.New(2, 0))
+	pms := w.Fabric().Postmortems()
+	if len(pms) == 0 {
+		t.Fatal("retry give-up filed no post-mortem")
+	}
+	pm := pms[0]
+	var fail *simnet.RankDump
+	for i := range pm.Ranks {
+		if pm.Ranks[i].Rank == pm.Fail.Rank {
+			fail = &pm.Ranks[i]
+		}
+	}
+	if fail == nil {
+		t.Fatalf("no dump for the failing rank %d", pm.Fail.Rank)
+	}
+	names := map[string]bool{}
+	for _, s := range fail.Spans {
+		names[s.Name] = true
+	}
+	s := pm.String()
+	for _, want := range []string{"MPI_Isend", "MPI_Irecv"} {
+		if !names[want] {
+			t.Errorf("failing rank's dump holds no %s span (have %v)", want, names)
+		}
+		if !strings.Contains(s, want) {
+			t.Errorf("rendering does not name the %s span", want)
+		}
+	}
+	// The fabric events are the untraced dump's: spans do not displace them.
+	if len(fail.Events) == 0 || fail.Recorded != int64(len(fail.Events)) {
+		t.Errorf("failing rank's dump holds %d of %d recorded events", len(fail.Events), fail.Recorded)
 	}
 }
 
