@@ -228,6 +228,7 @@ func barrierFor(w *spmd.World, id string, ranks []int) *simnet.Barrier {
 		nodeOf = func(i int) int { return h.NodeOf(ranks[i]) }
 	}
 	b := simnet.NewBarrierTopo(len(ranks), nodeOf)
+	b.Bind(func(i int) *transport.Task { return w.Task(ranks[i]) })
 	reg.barriers[id] = b
 	return b
 }

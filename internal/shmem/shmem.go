@@ -98,10 +98,10 @@ type entry struct {
 
 // rmaBoard serialises one-sided traffic arriving at a PE (puts, atomics and
 // each allocation's signal log) and wakes its wait_until. Only the owning PE
-// ever waits on its board, and a PE is one goroutine, so the board's one
-// transport.Gate — the park point every rank-owned wait uses — serves every
-// wait: a writer publishes under mu, then wakes the gate, which with no one
-// parked is one load. The gate's park can race a timer, which is what makes
+// ever waits on its board, and it waits on one thing at a time, so the
+// board's one transport.Gate, bound to the PE's task, serves every wait: a
+// writer publishes under mu, then wakes the gate, which with no one waiting
+// is one load. The gate's wait takes a deadline, which is what makes
 // WaitUntilTimeout possible (a sync.Cond wait cannot be interrupted).
 type rmaBoard struct {
 	mu   sync.Mutex
@@ -111,10 +111,9 @@ type rmaBoard struct {
 func state(w *spmd.World) *worldState {
 	ws := w.Shared("shmem/worldState", func() any {
 		s := &worldState{rma: make([]*rmaBoard, w.Size())}
-		spin := transport.WaitSpin()
 		for i := range s.rma {
 			s.rma[i] = &rmaBoard{}
-			s.rma[i].gate.Init(spin)
+			s.rma[i].gate.Bind(w.Task(i))
 		}
 		return s
 	}).(*worldState)
@@ -307,6 +306,7 @@ func (c *Ctx) TeamBarrier(pes []int) error {
 	b, ok := tb.m[key]
 	if !ok {
 		b = simnet.NewBarrier(len(pes))
+		b.Bind(func(i int) *transport.Task { return c.rk.World().Task(pes[i]) })
 		tb.m[key] = b
 	}
 	tb.mu.Unlock()

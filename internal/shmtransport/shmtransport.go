@@ -12,11 +12,10 @@
 // rank posts, probes and waits — the SPMD invariant the simnet endpoint
 // spends a mutex re-establishing on every delivery.
 //
-// Waiting is the one wait (transport.Gate) both ways: the world's spin rule
-// — a bounded runtime.Gosched spin at one P, none at more — then a park on
-// the port's gate, which a sender wakes only after the receiver has
-// announced it is parking, so the steady-state message path performs no
-// allocation and no park/unpark pair. Payload buffers are the port's pooled
+// Waiting is the one wait (transport.Gate) both ways: a rank on its run
+// loop yields on the port's gate, and any other waiter parks there; a sender
+// wakes it only after the receiver has announced the wait, so the
+// steady-state message path performs no allocation and no park/unpark pair. Payload buffers are the port's pooled
 // wire buffers (transport.Headers.GetBuf/PutBuf), so the zero-copy pack
 // paths above are unchanged.
 //
@@ -65,11 +64,9 @@ func New(n int) *Net {
 	}
 	net := &Net{ports: make([]*Port, n)}
 	arena := make([]Port, n)
-	spin := transport.WaitSpin()
 	for i := range net.ports {
 		arena[i].net = net
 		arena[i].rank = i
-		arena[i].hdr.Gate.Init(spin)
 		net.ports[i] = &arena[i]
 	}
 	return net

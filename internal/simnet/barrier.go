@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"commintent/internal/model"
@@ -23,18 +21,19 @@ import (
 // count share one atomic word, so a rank's check-in is a single fetch-add
 // that simultaneously reads the generation it must wait out, and the
 // winner's release is a single fetch-add that resets the count and flips
-// the generation. A waiter that does not see the flip parks on its node's
-// gate for that generation, so the steady-state barrier performs no
+// the generation. A waiter that does not see the flip blocks on its own gate,
+// which the node's release wakes, so the steady-state barrier performs no
 // allocation, no mutex handoff chain, and no O(n) broadcast herd: wakeups
 // are per tree node.
 //
-// Shape and wait follow the one wait rule (transport.WaitSpin), read when
-// the barrier is built: with one P the tree is a single densely packed node
-// and a waiter yields a bounded number of times before parking, because the
-// release is one scheduler turn away; with more than one P the tree is
-// radix 16 (node-grouped where placement says), slots sit a cache line
-// apart, and a waiter parks at once — there every yield goes through the
-// scheduler's global run queue lock, which both Ps then fight over.
+// A waiter waits on its participant's gate (transport.Gate): in a running
+// world the gate is bound to the rank's task and the waiter yields to its
+// run loop; anywhere else it parks its goroutine. A node records which
+// participant arrived at each of its child slots, and its release wakes
+// those gates only: a release readies that node's waiters, not the world.
+// The tree is radix 16 (node-grouped where placement says) with slots a
+// cache line apart, at every P: parallel check-ins do not false-share, and
+// a release wave is at most fifteen wakes long.
 //
 // A generation may carry a completion step (WaitStep): the global winner —
 // the participant whose arrival completes the root node, whatever the tree
@@ -46,55 +45,33 @@ import (
 // at the parent only afterwards, so the global winner's step observes every
 // participant's stores; the step's own stores precede the root's release
 // flip, each released winner flips the nodes it won only after seeing its
-// own release, and a waiter returns only after loading the flipped word or
-// leaving the gate the release opened after it.
+// own release, and a waiter returns only after loading the flipped word.
 //
 // A Barrier is safe for repeated use by the same fixed set of n goroutines;
 // participant i must always pass me == i.
 type Barrier struct {
-	// flat and lslot lead the struct so the flat fast path's loads share
-	// one cache line: with thousands of rank goroutines cycling through
-	// Wait, the working set is cache-resident only if each call touches
-	// the minimum number of distinct lines.
-	flat   *barNode // the whole tree, when it is a single node
-	lslot  []int    // slot index within the leaf for each rank
-	spin   int      // Gosched yields before a waiter parks: transport.WaitSpin
 	n      int
-	leaves []*barNode // leaf node for each rank
+	leaves []*barNode // leaf node for each participant
+	lslot  []int      // child slot within the leaf for each participant
+	gates  []transport.Gate
 	depth  int
 	hier   bool // leaves grouped by topology node, not rank order
 }
 
 // Process-wide barrier counters, surfaced through BarrierStats: the global
-// winner adds one per generation, and a waiter one as it parks.
+// winner adds one per generation, and each release the waiters it woke.
 var barGenerations, barParks atomic.Int64
 
 // BarrierStats reports the process-lifetime number of completed barrier
-// generations and of waits that parked, over every barrier.
+// generations and of waits that blocked (parked, or yielded to a run loop)
+// until a release woke them, over every barrier.
 func BarrierStats() (generations, parks int64) {
 	return barGenerations.Load(), barParks.Load()
 }
 
-// waitRule is the barrier's shape and wait: its tree fan-in (0 for a single
-// node), the spacing of per-child slots in words, and the yields a waiter
-// spends before parking.
-type waitRule struct{ radix, stride, spin int }
-
-// readRule takes the barrier's spin from transport.WaitSpin, the one wait
-// rule, and the shape with it: the rule spins only at one P. There yields
-// pay — the releaser runs within a turn or two, and parking at once made
-// the 256-rank allreduce ~35% slower — and one densely packed node is the
-// whole tree. With more than one P every yield takes the scheduler's global
-// run-queue lock (65% of a two-P 256-rank allreduce's CPU was under
-// gosched_m), so waiters park at once, the radix-16 tree keeps each release
-// wave short, and slots a cache line apart keep parallel check-ins from
-// false-sharing.
-func readRule() waitRule {
-	if spin := transport.WaitSpin(); spin > 0 {
-		return waitRule{stride: 1, spin: spin}
-	}
-	return waitRule{radix: 16, stride: 8}
-}
+// The barrier's shape: tree fan-in and the spacing of per-child slots in
+// words (one cache line).
+const barRadix, barStride = 16, 8
 
 // barNode's state word: low 32 bits arrival count, high 32 bits generation.
 // An arrival is one fetch-add of 1 (returning both its arrival position and
@@ -102,71 +79,72 @@ func readRule() waitRule {
 // 1<<32 - nchild (flipping the generation and zeroing the count together).
 // The generation comparison is modular, so 32-bit wraparound is harmless.
 type barNode struct {
-	// slots holds one virtual-time slot per child, stride words apart.
+	// slots holds one virtual-time slot per child, barStride words apart.
 	slots  []model.Time
-	stride int
 	nchild int
 	parent *barNode
-	pslot  int // this node's slot index in parent
+	pslot  int // this node's child slot in parent
+
+	// who[j] is the participant that arrived at child slot j this
+	// generation, whose gate the release wakes. A leaf's never changes; an
+	// upper node's is written by the arriving subtree winner before its
+	// arrival add.
+	who []atomic.Int32
 
 	_    [64]byte
 	word atomic.Uint64
 	_    [56]byte
-	// gate[g&1] holds generation g's parked waiters: armed (count 1) before
-	// the flip that starts g, opened by the release that ends it. Two gates
-	// because a fast rank can arrive for g+1, and park, between release(g)'s
-	// flip and its Done. A gate is re-armed only at the flip that starts
-	// g+2, inside release(g+1), which needs every child's arrival for g+1 —
-	// and each of those happens after the g waiter from that child's subtree
-	// has left Wait (on a leaf it is the waiter itself; higher up, the child
-	// node's next winner arrives only after that waiter released the child).
-	// So no Wait of g is ever in flight across its gate's re-arming, which
-	// is what lets one WaitGroup per parity serve every generation.
-	gate [2]sync.WaitGroup
 	out  model.Time // generation result; published by the release flip
 }
 
-// newBarNode returns a node for k children with generation 0's gate armed.
-func newBarNode(k, stride int) *barNode {
-	nd := &barNode{slots: make([]model.Time, k*stride), stride: stride, nchild: k}
-	nd.gate[0].Add(1)
-	return nd
+func newBarNode(k int) *barNode {
+	return &barNode{slots: make([]model.Time, k*barStride), nchild: k, who: make([]atomic.Int32, k)}
 }
 
-// NewBarrier creates a barrier for n participants, shaped by the wait rule.
-func NewBarrier(n int) *Barrier {
-	r := readRule()
-	return r.build(n, r.radix)
-}
+// NewBarrier creates a barrier for n participants.
+func NewBarrier(n int) *Barrier { return build(n, barRadix) }
 
 // NewBarrierRadix creates a barrier with an explicit tree fan-in; radix >=
-// n yields a single combining node. Exposed so tests can force the
-// multi-level tree shape regardless of GOMAXPROCS.
-func NewBarrierRadix(n, radix int) *Barrier {
-	return readRule().build(n, max(radix, 2))
-}
+// n yields a single combining node.
+func NewBarrierRadix(n, radix int) *Barrier { return build(n, max(radix, 2)) }
 
-// build creates an n-participant barrier of the given fan-in (0 or >= n: one
-// node) with the rule's slot stride and spin.
-func (r waitRule) build(n, radix int) *Barrier {
+// build creates an n-participant barrier of the given fan-in (>= n: one
+// node).
+func build(n, radix int) *Barrier {
 	if n < 1 {
 		panic("simnet: barrier size must be >= 1")
 	}
-	if radix == 0 || radix > n {
-		radix = n
-	}
-	b := &Barrier{n: n, spin: r.spin, leaves: make([]*barNode, n), lslot: make([]int, n)}
+	radix = min(radix, n)
+	b := newBarrier(n)
 	level := make([]*barNode, 0, (n+radix-1)/radix)
 	for i := 0; i < n; i += radix {
-		nd := newBarNode(min(radix, n-i), r.stride)
+		nd := newBarNode(min(radix, n-i))
 		for j := 0; j < nd.nchild; j++ {
-			b.leaves[i+j] = nd
-			b.lslot[i+j] = j * r.stride
+			b.leaf(i+j, nd, j)
 		}
 		level = append(level, nd)
 	}
-	b.buildUpper(level, radix, r.stride)
+	b.buildUpper(level, radix)
 	return b
+}
+
+func newBarrier(n int) *Barrier {
+	return &Barrier{n: n, leaves: make([]*barNode, n), lslot: make([]int, n), gates: make([]transport.Gate, n)}
+}
+
+// leaf seats participant p at child slot j of leaf nd.
+func (b *Barrier) leaf(p int, nd *barNode, j int) {
+	b.leaves[p], b.lslot[p] = nd, j
+	nd.who[j].Store(int32(p))
+}
+
+// Bind binds participant i's gate to task(i), the task of the rank that
+// takes part as i: while that rank's world runs, its waits here yield to
+// its run loop. Call it before the barrier is used.
+func (b *Barrier) Bind(task func(participant int) *transport.Task) {
+	for i := range b.gates {
+		b.gates[i].Bind(task(i))
+	}
 }
 
 // NewBarrierTopo creates a barrier whose first combining level is grouped by
@@ -175,13 +153,11 @@ func (r waitRule) build(n, radix int) *Barrier {
 // per-node winners — the "leaders" — feed the radix tree above, so a
 // 64k-rank world does not collapse onto one combining root and release
 // waves stay node-local. nodeOf maps a rank to its node id; nil means no
-// topology. Where the wait rule builds a single node (one P) this is
-// NewBarrier, so the hierarchical shape is strictly an arrangement of the
-// existing combining tree, never a change to the max-fold result.
+// topology. The hierarchical shape is strictly an arrangement of the
+// combining tree, never a change to the max-fold result.
 func NewBarrierTopo(n int, nodeOf func(rank int) int) *Barrier {
-	r := readRule()
-	if nodeOf == nil || n < 2 || r.radix == 0 {
-		return r.build(n, r.radix)
+	if nodeOf == nil || n < 2 {
+		return NewBarrier(n)
 	}
 	// Group ranks by node, preserving first-seen node order.
 	idx := make(map[int]int)
@@ -198,42 +174,38 @@ func NewBarrierTopo(n int, nodeOf func(rank int) int) *Barrier {
 	}
 	if len(groups) <= 1 || len(groups) == n {
 		// One node, or one rank per node: hierarchy adds nothing.
-		return r.build(n, r.radix)
+		return NewBarrier(n)
 	}
-	b := &Barrier{n: n, spin: r.spin, leaves: make([]*barNode, n), lslot: make([]int, n), hier: true}
+	b := newBarrier(n)
+	b.hier = true
 	level := make([]*barNode, 0, len(groups))
 	for _, g := range groups {
-		nd := newBarNode(len(g), r.stride)
+		nd := newBarNode(len(g))
 		for j, rank := range g {
-			b.leaves[rank] = nd
-			b.lslot[rank] = j * r.stride
+			b.leaf(rank, nd, j)
 		}
 		level = append(level, nd)
 	}
-	b.buildUpper(level, r.radix, r.stride)
+	b.buildUpper(level, barRadix)
 	return b
 }
 
 // buildUpper stacks radix-wide combining levels over the leaf nodes until a
-// single root remains, and installs the flat fast path when the tree is one
-// node.
-func (b *Barrier) buildUpper(level []*barNode, radix, stride int) {
+// single root remains.
+func (b *Barrier) buildUpper(level []*barNode, radix int) {
 	b.depth = 1
 	for len(level) > 1 {
 		next := level[:0:0]
 		for i := 0; i < len(level); i += radix {
-			nd := newBarNode(min(radix, len(level)-i), stride)
+			nd := newBarNode(min(radix, len(level)-i))
 			for j := 0; j < nd.nchild; j++ {
 				level[i+j].parent = nd
-				level[i+j].pslot = j * stride
+				level[i+j].pslot = j
 			}
 			next = append(next, nd)
 		}
 		level = next
 		b.depth++
-	}
-	if b.leaves[0].parent == nil {
-		b.flat = b.leaves[0]
 	}
 }
 
@@ -259,45 +231,20 @@ func (b *Barrier) Wait(me int, myV model.Time) model.Time {
 // state the participants published, every participant of a generation must
 // pass a step that does the same thing (nil for none), and step must not
 // call into the barrier.
+//
+// The global winner releases the tree and then, on a run loop, lets the
+// ranks it readied there run before it goes on: at one P a generation
+// hands the loop on in arrival order.
 func (b *Barrier) WaitStep(me int, myV model.Time, step func()) model.Time {
-	if nd := b.flat; nd != nil {
-		// Flat barrier: publish the clock with one plain slot store — the
-		// check-in fetch-add below orders it for the winner's fold — and
-		// wait inline: with one P, one yield almost always suffices, so the
-		// common waiter path is store, add, load, yield, load (a call to
-		// waitRelease per wait costs the 256-rank barrier ~7% there).
-		nd.slots[b.lslot[me]] = myV
-		s := nd.word.Add(1)
-		if int(s&0xffffffff) < nd.nchild {
-			g := uint32(s >> 32)
-			for i := 0; i < b.spin; i++ {
-				if uint32(nd.word.Load()>>32) != g {
-					return nd.out
-				}
-				runtime.Gosched()
-			}
-			nd.park(g)
-			return nd.out
-		}
-		v := nd.fold(myV)
-		if step != nil {
-			step()
-		}
-		barGenerations.Add(1)
-		nd.release(v)
-		return v
-	}
-	nd := b.leaves[me]
-	slot := b.lslot[me]
+	nd, slot := b.leaves[me], b.lslot[me]
 	// The winner path can hold at most one won node per level.
 	won := make([]*barNode, 0, 8)
 	v := myV
 	for {
-		nd.slots[slot] = v
+		nd.slots[slot*barStride] = v
 		s := nd.word.Add(1)
 		if int(s&0xffffffff) < nd.nchild {
-			nd.waitRelease(uint32(s>>32), b.spin)
-			v = nd.out
+			v = b.await(me, nd, uint32(s>>32))
 			break
 		}
 		// Winner: fold the subtree maximum and carry it up. All slots for
@@ -315,18 +262,29 @@ func (b *Barrier) WaitStep(me int, myV model.Time, step func()) model.Time {
 		}
 		slot = nd.pslot
 		nd = nd.parent
+		nd.who[slot].Store(int32(me))
 	}
 	// Release every node this participant won, top-down, with the global
 	// maximum (the global winner exits the loop without waiting anywhere).
 	for i := len(won) - 1; i >= 0; i-- {
-		won[i].release(v)
+		b.release(won[i], v)
+	}
+	if len(won) == b.depth { // the global winner: it won a node at every level
+		b.gates[me].Yield()
 	}
 	return v
 }
 
+// await waits on me's gate for the node's generation g to complete and
+// returns its result.
+func (b *Barrier) await(me int, nd *barNode, g uint32) model.Time {
+	b.gates[me].Wait(func() bool { return uint32(nd.word.Load()>>32) != g }, 0)
+	return nd.out
+}
+
 // fold returns the maximum of v and the node's slot values.
 func (nd *barNode) fold(v model.Time) model.Time {
-	for i := 0; i < len(nd.slots); i += nd.stride {
+	for i := 0; i < len(nd.slots); i += barStride {
 		if nd.slots[i] > v {
 			v = nd.slots[i]
 		}
@@ -334,34 +292,27 @@ func (nd *barNode) fold(v model.Time) model.Time {
 	return v
 }
 
-// release publishes the generation result, arms the next generation's gate,
-// flips the node's generation and zeroes its arrival count in one atomic
-// add, and opens the finished generation's gate.
-func (nd *barNode) release(v model.Time) {
+// release publishes the generation result, flips the node's generation and
+// zeroes its arrival count in one atomic add, and wakes the node's waiters.
+func (b *Barrier) release(nd *barNode, v model.Time) {
 	nd.out = v
-	g := uint32(nd.word.Load() >> 32)
-	nd.gate[(g+1)&1].Add(1)
 	nd.word.Add(1<<32 - uint64(nd.nchild))
-	nd.gate[g&1].Done()
+	b.wake(nd)
 }
 
-// waitRelease waits for the node's generation g to complete: up to spin
-// Gosched yields watching the word, then a park on the generation's gate.
-func (nd *barNode) waitRelease(g uint32, spin int) {
-	for i := 0; i < spin; i++ {
-		if uint32(nd.word.Load()>>32) != g {
-			return
+// wake wakes the participant recorded at each of the node's child slots. A
+// slot an arrival for the next generation has already rewritten wakes that
+// participant for nothing: the one it replaced has left, since the newcomer
+// could arrive only after its whole subtree, that waiter included, had come
+// round again.
+func (b *Barrier) wake(nd *barNode) {
+	var woke int64
+	for j := range nd.who {
+		if b.gates[nd.who[j].Load()].Wake() {
+			woke++
 		}
-		runtime.Gosched()
 	}
-	nd.park(g)
-}
-
-// park sleeps on generation g's gate unless g has already completed.
-func (nd *barNode) park(g uint32) {
-	if uint32(nd.word.Load()>>32) != g {
-		return
+	if woke != 0 {
+		barParks.Add(woke)
 	}
-	barParks.Add(1)
-	nd.gate[g&1].Wait()
 }

@@ -1,89 +1,131 @@
 package simnet
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
+
+	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
-// TestBarrierParkedWaitersSurviveNextGeneration drives, step by step on one
-// node, the interleaving that used to lose a wakeup: release(g) flips the
-// generation, a fast rank comes round again and parks for g+1 before
-// release(g) has opened g's gate, and only then does release(g) open it.
-// The generation-g sleepers must wake, and the g+1 sleeper must not until
-// release(g+1).
-func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
-	const g = 6
-	nd := newBarNode(3, 1) // generation 0's gate armed, and 6 has its parity
-	nd.word.Store(g << 32)
-	woke := make(chan uint32, 3)
-	_, parks0 := BarrierStats()
-	park := func(gen uint32) {
-		go func() {
-			nd.waitRelease(gen, 0)
-			woke <- gen
-		}()
-	}
-	expect := func(gen uint32) {
-		t.Helper()
-		select {
-		case got := <-woke:
-			if got != gen {
-				t.Fatalf("generation %d waiter woke, want %d", got, gen)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("generation %d waiter never woke", gen)
+// waiterModes runs the participants of a barrier either as goroutines,
+// whose waits park, or as tasks on run loops (one loop per participant, so
+// each can block on its own), whose waits yield to their loop. run starts
+// body(me) for every participant and returns at once; the returned func
+// waits for all of them.
+var waiterModes = []struct {
+	name string
+	run  func(b *Barrier, body func(me int)) (wait func())
+}{
+	{"unbound", func(b *Barrier, body func(me int)) func() {
+		var wg sync.WaitGroup
+		for me := 0; me < b.Size(); me++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				body(me)
+			}()
 		}
-	}
-
-	park(g)
-	park(g)
-	awaitParked(t, parks0+2)
-
-	nd.gate[(g+1)&1].Add(1)      // release(g), first half: arm g+1's gate
-	nd.word.Store((g + 1) << 32) // and flip
-	park(g + 1)                  // the fast rank, a generation ahead
-	awaitParked(t, parks0+3)
-	nd.gate[g&1].Done() // release(g), second half
-
-	expect(g)
-	expect(g)
-	select {
-	case gen := <-woke:
-		t.Fatalf("generation %d waiter woke before its release", gen)
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	nd.release(0) // release(g+1)
-	expect(g + 1)
+		return wg.Wait
+	}},
+	{"loop", func(b *Barrier, body func(me int)) func() {
+		tasks := make([]transport.Task, b.Size())
+		b.Bind(func(i int) *transport.Task { return &tasks[i] })
+		done := make(chan struct{})
+		go func() {
+			transport.Run(tasks, len(tasks), body)
+			close(done)
+		}()
+		return func() { <-done }
+	}},
 }
 
-// awaitParked returns once the process-wide park count reaches parks. A
-// counted waiter has seen its generation still open and is in, or entering,
-// its gate's Wait, where only the release can let it out.
-func awaitParked(t *testing.T, parks int64) {
+// TestBarrierParkedWaitersSurviveNextGeneration drives, step by step on one
+// node, the interleaving where a wake could go to the wrong generation:
+// release(g) flips the generation, a fast participant comes round again and
+// waits for g+1 before release(g) has woken anyone, and only then does
+// release(g) wake the node's participants. The generation-g waiters must
+// return, and the g+1 waiter, though woken, must not until release(g+1).
+// Waiters that park and waiters that yield to a run loop alike.
+func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
+	const g = 6
+	for _, mode := range waiterModes {
+		t.Run(mode.name, func(t *testing.T) {
+			b := NewBarrierRadix(3, 3)
+			nd := b.leaves[0]
+			nd.word.Store(g << 32)
+			woke := make(chan int, 3)
+			hold := make(chan struct{})
+			wait := mode.run(b, func(me int) {
+				if me == 2 {
+					awaitWaiting(t, b, 0, 1)
+					nd.out = 0
+					nd.word.Add(1<<32 - 2) // release(g), first half: the flip
+				}
+				b.Wait(me, 0) // participant 2 arrives for g+1
+				woke <- me
+				if me != 2 {
+					<-hold
+					b.Wait(me, 0) // and the others, once let
+				}
+			})
+			awaitWaiting(t, b, 2)
+			b.wake(nd) // release(g), second half
+			for i := 0; i < 2; i++ {
+				select {
+				case me := <-woke:
+					if me == 2 {
+						t.Fatal("the generation g+1 waiter returned on generation g's wake")
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("a generation-g waiter never woke")
+				}
+			}
+			select {
+			case me := <-woke:
+				t.Fatalf("participant %d returned before its release", me)
+			case <-time.After(20 * time.Millisecond):
+			}
+			if !b.gates[2].Waiting() {
+				t.Fatal("the generation g+1 waiter stopped waiting")
+			}
+			close(hold) // generation g+1 completes
+			if me := <-woke; me != 2 {
+				t.Fatalf("participant %d woke, want 2", me)
+			}
+			wait()
+		})
+	}
+}
+
+// awaitWaiting returns once every listed participant has announced a wait
+// on its gate.
+func awaitWaiting(t *testing.T, b *Barrier, ps ...int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, p := BarrierStats(); p >= parks {
-			return
+	for _, p := range ps {
+		for !b.gates[p].Waiting() {
+			if time.Now().After(deadline) {
+				t.Errorf("participant %d never waited", p)
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fewer than %d parked waits", parks)
-		}
-		runtime.Gosched()
 	}
 }
 
 // TestBarrierParkAllocFree: a parked wait allocates nothing, on the flat
-// node, up a radix-16 tree and on the node-grouped shape. With more than one
-// P every waiter that misses the flip parks. The semaphore under a gate
-// takes a sudog per sleeper from the runtime's caches, allocating only when
-// the sleeper's P and the central cache are both empty; so garbage
-// collection, which drops the central cache, is off, and a 1024-rank warm-up
-// leaves more sudogs cached than four Ps can hoard (128 each). The runtime
-// still starts the odd thread to run woken goroutines (a new M is five
+// node, up a radix-16 tree and on the node-grouped shape. Every waiter that
+// misses the flip parks on its own gate. The channel under a gate takes a
+// sudog per sleeper from the runtime's caches, allocating only when the
+// sleeper's P and the central cache are both empty; so garbage collection,
+// which drops the central cache, is off, and a 1024-rank warm-up leaves
+// more sudogs cached than four Ps can hoard (128 each). The runtime still
+// starts the odd thread to run woken goroutines (a new M is five
 // allocations), so each shape gets three windows of 1000 generations and
 // one must read zero; an allocating park moves every window.
 func TestBarrierParkAllocFree(t *testing.T) {
@@ -98,9 +140,6 @@ func TestBarrierParkAllocFree(t *testing.T) {
 	}
 	for name, b := range shapes {
 		t.Run(name, func(t *testing.T) {
-			if b.spin != 0 {
-				t.Fatalf("spin = %d at four Ps, want 0 (park at once)", b.spin)
-			}
 			size := b.Size()
 			done := make(chan struct{}, size) // a finished waiter must not park on it
 			for me := 1; me < size; me++ {
@@ -137,5 +176,33 @@ func TestBarrierParkAllocFree(t *testing.T) {
 					gens, mallocs, parks1-parks0)
 			}
 		})
+	}
+}
+
+// TestBarrierLoopWaitersYield: participants on run loops, one loop for all
+// of them and fewer loops than participants, go through many generations
+// of every shape, and every fold is exact.
+func TestBarrierLoopWaitersYield(t *testing.T) {
+	const n, gens = 37, 200
+	for name, b := range stepShapes(t, n) {
+		for _, loops := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/loops%d", name, loops), func(t *testing.T) {
+				tasks := make([]transport.Task, n)
+				b.Bind(func(i int) *transport.Task { return &tasks[i] })
+				bad := make([]int, n)
+				transport.Run(tasks, loops, func(me int) {
+					for g := 0; g < gens; g++ {
+						if got := b.Wait(me, model.Time(g*n+me)); got != model.Time(g*n+n-1) {
+							bad[me]++
+						}
+					}
+				})
+				for me, k := range bad {
+					if k != 0 {
+						t.Fatalf("participant %d: %d wrong folds", me, k)
+					}
+				}
+			})
+		}
 	}
 }

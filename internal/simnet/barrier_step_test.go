@@ -6,16 +6,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"commintent/internal/model"
+	"commintent/internal/transport"
 )
 
 // stepShapes is every tree arrangement WaitStep has to serve: the flat
 // node, radix trees two to many levels deep, and a node-grouped first level.
 func stepShapes(t *testing.T, n int) map[string]*Barrier {
 	t.Helper()
-	withParallelism(t, 4) // NewBarrierTopo degrades to flat at one P
 	shapes := map[string]*Barrier{
 		"flat": NewBarrierRadix(n, n),
 		"topo": NewBarrierTopo(n, func(r int) int { return r / 5 }),
@@ -23,30 +22,31 @@ func stepShapes(t *testing.T, n int) map[string]*Barrier {
 	for _, r := range []int{2, 4, 16} {
 		shapes[fmt.Sprintf("radix%d", r)] = NewBarrierRadix(n, r)
 	}
-	if shapes["flat"].flat == nil || !shapes["topo"].Hierarchical() || shapes["radix2"].depth < 5 {
+	if shapes["flat"].depth != 1 || !shapes["topo"].Hierarchical() || shapes["radix2"].depth < 5 {
 		t.Fatal("shapes are not what the test means to cover")
 	}
 	return shapes
 }
 
-// TestBarrierStepOncePerGeneration: on every shape, with waiters that spin
-// and waiters that park, each generation's step runs exactly once, after
-// every participant's pre-arrival stores and before any participant
-// returns, and what it stores is what every participant reads back. All the
-// shared state is plain memory, so under -race the happens-before edges the
-// protocol claims are checked, not assumed.
+// TestBarrierStepOncePerGeneration: on every shape, each generation's step
+// runs exactly once, after every participant's pre-arrival stores and
+// before any participant returns, and what it stores is what every
+// participant reads back. The participants are goroutines that arrive at
+// once (spin0) or after a pseudo-random 0-63 scheduler yields each
+// (spin64), so some arrive while a release is under way, or tasks sharing
+// two run loops (loop). All the shared state is plain memory, so under
+// -race the happens-before edges the protocol claims are checked, not
+// assumed.
 func TestBarrierStepOncePerGeneration(t *testing.T) {
 	const n, gens = 37, 200
-	for _, spin := range []int{64, 0} {
+	for _, variant := range []string{"spin64", "spin0", "loop"} {
 		for name, b := range stepShapes(t, n) {
-			t.Run(fmt.Sprintf("%s/spin%d", name, spin), func(t *testing.T) {
-				b.spin = spin
+			t.Run(fmt.Sprintf("%s/%s", name, variant), func(t *testing.T) {
 				var (
 					pub  [n]int // pub[i]: participant i's store before arriving
 					ran  int    // steps run so far
 					out  int    // the last step's result
 					bad  atomic.Int32
-					wg   sync.WaitGroup
 					step = func() {
 						sum := 0
 						for i := range pub {
@@ -56,21 +56,36 @@ func TestBarrierStepOncePerGeneration(t *testing.T) {
 						out = sum
 					}
 				)
-				for me := 0; me < n; me++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for g := 0; g < gens; g++ {
-							pub[me] = g*n + me
-							got := b.WaitStep(me, model.Time(g*n+me), step)
-							want := g*n*n + n*(n-1)/2
-							if ran != g+1 || out != want || got != model.Time(g*n+n-1) {
-								bad.Add(1)
+				body := func(me int) {
+					for g := 0; g < gens; g++ {
+						if variant == "spin64" {
+							for y := (g*n + me*7) % 64; y > 0; y-- {
+								runtime.Gosched()
 							}
 						}
-					}()
+						pub[me] = g*n + me
+						got := b.WaitStep(me, model.Time(g*n+me), step)
+						want := g*n*n + n*(n-1)/2
+						if ran != g+1 || out != want || got != model.Time(g*n+n-1) {
+							bad.Add(1)
+						}
+					}
 				}
-				wg.Wait()
+				if variant == "loop" {
+					tasks := make([]transport.Task, n)
+					b.Bind(func(i int) *transport.Task { return &tasks[i] })
+					transport.Run(tasks, 2, body)
+				} else {
+					var wg sync.WaitGroup
+					for me := 0; me < n; me++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							body(me)
+						}()
+					}
+					wg.Wait()
+				}
 				if bad.Load() != 0 {
 					t.Errorf("%d participant-generations saw a missing, repeated or stale step", bad.Load())
 				}
@@ -79,34 +94,34 @@ func TestBarrierStepOncePerGeneration(t *testing.T) {
 	}
 }
 
-// TestBarrierStepBeforeParkedWaitersWake drives the parked case step by step
-// on one node: two participants are parked on the node's gate when the
-// third arrives, and its step must run while both are still parked.
+// TestBarrierStepBeforeParkedWaitersWake drives the blocked case step by
+// step on one node: two participants wait on their gates when the third
+// arrives, and its step must run while both are still waiting. Waiters that
+// park and waiters that yield to a run loop alike.
 func TestBarrierStepBeforeParkedWaitersWake(t *testing.T) {
-	b := NewBarrierRadix(3, 3)
-	b.spin = 0
-	var returned atomic.Int32
-	var stepSaw int32 = -1
-	done := make(chan int, 2)
-	_, parks0 := BarrierStats()
-	for me := 0; me < 2; me++ {
-		go func() {
-			b.WaitStep(me, 0, nil)
-			returned.Add(1)
-			done <- int(stepSaw)
-		}()
-	}
-	awaitParked(t, parks0+2)
-	for deadline := time.Now().Add(10 * time.Second); b.flat.word.Load() != 2; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatal("the two waiters never both arrived")
-		}
-	}
-	b.WaitStep(2, 0, func() { stepSaw = returned.Load() })
-	for i := 0; i < 2; i++ {
-		if saw := <-done; saw != 0 {
-			t.Errorf("a woken waiter read stepSaw = %d, want 0: the step ran late or its store was not published", saw)
-		}
+	for _, mode := range waiterModes {
+		t.Run(mode.name, func(t *testing.T) {
+			b := NewBarrierRadix(3, 3)
+			var returned atomic.Int32
+			var stepSaw int32 = -1
+			done := make(chan int, 2)
+			wait := mode.run(b, func(me int) {
+				if me == 2 {
+					awaitWaiting(t, b, 0, 1)
+					b.WaitStep(2, 0, func() { stepSaw = returned.Load() })
+					return
+				}
+				b.WaitStep(me, 0, nil)
+				returned.Add(1)
+				done <- int(stepSaw)
+			})
+			for i := 0; i < 2; i++ {
+				if saw := <-done; saw != 0 {
+					t.Errorf("a woken waiter read stepSaw = %d, want 0: the step ran late or its store was not published", saw)
+				}
+			}
+			wait()
+		})
 	}
 }
 

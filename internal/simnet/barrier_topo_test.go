@@ -7,52 +7,40 @@ import (
 	"testing"
 
 	"commintent/internal/model"
-	"commintent/internal/transport"
 )
 
-// withParallelism sets GOMAXPROCS to p for the test, so a barrier built in
-// it takes the wait rule for p Ps, and restores the old setting on cleanup.
-// The barrier's shape decision is deliberately scheduler-aware, so its
-// tests must pin the scheduler.
+// withParallelism sets GOMAXPROCS to p for the test and restores the old
+// setting on cleanup, so waiters that park do so across p Ps.
 func withParallelism(t *testing.T, p int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(p)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// TestBarrierWaitRule: the rule read at construction. The shared spin rule
-// (transport.WaitSpin) yields 64 times at one P and parks at once above it,
-// and the barrier follows it. One P: a single node with dense slots whose
-// waiters yield before parking, whatever the placement. More than one P: a
-// radix-16 tree (node-grouped where placement says) with slots a cache line
-// apart, whose waiters park at once.
+// TestBarrierWaitRule: the barrier's shape does not depend on the host's
+// parallelism. At one P, two and four alike, a barrier is a radix-16 tree
+// (node-grouped where placement says) with slots a cache line apart, and
+// sixteen participants or fewer fit one node.
 func TestBarrierWaitRule(t *testing.T) {
 	const n = 64
 	nodeOf := func(r int) int { return r / 8 }
-	for p, wantSpin := range map[int]int{1: 64, 2: 0, 4: 0} {
+	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 			withParallelism(t, p)
-			if got := transport.WaitSpin(); got != wantSpin {
-				t.Fatalf("transport.WaitSpin() = %d at %d P(s), want %d", got, p, wantSpin)
-			}
-			wantStride, wantDepth := 8, 2
-			if p == 1 {
-				wantStride, wantDepth = 1, 1
-			}
 			for name, b := range map[string]*Barrier{
 				"plain": NewBarrier(n),
 				"topo":  NewBarrierTopo(n, nodeOf),
 				"small": NewBarrier(16),
 			} {
-				depth := wantDepth
+				depth := 2
 				if name == "small" {
-					depth = 1 // sixteen participants fit one node of radix 16
+					depth = 1
 				}
 				nd := b.leaves[0]
-				if b.depth != depth || (b.flat != nil) != (depth == 1) || nd.stride != wantStride ||
-					b.spin != wantSpin || b.Hierarchical() != (name == "topo" && p > 1) {
-					t.Errorf("%s: depth %d flat %v stride %d spin %d hierarchical %v; want depth %d stride %d spin %d",
-						name, b.depth, b.flat != nil, nd.stride, b.spin, b.Hierarchical(), depth, wantStride, wantSpin)
+				if b.depth != depth || len(nd.slots) != nd.nchild*barStride || barStride != 8 ||
+					b.Hierarchical() != (name == "topo") || len(nd.who) != nd.nchild {
+					t.Errorf("%s: depth %d, %d slots for %d children, hierarchical %v; want depth %d, 8 words a slot",
+						name, b.depth, len(nd.slots), nd.nchild, b.Hierarchical(), depth)
 				}
 				runBarrier(t, b, b.Size(), 4)
 			}

@@ -162,14 +162,9 @@ func NewFabricTopo(n int, nodeOf func(rank int) int) *Fabric {
 	snap := []string{""}
 	f.regSnap.Store(&snap)
 	f.eps = make([]*Endpoint, n)
-	// An endpoint's waits park at once at every P, not by the one-P spin of
-	// transport.WaitSpin: on this cooperative fabric the spin moved the
-	// message queues' one-time growth past the warm-up of the replayed-region
-	// allocation guards (DESIGN §10.1), and no measured workload waits here.
 	arena := make([]Endpoint, n)
 	for i := range f.eps {
 		arena[i].f, arena[i].rank = f, i
-		arena[i].hdr.Gate.Init(0)
 		f.eps[i] = &arena[i]
 	}
 	return f

@@ -1,6 +1,6 @@
-// Package spmd is the SPMD execution harness: it launches N ranks as
-// goroutines over one simulated fabric, gives each a virtual clock and a
-// deterministic per-rank PRNG, captures panics, and aggregates errors.
+// Package spmd is the SPMD execution harness: it runs N ranks as coroutines
+// on one run loop per P over one simulated fabric, gives each a virtual clock
+// and a deterministic per-rank PRNG, captures panics, and aggregates errors.
 //
 // It mirrors the role of the job launcher plus the parts of an MPI runtime
 // that exist before MPI_Init returns.
@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -36,6 +37,11 @@ type World struct {
 	// through shmNet and the endpoint clocks run in wall mode.
 	kind   transport.Kind
 	shmNet *shmtransport.Net
+
+	// tasks holds each rank's place on a run loop. Every gate a rank waits
+	// on is bound to its task: its ports', its barriers' and its SHMEM
+	// board's.
+	tasks []transport.Task
 
 	sharedMu sync.Mutex
 	shared   map[string]any
@@ -65,18 +71,26 @@ func NewWorld(n int, prof *model.Profile) (*World, error) {
 		fabric: simnet.NewFabricTopo(n, nodeOf),
 		prof:   prof,
 		kind:   kind,
+		tasks:  make([]transport.Task, n),
 		shared: make(map[string]any),
 	}
 	if kind == transport.SharedMem {
 		w.shmNet = shmtransport.New(n)
 		// One shared epoch: every rank's clock reads the same monotonic
 		// timeline, so cross-rank timestamps and barrier max-folds stay
-		// comparable. Must happen before any rank goroutine starts.
+		// comparable. Must happen before any rank starts.
 		epoch := time.Now()
 		for i := 0; i < n; i++ {
 			w.fabric.Endpoint(i).Clock().SetWall(epoch)
 		}
 	}
+	for i := 0; i < n; i++ {
+		w.fabric.Endpoint(i).Headers().Gate.Bind(&w.tasks[i])
+		if w.shmNet != nil {
+			w.shmNet.Port(i).Headers().Gate.Bind(&w.tasks[i])
+		}
+	}
+	w.fabric.WorldBarrier().Bind(w.Task)
 	return w, nil
 }
 
@@ -97,6 +111,11 @@ func (w *World) Port(r int) transport.Port {
 
 // Size reports the number of ranks.
 func (w *World) Size() int { return w.fabric.Size() }
+
+// Task returns rank r's task. A gate or barrier a rank waits on outside its
+// port and the world barrier is bound to it (Gate.Bind, Barrier.Bind), so
+// that the rank's waits there yield to its run loop.
+func (w *World) Task(r int) *transport.Task { return &w.tasks[r] }
 
 // Fabric returns the underlying simulated fabric.
 func (w *World) Fabric() *simnet.Fabric { return w.fabric }
@@ -208,29 +227,25 @@ func Run(n int, prof *model.Profile, body func(*Rank) error) error {
 // Run executes body once per rank over this world. Virtual clocks continue
 // from their previous values, so a world can host several phases and
 // measure each.
+//
+// The ranks run as coroutines on min(GOMAXPROCS, n) run loops, each loop a
+// goroutine that owns a contiguous block of ranks, starts them in rank order
+// and resumes one at a time, in the order they became ready (see
+// transport.Run). A rank's wait yields to its loop; a Go-level block in a
+// body — a channel between ranks, a contended mutex, a sleep — stalls its
+// whole loop.
 func (w *World) Run(body func(*Rank) error) error {
 	n := w.Size()
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		rk := &Rank{
-			ID:    i,
-			N:     n,
-			world: w,
-			ep:    w.fabric.Endpoint(i),
-		}
-		go func(rk *Rank) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					errs[rk.ID] = &PanicError{Rank: rk.ID, Value: v, Stack: string(debug.Stack())}
-				}
-			}()
-			errs[rk.ID] = body(rk)
-		}(rk)
-	}
-	wg.Wait()
+	transport.Run(w.tasks, runtime.GOMAXPROCS(0), func(i int) {
+		rk := &Rank{ID: i, N: n, world: w, ep: w.fabric.Endpoint(i)}
+		defer func() {
+			if v := recover(); v != nil {
+				errs[i] = &PanicError{Rank: i, Value: v, Stack: string(debug.Stack())}
+			}
+		}()
+		errs[i] = body(rk)
+	})
 	// The ranks have stopped: publish the pool hits their ports have not.
 	for i := 0; i < n; i++ {
 		w.Port(i).Headers().FlushPoolStats()

@@ -7,9 +7,12 @@ import "sync/atomic"
 // sees its condition, returns, and the token stays for its next wait.
 func LeaveToken(r *Recv) {
 	g := &r.home.Gate
-	atomic.StoreUint32(&g.sleep, 1)
+	if g.tok == nil {
+		g.tok = make(chan struct{}, 1)
+	}
+	atomic.StoreUint32(&g.sleep, parked)
 	g.Wake()
-	atomic.StoreUint32(&g.sleep, 0)
+	atomic.StoreUint32(&g.sleep, awake)
 }
 
 // Drawn reports how many buffers of n bytes' class h has drawn from the

@@ -1,82 +1,72 @@
 package transport
 
 import (
-	"runtime"
+	"iter"
+	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// spinOneP is the rule's spin at one P. A yield costs ~100ns there; the
-// bound keeps a waiter's busy work well under the park/unpark pair it saves.
-const spinOneP = 64
-
-// WaitSpin is the one wait rule, read from the host's parallelism: how many
-// scheduler yields a waiter makes before it parks. With one P a yield lets
-// the goroutine that will satisfy the wait run, usually within a turn or
-// two, so the waiter yields up to spinOneP times. With more than one P every
-// runtime.Gosched goes through the scheduler's global run-queue lock, which
-// the Ps then fight over, so a waiter parks at once. A world reads it once,
-// when it is built: the shm ports, the SHMEM boards and the barrier follow
-// it (simnet's endpoints park at once; see simnet.NewFabricTopo).
-func WaitSpin() int {
-	if runtime.GOMAXPROCS(0) == 1 {
-		return spinOneP
-	}
-	return 0
-}
-
-// gateParks counts every park, over every gate; see GateParks.
+// gateParks counts every blocked wait, over every gate; see GateParks.
 var gateParks atomic.Int64
 
-// GateParks reports the process-lifetime number of parks on any Gate: one
-// per park, none for a wait its spin satisfied.
+// GateParks reports the process-lifetime number of times a wait on a Gate
+// blocked: a goroutine parked, or a rank yielded to its run loop. A wait
+// counts once per block, and not at all when its first check is satisfied.
 func GateParks() int64 { return gateParks.Load() }
 
-// Gate is where a port's owner goroutine blocks: one per port, made once,
-// reused by every wait of that port — posted receives, rendezvous sends, and
-// a SHMEM PE's wait_until.
+// What a gate's owner announced in its sleep word.
+const (
+	awake   = iota
+	parked  // a goroutine about to park on the token
+	yielded // a rank about to yield to its run loop
+)
+
+// Gate is where one owner blocks: a port's posted receives and rendezvous
+// sends, a SHMEM PE's wait_until, a barrier participant's generation.
 //
-// A port has one owner and it blocks on one thing at a time, so one token
-// serves every wait. A token can be left over from an earlier completion the
-// owner saw for itself (or, on shm, from a mailbox push); it costs one
-// spurious wake, which is legal: every wait re-checks its own condition in a
-// loop.
+// The owner blocks on one thing at a time, so one announcement word serves
+// every wait. Ordering, the one rule for every waker and waiter: the owner
+// announces (sleep != awake), re-checks its condition, and only then blocks;
+// a waker publishes what the owner waits for, then loads sleep and wakes the
+// owner if it is set. Both sides are sequentially consistent atomics, so
+// either the re-check sees the publication or the waker sees the
+// announcement.
 //
-// Ordering, the one rule for every waker and waiter: the owner announces
-// (sleep = 1), re-checks its condition, and only then parks; a waker
-// publishes what the owner waits for, then loads sleep and deposits a token
-// if it is set. Both sides are sequentially consistent atomics, so either
-// the re-check sees the publication or the waker sees the announcement.
+// A gate bound to a Task whose world is running is waited on by that rank's
+// coroutine, which yields to its run loop and is made ready by the wake. Any
+// other wait parks its goroutine on a token (cap 1, made at the first park).
+// A token can be left over from a wake whose publication the owner saw for
+// itself; it costs one spurious wake, which is legal: every wait re-checks
+// its condition in a loop.
 type Gate struct {
 	_     [64]byte
-	sleep uint32 // atomic: the owner has announced it is about to park
-	_     [60]byte
-	spin  int           // yields before a park: the world's WaitSpin
-	tok   chan struct{} // cap 1: "something you may wait on was published"
+	sleep uint32 // atomic: awake, parked or yielded
+	task  *Task
+	tok   chan struct{}
 }
 
-// Init makes the gate's token and fixes its spin. A port calls it once,
-// before any waker can see the gate.
-func (g *Gate) Init(spin int) {
-	g.spin = spin
-	g.tok = make(chan struct{}, 1)
-}
+// Bind makes t the gate's owner: while t's world runs, t's waits on the
+// gate yield to t's run loop. Call it before any waiter or waker can see the
+// gate.
+func (g *Gate) Bind(t *Task) { g.task = t }
 
 // Wait blocks the owner until done reports true, or — when d > 0 — until d
-// has elapsed, and reports done's last answer. It yields by the rule, then
-// parks; a bounded wait arms one timer, at its first park. done must not
-// block and may have side effects (shm drains its mailbox in it).
+// has elapsed, and reports done's last answer. done must not block and may
+// have side effects (shm drains its mailbox in it).
 func (g *Gate) Wait(done func() bool, d time.Duration) bool {
-	for i := 0; i < g.spin; i++ {
-		if done() {
-			return true
-		}
-		runtime.Gosched()
-	}
 	if done() {
 		return true
 	}
-	atomic.StoreUint32(&g.sleep, 1)
+	if t := g.task; t != nil && t.loop != nil {
+		return t.wait(&g.sleep, done, d)
+	}
+	if g.tok == nil {
+		g.tok = make(chan struct{}, 1)
+	}
+	atomic.StoreUint32(&g.sleep, parked)
 	var t *time.Timer
 	var expire <-chan time.Time // nil, which never fires, for an unbounded wait
 	for !done() {
@@ -88,24 +78,263 @@ func (g *Gate) Wait(done func() bool, d time.Duration) bool {
 		select {
 		case <-g.tok:
 		case <-expire:
-			atomic.StoreUint32(&g.sleep, 0)
+			atomic.StoreUint32(&g.sleep, awake)
 			return done()
 		}
 	}
-	atomic.StoreUint32(&g.sleep, 0)
+	atomic.StoreUint32(&g.sleep, awake)
 	if t != nil {
 		t.Stop()
 	}
 	return true
 }
 
-// Wake deposits a token if the owner announced a park. Call it after
-// publishing what the owner waits for; with nobody parked it is one load.
-func (g *Gate) Wake() {
-	if atomic.LoadUint32(&g.sleep) != 0 {
+// Waiting reports whether the owner has announced a wait and not yet
+// returned from it.
+func (g *Gate) Waiting() bool { return atomic.LoadUint32(&g.sleep) != awake }
+
+// Wake wakes the owner if it announced a wait, and reports whether it had.
+// Call it after publishing what the owner waits for; with nobody waiting it
+// is one load.
+func (g *Gate) Wake() bool {
+	switch atomic.LoadUint32(&g.sleep) {
+	case parked:
 		select {
 		case g.tok <- struct{}{}:
 		default:
 		}
+	case yielded:
+		g.task.ready()
+	default:
+		return false
+	}
+	return true
+}
+
+// Yield lets the other ready ranks of the owner's run loop go first: the
+// owner goes to the back of the loop's queue. Outside a running world it
+// does nothing. Only the owner may call it.
+func (g *Gate) Yield() {
+	if t := g.task; t != nil && t.loop != nil {
+		if t.state.Swap(queued) != queued {
+			t.loop.push(t)
+		}
+		t.yield(struct{}{})
+	}
+}
+
+// A task's state.
+const (
+	running = iota // being resumed, or about to be
+	waiting        // announced a wait: a wake queues it
+	queued         // on its loop's queue
+)
+
+// Task is one rank's place on a run loop: a coroutine that the loop resumes
+// when the rank is ready, and that yields back to the loop where a wait
+// would otherwise block. A world makes one per rank and binds the rank's
+// gates to it; Run gives it a loop for the duration of a run.
+type Task struct {
+	state atomic.Uint32 // running, waiting or queued; wakers CAS it
+	next  *Task         // link on the loop's inbox
+
+	// Set by Run, read by the owner and by its wakers.
+	loop   *Loop
+	yield  func(struct{}) bool
+	resume func() (struct{}, bool) // nil once the body has returned
+
+	// The bounded wait in progress, while on the loop's timers.
+	timeout  time.Duration
+	deadline time.Duration // since the loop's epoch; 0 until the loop stamps it
+	expired  bool
+}
+
+// wait is Gate.Wait for a rank on a run loop. The gate stays announced
+// for the whole wait; each round announces the task (running → waiting),
+// re-checks and yields. A resumed task checks first: a wake usually means
+// done. A bounded wait joins the loop's timers at its first yield; the loop
+// dates it at its next refill and resumes it once the deadline has passed,
+// also when nothing else is ready. The deadline can fire a loop round late,
+// never early, and the wait reads no clock.
+func (t *Task) wait(sleep *uint32, done func() bool, d time.Duration) bool {
+	l, timed := t.loop, false
+	atomic.StoreUint32(sleep, yielded)
+	for {
+		t.state.CompareAndSwap(running, waiting)
+		if done() {
+			break
+		}
+		if d > 0 && !timed {
+			timed = true
+			t.timeout, t.deadline, t.expired = d, 0, false
+			l.timers = append(l.timers, t)
+		}
+		if timed && t.expired {
+			break
+		}
+		l.parks++
+		t.yield(struct{}{})
+		if done() {
+			break
+		}
+	}
+	atomic.StoreUint32(sleep, awake)
+	if t.state.Load() == waiting {
+		t.state.CompareAndSwap(waiting, running)
+	}
+	if timed {
+		l.timers = slices.DeleteFunc(l.timers, func(u *Task) bool { return u == t })
+	}
+	return !timed || !t.expired || done()
+}
+
+// ready queues a waiting task on its loop; a task not waiting is left
+// alone, so a task is on the queue at most once.
+func (t *Task) ready() {
+	if t.state.CompareAndSwap(waiting, queued) {
+		t.loop.push(t)
+	}
+}
+
+// Loop is one run loop: a goroutine that resumes its block of ranks, one
+// at a time, in the order they became ready, and parks on a gate of its own
+// when none is.
+type Loop struct {
+	gate  Gate                 // unbound: the loop goroutine parks here
+	inbox atomic.Pointer[Task] // tasks queued by wakers, newest first
+
+	// Loop-private; a rank touches them only while the loop resumes it.
+	run     []*Task // ready, in order, from head on
+	head    int
+	timers  []*Task // waiting with a bound; room for every task of the loop
+	epoch   time.Time
+	soonest time.Duration // no timer's deadline is earlier, except a new one's
+	parks   int64         // yields not yet in GateParks
+}
+
+// push puts a queued task on the inbox and wakes the loop if it parked.
+func (l *Loop) push(t *Task) {
+	for {
+		old := l.inbox.Load()
+		t.next = old
+		if l.inbox.CompareAndSwap(old, t) {
+			break
+		}
+	}
+	l.gate.Wake()
+}
+
+// expire dates the timers that joined since the last call, queues each
+// task whose deadline has passed, and returns how long until the next
+// deadline (0 for none). It reads the clock once, and only with timers.
+func (l *Loop) expire() time.Duration {
+	if len(l.timers) == 0 {
+		return 0
+	}
+	now := time.Since(l.epoch)
+	if now < l.soonest && l.timers[len(l.timers)-1].deadline != 0 {
+		return l.soonest - now
+	}
+	l.soonest = math.MaxInt64
+	for _, t := range l.timers {
+		if t.deadline == 0 {
+			t.deadline = now + t.timeout
+		}
+		if t.deadline > now {
+			l.soonest = min(l.soonest, t.deadline)
+		} else if !t.expired {
+			t.expired = true
+			t.ready()
+		}
+	}
+	if l.soonest == math.MaxInt64 {
+		return 0
+	}
+	return l.soonest - now
+}
+
+// refill waits until some task is ready and moves the ready tasks onto the
+// empty run queue in the order they were queued. With nothing ready the
+// loop parks until a wake or the next deadline.
+func (l *Loop) refill() {
+	l.run, l.head = l.run[:0], 0
+	if l.parks != 0 {
+		gateParks.Add(l.parks)
+		l.parks = 0
+	}
+	for {
+		wait := l.expire()
+		if t := l.inbox.Swap(nil); t != nil {
+			for ; t != nil; t = t.next {
+				l.run = append(l.run, t)
+			}
+			slices.Reverse(l.run)
+			return
+		}
+		l.gate.Wait(func() bool { return l.inbox.Load() != nil }, wait)
+	}
+}
+// main resumes the loop's tasks until live bodies have returned, then
+// marks wg done.
+func (l *Loop) main(live int, wg *sync.WaitGroup) {
+	defer func() {
+		// A body that called runtime.Goexit takes the loop goroutine with
+		// it; the rest of its ranks go on in a new one.
+		if live > 0 {
+			go l.main(live, wg)
+		} else {
+			wg.Done()
+		}
+	}()
+	for live > 0 {
+		if l.head == len(l.run) {
+			l.refill()
+		}
+		t := l.run[l.head]
+		l.head++
+		if t.resume == nil {
+			continue // queued by a wake that raced with its return
+		}
+		t.state.Store(running)
+		// Counted out and marked finished until it yields, so a Goexit
+		// leaves the count right.
+		resume := t.resume
+		t.resume = nil
+		live--
+		if _, ok := resume(); ok {
+			t.resume = resume
+			live++
+		}
+	}
+}
+
+// Run runs body(i) once for every task i, each as a coroutine, on loops
+// run loops: each loop a goroutine that owns a contiguous block of tasks and
+// starts them in index order. A Go-level block in a body (a channel, a
+// mutex, a sleep) stalls its whole loop. body must not let a panic escape.
+func Run(tasks []Task, loops int, body func(i int)) {
+	n := len(tasks)
+	loops = max(min(loops, n), 1)
+	var wg sync.WaitGroup
+	wg.Add(loops)
+	for k := 0; k < loops; k++ {
+		lo, hi := k*n/loops, (k+1)*n/loops
+		l := &Loop{run: make([]*Task, 0, hi-lo), timers: make([]*Task, 0, hi-lo), epoch: time.Now()}
+		l.gate.tok = make(chan struct{}, 1)
+		for i := lo; i < hi; i++ {
+			t := &tasks[i]
+			t.state.Store(running)
+			t.loop = l
+			t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+				t.yield = yield
+				body(i)
+			})
+			l.run = append(l.run, t)
+		}
+		go l.main(hi-lo, &wg)
+	}
+	wg.Wait()
+	for i := range tasks {
+		tasks[i].loop, tasks[i].yield, tasks[i].resume = nil, nil, nil
 	}
 }
