@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify vet-intent chaos ladder-compare bench bench-scale bench-scale-check bench-rma bench-rma-check bench-runtime bench-runtime-check bench-transport bench-transport-check bench-all clean
+.PHONY: all build test verify vet-intent chaos ab ladder-compare bench bench-scale bench-scale-check bench-rma bench-rma-check bench-runtime bench-runtime-check bench-transport bench-transport-check bench-all clean
 
 all: build
 
@@ -33,10 +33,12 @@ test:
 # the one-ring tests: the traced halo's golden export, the analyses of a
 # traced run, which share the recorder's rings with its spans, the lazily
 # grown ring, the traced post-mortem's span tail and a compiled block's
-# frozen vars),
-# the simnet suite again at GOMAXPROCS=2 (two Ps is a
-# barrier shape of its own: the radix-16 tree with park-at-once waiters,
-# which neither the host's default pass nor four Ps pins), the three
+# frozen vars, and the run loops' tests: a block of ranks per loop, a
+# panic kept to its rank, bounded waits firing while their whole loop waits,
+# wakes crossing to a parked loop, and barrier waiters on loops),
+# the simnet suite again at GOMAXPROCS=2 (two run loops: the barrier's
+# waiters yield on two Ps and wake across them, which neither the host's
+# default pass nor four Ps pins), the three
 # allocation-counting transport tests (headers, wire buffers, gate parks)
 # at GOMAXPROCS=2 without the detector, the
 # benchmark's smoke test under the race detector (the configuration in which
@@ -72,12 +74,10 @@ test:
 # import simnet, and the matcher's core routines are each defined once. The
 # line after those does the same for mpi's non-blocking start path: Isend,
 # Irecv and their *Into forms allocate a request in one place. The next two
-# keep one wait: runtime.GOMAXPROCS is read under internal/ only in
-# transport/wait.go, where the one spin rule is chosen (the barrier takes its
-# shape from that rule), and runtime.Gosched is called only there and in
-# simnet/barrier.go, whose flat-node spin stays written out inline because a
-# call per wait measured ~5% slower on the one-P 256-rank barrier. The
-# next keeps one event spine: product code registers fabric observers only in
+# keep one scheduler: runtime.GOMAXPROCS is read under internal/ only in
+# spmd/spmd.go, once per World.Run, for the number of run loops, and
+# runtime.Gosched is called nowhere under internal/: a rank's wait yields to
+# its run loop instead of spinning. The next keeps one event spine: product code registers fabric observers only in
 # the recorder and in telemetry; every other consumer reads recorded events.
 # The last two keep two measured decisions: message headers and receive
 # handles are recycled per port, not through sync.Pool, whose per-P caches
@@ -93,8 +93,8 @@ verify: vet-intent
 	! $(GO) list -deps ./internal/shmtransport | grep -E 'internal/simnet$$'
 	for f in takePosted findUnexpected matches; do test "$$(grep -rEh "^func (\([^)]*\) )?$$f\(" --include='*.go' internal | wc -l)" -eq 1 || { echo "$$f must be defined exactly once under internal/"; exit 1; }; done
 	test "$$(grep -rF 'new(Request)' --include='*.go' --exclude='*_test.go' internal/mpi | wc -l)" -eq 1 || { echo "new(Request) must occur exactly once under internal/mpi: Isend and Irecv start operations through one path"; exit 1; }
-	test "$$(grep -rlF 'runtime.GOMAXPROCS' --include='*.go' --exclude='*_test.go' internal)" = internal/transport/wait.go || { echo "runtime.GOMAXPROCS may be read under internal/ only in internal/transport/wait.go"; exit 1; }
-	test "$$(grep -rlE '^[^/]*runtime\.Gosched\(' --include='*.go' --exclude='*_test.go' internal | sort | tr '\n' ' ')" = "internal/simnet/barrier.go internal/transport/wait.go " || { echo "runtime.Gosched may be called under internal/ only in internal/transport/wait.go and internal/simnet/barrier.go"; exit 1; }
+	test "$$(grep -rlF 'runtime.GOMAXPROCS' --include='*.go' --exclude='*_test.go' internal)" = internal/spmd/spmd.go || { echo "runtime.GOMAXPROCS may be read under internal/ only in internal/spmd/spmd.go"; exit 1; }
+	! grep -rnE '^[^/]*runtime\.Gosched\(' --include='*.go' --exclude='*_test.go' internal || { echo "runtime.Gosched may not be called under internal/: a rank's wait yields to its run loop"; exit 1; }
 	test "$$(grep -rlE '\.Observe\(func|(Fabric\(\)|fabric|\<f)\.Observe\(' --include='*.go' --exclude='*_test.go' internal cmd | sort | tr '\n' ' ')" = "internal/simnet/recorder.go internal/telemetry/telemetry.go " || { echo "fabric observers may be registered only in internal/simnet/recorder.go and internal/telemetry/telemetry.go"; exit 1; }
 	! grep -rnE '^[^/]*\<sync\.Pool\>' --include='*.go' --exclude='*_test.go' internal/transport || { echo "sync.Pool may not be used under internal/transport: headers and handles are recycled per port"; exit 1; }
 	! grep -rnF '.Fence()' --include='*.go' --exclude='*_test.go' internal/core || { echo "internal/core closes windows only through mpi.Fence, one wave per region"; exit 1; }
@@ -103,7 +103,7 @@ verify: vet-intent
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree|TestPortConformance|TestGateParkAllocFree|TestWireBuffersAllocFree|TestTableMatchesOracle|TestUnexpectedOnWallClock|TestTracedShmStampsWall|TestTracedHaloGolden|TestAnalysesDoNotSeeSpans|TestSpanRingMemoryFollowsUse|TestPostmortemTracedTailHoldsSpans|TestCompileBlockFreezesVars' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/ ./internal/telemetry/ .
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree|TestPortConformance|TestGateParkAllocFree|TestWireBuffersAllocFree|TestTableMatchesOracle|TestUnexpectedOnWallClock|TestTracedShmStampsWall|TestTracedHaloGolden|TestAnalysesDoNotSeeSpans|TestSpanRingMemoryFollowsUse|TestPostmortemTracedTailHoldsSpans|TestCompileBlockFreezesVars|TestRunLoopsOwnBlocks|TestRunLoopPanicStaysPerRank|TestRunLoopBoundedWaitsFire|TestRunLoopWakesParkedLoop|TestBarrierLoopWaitersYield' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/ ./internal/telemetry/ ./internal/spmd/ .
 	GOMAXPROCS=2 $(GO) test -race ./internal/simnet/
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestRecycledHeadersAllocFree|TestWireBuffersAllocFree|TestGateParkAllocFree' ./internal/transport/
 	$(GO) test -race ./benchmark/
@@ -132,6 +132,17 @@ vet-intent:
 # watchdog into typed deadline errors).
 chaos:
 	$(GO) test -race -run 'TestChaos|TestFault|TestRetry|TestDeadline|TestWaitUntilTimeout' . ./internal/simnet/ ./internal/mpi/ ./internal/core/ ./internal/shmem/ ./internal/plan/
+
+# ab compares the benchmark at a git revision with the working tree:
+# interleaved, order-swapped pairs of `benchmark/run.sh --trace 0` per
+# workload, every run kept in one stamped JSON under .ab/, and per metric
+# both sides' median [q1-q3], the change, the bound, the pairs the working
+# tree was lower in, and a verdict (better, worse, equal, unresolved; see
+# cmd/ab). REF is exported into .ab/ with git archive; nothing is fetched.
+#   make ab REF=HEAD~1 WORKLOADS=allreduce_r256_shm_p2 PAIRS=10
+PAIRS ?= 10
+ab:
+	$(GO) run ./cmd/ab -ref '$(REF)' -workloads '$(WORKLOADS)' -pairs $(PAIRS) $(if $(SECONDS),-seconds $(SECONDS))
 
 # ladder-compare gates one layer-ladder report against another: B may be no
 # worse than A beyond the bounds BENCHMARK.json fixes, on any workload.

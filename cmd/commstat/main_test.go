@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -169,6 +170,48 @@ func TestCommstatTopologySection(t *testing.T) {
 	} {
 		if !strings.Contains(flat, want) {
 			t.Errorf("flat output missing %q:\n%s", want, flat)
+		}
+	}
+}
+
+// TestMain lets a test run commstat as a process of its own: with
+// COMMSTAT_MAIN set, the test binary is commstat.
+func TestMain(m *testing.M) {
+	if os.Getenv("COMMSTAT_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestCommstatRepeatsAtOneP: at one P the ranks run on one run loop in a
+// fixed order, so two processes of one binary with one seed print
+// byte-identical reports, the schedule-dependent gauges included
+// (transport_wait_parks_total, simnet_unexpected_queue_hwm).
+func TestCommstatRepeatsAtOneP(t *testing.T) {
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-n", "6", "-pattern", "ring", "-target", "auto", "-iters", "3"},
+		{"-n", "4", "-pattern", "ring", "-target", "mpi2side", "-count", "65536"},
+	} {
+		var outs [2]string
+		for i := range outs {
+			cmd := exec.Command(self, args...)
+			cmd.Env = append(os.Environ(), "COMMSTAT_MAIN=1", "GOMAXPROCS=1")
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("commstat %v: %v", args, err)
+			}
+			outs[i] = string(out)
+		}
+		if !strings.Contains(outs[0], "transport_wait_parks_total") || !strings.Contains(outs[0], "simnet_unexpected_queue_hwm") {
+			t.Fatalf("commstat %v: report lacks the schedule-dependent gauges", args)
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("commstat %v: two runs at one P printed different reports", args)
 		}
 	}
 }

@@ -31,9 +31,8 @@ import (
 // run loop; anywhere else it parks its goroutine. A node records which
 // participant arrived at each of its child slots, and its release wakes
 // those gates only: a release readies that node's waiters, not the world.
-// The tree is radix 16 (node-grouped where placement says) with slots a
-// cache line apart, at every P: parallel check-ins do not false-share, and
-// a release wave is at most fifteen wakes long.
+// The tree is radix 16 (node-grouped where placement says) at every P: a
+// release wave is at most fifteen wakes long.
 //
 // A generation may carry a completion step (WaitStep): the global winner —
 // the participant whose arrival completes the root node, whatever the tree
@@ -69,8 +68,10 @@ func BarrierStats() (generations, parks int64) {
 	return barGenerations.Load(), barParks.Load()
 }
 
-// The barrier's shape: tree fan-in and the spacing of per-child slots in
-// words (one cache line).
+// The barrier's shape: tree fan-in, and the spacing in words of an upper
+// node's per-child slots: one cache line, because subtree winners from any
+// run loop arrive there at once. A leaf's participants are neighbouring
+// ranks, which share a loop, so its slots are packed.
 const barRadix, barStride = 16, 8
 
 // barNode's state word: low 32 bits arrival count, high 32 bits generation.
@@ -79,8 +80,9 @@ const barRadix, barStride = 16, 8
 // 1<<32 - nchild (flipping the generation and zeroing the count together).
 // The generation comparison is modular, so 32-bit wraparound is harmless.
 type barNode struct {
-	// slots holds one virtual-time slot per child, barStride words apart.
+	// slots holds one virtual-time slot per child, stride words apart.
 	slots  []model.Time
+	stride int
 	nchild int
 	parent *barNode
 	pslot  int // this node's child slot in parent
@@ -97,8 +99,8 @@ type barNode struct {
 	out  model.Time // generation result; published by the release flip
 }
 
-func newBarNode(k int) *barNode {
-	return &barNode{slots: make([]model.Time, k*barStride), nchild: k, who: make([]atomic.Int32, k)}
+func newBarNode(k, stride int) *barNode {
+	return &barNode{slots: make([]model.Time, k*stride), stride: stride, nchild: k, who: make([]atomic.Int32, k)}
 }
 
 // NewBarrier creates a barrier for n participants.
@@ -118,7 +120,7 @@ func build(n, radix int) *Barrier {
 	b := newBarrier(n)
 	level := make([]*barNode, 0, (n+radix-1)/radix)
 	for i := 0; i < n; i += radix {
-		nd := newBarNode(min(radix, n-i))
+		nd := newBarNode(min(radix, n-i), 1)
 		for j := 0; j < nd.nchild; j++ {
 			b.leaf(i+j, nd, j)
 		}
@@ -180,7 +182,7 @@ func NewBarrierTopo(n int, nodeOf func(rank int) int) *Barrier {
 	b.hier = true
 	level := make([]*barNode, 0, len(groups))
 	for _, g := range groups {
-		nd := newBarNode(len(g))
+		nd := newBarNode(len(g), 1)
 		for j, rank := range g {
 			b.leaf(rank, nd, j)
 		}
@@ -197,7 +199,7 @@ func (b *Barrier) buildUpper(level []*barNode, radix int) {
 	for len(level) > 1 {
 		next := level[:0:0]
 		for i := 0; i < len(level); i += radix {
-			nd := newBarNode(min(radix, len(level)-i))
+			nd := newBarNode(min(radix, len(level)-i), barStride)
 			for j := 0; j < nd.nchild; j++ {
 				level[i+j].parent = nd
 				level[i+j].pslot = j
@@ -241,7 +243,7 @@ func (b *Barrier) WaitStep(me int, myV model.Time, step func()) model.Time {
 	won := make([]*barNode, 0, 8)
 	v := myV
 	for {
-		nd.slots[slot*barStride] = v
+		nd.slots[slot*nd.stride] = v
 		s := nd.word.Add(1)
 		if int(s&0xffffffff) < nd.nchild {
 			v = b.await(me, nd, uint32(s>>32))
@@ -284,7 +286,7 @@ func (b *Barrier) await(me int, nd *barNode, g uint32) model.Time {
 
 // fold returns the maximum of v and the node's slot values.
 func (nd *barNode) fold(v model.Time) model.Time {
-	for i := 0; i < len(nd.slots); i += barStride {
+	for i := 0; i < len(nd.slots); i += nd.stride {
 		if nd.slots[i] > v {
 			v = nd.slots[i]
 		}
@@ -306,13 +308,11 @@ func (b *Barrier) release(nd *barNode, v model.Time) {
 // could arrive only after its whole subtree, that waiter included, had come
 // round again.
 func (b *Barrier) wake(nd *barNode) {
-	var woke int64
+	var w transport.Waker
 	for j := range nd.who {
-		if b.gates[nd.who[j].Load()].Wake() {
-			woke++
-		}
+		w.Wake(&b.gates[nd.who[j].Load()])
 	}
-	if woke != 0 {
-		barParks.Add(woke)
+	if woke := w.Flush(); woke != 0 {
+		barParks.Add(int64(woke))
 	}
 }

@@ -19,8 +19,8 @@ func withParallelism(t *testing.T, p int) {
 
 // TestBarrierWaitRule: the barrier's shape does not depend on the host's
 // parallelism. At one P, two and four alike, a barrier is a radix-16 tree
-// (node-grouped where placement says) with slots a cache line apart, and
-// sixteen participants or fewer fit one node.
+// (node-grouped where placement says) with packed leaf slots and upper
+// slots a cache line apart, and sixteen participants or fewer fit one node.
 func TestBarrierWaitRule(t *testing.T) {
 	const n = 64
 	nodeOf := func(r int) int { return r / 8 }
@@ -37,10 +37,10 @@ func TestBarrierWaitRule(t *testing.T) {
 					depth = 1
 				}
 				nd := b.leaves[0]
-				if b.depth != depth || len(nd.slots) != nd.nchild*barStride || barStride != 8 ||
+				if b.depth != depth || nd.stride != 1 || (nd.parent != nil && nd.parent.stride != 8) ||
 					b.Hierarchical() != (name == "topo") || len(nd.who) != nd.nchild {
-					t.Errorf("%s: depth %d, %d slots for %d children, hierarchical %v; want depth %d, 8 words a slot",
-						name, b.depth, len(nd.slots), nd.nchild, b.Hierarchical(), depth)
+					t.Errorf("%s: depth %d, leaf stride %d, hierarchical %v; want depth %d, leaf stride 1, upper stride 8",
+						name, b.depth, nd.stride, b.Hierarchical(), depth)
 				}
 				runBarrier(t, b, b.Size(), 4)
 			}

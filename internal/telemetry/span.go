@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"commintent/internal/model"
 	"commintent/internal/simnet"
 )
@@ -16,10 +19,12 @@ type Span = simnet.Span
 // Tracer writes spans into a simnet recorder's per-rank ring and reads them
 // back. Bound to a fabric (Telemetry.BindFabric) it writes into the fabric's
 // recorder, beside the fabric events; standalone it writes into a recorder of
-// its own. A nil *Tracer hands out no-op span handles.
+// its own, made when it records its first span. A nil *Tracer hands out
+// no-op span handles.
 type Tracer struct {
 	cap   int
-	rec   *simnet.Recorder
+	own   sync.Once
+	rec   atomic.Pointer[simnet.Recorder] // nil until bound, or until a standalone span ends
 	ranks []openSpans
 }
 
@@ -39,7 +44,17 @@ func NewTracer(n, perRankCap int) *Tracer {
 	if perRankCap <= 0 {
 		perRankCap = DefaultSpanCap
 	}
-	return &Tracer{cap: perRankCap, rec: simnet.NewRecorder(n, perRankCap), ranks: make([]openSpans, n)}
+	return &Tracer{cap: perRankCap, ranks: make([]openSpans, n)}
+}
+
+// recorder returns the recorder spans go to, making the tracer's own if it
+// is bound to none.
+func (t *Tracer) recorder() *simnet.Recorder {
+	if r := t.rec.Load(); r != nil {
+		return r
+	}
+	t.own.Do(func() { t.rec.CompareAndSwap(nil, simnet.NewRecorder(len(t.ranks), t.cap)) })
+	return t.rec.Load()
 }
 
 // SpanHandle is an open span. It is a value type so that beginning a span
@@ -87,7 +102,7 @@ func (h SpanHandle) End(end model.Time) {
 		}
 	}
 	h.s.End = max(end, h.s.Start)
-	h.t.rec.RecordSpan(&h.s)
+	h.t.recorder().RecordSpan(&h.s)
 }
 
 // Ranks reports the number of ranks the tracer records.
@@ -113,7 +128,10 @@ func (t *Tracer) Dropped(rank int) int64 {
 	if t == nil {
 		return 0
 	}
-	return t.rec.SpansDropped(rank)
+	if r := t.rec.Load(); r != nil {
+		return r.SpansDropped(rank)
+	}
+	return 0
 }
 
 // RankSpans returns rank's retained spans in the order they ended, oldest
@@ -122,7 +140,10 @@ func (t *Tracer) RankSpans(rank int) []Span {
 	if t == nil {
 		return nil
 	}
-	return t.rec.RankSpans(rank)
+	if r := t.rec.Load(); r != nil {
+		return r.RankSpans(rank)
+	}
+	return nil
 }
 
 // Spans returns every retained span of every rank, rank by rank, each

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"commintent/internal/simnet"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -152,5 +153,33 @@ func TestWriteChromeTrace(t *testing.T) {
 				t.Errorf("alpha ts=%v dur=%v, want 1.0/2.5", e.TS, e.Dur)
 			}
 		}
+	}
+}
+
+// TestBoundTracerMakesNoRecorder: telemetry for 256 ranks makes no span
+// recorder of its own. Bound to a fabric, its spans go to the fabric's
+// recorder; only a standalone tracer that records a span makes one.
+func TestBoundTracerMakesNoRecorder(t *testing.T) {
+	tele := New(256, 0)
+	if tele.tr.rec.Load() != nil {
+		t.Fatal("New made a span recorder before any span was recorded")
+	}
+	f := simnet.NewFabric(256)
+	tele.BindFabric(f)
+	tele.Tracer().Begin(3, "x", "test", 1).End(2)
+	if got := tele.tr.rec.Load(); got == nil || got != f.Recorder() {
+		t.Fatalf("bound tracer writes into %p, want the fabric's recorder %p", got, f.Recorder())
+	}
+	if n := len(f.Recorder().RankSpans(3)); n != 1 {
+		t.Fatalf("fabric recorder holds %d spans of rank 3, want 1", n)
+	}
+
+	lone := NewTracer(4, 0)
+	if lone.RankSpans(0) != nil || lone.Dropped(0) != 0 || lone.rec.Load() != nil {
+		t.Fatal("reading an empty standalone tracer made a recorder")
+	}
+	lone.Begin(0, "y", "test", 0).End(1)
+	if lone.rec.Load() == nil || len(lone.RankSpans(0)) != 1 {
+		t.Fatal("a standalone tracer did not record its span into a recorder of its own")
 	}
 }

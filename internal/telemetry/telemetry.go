@@ -74,7 +74,7 @@ func (t *Telemetry) BindFabric(f *simnet.Fabric) {
 		return
 	}
 	if t.tr != nil {
-		t.tr.rec = f.SpanRecorder(t.tr.cap)
+		t.tr.rec.Store(f.SpanRecorder(t.tr.cap))
 	}
 	n := f.Size()
 	m := &fabricMeters{

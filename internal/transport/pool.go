@@ -156,8 +156,9 @@ type Headers struct {
 	// ret is the one word other goroutines write: padded off the owner's.
 	_   [64]byte
 	ret atomic.Pointer[Msg] // completed eager headers, pushed by completers
+	_   [56]byte
 
-	Gate Gate // where the port's owner parks
+	Gate Gate // where the port's owner waits
 }
 
 // bufStack is one class of a port's free buffers.

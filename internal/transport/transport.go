@@ -8,9 +8,9 @@
 // AnySource/AnyTag wildcards, the pooled wire buffers) and the one
 // receiver-side match Table, and imports neither implementation. A transport
 // is a feeder — how an arrived message reaches its destination's Table under
-// mutual exclusion — plus a progress step and its wakes: every wait parks on
-// the port's one Gate (wait.go). Everything about *what matches what* and
-// *how a rank waits* is here, once.
+// mutual exclusion — plus a progress step and its wakes: every wait blocks on
+// the port's one Gate, which yields to the rank's run loop (wait.go).
+// Everything about *what matches what* and *how a rank waits* is here, once.
 //
 // The interface is cut exactly at the matching layer — post a send, post a
 // receive, probe, cancel — with timestamps flowing through as opaque
@@ -21,9 +21,10 @@
 //
 // What deliberately stays outside the interface:
 //
-//   - the barrier: *simnet.Barrier is pure goroutine synchronisation plus a
-//     max-fold of clocks, which is equally meaningful for wall readings, so
-//     both transports share the concrete implementation;
+//   - the barrier: *simnet.Barrier is pure rank synchronisation (its waits
+//     block on Gates too) plus a max-fold of clocks, which is equally
+//     meaningful for wall readings, so both transports share the concrete
+//     implementation;
 //   - RMA window and SHMEM one-sided ops: in-process they are direct memory
 //     copies plus clock charges on the caller, with no per-transport
 //     mechanics to abstract;

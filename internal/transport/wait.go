@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // gateParks counts every blocked wait, over every gate; see GateParks.
@@ -17,33 +18,31 @@ var gateParks atomic.Int64
 // counts once per block, and not at all when its first check is satisfied.
 func GateParks() int64 { return gateParks.Load() }
 
-// What a gate's owner announced in its sleep word.
+// What a goroutine owner announced in its gate's sleep word.
 const (
-	awake   = iota
-	parked  // a goroutine about to park on the token
-	yielded // a rank about to yield to its run loop
+	awake  = iota
+	parked // about to park on the token
 )
 
 // Gate is where one owner blocks: a port's posted receives and rendezvous
 // sends, a SHMEM PE's wait_until, a barrier participant's generation.
 //
-// The owner blocks on one thing at a time, so one announcement word serves
-// every wait. Ordering, the one rule for every waker and waiter: the owner
-// announces (sleep != awake), re-checks its condition, and only then blocks;
-// a waker publishes what the owner waits for, then loads sleep and wakes the
-// owner if it is set. Both sides are sequentially consistent atomics, so
-// either the re-check sees the publication or the waker sees the
-// announcement.
+// The owner blocks on one thing at a time. Ordering, the one rule for every
+// waker and waiter: the owner announces its wait, re-checks its condition,
+// and only then blocks; a waker publishes what the owner waits for, then
+// loads the announcement and wakes the owner if it is set. Both sides are
+// sequentially consistent atomics, so either the re-check sees the
+// publication or the waker sees the announcement.
 //
 // A gate bound to a Task whose world is running is waited on by that rank's
-// coroutine, which yields to its run loop and is made ready by the wake. Any
-// other wait parks its goroutine on a token (cap 1, made at the first park).
-// A token can be left over from a wake whose publication the owner saw for
-// itself; it costs one spurious wake, which is legal: every wait re-checks
-// its condition in a loop.
+// coroutine: it announces in the task (Task.on names the gate) and yields to
+// its run loop, and the wake queues the task there. Any other wait announces
+// in the gate's sleep word and parks its goroutine on a token (cap 1, made
+// at the first park). A token can be left over from a wake whose
+// publication the owner saw for itself; it costs one spurious wake, which is
+// legal: every wait re-checks its condition in a loop.
 type Gate struct {
-	_     [64]byte
-	sleep uint32 // atomic: awake, parked or yielded
+	sleep uint32 // atomic: awake or parked
 	task  *Task
 	tok   chan struct{}
 }
@@ -53,6 +52,14 @@ type Gate struct {
 // gate.
 func (g *Gate) Bind(t *Task) { g.task = t }
 
+// bound returns the gate's task if its world is running.
+func (g *Gate) bound() *Task {
+	if t := g.task; t != nil && t.loop != nil {
+		return t
+	}
+	return nil
+}
+
 // Wait blocks the owner until done reports true, or — when d > 0 — until d
 // has elapsed, and reports done's last answer. done must not block and may
 // have side effects (shm drains its mailbox in it).
@@ -60,8 +67,8 @@ func (g *Gate) Wait(done func() bool, d time.Duration) bool {
 	if done() {
 		return true
 	}
-	if t := g.task; t != nil && t.loop != nil {
-		return t.wait(&g.sleep, done, d)
+	if t := g.bound(); t != nil {
+		return t.wait(g, done, d)
 	}
 	if g.tok == nil {
 		g.tok = make(chan struct{}, 1)
@@ -89,24 +96,32 @@ func (g *Gate) Wait(done func() bool, d time.Duration) bool {
 	return true
 }
 
-// Waiting reports whether the owner has announced a wait and not yet
-// returned from it.
-func (g *Gate) Waiting() bool { return atomic.LoadUint32(&g.sleep) != awake }
+// Waiting reports whether the owner has announced a wait on the gate and
+// not yet returned from it.
+func (g *Gate) Waiting() bool {
+	if t := g.bound(); t != nil {
+		return t.on.Load() == g.addr()
+	}
+	return atomic.LoadUint32(&g.sleep) != awake
+}
 
 // Wake wakes the owner if it announced a wait, and reports whether it had.
 // Call it after publishing what the owner waits for; with nobody waiting it
 // is one load.
 func (g *Gate) Wake() bool {
-	switch atomic.LoadUint32(&g.sleep) {
-	case parked:
-		select {
-		case g.tok <- struct{}{}:
-		default:
+	if t := g.bound(); t != nil {
+		if !t.claim(g) {
+			return false
 		}
-	case yielded:
-		g.task.ready()
-	default:
+		t.loop.push(t, t)
+		return true
+	}
+	if atomic.LoadUint32(&g.sleep) != parked {
 		return false
+	}
+	select {
+	case g.tok <- struct{}{}:
+	default:
 	}
 	return true
 }
@@ -115,28 +130,77 @@ func (g *Gate) Wake() bool {
 // owner goes to the back of the loop's queue. Outside a running world it
 // does nothing. Only the owner may call it.
 func (g *Gate) Yield() {
-	if t := g.task; t != nil && t.loop != nil {
-		if t.state.Swap(queued) != queued {
-			t.loop.push(t)
+	if t := g.bound(); t != nil {
+		if t.on.Swap(queued) != queued {
+			t.loop.push(t, t)
 		}
 		t.yield(struct{}{})
 	}
 }
 
-// A task's state.
+// Waker wakes many gates at once: tasks it queues on one loop are pushed
+// there together, with one atomic operation. Wake what it should, then
+// Flush. The zero Waker is ready to use.
+type Waker struct {
+	loop       *Loop
+	head, tail *Task
+	woke       int
+}
+
+// Wake is Gate.Wake, holding a queued task back until Flush or until a task
+// of another loop is queued.
+func (w *Waker) Wake(g *Gate) {
+	t := g.bound()
+	if t == nil {
+		if g.Wake() {
+			w.woke++
+		}
+		return
+	}
+	if !t.claim(g) {
+		return
+	}
+	w.woke++
+	if w.loop != t.loop {
+		w.Flush()
+		w.loop, w.head, w.tail = t.loop, nil, t
+	}
+	t.next, w.head = w.head, t // newest first, as single pushes leave them
+}
+
+// Flush pushes the held tasks and reports how many owners the waker woke
+// since the last Flush.
+func (w *Waker) Flush() int {
+	if w.loop != nil {
+		w.loop.push(w.head, w.tail)
+		w.loop = nil
+	}
+	n := w.woke
+	w.woke = 0
+	return n
+}
+
+// A task's announcement (Task.on): the address of the gate it waits on, or
+// one of these.
 const (
-	running = iota // being resumed, or about to be
-	waiting        // announced a wait: a wake queues it
-	queued         // on its loop's queue
+	running uintptr = 0 // being resumed
+	queued  uintptr = 1 // on its loop's queue
 )
+
+// addr is the announcement of a wait on g. It is only compared, never turned
+// back into a pointer: the gate stays reachable through its owner.
+func (g *Gate) addr() uintptr { return uintptr(unsafe.Pointer(g)) }
 
 // Task is one rank's place on a run loop: a coroutine that the loop resumes
 // when the rank is ready, and that yields back to the loop where a wait
 // would otherwise block. A world makes one per rank and binds the rank's
 // gates to it; Run gives it a loop for the duration of a run.
 type Task struct {
-	state atomic.Uint32 // running, waiting or queued; wakers CAS it
-	next  *Task         // link on the loop's inbox
+	// on is what the task announced: running, the gate it waits on, or
+	// queued. A wake moves it from the gate to queued, once, so a task is on
+	// the queue at most once.
+	on   atomic.Uintptr
+	next *Task // link on the loop's inbox
 
 	// Set by Run, read by the owner and by its wakers.
 	loop   *Loop
@@ -149,18 +213,22 @@ type Task struct {
 	expired  bool
 }
 
-// wait is Gate.Wait for a rank on a run loop. The gate stays announced
-// for the whole wait; each round announces the task (running → waiting),
-// re-checks and yields. A resumed task checks first: a wake usually means
-// done. A bounded wait joins the loop's timers at its first yield; the loop
-// dates it at its next refill and resumes it once the deadline has passed,
-// also when nothing else is ready. The deadline can fire a loop round late,
-// never early, and the wait reads no clock.
-func (t *Task) wait(sleep *uint32, done func() bool, d time.Duration) bool {
+// claim takes the task off gate g for a waker: it reports whether the task
+// was waiting on g and is now the waker's to queue.
+func (t *Task) claim(g *Gate) bool {
+	return t.on.Load() == g.addr() && t.on.CompareAndSwap(g.addr(), queued)
+}
+
+// wait is Gate.Wait for a rank on a run loop: announce, re-check, yield,
+// until done or the deadline. A resumed task checks first: a wake usually
+// means done. A bounded wait joins the loop's timers at its first yield; the
+// loop dates it at its next refill and resumes it once the deadline has
+// passed, also when nothing else is ready. The deadline can fire a loop
+// round late, never early, and the wait reads no clock.
+func (t *Task) wait(g *Gate, done func() bool, d time.Duration) bool {
 	l, timed := t.loop, false
-	atomic.StoreUint32(sleep, yielded)
 	for {
-		t.state.CompareAndSwap(running, waiting)
+		t.on.CompareAndSwap(running, g.addr()) // a task already queued stays queued
 		if done() {
 			break
 		}
@@ -178,9 +246,8 @@ func (t *Task) wait(sleep *uint32, done func() bool, d time.Duration) bool {
 			break
 		}
 	}
-	atomic.StoreUint32(sleep, awake)
-	if t.state.Load() == waiting {
-		t.state.CompareAndSwap(waiting, running)
+	if t.on.Load() == g.addr() {
+		t.on.CompareAndSwap(g.addr(), running)
 	}
 	if timed {
 		l.timers = slices.DeleteFunc(l.timers, func(u *Task) bool { return u == t })
@@ -188,11 +255,10 @@ func (t *Task) wait(sleep *uint32, done func() bool, d time.Duration) bool {
 	return !timed || !t.expired || done()
 }
 
-// ready queues a waiting task on its loop; a task not waiting is left
-// alone, so a task is on the queue at most once.
+// ready queues a task whose deadline passed, if it still waits.
 func (t *Task) ready() {
-	if t.state.CompareAndSwap(waiting, queued) {
-		t.loop.push(t)
+	if g := t.on.Load(); g > queued && t.on.CompareAndSwap(g, queued) {
+		t.loop.push(t, t)
 	}
 }
 
@@ -202,6 +268,7 @@ func (t *Task) ready() {
 type Loop struct {
 	gate  Gate                 // unbound: the loop goroutine parks here
 	inbox atomic.Pointer[Task] // tasks queued by wakers, newest first
+	_     [64]byte             // wakers write the line above, the loop those below
 
 	// Loop-private; a rank touches them only while the loop resumes it.
 	run     []*Task // ready, in order, from head on
@@ -209,28 +276,27 @@ type Loop struct {
 	timers  []*Task // waiting with a bound; room for every task of the loop
 	epoch   time.Time
 	soonest time.Duration // no timer's deadline is earlier, except a new one's
-	parks   int64         // yields not yet in GateParks
+	refills int
+	parks   int64 // yields not yet in GateParks
 }
 
-// push puts a queued task on the inbox and wakes the loop if it parked.
-func (l *Loop) push(t *Task) {
+// push puts the queued tasks head through tail, linked by next and newest
+// first, on the inbox, and wakes the loop if it parked.
+func (l *Loop) push(head, tail *Task) {
 	for {
 		old := l.inbox.Load()
-		t.next = old
-		if l.inbox.CompareAndSwap(old, t) {
+		tail.next = old
+		if l.inbox.CompareAndSwap(old, head) {
 			break
 		}
 	}
 	l.gate.Wake()
 }
 
-// expire dates the timers that joined since the last call, queues each
-// task whose deadline has passed, and returns how long until the next
-// deadline (0 for none). It reads the clock once, and only with timers.
+// expire dates the timers that joined since it last ran, queues each task
+// whose deadline has passed, and returns how long until the next deadline
+// (0 for none). It reads the clock once.
 func (l *Loop) expire() time.Duration {
-	if len(l.timers) == 0 {
-		return 0
-	}
 	now := time.Since(l.epoch)
 	if now < l.soonest && l.timers[len(l.timers)-1].deadline != 0 {
 		return l.soonest - now
@@ -255,7 +321,9 @@ func (l *Loop) expire() time.Duration {
 
 // refill waits until some task is ready and moves the ready tasks onto the
 // empty run queue in the order they were queued. With nothing ready the
-// loop parks until a wake or the next deadline.
+// loop parks until a wake or the next deadline. The clock is read for the
+// deadlines before a park and every expireEvery refills, so a busy loop
+// still fires them.
 func (l *Loop) refill() {
 	l.run, l.head = l.run[:0], 0
 	if l.parks != 0 {
@@ -263,7 +331,10 @@ func (l *Loop) refill() {
 		l.parks = 0
 	}
 	for {
-		wait := l.expire()
+		var wait time.Duration
+		if l.refills++; len(l.timers) > 0 && (l.refills%expireEvery == 0 || l.inbox.Load() == nil) {
+			wait = l.expire()
+		}
 		if t := l.inbox.Swap(nil); t != nil {
 			for ; t != nil; t = t.next {
 				l.run = append(l.run, t)
@@ -274,6 +345,11 @@ func (l *Loop) refill() {
 		l.gate.Wait(func() bool { return l.inbox.Load() != nil }, wait)
 	}
 }
+
+// expireEvery is how many refills a busy loop makes between two readings of
+// the clock for its deadlines.
+const expireEvery = 64
+
 // main resumes the loop's tasks until live bodies have returned, then
 // marks wg done.
 func (l *Loop) main(live int, wg *sync.WaitGroup) {
@@ -295,7 +371,7 @@ func (l *Loop) main(live int, wg *sync.WaitGroup) {
 		if t.resume == nil {
 			continue // queued by a wake that raced with its return
 		}
-		t.state.Store(running)
+		t.on.Store(running)
 		// Counted out and marked finished until it yields, so a Goexit
 		// leaves the count right.
 		resume := t.resume
@@ -323,7 +399,7 @@ func Run(tasks []Task, loops int, body func(i int)) {
 		l.gate.tok = make(chan struct{}, 1)
 		for i := lo; i < hi; i++ {
 			t := &tasks[i]
-			t.state.Store(running)
+			t.on.Store(running)
 			t.loop = l
 			t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
 				t.yield = yield
