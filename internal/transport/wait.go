@@ -54,7 +54,7 @@ func (g *Gate) Bind(t *Task) { g.task = t }
 
 // bound returns the gate's task if its world is running.
 func (g *Gate) bound() *Task {
-	if t := g.task; t != nil && t.loop != nil {
+	if t := g.task; t != nil && t.loop.Load() != nil {
 		return t
 	}
 	return nil
@@ -113,7 +113,7 @@ func (g *Gate) Wake() bool {
 		if !t.claim(g) {
 			return false
 		}
-		t.loop.push(t, t)
+		t.loop.Load().push(t, t)
 		return true
 	}
 	if atomic.LoadUint32(&g.sleep) != parked {
@@ -132,7 +132,7 @@ func (g *Gate) Wake() bool {
 func (g *Gate) Yield() {
 	if t := g.bound(); t != nil {
 		if t.on.Swap(queued) != queued {
-			t.loop.push(t, t)
+			t.loop.Load().push(t, t)
 		}
 		t.yield(struct{}{})
 	}
@@ -161,9 +161,9 @@ func (w *Waker) Wake(g *Gate) {
 		return
 	}
 	w.woke++
-	if w.loop != t.loop {
+	if l := t.loop.Load(); w.loop != l {
 		w.Flush()
-		w.loop, w.head, w.tail = t.loop, nil, t
+		w.loop, w.head, w.tail = l, nil, t
 	}
 	t.next, w.head = w.head, t // newest first, as single pushes leave them
 }
@@ -203,7 +203,7 @@ type Task struct {
 	next *Task // link on the loop's inbox
 
 	// Set by Run, read by the owner and by its wakers.
-	loop   *Loop
+	loop   atomic.Pointer[Loop] // nil outside a run
 	yield  func(struct{}) bool
 	resume func() (struct{}, bool) // nil once the body has returned
 
@@ -226,7 +226,7 @@ func (t *Task) claim(g *Gate) bool {
 // passed, also when nothing else is ready. The deadline can fire a loop
 // round late, never early, and the wait reads no clock.
 func (t *Task) wait(g *Gate, done func() bool, d time.Duration) bool {
-	l, timed := t.loop, false
+	l, timed := t.loop.Load(), false
 	for {
 		t.on.CompareAndSwap(running, g.addr()) // a task already queued stays queued
 		if done() {
@@ -258,7 +258,7 @@ func (t *Task) wait(g *Gate, done func() bool, d time.Duration) bool {
 // ready queues a task whose deadline passed, if it still waits.
 func (t *Task) ready() {
 	if g := t.on.Load(); g > queued && t.on.CompareAndSwap(g, queued) {
-		t.loop.push(t, t)
+		t.loop.Load().push(t, t)
 	}
 }
 
@@ -391,26 +391,32 @@ func (l *Loop) main(live int, wg *sync.WaitGroup) {
 func Run(tasks []Task, loops int, body func(i int)) {
 	n := len(tasks)
 	loops = max(min(loops, n), 1)
-	var wg sync.WaitGroup
-	wg.Add(loops)
-	for k := 0; k < loops; k++ {
+	ls := make([]*Loop, loops)
+	for k := range ls {
 		lo, hi := k*n/loops, (k+1)*n/loops
 		l := &Loop{run: make([]*Task, 0, hi-lo), timers: make([]*Task, 0, hi-lo), epoch: time.Now()}
 		l.gate.tok = make(chan struct{}, 1)
 		for i := lo; i < hi; i++ {
 			t := &tasks[i]
 			t.on.Store(running)
-			t.loop = l
+			t.loop.Store(l)
 			t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
 				t.yield = yield
 				body(i)
 			})
 			l.run = append(l.run, t)
 		}
-		go l.main(hi-lo, &wg)
+		ls[k] = l
+	}
+	// Every task has its loop before any rank can wake another.
+	var wg sync.WaitGroup
+	wg.Add(loops)
+	for _, l := range ls {
+		go l.main(len(l.run), &wg)
 	}
 	wg.Wait()
 	for i := range tasks {
-		tasks[i].loop, tasks[i].yield, tasks[i].resume = nil, nil, nil
+		tasks[i].loop.Store(nil)
+		tasks[i].yield, tasks[i].resume = nil, nil
 	}
 }
