@@ -1,31 +1,23 @@
 // Command ab compares the benchmark of BENCHMARK.json at a git revision
-// (REF) with the working tree, the way a reviewer of a change reads it:
-// interleaved pairs of `bash benchmark/run.sh --trace 0` runs, the order
-// inside a pair swapped every pair, so host drift hits both sides alike.
+// (REF) with the working tree: interleaved pairs of `bash benchmark/run.sh
+// --trace 0`, the order swapped every pair so host drift hits both sides.
+// REF is exported with `git archive` into the gitignored .ab/<commit>
+// (nothing is fetched or registered in .git); every run goes into one
+// stamped JSON under .ab/. Per workload and end-to-end metric it prints
+// each side's median [q1–q3], Δ of the medians, the bound, the pairs the
+// working tree was lower in, and a verdict:
 //
-// REF is exported with `git archive` into .ab/<commit> inside the checkout
-// (gitignored; nothing is fetched and nothing is registered in .git), and
-// each side's run.sh builds its own binary there. Every run is kept in one
-// stamped JSON file under .ab/. Per workload and end-to-end metric it
-// prints each side's median [q1–q3], the change of the medians, the bound,
-// how many pairs the working tree was lower in, and a verdict:
+//	better      better in >= 9 of 10 pairs, medians apart by more than REF's IQR
+//	worse       median worse than REF's by more than the bound
+//	higher      worse in >= 9 of 10 pairs, by more than REF's IQR, within the bound
+//	unresolved  none of these, and REF's IQR / median exceeds the bound
+//	equal       none of these
 //
-//	better      lower-is-better (or higher) in at least 9 of 10 pairs, and
-//	            the medians differ by more than REF's interquartile range
-//	worse       the working tree's median is worse than REF's by more than
-//	            the bound
-//	unresolved  neither, and REF's own spread (IQR / median) exceeds the
-//	            bound, so the gate cannot tell
-//	equal       neither, and the gate could have told
-//
-// Count metrics (unit "count") are deterministic: they are compared by
-// exact equality of the medians, and any difference is reported as better
-// or as worse (beyond the bound) or higher (within it).
-//
-// Usage:
+// Count metrics (unit "count") compare medians exactly: equal, better,
+// worse beyond the bound, or higher within it.
 //
 //	make ab REF=<commit> [WORKLOADS=a,b] [PAIRS=10] [SECONDS=20]
-//	go run ./cmd/ab -ref HEAD~1 -workloads allreduce_r256_shm_p2 -pairs 10
+//	go run ./cmd/ab -report .ab/ab-<stamp>.json   # the table again
 package main
 
 import (
@@ -47,10 +39,9 @@ type manifest struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []struct {
-		Name   string  `json:"name"`
-		Unit   string  `json:"unit"`
-		Better string  `json:"better"`
-		Bound  float64 `json:"bound"`
+		Name  string  `json:"name"`
+		Unit  string  `json:"unit"`
+		Bound float64 `json:"bound"`
 	} `json:"end_to_end"`
 }
 
@@ -65,11 +56,10 @@ type result struct {
 }
 
 type run struct {
-	Side     string  `json:"side"` // "ref" or "head"
-	Pair     int     `json:"pair"`
-	Workload string  `json:"workload"`
-	Seconds  float64 `json:"wall_s"`
-	Result   result  `json:"result"`
+	Side     string `json:"side"` // "ref" or "head"
+	Pair     int    `json:"pair"`
+	Workload string `json:"workload"`
+	Result   result `json:"result"`
 }
 
 func main() {
@@ -79,9 +69,14 @@ func main() {
 		pairs     = flag.Int("pairs", 10, "pairs of runs per workload")
 		seconds   = flag.Float64("seconds", 0, "seconds per run (default: run_seconds of BENCHMARK.json)")
 		seed      = flag.Int64("seed", 1, "seed passed to every run")
+		reprint   = flag.String("report", "", "print the table of an earlier run's JSON instead of running")
 	)
 	flag.Parse()
-	if err := ab(*ref, *workloads, *pairs, *seconds, *seed); err != nil {
+	err := report(*reprint)
+	if *reprint == "" {
+		err = ab(*ref, *workloads, *pairs, *seconds, *seed)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ab:", err)
 		os.Exit(1)
 	}
@@ -96,10 +91,8 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 		return err
 	}
 	var m manifest
-	if b, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json")); err != nil {
+	if err := readJSON(filepath.Join(root, "BENCHMARK.json"), &m); err != nil {
 		return err
-	} else if err := json.Unmarshal(b, &m); err != nil {
-		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
 	names := strings.FieldsFunc(workloads, func(r rune) bool { return r == ',' || r == ' ' })
 	if len(names) == 0 {
@@ -117,14 +110,10 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 	head, _ := git(root, "rev-parse", "HEAD")
 	refDir := filepath.Join(root, ".ab", commit)
 	if _, err := os.Stat(refDir); err != nil {
-		if err := os.MkdirAll(refDir, 0o755); err != nil {
-			return err
-		}
-		// A failed export must not leave a half-filled directory behind.
-		cmd := exec.Command("bash", "-c", `set -o pipefail; git archive "$1" | tar -x -C "$2"`, "ab", commit, refDir)
+		cmd := exec.Command("bash", "-c", `set -o pipefail; mkdir -p "$2" && git archive "$1" | tar -x -C "$2"`, "ab", commit, refDir)
 		cmd.Dir, cmd.Stderr = root, os.Stderr
 		if err := cmd.Run(); err != nil {
-			os.RemoveAll(refDir)
+			os.RemoveAll(refDir) // no half-filled export left behind
 			return fmt.Errorf("exporting %s: %w", ref, err)
 		}
 	}
@@ -141,7 +130,7 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 				if err != nil {
 					return fmt.Errorf("%s, %s, pair %d: %w", w, side, p, err)
 				}
-				runs = append(runs, run{Side: side, Pair: p, Workload: w, Seconds: seconds, Result: r})
+				runs = append(runs, run{Side: side, Pair: p, Workload: w, Result: r})
 				fmt.Fprintf(os.Stderr, "pair %d/%d %-22s %-4s wall_us_per_op %.1f\n", p+1, pairs, w, side, r.Metrics["wall_us_per_op"].Value)
 			}
 		}
@@ -154,14 +143,50 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 		"pairs": pairs, "seconds": seconds, "seed": seed, "runs": runs,
 	}
 	b, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
+	if err == nil {
+		err = os.WriteFile(out, b, 0o644)
 	}
-	if err := os.WriteFile(out, b, 0o644); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Printf("ref %s (%s) vs working tree at %s: %d pairs of %gs runs, seed %d; every run in %s\n\n",
 		ref, commit[:12], head[:min(12, len(head))], pairs, seconds, seed, out)
+	printTable(m, names, runs)
+	return nil
+}
+
+// report prints the table of the runs kept in an earlier run's JSON.
+func report(file string) error {
+	if file == "" {
+		return nil
+	}
+	var rep struct{ Runs []run }
+	var m manifest
+	if err := readJSON(file, &rep); err != nil {
+		return err
+	}
+	if err := readJSON("BENCHMARK.json", &m); err != nil {
+		return err
+	}
+	var names []string
+	for _, r := range rep.Runs {
+		if !slices.Contains(names, r.Workload) {
+			names = append(names, r.Workload)
+		}
+	}
+	printTable(m, names, rep.Runs)
+	return nil
+}
+
+func readJSON(file string, v any) error {
+	b, err := os.ReadFile(file)
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
+	return err
+}
+
+func printTable(m manifest, names []string, runs []run) {
 	fmt.Printf("%-22s %-16s %-28s %-28s %8s %6s %7s  %s\n", "workload", "metric", "ref median [q1–q3]", "head median [q1–q3]", "Δ", "bound", "lower", "verdict")
 	for _, w := range names {
 		for _, e := range m.EndToEnd {
@@ -186,7 +211,7 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 			qa, qb := quartiles(a), quartiles(b)
 			fmt.Printf("%-22s %-16s %-28s %-28s %+7.1f%% %5.0f%% %4d/%-2d  %s\n", w, e.Name,
 				fmtQ(qa), fmtQ(qb), 100*(qb[1]/qa[1]-1), 100*e.Bound, lower, len(a),
-				verdict(a, b, qa, qb, e.Unit == "count", e.Better == "higher", e.Bound))
+				verdict(a, b, qa, qb, e.Unit == "count", e.Bound))
 		}
 		for _, r := range runs {
 			if r.Workload == w && (!r.Result.Correct || r.Result.Failed != 0) {
@@ -194,42 +219,30 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 			}
 		}
 	}
-	return nil
 }
 
 // verdict applies the rules in the package comment to REF's runs a and the
-// working tree's b, paired by index.
-func verdict(a, b []float64, qa, qb [3]float64, count, higherBetter bool, bound float64) string {
-	gain := func(x, y float64) float64 { // how much better y is than x, relative to x
-		if higherBetter {
-			return (y - x) / x
-		}
-		return (x - y) / x
-	}
-	worse := -gain(qa[1], qb[1]) > bound
-	if count {
-		switch {
-		case qa[1] == qb[1]:
-			return "equal"
-		case gain(qa[1], qb[1]) > 0:
-			return "better"
-		case worse:
-			return "worse"
-		}
-		return "higher"
-	}
-	wins := 0
+// working tree's b, paired by index. Every end-to-end metric is lower-is-better.
+func verdict(a, b []float64, qa, qb [3]float64, count bool, bound float64) string {
+	rel, iqr := (qb[1]-qa[1])/qa[1], qa[2]-qa[0]
+	wins, losses := 0, 0
 	for i := range min(len(a), len(b)) {
-		if gain(a[i], b[i]) > 0 {
+		if b[i] < a[i] {
 			wins++
+		} else if b[i] > a[i] {
+			losses++
 		}
 	}
 	switch {
-	case worse:
+	case rel > bound:
 		return "worse"
-	case 10*wins >= 9*len(a) && gain(qa[1], qb[1])*qa[1] > qa[2]-qa[0]:
+	case count && rel == 0:
+		return "equal"
+	case count && rel < 0, !count && 10*wins >= 9*len(a) && qa[1]-qb[1] > iqr:
 		return "better"
-	case (qa[2]-qa[0])/qa[1] > bound:
+	case count, 10*losses >= 9*len(a) && qb[1]-qa[1] > iqr:
+		return "higher"
+	case iqr/qa[1] > bound:
 		return "unresolved"
 	}
 	return "equal"

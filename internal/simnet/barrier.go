@@ -21,18 +21,13 @@ import (
 // count share one atomic word, so a rank's check-in is a single fetch-add
 // that simultaneously reads the generation it must wait out, and the
 // winner's release is a single fetch-add that resets the count and flips
-// the generation. A waiter that does not see the flip blocks on its own gate,
-// which the node's release wakes, so the steady-state barrier performs no
-// allocation, no mutex handoff chain, and no O(n) broadcast herd: wakeups
-// are per tree node.
-//
-// A waiter waits on its participant's gate (transport.Gate): in a running
-// world the gate is bound to the rank's task and the waiter yields to its
-// run loop; anywhere else it parks its goroutine. A node records which
-// participant arrived at each of its child slots, and its release wakes
-// those gates only: a release readies that node's waiters, not the world.
-// The tree is radix 16 (node-grouped where placement says) at every P: a
-// release wave is at most fifteen wakes long.
+// the generation. A waiter that does not see the flip blocks on its
+// participant's gate (transport.Gate: in a running world it yields to its
+// rank's run loop). A node records which participant arrived at each child
+// slot, and its release wakes those gates only, so the steady-state barrier
+// performs no allocation and no O(n) broadcast herd: a release readies that
+// node's waiters, not the world. The tree is radix 16 (node-grouped where
+// placement says) at every P.
 //
 // A generation may carry a completion step (WaitStep): the global winner —
 // the participant whose arrival completes the root node, whatever the tree
@@ -57,21 +52,17 @@ type Barrier struct {
 	hier   bool // leaves grouped by topology node, not rank order
 }
 
-// Process-wide barrier counters, surfaced through BarrierStats: the global
-// winner adds one per generation, and each release the waiters it woke.
 var barGenerations, barParks atomic.Int64
 
 // BarrierStats reports the process-lifetime number of completed barrier
-// generations and of waits that blocked (parked, or yielded to a run loop)
-// until a release woke them, over every barrier.
+// generations and of blocked waits a release woke, over every barrier.
 func BarrierStats() (generations, parks int64) {
 	return barGenerations.Load(), barParks.Load()
 }
 
-// The barrier's shape: tree fan-in, and the spacing in words of an upper
-// node's per-child slots: one cache line, because subtree winners from any
-// run loop arrive there at once. A leaf's participants are neighbouring
-// ranks, which share a loop, so its slots are packed.
+// Tree fan-in, and an upper node's slot spacing in words: a cache line, as
+// winners from every run loop arrive there. A leaf's neighbouring ranks
+// share a loop, so its slots are packed.
 const barRadix, barStride = 16, 8
 
 // barNode's state word: low 32 bits arrival count, high 32 bits generation.
@@ -87,10 +78,8 @@ type barNode struct {
 	parent *barNode
 	pslot  int // this node's child slot in parent
 
-	// who[j] is the participant that arrived at child slot j this
-	// generation, whose gate the release wakes. A leaf's never changes; an
-	// upper node's is written by the arriving subtree winner before its
-	// arrival add.
+	// who[j]: the participant at child slot j, whose gate the release
+	// wakes; fixed on a leaf, set by the arriving winner on an upper node.
 	who []atomic.Int32
 
 	_    [64]byte
@@ -110,8 +99,7 @@ func NewBarrier(n int) *Barrier { return build(n, barRadix) }
 // n yields a single combining node.
 func NewBarrierRadix(n, radix int) *Barrier { return build(n, max(radix, 2)) }
 
-// build creates an n-participant barrier of the given fan-in (>= n: one
-// node).
+// build creates an n-participant barrier of fan-in radix (>= n: one node).
 func build(n, radix int) *Barrier {
 	if n < 1 {
 		panic("simnet: barrier size must be >= 1")
@@ -140,9 +128,8 @@ func (b *Barrier) leaf(p int, nd *barNode, j int) {
 	nd.who[j].Store(int32(p))
 }
 
-// Bind binds participant i's gate to task(i), the task of the rank that
-// takes part as i: while that rank's world runs, its waits here yield to
-// its run loop. Call it before the barrier is used.
+// Bind binds participant i's gate to task(i), the task of the rank taking
+// part as i. Call it before the barrier is used.
 func (b *Barrier) Bind(task func(participant int) *transport.Task) {
 	for i := range b.gates {
 		b.gates[i].Bind(task(i))

@@ -38,10 +38,7 @@ type World struct {
 	kind   transport.Kind
 	shmNet *shmtransport.Net
 
-	// tasks holds each rank's place on a run loop. Every gate a rank waits
-	// on is bound to its task: its ports', its barriers' and its SHMEM
-	// board's.
-	tasks []transport.Task
+	tasks []transport.Task // each rank's place on a run loop; its gates bind to it
 
 	sharedMu sync.Mutex
 	shared   map[string]any
@@ -112,9 +109,8 @@ func (w *World) Port(r int) transport.Port {
 // Size reports the number of ranks.
 func (w *World) Size() int { return w.fabric.Size() }
 
-// Task returns rank r's task. A gate or barrier a rank waits on outside its
-// port and the world barrier is bound to it (Gate.Bind, Barrier.Bind), so
-// that the rank's waits there yield to its run loop.
+// Task returns rank r's task, to which every other gate or barrier rank r
+// waits on is bound (Gate.Bind, Barrier.Bind).
 func (w *World) Task(r int) *transport.Task { return &w.tasks[r] }
 
 // Fabric returns the underlying simulated fabric.
@@ -228,12 +224,10 @@ func Run(n int, prof *model.Profile, body func(*Rank) error) error {
 // from their previous values, so a world can host several phases and
 // measure each.
 //
-// The ranks run as coroutines on min(GOMAXPROCS, n) run loops, each loop a
-// goroutine that owns a contiguous block of ranks, starts them in rank order
-// and resumes one at a time, in the order they became ready (see
-// transport.Run). A rank's wait yields to its loop; a Go-level block in a
-// body — a channel between ranks, a contended mutex, a sleep — stalls its
-// whole loop.
+// The ranks run as coroutines on min(GOMAXPROCS, n) run loops, each owning
+// a contiguous block of ranks started in rank order (transport.Run). A
+// rank's wait yields to its loop; a Go-level block in a body — a channel
+// between ranks, a contended mutex, a sleep — stalls its whole loop.
 func (w *World) Run(body func(*Rank) error) error {
 	n := w.Size()
 	errs := make([]error, n)

@@ -10,46 +10,33 @@ import (
 	"unsafe"
 )
 
-// gateParks counts every blocked wait, over every gate; see GateParks.
 var gateParks atomic.Int64
 
 // GateParks reports the process-lifetime number of times a wait on a Gate
-// blocked: a goroutine parked, or a rank yielded to its run loop. A wait
-// counts once per block, and not at all when its first check is satisfied.
+// blocked: a goroutine parked, or a rank yielded to its run loop.
 func GateParks() int64 { return gateParks.Load() }
 
-// What a goroutine owner announced in its gate's sleep word.
-const (
-	awake  = iota
-	parked // about to park on the token
-)
+const awake, parked = 0, 1 // a goroutine owner's announcement in Gate.sleep
 
 // Gate is where one owner blocks: a port's posted receives and rendezvous
-// sends, a SHMEM PE's wait_until, a barrier participant's generation.
-//
-// The owner blocks on one thing at a time. Ordering, the one rule for every
-// waker and waiter: the owner announces its wait, re-checks its condition,
-// and only then blocks; a waker publishes what the owner waits for, then
+// sends, a SHMEM PE's wait_until, a barrier participant's generation. The
+// one rule for every waker and waiter: the owner announces its wait,
+// re-checks its condition, and only then blocks; a waker publishes, then
 // loads the announcement and wakes the owner if it is set. Both sides are
-// sequentially consistent atomics, so either the re-check sees the
-// publication or the waker sees the announcement.
+// sequentially consistent atomics, so one of them sees the other.
 //
-// A gate bound to a Task whose world is running is waited on by that rank's
-// coroutine: it announces in the task (Task.on names the gate) and yields to
-// its run loop, and the wake queues the task there. Any other wait announces
-// in the gate's sleep word and parks its goroutine on a token (cap 1, made
-// at the first park). A token can be left over from a wake whose
-// publication the owner saw for itself; it costs one spurious wake, which is
-// legal: every wait re-checks its condition in a loop.
+// A rank of a running world announces in its Task and yields to its run
+// loop, where the wake queues it; any other owner announces in sleep and
+// parks on a token (cap 1, made at the first park). A wake the owner did
+// not need costs one spurious resume or a left-over token: every wait
+// re-checks its condition in a loop.
 type Gate struct {
 	sleep uint32 // atomic: awake or parked
 	task  *Task
 	tok   chan struct{}
 }
 
-// Bind makes t the gate's owner: while t's world runs, t's waits on the
-// gate yield to t's run loop. Call it before any waiter or waker can see the
-// gate.
+// Bind makes t the gate's owner, before any waiter or waker sees the gate.
 func (g *Gate) Bind(t *Task) { g.task = t }
 
 // bound returns the gate's task if its world is running.
@@ -96,8 +83,7 @@ func (g *Gate) Wait(done func() bool, d time.Duration) bool {
 	return true
 }
 
-// Waiting reports whether the owner has announced a wait on the gate and
-// not yet returned from it.
+// Waiting reports whether the owner is in a wait on the gate.
 func (g *Gate) Waiting() bool {
 	if t := g.bound(); t != nil {
 		return t.on.Load() == g.addr()
@@ -106,8 +92,7 @@ func (g *Gate) Waiting() bool {
 }
 
 // Wake wakes the owner if it announced a wait, and reports whether it had.
-// Call it after publishing what the owner waits for; with nobody waiting it
-// is one load.
+// Call it after publishing what the owner waits for.
 func (g *Gate) Wake() bool {
 	if t := g.bound(); t != nil {
 		if !t.claim(g) {
@@ -126,9 +111,8 @@ func (g *Gate) Wake() bool {
 	return true
 }
 
-// Yield lets the other ready ranks of the owner's run loop go first: the
-// owner goes to the back of the loop's queue. Outside a running world it
-// does nothing. Only the owner may call it.
+// Yield puts the owner at the back of its run loop's queue; outside a
+// running world it does nothing. Only the owner may call it.
 func (g *Gate) Yield() {
 	if t := g.bound(); t != nil {
 		if t.on.Swap(queued) != queued {
@@ -138,17 +122,15 @@ func (g *Gate) Yield() {
 	}
 }
 
-// Waker wakes many gates at once: tasks it queues on one loop are pushed
-// there together, with one atomic operation. Wake what it should, then
-// Flush. The zero Waker is ready to use.
+// Waker wakes many gates, pushing the tasks it queues on one loop there
+// with one CAS when it Flushes or turns to another loop.
 type Waker struct {
 	loop       *Loop
 	head, tail *Task
 	woke       int
 }
 
-// Wake is Gate.Wake, holding a queued task back until Flush or until a task
-// of another loop is queued.
+// Wake is Gate.Wake, holding a queued task back.
 func (w *Waker) Wake(g *Gate) {
 	t := g.bound()
 	if t == nil {
@@ -168,8 +150,8 @@ func (w *Waker) Wake(g *Gate) {
 	t.next, w.head = w.head, t // newest first, as single pushes leave them
 }
 
-// Flush pushes the held tasks and reports how many owners the waker woke
-// since the last Flush.
+// Flush pushes the held tasks and reports how many owners were woken since
+// the last Flush.
 func (w *Waker) Flush() int {
 	if w.loop != nil {
 		w.loop.push(w.head, w.tail)
@@ -180,25 +162,19 @@ func (w *Waker) Flush() int {
 	return n
 }
 
-// A task's announcement (Task.on): the address of the gate it waits on, or
-// one of these.
-const (
-	running uintptr = 0 // being resumed
-	queued  uintptr = 1 // on its loop's queue
-)
+// A task's announcement (Task.on) is running, queued or a gate's addr.
+const running, queued uintptr = 0, 1
 
-// addr is the announcement of a wait on g. It is only compared, never turned
-// back into a pointer: the gate stays reachable through its owner.
+// addr names a wait on g; it is only compared, never turned back into a
+// pointer.
 func (g *Gate) addr() uintptr { return uintptr(unsafe.Pointer(g)) }
 
-// Task is one rank's place on a run loop: a coroutine that the loop resumes
-// when the rank is ready, and that yields back to the loop where a wait
-// would otherwise block. A world makes one per rank and binds the rank's
-// gates to it; Run gives it a loop for the duration of a run.
+// Task is one rank's place on a run loop: a coroutine the loop resumes when
+// the rank is ready, and that yields to the loop where a wait would block.
+// A world makes one per rank and binds the rank's gates to it.
 type Task struct {
-	// on is what the task announced: running, the gate it waits on, or
-	// queued. A wake moves it from the gate to queued, once, so a task is on
-	// the queue at most once.
+	// on moves from a gate to queued once per wake, so a task is on its
+	// loop's queue at most once.
 	on   atomic.Uintptr
 	next *Task // link on the loop's inbox
 
@@ -213,18 +189,15 @@ type Task struct {
 	expired  bool
 }
 
-// claim takes the task off gate g for a waker: it reports whether the task
-// was waiting on g and is now the waker's to queue.
+// claim reports whether the task waited on g and is now the caller's to
+// queue.
 func (t *Task) claim(g *Gate) bool {
 	return t.on.Load() == g.addr() && t.on.CompareAndSwap(g.addr(), queued)
 }
 
-// wait is Gate.Wait for a rank on a run loop: announce, re-check, yield,
-// until done or the deadline. A resumed task checks first: a wake usually
-// means done. A bounded wait joins the loop's timers at its first yield; the
-// loop dates it at its next refill and resumes it once the deadline has
-// passed, also when nothing else is ready. The deadline can fire a loop
-// round late, never early, and the wait reads no clock.
+// wait is Gate.Wait on a run loop: announce, re-check, yield. A bounded
+// wait joins the loop's timers, which the loop dates and fires (a round
+// late at worst, never early); the wait itself reads no clock.
 func (t *Task) wait(g *Gate, done func() bool, d time.Duration) bool {
 	l, timed := t.loop.Load(), false
 	for {
@@ -255,33 +228,24 @@ func (t *Task) wait(g *Gate, done func() bool, d time.Duration) bool {
 	return !timed || !t.expired || done()
 }
 
-// ready queues a task whose deadline passed, if it still waits.
-func (t *Task) ready() {
-	if g := t.on.Load(); g > queued && t.on.CompareAndSwap(g, queued) {
-		t.loop.Load().push(t, t)
-	}
-}
-
-// Loop is one run loop: a goroutine that resumes its block of ranks, one
-// at a time, in the order they became ready, and parks on a gate of its own
-// when none is.
+// Loop is one run loop: a goroutine that resumes its ranks one at a time,
+// in the order they became ready, and parks on its gate when none is.
 type Loop struct {
 	gate  Gate                 // unbound: the loop goroutine parks here
 	inbox atomic.Pointer[Task] // tasks queued by wakers, newest first
 	_     [64]byte             // wakers write the line above, the loop those below
 
-	// Loop-private; a rank touches them only while the loop resumes it.
 	run     []*Task // ready, in order, from head on
 	head    int
 	timers  []*Task // waiting with a bound; room for every task of the loop
 	epoch   time.Time
-	soonest time.Duration // no timer's deadline is earlier, except a new one's
+	soonest time.Duration // no deadline is earlier, but an undated one's
 	refills int
 	parks   int64 // yields not yet in GateParks
 }
 
-// push puts the queued tasks head through tail, linked by next and newest
-// first, on the inbox, and wakes the loop if it parked.
+// push puts queued tasks head..tail (newest first) on the inbox and wakes
+// the loop if it parked.
 func (l *Loop) push(head, tail *Task) {
 	for {
 		old := l.inbox.Load()
@@ -293,9 +257,8 @@ func (l *Loop) push(head, tail *Task) {
 	l.gate.Wake()
 }
 
-// expire dates the timers that joined since it last ran, queues each task
-// whose deadline has passed, and returns how long until the next deadline
-// (0 for none). It reads the clock once.
+// expire dates new timers, queues each task whose deadline passed, and
+// returns the time to the next deadline (0 for none).
 func (l *Loop) expire() time.Duration {
 	now := time.Since(l.epoch)
 	if now < l.soonest && l.timers[len(l.timers)-1].deadline != 0 {
@@ -308,9 +271,9 @@ func (l *Loop) expire() time.Duration {
 		}
 		if t.deadline > now {
 			l.soonest = min(l.soonest, t.deadline)
-		} else if !t.expired {
+		} else if g := t.on.Load(); !t.expired && g > queued && t.on.CompareAndSwap(g, queued) {
 			t.expired = true
-			t.ready()
+			l.push(t, t)
 		}
 	}
 	if l.soonest == math.MaxInt64 {
@@ -319,11 +282,9 @@ func (l *Loop) expire() time.Duration {
 	return l.soonest - now
 }
 
-// refill waits until some task is ready and moves the ready tasks onto the
-// empty run queue in the order they were queued. With nothing ready the
-// loop parks until a wake or the next deadline. The clock is read for the
-// deadlines before a park and every expireEvery refills, so a busy loop
-// still fires them.
+// refill moves the queued tasks, in queue order, onto the empty run queue,
+// parking until a wake or the next deadline while there are none. Deadlines
+// are checked before a park and every expireEvery refills.
 func (l *Loop) refill() {
 	l.run, l.head = l.run[:0], 0
 	if l.parks != 0 {
@@ -346,16 +307,12 @@ func (l *Loop) refill() {
 	}
 }
 
-// expireEvery is how many refills a busy loop makes between two readings of
-// the clock for its deadlines.
 const expireEvery = 64
 
-// main resumes the loop's tasks until live bodies have returned, then
-// marks wg done.
+// main resumes tasks until live bodies have returned. A body's
+// runtime.Goexit ends the goroutine; the loop goes on in a new one.
 func (l *Loop) main(live int, wg *sync.WaitGroup) {
 	defer func() {
-		// A body that called runtime.Goexit takes the loop goroutine with
-		// it; the rest of its ranks go on in a new one.
 		if live > 0 {
 			go l.main(live, wg)
 		} else {
@@ -372,9 +329,7 @@ func (l *Loop) main(live int, wg *sync.WaitGroup) {
 			continue // queued by a wake that raced with its return
 		}
 		t.on.Store(running)
-		// Counted out and marked finished until it yields, so a Goexit
-		// leaves the count right.
-		resume := t.resume
+		resume := t.resume // counted out until it yields, for a Goexit
 		t.resume = nil
 		live--
 		if _, ok := resume(); ok {
@@ -384,10 +339,9 @@ func (l *Loop) main(live int, wg *sync.WaitGroup) {
 	}
 }
 
-// Run runs body(i) once for every task i, each as a coroutine, on loops
-// run loops: each loop a goroutine that owns a contiguous block of tasks and
-// starts them in index order. A Go-level block in a body (a channel, a
-// mutex, a sleep) stalls its whole loop. body must not let a panic escape.
+// Run runs body(i) for every task i as a coroutine on loops run loops, each
+// a goroutine owning a contiguous block of tasks, started in index order. A
+// Go-level block in a body stalls its loop; a panic must not escape body.
 func Run(tasks []Task, loops int, body func(i int)) {
 	n := len(tasks)
 	loops = max(min(loops, n), 1)
@@ -408,8 +362,7 @@ func Run(tasks []Task, loops int, body func(i int)) {
 		}
 		ls[k] = l
 	}
-	// Every task has its loop before any rank can wake another.
-	var wg sync.WaitGroup
+	var wg sync.WaitGroup // every task has its loop before any starts
 	wg.Add(loops)
 	for _, l := range ls {
 		go l.main(len(l.run), &wg)
