@@ -60,9 +60,10 @@ func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
 			nd.word.Store(g << 32)
 			woke := make(chan int, 3)
 			hold := make(chan struct{})
+			parks := transport.GateParks()
 			wait := mode.run(b, func(me int) {
 				if me == 2 {
-					awaitWaiting(t, b, 0, 1)
+					awaitParks(t, parks+2)
 					nd.out = 0
 					nd.word.Add(1<<32 - 2) // release(g), first half: the flip
 				}
@@ -73,7 +74,7 @@ func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
 					b.Wait(me, 0) // and the others, once let
 				}
 			})
-			awaitWaiting(t, b, 2)
+			awaitParks(t, parks+3)
 			b.wake(nd) // release(g), second half
 			for i := 0; i < 2; i++ {
 				select {
@@ -90,9 +91,6 @@ func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
 				t.Fatalf("participant %d returned before its release", me)
 			case <-time.After(20 * time.Millisecond):
 			}
-			if !b.gates[2].Waiting() {
-				t.Fatal("the generation g+1 waiter stopped waiting")
-			}
 			close(hold) // generation g+1 completes
 			if me := <-woke; me != 2 {
 				t.Fatalf("participant %d woke, want 2", me)
@@ -102,18 +100,15 @@ func TestBarrierParkedWaitersSurviveNextGeneration(t *testing.T) {
 	}
 }
 
-// awaitWaiting returns once every listed participant has announced a wait
-// on its gate.
-func awaitWaiting(t *testing.T, b *Barrier, ps ...int) {
+// awaitParks returns once the process-wide count of blocked gate waits
+// reaches parks: a waiter that has parked, or yielded with its loop then
+// parking, can leave only through a wake.
+func awaitParks(t *testing.T, parks int64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for _, p := range ps {
-		for !b.gates[p].Waiting() {
-			if time.Now().After(deadline) {
-				t.Errorf("participant %d never waited", p)
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
+	for deadline := time.Now().Add(10 * time.Second); transport.GateParks() < parks; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("fewer than %d blocked waits", parks)
+			return
 		}
 	}
 }

@@ -105,9 +105,10 @@ func TestBarrierStepBeforeParkedWaitersWake(t *testing.T) {
 			var returned atomic.Int32
 			var stepSaw int32 = -1
 			done := make(chan int, 2)
+			parks := transport.GateParks()
 			wait := mode.run(b, func(me int) {
 				if me == 2 {
-					awaitWaiting(t, b, 0, 1)
+					awaitParks(t, parks+2)
 					b.WaitStep(2, 0, func() { stepSaw = returned.Load() })
 					return
 				}

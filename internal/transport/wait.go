@@ -57,6 +57,12 @@ func (g *Gate) Wait(done func() bool, d time.Duration) bool {
 	if t := g.bound(); t != nil {
 		return t.wait(g, done, d)
 	}
+	return g.park(done, d, true)
+}
+
+// park is Wait for a goroutine owner; counted says whether its parks are a
+// rank's (GateParks) or a run loop's own.
+func (g *Gate) park(done func() bool, d time.Duration, counted bool) bool {
 	if g.tok == nil {
 		g.tok = make(chan struct{}, 1)
 	}
@@ -68,7 +74,9 @@ func (g *Gate) Wait(done func() bool, d time.Duration) bool {
 			t = time.NewTimer(d)
 			expire = t.C
 		}
-		gateParks.Add(1)
+		if counted {
+			gateParks.Add(1)
+		}
 		select {
 		case <-g.tok:
 		case <-expire:
@@ -81,14 +89,6 @@ func (g *Gate) Wait(done func() bool, d time.Duration) bool {
 		t.Stop()
 	}
 	return true
-}
-
-// Waiting reports whether the owner is in a wait on the gate.
-func (g *Gate) Waiting() bool {
-	if t := g.bound(); t != nil {
-		return t.on.Load() == g.addr()
-	}
-	return atomic.LoadUint32(&g.sleep) != awake
 }
 
 // Wake wakes the owner if it announced a wait, and reports whether it had.
@@ -303,7 +303,7 @@ func (l *Loop) refill() {
 			slices.Reverse(l.run)
 			return
 		}
-		l.gate.Wait(func() bool { return l.inbox.Load() != nil }, wait)
+		l.gate.park(func() bool { return l.inbox.Load() != nil }, wait, false)
 	}
 }
 
