@@ -34,7 +34,8 @@ test:
 # traced run, which share the recorder's rings with its spans, the lazily
 # grown ring, the traced post-mortem's span tail and a compiled block's
 # frozen vars, and the run loops' tests: a block of ranks per loop, a
-# panic kept to its rank, bounded waits firing while their whole loop waits,
+# panic or a Goexit kept to its rank, bounded waits firing while their whole
+# loop waits,
 # wakes crossing to a parked loop, and barrier waiters on loops),
 # the simnet suite again at GOMAXPROCS=2 (two run loops: the barrier's
 # waiters yield on two Ps and wake across them, which neither the host's
@@ -103,7 +104,7 @@ verify: vet-intent
 	$(GO) vet -unsafeptr=false ./internal/typemap/
 	$(GO) vet $$($(GO) list ./... | grep -v internal/typemap)
 	$(GO) test -race ./internal/... ./cmd/... .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree|TestPortConformance|TestGateParkAllocFree|TestWireBuffersAllocFree|TestTableMatchesOracle|TestUnexpectedOnWallClock|TestTracedShmStampsWall|TestTracedHaloGolden|TestAnalysesDoNotSeeSpans|TestSpanRingMemoryFollowsUse|TestPostmortemTracedTailHoldsSpans|TestCompileBlockFreezesVars|TestRunLoopsOwnBlocks|TestRunLoopPanicStaysPerRank|TestRunLoopBoundedWaitsFire|TestRunLoopWakesParkedLoop|TestBarrierLoopWaitersYield' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/ ./internal/telemetry/ ./internal/spmd/ .
+	GOMAXPROCS=4 $(GO) test -race -run 'TestTransportShmStress|TestTransportEquiv|TestRequestReuseEquiv|TestManySendersOneReceiver|TestBoundReplayMatchesFreshLowering|TestEveryPhaseEveryTarget|TestCollectiveStress|TestCollectorConcurrentAdd|TestBarrierParkAllocFree|TestBarrierWaitRule|TestBarrierParkedWaitersSurviveNextGeneration|TestBarrierStepBeforeParkedWaitersWake|TestPoolHoldsInFlightWorkingSet|TestOneSidedRegionOneWave|TestFenceOneWavePerComm|TestRecycledHeadersAllocFree|TestPortConformance|TestGateParkAllocFree|TestWireBuffersAllocFree|TestTableMatchesOracle|TestUnexpectedOnWallClock|TestTracedShmStampsWall|TestTracedHaloGolden|TestAnalysesDoNotSeeSpans|TestSpanRingMemoryFollowsUse|TestPostmortemTracedTailHoldsSpans|TestCompileBlockFreezesVars|TestRunLoopsOwnBlocks|TestRunLoopPanicStaysPerRank|TestRunLoopGoexitStaysPerRank|TestRunLoopBoundedWaitsFire|TestRunLoopWakesParkedLoop|TestBarrierLoopWaitersYield' ./internal/mpi/ ./internal/shmtransport/ ./internal/pragma/ ./internal/core/ ./internal/wllsms/ ./internal/trace/ ./internal/simnet/ ./internal/transport/ ./internal/telemetry/ ./internal/spmd/ .
 	GOMAXPROCS=2 $(GO) test -race ./internal/simnet/
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestRecycledHeadersAllocFree|TestWireBuffersAllocFree|TestGateParkAllocFree' ./internal/transport/
 	$(GO) test -race ./benchmark/

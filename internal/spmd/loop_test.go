@@ -96,6 +96,32 @@ func TestRunLoopPanicStaysPerRank(t *testing.T) {
 	})
 }
 
+// TestRunLoopGoexitStaysPerRank: a rank body that calls runtime.Goexit
+// (t.FailNow in a rank body does) ends that rank only; the rest of its loop
+// goes on, and Run returns.
+func TestRunLoopGoexitStaysPerRank(t *testing.T) {
+	withProcs(t, []int{1, 2}, func(t *testing.T, p int) {
+		var finished atomic.Int32
+		err := spmd.Run(4, model.Uniform(1), func(rk *spmd.Rank) error {
+			if rk.ID == 1 {
+				runtime.Goexit()
+			}
+			if rk.ID != 3 {
+				port, peer := rk.Port(), 2-rk.ID // ranks 0 and 2 exchange
+				port.Send(peer, 0, nil, 0, false)
+				r := port.PostRecv(peer, 0, nil, 0)
+				r.Wait()
+				r.Release()
+			}
+			finished.Add(1)
+			return nil
+		})
+		if err != nil || finished.Load() != 3 {
+			t.Fatalf("err %v, %d ranks finished; want nil and 3", err, finished.Load())
+		}
+	})
+}
+
 // TestRunLoopBoundedWaitsFire: a bounded wait fires while every rank of its
 // loop waits, at one P (one loop holds them all) and at two: a port's
 // receive and rendezvous, mpi's RecvTimeout behind its watchdog, and SHMEM's
