@@ -196,8 +196,9 @@ func (t *Task) claim(g *Gate) bool {
 }
 
 // wait is Gate.Wait on a run loop: announce, re-check, yield. A bounded
-// wait joins the loop's timers, which the loop dates and fires (a round
-// late at worst, never early); the wait itself reads no clock.
+// wait joins the loop's timers, which the loop dates and fires — late by at
+// most expireEvery loop rounds while the loop is busy, never early; the
+// wait itself reads no clock.
 func (t *Task) wait(g *Gate, done func() bool, d time.Duration) bool {
 	l, timed := t.loop.Load(), false
 	for {
