@@ -143,7 +143,7 @@ chaos:
 #   make ab REF=HEAD~1 WORKLOADS=allreduce_r256_shm_p2 PAIRS=10
 PAIRS ?= 10
 ab:
-	$(GO) run ./cmd/ab -ref '$(REF)' -workloads '$(WORKLOADS)' -pairs $(PAIRS) $(if $(SECONDS),-seconds $(SECONDS))
+	$(GO) run ./cmd/ab -ref '$(REF)' -workloads '$(WORKLOADS)' -pairs $(PAIRS)
 
 # ladder-compare gates one layer-ladder report against another: B may be no
 # worse than A beyond the bounds BENCHMARK.json fixes, on any workload.

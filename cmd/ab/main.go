@@ -14,10 +14,10 @@
 //	equal       none of these
 //
 // Count metrics (unit "count") compare medians exactly: equal, better,
-// worse beyond the bound, or higher within it.
+// worse beyond the bound, or higher within it. Every run is run.sh's own:
+// the manifest's run_seconds and seed 1, the same on both sides.
 //
-//	make ab REF=<commit> [WORKLOADS=a,b] [PAIRS=10] [SECONDS=20]
-//	go run ./cmd/ab -report .ab/ab-<stamp>.json   # the table again
+//	make ab REF=<commit> [WORKLOADS=a,b] [PAIRS=10]
 package main
 
 import (
@@ -67,24 +67,17 @@ func main() {
 		ref       = flag.String("ref", "", "git revision to compare the working tree with (required)")
 		workloads = flag.String("workloads", "", "comma-separated workloads (default: every workload of BENCHMARK.json)")
 		pairs     = flag.Int("pairs", 10, "pairs of runs per workload")
-		seconds   = flag.Float64("seconds", 0, "seconds per run (default: run_seconds of BENCHMARK.json)")
-		seed      = flag.Int64("seed", 1, "seed passed to every run")
-		reprint   = flag.String("report", "", "print the table of an earlier run's JSON instead of running")
 	)
 	flag.Parse()
-	err := report(*reprint)
-	if *reprint == "" {
-		err = ab(*ref, *workloads, *pairs, *seconds, *seed)
-	}
-	if err != nil {
+	if err := ab(*ref, *workloads, *pairs); err != nil {
 		fmt.Fprintln(os.Stderr, "ab:", err)
 		os.Exit(1)
 	}
 }
 
-func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
+func ab(ref, workloads string, pairs int) error {
 	if ref == "" || pairs < 1 {
-		return fmt.Errorf("usage: ab -ref <revision> [-workloads a,b] [-pairs n] [-seconds s]")
+		return fmt.Errorf("usage: ab -ref <revision> [-workloads a,b] [-pairs n]")
 	}
 	root, err := git("", "rev-parse", "--show-toplevel")
 	if err != nil {
@@ -99,9 +92,6 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 		for _, w := range m.Workloads {
 			names = append(names, w.Name)
 		}
-	}
-	if seconds <= 0 {
-		seconds = m.RunSeconds
 	}
 	commit, err := git(root, "rev-parse", ref+"^{commit}")
 	if err != nil {
@@ -126,7 +116,7 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 		}
 		for _, w := range names {
 			for _, side := range order {
-				r, err := bench(dirs[side], w, seconds, seed)
+				r, err := bench(dirs[side], w)
 				if err != nil {
 					return fmt.Errorf("%s, %s, pair %d: %w", w, side, p, err)
 				}
@@ -140,7 +130,7 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 	report := map[string]any{
 		"stamp": stamp, "ref": ref, "ref_commit": commit, "head_commit": head,
 		"go_version": runtime.Version(), "nproc": runtime.NumCPU(),
-		"pairs": pairs, "seconds": seconds, "seed": seed, "runs": runs,
+		"pairs": pairs, "seconds": m.RunSeconds, "seed": 1, "runs": runs,
 	}
 	b, err := json.MarshalIndent(report, "", " ")
 	if err == nil {
@@ -149,32 +139,9 @@ func ab(ref, workloads string, pairs int, seconds float64, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ref %s (%s) vs working tree at %s: %d pairs of %gs runs, seed %d; every run in %s\n\n",
-		ref, commit[:12], head[:min(12, len(head))], pairs, seconds, seed, out)
+	fmt.Printf("ref %s (%s) vs working tree at %s: %d pairs of %gs runs, seed 1; every run in %s\n\n",
+		ref, commit[:12], head[:min(12, len(head))], pairs, m.RunSeconds, out)
 	printTable(m, names, runs)
-	return nil
-}
-
-// report prints the table of the runs kept in an earlier run's JSON.
-func report(file string) error {
-	if file == "" {
-		return nil
-	}
-	var rep struct{ Runs []run }
-	var m manifest
-	if err := readJSON(file, &rep); err != nil {
-		return err
-	}
-	if err := readJSON("BENCHMARK.json", &m); err != nil {
-		return err
-	}
-	var names []string
-	for _, r := range rep.Runs {
-		if !slices.Contains(names, r.Workload) {
-			names = append(names, r.Workload)
-		}
-	}
-	printTable(m, names, rep.Runs)
 	return nil
 }
 
@@ -271,9 +238,8 @@ func fmtQ(q [3]float64) string {
 }
 
 // bench runs one workload in dir and returns run.sh's last line.
-func bench(dir, workload string, seconds float64, seed int64) (result, error) {
-	cmd := exec.Command("bash", "benchmark/run.sh", "--workload", workload, "--seed", fmt.Sprint(seed),
-		"--seconds", fmt.Sprint(seconds), "--trace", "0")
+func bench(dir, workload string) (result, error) {
+	cmd := exec.Command("bash", "benchmark/run.sh", "--workload", workload, "--trace", "0")
 	cmd.Dir, cmd.Stderr = dir, os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
