@@ -201,3 +201,32 @@ func TestBarrierLoopWaitersYield(t *testing.T) {
 		}
 	}
 }
+
+// TestBarrierParksCountBlockedWaiters: BarrierStats counts every blocked
+// wait a release woke, with the participants on one run loop and on two,
+// where a release's wakes turn from one loop to the other. On one node,
+// with the last participant sleeping before each arrival, every other
+// participant has blocked when the generation completes: n-1 parks a
+// generation.
+func TestBarrierParksCountBlockedWaiters(t *testing.T) {
+	const n, gens = 24, 20
+	for _, loops := range []int{1, 2} {
+		t.Run(fmt.Sprintf("loops%d", loops), func(t *testing.T) {
+			b := NewBarrierRadix(n, n)
+			tasks := make([]transport.Task, n)
+			b.Bind(func(i int) *transport.Task { return &tasks[i] })
+			_, parks0 := BarrierStats()
+			transport.Run(tasks, loops, func(me int) {
+				for g := 0; g < gens; g++ {
+					if me == n-1 {
+						time.Sleep(time.Millisecond)
+					}
+					b.Wait(me, 0)
+				}
+			})
+			if _, parks := BarrierStats(); parks-parks0 != gens*(n-1) {
+				t.Errorf("%d parks in %d generations, want %d", parks-parks0, gens, gens*(n-1))
+			}
+		})
+	}
+}

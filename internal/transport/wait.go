@@ -2,7 +2,7 @@ package transport
 
 import (
 	"iter"
-	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -142,11 +142,11 @@ func (w *Waker) Wake(g *Gate) {
 	if !t.claim(g) {
 		return
 	}
-	w.woke++
 	if l := t.loop.Load(); w.loop != l {
-		w.Flush()
+		w.woke = w.Flush() // the count runs on to the caller's Flush
 		w.loop, w.head, w.tail = l, nil, t
 	}
+	w.woke++
 	t.next, w.head = w.head, t // newest first, as single pushes leave them
 }
 
@@ -184,8 +184,7 @@ type Task struct {
 	resume func() (struct{}, bool) // nil once the body has returned
 
 	// The bounded wait in progress, while on the loop's timers.
-	timeout  time.Duration
-	deadline time.Duration // since the loop's epoch; 0 until the loop stamps it
+	deadline time.Time
 	expired  bool
 }
 
@@ -196,9 +195,9 @@ func (t *Task) claim(g *Gate) bool {
 }
 
 // wait is Gate.Wait on a run loop: announce, re-check, yield. A bounded
-// wait joins the loop's timers, which the loop dates and fires — late by at
-// most expireEvery loop rounds while the loop is busy, never early; the
-// wait itself reads no clock.
+// wait reads the clock once, at its first yield, and joins the loop's
+// timers; the loop fires it before it parks and every expireEvery rounds
+// while it is busy, never early.
 func (t *Task) wait(g *Gate, done func() bool, d time.Duration) bool {
 	l, timed := t.loop.Load(), false
 	for {
@@ -208,7 +207,7 @@ func (t *Task) wait(g *Gate, done func() bool, d time.Duration) bool {
 		}
 		if d > 0 && !timed {
 			timed = true
-			t.timeout, t.deadline, t.expired = d, 0, false
+			t.deadline, t.expired = time.Now().Add(d), false
 			l.timers = append(l.timers, t)
 		}
 		if timed && t.expired {
@@ -239,10 +238,9 @@ type Loop struct {
 	run     []*Task // ready, in order, from head on
 	head    int
 	timers  []*Task // waiting with a bound; room for every task of the loop
-	epoch   time.Time
-	soonest time.Duration // no deadline is earlier, but an undated one's
 	refills int
 	parks   int64 // yields not yet in GateParks
+	watch   bool  // the loops fit the CPUs: watch the inbox before parking
 }
 
 // push puts queued tasks head..tail (newest first) on the inbox and wakes
@@ -258,40 +256,38 @@ func (l *Loop) push(head, tail *Task) {
 	l.gate.Wake()
 }
 
-// expire dates new timers, queues each task whose deadline passed, and
-// returns the time to the next deadline (0 for none).
+// expire marks each timer whose deadline has passed, queues its task
+// unless a wake has, and returns the time to the next deadline (0 for none).
+// A task queued by a wake finds its mark when it resumes.
 func (l *Loop) expire() time.Duration {
-	now := time.Since(l.epoch)
-	if now < l.soonest && l.timers[len(l.timers)-1].deadline != 0 {
-		return l.soonest - now
-	}
-	l.soonest = math.MaxInt64
+	now, next := time.Now(), time.Duration(0)
 	for _, t := range l.timers {
-		if t.deadline == 0 {
-			t.deadline = now + t.timeout
-		}
-		if t.deadline > now {
-			l.soonest = min(l.soonest, t.deadline)
-		} else if g := t.on.Load(); !t.expired && g > queued && t.on.CompareAndSwap(g, queued) {
+		if left := t.deadline.Sub(now); left > 0 {
+			if next == 0 || left < next {
+				next = left
+			}
+		} else if !t.expired {
 			t.expired = true
-			l.push(t, t)
+			if g := t.on.Load(); g > queued && t.on.CompareAndSwap(g, queued) {
+				l.push(t, t)
+			}
 		}
 	}
-	if l.soonest == math.MaxInt64 {
-		return 0
-	}
-	return l.soonest - now
+	return next
 }
 
 // refill moves the queued tasks, in queue order, onto the empty run queue,
-// parking until a wake or the next deadline while there are none. Deadlines
-// are checked before a park and every expireEvery refills.
+// waiting for a wake or the next deadline while there are none: first, if
+// the loop has a CPU of its own, by watching its inbox for up to watchFor,
+// then parked. Deadlines are checked before a watch or a park and every
+// expireEvery refills.
 func (l *Loop) refill() {
 	l.run, l.head = l.run[:0], 0
 	if l.parks != 0 {
 		gateParks.Add(l.parks)
 		l.parks = 0
 	}
+	watched := !l.watch
 	for {
 		var wait time.Duration
 		if l.refills++; len(l.timers) > 0 && (l.refills%expireEvery == 0 || l.inbox.Load() == nil) {
@@ -304,11 +300,38 @@ func (l *Loop) refill() {
 			slices.Reverse(l.run)
 			return
 		}
+		if !watched {
+			watched = true
+			l.watchInbox(wait)
+			continue
+		}
 		l.gate.park(func() bool { return l.inbox.Load() != nil }, wait, false)
 	}
 }
 
-const expireEvery = 64
+// watchInbox returns when a task is queued, after watchFor, or after wait
+// (> 0).
+func (l *Loop) watchInbox(wait time.Duration) {
+	if wait <= 0 || wait > watchFor {
+		wait = watchFor
+	}
+	start := time.Now()
+	for i := 1; l.inbox.Load() == nil; i++ {
+		if i%256 == 0 && time.Since(start) > wait {
+			return
+		}
+	}
+}
+
+// A loop that parks is woken onto its waker's P, where it waits for the
+// waker to stop: at two Ps that turns every generation of a barrier whose
+// halves sit on two loops into the two halves run in turn. A loop with a
+// CPU of its own therefore watches its inbox a while first; watchFor covers
+// a 256-rank collective's serial step with room to spare.
+const (
+	expireEvery = 64
+	watchFor    = 200 * time.Microsecond
+)
 
 // main resumes tasks until live bodies have returned. A body's
 // runtime.Goexit ends the goroutine; the loop goes on in a new one.
@@ -349,7 +372,7 @@ func Run(tasks []Task, loops int, body func(i int)) {
 	ls := make([]*Loop, loops)
 	for k := range ls {
 		lo, hi := k*n/loops, (k+1)*n/loops
-		l := &Loop{run: make([]*Task, 0, hi-lo), timers: make([]*Task, 0, hi-lo), epoch: time.Now()}
+		l := &Loop{run: make([]*Task, 0, hi-lo), timers: make([]*Task, 0, hi-lo), watch: loops > 1 && loops <= runtime.NumCPU()}
 		l.gate.tok = make(chan struct{}, 1)
 		for i := lo; i < hi; i++ {
 			t := &tasks[i]
