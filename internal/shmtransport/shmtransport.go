@@ -34,8 +34,7 @@ import (
 )
 
 // Port is one rank's mailbox plus its private match table. The mailbox
-// head, which senders hammer, is padded off the owner's words; the gate in
-// hdr pads its own sleep word.
+// head, which senders hammer, is padded off the owner's words.
 type Port struct {
 	net  *Net
 	rank int
