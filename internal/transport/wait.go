@@ -279,8 +279,9 @@ func (l *Loop) expire() time.Duration {
 // refill moves the queued tasks, in queue order, onto the empty run queue,
 // waiting for a wake or the next deadline while there are none: first, if
 // the loop has a CPU of its own, by watching its inbox for up to watchFor,
-// then parked. Deadlines are checked before a watch or a park and every
-// expireEvery refills.
+// then parked. Deadlines are checked before a watch or a park, and every
+// expireEvery refills so that ranks that keep waking each other cannot hold
+// a deadline of their loop off.
 func (l *Loop) refill() {
 	l.run, l.head = l.run[:0], 0
 	if l.parks != 0 {
